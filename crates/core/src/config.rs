@@ -63,15 +63,6 @@ pub struct Config {
     /// Span-trace output path (`spans_out = <path>`; CLI flag
     /// `--spans-out`). Enables span tracing; one JSONL line per span.
     pub spans_out: Option<String>,
-    /// Speculation depth for the probe scheduler (`speculate_depth =
-    /// 3`; CLI flag `--speculate-depth`). 0 disables speculation, 1
-    /// speculates bisection siblings only, >= 2 adds grandchild hint
-    /// probes. Ignored at `jobs = 1`.
-    pub speculate_depth: u32,
-    /// Cross-case probe dedup (`cross_case_dedup = false`; CLI flag
-    /// `--no-cross-case-dedup`). On by default; only active when
-    /// `jobs > 1`.
-    pub cross_case_dedup: bool,
     /// Ground-truth soundness gate for generated (`gen:`) benchmarks
     /// (`soundness_gate = false` disables; CLI flag `--no-gate`). On by
     /// default; ignored for hand-written benchmarks, which have no
@@ -98,8 +89,6 @@ impl Default for Config {
             probe_deadline_ms: 0,
             metrics_out: None,
             spans_out: None,
-            speculate_depth: 1,
-            cross_case_dedup: true,
             soundness_gate: true,
         }
     }
@@ -187,16 +176,6 @@ impl Config {
                     cfg.probe_deadline_ms = value
                         .parse()
                         .map_err(|e| format!("line {}: bad probe_deadline_ms: {e}", ln + 1))?
-                }
-                "speculate_depth" => {
-                    cfg.speculate_depth = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad speculate_depth: {e}", ln + 1))?
-                }
-                "cross_case_dedup" => {
-                    cfg.cross_case_dedup = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad cross_case_dedup: {e}", ln + 1))?
                 }
                 "soundness_gate" => {
                     cfg.soundness_gate = value
@@ -323,23 +302,6 @@ mod tests {
         // A malformed plan is rejected at parse time, not at run time.
         assert!(Config::parse("benchmark = x\nfault_plan = bogus-site=1/2\n").is_err());
         assert!(Config::parse("benchmark = x\nprobe_deadline_ms = soon\n").is_err());
-    }
-
-    #[test]
-    fn parses_scheduler_knobs() {
-        let cfg = Config::parse(
-            "benchmark = x\n\
-             speculate_depth = 3\n\
-             cross_case_dedup = false\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.speculate_depth, 3);
-        assert!(!cfg.cross_case_dedup);
-        let d = Config::parse("benchmark = x\n").unwrap();
-        assert_eq!(d.speculate_depth, 1);
-        assert!(d.cross_case_dedup);
-        assert!(Config::parse("benchmark = x\nspeculate_depth = deep\n").is_err());
-        assert!(Config::parse("benchmark = x\ncross_case_dedup = maybe\n").is_err());
     }
 
     #[test]

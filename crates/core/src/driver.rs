@@ -1,4 +1,4 @@
-//! The ORAQL probing driver (paper §IV-B), parallel edition.
+//! The ORAQL probing driver (paper §IV-B).
 //!
 //! Workflow: compile and run with the ORAQL pass deactivated and verify
 //! the reference behaviour; try answering *every* query optimistically
@@ -8,11 +8,11 @@
 //!
 //! # Probe execution and caching
 //!
-//! Every probe goes through one shared `ProbeEngine` per driver,
-//! which answers it from (in order):
+//! Every probe goes through the case's `ProbeEngine`, which answers it
+//! from (in order):
 //!
 //! 1. the **decisions-digest cache** — identical decision vectors skip
-//!    even the recompile (parallel mode only, keyed by the case name
+//!    even the recompile (only at `jobs > 1`, keyed by the case salt
 //!    plus [`Decisions::render`]);
 //! 2. the **persistent verdict store** ([`oraql_store::Store`], when
 //!    [`DriverOptions::store`] is set) — a write-through tier behind
@@ -20,8 +20,7 @@
 //!    reused, first by decisions digest (skipping the compile), then by
 //!    executable hash (skipping the run);
 //! 3. the **executable-hash cache** — bit-identical recompilations
-//!    reuse the previous test verdict (the seed driver's cache, now a
-//!    `Mutex<HashMap>` shared across all probing threads of a suite);
+//!    reuse the previous test verdict (the seed driver's cache);
 //! 4. the **verdict server** ([`oraql_served::Client`], when
 //!    [`DriverOptions::server`] is set) — the shared remote tier:
 //!    consulted in each key space only after the local tiers missed,
@@ -31,45 +30,41 @@
 //!    circuit breaker — see `docs/ARCHITECTURE.md` §7);
 //! 5. an actual VM execution plus output verification.
 //!
-//! Every verdict that reaches the in-memory caches is also appended to
-//! the store, and the accepted references are recorded under the case
-//! salt — the keys are salted content hashes, so a changed workload,
-//! verifier input, or fuel budget changes every key and stale entries
-//! are simply never consulted. Store hits are traced as
-//! [`ProbeKind::StoreHit`] and counted into the existing effort
-//! counters (`tests_dec_cached` for compile-free answers, `tests_cached`
-//! for run-free answers); the store's own [`oraql_store::StoreStats`]
-//! record the persistent-tier economics. Server hits are traced as
-//! [`ProbeKind::ServerHit`] and counted in [`ProbeEffort::tests_server`];
-//! the client's [`oraql_served::ClientStats`] record the remote-tier
-//! economics.
+//! The in-memory caches belong to one case and die with its driver.
+//! Every verdict that reaches them is also appended to the store, and
+//! the accepted references are recorded under the case salt — the keys
+//! are salted content hashes, so a changed workload, verifier input, or
+//! fuel budget changes every key and stale entries are simply never
+//! consulted. Store hits are traced as [`ProbeKind::StoreHit`] and
+//! counted into the existing effort counters (`tests_dec_cached` for
+//! compile-free answers, `tests_cached` for run-free answers); the
+//! store's own [`oraql_store::StoreStats`] record the persistent-tier
+//! economics. Server hits are traced as [`ProbeKind::ServerHit`] and
+//! counted in [`ProbeEffort::tests_server`]; the client's
+//! [`oraql_served::ClientStats`] record the remote-tier economics.
 //!
 //! # Concurrency and determinism contract
 //!
-//! * With `jobs = 1` (the default) no worker pool exists, speculative
-//!   handles are deferred, and the driver reproduces the sequential
-//!   seed driver byte-for-byte: same probe order, same
-//!   [`ProbeEffort`] counters, same final [`Decisions`].
-//! * With `jobs > 1` the bisection strategies launch **speculative
-//!   sibling probes** ([`Prober::probe_speculative`]) on a bounded
-//!   [`WorkerPool`]; when the Fig. 2 deduction rule fires, the
-//!   now-unneeded sibling is cancelled. In parallel mode every probe
-//!   outcome is a pure function of the probed decision vector
-//!   (compilation and the VM are deterministic, and cache hits report
-//!   the freshly compiled unique-query count), so parallel runs are
-//!   repeatable at any job count and decide the same queries as
-//!   `jobs = 1`: the final decisions agree in
-//!   [`Decisions::canonical`] form and all verification verdicts
-//!   match. (Raw explicit vectors can differ in no-op trailing
-//!   entries, because sequential mode preserves the seed driver's
-//!   quirk of reporting the *first inserter's* unique count on an
-//!   executable-cache hit.) Effort counters and cache-hit
-//!   classifications may also differ — speculation executes extra
-//!   probes — which is why Fig. 2/Fig. 4-style analysis should consume
-//!   the probe trace ([`crate::trace`]) rather than raw counters.
-//! * The test budget (`max_tests`) is accounted in executed tests; with
-//!   speculation those include wasted probes, so budget-truncated runs
-//!   are only guaranteed reproducible at `jobs = 1`.
+//! [`run_suite`] with `jobs = N` runs up to `N` cases at once, one
+//! thread each; every case runs this sequential driver with caches of
+//! its own. So every case's probe sequence, [`ProbeEffort`] counters
+//! and final [`Decisions`] are a pure function of the case and the job
+//! count's cache rule, whatever the other cases do (a store or server
+//! shared across cases can change which tier answers, never the answer):
+//!
+//! * `jobs = 1` (the default) reproduces the sequential seed driver
+//!   byte-for-byte. An executable-cache hit reports the unique-query
+//!   count recorded when the verdict was *first* cached (the seed's
+//!   quirk), and there is no decisions-digest cache.
+//! * `jobs > 1` adds the decisions-digest cache and reports the
+//!   *freshly compiled* unique count on an executable-cache hit, which
+//!   makes every probe outcome a pure function of the probed decision
+//!   vector. Runs at any `jobs > 1` are identical to each other —
+//!   test-budget-truncated runs included — and decide the same queries
+//!   as `jobs = 1`: the final decisions agree in
+//!   [`Decisions::canonical`] form and all verification verdicts match.
+//!   (Raw explicit vectors can differ from `jobs = 1` in no-op trailing
+//!   entries, because of the unique-count rule above.)
 //!
 //! # The probe sandbox (failure model)
 //!
@@ -94,9 +89,8 @@
 
 use crate::compile::{compile, CompileOptions, Compiled, Scope};
 use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
-use crate::pool::{CancelToken, WorkerPool};
 use crate::sequence::Decisions;
-use crate::strategy::{HintHandle, ProbeOutcome, Prober, SpeculativeProbe, Strategy};
+use crate::strategy::{ProbeOutcome, Prober, Strategy};
 use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
@@ -110,7 +104,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -120,8 +114,8 @@ pub struct TestCase {
     /// Benchmark name.
     pub name: String,
     /// Builds a fresh module (one "compilation" input). Must be
-    /// deterministic: the driver compiles it many times, possibly from
-    /// several probe threads at once.
+    /// deterministic: the driver compiles it many times, possibly on a
+    /// watchdog thread (see [`DriverOptions::probe_deadline`]).
     pub build: Arc<dyn Fn() -> Module + Send + Sync>,
     /// ORAQL scope restriction (files / target).
     pub scope: Scope,
@@ -164,26 +158,12 @@ pub struct DriverOptions {
     pub max_tests: u64,
     /// Record `-debug-pass=Executions` trace lines in the final compile.
     pub trace_passes: bool,
-    /// Probe concurrency. `1` (the default) is the sequential seed
-    /// driver; `N > 1` enables speculative sibling probes on an
-    /// `N`-worker pool and the decisions-digest cache.
+    /// Case concurrency (CLI: `--jobs`). [`run_suite`] runs up to
+    /// `jobs` cases at once; each case probes sequentially either way.
+    /// `1` (the default) is the sequential seed driver; `N > 1` also
+    /// turns on the decisions-digest cache and the fresh unique-count
+    /// rule (see the module docs).
     pub jobs: usize,
-    /// Speculation lookahead of the bisection DAG (CLI:
-    /// `--speculate-depth`). `0` disables speculative probes entirely
-    /// (parallel probes still share caches), `1` (the default) launches
-    /// the immediate sibling of each blocking probe, and `>= 2`
-    /// additionally warms outcome-conditioned grandchild probes up to
-    /// `depth - 1` levels down. Ignored at `jobs = 1`: the sequential
-    /// driver never speculates regardless of this setting.
-    pub speculate_depth: u32,
-    /// Dedup identical in-flight probes across the cases of a
-    /// shared-cache suite run (CLI: `--no-cross-case-dedup` disables).
-    /// The first prober to claim a decisions digest computes it and the
-    /// rest subscribe to its verdict, and bit-identical programs under
-    /// identical verification inputs share executable verdicts across
-    /// differently-named cases. Only meaningful at `jobs > 1`; cannot
-    /// change any decision — only which cache tier answers a probe.
-    pub cross_case_dedup: bool,
     /// Probe-trace sink; every probe answer is recorded here.
     pub trace: Option<TraceSink>,
     /// Span sink (CLI: `--spans-out <path>`); when set, every case
@@ -245,8 +225,6 @@ impl Default for DriverOptions {
             max_tests: 4_096,
             trace_passes: false,
             jobs: 1,
-            speculate_depth: 1,
-            cross_case_dedup: true,
             trace: None,
             spans: None,
             interp: InterpMode::default(),
@@ -271,27 +249,20 @@ pub struct ProbeEffort {
     pub tests_cached: u64,
     /// Tests skipped by the Fig. 2 deduction rule.
     pub tests_deduced: u64,
-    /// Probes answered from the decisions-digest cache without even
-    /// recompiling (parallel driver only).
+    /// Probes answered from a decisions-digest tier (the in-memory
+    /// cache at `jobs > 1`, or the store) without even recompiling.
     pub tests_dec_cached: u64,
     /// Probes answered by the verdict server (either key space) after
     /// every local tier missed.
     pub tests_server: u64,
-    /// Speculative sibling probes launched on the worker pool.
+    /// Always 0: the driver no longer speculates. Kept for readers of
+    /// the old speculation counters.
     pub spec_launched: u64,
-    /// Speculative probes cancelled before their verdict was consumed
-    /// (the deduction rule or a passing parent made them unnecessary).
+    /// Always 0 (see [`ProbeEffort::spec_launched`]).
     pub spec_cancelled: u64,
-    /// Fire-and-forget grandchild warm-ups launched on the pool
-    /// (`speculate_depth >= 2`).
-    pub spec_hints: u64,
-    /// Speculative probes that did real work (at least a compile)
-    /// *after* their waiter had already cancelled them — wasted effort,
-    /// traced as [`ProbeKind::Cancelled`]. Timing-dependent by nature,
-    /// so always 0 at `jobs = 1`.
+    /// Always 0 (see [`ProbeEffort::spec_launched`]).
     pub spec_wasted: u64,
-    /// Probes that joined an identical in-flight computation instead of
-    /// compiling a duplicate (cross-case dedup).
+    /// Always 0: probes are no longer shared in flight across cases.
     pub inflight_joins: u64,
 }
 
@@ -471,100 +442,8 @@ impl FailureStats {
     }
 }
 
-/// Thread-shared probe verdict caches. One instance may back a whole
-/// suite run: the executable-hash key and the decisions digest are both
-/// salted with the case name, so entries from different benchmarks
-/// never collide even when their module text coincides (their verifier
-/// references may differ).
-#[derive(Debug, Default)]
-pub struct VerdictCaches {
-    /// executable hash -> (verdict, unique query count)
-    exe: Mutex<HashMap<u64, (bool, u64)>>,
-    /// decisions digest -> (verdict, unique query count)
-    dec: Mutex<HashMap<u64, (bool, u64)>>,
-    /// Decisions digests currently being computed somewhere in the
-    /// suite (cross-case dedup): the first prober to claim a digest
-    /// computes it, identical concurrent probes subscribe and re-read
-    /// the decisions cache when the claim clears.
-    inflight: Mutex<HashSet<u64>>,
-    /// Notified whenever an in-flight claim is released.
-    inflight_cv: std::sync::Condvar,
-    /// Cross-case executable tier: verdicts keyed by *unsalted*
-    /// content (references + ignore patterns + fuel + module text, but
-    /// no case name), so bit-identical programs verified against
-    /// identical references share verdicts across differently-named
-    /// cases.
-    exe_content: Mutex<HashMap<u64, (bool, u64)>>,
-    /// Suite-global speculation priors: per query-index cluster,
-    /// (dangerous, total) counts of range outcomes reported by the
-    /// strategies. Earlier cases teach later ones which clusters tend
-    /// to be clean — those subtrees are speculated first. Affects only
-    /// pool scheduling priority, never a decision.
-    priors: Mutex<Vec<(u64, u64)>>,
-}
-
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Query-index clusters for the speculation priors: indices are bucketed
-/// in spans of 32, everything past the last bucket pools in the final
-/// one. Coarse on purpose — the priors only rank hint priorities.
-const PRIOR_BUCKETS: usize = 8;
-const PRIOR_SPAN: u64 = 32;
-
-/// Pool priority of sibling speculative probes. Far above any hint
-/// priority (hints use the 0..=1000 permille prior directly), so a
-/// probe whose verdict a waiter will block on always dequeues before
-/// fill-the-idle-workers grandchild speculation.
-const SIBLING_PRIORITY: i64 = 10_000;
-
-impl VerdictCaches {
-    /// Entries in the executable-hash cache.
-    pub fn exe_entries(&self) -> usize {
-        lock_ignore_poison(&self.exe).len()
-    }
-
-    /// Entries in the decisions-digest cache.
-    pub fn dec_entries(&self) -> usize {
-        lock_ignore_poison(&self.dec).len()
-    }
-
-    /// Entries in the cross-case content-keyed executable tier.
-    pub fn content_entries(&self) -> usize {
-        lock_ignore_poison(&self.exe_content).len()
-    }
-
-    fn prior_bucket(start: u64) -> usize {
-        ((start / PRIOR_SPAN) as usize).min(PRIOR_BUCKETS - 1)
-    }
-
-    /// Records one settled range outcome into the priors.
-    pub(crate) fn note_outcome(&self, start: u64, dangerous: bool) {
-        let mut p = lock_ignore_poison(&self.priors);
-        if p.is_empty() {
-            p.resize(PRIOR_BUCKETS, (0, 0));
-        }
-        let b = Self::prior_bucket(start);
-        p[b].1 += 1;
-        if dangerous {
-            p[b].0 += 1;
-        }
-    }
-
-    /// Fraction of past *clean* outcomes in `start`'s cluster, scaled
-    /// to 0..=1000. An empty cluster reads as 500 (no opinion), so
-    /// unknown subtrees rank between known-clean and known-dangerous.
-    pub(crate) fn clean_fraction_permille(&self, start: u64) -> i64 {
-        let p = lock_ignore_poison(&self.priors);
-        let Some(&(dangerous, total)) = p.get(Self::prior_bucket(start)) else {
-            return 500;
-        };
-        if total == 0 {
-            return 500;
-        }
-        (((total - dangerous) * 1000) / total) as i64
-    }
 }
 
 fn module_text_hash(salt: u64, text: &str) -> u64 {
@@ -591,15 +470,9 @@ struct DriverMetrics {
     server: &'static oraql_obs::Counter,
     deduced: &'static oraql_obs::Counter,
     faulted: &'static oraql_obs::Counter,
-    spec_launched: &'static oraql_obs::Counter,
-    spec_hints: &'static oraql_obs::Counter,
-    spec_cancelled: &'static oraql_obs::Counter,
-    spec_wasted: &'static oraql_obs::Counter,
     retries: &'static oraql_obs::Counter,
     quarantined: &'static oraql_obs::Counter,
     funnel_dec_cache_hits: &'static oraql_obs::Counter,
-    funnel_inflight_joins: &'static oraql_obs::Counter,
-    funnel_content_exe_hits: &'static oraql_obs::Counter,
     funnel_store_dec_hits: &'static oraql_obs::Counter,
     funnel_server_dec_hits: &'static oraql_obs::Counter,
     funnel_compiles: &'static oraql_obs::Counter,
@@ -626,15 +499,9 @@ fn dmetrics() -> &'static DriverMetrics {
             server: r.counter("oraql_driver_probe_server_total"),
             deduced: r.counter("oraql_driver_probe_deduced_total"),
             faulted: r.counter("oraql_driver_probe_faulted_total"),
-            spec_launched: r.counter("oraql_driver_speculation_launched_total"),
-            spec_hints: r.counter("oraql_driver_speculation_hints_total"),
-            spec_cancelled: r.counter("oraql_driver_speculation_cancelled_total"),
-            spec_wasted: r.counter("oraql_driver_speculation_wasted_total"),
             retries: r.counter("oraql_driver_retries_total"),
             quarantined: r.counter("oraql_driver_quarantined_total"),
             funnel_dec_cache_hits: r.counter("oraql_driver_funnel_dec_cache_hits_total"),
-            funnel_inflight_joins: r.counter("oraql_driver_funnel_inflight_joins_total"),
-            funnel_content_exe_hits: r.counter("oraql_driver_funnel_content_exe_hits_total"),
             funnel_store_dec_hits: r.counter("oraql_driver_funnel_store_dec_hits_total"),
             funnel_server_dec_hits: r.counter("oraql_driver_funnel_server_dec_hits_total"),
             funnel_compiles: r.counter("oraql_driver_funnel_compiles_total"),
@@ -657,10 +524,11 @@ fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
     h.finish()
 }
 
-/// Cache-key salt identifying one case within shared caches: a probe
-/// verdict is only transferable between probes that agree on the case
-/// name *and* the accepted references — the verdict of a bit-identical
-/// module under a different verifier is a different fact.
+/// Cache-key salt identifying one case within the shared store and
+/// server tiers: a probe verdict is only transferable between probes
+/// that agree on the case name *and* the accepted references — the
+/// verdict of a bit-identical module under a different verifier is a
+/// different fact.
 fn case_salt(case: &TestCase, references: &[String]) -> u64 {
     let mut h = DefaultHasher::new();
     case.name.hash(&mut h);
@@ -670,23 +538,10 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
     h.finish()
 }
 
-/// Like [`case_salt`] but *without* the case name: the key space of the
-/// cross-case content tier. Two cases that build bit-identical modules
-/// and verify them against identical references, ignore patterns, and
-/// fuel produce the same content key — the verdict is the same fact
-/// regardless of what the cases are called.
-fn content_salt(case: &TestCase, references: &[String]) -> u64 {
-    let mut h = DefaultHasher::new();
-    references.hash(&mut h);
-    case.ignore_patterns.hash(&mut h);
-    case.fuel.hash(&mut h);
-    h.finish()
-}
-
-/// The probe execution engine: everything needed to answer one probe,
-/// shareable across the worker pool (`Sync`). The seed driver's
-/// `compile_with` + `probe` logic lives here unchanged; the caches are
-/// merely behind mutexes now.
+/// The probe execution engine: everything needed to answer one probe
+/// of one case. It sits behind an `Arc` with its caches behind mutexes
+/// because a watchdog thread (see [`DriverOptions::probe_deadline`])
+/// runs each attempt and may outlive one that timed out.
 struct ProbeEngine {
     case_name: String,
     salt: u64,
@@ -697,17 +552,14 @@ struct ProbeEngine {
     fuel: u64,
     interp: InterpMode,
     verifier: Verifier,
-    /// Enables the decisions-digest cache (parallel mode only, so that
-    /// `jobs = 1` reproduces seed effort counters exactly).
+    /// Enables the decisions-digest cache and the fresh unique-count
+    /// rule (`jobs > 1` only, so that `jobs = 1` reproduces the seed
+    /// effort counters exactly).
     use_dec_cache: bool,
-    /// Enables cross-case dedup: in-flight digest claims plus the
-    /// content-keyed executable tier. Implies `use_dec_cache` (gated on
-    /// `jobs > 1 && cross_case_dedup`).
-    dedupe: bool,
-    /// Unsalted key base of the cross-case content tier (references +
-    /// ignore patterns + fuel, no case name).
-    content_salt: u64,
-    caches: Arc<VerdictCaches>,
+    /// executable hash -> (verdict, unique query count)
+    exe: Mutex<HashMap<u64, (bool, u64)>>,
+    /// decisions digest -> (verdict, unique query count)
+    dec: Mutex<HashMap<u64, (bool, u64)>>,
     /// Persistent write-through tier behind the in-memory caches.
     /// Consulted at any job count: stored outcomes are pure functions
     /// of the probed decision vector, so replaying them cannot perturb
@@ -760,32 +612,6 @@ const MAY_ALIAS: ProbeOutcome = ProbeOutcome {
     unique: 0,
 };
 
-/// How [`ProbeEngine::claim_or_subscribe`] resolved a digest.
-enum ClaimOutcome {
-    /// This thread computes the digest. The guard (when present)
-    /// releases the claim on every exit path, unwinds included; `None`
-    /// means a subscription timed out and we compute unclaimed.
-    Compute(Option<InflightClaim>),
-    /// The in-flight claimer finished; its verdict was read back from
-    /// the decisions cache.
-    Answered(bool, u64),
-    /// The advisory cancel token fired while subscribed.
-    Cancelled,
-}
-
-/// RAII release of an in-flight digest claim (cross-case dedup).
-struct InflightClaim {
-    caches: Arc<VerdictCaches>,
-    digest: u64,
-}
-
-impl Drop for InflightClaim {
-    fn drop(&mut self) {
-        lock_ignore_poison(&self.caches.inflight).remove(&self.digest);
-        self.caches.inflight_cv.notify_all();
-    }
-}
-
 /// Best-effort human-readable panic payload.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(ip) = p.downcast_ref::<InjectedPanic>() {
@@ -804,15 +630,7 @@ impl ProbeEngine {
         lock_ignore_poison(&self.effort)
     }
 
-    fn trace_event(
-        &self,
-        digest: u64,
-        kind: ProbeKind,
-        pass: bool,
-        unique: u64,
-        speculative: bool,
-        started: Instant,
-    ) {
+    fn trace_event(&self, digest: u64, kind: ProbeKind, pass: bool, unique: u64, started: Instant) {
         let m = dmetrics();
         m.probes.inc();
         match kind {
@@ -823,7 +641,6 @@ impl ProbeEngine {
             ProbeKind::ServerHit => m.server.inc(),
             ProbeKind::Deduced => m.deduced.inc(),
             ProbeKind::Faulted => m.faulted.inc(),
-            ProbeKind::Cancelled => m.spec_wasted.inc(),
         }
         m.probe_micros.observe(started.elapsed().as_micros() as u64);
         if let Some(sink) = &self.trace {
@@ -834,7 +651,6 @@ impl ProbeEngine {
                 kind,
                 pass,
                 unique,
-                speculative,
                 wall_micros: started.elapsed().as_micros() as u64,
             });
         }
@@ -842,55 +658,6 @@ impl ProbeEngine {
 
     fn failures(&self) -> MutexGuard<'_, FailureStats> {
         lock_ignore_poison(&self.failures)
-    }
-
-    /// Makes a cancelled-but-executed speculative probe visible: the
-    /// compile (and possibly the whole run) already happened, but no
-    /// waiter will consume the verdict. Counted in
-    /// [`ProbeEffort::spec_wasted`] and traced as
-    /// [`ProbeKind::Cancelled`] so `oraql trace` can report waste.
-    fn note_wasted(&self, digest: u64, pass: bool, unique: u64, started: Instant) {
-        self.effort().spec_wasted += 1;
-        self.trace_event(digest, ProbeKind::Cancelled, pass, unique, true, started);
-    }
-
-    /// Cross-case in-flight dedup: the first requester of a decisions
-    /// digest claims it and computes; identical concurrent requesters
-    /// subscribe, waking on claim releases to re-read the decisions
-    /// cache. A subscriber that outwaits the probe deadline (the
-    /// claimer hung, or was quarantined without caching anything)
-    /// computes unclaimed rather than stalling — correctness never
-    /// depends on the claim, it only avoids duplicate work. Claimers
-    /// never wait, so the one waiting level cannot deadlock.
-    fn claim_or_subscribe(&self, digest: u64, cancel: Option<&CancelToken>) -> ClaimOutcome {
-        let give_up = Instant::now() + self.deadline.unwrap_or(Duration::from_secs(2));
-        loop {
-            {
-                let mut set = lock_ignore_poison(&self.caches.inflight);
-                if !set.contains(&digest) {
-                    set.insert(digest);
-                    return ClaimOutcome::Compute(Some(InflightClaim {
-                        caches: Arc::clone(&self.caches),
-                        digest,
-                    }));
-                }
-                let (set, _) = self
-                    .caches
-                    .inflight_cv
-                    .wait_timeout(set, Duration::from_millis(10))
-                    .unwrap_or_else(|p| p.into_inner());
-                drop(set);
-            }
-            if let Some(&(pass, unique)) = lock_ignore_poison(&self.caches.dec).get(&digest) {
-                return ClaimOutcome::Answered(pass, unique);
-            }
-            if cancel.is_some_and(|t| t.is_cancelled()) {
-                return ClaimOutcome::Cancelled;
-            }
-            if Instant::now() >= give_up {
-                return ClaimOutcome::Compute(None);
-            }
-        }
     }
 
     /// Opens a child span under `parent` when span tracing is on.
@@ -936,26 +703,12 @@ impl ProbeEngine {
         }
     }
 
-    /// Answers one probe through the sandbox. Safe to call from any
-    /// thread; never panics and never blocks past the configured
-    /// deadline-per-attempt times the retry budget.
-    fn execute(self: &Arc<Self>, d: &Decisions, speculative: bool) -> ProbeOutcome {
-        // `None` can only mean "cancelled", which cannot happen without
-        // a token — but degrade to may-alias rather than trust that.
-        self.execute_sandboxed(d, speculative, None)
-            .unwrap_or(MAY_ALIAS)
-    }
-
-    /// The sandboxed probe path: quarantine short-circuit, then up to
-    /// `1 + retries` attempts, each under `catch_unwind` (plus a
-    /// watchdog thread when a deadline is configured). Returns `None`
-    /// only for a cancelled speculative probe.
-    fn execute_sandboxed(
-        self: &Arc<Self>,
-        d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
-    ) -> Option<ProbeOutcome> {
+    /// Answers one probe through the sandbox: quarantine short-circuit,
+    /// then up to `1 + retries` attempts, each under `catch_unwind`
+    /// (plus a watchdog thread when a deadline is configured). Never
+    /// panics and never blocks past the configured deadline-per-attempt
+    /// times the retry budget.
+    fn execute(self: &Arc<Self>, d: &Decisions) -> ProbeOutcome {
         let started = Instant::now();
         let digest = decisions_digest(self.salt, d);
         // The probe span covers the quarantine check, every retry, and
@@ -964,27 +717,23 @@ impl ProbeEngine {
         let probe_span = self.span("probe", self.case_span);
         let probe_id = probe_span.as_ref().map_or(0, Span::id);
         if lock_ignore_poison(&self.quarantine).contains(&digest) {
-            self.trace_event(digest, ProbeKind::Faulted, false, 0, speculative, started);
-            return Some(MAY_ALIAS);
+            self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
+            return MAY_ALIAS;
         }
         let attempts = 1 + self.retries as u64;
         for attempt_no in 0..attempts {
             let fx = self.sample_attempt();
             let outcome = match self.deadline {
-                Some(deadline) => {
-                    self.attempt_with_deadline(d, speculative, cancel, fx, deadline, probe_id)
-                }
+                Some(deadline) => self.attempt_with_deadline(d, digest, fx, deadline, probe_id),
                 None => {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        self.attempt(d, speculative, cancel, fx, probe_id)
-                    })) {
+                    match catch_unwind(AssertUnwindSafe(|| self.attempt(d, digest, fx, probe_id))) {
                         Ok(r) => r,
                         Err(p) => Err(ProbeFailure::Panic(panic_message(&*p))),
                     }
                 }
             };
             match outcome {
-                Ok(answer) => return answer, // Some(verdict) or cancelled
+                Ok(answer) => return answer,
                 Err(failure) => {
                     self.note_failure(&failure);
                     if attempt_no + 1 < attempts {
@@ -1004,32 +753,30 @@ impl ProbeEngine {
         lock_ignore_poison(&self.quarantine).insert(digest);
         self.failures().quarantined += 1;
         dmetrics().quarantined.inc();
-        self.trace_event(digest, ProbeKind::Faulted, false, 0, speculative, started);
-        Some(MAY_ALIAS)
+        self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
+        MAY_ALIAS
     }
 
     /// Runs one attempt on a watchdog thread and gives up after
     /// `deadline`. An orphaned attempt keeps running in the background;
-    /// if it eventually completes, any verdict it wrote to the shared
-    /// caches is genuine and safely reusable.
+    /// if it eventually completes, any verdict it wrote to the caches
+    /// is genuine and safely reusable.
     fn attempt_with_deadline(
         self: &Arc<Self>,
         d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
+        digest: u64,
         fx: AttemptFaults,
         deadline: Duration,
         probe_span: u64,
-    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+    ) -> Result<ProbeOutcome, ProbeFailure> {
         let (tx, rx) = channel();
         let engine = Arc::clone(self);
         let d = d.clone();
-        let token = cancel.cloned();
         let spawned = std::thread::Builder::new()
             .name("oraql-probe-attempt".into())
             .spawn(move || {
                 let r = catch_unwind(AssertUnwindSafe(|| {
-                    engine.attempt(&d, speculative, token.as_ref(), fx, probe_span)
+                    engine.attempt(&d, digest, fx, probe_span)
                 }));
                 let _ = tx.send(r);
             });
@@ -1045,34 +792,21 @@ impl ProbeEngine {
 
     /// One raw probe attempt: decisions cache, store tier, compile,
     /// executable cache, then an actual execution — with `fx`'s faults
-    /// injected at their sites. `Ok(None)` means the advisory cancel
-    /// token fired: a cancelled speculative probe stops between the
-    /// compile and the (usually much more expensive) test execution
-    /// without recording a probe answer. The waiter recomputes inline
-    /// in that case, so verdicts are never lost — only wasted work is.
+    /// injected at their sites. `digest` is `d`'s decisions digest.
     fn attempt(
         &self,
         d: &Decisions,
-        speculative: bool,
-        cancel: Option<&CancelToken>,
+        digest: u64,
         fx: AttemptFaults,
         probe_span: u64,
-    ) -> Result<Option<ProbeOutcome>, ProbeFailure> {
+    ) -> Result<ProbeOutcome, ProbeFailure> {
         let started = Instant::now();
-        let digest = decisions_digest(self.salt, d);
         if self.use_dec_cache {
-            if let Some(&(pass, unique)) = lock_ignore_poison(&self.caches.dec).get(&digest) {
+            if let Some(&(pass, unique)) = lock_ignore_poison(&self.dec).get(&digest) {
                 self.effort().tests_dec_cached += 1;
                 dmetrics().funnel_dec_cache_hits.inc();
-                self.trace_event(
-                    digest,
-                    ProbeKind::DecisionCacheHit,
-                    pass,
-                    unique,
-                    speculative,
-                    started,
-                );
-                return Ok(Some(ProbeOutcome { pass, unique }));
+                self.trace_event(digest, ProbeKind::DecisionCacheHit, pass, unique, started);
+                return Ok(ProbeOutcome { pass, unique });
             }
         }
         if let Some(store) = &self.store {
@@ -1094,17 +828,10 @@ impl ProbeEngine {
                     self.effort().tests_dec_cached += 1;
                     dmetrics().funnel_store_dec_hits.inc();
                     if self.use_dec_cache {
-                        lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+                        lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
                     }
-                    self.trace_event(
-                        digest,
-                        ProbeKind::StoreHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
+                    self.trace_event(digest, ProbeKind::StoreHit, pass, unique, started);
+                    return Ok(ProbeOutcome { pass, unique });
                 }
             }
         }
@@ -1123,50 +850,12 @@ impl ProbeEngine {
             self.effort().tests_server += 1;
             dmetrics().funnel_server_dec_hits.inc();
             if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
             }
             self.store_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ServerHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
+            self.trace_event(digest, ProbeKind::ServerHit, pass, unique, started);
+            return Ok(ProbeOutcome { pass, unique });
         }
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Ok(None);
-        }
-        // Cross-case in-flight dedup: either claim this digest (and
-        // compute below, releasing the claim on any exit) or subscribe
-        // to the prober already computing it.
-        let _claim = if self.dedupe {
-            match self.claim_or_subscribe(digest, cancel) {
-                ClaimOutcome::Compute(claim) => claim,
-                ClaimOutcome::Answered(pass, unique) => {
-                    {
-                        let mut e = self.effort();
-                        e.tests_dec_cached += 1;
-                        e.inflight_joins += 1;
-                    }
-                    dmetrics().funnel_inflight_joins.inc();
-                    self.trace_event(
-                        digest,
-                        ProbeKind::DecisionCacheHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
-                }
-                ClaimOutcome::Cancelled => return Ok(None),
-            }
-        } else {
-            None
-        };
         if fx.compile_panic {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
         }
@@ -1197,69 +886,27 @@ impl ProbeEngine {
             .unwrap_or(0);
         let text = oraql_ir::printer::module_str(&compiled.module);
         let h = module_text_hash(self.salt, &text);
-        let content_key = module_text_hash(self.content_salt, &text);
-        let hit = lock_ignore_poison(&self.caches.exe).get(&h).copied();
+        let hit = lock_ignore_poison(&self.exe).get(&h).copied();
         if let Some((pass, cached_unique)) = hit {
             self.effort().tests_cached += 1;
             dmetrics().funnel_exe_cache_hits.inc();
-            // Sequential mode preserves the seed driver's quirk of
-            // reporting the unique count recorded when the verdict was
-            // first cached. Parallel mode reports the freshly compiled
-            // count instead: cache insertion order is
-            // scheduling-dependent under speculation, and the fresh
-            // count makes every probe outcome a pure function of the
-            // probed decision vector — which is what keeps the
-            // bisection path (and the final decisions) identical across
-            // job counts.
+            // `jobs = 1` preserves the seed driver's quirk of reporting
+            // the unique count recorded when the verdict was first
+            // cached. `jobs > 1` reports the freshly compiled count,
+            // which makes every probe outcome a pure function of the
+            // probed decision vector.
             let unique = if self.use_dec_cache {
                 unique
             } else {
                 cached_unique
             };
             if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
             }
             self.store_dec(digest, pass, unique);
             self.server_put_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ExeCacheHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
-        }
-        if self.dedupe {
-            // Cross-case content tier: a differently-named case with
-            // identical verification inputs already ran this exact
-            // executable. Adopt its verdict into this case's salted
-            // tiers and skip the run.
-            let content_hit = lock_ignore_poison(&self.caches.exe_content)
-                .get(&content_key)
-                .copied();
-            if let Some((pass, _)) = content_hit {
-                self.effort().tests_cached += 1;
-                dmetrics().funnel_content_exe_hits.inc();
-                // `dedupe` implies `use_dec_cache`, so the parallel
-                // reporting rule applies: the freshly compiled unique
-                // count keeps the outcome a pure function of the
-                // decision vector.
-                lock_ignore_poison(&self.caches.exe).insert(h, (pass, unique));
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
-                self.store_dec(digest, pass, unique);
-                self.server_put_dec(digest, pass, unique);
-                self.trace_event(
-                    digest,
-                    ProbeKind::ExeCacheHit,
-                    pass,
-                    unique,
-                    speculative,
-                    started,
-                );
-                return Ok(Some(ProbeOutcome { pass, unique }));
-            }
+            self.trace_event(digest, ProbeKind::ExeCacheHit, pass, unique, started);
+            return Ok(ProbeOutcome { pass, unique });
         }
         if let Some(store) = &self.store {
             // Persistent executable-hash tier: a previous process ran
@@ -1275,7 +922,7 @@ impl ProbeEngine {
                 } else {
                     self.effort().tests_cached += 1;
                     dmetrics().funnel_store_exe_hits.inc();
-                    lock_ignore_poison(&self.caches.exe).insert(h, (pass, stored_unique));
+                    lock_ignore_poison(&self.exe).insert(h, (pass, stored_unique));
                     // Same reporting rule as the in-memory hit above:
                     // the stored unique count *is* the first inserter's
                     // count.
@@ -1285,7 +932,7 @@ impl ProbeEngine {
                         stored_unique
                     };
                     if self.use_dec_cache {
-                        lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+                        lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
                     }
                     self.store_dec(digest, pass, unique);
                     // Propagate the locally stored verdict to the
@@ -1293,15 +940,8 @@ impl ProbeEngine {
                     // seed the farm, not just the other way around.
                     self.server_put_exe(h, pass, stored_unique);
                     self.server_put_dec(digest, pass, unique);
-                    self.trace_event(
-                        digest,
-                        ProbeKind::StoreHit,
-                        pass,
-                        unique,
-                        speculative,
-                        started,
-                    );
-                    return Ok(Some(ProbeOutcome { pass, unique }));
+                    self.trace_event(digest, ProbeKind::StoreHit, pass, unique, started);
+                    return Ok(ProbeOutcome { pass, unique });
                 }
             }
         }
@@ -1320,7 +960,7 @@ impl ProbeEngine {
             // even the compile.
             self.effort().tests_server += 1;
             dmetrics().funnel_server_exe_hits.inc();
-            lock_ignore_poison(&self.caches.exe).insert(h, (pass, stored_unique));
+            lock_ignore_poison(&self.exe).insert(h, (pass, stored_unique));
             if let Some(store) = &self.store {
                 let _ = store.record_exe(h, pass, stored_unique);
             }
@@ -1331,26 +971,12 @@ impl ProbeEngine {
                 stored_unique
             };
             if self.use_dec_cache {
-                lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
             }
             self.store_dec(digest, pass, unique);
             self.server_put_dec(digest, pass, unique);
-            self.trace_event(
-                digest,
-                ProbeKind::ServerHit,
-                pass,
-                unique,
-                speculative,
-                started,
-            );
-            return Ok(Some(ProbeOutcome { pass, unique }));
-        }
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            // The compile above is already spent: record the waste
-            // before abandoning the probe, so cancelled-but-executed
-            // work is visible in the trace and the effort counters.
-            self.note_wasted(digest, false, unique, started);
-            return Ok(None);
+            self.trace_event(digest, ProbeKind::ServerHit, pass, unique, started);
+            return Ok(ProbeOutcome { pass, unique });
         }
         if fx.delay || fx.hang {
             // `probe-delay` stays well under any reasonable deadline;
@@ -1408,12 +1034,9 @@ impl ProbeEngine {
             }
             Err(_) => false, // genuine traps count as verification failures
         };
-        lock_ignore_poison(&self.caches.exe).insert(h, (pass, unique));
-        if self.dedupe {
-            lock_ignore_poison(&self.caches.exe_content).insert(content_key, (pass, unique));
-        }
+        lock_ignore_poison(&self.exe).insert(h, (pass, unique));
         if self.use_dec_cache {
-            lock_ignore_poison(&self.caches.dec).insert(digest, (pass, unique));
+            lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
         }
         if let Some(store) = &self.store {
             let _ = store.record_exe(h, pass, unique);
@@ -1424,15 +1047,8 @@ impl ProbeEngine {
         // bill becomes every tenant's warm cache.
         self.server_put_exe(h, pass, unique);
         self.server_put_dec(digest, pass, unique);
-        self.trace_event(
-            digest,
-            ProbeKind::Executed,
-            pass,
-            unique,
-            speculative,
-            started,
-        );
-        Ok(Some(ProbeOutcome { pass, unique }))
+        self.trace_event(digest, ProbeKind::Executed, pass, unique, started);
+        Ok(ProbeOutcome { pass, unique })
     }
 
     /// Write-through of the probe's *answered outcome* under its
@@ -1489,42 +1105,16 @@ impl ProbeEngine {
     }
 }
 
-/// A speculative probe in flight on the worker pool.
-struct PendingProbe {
-    rx: Receiver<ProbeOutcome>,
-    token: CancelToken,
-}
-
 /// The probing driver.
 pub struct Driver<'c> {
     case: &'c TestCase,
     opts: DriverOptions,
     engine: Arc<ProbeEngine>,
-    pool: Option<Arc<WorkerPool>>,
-    pending: HashMap<u64, PendingProbe>,
-    /// Cancel tokens of live fire-and-forget hints, keyed by ticket.
-    /// Uncancelled hints simply finish and warm the caches; their
-    /// entries are dropped with the driver.
-    hints: HashMap<u64, CancelToken>,
-    next_ticket: u64,
 }
 
 impl<'c> Driver<'c> {
-    /// Runs the full workflow on one case with private caches; a
-    /// private worker pool is created when `opts.jobs > 1`.
+    /// Runs the full workflow on one case, with caches of its own.
     pub fn run(case: &'c TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
-        let pool = (opts.jobs > 1).then(|| Arc::new(WorkerPool::new(opts.jobs)));
-        Self::run_shared(case, opts, Arc::new(VerdictCaches::default()), pool)
-    }
-
-    /// [`Driver::run`] against caller-provided caches and worker pool,
-    /// so a suite run shares both across benchmarks.
-    pub fn run_shared(
-        case: &'c TestCase,
-        opts: DriverOptions,
-        caches: Arc<VerdictCaches>,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Result<DriverResult, DriverError> {
         // The case span covers the whole workflow; the guards record on
         // every exit path, including `?` errors.
         let spans = opts.spans.clone();
@@ -1544,7 +1134,6 @@ impl<'c> Driver<'c> {
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
         let salt = case_salt(case, &references);
-        let csalt = content_salt(case, &references);
         if let Some(store) = &opts.store {
             // Record the accepted references under the case salt: a
             // warm reader can tell *what* a salt's verdicts were
@@ -1574,9 +1163,8 @@ impl<'c> Driver<'c> {
             interp: opts.interp,
             verifier,
             use_dec_cache: opts.jobs > 1,
-            dedupe: opts.jobs > 1 && opts.cross_case_dedup,
-            content_salt: csalt,
-            caches,
+            exe: Mutex::default(),
+            dec: Mutex::default(),
             store: opts.store.clone(),
             server: opts.server.clone(),
             effort: Mutex::new(ProbeEffort::default()),
@@ -1590,15 +1178,7 @@ impl<'c> Driver<'c> {
             failures: Mutex::new(FailureStats::default()),
             quarantine: Mutex::new(HashSet::new()),
         });
-        let mut driver = Driver {
-            case,
-            opts,
-            engine,
-            pool,
-            pending: HashMap::new(),
-            hints: HashMap::new(),
-            next_ticket: 0,
-        };
+        let mut driver = Driver { case, opts, engine };
 
         // Step 2: the empty sequence — everything optimistic.
         let all_opt = Decisions::all_optimistic();
@@ -1729,7 +1309,7 @@ fn run_module_with(
 
 impl Prober for Driver<'_> {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-        self.engine.execute(d, false)
+        self.engine.execute(d)
     }
 
     fn budget_exceeded(&self) -> bool {
@@ -1748,231 +1328,27 @@ impl Prober for Driver<'_> {
     fn note_deduced(&mut self) {
         self.engine.effort().tests_deduced += 1;
         self.engine
-            .trace_event(0, ProbeKind::Deduced, false, 0, false, Instant::now());
-    }
-
-    fn speculate_depth(&self) -> u32 {
-        if self.pool.is_none() {
-            return 0; // sequential mode never speculates
-        }
-        self.opts.speculate_depth
-    }
-
-    fn probe_speculative(&mut self, d: &Decisions) -> SpeculativeProbe {
-        let deferred = SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: None,
-        };
-        let Some(pool) = &self.pool else {
-            // Sequential mode: defer — the probe runs inline at the
-            // wait site, preserving the seed driver's probe order.
-            return deferred;
-        };
-        if self.opts.speculate_depth == 0 {
-            // Speculation disabled: the same deferred-inline flow as
-            // sequential mode, just against the shared caches.
-            return deferred;
-        }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let (tx, rx) = channel();
-        let token = CancelToken::default();
-        let engine = Arc::clone(&self.engine);
-        let decisions = d.clone();
-        let job_token = token.clone();
-        // Pre-sample the poison decision on the submitting thread so the
-        // deterministic fault stream is independent of worker timing.
-        let poison = self
-            .opts
-            .faults
-            .as_ref()
-            .is_some_and(|inj| inj.fire(FaultSite::WorkerPoison));
-        let submitted = pool.submit_with_priority(SIBLING_PRIORITY, move || {
-            if poison {
-                // The worker dies before touching the probe; the pool
-                // respawns a replacement, and the waiter observes the
-                // dropped channel and recomputes inline.
-                std::panic::panic_any(InjectedPanic("poisoned pool worker"));
-            }
-            if job_token.is_cancelled() {
-                return;
-            }
-            let job_started = Instant::now();
-            if let Some(o) = engine.execute_sandboxed(&decisions, true, Some(&job_token)) {
-                if tx.send(o).is_err() {
-                    // The waiter cancelled after this job was already
-                    // dequeued: the probe ran to completion but nobody
-                    // consumes its verdict — record the wasted work.
-                    engine.note_wasted(
-                        decisions_digest(engine.salt, &decisions),
-                        o.pass,
-                        o.unique,
-                        job_started,
-                    );
-                }
-            }
-        });
-        if submitted.is_err() {
-            // The pool is already shut down (a suite teardown race):
-            // fall back to the deferred-inline flow rather than panic.
-            return deferred;
-        }
-        self.engine.effort().spec_launched += 1;
-        dmetrics().spec_launched.inc();
-        self.pending.insert(ticket, PendingProbe { rx, token });
-        SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: Some(ticket),
-        }
-    }
-
-    fn wait_probe(&mut self, h: SpeculativeProbe) -> ProbeOutcome {
-        match h.ticket.and_then(|t| self.pending.remove(&t)) {
-            Some(p) => match p.rx.recv() {
-                Ok(o) => o,
-                // The job observed a (stale) cancellation or the pool is
-                // shutting down; recompute inline — the caches make this
-                // cheap if the work already happened.
-                Err(_) => self.engine.execute(&h.decisions, false),
-            },
-            None => self.engine.execute(&h.decisions, false),
-        }
-    }
-
-    fn cancel_probe(&mut self, h: SpeculativeProbe) {
-        if let Some(p) = h.ticket.and_then(|t| self.pending.remove(&t)) {
-            p.token.cancel();
-            self.engine.effort().spec_cancelled += 1;
-            dmetrics().spec_cancelled.inc();
-        }
-    }
-
-    fn hint_probe(&mut self, d: &Decisions, start: u64) -> Option<HintHandle> {
-        let pool = self.pool.as_ref()?;
-        if self.opts.speculate_depth < 2 {
-            return None;
-        }
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        let token = CancelToken::default();
-        let engine = Arc::clone(&self.engine);
-        let decisions = d.clone();
-        let job_token = token.clone();
-        // Pre-sampled on the submitting thread, like sibling probes.
-        let poison = self
-            .opts
-            .faults
-            .as_ref()
-            .is_some_and(|inj| inj.fire(FaultSite::WorkerPoison));
-        // Likely-clean subtrees speculate first: a passing grandchild
-        // verdict is the one the Fig. 2 deduction multiplies. Sibling
-        // probes (`SIBLING_PRIORITY`) always outrank hints, so hints
-        // only fill otherwise-idle workers.
-        let priority = self.engine.caches.clean_fraction_permille(start);
-        let submitted = pool.submit_with_priority(priority, move || {
-            if poison {
-                std::panic::panic_any(InjectedPanic("poisoned pool worker"));
-            }
-            if job_token.is_cancelled() {
-                return;
-            }
-            // Fire-and-forget: the verdict is only wanted in the caches,
-            // where a later blocking probe (here or in another case)
-            // picks it up as a decision-cache hit or in-flight join.
-            let _ = engine.execute_sandboxed(&decisions, true, Some(&job_token));
-        });
-        if submitted.is_err() {
-            return None;
-        }
-        self.engine.effort().spec_hints += 1;
-        dmetrics().spec_hints.inc();
-        self.hints.insert(ticket, token);
-        Some(HintHandle(ticket))
-    }
-
-    fn cancel_hint(&mut self, h: HintHandle) {
-        if let Some(token) = self.hints.remove(&h.0) {
-            token.cancel();
-            self.engine.effort().spec_cancelled += 1;
-            dmetrics().spec_cancelled.inc();
-        }
-    }
-
-    fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-        self.engine.caches.note_outcome(start, dangerous);
+            .trace_event(0, ProbeKind::Deduced, false, 0, Instant::now());
     }
 }
 
-/// Runs several cases concurrently (one driver thread per case, all at
-/// once) and returns results in input order. This is the driver-level
-/// parallelism used by the Fig. 4 harness across the sixteen
-/// configurations. With `opts.jobs > 1` all drivers share one verdict
-/// cache and one speculative-probe pool; with `jobs = 1` each driver is
-/// fully independent, matching the seed behaviour.
-pub fn run_many(
-    cases: &[TestCase],
-    opts: &DriverOptions,
-) -> Vec<Result<DriverResult, DriverError>> {
-    let shared = (opts.jobs > 1).then(|| {
-        (
-            Arc::new(VerdictCaches::default()),
-            Arc::new(WorkerPool::new(opts.jobs)),
-        )
-    });
-    let mut results: Vec<Option<Result<DriverResult, DriverError>>> =
-        (0..cases.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
-            let opts = opts.clone();
-            let shared = shared.clone();
-            handles.push((
-                i,
-                // The catch_unwind keeps a panicking driver thread from
-                // propagating through scope() and aborting its siblings:
-                // one broken case yields one Err, the rest still run.
-                s.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| match shared {
-                        Some((caches, pool)) => Driver::run_shared(case, opts, caches, Some(pool)),
-                        None => Driver::run(case, opts),
-                    }))
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))))
-                }),
-            ));
-        }
-        for (i, h) in handles {
-            results[i] = Some(
-                h.join()
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p)))),
-            );
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|| Err(DriverError::Internal("case result missing".into()))))
-        .collect()
-}
-
-/// Runs a suite under a global probe-concurrency budget: at most
-/// `opts.jobs` cases probe at any moment, all sharing one
-/// [`VerdictCaches`] and one [`WorkerPool`] for speculative siblings.
-/// With `jobs = 1` the cases run strictly sequentially, reproducing the
-/// seed CLI's `--all` behaviour exactly. Results are in input order.
+/// Runs a suite with up to `opts.jobs` cases at once, one thread each;
+/// every case runs [`Driver::run`] with caches of its own. With
+/// `jobs = 1` the cases run strictly sequentially, reproducing the seed
+/// CLI's `--all` behaviour exactly. Results are in input order, and a
+/// panicking case yields [`DriverError::CasePanicked`] without
+/// disturbing the others.
 pub fn run_suite(
     cases: &[TestCase],
     opts: &DriverOptions,
 ) -> Vec<Result<DriverResult, DriverError>> {
+    let run_one = |case: &TestCase| {
+        catch_unwind(AssertUnwindSafe(|| Driver::run(case, opts.clone())))
+            .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))))
+    };
     if opts.jobs <= 1 {
-        return cases
-            .iter()
-            .map(|c| {
-                catch_unwind(AssertUnwindSafe(|| Driver::run(c, opts.clone())))
-                    .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))))
-            })
-            .collect();
+        return cases.iter().map(run_one).collect();
     }
-    let caches = Arc::new(VerdictCaches::default());
-    let pool = Arc::new(WorkerPool::new(opts.jobs));
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<Result<DriverResult, DriverError>>>> =
         (0..cases.len()).map(|_| Mutex::new(None)).collect();
@@ -1983,18 +1359,7 @@ pub fn run_suite(
                 if i >= cases.len() {
                     break;
                 }
-                // One panicking case must not take its worker (and the
-                // cases it would have claimed next) with it.
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    Driver::run_shared(
-                        &cases[i],
-                        opts.clone(),
-                        Arc::clone(&caches),
-                        Some(Arc::clone(&pool)),
-                    )
-                }))
-                .unwrap_or_else(|p| Err(DriverError::CasePanicked(panic_message(&*p))));
-                *lock_ignore_poison(&results[i]) = Some(r);
+                *lock_ignore_poison(&results[i]) = Some(run_one(&cases[i]));
             });
         }
     });
@@ -2144,15 +1509,6 @@ mod tests {
     }
 
     #[test]
-    fn run_many_preserves_order() {
-        let cases = vec![mixed_case(2, 0, 0), mixed_case(3, 1, 0)];
-        let rs = run_many(&cases, &DriverOptions::default());
-        assert_eq!(rs.len(), 2);
-        assert!(rs[0].as_ref().unwrap().fully_optimistic);
-        assert!(!rs[1].as_ref().unwrap().fully_optimistic);
-    }
-
-    #[test]
     fn parallel_driver_matches_sequential_decisions() {
         for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
             let case = mixed_case(4, 2, 2);
@@ -2176,35 +1532,28 @@ mod tests {
             assert_eq!(seq.decisions, par.decisions, "{strategy:?}");
             assert_eq!(seq.fully_optimistic, par.fully_optimistic);
             assert_eq!(seq.final_run.stdout, par.final_run.stdout);
-            assert!(par.effort.spec_launched > 0, "speculation should engage");
         }
     }
 
     #[test]
-    fn shared_verdict_cache_hit_under_concurrency() {
+    fn caches_hit_at_jobs_above_one() {
         // Inert pairs make many decision vectors compile bit-identically,
-        // so concurrent probes must land in the shared executable cache.
+        // so the executable cache answers at jobs > 1 too.
         let case = mixed_case(3, 2, 5);
-        let caches = Arc::new(VerdictCaches::default());
-        let pool = Arc::new(WorkerPool::new(4));
-        let r = Driver::run_shared(
+        let r = Driver::run(
             &case,
             DriverOptions {
                 jobs: 4,
                 ..Default::default()
             },
-            Arc::clone(&caches),
-            Some(pool),
         )
         .unwrap();
         assert!(!r.fully_optimistic);
         assert!(
             r.effort.tests_cached > 0,
-            "expected shared-cache hits: {:?}",
+            "expected exe-cache hits: {:?}",
             r.effort
         );
-        assert!(caches.exe_entries() > 0);
-        assert!(caches.dec_entries() > 0);
     }
 
     #[test]
@@ -2422,225 +1771,5 @@ mod tests {
         assert_eq!(cold.decisions, warm.decisions);
         assert_eq!(cold.final_run.stdout, warm.final_run.stdout);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn poisoned_workers_do_not_lose_verdicts() {
-        let case = mixed_case(4, 2, 2);
-        let seq = Driver::run(&case, DriverOptions::default()).unwrap();
-        let plan = FaultPlan::quiet(11).with_rate(FaultSite::WorkerPoison, Rate::new(1, 3));
-        let mut opts = chaos_opts(plan);
-        opts.jobs = 4;
-        let chaotic = Driver::run(&case, opts).unwrap();
-        // A poisoned worker drops its result channel; the waiter
-        // recomputes inline, so decisions and output are unchanged.
-        assert_eq!(seq.decisions, chaotic.decisions);
-        assert_eq!(seq.final_run.stdout, chaotic.final_run.stdout);
-    }
-
-    // --- speculation DAG / cross-case dedup ---------------------------
-
-    /// Builds a ready-to-probe driver without running the workflow, so
-    /// tests can exercise the [`Prober`] interface directly.
-    fn test_driver<'c>(
-        case: &'c TestCase,
-        opts: DriverOptions,
-        caches: Arc<VerdictCaches>,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Driver<'c> {
-        let baseline = compile(&*case.build, &CompileOptions::baseline());
-        let baseline_run = run_module(&baseline.module, case.fuel, opts.interp).unwrap();
-        let references = vec![baseline_run.stdout];
-        let salt = case_salt(case, &references);
-        let csalt = content_salt(case, &references);
-        let engine = Arc::new(ProbeEngine {
-            case_name: case.name.clone(),
-            salt,
-            build: Arc::clone(&case.build),
-            scope: case.scope.clone(),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            fuel: case.fuel,
-            interp: opts.interp,
-            verifier: Verifier::new(references, &case.ignore_patterns),
-            use_dec_cache: opts.jobs > 1,
-            dedupe: opts.jobs > 1 && opts.cross_case_dedup,
-            content_salt: csalt,
-            caches,
-            store: None,
-            server: None,
-            effort: Mutex::new(ProbeEffort::default()),
-            trace: opts.trace.clone(),
-            trace_seq: AtomicU64::new(0),
-            spans: None,
-            case_span: 0,
-            faults: opts.faults.clone(),
-            deadline: opts.probe_deadline,
-            retries: opts.probe_retries,
-            failures: Mutex::new(FailureStats::default()),
-            quarantine: Mutex::new(HashSet::new()),
-        });
-        Driver {
-            case,
-            opts,
-            engine,
-            pool,
-            pending: HashMap::new(),
-            hints: HashMap::new(),
-            next_ticket: 0,
-        }
-    }
-
-    #[test]
-    fn cancelled_after_dequeue_reports_wasted_work() {
-        let case = mixed_case(2, 1, 0);
-        let sink = TraceSink::in_memory();
-        // An always-on probe hang (25 ms without a deadline) holds the
-        // worker between its post-compile cancel checkpoint and the
-        // verdict send, so the cancel below reliably lands after the
-        // compile was already spent.
-        let plan = FaultPlan::quiet(3).with_rate(FaultSite::ProbeHang, Rate::always());
-        let opts = DriverOptions {
-            jobs: 2,
-            trace: Some(sink.clone()),
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            ..Default::default()
-        };
-        let mut d = test_driver(&case, opts, Arc::new(VerdictCaches::default()), {
-            Some(Arc::new(WorkerPool::new(1)))
-        });
-        let h = d.probe_speculative(&Decisions::Explicit {
-            seq: vec![false],
-            tail: true,
-        });
-        assert!(h.ticket.is_some(), "speculation should launch");
-        // Wait until the worker is past the compile, then cancel.
-        while d.engine.effort().compiles == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        d.cancel_probe(h);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while d.engine.effort().spec_wasted == 0 {
-            assert!(
-                Instant::now() < deadline,
-                "cancelled-but-executed probe never reported waste: {:?}",
-                d.engine.effort()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(d.engine.effort().spec_cancelled, 1);
-        assert!(
-            sink.events()
-                .iter()
-                .any(|e| e.kind == ProbeKind::Cancelled && e.speculative),
-            "waste must be visible in the trace"
-        );
-    }
-
-    #[test]
-    fn content_tier_shares_verdicts_across_cases() {
-        // Two cases building identical modules under different names:
-        // the case-salted tiers cannot share, the content tier can.
-        // Depth 0 keeps both runs deterministic (no pool probes).
-        let a = TestCase::new("alpha", || build_mixed(3, 1, 1));
-        let b = TestCase::new("beta", || build_mixed(3, 1, 1));
-        let opts = DriverOptions {
-            jobs: 2,
-            speculate_depth: 0,
-            ..Default::default()
-        };
-        let caches = Arc::new(VerdictCaches::default());
-        let ra = Driver::run_shared(&a, opts.clone(), Arc::clone(&caches), None).unwrap();
-        let rb = Driver::run_shared(&b, opts.clone(), Arc::clone(&caches), None).unwrap();
-        assert!(ra.effort.tests_run > 0);
-        assert!(caches.content_entries() > 0);
-        // Every probe of case B rides on case A's verdicts: compiles
-        // still happen (the content key needs the module text), but no
-        // probe runs or verifies.
-        assert_eq!(rb.effort.tests_run, 0, "{:?}", rb.effort);
-        assert!(rb.effort.tests_cached > 0, "{:?}", rb.effort);
-        assert_eq!(ra.decisions, rb.decisions);
-
-        // With dedup off the second case pays its own probes.
-        let off = DriverOptions {
-            cross_case_dedup: false,
-            ..opts
-        };
-        let caches = Arc::new(VerdictCaches::default());
-        let _ = Driver::run_shared(&a, off.clone(), Arc::clone(&caches), None).unwrap();
-        let rb2 = Driver::run_shared(&b, off, Arc::clone(&caches), None).unwrap();
-        assert!(rb2.effort.tests_run > 0, "{:?}", rb2.effort);
-        assert_eq!(caches.content_entries(), 0);
-    }
-
-    #[test]
-    fn speculation_priors_rank_clean_clusters() {
-        let c = VerdictCaches::default();
-        assert_eq!(c.clean_fraction_permille(0), 500); // unknown: neutral
-        c.note_outcome(0, false);
-        c.note_outcome(0, false);
-        c.note_outcome(0, true);
-        assert_eq!(c.clean_fraction_permille(0), 666);
-        c.note_outcome(40, true);
-        assert_eq!(c.clean_fraction_permille(40), 0);
-        assert_eq!(c.clean_fraction_permille(33), 0); // same 32-wide bucket
-                                                      // Everything past the last bucket pools in the final one.
-        c.note_outcome(10_000, false);
-        assert_eq!(
-            c.clean_fraction_permille(PRIOR_SPAN * PRIOR_BUCKETS as u64),
-            1000
-        );
-    }
-
-    #[test]
-    fn depth_zero_disables_speculation_entirely() {
-        let case = mixed_case(4, 2, 2);
-        let seq = Driver::run(&case, DriverOptions::default()).unwrap();
-        let par = Driver::run(
-            &case,
-            DriverOptions {
-                jobs: 4,
-                speculate_depth: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(par.effort.spec_launched, 0, "{:?}", par.effort);
-        assert_eq!(par.effort.spec_hints, 0);
-        assert_eq!(par.effort.spec_wasted, 0);
-        assert_eq!(seq.decisions, par.decisions);
-        assert_eq!(seq.final_run.stdout, par.final_run.stdout);
-    }
-
-    #[test]
-    fn deep_speculation_matches_sequential_decisions() {
-        for strategy in [Strategy::Chunked, Strategy::FrequencySpace] {
-            let case = mixed_case(4, 2, 2);
-            let seq = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let par = Driver::run(
-                &case,
-                DriverOptions {
-                    strategy,
-                    jobs: 4,
-                    speculate_depth: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.decisions, par.decisions, "{strategy:?}");
-            assert_eq!(seq.final_run.stdout, par.final_run.stdout);
-            assert!(
-                par.effort.spec_hints > 0,
-                "{strategy:?}: grandchild hints should engage: {:?}",
-                par.effort
-            );
-        }
     }
 }

@@ -18,9 +18,9 @@
 //!   full-optimism fast path, recursive bisection with the *chunked*
 //!   and *frequency-space* strategies ([`strategy`]), shared verdict
 //!   caches (executable hash + decisions digest) and the Fig. 2
-//!   deduction rule. Probes run speculatively on a bounded worker
-//!   pool ([`pool`]) when `jobs > 1`; `jobs = 1` reproduces the
-//!   sequential driver byte-for-byte.
+//!   deduction rule. [`run_suite`] runs up to `jobs` cases at once,
+//!   each on this sequential driver; `jobs = 1` reproduces the seed
+//!   driver byte-for-byte.
 //! * [`trace`] — probe-trace observability: a JSONL event stream
 //!   recording how every probe was answered (executed / cached /
 //!   store / deduced), consumed by [`report`] summaries.
@@ -28,7 +28,7 @@
 //!   verdict store: an append-only, checksummed, content-addressed
 //!   journal that makes warm re-runs answer probes without compiling.
 //!   Attached via [`DriverOptions`]'s `store` field (`--store` in the
-//!   CLI) as a write-through tier behind [`driver::VerdictCaches`].
+//!   CLI) as a write-through tier behind the driver's in-memory caches.
 //! * [`served`] (the `oraql-served` crate) — the shared verdict
 //!   *server*: a daemon owning sharded journals, answering lookups from
 //!   an in-memory index and batching appends with group fsync, so many
@@ -55,7 +55,6 @@ pub mod compile;
 pub mod config;
 pub mod driver;
 pub mod pass;
-pub mod pool;
 pub mod report;
 pub mod sequence;
 pub mod strategy;
@@ -70,13 +69,12 @@ pub use oraql_store as store;
 
 pub use compile::{compile, CompileOptions, Compiled, Scope};
 pub use driver::{
-    run_many, run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats,
-    ProbeFailure, TestCase, VerdictCaches,
+    run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats, ProbeFailure,
+    TestCase,
 };
 pub use oraql_faults::{FaultInjector, FaultPlan, FaultSite, InjectedPanic};
 pub use oraql_store::{StatsSnapshot, Store, StoreError, StoreStats};
 pub use pass::{OraqlAA, OraqlShared, OraqlStats};
-pub use pool::{CancelToken, SubmitError, WorkerPool};
 pub use sequence::Decisions;
 pub use strategy::Strategy;
 pub use trace::{read_trace, ProbeEvent, ProbeKind, TraceSink};

@@ -65,10 +65,11 @@ impl Decisions {
     /// entries equal to `tail` (they are no-ops — the tail answers
     /// those indices identically), class descriptors are deduplicated
     /// and sorted. Two decision sources that answer every index the
-    /// same way have equal canonical `Explicit` forms; the parallel
-    /// driver's determinism tests compare through this because the
-    /// sequential driver may append no-op trailing entries that
-    /// speculative probing measures more precisely.
+    /// same way have equal canonical `Explicit` forms; the driver's
+    /// determinism tests compare `jobs = 1` with `jobs > 1` through
+    /// this because the two report different unique-query counts on
+    /// executable-cache hits, so `jobs = 1` may append no-op trailing
+    /// entries.
     pub fn canonical(&self) -> Decisions {
         match self {
             Decisions::Explicit { seq, tail } => {

@@ -14,47 +14,13 @@
 //! contain a dangerous query and one sibling proves clean, the other
 //! sibling's failing test is deduced rather than run.
 //!
-//! # Speculative sibling probes
-//!
-//! Each bisection step probes a parent configuration and then — unless
-//! the parent answer makes it unnecessary — one or both siblings of the
-//! split. Those sibling probes do not depend on the parent's *outcome*,
-//! only on its decision vector, so a parallel prober can start them
-//! before the parent answer is known. The strategies express this with
-//! [`Prober::probe_speculative`]: a sibling probe is launched as a
-//! [`SpeculativeProbe`] handle before the blocking probe, then either
-//! consumed with [`Prober::wait_probe`] or discarded with
-//! [`Prober::cancel_probe`] when the parent's answer (or the Fig. 2
-//! deduction) makes it moot.
-//!
-//! # The speculation DAG (`speculate_depth >= 2`)
-//!
-//! Sibling speculation only looks one probe ahead. The strategies can
-//! speculate deeper: conditioned on "the parent range fails", the next
-//! probes are the successively halved prefixes the recursion will
-//! issue (chunked), or the first split probe of whichever residue-class
-//! subtree survives (frequency space). [`Prober::hint_probe`] launches
-//! those grandchild configurations as *fire-and-forget* warm-ups: their
-//! verdicts land in the shared caches (or are joined in-flight) by the
-//! time the blocking walk reaches them, but no strategy decision ever
-//! reads a hint directly. When a parent outcome invalidates a subtree —
-//! including via the Fig. 2 deduction — its hints are discarded with
-//! [`Prober::cancel_hint`]. [`Prober::note_range_outcome`] feeds the
-//! dangerous-fraction priors that order hint execution (likely-clean
-//! subtrees first).
-//!
 //! # Determinism contract
 //!
-//! The default trait implementations make speculation a no-op: the
-//! handle defers the probe and `wait_probe` evaluates it inline, at
-//! exactly the sequence point where the sequential code probed. A
-//! sequential prober (`--jobs 1`) therefore observes the *identical*
-//! probe order the seed driver issued, and every strategy's final
-//! decision sequence is a pure function of probe outcomes — parallel
-//! probers that answer probes deterministically (the driver's compile +
-//! VM pipeline is deterministic) produce identical decisions at any job
-//! count. Hints keep that property trivially: they can only warm
-//! caches, never alter the blocking probe sequence or its outcomes.
+//! Every strategy's final decision sequence is a pure function of the
+//! probe outcomes it observes, and each probe is issued only once the
+//! previous one has answered. A prober that answers deterministically
+//! (the driver's compile + VM pipeline is deterministic) therefore
+//! reaches identical decisions on every run.
 
 use crate::sequence::Decisions;
 
@@ -67,26 +33,6 @@ pub struct ProbeOutcome {
     pub unique: u64,
 }
 
-/// A probe that may be evaluated concurrently with the caller.
-/// Obtained from [`Prober::probe_speculative`]; must be settled by
-/// exactly one of [`Prober::wait_probe`] / [`Prober::cancel_probe`].
-#[derive(Debug)]
-pub struct SpeculativeProbe {
-    /// The decision vector the probe evaluates.
-    pub decisions: Decisions,
-    /// Executor ticket when the probe really runs in the background;
-    /// `None` means deferred — evaluated inline on `wait_probe`.
-    pub ticket: Option<u64>,
-}
-
-/// A fire-and-forget warm-up probe of the speculation DAG. Obtained
-/// from [`Prober::hint_probe`]; optionally discarded early with
-/// [`Prober::cancel_hint`] when the subtree it belongs to is
-/// invalidated. Unlike [`SpeculativeProbe`] it is never waited on —
-/// dropping the handle simply lets the hint finish and warm the caches.
-#[derive(Debug)]
-pub struct HintHandle(pub u64);
-
 /// Something that can compile + test a decision source (the driver).
 pub trait Prober {
     /// Compile with `d`, run, verify.
@@ -96,63 +42,6 @@ pub trait Prober {
     fn budget_exceeded(&self) -> bool;
     /// Records a test skipped thanks to the deduction rule.
     fn note_deduced(&mut self);
-
-    /// How many outcome levels ahead this prober wants the strategies
-    /// to speculate. `0` disables speculation entirely, `1` launches
-    /// only the immediate sibling of each blocking probe (the classic
-    /// one-ahead flow), and `>= 2` additionally issues
-    /// [`Prober::hint_probe`] warm-ups up to `depth - 1` levels down
-    /// the bisection DAG.
-    fn speculate_depth(&self) -> u32 {
-        1
-    }
-
-    /// Starts a fire-and-forget warm-up of `d` — a configuration the
-    /// strategy *might* block on one or two levels down the DAG.
-    /// `start` is the first undecided query index of the hinted range
-    /// (the priors cluster key). Returns `None` when the prober does
-    /// not execute hints (the default), in which case nothing happens.
-    fn hint_probe(&mut self, d: &Decisions, start: u64) -> Option<HintHandle> {
-        let _ = (d, start);
-        None
-    }
-
-    /// Abandons a hint whose subtree was invalidated by a parent
-    /// outcome or the Fig. 2 deduction. The default is a no-op.
-    fn cancel_hint(&mut self, h: HintHandle) {
-        let _ = h;
-    }
-
-    /// Records the settled outcome of a decided range starting at query
-    /// index `start`: `dangerous` means the range kept at least one
-    /// pessimistic answer. Feeds the suite-global priors that rank
-    /// which subtrees to speculate first. The default is a no-op.
-    fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-        let _ = (start, dangerous);
-    }
-
-    /// Starts evaluating `d` concurrently, if this prober can. The
-    /// default defers: no work happens until [`Prober::wait_probe`],
-    /// which preserves the sequential probe order exactly.
-    fn probe_speculative(&mut self, d: &Decisions) -> SpeculativeProbe {
-        SpeculativeProbe {
-            decisions: d.clone(),
-            ticket: None,
-        }
-    }
-
-    /// Blocks until the speculative probe's outcome is available.
-    /// Deferred handles are evaluated inline here.
-    fn wait_probe(&mut self, h: SpeculativeProbe) -> ProbeOutcome {
-        debug_assert!(h.ticket.is_none(), "ticketed handle without an executor");
-        self.probe(&h.decisions)
-    }
-
-    /// Abandons a speculative probe; its verdict is never consumed.
-    /// The default is a no-op (nothing was started).
-    fn cancel_probe(&mut self, h: SpeculativeProbe) {
-        let _ = h;
-    }
 }
 
 /// Which strategy the driver uses.
@@ -193,22 +82,12 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
             seq: prefix.clone(),
             tail: true,
         };
-        // If the optimistic probe fails we immediately need the tail
-        // length under a pessimistic tail — overlap that measurement
-        // with the optimistic probe.
-        let tail_spec = p.probe_speculative(&Decisions::Explicit {
-            seq: prefix.clone(),
-            tail: false,
-        });
         if p.probe(&optimistic_rest).pass {
-            p.cancel_probe(tail_spec);
-            p.note_range_outcome(prefix.len() as u64, false);
             return optimistic_rest;
         }
         if p.budget_exceeded() {
             // Conservative finish: everything undecided stays
             // pessimistic (always verifies).
-            p.cancel_probe(tail_spec);
             return Decisions::Explicit {
                 seq: prefix,
                 tail: false,
@@ -216,7 +95,10 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
         }
         // Number of queries beyond the prefix when the tail is answered
         // pessimistically (always a passing configuration).
-        let o = p.wait_probe(tail_spec);
+        let o = p.probe(&Decisions::Explicit {
+            seq: prefix.clone(),
+            tail: false,
+        });
         let n = o.unique.saturating_sub(prefix.len() as u64);
         let before = prefix.len();
         if n == 0 {
@@ -226,7 +108,7 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
             prefix.push(false);
             continue;
         }
-        decide_range(p, &mut prefix, n, false, None);
+        decide_range(p, &mut prefix, n, false);
         if prefix.len() == before {
             prefix.push(false); // forced progress (should not happen)
         }
@@ -236,34 +118,16 @@ pub fn chunked(p: &mut dyn Prober) -> Decisions {
 /// Decides (approximately) the next `h` queries after `prefix`, leaving
 /// everything beyond pessimistic. `known_fail` says the all-optimistic
 /// test for this range is already known to fail (deduction).
-/// `prelaunched` optionally carries a speculative probe of exactly this
-/// range's all-optimistic configuration, started by the caller.
-fn decide_range(
-    p: &mut dyn Prober,
-    prefix: &mut Vec<bool>,
-    h: u64,
-    known_fail: bool,
-    prelaunched: Option<SpeculativeProbe>,
-) {
+fn decide_range(p: &mut dyn Prober, prefix: &mut Vec<bool>, h: u64, known_fail: bool) {
     if h == 0 {
-        if let Some(s) = prelaunched {
-            p.cancel_probe(s);
-        }
         return;
     }
     if p.budget_exceeded() {
         // Undecided ⇒ pessimistic.
-        if let Some(s) = prelaunched {
-            p.cancel_probe(s);
-        }
         prefix.extend(std::iter::repeat_n(false, h as usize));
         return;
     }
-    let start = prefix.len() as u64;
-    let mut half_spec: Option<SpeculativeProbe> = None;
-    let mut fail_hints: Vec<HintHandle> = Vec::new();
     if known_fail {
-        debug_assert!(prelaunched.is_none());
         p.note_deduced();
     } else {
         let mut seq = prefix.clone();
@@ -272,74 +136,18 @@ fn decide_range(
             seq: seq.clone(),
             tail: false,
         };
-        // If this range fails, the first thing the recursion probes is
-        // the earlier half — launch that sibling speculatively before
-        // blocking on the full range.
-        if h > 1 {
-            let mut half = prefix.clone();
-            half.extend(std::iter::repeat_n(true, (h / 2) as usize));
-            half_spec = Some(p.probe_speculative(&Decisions::Explicit {
-                seq: half,
-                tail: false,
-            }));
-            // Deeper speculation (the DAG): still conditioned on "this
-            // range fails", the recursion's own earlier-half siblings
-            // are the successively halved prefixes — warm them as
-            // fire-and-forget hints while the parent is in flight.
-            let depth = p.speculate_depth();
-            if depth >= 2 && !p.budget_exceeded() {
-                let mut hh = h / 2;
-                for _ in 1..depth {
-                    hh /= 2;
-                    if hh == 0 {
-                        break;
-                    }
-                    let mut g = prefix.clone();
-                    g.extend(std::iter::repeat_n(true, hh as usize));
-                    if let Some(hint) = p.hint_probe(
-                        &Decisions::Explicit {
-                            seq: g,
-                            tail: false,
-                        },
-                        start,
-                    ) {
-                        fail_hints.push(hint);
-                    }
-                }
-            }
-        }
-        let outcome = match prelaunched {
-            Some(s) => {
-                debug_assert_eq!(s.decisions, d);
-                p.wait_probe(s)
-            }
-            None => p.probe(&d),
-        };
-        if outcome.pass {
-            // The fail-conditioned subtree is invalidated wholesale.
-            for hint in fail_hints {
-                p.cancel_hint(hint);
-            }
-            if let Some(s) = half_spec {
-                p.cancel_probe(s);
-            }
+        if p.probe(&d).pass {
             *prefix = seq;
-            p.note_range_outcome(start, false);
             return;
         }
-        // Range fails: the hints stand — the recursion's blocking
-        // probes for the same configurations will find their verdicts
-        // cached or join them in flight.
     }
     if h == 1 {
-        debug_assert!(half_spec.is_none());
         prefix.push(false);
-        p.note_range_outcome(start, true);
         return;
     }
     let h1 = h / 2;
     let before = prefix.len();
-    decide_range(p, prefix, h1, false, half_spec);
+    decide_range(p, prefix, h1, false);
     let consumed = (prefix.len() - before) as u64;
     // The query space shifts as decisions change; re-measure how much
     // of the original range remains (the paper's "the bisection
@@ -348,7 +156,7 @@ fn decide_range(
     // Fig. 2 deduction: a clean first half means the danger is in the
     // second half — skip its all-optimistic test.
     let first_half_clean = prefix[before..].iter().all(|&b| b);
-    decide_range(p, prefix, h2, first_half_clean, None);
+    decide_range(p, prefix, h2, first_half_clean);
 }
 
 /// Frequency-space bisection.
@@ -370,22 +178,6 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
             finalized.push((m, r));
             continue;
         }
-        // The split probes depend only on the measurement probe's
-        // decision vectors, not its outcome — launch both siblings
-        // speculatively before blocking on the measurement.
-        let c1 = (2 * m, r);
-        let c2 = (2 * m, r + m);
-        let spec1 = p.probe_speculative(&ctx(&[c1], &finalized, &work));
-        let spec2 = p.probe_speculative(&ctx(&[c2], &finalized, &work));
-        // Deeper speculation (the DAG): if exactly one sibling survives
-        // this round, the next iteration pops it with `finalized`/`work`
-        // unchanged, so its first split probe is computable now — warm
-        // one grandchild per possible surviving subtree.
-        let (mut hint1, mut hint2) = (None, None);
-        if p.speculate_depth() >= 2 {
-            hint1 = p.hint_probe(&ctx(&[(4 * m, r)], &finalized, &work), r);
-            hint2 = p.hint_probe(&ctx(&[(4 * m, r + m)], &finalized, &work), r + m);
-        }
         // Measure the current query count with this class pessimistic.
         let o = p.probe(&ctx(&[(m, r)], &finalized, &work));
         if o.pass {
@@ -398,55 +190,23 @@ pub fn frequency_space(p: &mut dyn Prober) -> Decisions {
             n.saturating_sub(r).div_ceil(m)
         };
         if class_size <= 1 {
-            p.cancel_probe(spec1);
-            p.cancel_probe(spec2);
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
             finalized.push((m, r));
-            p.note_range_outcome(r, true);
             continue;
         }
-        let o1 = p.wait_probe(spec1);
-        if o1.pass {
+        let c1 = (2 * m, r);
+        let c2 = (2 * m, r + m);
+        if p.probe(&ctx(&[c1], &finalized, &work)).pass {
             last_passing = ctx(&[c1], &finalized, &work);
             // All dangers of (m, r) live in c1; c2 is clean. The
-            // c2-only test would fail — deduced, not run: cancelling
-            // the speculative sibling *is* the Fig. 2 deduction here,
-            // and the whole c2 subtree (its grandchild hint included)
-            // is invalidated with it.
-            p.cancel_probe(spec2);
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
+            // c2-only test would fail — deduced, not run.
             p.note_deduced();
-            p.note_range_outcome(r + m, false);
             work.push(c1);
             continue;
         }
-        let o2 = p.wait_probe(spec2);
-        if o2.pass {
+        if p.probe(&ctx(&[c2], &finalized, &work)).pass {
             last_passing = ctx(&[c2], &finalized, &work);
-            // Dangers all live in c2: the c1 subtree is dropped, and
-            // its grandchild hint with it.
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            p.note_range_outcome(r, false);
             work.push(c2);
         } else {
-            // Both halves dangerous: the next iterations see a changed
-            // work set, so neither grandchild hint matches a future
-            // probe — cancel both rather than let them run stale.
-            if let Some(h) = hint1.take() {
-                p.cancel_hint(h);
-            }
-            if let Some(h) = hint2.take() {
-                p.cancel_hint(h);
-            }
             work.push(c1);
             work.push(c2);
         }
@@ -583,112 +343,6 @@ mod tests {
         let d = chunked(&mut s);
         // Whatever was decided, the result must verify.
         assert!(s.dangerous.iter().all(|&i| !d.decide(i)), "{d:?}");
-    }
-
-    /// Synthetic prober with the speculation DAG enabled: it records
-    /// hint launches and cancellations without executing anything —
-    /// hints are pure warm-ups, so a prober that ignores them must
-    /// still reach identical decisions.
-    struct SpecSynthetic {
-        inner: Synthetic,
-        depth: u32,
-        next_hint: u64,
-        live: std::collections::HashSet<u64>,
-        launched: u64,
-        cancelled: u64,
-        hinted: Vec<Decisions>,
-        notes: Vec<(u64, bool)>,
-    }
-
-    impl SpecSynthetic {
-        fn new(dangerous: Vec<u64>, n: u64, depth: u32) -> Self {
-            SpecSynthetic {
-                inner: synth(dangerous, n),
-                depth,
-                next_hint: 0,
-                live: Default::default(),
-                launched: 0,
-                cancelled: 0,
-                hinted: Vec::new(),
-                notes: Vec::new(),
-            }
-        }
-    }
-
-    impl Prober for SpecSynthetic {
-        fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-            self.inner.probe(d)
-        }
-        fn budget_exceeded(&self) -> bool {
-            self.inner.budget_exceeded()
-        }
-        fn note_deduced(&mut self) {
-            self.inner.note_deduced()
-        }
-        fn speculate_depth(&self) -> u32 {
-            self.depth
-        }
-        fn hint_probe(&mut self, d: &Decisions, _start: u64) -> Option<HintHandle> {
-            let id = self.next_hint;
-            self.next_hint += 1;
-            self.live.insert(id);
-            self.launched += 1;
-            self.hinted.push(d.clone());
-            Some(HintHandle(id))
-        }
-        fn cancel_hint(&mut self, h: HintHandle) {
-            assert!(self.live.remove(&h.0), "hint cancelled twice");
-            self.cancelled += 1;
-        }
-        fn note_range_outcome(&mut self, start: u64, dangerous: bool) {
-            self.notes.push((start, dangerous));
-        }
-    }
-
-    #[test]
-    fn chunked_dag_hints_do_not_perturb_decisions() {
-        let mut plain = synth(vec![37, 64, 65], 128);
-        let d_plain = chunked(&mut plain);
-        let mut dag = SpecSynthetic::new(vec![37, 64, 65], 128, 3);
-        let d_dag = chunked(&mut dag);
-        // Identical blocking probe sequence ⇒ identical result and
-        // identical probe count — hints ride alongside, never within.
-        assert_eq!(d_plain, d_dag);
-        assert_eq!(plain.tests, dag.inner.tests);
-        assert!(dag.launched > 0, "depth 3 must launch hints");
-        assert!(dag.cancelled <= dag.launched);
-        // Every hint is an explicit pessimistic-tail prefix probe.
-        for h in &dag.hinted {
-            assert!(
-                matches!(h, Decisions::Explicit { tail: false, .. }),
-                "{h:?}"
-            );
-        }
-        // Range outcomes were reported for the priors.
-        assert!(dag.notes.iter().any(|&(_, dangerous)| dangerous));
-        assert!(dag.notes.iter().any(|&(_, dangerous)| !dangerous));
-    }
-
-    #[test]
-    fn frequency_dag_hints_do_not_perturb_decisions() {
-        let mut plain = synth(vec![5, 64], 128);
-        let d_plain = frequency_space(&mut plain);
-        let mut dag = SpecSynthetic::new(vec![5, 64], 128, 2);
-        let d_dag = frequency_space(&mut dag);
-        assert_eq!(d_plain, d_dag);
-        assert_eq!(plain.tests, dag.inner.tests);
-        assert!(dag.launched > 0, "depth 2 must launch hints");
-        assert!(dag.cancelled <= dag.launched);
-    }
-
-    #[test]
-    fn depth_below_two_launches_no_hints() {
-        for depth in [0, 1] {
-            let mut dag = SpecSynthetic::new(vec![37], 100, depth);
-            let d = chunked(&mut dag);
-            check_result(&dag.inner, &d);
-            assert_eq!(dag.launched, 0, "depth {depth} must not hint");
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * `exe-cache` — a bit-identical recompilation reused a prior verdict
 //!   (the seed driver's executable-hash cache);
 //! * `dec-cache` — an identical decision vector skipped even the
-//!   recompile (the decisions-digest cache, parallel driver only);
+//!   recompile (the decisions-digest cache, `--jobs > 1` only);
 //! * `store` — the persistent verdict store (`oraql-store`, enabled
 //!   with `--store`) answered from a previous process's work;
 //! * `server` — the shared verdict server (`oraql-served`, enabled
@@ -21,11 +21,12 @@
 //! # Determinism contract
 //!
 //! With `--jobs 1` the event *sequence* is deterministic and reproduces
-//! the seed driver's probe order exactly. With `--jobs N` events from
-//! speculative probes interleave in scheduling order; the
-//! `speculative` flag and per-case `seq` numbers let consumers
-//! reconstruct per-case order. Wall-clock fields are the only
-//! inherently non-reproducible values.
+//! the seed driver's probe order exactly. With `--jobs N` up to `N`
+//! cases probe at once and their events interleave in scheduling
+//! order, but each case probes sequentially, so the per-case `seq`
+//! numbers reconstruct a per-case sequence that is identical at any
+//! `N > 1`. Wall-clock fields are the only inherently non-reproducible
+//! values.
 //!
 //! The format is line-delimited JSON with a fixed key set (no external
 //! serialization crates in this hermetic build — the writer and parser
@@ -60,14 +61,6 @@ pub enum ProbeKind {
     /// sandbox exhausted its retries (or hit corruption) and degraded
     /// to the pessimistic may-alias verdict (`pass = false`).
     Faulted,
-    /// A speculative probe that was cancelled *after* it had already
-    /// been dequeued: the compile (and possibly the run) happened, but
-    /// no waiter consumed the verdict. Emitted in addition to the
-    /// probe's ordinary answer event when the probe ran to completion
-    /// unobserved, or on its own when the cancellation landed between
-    /// the compile and the test execution — either way the event makes
-    /// the wasted work visible to `oraql trace`.
-    Cancelled,
 }
 
 impl ProbeKind {
@@ -81,7 +74,6 @@ impl ProbeKind {
             ProbeKind::ServerHit => "server",
             ProbeKind::Deduced => "deduced",
             ProbeKind::Faulted => "faulted",
-            ProbeKind::Cancelled => "cancelled",
         }
     }
 
@@ -94,7 +86,6 @@ impl ProbeKind {
             "server" => ProbeKind::ServerHit,
             "deduced" => ProbeKind::Deduced,
             "faulted" => ProbeKind::Faulted,
-            "cancelled" => ProbeKind::Cancelled,
             _ => return None,
         })
     }
@@ -118,8 +109,6 @@ pub struct ProbeEvent {
     /// Unique ORAQL queries observed by that compilation (0 when the
     /// compile was skipped).
     pub unique: u64,
-    /// Was this probe launched speculatively for a bisection sibling?
-    pub speculative: bool,
     /// Wall time spent answering, in microseconds.
     pub wall_micros: u64,
 }
@@ -132,13 +121,12 @@ impl ProbeEvent {
         s.push_str(&escape_json(&self.case));
         let _ = write!(
             s,
-            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"speculative\":{},\"wall_micros\":{}}}",
+            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"wall_micros\":{}}}",
             self.seq,
             self.digest,
             self.kind.as_str(),
             self.pass,
             self.unique,
-            self.speculative,
             self.wall_micros
         );
         s
@@ -159,7 +147,6 @@ impl ProbeEvent {
             kind: ProbeKind::parse(&json_str(line, "kind")?)?,
             pass: json_bool(line, "pass")?,
             unique: json_u64(line, "unique")?,
-            speculative: json_bool(line, "speculative")?,
             wall_micros: json_u64(line, "wall_micros")?,
         })
     }
@@ -262,7 +249,6 @@ mod tests {
             kind,
             pass: seq.is_multiple_of(2),
             unique: 42,
-            speculative: seq == 1,
             wall_micros: 1234,
         }
     }
@@ -277,7 +263,6 @@ mod tests {
             ProbeKind::ServerHit,
             ProbeKind::Deduced,
             ProbeKind::Faulted,
-            ProbeKind::Cancelled,
         ]
         .into_iter()
         .enumerate()

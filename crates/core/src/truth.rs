@@ -20,7 +20,7 @@
 //! also emitted an *observable hazard* on that pair (a load / store /
 //! load sandwich whose printed value diverges under wrong forwarding).
 //! For such pairs the bisection must always end pessimistic — under any
-//! job count, speculation depth, cache tier, or injected fault, because
+//! job count, cache tier, or injected fault, because
 //! every degradation path in the driver (quarantine, retry, deduction)
 //! moves answers toward may-alias, never away from it. The gate turns
 //! that argument into a machine-checked per-case invariant: an

@@ -78,9 +78,6 @@ pub enum FaultSite {
     /// A store append bit-flips one payload byte (silent disk rot,
     /// caught by the journal checksum on the next open).
     StoreWriteBitFlip,
-    /// A worker-pool job panics before running its probe (poisoned
-    /// worker).
-    WorkerPoison,
     /// The server drops the connection instead of answering a request
     /// (mid-exchange RST as seen by the client).
     ConnReset,
@@ -108,7 +105,7 @@ pub enum FaultSite {
 
 /// All sites, in wire order. Index into this array is the site's
 /// stable id (used for counters and sub-seed derivation).
-pub const SITES: [FaultSite; 17] = [
+pub const SITES: [FaultSite; 16] = [
     FaultSite::CompilePanic,
     FaultSite::VmTrap,
     FaultSite::VmFuelLie,
@@ -118,7 +115,6 @@ pub const SITES: [FaultSite; 17] = [
     FaultSite::StoreReadCorrupt,
     FaultSite::StoreWriteTorn,
     FaultSite::StoreWriteBitFlip,
-    FaultSite::WorkerPoison,
     FaultSite::ConnReset,
     FaultSite::FrameTorn,
     FaultSite::FrameGarble,
@@ -141,7 +137,6 @@ impl FaultSite {
             FaultSite::StoreReadCorrupt => "store-read-corrupt",
             FaultSite::StoreWriteTorn => "store-write-torn",
             FaultSite::StoreWriteBitFlip => "store-write-bitflip",
-            FaultSite::WorkerPoison => "worker-poison",
             FaultSite::ConnReset => "conn-reset",
             FaultSite::FrameTorn => "frame-torn",
             FaultSite::FrameGarble => "frame-garble",
@@ -393,8 +388,8 @@ impl FaultInjector {
     }
 }
 
-/// Panic payload used by every injected panic (probe compile, worker
-/// poison), so `catch_unwind` consumers can distinguish chaos from
+/// Panic payload used by every injected panic (such as the probe
+/// compile's `compile-panic`), so `catch_unwind` consumers can distinguish chaos from
 /// genuine bugs via `payload.downcast_ref::<InjectedPanic>()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedPanic(pub &'static str);

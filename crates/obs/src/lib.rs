@@ -5,8 +5,8 @@
 //! 1. A process-wide [`Registry`] of metrics — sharded atomic
 //!    [`Counter`]s, [`Gauge`]s, and fixed-bucket log2 latency
 //!    [`Histogram`]s — registered by static name and snapshot-able
-//!    without stopping writers. The driver, worker pool, VM, verdict
-//!    store, and served daemon all publish here; the CLI and the
+//!    without stopping writers. The driver, VM, verdict store, and
+//!    served daemon all publish here; the CLI and the
 //!    daemon's `METRICS` op render a [`Snapshot`] as Prometheus-style
 //!    text exposition.
 //! 2. Span tracing ([`SpanSink`] / [`SpanEvent`]) — a scoped-timer

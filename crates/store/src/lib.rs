@@ -1,7 +1,7 @@
 //! # oraql-store — crash-safe persistent verdict store
 //!
 //! ORAQL's probing loop recomputes the same verdicts in every process:
-//! the driver's in-memory `VerdictCaches` die with the run, so every
+//! the driver's in-memory verdict caches die with the run, so every
 //! CLI invocation, bench target, and CI pass pays the full probe bill
 //! again. This crate persists those verdicts (and the reference outputs
 //! that gate them) in an on-disk, append-only, content-addressed

@@ -191,27 +191,25 @@ pub fn render_fig4(events: &[ProbeEvent]) -> String {
     let mut out = String::new();
     out.push_str("--- query statistics (fig. 4) ---\n");
     out.push_str(&format!(
-        "{:24} {:>7} {:>7} {:>7} {:>10} {:>6}\n",
-        "case", "probes", "passes", "fails", "max-unique", "spec"
+        "{:24} {:>7} {:>7} {:>7} {:>10}\n",
+        "case", "probes", "passes", "fails", "max-unique"
     ));
     for (case, evs) in by_case(events) {
         let passes = evs.iter().filter(|e| e.pass).count();
         let max_unique = evs.iter().map(|e| e.unique).max().unwrap_or(0);
-        let spec = evs.iter().filter(|e| e.speculative).count();
         out.push_str(&format!(
-            "{:24} {:>7} {:>7} {:>7} {:>10} {:>6}\n",
+            "{:24} {:>7} {:>7} {:>7} {:>10}\n",
             case,
             evs.len(),
             passes,
             evs.len() - passes,
-            max_unique,
-            spec
+            max_unique
         ));
     }
     out
 }
 
-const KINDS: [ProbeKind; 8] = [
+const KINDS: [ProbeKind; 7] = [
     ProbeKind::Executed,
     ProbeKind::ExeCacheHit,
     ProbeKind::DecisionCacheHit,
@@ -219,7 +217,6 @@ const KINDS: [ProbeKind; 8] = [
     ProbeKind::ServerHit,
     ProbeKind::Deduced,
     ProbeKind::Faulted,
-    ProbeKind::Cancelled,
 ];
 
 /// Per-case wall-clock breakdown by answer kind (the paper's Fig. 6
@@ -378,7 +375,6 @@ mod tests {
             kind,
             pass,
             unique,
-            speculative: false,
             wall_micros: wall,
         }
     }

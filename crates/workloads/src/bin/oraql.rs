@@ -4,7 +4,6 @@
 //! oraql --list
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
 //!       [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]
-//!       [--speculate-depth N] [--no-cross-case-dedup]
 //!       [--store <journal>] [--no-store]
 //!       [--server <addr>] [--no-server]
 //!       [--fault-plan <spec>] [--probe-deadline-ms N]
@@ -22,24 +21,13 @@
 //! effort, and (with `--dump`) the Fig. 3-style pessimistic-query
 //! report.
 //!
-//! `--jobs N` (default 1) bounds the probe concurrency: `1` is the
-//! sequential driver with byte-for-byte identical output to earlier
-//! versions; `N > 1` probes speculatively and, with `--all`, runs up to
-//! `N` benchmarks at once sharing one verdict cache. `--trace` writes
+//! `--jobs N` (default 1): with `--all`, up to `N` benchmarks run at
+//! once, one thread each, and every benchmark probes sequentially with
+//! caches of its own. `1` is the sequential driver with byte-for-byte
+//! identical output to earlier versions; `N > 1` also answers repeated
+//! decision vectors from an in-memory decisions cache. `--trace` writes
 //! one JSONL event per probe answer and prints a per-case summary
 //! table.
-//!
-//! `--speculate-depth N` (default 1) sizes the speculation DAG at
-//! `--jobs > 1`: `0` disables speculation (shared caches only), `1`
-//! speculates bisection siblings, `>= 2` additionally enqueues
-//! grandchild hint probes derived from each possible parent outcome,
-//! cancelling the subtrees the parent's answer invalidates.
-//! `--no-cross-case-dedup` turns off the suite-global probe dedup
-//! (in-flight digest claims plus the content-addressed executable
-//! tier) that lets identical compiles across cases be paid for once.
-//! Config keys `speculate_depth =` / `cross_case_dedup =` do the same;
-//! the CLI wins. Neither affects `--jobs 1`, which stays byte-for-byte
-//! identical to the sequential driver.
 //!
 //! `--store <journal>` attaches the crash-safe persistent verdict store
 //! (`oraql-store`): probe verdicts are journaled across runs, so a warm
@@ -64,8 +52,8 @@
 //! `fault_plan =` / `probe_deadline_ms =` do the same; the CLI wins.
 //!
 //! `--metrics-out <path>` writes the process-wide metrics registry
-//! (counters, gauges, latency histograms from driver, VM, worker pool,
-//! store, and server client) as a Prometheus-style exposition at exit
+//! (counters, gauges, latency histograms from driver, VM, store, and
+//! server client) as a Prometheus-style exposition at exit
 //! and prints an additive `--- metrics ---` summary section rendered
 //! from the same snapshot. `--spans-out <path>` enables span tracing:
 //! one JSONL line per `case > probe > compile|vm|verify|store|server`
@@ -96,7 +84,6 @@ fn usage() -> ! {
         "usage: oraql --list\n       \
          oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]\n                \
          [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]\n                \
-         [--speculate-depth N] [--no-cross-case-dedup]\n                \
          [--store <journal>] [--no-store]\n                \
          [--server <addr>] [--no-server]\n                \
          [--fault-plan <spec>] [--probe-deadline-ms N]\n                \
@@ -250,18 +237,10 @@ fn print_result(
         r.effort.compiles, r.effort.tests_run, r.effort.tests_cached, r.effort.tests_deduced
     );
     if jobs > 1 {
-        // Extra parallel-mode counters; kept off the jobs=1 path so
-        // sequential reports stay byte-identical to earlier versions.
-        println!(
-            "parallel: {} dec-cached ({} in-flight joins), {} speculative launched, \
-             {} hints, {} cancelled, {} wasted",
-            r.effort.tests_dec_cached,
-            r.effort.inflight_joins,
-            r.effort.spec_launched,
-            r.effort.spec_hints,
-            r.effort.spec_cancelled,
-            r.effort.spec_wasted
-        );
+        // The decisions cache only exists at jobs > 1; kept off the
+        // jobs=1 path so sequential reports stay byte-identical to
+        // earlier versions.
+        println!("parallel: {} dec-cached", r.effort.tests_dec_cached);
     }
     if !r.failures.is_quiet() {
         // Sandbox events only happen under injected faults or genuine
@@ -345,9 +324,8 @@ fn run_one(
     }
 }
 
-/// `--all`: every registered benchmark, sequential at `--jobs 1` and a
-/// bounded-concurrency suite (shared verdict cache + speculation pool)
-/// otherwise. Reports are printed in registry order either way.
+/// `--all`: every registered benchmark, up to `--jobs` of them at once.
+/// Reports are printed in registry order either way.
 fn run_all(opts: &DriverOptions, dump: bool, cfg: Option<&Config>) -> i32 {
     let cases: Vec<TestCase> = workloads::CASE_INFOS
         .iter()
@@ -443,10 +421,6 @@ fn main() {
                     std::process::exit(2)
                 }
             }
-            "--speculate-depth" => {
-                opts.speculate_depth = parsed_flag(&args, &mut i, flag, "an integer depth");
-            }
-            "--no-cross-case-dedup" => opts.cross_case_dedup = false,
             "--trace" => trace_path = Some(flag_value(&args, &mut i, flag)),
             "--store" => store_path = Some(flag_value(&args, &mut i, flag)),
             "--no-store" => no_store = true,
@@ -474,8 +448,6 @@ fn main() {
                 opts.strategy = cfg.strategy;
                 opts.max_tests = cfg.max_tests;
                 opts.interp = cfg.interp;
-                opts.speculate_depth = cfg.speculate_depth;
-                opts.cross_case_dedup = cfg.cross_case_dedup;
                 benchmark = Some(cfg.benchmark.clone());
                 dump |= cfg.dump;
                 config = Some(cfg);
@@ -655,15 +627,6 @@ fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
         c("oraql_driver_funnel_vm_runs_total"),
     ));
     out.push_str(&format!(
-        "speculation: {} launched, {} hints, {} cancelled, {} wasted | dedup: {} in-flight joins, {} content-exe hits\n",
-        c("oraql_driver_speculation_launched_total"),
-        c("oraql_driver_speculation_hints_total"),
-        c("oraql_driver_speculation_cancelled_total"),
-        c("oraql_driver_speculation_wasted_total"),
-        c("oraql_driver_funnel_inflight_joins_total"),
-        c("oraql_driver_funnel_content_exe_hits_total"),
-    ));
-    out.push_str(&format!(
         "vm: {} runs, {} insts, {} fuel refunds, {} decode lowerings\n",
         c("oraql_vm_runs_total"),
         c("oraql_vm_insts_total"),
@@ -671,10 +634,7 @@ fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
         c("oraql_vm_decode_lowerings_total"),
     ));
     out.push_str(&format!(
-        "pool: {} jobs, {} panics, {} respawns | store: {} appends, {} fsyncs | retries {} quarantined {}\n",
-        c("oraql_pool_jobs_submitted_total"),
-        c("oraql_pool_panics_total"),
-        c("oraql_pool_respawns_total"),
+        "store: {} appends, {} fsyncs | retries {} quarantined {}\n",
         c("oraql_store_appends_total"),
         c("oraql_store_fsyncs_total"),
         c("oraql_driver_retries_total"),

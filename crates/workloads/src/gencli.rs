@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! oraql gen --plan "seed=42,cases=1000,motifs=red+csr,per=3" [--out DIR]
-//!           [--run] [--jobs N] [--speculate-depth N] [--no-gate]
+//!           [--run] [--jobs N] [--no-gate]
 //!           [--fault-plan SPEC] [--probe-deadline-ms N] [--max-tests N]
 //!           [--server ADDR]
 //! ```
@@ -28,7 +28,7 @@ use oraql_gen::{suite, write_corpus, GenPlan};
 fn gen_usage() -> i32 {
     eprintln!(
         "usage: oraql gen --plan \"seed=S,cases=N,motifs=red+outlined+aos+csr+halo,per=K\"\n                \
-         [--out <dir>] [--run] [--jobs N] [--speculate-depth N] [--no-gate]\n                \
+         [--out <dir>] [--run] [--jobs N] [--no-gate]\n                \
          [--fault-plan <spec>] [--probe-deadline-ms N] [--max-tests N] [--server <addr>]"
     );
     2
@@ -74,10 +74,6 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--jobs" | "-j" => match value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => opts.jobs = n,
                 _ => bail!("bad --jobs: expected an integer >= 1"),
-            },
-            "--speculate-depth" => match value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => opts.speculate_depth = n,
-                None => bail!("bad --speculate-depth: expected an integer"),
             },
             "--max-tests" => match value(&mut i).and_then(|v| v.parse().ok()) {
                 Some(n) => opts.max_tests = n,

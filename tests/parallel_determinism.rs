@@ -42,14 +42,12 @@ fn parallel_jobs_match_sequential_on_workloads() {
             "{name}"
         );
         assert_eq!(seq.final_run.stdout, par.final_run.stdout, "{name}");
-        // Speculation actually engaged in the parallel run.
-        assert!(par.effort.spec_launched > 0, "{name}: {:?}", par.effort);
     }
 }
 
 /// Parallel runs are deterministic run-to-run: probe outcomes are pure
-/// functions of the decision vector in parallel mode, so scheduling
-/// cannot change the bisection path.
+/// functions of the decision vector at `jobs > 1`, so nothing can
+/// change the bisection path.
 #[test]
 fn parallel_runs_are_repeatable() {
     let a = run_with_jobs("xsbench", 4);
@@ -72,8 +70,8 @@ fn sequential_runs_are_bit_stable() {
     }
 }
 
-/// The probe trace agrees with the effort counters in sequential mode
-/// and records speculative probes in parallel mode.
+/// The probe trace agrees with the effort counters at `jobs = 1` and
+/// at `jobs > 1`, where the decisions cache also answers.
 #[test]
 fn trace_is_consistent_with_effort() {
     let case = workloads::find_case("testsnap_omp").expect("case");
@@ -104,5 +102,12 @@ fn trace_is_consistent_with_effort() {
     )
     .unwrap();
     let events = par_sink.events();
-    assert!(events.iter().any(|e| e.speculative), "{:?}", r.effort);
+    let count = |k: ProbeKind| events.iter().filter(|e| e.kind == k).count() as u64;
+    assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
+    assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
+    assert_eq!(
+        count(ProbeKind::DecisionCacheHit),
+        r.effort.tests_dec_cached
+    );
+    assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
 }

@@ -1,6 +1,7 @@
-//! Wall-clock contract of `--jobs N`: probe latency overlaps on the
-//! worker pool, so a suite run with `jobs > 1` is measurably faster
-//! than the sequential driver whenever probes spend time waiting.
+//! Wall-clock contract of `--jobs N`: up to `N` cases probe at once, so
+//! their probe latency overlaps and a suite run with `jobs > 1` is
+//! measurably faster than the sequential driver whenever probes spend
+//! time waiting.
 //!
 //! In the paper's setting a probe spawns an external compiler and a
 //! benchmark run, so the driver mostly waits — exactly the latency this

@@ -1,29 +1,22 @@
-//! Determinism gates for the probe scheduler v2 (speculation DAG +
-//! cross-case dedup) over the full 16-configuration workload suite:
+//! Determinism gates for `--jobs N` over the full 16-configuration
+//! workload suite. `run_suite` runs up to `N` cases at once and every
+//! case runs the sequential driver with caches of its own, so:
 //!
-//! * `--jobs 1` is byte-identical at any speculation depth — same
-//!   decisions, same effort counters, same probe trace (the knobs must
-//!   be completely inert without a pool);
-//! * at depth 0 every parallel job count replays the same per-case
-//!   probe sequence, so the Fig. 2 effort tables agree between
-//!   `--jobs 2` and `--jobs 8` field-for-field (timing excluded);
-//! * at any (jobs, depth) combination the *decisions* agree with the
-//!   sequential run in canonical form, and the optimized programs
-//!   produce identical verified output;
+//! * every case's raw decisions, effort counters and probe trace (wall
+//!   time excluded) are identical at `--jobs 2` and `--jobs 8`, run
+//!   after run — including runs cut short by the test budget;
+//! * at any job count the *decisions* agree with the sequential run in
+//!   canonical form, and the optimized programs produce identical
+//!   verified output;
 //! * chaos: the suite under the `scripts/chaos.sh` seed matrix still
-//!   completes with every case verified at `--jobs 4 --speculate-depth
-//!   3`, and an always-failing probe environment degrades to
-//!   quarantined may-alias — never to unverified output.
-//!
-//! The cross-case content tier keys probes by case-independent module
-//! text, so these gates also pin that the sixteen configurations build
-//! pairwise-distinct modules (if two became identical, the depth-0
-//! tables could legitimately diverge and this suite must be revisited).
+//!   completes with every case verified at `--jobs 4`, and an
+//!   always-failing probe environment degrades to quarantined
+//!   may-alias — never to unverified output.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use oraql::report::{summarize_trace_by_case, TraceSummary};
+use oraql::driver::ProbeEffort;
 use oraql::trace::{ProbeEvent, TraceSink};
 use oraql::{
     run_suite, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, TestCase,
@@ -31,23 +24,24 @@ use oraql::{
 use oraql_faults::Rate;
 use oraql_workloads as workloads;
 
-/// One suite leg: every case, shared caches/pool per `jobs`, with a
-/// trace attached. Panics if any case fails.
+/// One suite leg: every case at `jobs`, with a trace attached. Panics
+/// if any case fails.
 fn run_leg(
     jobs: usize,
-    depth: u32,
+    max_tests: Option<u64>,
     faults: Option<FaultPlan>,
 ) -> (Vec<DriverResult>, Vec<ProbeEvent>) {
     let sink = TraceSink::in_memory();
+    let defaults = DriverOptions::default();
     let opts = DriverOptions {
         jobs,
-        speculate_depth: depth,
+        max_tests: max_tests.unwrap_or(defaults.max_tests),
         trace: Some(sink.clone()),
         faults: faults.map(|p| {
             oraql_faults::quiet_injected_panics();
             Arc::new(FaultInjector::new(p))
         }),
-        ..Default::default()
+        ..defaults
     };
     let results: Vec<DriverResult> = run_suite(&workloads::all_cases(), &opts)
         .into_iter()
@@ -56,33 +50,43 @@ fn run_leg(
     (results, sink.events())
 }
 
-/// The schedule-independent view of one probe event (wall time is the
-/// only field a scheduler may legitimately change at `--jobs 1`).
-fn event_key(e: &ProbeEvent) -> (String, u64, u64, &'static str, bool, u64, bool) {
-    (
-        e.case.clone(),
-        e.seq,
-        e.digest,
-        e.kind.as_str(),
-        e.pass,
-        e.unique,
-        e.speculative,
-    )
+/// The schedule-independent view of one probe event: everything but
+/// the wall time.
+type EventKey = (u64, u64, &'static str, bool, u64);
+
+/// Everything a case's run must repeat: raw decisions, effort
+/// counters, and its probe-trace keys in per-case sequence order.
+#[derive(Debug, PartialEq, Eq)]
+struct CaseRun {
+    decisions: String,
+    effort: ProbeEffort,
+    trace: Vec<EventKey>,
 }
 
-/// Per-case Fig. 2 effort tables with the timing column cleared.
-fn fig2_counts(events: &[ProbeEvent]) -> Vec<(String, TraceSummary)> {
-    summarize_trace_by_case(events)
-        .into_iter()
-        .map(|(name, mut t)| {
-            t.wall_micros = 0;
-            (name, t)
+fn per_case(results: &[DriverResult], events: &[ProbeEvent]) -> BTreeMap<String, CaseRun> {
+    let mut traces: BTreeMap<&str, Vec<EventKey>> = BTreeMap::new();
+    for e in events {
+        traces.entry(e.case.as_str()).or_default().push((
+            e.seq,
+            e.digest,
+            e.kind.as_str(),
+            e.pass,
+            e.unique,
+        ));
+    }
+    results
+        .iter()
+        .map(|r| {
+            let mut trace = traces.remove(r.name.as_str()).unwrap_or_default();
+            trace.sort_unstable();
+            let run = CaseRun {
+                decisions: r.decisions.render(),
+                effort: r.effort,
+                trace,
+            };
+            (r.name.clone(), run)
         })
         .collect()
-}
-
-fn decisions(results: &[DriverResult]) -> Vec<String> {
-    results.iter().map(|r| r.decisions.render()).collect()
 }
 
 fn canonical(results: &[DriverResult]) -> Vec<String> {
@@ -99,8 +103,8 @@ fn stdouts(results: &[DriverResult]) -> Vec<&str> {
         .collect()
 }
 
-/// The cross-case content tier (and the depth-0 table identity below)
-/// relies on the sixteen configurations building distinct programs.
+/// The sixteen configurations build distinct programs, so no two cases
+/// could ever answer each other's probes even through a shared tier.
 #[test]
 fn workload_modules_are_pairwise_distinct() {
     let cases: Vec<TestCase> = workloads::all_cases();
@@ -116,72 +120,61 @@ fn workload_modules_are_pairwise_distinct() {
     );
 }
 
-/// `--jobs 1` ignores the scheduler knobs entirely: depth 0, 1, and 3
-/// replay the seed driver's probe sequence byte-for-byte.
+/// Each case probes sequentially with caches of its own, so `--jobs 2`
+/// and `--jobs 8` repeat every case exactly — raw decisions, effort
+/// counters and probe trace — run after run. A small test budget cuts
+/// the bisecting cases short, and those truncated runs repeat too.
 #[test]
-fn jobs1_is_byte_identical_at_any_depth() {
-    let (r0, e0) = run_leg(1, 0, None);
-    let keys0: Vec<_> = e0.iter().map(event_key).collect();
-    for depth in [1u32, 3] {
-        let (r, e) = run_leg(1, depth, None);
-        assert_eq!(decisions(&r0), decisions(&r), "depth {depth}: decisions");
-        assert_eq!(stdouts(&r0), stdouts(&r), "depth {depth}: output");
-        for (a, b) in r0.iter().zip(&r) {
-            assert_eq!(a.effort, b.effort, "depth {depth}: effort for {}", a.name);
-        }
-        let keys: Vec<_> = e.iter().map(event_key).collect();
-        assert_eq!(keys0, keys, "depth {depth}: probe trace diverged");
+fn parallel_runs_repeat_every_case_exactly() {
+    let (r2, e2) = run_leg(2, None, None);
+    let want = per_case(&r2, &e2);
+    assert_eq!(want.len(), 16);
+    for (jobs, run) in [(2usize, 2), (8, 1), (8, 2)] {
+        let (r, e) = run_leg(jobs, None, None);
+        assert_eq!(want, per_case(&r, &e), "jobs {jobs}, run {run}");
     }
+
+    let (t2, te2) = run_leg(2, Some(6), None);
+    let (t8, te8) = run_leg(8, Some(6), None);
+    let truncated = per_case(&t2, &te2);
+    assert!(
+        truncated
+            .values()
+            .zip(want.values())
+            .any(|(t, full)| t.effort.tests_run < full.effort.tests_run),
+        "the small budget never cut a case short"
+    );
+    assert_eq!(truncated, per_case(&t8, &te8), "budget-truncated runs");
 }
 
-/// Depth 0 with a pool: cases share caches but every per-case probe
-/// path is sequential, so `--jobs 2` and `--jobs 8` agree on decisions
-/// *and* on the per-case Fig. 2 effort tables, field for field.
-#[test]
-fn depth0_fig2_tables_agree_across_job_counts() {
-    let (r2, e2) = run_leg(2, 0, None);
-    let (r8, e8) = run_leg(8, 0, None);
-    assert_eq!(decisions(&r2), decisions(&r8));
-    assert_eq!(stdouts(&r2), stdouts(&r8));
-    assert_eq!(fig2_counts(&e2), fig2_counts(&e8));
-}
-
-/// Every (jobs, depth) combination converges on the sequential
-/// decisions (canonical form) and the same verified program output.
+/// Every job count converges on the sequential decisions (canonical
+/// form) and the same verified program output.
 #[test]
 fn all_legs_agree_with_sequential_decisions() {
-    let (seq, _) = run_leg(1, 0, None);
+    let (seq, _) = run_leg(1, None, None);
     let want_dec = canonical(&seq);
-    let want_out: Vec<String> = seq.iter().map(|r| r.final_run.stdout.clone()).collect();
+    let want_out = stdouts(&seq);
     for jobs in [2usize, 8] {
-        for depth in [0u32, 1, 3] {
-            let (r, _) = run_leg(jobs, depth, None);
-            assert_eq!(want_dec, canonical(&r), "jobs {jobs} depth {depth}");
-            assert_eq!(
-                want_out,
-                r.iter()
-                    .map(|x| x.final_run.stdout.clone())
-                    .collect::<Vec<_>>(),
-                "jobs {jobs} depth {depth}"
-            );
-            // (Each case's final output was already verified against
-            // its baseline inside the driver — a mismatch would have
-            // surfaced as a `FinalBroken` error above.)
-        }
+        let (r, _) = run_leg(jobs, None, None);
+        assert_eq!(want_dec, canonical(&r), "jobs {jobs}");
+        assert_eq!(want_out, stdouts(&r), "jobs {jobs}");
+        // (Each case's final output was already verified against its
+        // baseline inside the driver — a mismatch would have surfaced
+        // as a `FinalBroken` error above.)
     }
 }
 
-/// The `scripts/chaos.sh` seed matrix at full speculation: the suite
+/// The `scripts/chaos.sh` seed matrix at `--jobs 4`: the suite
 /// completes with every case verified — faults degrade probes, never
 /// correctness.
 #[test]
-fn chaos_seeds_complete_verified_under_deep_speculation() {
+fn chaos_seeds_complete_verified_at_jobs_4() {
     for seed in [1u64, 42, 1337] {
         let plan = FaultPlan::uniform(seed, 1, 24);
         // `run_leg` unwraps every case: completion means each final
         // program was compiled and verified against its baseline
         // despite the injected faults.
-        let (r, _) = run_leg(4, 3, Some(plan));
+        let (r, _) = run_leg(4, None, Some(plan));
         assert_eq!(r.len(), 16, "seed {seed}");
     }
 }
@@ -195,7 +188,6 @@ fn total_probe_failure_degrades_to_may_alias() {
     oraql_faults::quiet_injected_panics();
     let opts = DriverOptions {
         jobs: 4,
-        speculate_depth: 3,
         max_tests: 12,
         probe_retries: 1,
         faults: Some(Arc::new(FaultInjector::new(plan))),
