@@ -6,65 +6,65 @@
 //! configured strategy to pin down the queries that must stay
 //! pessimistic.
 //!
-//! # Probe execution and caching
+//! # Probe execution and the verdict tiers
 //!
-//! Every probe goes through the case's `ProbeEngine`, which answers it
-//! from (in order):
+//! Every probe goes through the case's `ProbeEngine`, which keeps
+//! verdicts in up to three tiers, always walked in this order:
 //!
-//! 1. the **decisions-digest cache** — identical decision vectors skip
-//!    even the recompile (only at `jobs > 1`, keyed by the case salt
-//!    plus [`Decisions::render`]);
+//! 1. **in-memory** maps that belong to the case and die with its
+//!    driver;
 //! 2. the **persistent verdict store** ([`oraql_store::Store`], when
-//!    [`DriverOptions::store`] is set) — a write-through tier behind
-//!    the in-memory caches: verdicts another *process* computed are
-//!    reused, first by decisions digest (skipping the compile), then by
-//!    executable hash (skipping the run);
-//! 3. the **executable-hash cache** — bit-identical recompilations
-//!    reuse the previous test verdict (the seed driver's cache);
-//! 4. the **verdict server** ([`oraql_served::Client`], when
-//!    [`DriverOptions::server`] is set) — the shared remote tier:
-//!    consulted in each key space only after the local tiers missed,
-//!    hits are written back locally, computed verdicts are written
-//!    through, and *any* failure degrades to the local tiers (counted
-//!    in [`FailureStats::server_down`], kept cheap by the client's
-//!    circuit breaker — see `docs/ARCHITECTURE.md` §7);
-//! 5. an actual VM execution plus output verification.
+//!    [`DriverOptions::store`] is set), shared across processes;
+//! 3. the **verdict server** ([`oraql_served::Client`], when
+//!    [`DriverOptions::server`] is set), shared across tenants. Any
+//!    failed server call reads as a miss (counted in
+//!    [`FailureStats::server_down`] / `server_busy`, kept cheap by the
+//!    client's circuit breaker — see `docs/ARCHITECTURE.md` §7).
 //!
-//! The in-memory caches belong to one case and die with its driver.
-//! Every verdict that reaches them is also appended to the store, and
-//! the accepted references are recorded under the case salt — the keys
-//! are salted content hashes, so a changed workload, verifier input, or
-//! fuel budget changes every key and stale entries are simply never
-//! consulted. Store hits are traced as [`ProbeKind::StoreHit`] and
-//! counted into the existing effort counters (`tests_dec_cached` for
-//! compile-free answers, `tests_cached` for run-free answers); the
-//! store's own [`oraql_store::StoreStats`] record the persistent-tier
-//! economics. Server hits are traced as [`ProbeKind::ServerHit`] and
-//! counted in [`ProbeEffort::tests_server`]; the client's
-//! [`oraql_served::ClientStats`] record the remote-tier economics.
+//! Each tier files verdicts under two keys, both salted content hashes
+//! of the case, so a changed workload, verifier input or fuel budget
+//! changes every key and stale entries are simply never consulted:
+//!
+//! * the **decisions digest** (case salt plus [`Decisions::render`]),
+//!   walked before the compile — a hit skips the compile and the run.
+//!   The in-memory tier keeps this space only at `jobs > 1`;
+//! * the **executable hash** (case salt plus the printed module),
+//!   walked after the compile — a hit skips the run (the seed driver's
+//!   cache).
+//!
+//! The first hit of a walk answers the probe. It is counted once: its
+//! [`ProbeEffort`] field, its `oraql_driver_funnel_*` counter and its
+//! traced [`ProbeKind`] all follow from the (tier, key space) pair. It
+//! is then written back only to the tiers that missed before it. Any
+//! executable-hash answer, and any VM run, files the verdict under the
+//! probe's decisions digest in every tier; a VM run also files it under
+//! the executable hash in every tier. Store and server write errors are
+//! swallowed: those tiers are accelerators, never dependencies. The
+//! accepted references are recorded in the store and the server under
+//! the case salt.
 //!
 //! # Concurrency and determinism contract
 //!
 //! [`run_suite`] with `jobs = N` runs up to `N` cases at once, one
 //! thread each; every case runs this sequential driver with caches of
 //! its own. So every case's probe sequence, [`ProbeEffort`] counters
-//! and final [`Decisions`] are a pure function of the case and the job
-//! count's cache rule, whatever the other cases do (a store or server
-//! shared across cases can change which tier answers, never the answer):
+//! and final [`Decisions`] are a pure function of the case and of
+//! whether `jobs > 1`, whatever the other cases do (a store or server
+//! shared across cases can change which tier answers, never the
+//! answer). One rule holds at every job count: an executable-hash hit
+//! reports the unique-query count stored with the verdict, i.e. the
+//! count of the compile that first produced it (the seed driver's
+//! rule).
 //!
 //! * `jobs = 1` (the default) reproduces the sequential seed driver
-//!   byte-for-byte. An executable-cache hit reports the unique-query
-//!   count recorded when the verdict was *first* cached (the seed's
-//!   quirk), and there is no decisions-digest cache.
-//! * `jobs > 1` adds the decisions-digest cache and reports the
-//!   *freshly compiled* unique count on an executable-cache hit, which
-//!   makes every probe outcome a pure function of the probed decision
-//!   vector. Runs at any `jobs > 1` are identical to each other —
-//!   test-budget-truncated runs included — and decide the same queries
-//!   as `jobs = 1`: the final decisions agree in
-//!   [`Decisions::canonical`] form and all verification verdicts match.
-//!   (Raw explicit vectors can differ from `jobs = 1` in no-op trailing
-//!   entries, because of the unique-count rule above.)
+//!   byte-for-byte: the in-memory tier has no decisions-digest map.
+//! * `jobs > 1` adds that map. It answers a repeated decision vector
+//!   with the verdict that vector got before, which is exactly what a
+//!   recompile plus executable-hash hit would answer. So a healthy run
+//!   takes the same bisection path as `jobs = 1`: the raw final
+//!   decisions, `tests_run` and `tests_deduced` are equal, and only
+//!   `compiles` and `tests_cached` shrink, by the probes the map
+//!   answers (`tests_dec_cached`).
 //!
 //! # The probe sandbox (failure model)
 //!
@@ -87,7 +87,7 @@
 //! [`DriverError::CasePanicked`] instead of unwinding through
 //! [`run_suite`].
 
-use crate::compile::{compile, CompileOptions, Compiled, Scope};
+use crate::compile::{compile, CompileOptions, Scope};
 use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
 use crate::sequence::Decisions;
 use crate::strategy::{ProbeOutcome, Prober, Strategy};
@@ -161,8 +161,8 @@ pub struct DriverOptions {
     /// Case concurrency (CLI: `--jobs`). [`run_suite`] runs up to
     /// `jobs` cases at once; each case probes sequentially either way.
     /// `1` (the default) is the sequential seed driver; `N > 1` also
-    /// turns on the decisions-digest cache and the fresh unique-count
-    /// rule (see the module docs).
+    /// keeps an in-memory decisions-digest map per case (see the module
+    /// docs).
     pub jobs: usize,
     /// Probe-trace sink; every probe answer is recorded here.
     pub trace: Option<TraceSink>,
@@ -456,11 +456,10 @@ fn module_text_hash(salt: u64, text: &str) -> u64 {
 /// Registry handles for the probing driver, resolved once. Per-kind
 /// probe counters are bumped in [`ProbeEngine::trace_event`] (the one
 /// point every probe answer flows through, sink or no sink); the
-/// funnel counters are bumped at each cache-tier site in
-/// [`ProbeEngine::attempt`], so `dec_cache_hits + store_dec_hits +
-/// server_dec_hits + compiles` accounts for every attempt that reached
-/// the waterfall, and `compiles` fans out into the exe tiers the same
-/// way.
+/// funnel's tier counters are bumped in [`ProbeEngine::count_hit`], so
+/// `dec_cache_hits + store_dec_hits + server_dec_hits + compiles`
+/// accounts for every attempt that reached the walk, and `compiles`
+/// fans out into the exe tiers and `vm_runs` the same way.
 struct DriverMetrics {
     probes: &'static oraql_obs::Counter,
     executed: &'static oraql_obs::Counter,
@@ -538,6 +537,29 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
     h.finish()
 }
 
+/// A probe verdict as every tier stores it: (verified, unique-query
+/// count).
+type Verdict = (bool, u64);
+
+/// A verdict tier; [`TIERS`] is the walk order.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Memory,
+    Store,
+    Server,
+}
+
+const TIERS: [Tier; 3] = [Tier::Memory, Tier::Store, Tier::Server];
+
+/// The two key spaces every tier files verdicts under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Space {
+    /// Salted decisions digest, walked before the compile.
+    Dec,
+    /// Salted executable hash, walked after the compile.
+    Exe,
+}
+
 /// The probe execution engine: everything needed to answer one probe
 /// of one case. It sits behind an `Arc` with its caches behind mutexes
 /// because a watchdog thread (see [`DriverOptions::probe_deadline`])
@@ -552,22 +574,16 @@ struct ProbeEngine {
     fuel: u64,
     interp: InterpMode,
     verifier: Verifier,
-    /// Enables the decisions-digest cache and the fresh unique-count
-    /// rule (`jobs > 1` only, so that `jobs = 1` reproduces the seed
-    /// effort counters exactly).
-    use_dec_cache: bool,
-    /// executable hash -> (verdict, unique query count)
-    exe: Mutex<HashMap<u64, (bool, u64)>>,
-    /// decisions digest -> (verdict, unique query count)
-    dec: Mutex<HashMap<u64, (bool, u64)>>,
-    /// Persistent write-through tier behind the in-memory caches.
-    /// Consulted at any job count: stored outcomes are pure functions
-    /// of the probed decision vector, so replaying them cannot perturb
+    /// In-memory tier, executable-hash space.
+    exe: Mutex<HashMap<u64, Verdict>>,
+    /// In-memory tier, decisions-digest space: `None` at `jobs = 1`,
+    /// so that it reproduces the seed effort counters exactly.
+    dec: Option<Mutex<HashMap<u64, Verdict>>>,
+    /// Persistent tier. Consulted at any job count: a stored verdict is
+    /// the one its key's probe answered, so replaying it cannot perturb
     /// the bisection path.
     store: Option<Arc<Store>>,
-    /// Remote read/write tier behind the local store: the shared
-    /// verdict server. Consulted only after every local tier missed;
-    /// hits are written back locally so the next miss stays local.
+    /// Remote tier: the shared verdict server.
     server: Option<Arc<oraql_served::Client>>,
     effort: Mutex<ProbeEffort>,
     trace: Option<TraceSink>,
@@ -790,9 +806,10 @@ impl ProbeEngine {
         }
     }
 
-    /// One raw probe attempt: decisions cache, store tier, compile,
-    /// executable cache, then an actual execution — with `fx`'s faults
-    /// injected at their sites. `digest` is `d`'s decisions digest.
+    /// One raw probe attempt — the decisions-digest walk, the compile,
+    /// the executable-hash walk, then an actual execution — with `fx`'s
+    /// faults injected at their sites. `digest` is `d`'s decisions
+    /// digest.
     fn attempt(
         &self,
         d: &Decisions,
@@ -801,60 +818,8 @@ impl ProbeEngine {
         probe_span: u64,
     ) -> Result<ProbeOutcome, ProbeFailure> {
         let started = Instant::now();
-        if self.use_dec_cache {
-            if let Some(&(pass, unique)) = lock_ignore_poison(&self.dec).get(&digest) {
-                self.effort().tests_dec_cached += 1;
-                dmetrics().funnel_dec_cache_hits.inc();
-                self.trace_event(digest, ProbeKind::DecisionCacheHit, pass, unique, started);
-                return Ok(ProbeOutcome { pass, unique });
-            }
-        }
-        if let Some(store) = &self.store {
-            // Persistent decisions-digest tier: a previous process (or
-            // an earlier case of this run) already answered this exact
-            // decision vector — skip even the compile.
-            let found = {
-                let _s = self.span("store", probe_span);
-                store.dec_verdict(digest)
-            };
-            if let Some((pass, unique)) = found {
-                if fx.store_read_corrupt {
-                    // Injected read-side rot: the hit fails its
-                    // checksum, is discarded, and the attempt falls
-                    // through to a real compile. No retry consumed —
-                    // the recompute below is already the recovery.
-                    self.note_failure(&ProbeFailure::StoreCorrupt);
-                } else {
-                    self.effort().tests_dec_cached += 1;
-                    dmetrics().funnel_store_dec_hits.inc();
-                    if self.use_dec_cache {
-                        lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-                    }
-                    self.trace_event(digest, ProbeKind::StoreHit, pass, unique, started);
-                    return Ok(ProbeOutcome { pass, unique });
-                }
-            }
-        }
-        let server_dec = {
-            let _s = self
-                .server
-                .is_some()
-                .then(|| self.span("server", probe_span));
-            self.server_get(digest, false)
-        };
-        if let Some((pass, unique)) = server_dec {
-            // Server decisions-digest tier: another tenant (or an
-            // earlier run of this machine) already answered this exact
-            // decision vector. Write the verdict back through the
-            // local tiers so the next miss never leaves the process.
-            self.effort().tests_server += 1;
-            dmetrics().funnel_server_dec_hits.inc();
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.trace_event(digest, ProbeKind::ServerHit, pass, unique, started);
-            return Ok(ProbeOutcome { pass, unique });
+        if let Some(hit) = self.lookup(Space::Dec, digest, digest, fx, probe_span, started) {
+            return Ok(hit);
         }
         if fx.compile_panic {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
@@ -879,104 +844,10 @@ impl ProbeEngine {
             m.compile_micros
                 .observe(compile_started.elapsed().as_micros() as u64);
         }
-        let unique = compiled
-            .oraql
-            .as_ref()
-            .map(|s| s.lock().stats.unique())
-            .unwrap_or(0);
         let text = oraql_ir::printer::module_str(&compiled.module);
         let h = module_text_hash(self.salt, &text);
-        let hit = lock_ignore_poison(&self.exe).get(&h).copied();
-        if let Some((pass, cached_unique)) = hit {
-            self.effort().tests_cached += 1;
-            dmetrics().funnel_exe_cache_hits.inc();
-            // `jobs = 1` preserves the seed driver's quirk of reporting
-            // the unique count recorded when the verdict was first
-            // cached. `jobs > 1` reports the freshly compiled count,
-            // which makes every probe outcome a pure function of the
-            // probed decision vector.
-            let unique = if self.use_dec_cache {
-                unique
-            } else {
-                cached_unique
-            };
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.server_put_dec(digest, pass, unique);
-            self.trace_event(digest, ProbeKind::ExeCacheHit, pass, unique, started);
-            return Ok(ProbeOutcome { pass, unique });
-        }
-        if let Some(store) = &self.store {
-            // Persistent executable-hash tier: a previous process ran
-            // this exact executable — reuse its verdict, skip the run.
-            let found = {
-                let _s = self.span("store", probe_span);
-                store.exe_verdict(h)
-            };
-            if let Some((pass, stored_unique)) = found {
-                if fx.store_read_corrupt {
-                    // Same injected rot as the decisions tier above.
-                    self.note_failure(&ProbeFailure::StoreCorrupt);
-                } else {
-                    self.effort().tests_cached += 1;
-                    dmetrics().funnel_store_exe_hits.inc();
-                    lock_ignore_poison(&self.exe).insert(h, (pass, stored_unique));
-                    // Same reporting rule as the in-memory hit above:
-                    // the stored unique count *is* the first inserter's
-                    // count.
-                    let unique = if self.use_dec_cache {
-                        unique
-                    } else {
-                        stored_unique
-                    };
-                    if self.use_dec_cache {
-                        lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-                    }
-                    self.store_dec(digest, pass, unique);
-                    // Propagate the locally stored verdict to the
-                    // shared server under both keys: local corpora
-                    // seed the farm, not just the other way around.
-                    self.server_put_exe(h, pass, stored_unique);
-                    self.server_put_dec(digest, pass, unique);
-                    self.trace_event(digest, ProbeKind::StoreHit, pass, unique, started);
-                    return Ok(ProbeOutcome { pass, unique });
-                }
-            }
-        }
-        let server_exe = {
-            let _s = self
-                .server
-                .is_some()
-                .then(|| self.span("server", probe_span));
-            self.server_get(h, true)
-        };
-        if let Some((pass, stored_unique)) = server_exe {
-            // Server executable-hash tier: some tenant ran this exact
-            // executable. Reuse its verdict, skip the run, and write it
-            // back through every local tier; the decisions-digest key
-            // is pushed to the server too, so the *next* tenant skips
-            // even the compile.
-            self.effort().tests_server += 1;
-            dmetrics().funnel_server_exe_hits.inc();
-            lock_ignore_poison(&self.exe).insert(h, (pass, stored_unique));
-            if let Some(store) = &self.store {
-                let _ = store.record_exe(h, pass, stored_unique);
-            }
-            // Same unique-count reporting rule as the local exe tiers.
-            let unique = if self.use_dec_cache {
-                unique
-            } else {
-                stored_unique
-            };
-            if self.use_dec_cache {
-                lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-            }
-            self.store_dec(digest, pass, unique);
-            self.server_put_dec(digest, pass, unique);
-            self.trace_event(digest, ProbeKind::ServerHit, pass, unique, started);
-            return Ok(ProbeOutcome { pass, unique });
+        if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span, started) {
+            return Ok(hit);
         }
         if fx.delay || fx.hang {
             // `probe-delay` stays well under any reasonable deadline;
@@ -1034,87 +905,192 @@ impl ProbeEngine {
             }
             Err(_) => false, // genuine traps count as verification failures
         };
-        lock_ignore_poison(&self.exe).insert(h, (pass, unique));
-        if self.use_dec_cache {
-            lock_ignore_poison(&self.dec).insert(digest, (pass, unique));
-        }
-        if let Some(store) = &self.store {
-            let _ = store.record_exe(h, pass, unique);
-        }
-        self.store_dec(digest, pass, unique);
-        // Write the freshly computed verdict through to the shared
-        // server under both key spaces: this is how one tenant's probe
-        // bill becomes every tenant's warm cache.
-        self.server_put_exe(h, pass, unique);
-        self.server_put_dec(digest, pass, unique);
+        let unique = compiled
+            .oraql
+            .as_ref()
+            .map(|s| s.lock().stats.unique())
+            .unwrap_or(0);
+        // A computed verdict is written through to every tier under
+        // both keys: this is how one tenant's probe bill becomes every
+        // tenant's warm cache.
+        self.write(&TIERS, Space::Exe, h, (pass, unique));
+        self.write(&TIERS, Space::Dec, digest, (pass, unique));
         self.trace_event(digest, ProbeKind::Executed, pass, unique, started);
         Ok(ProbeOutcome { pass, unique })
     }
 
-    /// Write-through of the probe's *answered outcome* under its
-    /// decisions digest, so a warm run replays the exact (pass, unique)
-    /// pair this run reported — including the sequential exe-cache
-    /// quirk. Store I/O errors are deliberately swallowed: a read-only
-    /// or full disk degrades the store to a read tier, it never fails a
-    /// probe.
-    fn store_dec(&self, digest: u64, pass: bool, unique: u64) {
-        if let Some(store) = &self.store {
-            let _ = store.record_dec(digest, pass, unique);
+    /// Walks the tiers for `key` in `space`. The first hit answers: it
+    /// is written back to the tiers that missed before it, an
+    /// executable-hash hit is also filed under the probe's decisions
+    /// `digest` in every tier, and the hit is counted once. Its unique
+    /// count is the stored one, at every job count.
+    fn lookup(
+        &self,
+        space: Space,
+        key: u64,
+        digest: u64,
+        fx: AttemptFaults,
+        probe_span: u64,
+        started: Instant,
+    ) -> Option<ProbeOutcome> {
+        let (i, v) = TIERS
+            .iter()
+            .enumerate()
+            .find_map(|(i, &tier)| Some((i, self.read(tier, space, key, fx, probe_span)?)))?;
+        self.write(&TIERS[..i], space, key, v);
+        if space == Space::Exe {
+            self.write(&TIERS, Space::Dec, digest, v);
+        }
+        self.count_hit(TIERS[i], space, digest, v, started);
+        let (pass, unique) = v;
+        Some(ProbeOutcome { pass, unique })
+    }
+
+    /// The in-memory map of `space` (`None`: no decisions map at
+    /// `jobs = 1`).
+    fn memory(&self, space: Space) -> Option<&Mutex<HashMap<u64, Verdict>>> {
+        match space {
+            Space::Dec => self.dec.as_ref(),
+            Space::Exe => Some(&self.exe),
         }
     }
 
-    /// Remote lookup in the requested key space. A failed call counts
-    /// one [`ProbeFailure::ServerDown`] and reads as a miss — the
-    /// attempt falls back to the local tiers, and the client's circuit
-    /// breaker makes every call during the cooldown window free.
-    fn server_get(&self, key: u64, exe: bool) -> Option<(bool, u64)> {
-        let client = self.server.as_ref()?;
-        let res = if exe {
-            client.get_exe(key)
-        } else {
-            client.get_dec(key)
+    /// Reads one tier. A store hit under the injected
+    /// `store-read-corrupt` fault, and a failed server call, are noted
+    /// as sandbox failures and read as misses: the walk goes on, and a
+    /// recompute is the recovery, so no retry is consumed. The client's
+    /// circuit breaker makes every server call during an outage's
+    /// cooldown free.
+    fn read(
+        &self,
+        tier: Tier,
+        space: Space,
+        key: u64,
+        fx: AttemptFaults,
+        probe_span: u64,
+    ) -> Option<Verdict> {
+        match tier {
+            Tier::Memory => lock_ignore_poison(self.memory(space)?).get(&key).copied(),
+            Tier::Store => {
+                let store = self.store.as_ref()?;
+                let found = {
+                    let _s = self.span("store", probe_span);
+                    match space {
+                        Space::Dec => store.dec_verdict(key),
+                        Space::Exe => store.exe_verdict(key),
+                    }
+                };
+                if found.is_some() && fx.store_read_corrupt {
+                    self.note_failure(&ProbeFailure::StoreCorrupt);
+                    return None;
+                }
+                found
+            }
+            Tier::Server => {
+                let client = self.server.as_ref()?;
+                let _s = self.span("server", probe_span);
+                let res = match space {
+                    Space::Dec => client.get_dec(key),
+                    Space::Exe => client.get_exe(key),
+                };
+                res.unwrap_or_else(|e| {
+                    self.note_failure(&match e {
+                        oraql_served::ClientError::Busy => ProbeFailure::ServerBusy,
+                        _ => ProbeFailure::ServerDown,
+                    });
+                    None
+                })
+            }
+        }
+    }
+
+    /// Files `v` under `key` in each of `tiers`. Store and server
+    /// errors are swallowed: a read-only disk or an unreachable server
+    /// degrades that tier, it never fails a probe (the store's and the
+    /// client's own counters record them).
+    fn write(&self, tiers: &[Tier], space: Space, key: u64, v: Verdict) {
+        let (pass, unique) = v;
+        for tier in tiers {
+            match tier {
+                Tier::Memory => {
+                    if let Some(map) = self.memory(space) {
+                        lock_ignore_poison(map).insert(key, v);
+                    }
+                }
+                Tier::Store => {
+                    if let Some(store) = &self.store {
+                        let _ = match space {
+                            Space::Dec => store.record_dec(key, pass, unique),
+                            Space::Exe => store.record_exe(key, pass, unique),
+                        };
+                    }
+                }
+                Tier::Server => {
+                    if let Some(client) = &self.server {
+                        let _ = match space {
+                            Space::Dec => client.put_dec(key, pass, unique),
+                            Space::Exe => client.put_exe(key, pass, unique),
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one place a tier hit is accounted: the effort field, the
+    /// funnel counter and the traced kind all follow from `(tier,
+    /// space)`.
+    fn count_hit(&self, tier: Tier, space: Space, digest: u64, v: Verdict, started: Instant) {
+        let m = dmetrics();
+        let mut effort = self.effort();
+        let (field, funnel, kind) = match (tier, space) {
+            (Tier::Memory, Space::Dec) => (
+                &mut effort.tests_dec_cached,
+                m.funnel_dec_cache_hits,
+                ProbeKind::DecisionCacheHit,
+            ),
+            (Tier::Store, Space::Dec) => (
+                &mut effort.tests_dec_cached,
+                m.funnel_store_dec_hits,
+                ProbeKind::StoreHit,
+            ),
+            (Tier::Server, Space::Dec) => (
+                &mut effort.tests_server,
+                m.funnel_server_dec_hits,
+                ProbeKind::ServerHit,
+            ),
+            (Tier::Memory, Space::Exe) => (
+                &mut effort.tests_cached,
+                m.funnel_exe_cache_hits,
+                ProbeKind::ExeCacheHit,
+            ),
+            (Tier::Store, Space::Exe) => (
+                &mut effort.tests_cached,
+                m.funnel_store_exe_hits,
+                ProbeKind::StoreHit,
+            ),
+            (Tier::Server, Space::Exe) => (
+                &mut effort.tests_server,
+                m.funnel_server_exe_hits,
+                ProbeKind::ServerHit,
+            ),
         };
-        match res {
-            Ok(found) => found,
-            Err(oraql_served::ClientError::Busy) => {
-                self.note_failure(&ProbeFailure::ServerBusy);
-                None
-            }
-            Err(_) => {
-                self.note_failure(&ProbeFailure::ServerDown);
-                None
-            }
-        }
-    }
-
-    /// Remote write-through of a decisions-digest verdict. Errors are
-    /// swallowed (the server is an accelerator, never a dependency);
-    /// the client's own counters record them.
-    fn server_put_dec(&self, digest: u64, pass: bool, unique: u64) {
-        if let Some(client) = &self.server {
-            let _ = client.put_dec(digest, pass, unique);
-        }
-    }
-
-    /// Remote write-through of an executable-hash verdict (same error
-    /// policy as [`ProbeEngine::server_put_dec`]).
-    fn server_put_exe(&self, h: u64, pass: bool, unique: u64) {
-        if let Some(client) = &self.server {
-            let _ = client.put_exe(h, pass, unique);
-        }
+        *field += 1;
+        drop(effort);
+        funnel.inc();
+        self.trace_event(digest, kind, v.0, v.1, started);
     }
 }
 
 /// The probing driver.
-pub struct Driver<'c> {
-    case: &'c TestCase,
+pub struct Driver {
     opts: DriverOptions,
     engine: Arc<ProbeEngine>,
 }
 
-impl<'c> Driver<'c> {
+impl Driver {
     /// Runs the full workflow on one case, with caches of its own.
-    pub fn run(case: &'c TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
+    pub fn run(case: &TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
         // The case span covers the whole workflow; the guards record on
         // every exit path, including `?` errors.
         let spans = opts.spans.clone();
@@ -1162,9 +1138,8 @@ impl<'c> Driver<'c> {
             fuel: case.fuel,
             interp: opts.interp,
             verifier,
-            use_dec_cache: opts.jobs > 1,
             exe: Mutex::default(),
-            dec: Mutex::default(),
+            dec: (opts.jobs > 1).then(Mutex::default),
             store: opts.store.clone(),
             server: opts.server.clone(),
             effort: Mutex::new(ProbeEffort::default()),
@@ -1178,7 +1153,7 @@ impl<'c> Driver<'c> {
             failures: Mutex::new(FailureStats::default()),
             quarantine: Mutex::new(HashSet::new()),
         });
-        let mut driver = Driver { case, opts, engine };
+        let mut driver = Driver { opts, engine };
 
         // Step 2: the empty sequence — everything optimistic.
         let all_opt = Decisions::all_optimistic();
@@ -1266,21 +1241,6 @@ impl<'c> Driver<'c> {
             truth,
         })
     }
-
-    /// Compiles with a fixed decision source, bypassing probe caching
-    /// (used by tests and tooling that need the [`Compiled`] artifact).
-    pub fn compile_with(&mut self, d: &Decisions) -> Compiled {
-        self.engine.effort().compiles += 1;
-        compile(
-            &*self.case.build,
-            &CompileOptions {
-                oraql: Some((d.clone(), self.case.scope.clone())),
-                use_cfl: self.case.use_cfl,
-                optimism: self.case.optimism,
-                ..CompileOptions::default()
-            },
-        )
-    }
 }
 
 fn run_module(m: &Module, fuel: u64, mode: InterpMode) -> Result<RunOutcome, String> {
@@ -1307,7 +1267,7 @@ fn run_module_with(
     }
 }
 
-impl Prober for Driver<'_> {
+impl Prober for Driver {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
         self.engine.execute(d)
     }

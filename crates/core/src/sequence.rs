@@ -65,11 +65,10 @@ impl Decisions {
     /// entries equal to `tail` (they are no-ops — the tail answers
     /// those indices identically), class descriptors are deduplicated
     /// and sorted. Two decision sources that answer every index the
-    /// same way have equal canonical `Explicit` forms; the driver's
-    /// determinism tests compare `jobs = 1` with `jobs > 1` through
-    /// this because the two report different unique-query counts on
-    /// executable-cache hits, so `jobs = 1` may append no-op trailing
-    /// entries.
+    /// same way have equal canonical `Explicit` forms, so this compares
+    /// what two runs *decide* even when they probed differently (a
+    /// bisection that saw a different unique-query count can append
+    /// no-op trailing entries).
     pub fn canonical(&self) -> Decisions {
         match self {
             Decisions::Explicit { seq, tail } => {

@@ -53,8 +53,7 @@ pub use oraql_obs::rng::splitmix64;
 /// A named fault-injection site in the probe pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Panic inside the probe's pass-pipeline compile
-    /// (`Driver::compile_with` / the probe compile).
+    /// Panic inside the probe's pass-pipeline compile.
     CompilePanic,
     /// The VM run traps immediately (`RuntimeError::Injected`).
     VmTrap,

@@ -105,6 +105,21 @@ diff -r "$GEN_TMP/a" "$GEN_TMP/b"
 target/release/oraql gen --plan "$GEN_PLAN" --run --jobs 4 \
     | grep -E 'suite: 64 ok, 0 failed'
 
+# Jobs-parity smoke: one unique-count rule at every job count, so
+# `--jobs 2` walks every case's `--jobs 1` bisection path. Only the
+# in-memory decisions map that jobs 1 lacks may differ: it moves
+# answers from recompiles (`compiles`, `cached`) to the `parallel:`
+# line's dec-cached count.
+PARITY_TMP="$(mktemp -d)"
+trap 'rm -rf "$STORE_TMP" "$SERVED_TMP" "$OBS_TMP" "$GEN_TMP" "$PARITY_TMP"; [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true' EXIT
+for JOBS in 1 2; do
+    target/release/oraql --all --jobs "$JOBS" > "$PARITY_TMP/raw$JOBS"
+    sed -E -e '/^parallel: /d' \
+        -e 's/^probing: [0-9]+ compiles, ([0-9]+ tests run), [0-9]+ cached,/probing: \1,/' \
+        "$PARITY_TMP/raw$JOBS" > "$PARITY_TMP/jobs$JOBS"
+done
+diff "$PARITY_TMP/jobs1" "$PARITY_TMP/jobs2"
+
 # Chaos smoke: the whole suite under a fixed fault-plan seed matrix,
 # byte-identical across two runs, plus a parallel pass.
 sh scripts/chaos.sh

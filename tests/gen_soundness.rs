@@ -71,11 +71,8 @@ fn same_plan_regenerates_a_byte_identical_corpus() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Labels and verdicts agree at every job count. The exact optimism
-/// split can shift between `jobs = 1` and `jobs > 1` (the two report
-/// different unique-query counts on executable-cache hits), but
-/// soundness cannot: violations stay empty and every
-/// violating-labelled pair is pinned.
+/// Labels and verdicts agree at every job count: violations stay empty
+/// and every violating-labelled pair is pinned.
 #[test]
 fn labels_agree_with_verdicts_across_jobs_and_depth() {
     let plan = GenPlan::parse(PLAN).unwrap();

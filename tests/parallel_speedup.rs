@@ -62,8 +62,7 @@ fn jobs4_is_measurably_faster_than_jobs1_on_four_workloads() {
 }
 
 /// The speedup comes from honest overlap, not from skipping probes:
-/// both runs reach the same verdicts (canonical decisions compared, as
-/// everywhere in the determinism suite).
+/// both runs reach the same raw decisions and verdicts.
 #[test]
 fn overlapped_suite_reaches_sequential_verdicts() {
     let cases = sleepy_cases(&["testsnap_omp", "xsbench"]);
@@ -76,7 +75,7 @@ fn overlapped_suite_reaches_sequential_verdicts() {
     let par = run_suite(&cases, &opts4);
     for (s, p) in seq.iter().zip(par.iter()) {
         let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
-        assert_eq!(s.decisions.canonical(), p.decisions.canonical());
+        assert_eq!(s.decisions, p.decisions);
         assert_eq!(s.fully_optimistic, p.fully_optimistic);
         assert_eq!(s.final_run.stdout, p.final_run.stdout);
     }

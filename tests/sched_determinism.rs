@@ -5,9 +5,11 @@
 //! * every case's raw decisions, effort counters and probe trace (wall
 //!   time excluded) are identical at `--jobs 2` and `--jobs 8`, run
 //!   after run — including runs cut short by the test budget;
-//! * at any job count the *decisions* agree with the sequential run in
-//!   canonical form, and the optimized programs produce identical
-//!   verified output;
+//! * at any job count every case takes the sequential run's bisection
+//!   path: raw final decisions, tests run and tests deduced equal
+//!   `--jobs 1`, and the optimized programs produce identical verified
+//!   output (only the in-memory decisions map, which `--jobs 1` lacks,
+//!   moves answers from recompiles to `dec-cache` hits);
 //! * chaos: the suite under the `scripts/chaos.sh` seed matrix still
 //!   completes with every case verified at `--jobs 4`, and an
 //!   always-failing probe environment degrades to quarantined
@@ -89,10 +91,19 @@ fn per_case(results: &[DriverResult], events: &[ProbeEvent]) -> BTreeMap<String,
         .collect()
 }
 
-fn canonical(results: &[DriverResult]) -> Vec<String> {
+/// What every job count must decide exactly like `--jobs 1`: raw
+/// decisions, tests run and tests deduced, per case.
+fn bisection_paths(results: &[DriverResult]) -> Vec<(String, String, u64, u64)> {
     results
         .iter()
-        .map(|r| r.decisions.canonical().render())
+        .map(|r| {
+            (
+                r.name.clone(),
+                r.decisions.render(),
+                r.effort.tests_run,
+                r.effort.tests_deduced,
+            )
+        })
         .collect()
 }
 
@@ -147,16 +158,18 @@ fn parallel_runs_repeat_every_case_exactly() {
     assert_eq!(truncated, per_case(&t8, &te8), "budget-truncated runs");
 }
 
-/// Every job count converges on the sequential decisions (canonical
-/// form) and the same verified program output.
+/// One unique-count rule at every job count: each case walks the
+/// sequential bisection path exactly — the same raw decisions, tests
+/// run and tests deduced as `--jobs 1` — and reaches the same verified
+/// program output.
 #[test]
 fn all_legs_agree_with_sequential_decisions() {
     let (seq, _) = run_leg(1, None, None);
-    let want_dec = canonical(&seq);
+    let want_paths = bisection_paths(&seq);
     let want_out = stdouts(&seq);
     for jobs in [2usize, 8] {
         let (r, _) = run_leg(jobs, None, None);
-        assert_eq!(want_dec, canonical(&r), "jobs {jobs}");
+        assert_eq!(want_paths, bisection_paths(&r), "jobs {jobs}");
         assert_eq!(want_out, stdouts(&r), "jobs {jobs}");
         // (Each case's final output was already verified against its
         // baseline inside the driver — a mismatch would have surfaced

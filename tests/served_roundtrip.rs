@@ -1,13 +1,16 @@
 //! End-to-end coverage for the verdict server (`oraql-served`) as the
-//! driver's third cache tier: warm replay through the daemon, many
-//! concurrent tenants, graceful fallback when the daemon is down, and
-//! recovery after a kill mid-append. Also pins the wire protocol to the
-//! worked example in `docs/PROTOCOL.md` so code and docs cannot drift.
+//! driver's third cache tier: warm replay through the daemon, write-back
+//! of server answers into the local store, many concurrent tenants,
+//! graceful fallback when the daemon is down, and recovery after a kill
+//! mid-append. Also pins the wire protocol to the worked example in
+//! `docs/PROTOCOL.md` so code and docs cannot drift.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oraql::{Driver, DriverOptions, DriverResult, Store};
+use oraql::trace::TraceSink;
+use oraql::{Driver, DriverOptions, DriverResult, ProbeKind, Store};
 use oraql_served::{Client, Server, ServerConfig};
 use oraql_workloads as workloads;
 
@@ -84,6 +87,76 @@ fn warm_run_through_server_is_compile_free() {
     let cs = warm_client.stats();
     assert!(cs.hits > 0, "{cs}");
     assert_eq!(cs.io_errors, 0, "{cs}");
+
+    server.shutdown().unwrap();
+}
+
+/// A hit is written back to exactly the tiers that missed before it. A
+/// server answer lands in the local store, so a later run with only that
+/// store is compile-free and answered by the store alone; and a run the
+/// store answers entirely writes nothing past it — the server receives
+/// only the case's references record.
+#[test]
+fn server_answers_are_written_back_to_the_store() {
+    let name = "testsnap_omp";
+    let scratch = Scratch::new("writeback");
+    let server = Server::start(&ServerConfig::new(scratch.data()), "127.0.0.1:0").unwrap();
+    let cold = run_with_server(name, &Arc::new(Client::new(&server.addr())));
+    assert!(cold.effort.tests_run > 0, "{:?}", cold.effort);
+
+    // A fresh store in front of the populated server: the server
+    // answers each decision vector the first time it is probed, and the
+    // written-back record answers every repeat.
+    let store = Arc::new(Store::open(scratch.0.join("verdicts.journal")).unwrap());
+    let with_store = |client: Option<&Arc<Client>>, trace: &TraceSink| {
+        run_with(
+            name,
+            DriverOptions {
+                store: Some(Arc::clone(&store)),
+                server: client.map(Arc::clone),
+                trace: Some(trace.clone()),
+                ..Default::default()
+            },
+        )
+    };
+    let relay_trace = TraceSink::in_memory();
+    let relay = with_store(Some(&Arc::new(Client::new(&server.addr()))), &relay_trace);
+    assert_same_result(name, &cold, &relay);
+    assert_eq!(relay.effort.compiles, 0, "{:?}", relay.effort);
+    assert!(relay.effort.tests_server > 0, "{:?}", relay.effort);
+    let mut seen = HashSet::new();
+    let mut answered = 0;
+    for e in relay_trace.events() {
+        match e.kind {
+            ProbeKind::Deduced => continue,
+            ProbeKind::ServerHit => assert!(seen.insert(e.digest), "asked twice: {e:?}"),
+            ProbeKind::StoreHit => assert!(seen.contains(&e.digest), "{e:?}"),
+            other => panic!("{name}: {other:?} answered a warm probe"),
+        }
+        assert_eq!(store.dec_verdict(e.digest), Some((e.pass, e.unique)));
+        answered += 1;
+    }
+
+    // The store alone now replays the whole search.
+    let local_trace = TraceSink::in_memory();
+    let local = with_store(None, &local_trace);
+    assert_same_result(name, &cold, &local);
+    assert_eq!(local.effort.compiles, 0, "{:?}", local.effort);
+    assert_eq!(local.effort.tests_server, 0, "{:?}", local.effort);
+    let kinds: Vec<_> = local_trace.events().iter().map(|e| e.kind).collect();
+    assert_eq!(kinds.len(), answered + local.effort.tests_deduced as usize);
+    assert!(kinds
+        .iter()
+        .all(|k| matches!(k, ProbeKind::StoreHit | ProbeKind::Deduced)));
+
+    // Store plus server: the store answers first, so nothing is looked
+    // up remotely and only the references record is appended.
+    let quiet = Arc::new(Client::new(&server.addr()));
+    let both = with_store(Some(&quiet), &TraceSink::in_memory());
+    assert_same_result(name, &cold, &both);
+    assert_eq!(both.effort.tests_server, 0, "{:?}", both.effort);
+    let cs = quiet.stats();
+    assert_eq!((cs.lookups, cs.hits, cs.appends), (0, 0, 1), "{cs}");
 
     server.shutdown().unwrap();
 }
