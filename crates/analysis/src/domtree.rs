@@ -1,10 +1,19 @@
 //! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
 
 use oraql_ir::cfg;
+use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::Function;
 use oraql_ir::value::BlockId;
 
 /// Immediate-dominator tree of one function's CFG.
+///
+/// `build` also records every instruction's position within its block,
+/// so [`DomTree::inst_dominates`] orders two instructions of one block
+/// in O(1). That index relies on one condition: while the tree is
+/// alive, instructions may be removed (GVN deletes loads while it holds
+/// the tree; removal keeps the relative order of the rest) but not
+/// inserted or moved. Block-level queries depend only on the CFG, so
+/// passes that move instructions (LICM) may keep using those.
 pub struct DomTree {
     /// `idom[b]` = immediate dominator of block `b`; entry maps to
     /// itself; unreachable blocks map to `None`.
@@ -13,6 +22,9 @@ pub struct DomTree {
     depth: Vec<u32>,
     /// Reverse postorder used during construction (reachable blocks).
     rpo: Vec<BlockId>,
+    /// Each instruction's position within its block at build time
+    /// ([`cfg::block_positions`]).
+    pos: Vec<u32>,
 }
 
 impl DomTree {
@@ -72,7 +84,12 @@ impl DomTree {
             }
         }
 
-        DomTree { idom, depth, rpo }
+        DomTree {
+            idom,
+            depth,
+            rpo,
+            pos: cfg::block_positions(f),
+        }
     }
 
     /// Immediate dominator of `b` (`None` for the entry block and
@@ -102,25 +119,18 @@ impl DomTree {
     }
 
     /// Does instruction `ia` dominate instruction `ib` (strictly, in
-    /// execution order)?
-    pub fn inst_dominates(
-        &self,
-        f: &Function,
-        ia: oraql_ir::inst::InstId,
-        ib: oraql_ir::inst::InstId,
-    ) -> bool {
+    /// execution order)? A removed instruction neither dominates nor is
+    /// dominated.
+    pub fn inst_dominates(&self, f: &Function, ia: InstId, ib: InstId) -> bool {
+        if matches!(f.inst(ia), Inst::Removed) || matches!(f.inst(ib), Inst::Removed) {
+            return false;
+        }
         let ba = f.block_of(ia);
         let bb = f.block_of(ib);
         if ba == bb {
-            let block = &f.blocks[ba.0 as usize];
-            let pa = block.insts.iter().position(|&i| i == ia);
-            let pb = block.insts.iter().position(|&i| i == ib);
-            match (pa, pb) {
-                (Some(x), Some(y)) => x < y,
-                _ => false,
-            }
+            self.pos[ia.0 as usize] < self.pos[ib.0 as usize]
         } else {
-            self.dominates(ba, bb) && ba != bb
+            self.dominates(ba, bb)
         }
     }
 
@@ -203,5 +213,45 @@ mod tests {
         assert!(dt.inst_dominates(f, i0, i1));
         assert!(!dt.inst_dominates(f, i1, i0));
         assert!(!dt.inst_dominates(f, i0, i0));
+    }
+
+    #[test]
+    fn removing_a_load_after_build_matches_a_fresh_build() {
+        // GVN deletes loads while it holds the tree.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr], None);
+        let p = b.arg(0);
+        let next = b.new_block();
+        let a = b.load(Ty::I64, p);
+        b.load(Ty::I64, p);
+        b.store(Ty::I64, a, p);
+        b.br(next);
+        b.switch_to(next);
+        b.load(Ty::I64, p);
+        b.ret(None);
+        let id = b.finish();
+        let dt = DomTree::build(m.func(id));
+        let all: Vec<_> = m.func(id).live_insts().collect();
+        let removed = m.func(id).blocks[0].insts[1];
+        m.func_mut(id).remove_inst(removed);
+        let f = m.func(id);
+        let fresh = DomTree::build(f);
+        for &x in &all {
+            for &y in &all {
+                assert_eq!(
+                    dt.inst_dominates(f, x, y),
+                    fresh.inst_dominates(f, x, y),
+                    "%{} vs %{}",
+                    x.0,
+                    y.0
+                );
+                if x == removed || y == removed {
+                    assert!(!dt.inst_dominates(f, x, y), "%{} vs %{}", x.0, y.0);
+                }
+            }
+        }
+        // The store still follows the first load across the gap.
+        let (first, store) = (f.blocks[0].insts[0], f.blocks[0].insts[1]);
+        assert!(dt.inst_dominates(f, first, store));
     }
 }

@@ -29,9 +29,19 @@ pub enum MemAccess {
 
 /// MemorySSA form of one function (structure only; clobber walks take
 /// the AA manager as a parameter).
+///
+/// `build` records every instruction's position within its block, so
+/// finding the def before an instruction is a binary search rather than
+/// a scan of the block. The index relies on one condition: while the
+/// analysis is alive, instructions of the function may be removed (GVN
+/// deletes loads between its clobber walks; removal keeps the relative
+/// order of the rest) but not inserted or moved.
 pub struct MemorySsa {
     /// Memory-writing instructions per block, in order.
     defs_in_block: Vec<Vec<InstId>>,
+    /// Each instruction's position within its block at build time
+    /// ([`cfg::block_positions`]).
+    pos: Vec<u32>,
     /// Predecessor lists (cached).
     preds: Vec<Vec<BlockId>>,
     /// Maximum steps a clobber walk may take before giving up.
@@ -51,6 +61,7 @@ impl MemorySsa {
         }
         MemorySsa {
             defs_in_block,
+            pos: cfg::block_positions(f),
             preds: cfg::predecessors(f),
             walk_budget: 200,
         }
@@ -76,32 +87,17 @@ impl MemorySsa {
         }
     }
 
-    /// The memory state just before instruction `id` in `f`.
+    /// The memory state just before instruction `id` in `f`: the
+    /// nearest def strictly before it in its block, else the block's
+    /// entry state.
     pub fn defining_access(&self, f: &Function, id: InstId) -> MemAccess {
         let bb = f.block_of(id);
-        let block = &f.blocks[bb.0 as usize];
-        let pos = block
-            .insts
-            .iter()
-            .position(|&i| i == id)
-            .expect("instruction in its block");
-        // Nearest def strictly before `pos`.
-        for &d in self.defs_in_block[bb.0 as usize].iter().rev() {
-            let dpos = block
-                .insts
-                .iter()
-                .position(|&i| i == d)
-                .expect("def in block");
-            if dpos < pos {
-                return MemAccess::Def(d);
-            }
+        let defs = &self.defs_in_block[bb.0 as usize];
+        let pos = self.pos[id.0 as usize];
+        match defs.partition_point(|d| self.pos[d.0 as usize] < pos) {
+            0 => self.entry_access(bb),
+            k => MemAccess::Def(defs[k - 1]),
         }
-        self.entry_access(bb)
-    }
-
-    /// The memory state just before def `d` (its "incoming" state).
-    pub fn access_before_def(&self, f: &Function, d: InstId) -> MemAccess {
-        self.defining_access(f, d)
     }
 
     /// Walks upward from `start` to the nearest access that may clobber
@@ -144,7 +140,7 @@ impl MemorySsa {
                     if aa.may_clobber(m, func, d, loc) {
                         return MemAccess::Def(d);
                     }
-                    access = self.access_before_def(f, d);
+                    access = self.defining_access(f, d);
                 }
                 MemAccess::Phi(bb) => {
                     if !visited_phis.insert(bb) || *budget == 0 {
@@ -297,6 +293,56 @@ mod tests {
         assert_eq!(
             mssa.clobber_walk(&m, id, &mut aa, &loc, start),
             MemAccess::Def(s0)
+        );
+    }
+
+    #[test]
+    fn removing_loads_after_build_matches_a_fresh_build() {
+        // GVN deletes loads while it holds the analysis: the kept
+        // position index must answer as a rebuilt one would.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr, Ty::Ptr], None);
+        let (p, q) = (b.arg(0), b.arg(1));
+        b.store(Ty::I64, Value::ConstInt(1), p);
+        let l1 = b.load(Ty::I64, p);
+        b.store(Ty::I64, l1, q);
+        b.load(Ty::I64, p);
+        let l3 = b.load(Ty::I64, q);
+        b.store(Ty::I64, l3, p);
+        let l4 = b.load(Ty::I64, p);
+        b.print("{}", vec![l4]);
+        b.ret(None);
+        let id = b.finish();
+        let mssa = MemorySsa::build(m.func(id));
+        let insts = m.func(id).blocks[0].insts.clone();
+        // Remove the first and third load (the analysis does not need
+        // their uses rewritten).
+        let f = m.func_mut(id);
+        f.remove_inst(insts[1]);
+        f.remove_inst(insts[4]);
+        let f = m.func(id);
+        let fresh = MemorySsa::build(f);
+        let accesses = f.live_insts().filter(|&i| {
+            f.inst(i).writes_memory() || matches!(f.inst(i), oraql_ir::inst::Inst::Load { .. })
+        });
+        for a in accesses {
+            assert_eq!(
+                mssa.defining_access(f, a),
+                fresh.defining_access(f, a),
+                "%{}",
+                a.0
+            );
+        }
+        // The last load still sees the store just before it, and the
+        // second store sees the first across the removed load.
+        assert_eq!(mssa.defining_access(f, insts[6]), MemAccess::Def(insts[5]));
+        assert_eq!(mssa.defining_access(f, insts[2]), MemAccess::Def(insts[0]));
+        let mut aa = mgr();
+        let loc = MemoryLocation::of_access(f, insts[6]).unwrap();
+        let start = mssa.defining_access(f, insts[6]);
+        assert_eq!(
+            mssa.clobber_walk(&m, id, &mut aa, &loc, start),
+            fresh.clobber_walk(&m, id, &mut aa, &loc, start)
         );
     }
 

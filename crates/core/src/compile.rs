@@ -166,10 +166,10 @@ pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
     pm.verify_each = opts.verify_each;
     pm.run(&mut module, &mut aa, &mut stats);
 
-    // Machine-level statistics (asm printer / register allocation).
+    // Machine-level statistics (asm printer / register allocation),
+    // from one lowering of each function.
     for target in [Target::Host, Target::Device] {
-        let insts = oraql_vm::machine::module_machine_insts(&module, target);
-        let spills = oraql_vm::machine::module_spills(&module, target);
+        let (insts, spills) = oraql_vm::machine::module_machine_stats(&module, target);
         if insts > 0 {
             stats.set(
                 "asm printer",

@@ -66,6 +66,22 @@ pub fn all_reachable(f: &Function) -> bool {
     reverse_postorder(f).len() == f.blocks.len()
 }
 
+/// Each instruction's index within its block's instruction list,
+/// indexed by instruction id; `u32::MAX` for arena entries no block
+/// lists (removed instructions). Comparing two entries orders two
+/// instructions of one block in O(1), and the comparison stays valid
+/// while instructions are removed, because removal keeps the relative
+/// order of the rest; inserting or moving an instruction invalidates it.
+pub fn block_positions(f: &Function) -> Vec<u32> {
+    let mut pos = vec![u32::MAX; f.insts.len()];
+    for block in &f.blocks {
+        for (i, &id) in block.insts.iter().enumerate() {
+            pos[id.0 as usize] = i as u32;
+        }
+    }
+    pos
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +140,33 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         assert!(!all_reachable(m.func(id)));
+    }
+
+    #[test]
+    fn block_positions_index_each_block() {
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new(&mut m, "p", vec![Ty::Ptr], None);
+        let x = b.new_block();
+        b.load(Ty::I64, b.arg(0));
+        b.br(x);
+        b.switch_to(x);
+        b.load(Ty::I64, b.arg(0));
+        b.load(Ty::I64, b.arg(0));
+        b.ret(None);
+        let id = b.finish();
+        let f = m.func_mut(id);
+        let (l0, l1, l2) = (
+            f.blocks[0].insts[0],
+            f.blocks[1].insts[0],
+            f.blocks[1].insts[1],
+        );
+        let pos = block_positions(f);
+        assert_eq!((pos[l0.0 as usize], pos[l1.0 as usize]), (0, 0));
+        assert_eq!(pos[l2.0 as usize], 1);
+        f.remove_inst(l1);
+        let pos = block_positions(f);
+        assert_eq!(pos[l1.0 as usize], u32::MAX);
+        assert_eq!(pos[l2.0 as usize], 0);
     }
 
     #[test]

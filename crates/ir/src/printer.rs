@@ -1,28 +1,65 @@
 //! Textual IR printer, LLVM-flavoured. Used in reports, debugging and
-//! golden tests. There is deliberately no parser: modules are built
-//! programmatically (workload generators / builder API).
+//! golden tests, and as the executable-cache key: the probing driver
+//! hashes [`module_str`] after every probe compile. There is
+//! deliberately no parser: modules are built programmatically (workload
+//! generators / builder API).
+//!
+//! Each level (value, instruction, function, module) has one writer
+//! that appends to a caller's `String`, with no intermediate `String`
+//! or `Vec` per operand, argument list, instruction or function.
+//! [`value_str`], [`inst_str`], [`function_str`] and [`module_str`] are
+//! thin wrappers over them.
 
 use crate::inst::{CallKind, FuncRef, GepOffset, Inst, InstId};
 use crate::module::{Function, FunctionId, Module};
-use crate::value::{BlockId, Value};
-use std::fmt::Write as _;
+use crate::value::Value;
+use std::fmt::{self, Write as _};
 
-/// Renders a value like `%12`, `%arg0`, `@g`, `42`, `3.5`.
-pub fn value_str(v: Value, m: &Module) -> String {
-    match v {
-        Value::Inst(i) => format!("%{}", i.0),
-        Value::Arg(a) => format!("%arg{a}"),
-        Value::Global(g) => format!("@{}", m.global(g).name),
-        Value::ConstInt(c) => format!("{c}"),
-        Value::ConstFloat(bits) => format!("{:?}", f64::from_bits(bits)),
-        Value::Undef => "undef".to_owned(),
+/// Formats a value in place (see [`write_value`]).
+struct Val<'a>(Value, &'a Module);
+
+impl fmt::Display for Val<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Value::Inst(i) => {
+                out.write_char('%')?;
+                fmt::Display::fmt(&i.0, out)
+            }
+            Value::Arg(a) => {
+                out.write_str("%arg")?;
+                fmt::Display::fmt(&a, out)
+            }
+            Value::Global(g) => write!(out, "@{}", self.1.global(g).name),
+            Value::ConstInt(c) => write!(out, "{c}"),
+            Value::ConstFloat(bits) => write!(out, "{:?}", f64::from_bits(bits)),
+            Value::Undef => out.write_str("undef"),
+        }
     }
 }
 
-/// Renders one instruction (without trailing newline).
-pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
-    let v = |x: Value| value_str(x, m);
-    let mut s = String::new();
+/// Formats a comma-separated value list in place.
+struct Vals<'a>(&'a [Value], &'a Module);
+
+impl fmt::Display for Vals<'_> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &v) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            fmt::Display::fmt(&Val(v, self.1), out)?;
+        }
+        Ok(())
+    }
+}
+
+/// Appends a value like `%12`, `%arg0`, `@g`, `42`, `3.5`.
+pub fn write_value(s: &mut String, v: Value, m: &Module) {
+    let _ = write!(s, "{}", Val(v, m));
+}
+
+/// Appends one instruction (without trailing newline).
+pub fn write_inst(s: &mut String, f: &Function, m: &Module, id: InstId) {
+    let v = |x: Value| Val(x, m);
     let inst = f.inst(id);
     if inst.result_ty().is_some() {
         let _ = write!(s, "%{} = ", id.0);
@@ -72,16 +109,15 @@ pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
             callee, args, kind, ..
         } => {
             let name = match callee {
-                FuncRef::Internal(fid) => m.func(*fid).name.clone(),
-                FuncRef::External(sym) => m.strings.resolve(*sym).to_owned(),
+                FuncRef::Internal(fid) => m.func(*fid).name.as_str(),
+                FuncRef::External(sym) => m.strings.resolve(*sym),
             };
             let prefix = match kind {
                 CallKind::Plain => "call",
                 CallKind::ParallelRegion { .. } => "parallel_call",
                 CallKind::KernelLaunch { .. } => "kernel_launch",
             };
-            let args: Vec<_> = args.iter().map(|&a| v(a)).collect();
-            let _ = write!(s, "{prefix} @{name}({})", args.join(", "));
+            let _ = write!(s, "{prefix} @{name}({})", Vals(args, m));
             if let CallKind::ParallelRegion { threads } = kind {
                 let _ = write!(s, " threads({threads})");
             }
@@ -93,9 +129,7 @@ pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
             Some(x) => {
                 let _ = write!(s, "ret {}", v(*x));
             }
-            None => {
-                let _ = write!(s, "ret void");
-            }
+            None => s.push_str("ret void"),
         },
         Inst::Br { target } => {
             let _ = write!(s, "br bb{}", target.0);
@@ -108,29 +142,23 @@ pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
             let _ = write!(s, "condbr {}, bb{}, bb{}", v(*cond), then_bb.0, else_bb.0);
         }
         Inst::Phi { ty, incoming } => {
-            let parts: Vec<_> = incoming
-                .iter()
-                .map(|(bb, val)| format!("[bb{}: {}]", bb.0, v(*val)))
-                .collect();
-            let _ = write!(s, "phi {ty} {}", parts.join(", "));
+            let _ = write!(s, "phi {ty} ");
+            for (i, (bb, val)) in incoming.iter().enumerate() {
+                if i > 0 {
+                    s.push_str(", ");
+                }
+                let _ = write!(s, "[bb{}: {}]", bb.0, v(*val));
+            }
         }
         Inst::Print { fmt, args } => {
-            let args: Vec<_> = args.iter().map(|&a| v(a)).collect();
-            let _ = write!(
-                s,
-                "print {:?}({})",
-                m.strings.resolve(*fmt),
-                args.join(", ")
-            );
+            let _ = write!(s, "print {:?}({})", m.strings.resolve(*fmt), Vals(args, m));
         }
         Inst::Memcpy {
             dst, src, bytes, ..
         } => {
             let _ = write!(s, "memcpy ptr {}, ptr {}, {}", v(*dst), v(*src), v(*bytes));
         }
-        Inst::Removed => {
-            let _ = write!(s, "<removed>");
-        }
+        Inst::Removed => s.push_str("<removed>"),
     }
     if let Some(loc) = f.loc(id) {
         let _ = write!(
@@ -141,51 +169,41 @@ pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
             loc.col
         );
     }
-    s
 }
 
-/// Renders a whole function.
-pub fn function_str(m: &Module, id: FunctionId) -> String {
+/// Appends a whole function.
+pub fn write_function(s: &mut String, m: &Module, id: FunctionId) {
     let f = m.func(id);
-    let mut s = String::new();
-    let params: Vec<_> = f
-        .params
-        .iter()
-        .map(|p| {
-            format!(
-                "{}{} %{}",
-                p.ty,
-                if p.noalias { " noalias" } else { "" },
-                p.name
-            )
-        })
-        .collect();
-    let ret = f
-        .ret
-        .map(|t| t.to_string())
-        .unwrap_or_else(|| "void".into());
-    let _ = writeln!(
-        s,
-        "define {} @{}({}) target({}){} {{",
-        ret,
-        f.name,
-        params.join(", "),
-        f.target.name(),
-        if f.outlined { " outlined" } else { "" },
-    );
+    s.push_str("define ");
+    match f.ret {
+        Some(t) => {
+            let _ = write!(s, "{t}");
+        }
+        None => s.push_str("void"),
+    }
+    let _ = write!(s, " @{}(", f.name);
+    for (i, p) in f.params.iter().enumerate() {
+        if i > 0 {
+            s.push_str(", ");
+        }
+        let noalias = if p.noalias { " noalias" } else { "" };
+        let _ = write!(s, "{}{noalias} %{}", p.ty, p.name);
+    }
+    let outlined = if f.outlined { " outlined" } else { "" };
+    let _ = writeln!(s, ") target({}){outlined} {{", f.target.name());
     for (bi, block) in f.blocks.iter().enumerate() {
         let _ = writeln!(s, "bb{bi}:");
         for &iid in &block.insts {
-            let _ = writeln!(s, "  {}", inst_str(f, m, iid));
+            s.push_str("  ");
+            write_inst(s, f, m, iid);
+            s.push('\n');
         }
     }
-    let _ = writeln!(s, "}}");
-    s
+    s.push_str("}\n");
 }
 
-/// Renders a whole module.
-pub fn module_str(m: &Module) -> String {
-    let mut s = String::new();
+/// Appends a whole module.
+pub fn write_module(s: &mut String, m: &Module) {
     let _ = writeln!(s, "; module {}", m.name);
     for g in &m.globals {
         let _ = writeln!(
@@ -197,15 +215,37 @@ pub fn module_str(m: &Module) -> String {
         );
     }
     for i in 0..m.funcs.len() {
-        let _ = writeln!(s);
-        s.push_str(&function_str(m, FunctionId(i as u32)));
+        s.push('\n');
+        write_function(s, m, FunctionId(i as u32));
     }
+}
+
+/// Renders a value (see [`write_value`]).
+pub fn value_str(v: Value, m: &Module) -> String {
+    let mut s = String::new();
+    write_value(&mut s, v, m);
     s
 }
 
-/// Renders the block label of a block id.
-pub fn block_str(bb: BlockId) -> String {
-    format!("bb{}", bb.0)
+/// Renders one instruction (see [`write_inst`]).
+pub fn inst_str(f: &Function, m: &Module, id: InstId) -> String {
+    let mut s = String::new();
+    write_inst(&mut s, f, m, id);
+    s
+}
+
+/// Renders a whole function (see [`write_function`]).
+pub fn function_str(m: &Module, id: FunctionId) -> String {
+    let mut s = String::new();
+    write_function(&mut s, m, id);
+    s
+}
+
+/// Renders a whole module (see [`write_module`]).
+pub fn module_str(m: &Module) -> String {
+    let mut s = String::new();
+    write_module(&mut s, m);
+    s
 }
 
 #[cfg(test)]

@@ -268,24 +268,28 @@ pub fn lower_function(
     })
 }
 
-/// Lowers every function of a target and sums machine instructions —
-/// the "asm printer: # machine instructions generated" statistic.
-/// Functions that fail to lower contribute nothing (their miscompile
-/// surfaces through the runtime verification channel instead).
-pub fn module_machine_insts(m: &Module, target: Target) -> u64 {
+/// Lowers every function of a target once and sums the two Fig. 6
+/// statistics: `(machine instructions, register spills)`, the "asm
+/// printer: # machine instructions generated" and "register allocation:
+/// # register spills inserted" counters. Functions that fail to lower
+/// contribute nothing (their miscompile surfaces through the runtime
+/// verification channel instead).
+pub fn module_machine_stats(m: &Module, target: Target) -> (u64, u64) {
     m.funcs_for_target(target)
         .filter_map(|fid| lower_function(m, fid, None).ok())
-        .map(|s| s.machine_insts)
-        .sum()
+        .fold((0, 0), |(insts, spills), s| {
+            (insts + s.machine_insts, spills + u64::from(s.spills))
+        })
 }
 
-/// Total spills across all functions of a target — the "register
-/// allocation: # register spills inserted" statistic.
+/// The machine-instruction half of [`module_machine_stats`].
+pub fn module_machine_insts(m: &Module, target: Target) -> u64 {
+    module_machine_stats(m, target).0
+}
+
+/// The register-spill half of [`module_machine_stats`].
 pub fn module_spills(m: &Module, target: Target) -> u64 {
-    m.funcs_for_target(target)
-        .filter_map(|fid| lower_function(m, fid, None).ok())
-        .map(|s| s.spills as u64)
-        .sum()
+    module_machine_stats(m, target).1
 }
 
 #[cfg(test)]
@@ -365,6 +369,45 @@ mod tests {
         f.remove_inst(l2_id);
         let after = lower_function(&m, id, None).unwrap().machine_insts;
         assert_eq!(after, before - 1);
+    }
+
+    #[test]
+    fn module_stats_sum_one_lowering_per_function() {
+        let mut m = Module::new("t");
+        for name in ["wide", "small"] {
+            let mut b = FunctionBuilder::new(&mut m, name, vec![Ty::Ptr], Some(Ty::I64));
+            let p = b.arg(0);
+            let n = if name == "wide" { 24 } else { 2 };
+            let vals: Vec<Value> = (0..n)
+                .map(|i| {
+                    let a = b.gep(p, 8 * i);
+                    b.load(Ty::I64, a)
+                })
+                .collect();
+            let acc = vals[1..].iter().fold(vals[0], |acc, &v| b.add(acc, v));
+            b.ret(Some(acc));
+            b.finish();
+        }
+        let mut b = FunctionBuilder::new(&mut m, "k", vec![], None);
+        b.set_target(Target::Device);
+        b.ret(None);
+        b.finish();
+        let lowered: Vec<_> = m
+            .funcs_for_target(Target::Host)
+            .map(|fid| lower_function(&m, fid, None).unwrap())
+            .collect();
+        let insts = lowered.iter().map(|s| s.machine_insts).sum::<u64>();
+        let spills = lowered.iter().map(|s| u64::from(s.spills)).sum::<u64>();
+        assert!(spills > 0);
+        let host = module_machine_stats(&m, Target::Host);
+        assert_eq!(host, (insts, spills));
+        assert_eq!(module_machine_insts(&m, Target::Host), insts);
+        assert_eq!(module_spills(&m, Target::Host), spills);
+        let device = lower_function(&m, FunctionId(2), None).unwrap();
+        assert_eq!(
+            module_machine_stats(&m, Target::Device),
+            (device.machine_insts, 0)
+        );
     }
 
     #[test]

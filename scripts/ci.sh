@@ -13,6 +13,12 @@ cargo test -q --offline
 # modes (tree-walk reference vs. pre-decoded executor); run it by name so
 # a filtered `cargo test` invocation can never silently skip it.
 cargo test -q --offline --test differential_interp
+# The compile-path byte-identity gates, likewise by name: the 16
+# configurations at jobs 1 against their golden (raw final decisions,
+# effort, query counts, machine stats, final-module hash), and the
+# block-position index of MemorySSA and dominance against a linear scan.
+cargo test -q --offline --test suite_golden
+cargo test -q --offline --test analysis_index
 # The persistent verdict store's robustness gates (journal recovery,
 # warm-run determinism), likewise by name.
 cargo test -q --offline -p oraql-store
