@@ -160,11 +160,6 @@ impl AAManager {
         self.log.take().unwrap_or_default()
     }
 
-    /// Names of registered analyses, in chain order.
-    pub fn analysis_names(&self) -> Vec<&'static str> {
-        self.analyses.iter().map(|a| a.name()).collect()
-    }
-
     /// Per-analysis answer counters, in chain order.
     pub fn answer_counts(&self) -> &[AnswerCounts] {
         &self.counts
@@ -257,24 +252,6 @@ impl AAManager {
         }
     }
 
-    /// Convenience: query the locations of two access instructions.
-    pub fn alias_insts(
-        &mut self,
-        module: &Module,
-        func: FunctionId,
-        i1: InstId,
-        i2: InstId,
-    ) -> AliasResult {
-        let f = module.func(func);
-        match (
-            MemoryLocation::of_access(f, i1),
-            MemoryLocation::of_access(f, i2),
-        ) {
-            (Some(a), Some(b)) => self.alias(module, func, &a, &b),
-            _ => AliasResult::MayAlias,
-        }
-    }
-
     /// Whether instruction `id` may write to `loc` ("mod" side of LLVM's
     /// ModRef). Calls are handled conservatively: internal calls and
     /// parallel regions clobber everything; the VM's pure external math
@@ -334,15 +311,6 @@ impl AAManager {
             },
             _ => false,
         }
-    }
-
-    /// Resets per-compilation counters (analyses keep their own state).
-    pub fn reset_counters(&mut self) {
-        for c in &mut self.counts {
-            *c = AnswerCounts::default();
-        }
-        self.fallback_may_alias = 0;
-        self.total_queries = 0;
     }
 }
 

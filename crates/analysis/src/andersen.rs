@@ -28,15 +28,6 @@ impl AndersenAA {
         }
     }
 
-    /// The points-to set of a pointer value, if it has a node.
-    pub fn points_to(
-        &self,
-        f: oraql_ir::module::FunctionId,
-        v: oraql_ir::value::Value,
-    ) -> Option<&BTreeSet<ObjId>> {
-        self.sys.node_of(f, v).map(|n| &self.pts[n as usize])
-    }
-
     /// Immutable access to the constraint system (for diagnostics).
     pub fn system(&self) -> &ConstraintSystem {
         &self.sys

@@ -153,16 +153,6 @@ impl SteensgaardAA {
         };
         self.sys.node_of(ctx.func, v)
     }
-
-    /// Representative of the points-to class of `node`.
-    pub fn pointee_class(&mut self, node: u32) -> u32 {
-        self.uf.pointee_of(node)
-    }
-
-    /// Number of distinct abstract objects (diagnostic).
-    pub fn num_objects(&self) -> usize {
-        self.obj_nodes.len()
-    }
 }
 
 impl AliasAnalysis for SteensgaardAA {

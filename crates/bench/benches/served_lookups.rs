@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oraql::{Driver, DriverOptions};
-use oraql_served::{Client, Server, ServerConfig};
+use oraql_served::{Client, Server, ServerOptions};
 
 /// Keys pre-populated for the lookup-throughput phase.
 const POPULATION: u64 = 4_096;
@@ -87,7 +87,7 @@ fn run_pass(addr: &str, label: &str) -> Vec<(String, f64)> {
 fn main() {
     let dir = std::env::temp_dir().join(format!("oraql_bench_served_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let server = Server::start(&ServerConfig::new(&dir), "127.0.0.1:0").expect("start server");
+    let server = Server::start(&ServerOptions::new(&dir), "127.0.0.1:0").expect("start server");
     let addr = server.addr();
 
     // Phase 1: populate, then sustained concurrent lookups.

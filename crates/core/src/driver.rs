@@ -32,10 +32,11 @@
 //!   walked after the compile — a hit skips the run (the seed driver's
 //!   cache).
 //!
-//! The first hit of a walk answers the probe. It is counted once: its
-//! [`ProbeEffort`] field, its `oraql_driver_funnel_*` counter and its
-//! traced [`ProbeKind`] all follow from the (tier, key space) pair. It
-//! is then written back only to the tiers that missed before it. Any
+//! The first hit of a walk answers the probe. Every answer is counted
+//! once, in `ProbeEngine::execute`, into the case's tally: its
+//! [`ProbeEffort`] field, its traced [`ProbeKind`] and its
+//! `oraql_driver_*` counters are all read off that tally. The hit is
+//! written back only to the tiers that missed before it. Any
 //! executable-hash answer, and any VM run, files the verdict under the
 //! probe's decisions digest in every tier; a VM run also files it under
 //! the executable hash in every tier. Store and server write errors are
@@ -103,7 +104,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -425,17 +426,6 @@ pub struct FailureStats {
 }
 
 impl FailureStats {
-    /// Total attempt-level failures (excluding the retry tally).
-    pub fn total(&self) -> u64 {
-        self.panics
-            + self.deadlines
-            + self.vm_errors
-            + self.output_mismatches
-            + self.store_corrupt
-            + self.server_down
-            + self.server_busy
-    }
-
     /// Did this run complete without a single sandbox event?
     pub fn is_quiet(&self) -> bool {
         *self == FailureStats::default()
@@ -453,32 +443,9 @@ fn module_text_hash(salt: u64, text: &str) -> u64 {
     h.finish()
 }
 
-/// Registry handles for the probing driver, resolved once. Per-kind
-/// probe counters are bumped in [`ProbeEngine::trace_event`] (the one
-/// point every probe answer flows through, sink or no sink); the
-/// funnel's tier counters are bumped in [`ProbeEngine::count_hit`], so
-/// `dec_cache_hits + store_dec_hits + server_dec_hits + compiles`
-/// accounts for every attempt that reached the walk, and `compiles`
-/// fans out into the exe tiers and `vm_runs` the same way.
+/// The driver's latency histograms, resolved once. Its counters have
+/// no handles: each case's [`Tally`] adds them when its driver drops.
 struct DriverMetrics {
-    probes: &'static oraql_obs::Counter,
-    executed: &'static oraql_obs::Counter,
-    exe_cache: &'static oraql_obs::Counter,
-    dec_cache: &'static oraql_obs::Counter,
-    store: &'static oraql_obs::Counter,
-    server: &'static oraql_obs::Counter,
-    deduced: &'static oraql_obs::Counter,
-    faulted: &'static oraql_obs::Counter,
-    retries: &'static oraql_obs::Counter,
-    quarantined: &'static oraql_obs::Counter,
-    funnel_dec_cache_hits: &'static oraql_obs::Counter,
-    funnel_store_dec_hits: &'static oraql_obs::Counter,
-    funnel_server_dec_hits: &'static oraql_obs::Counter,
-    funnel_compiles: &'static oraql_obs::Counter,
-    funnel_exe_cache_hits: &'static oraql_obs::Counter,
-    funnel_store_exe_hits: &'static oraql_obs::Counter,
-    funnel_server_exe_hits: &'static oraql_obs::Counter,
-    funnel_vm_runs: &'static oraql_obs::Counter,
     probe_micros: &'static oraql_obs::Histogram,
     compile_micros: &'static oraql_obs::Histogram,
     vm_run_micros: &'static oraql_obs::Histogram,
@@ -490,24 +457,6 @@ fn dmetrics() -> &'static DriverMetrics {
     M.get_or_init(|| {
         let r = oraql_obs::global();
         DriverMetrics {
-            probes: r.counter("oraql_driver_probes_total"),
-            executed: r.counter("oraql_driver_probe_executed_total"),
-            exe_cache: r.counter("oraql_driver_probe_exe_cache_total"),
-            dec_cache: r.counter("oraql_driver_probe_dec_cache_total"),
-            store: r.counter("oraql_driver_probe_store_total"),
-            server: r.counter("oraql_driver_probe_server_total"),
-            deduced: r.counter("oraql_driver_probe_deduced_total"),
-            faulted: r.counter("oraql_driver_probe_faulted_total"),
-            retries: r.counter("oraql_driver_retries_total"),
-            quarantined: r.counter("oraql_driver_quarantined_total"),
-            funnel_dec_cache_hits: r.counter("oraql_driver_funnel_dec_cache_hits_total"),
-            funnel_store_dec_hits: r.counter("oraql_driver_funnel_store_dec_hits_total"),
-            funnel_server_dec_hits: r.counter("oraql_driver_funnel_server_dec_hits_total"),
-            funnel_compiles: r.counter("oraql_driver_funnel_compiles_total"),
-            funnel_exe_cache_hits: r.counter("oraql_driver_funnel_exe_cache_hits_total"),
-            funnel_store_exe_hits: r.counter("oraql_driver_funnel_store_exe_hits_total"),
-            funnel_server_exe_hits: r.counter("oraql_driver_funnel_server_exe_hits_total"),
-            funnel_vm_runs: r.counter("oraql_driver_funnel_vm_runs_total"),
             probe_micros: r.histogram("oraql_driver_probe_micros"),
             compile_micros: r.histogram("oraql_driver_compile_micros"),
             vm_run_micros: r.histogram("oraql_driver_vm_run_micros"),
@@ -542,7 +491,7 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
 type Verdict = (bool, u64);
 
 /// A verdict tier; [`TIERS`] is the walk order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Tier {
     Memory,
     Store,
@@ -552,12 +501,115 @@ enum Tier {
 const TIERS: [Tier; 3] = [Tier::Memory, Tier::Store, Tier::Server];
 
 /// The two key spaces every tier files verdicts under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Space {
     /// Salted decisions digest, walked before the compile.
     Dec,
     /// Salted executable hash, walked after the compile.
     Exe,
+}
+
+/// What answered a probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Answer {
+    /// Compiled, run on the VM and verified.
+    Executed,
+    /// The first hit of a tier walk.
+    Hit(Tier, Space),
+    /// The Fig. 2 deduction rule, without a test.
+    Deduced,
+    /// A quarantined probe, degraded to may-alias.
+    Faulted,
+}
+
+impl Answer {
+    fn kind(self) -> ProbeKind {
+        match self {
+            Answer::Executed => ProbeKind::Executed,
+            Answer::Hit(Tier::Memory, Space::Dec) => ProbeKind::DecisionCacheHit,
+            Answer::Hit(Tier::Memory, Space::Exe) => ProbeKind::ExeCacheHit,
+            Answer::Hit(Tier::Store, _) => ProbeKind::StoreHit,
+            Answer::Hit(Tier::Server, _) => ProbeKind::ServerHit,
+            Answer::Deduced => ProbeKind::Deduced,
+            Answer::Faulted => ProbeKind::Faulted,
+        }
+    }
+}
+
+/// Everything one case counts, behind its engine's one accounting
+/// mutex: probe answers, counted where they are answered, and work and
+/// sandbox events, counted where they happen.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    /// Probe answers, by what answered.
+    answers: HashMap<Answer, u64>,
+    /// Probe compiles started.
+    compiles: u64,
+    /// Probe VM runs started.
+    vm_runs: u64,
+    failures: FailureStats,
+}
+
+impl Tally {
+    /// How many answers `pick` selects.
+    fn count(&self, pick: impl Fn(Answer) -> bool) -> u64 {
+        self.answers
+            .iter()
+            .filter(|&(&a, _)| pick(a))
+            .map(|(_, n)| n)
+            .sum()
+    }
+
+    /// Hits in `space`, per tier in walk order.
+    fn hits(&self, space: Space) -> [u64; 3] {
+        TIERS.map(|tier| self.count(|a| a == Answer::Hit(tier, space)))
+    }
+
+    fn effort(&self) -> ProbeEffort {
+        let [mem_dec, store_dec, server_dec] = self.hits(Space::Dec);
+        let [mem_exe, store_exe, server_exe] = self.hits(Space::Exe);
+        ProbeEffort {
+            compiles: self.compiles,
+            tests_run: self.vm_runs,
+            tests_cached: mem_exe + store_exe,
+            tests_deduced: self.count(|a| a == Answer::Deduced),
+            tests_dec_cached: mem_dec + store_dec,
+            tests_server: server_dec + server_exe,
+            ..ProbeEffort::default()
+        }
+    }
+
+    /// Adds this tally to the process-wide registry's counters.
+    fn report(&self) {
+        let [mem_dec, store_dec, server_dec] = self.hits(Space::Dec);
+        let [mem_exe, store_exe, server_exe] = self.hits(Space::Exe);
+        // Named in `ProbeKind::ALL` order.
+        let [executed, exe_cache, dec_cache, store, server, deduced, faulted] =
+            ProbeKind::ALL.map(|k| self.count(|a| a.kind() == k));
+        let failures = self.failures;
+        for (name, n) in [
+            ("oraql_driver_probes_total", self.answers.values().sum()),
+            ("oraql_driver_probe_executed_total", executed),
+            ("oraql_driver_probe_exe_cache_total", exe_cache),
+            ("oraql_driver_probe_dec_cache_total", dec_cache),
+            ("oraql_driver_probe_store_total", store),
+            ("oraql_driver_probe_server_total", server),
+            ("oraql_driver_probe_deduced_total", deduced),
+            ("oraql_driver_probe_faulted_total", faulted),
+            ("oraql_driver_retries_total", failures.retries),
+            ("oraql_driver_quarantined_total", failures.quarantined),
+            ("oraql_driver_funnel_dec_cache_hits_total", mem_dec),
+            ("oraql_driver_funnel_store_dec_hits_total", store_dec),
+            ("oraql_driver_funnel_server_dec_hits_total", server_dec),
+            ("oraql_driver_funnel_compiles_total", self.compiles),
+            ("oraql_driver_funnel_exe_cache_hits_total", mem_exe),
+            ("oraql_driver_funnel_store_exe_hits_total", store_exe),
+            ("oraql_driver_funnel_server_exe_hits_total", server_exe),
+            ("oraql_driver_funnel_vm_runs_total", self.vm_runs),
+        ] {
+            oraql_obs::global().counter(name).add(n);
+        }
+    }
 }
 
 /// The probe execution engine: everything needed to answer one probe
@@ -585,9 +637,9 @@ struct ProbeEngine {
     store: Option<Arc<Store>>,
     /// Remote tier: the shared verdict server.
     server: Option<Arc<oraql_served::Client>>,
-    effort: Mutex<ProbeEffort>,
+    /// The case's one accounting record.
+    tally: Mutex<Tally>,
     trace: Option<TraceSink>,
-    trace_seq: AtomicU64,
     /// Span sink shared with the driver; `None` when spans are off.
     spans: Option<SpanSink>,
     /// Id of this case's root span (0 when spans are off), the parent
@@ -599,7 +651,6 @@ struct ProbeEngine {
     deadline: Option<Duration>,
     /// Retries before a failing probe is quarantined.
     retries: u32,
-    failures: Mutex<FailureStats>,
     /// Decisions digests whose probes exhausted every retry: answered
     /// may-alias immediately, never re-attempted, never persisted.
     quarantine: Mutex<HashSet<u64>>,
@@ -623,10 +674,7 @@ struct AttemptFaults {
 const FUEL_LIE_CAP: u64 = 24;
 
 /// The safe degradation verdict: may-alias, no unique-count claim.
-const MAY_ALIAS: ProbeOutcome = ProbeOutcome {
-    pass: false,
-    unique: 0,
-};
+const MAY_ALIAS: Verdict = (false, 0);
 
 /// Best-effort human-readable panic payload.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -642,38 +690,34 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl ProbeEngine {
-    fn effort(&self) -> MutexGuard<'_, ProbeEffort> {
-        lock_ignore_poison(&self.effort)
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        lock_ignore_poison(&self.tally)
     }
 
-    fn trace_event(&self, digest: u64, kind: ProbeKind, pass: bool, unique: u64, started: Instant) {
-        let m = dmetrics();
-        m.probes.inc();
-        match kind {
-            ProbeKind::Executed => m.executed.inc(),
-            ProbeKind::ExeCacheHit => m.exe_cache.inc(),
-            ProbeKind::DecisionCacheHit => m.dec_cache.inc(),
-            ProbeKind::StoreHit => m.store.inc(),
-            ProbeKind::ServerHit => m.server.inc(),
-            ProbeKind::Deduced => m.deduced.inc(),
-            ProbeKind::Faulted => m.faulted.inc(),
-        }
-        m.probe_micros.observe(started.elapsed().as_micros() as u64);
+    /// The one place a probe answer is accounted: it bumps the tally,
+    /// observes the probe's latency and traces the answer, numbered by
+    /// the case's answer count so far. Only `execute` and `note_deduced`
+    /// call it, both on the case's own thread.
+    fn account(&self, answer: Answer, digest: u64, (pass, unique): Verdict, started: Instant) {
+        let seq = {
+            let mut tally = self.tally();
+            let seq = tally.answers.values().sum();
+            *tally.answers.entry(answer).or_default() += 1;
+            seq
+        };
+        let wall_micros = started.elapsed().as_micros() as u64;
+        dmetrics().probe_micros.observe(wall_micros);
         if let Some(sink) = &self.trace {
             sink.record(ProbeEvent {
                 case: self.case_name.clone(),
-                seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
+                seq,
                 digest,
-                kind,
+                kind: answer.kind(),
                 pass,
                 unique,
-                wall_micros: started.elapsed().as_micros() as u64,
+                wall_micros,
             });
         }
-    }
-
-    fn failures(&self) -> MutexGuard<'_, FailureStats> {
-        lock_ignore_poison(&self.failures)
     }
 
     /// Opens a child span under `parent` when span tracing is on.
@@ -707,7 +751,7 @@ impl ProbeEngine {
     }
 
     fn note_failure(&self, f: &ProbeFailure) {
-        let mut fs = self.failures();
+        let fs = &mut self.tally().failures;
         match f {
             ProbeFailure::Panic(_) => fs.panics += 1,
             ProbeFailure::Deadline => fs.deadlines += 1,
@@ -723,7 +767,8 @@ impl ProbeEngine {
     /// then up to `1 + retries` attempts, each under `catch_unwind`
     /// (plus a watchdog thread when a deadline is configured). Never
     /// panics and never blocks past the configured deadline-per-attempt
-    /// times the retry budget.
+    /// times the retry budget. The answer is accounted here, so an
+    /// attempt the watchdog gave up on cannot answer.
     fn execute(self: &Arc<Self>, d: &Decisions) -> ProbeOutcome {
         let started = Instant::now();
         let digest = decisions_digest(self.salt, d);
@@ -732,51 +777,52 @@ impl ProbeEngine {
         // unwinds past us.
         let probe_span = self.span("probe", self.case_span);
         let probe_id = probe_span.as_ref().map_or(0, Span::id);
-        if lock_ignore_poison(&self.quarantine).contains(&digest) {
-            self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
-            return MAY_ALIAS;
-        }
-        let attempts = 1 + self.retries as u64;
-        for attempt_no in 0..attempts {
-            let fx = self.sample_attempt();
-            let outcome = match self.deadline {
-                Some(deadline) => self.attempt_with_deadline(d, digest, fx, deadline, probe_id),
-                None => {
-                    match catch_unwind(AssertUnwindSafe(|| self.attempt(d, digest, fx, probe_id))) {
+        let (answer, verdict) = 'answered: {
+            if lock_ignore_poison(&self.quarantine).contains(&digest) {
+                break 'answered (Answer::Faulted, MAY_ALIAS);
+            }
+            let attempts = 1 + self.retries as u64;
+            for attempt_no in 0..attempts {
+                let fx = self.sample_attempt();
+                let outcome = match self.deadline {
+                    Some(deadline) => self.attempt_with_deadline(d, digest, fx, deadline, probe_id),
+                    None => match catch_unwind(AssertUnwindSafe(|| {
+                        self.attempt(d, digest, fx, probe_id)
+                    })) {
                         Ok(r) => r,
                         Err(p) => Err(ProbeFailure::Panic(panic_message(&*p))),
-                    }
-                }
-            };
-            match outcome {
-                Ok(answer) => return answer,
-                Err(failure) => {
-                    self.note_failure(&failure);
-                    if attempt_no + 1 < attempts {
-                        self.failures().retries += 1;
-                        dmetrics().retries.inc();
-                        // Tiny exponential backoff: transient scheduling
-                        // or I/O hiccups clear, injected faults draw a
-                        // fresh decision from the plan.
-                        std::thread::sleep(Duration::from_millis(1 << attempt_no.min(4)));
+                    },
+                };
+                match outcome {
+                    Ok(answered) => break 'answered answered,
+                    Err(failure) => {
+                        self.note_failure(&failure);
+                        if attempt_no + 1 < attempts {
+                            self.tally().failures.retries += 1;
+                            // Tiny exponential backoff: transient
+                            // scheduling or I/O hiccups clear, injected
+                            // faults draw a fresh decision from the plan.
+                            std::thread::sleep(Duration::from_millis(1 << attempt_no.min(4)));
+                        }
                     }
                 }
             }
-        }
-        // Every attempt failed: quarantine this decision vector and
-        // degrade to the pessimistic verdict. Never cached, never
-        // persisted — a later healthy run recomputes it for real.
-        lock_ignore_poison(&self.quarantine).insert(digest);
-        self.failures().quarantined += 1;
-        dmetrics().quarantined.inc();
-        self.trace_event(digest, ProbeKind::Faulted, false, 0, started);
-        MAY_ALIAS
+            // Every attempt failed: quarantine this decision vector and
+            // degrade to the pessimistic verdict. Never cached, never
+            // persisted — a later healthy run recomputes it for real.
+            lock_ignore_poison(&self.quarantine).insert(digest);
+            self.tally().failures.quarantined += 1;
+            (Answer::Faulted, MAY_ALIAS)
+        };
+        self.account(answer, digest, verdict, started);
+        let (pass, unique) = verdict;
+        ProbeOutcome { pass, unique }
     }
 
     /// Runs one attempt on a watchdog thread and gives up after
     /// `deadline`. An orphaned attempt keeps running in the background;
     /// if it eventually completes, any verdict it wrote to the caches
-    /// is genuine and safely reusable.
+    /// is genuine and safely reusable, and its answer is dropped.
     fn attempt_with_deadline(
         self: &Arc<Self>,
         d: &Decisions,
@@ -784,7 +830,7 @@ impl ProbeEngine {
         fx: AttemptFaults,
         deadline: Duration,
         probe_span: u64,
-    ) -> Result<ProbeOutcome, ProbeFailure> {
+    ) -> Result<(Answer, Verdict), ProbeFailure> {
         let (tx, rx) = channel();
         let engine = Arc::clone(self);
         let d = d.clone();
@@ -809,22 +855,21 @@ impl ProbeEngine {
     /// One raw probe attempt — the decisions-digest walk, the compile,
     /// the executable-hash walk, then an actual execution — with `fx`'s
     /// faults injected at their sites. `digest` is `d`'s decisions
-    /// digest.
+    /// digest. Returns what answered, for `execute` to account.
     fn attempt(
         &self,
         d: &Decisions,
         digest: u64,
         fx: AttemptFaults,
         probe_span: u64,
-    ) -> Result<ProbeOutcome, ProbeFailure> {
-        let started = Instant::now();
-        if let Some(hit) = self.lookup(Space::Dec, digest, digest, fx, probe_span, started) {
+    ) -> Result<(Answer, Verdict), ProbeFailure> {
+        if let Some(hit) = self.lookup(Space::Dec, digest, digest, fx, probe_span) {
             return Ok(hit);
         }
         if fx.compile_panic {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
         }
-        self.effort().compiles += 1;
+        self.tally().compiles += 1;
         let compile_started = Instant::now();
         let compiled = {
             let _s = self.span("compile", probe_span);
@@ -838,15 +883,12 @@ impl ProbeEngine {
                 },
             )
         };
-        {
-            let m = dmetrics();
-            m.funnel_compiles.inc();
-            m.compile_micros
-                .observe(compile_started.elapsed().as_micros() as u64);
-        }
+        dmetrics()
+            .compile_micros
+            .observe(compile_started.elapsed().as_micros() as u64);
         let text = oraql_ir::printer::module_str(&compiled.module);
         let h = module_text_hash(self.salt, &text);
-        if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span, started) {
+        if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span) {
             return Ok(hit);
         }
         if fx.delay || fx.hang {
@@ -862,8 +904,7 @@ impl ProbeEngine {
             };
             std::thread::sleep(dur);
         }
-        self.effort().tests_run += 1;
-        dmetrics().funnel_vm_runs.inc();
+        self.tally().vm_runs += 1;
         let vm_started = Instant::now();
         let run = {
             let _s = self.span("vm", probe_span);
@@ -915,15 +956,14 @@ impl ProbeEngine {
         // tenant's warm cache.
         self.write(&TIERS, Space::Exe, h, (pass, unique));
         self.write(&TIERS, Space::Dec, digest, (pass, unique));
-        self.trace_event(digest, ProbeKind::Executed, pass, unique, started);
-        Ok(ProbeOutcome { pass, unique })
+        Ok((Answer::Executed, (pass, unique)))
     }
 
     /// Walks the tiers for `key` in `space`. The first hit answers: it
-    /// is written back to the tiers that missed before it, an
+    /// is written back to the tiers that missed before it, and an
     /// executable-hash hit is also filed under the probe's decisions
-    /// `digest` in every tier, and the hit is counted once. Its unique
-    /// count is the stored one, at every job count.
+    /// `digest` in every tier. Its unique count is the stored one, at
+    /// every job count.
     fn lookup(
         &self,
         space: Space,
@@ -931,8 +971,7 @@ impl ProbeEngine {
         digest: u64,
         fx: AttemptFaults,
         probe_span: u64,
-        started: Instant,
-    ) -> Option<ProbeOutcome> {
+    ) -> Option<(Answer, Verdict)> {
         let (i, v) = TIERS
             .iter()
             .enumerate()
@@ -941,9 +980,7 @@ impl ProbeEngine {
         if space == Space::Exe {
             self.write(&TIERS, Space::Dec, digest, v);
         }
-        self.count_hit(TIERS[i], space, digest, v, started);
-        let (pass, unique) = v;
-        Some(ProbeOutcome { pass, unique })
+        Some((Answer::Hit(TIERS[i], space), v))
     }
 
     /// The in-memory map of `space` (`None`: no decisions map at
@@ -1036,50 +1073,6 @@ impl ProbeEngine {
             }
         }
     }
-
-    /// The one place a tier hit is accounted: the effort field, the
-    /// funnel counter and the traced kind all follow from `(tier,
-    /// space)`.
-    fn count_hit(&self, tier: Tier, space: Space, digest: u64, v: Verdict, started: Instant) {
-        let m = dmetrics();
-        let mut effort = self.effort();
-        let (field, funnel, kind) = match (tier, space) {
-            (Tier::Memory, Space::Dec) => (
-                &mut effort.tests_dec_cached,
-                m.funnel_dec_cache_hits,
-                ProbeKind::DecisionCacheHit,
-            ),
-            (Tier::Store, Space::Dec) => (
-                &mut effort.tests_dec_cached,
-                m.funnel_store_dec_hits,
-                ProbeKind::StoreHit,
-            ),
-            (Tier::Server, Space::Dec) => (
-                &mut effort.tests_server,
-                m.funnel_server_dec_hits,
-                ProbeKind::ServerHit,
-            ),
-            (Tier::Memory, Space::Exe) => (
-                &mut effort.tests_cached,
-                m.funnel_exe_cache_hits,
-                ProbeKind::ExeCacheHit,
-            ),
-            (Tier::Store, Space::Exe) => (
-                &mut effort.tests_cached,
-                m.funnel_store_exe_hits,
-                ProbeKind::StoreHit,
-            ),
-            (Tier::Server, Space::Exe) => (
-                &mut effort.tests_server,
-                m.funnel_server_exe_hits,
-                ProbeKind::ServerHit,
-            ),
-        };
-        *field += 1;
-        drop(effort);
-        funnel.inc();
-        self.trace_event(digest, kind, v.0, v.1, started);
-    }
 }
 
 /// The probing driver.
@@ -1142,15 +1135,13 @@ impl Driver {
             dec: (opts.jobs > 1).then(Mutex::default),
             store: opts.store.clone(),
             server: opts.server.clone(),
-            effort: Mutex::new(ProbeEffort::default()),
+            tally: Mutex::default(),
             trace: opts.trace.clone(),
-            trace_seq: AtomicU64::new(0),
             spans: spans.clone(),
             case_span: case_id,
             faults: opts.faults.clone(),
             deadline: opts.probe_deadline,
             retries: opts.probe_retries,
-            failures: Mutex::new(FailureStats::default()),
             quarantine: Mutex::new(HashSet::new()),
         });
         let mut driver = Driver { opts, engine };
@@ -1200,8 +1191,7 @@ impl Driver {
                 .map(|s| s.span("server", &case.name, case_id));
             let _ = server.sync();
         }
-        let effort = *driver.engine.effort();
-        let failures = *driver.engine.failures();
+        let tally = driver.engine.tally().clone();
         let shared = finalc
             .oraql
             .as_ref()
@@ -1233,8 +1223,8 @@ impl Driver {
             final_stats: finalc.stats.clone(),
             baseline_run,
             final_run,
-            effort,
-            failures,
+            effort: tally.effort(),
+            failures: tally.failures,
             queries: st.queries.clone(),
             final_module: finalc.module.clone(),
             pass_trace: finalc.pass_trace.clone(),
@@ -1278,17 +1268,22 @@ impl Prober for Driver {
         // otherwise a persistently failing probe environment (every
         // compile panicking, say) would let the bisection walk forever.
         // VM-error and output-mismatch failures already counted.
-        let failed = {
-            let f = self.engine.failures();
-            f.panics + f.deadlines
-        };
-        self.engine.effort().tests_run + failed >= self.opts.max_tests
+        let t = self.engine.tally();
+        t.vm_runs + t.failures.panics + t.failures.deadlines >= self.opts.max_tests
     }
 
     fn note_deduced(&mut self) {
-        self.engine.effort().tests_deduced += 1;
         self.engine
-            .trace_event(0, ProbeKind::Deduced, false, 0, Instant::now());
+            .account(Answer::Deduced, 0, (false, 0), Instant::now());
+    }
+}
+
+impl Drop for Driver {
+    /// Hands the case's tally to the registry, once, on every exit path
+    /// of [`Driver::run`]. An orphaned attempt's later work is not
+    /// counted.
+    fn drop(&mut self) {
+        self.engine.tally().report();
     }
 }
 
@@ -1597,21 +1592,10 @@ mod tests {
         )
         .unwrap();
         let events = sink.events();
-        let executed = events
-            .iter()
-            .filter(|e| e.kind == ProbeKind::Executed)
-            .count() as u64;
-        let cached = events
-            .iter()
-            .filter(|e| e.kind == ProbeKind::ExeCacheHit)
-            .count() as u64;
-        let deduced = events
-            .iter()
-            .filter(|e| e.kind == ProbeKind::Deduced)
-            .count() as u64;
-        assert_eq!(executed, r.effort.tests_run);
-        assert_eq!(cached, r.effort.tests_cached);
-        assert_eq!(deduced, r.effort.tests_deduced);
+        let count = |k| events.iter().filter(|e| e.kind == k).count() as u64;
+        assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
+        assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
+        assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
         // Sequential mode: per-case sequence numbers are contiguous.
         let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         seqs.sort_unstable();

@@ -16,7 +16,11 @@
 //!   with `--store`) answered from a previous process's work;
 //! * `server` — the shared verdict server (`oraql-served`, enabled
 //!   with `--server`) answered after every local tier missed;
-//! * `deduced` — the Fig. 2 deduction rule answered without a test.
+//! * `deduced` — the Fig. 2 deduction rule answered without a test;
+//! * `faulted` — the sandbox quarantined the probe to may-alias.
+//!
+//! Under `--probe-deadline-ms` too there is one event per answer: an
+//! attempt the watchdog gave up on never answers, so it is not traced.
 //!
 //! # Determinism contract
 //!
@@ -64,6 +68,17 @@ pub enum ProbeKind {
 }
 
 impl ProbeKind {
+    /// Every kind, in wire-documentation order.
+    pub const ALL: [ProbeKind; 7] = [
+        ProbeKind::Executed,
+        ProbeKind::ExeCacheHit,
+        ProbeKind::DecisionCacheHit,
+        ProbeKind::StoreHit,
+        ProbeKind::ServerHit,
+        ProbeKind::Deduced,
+        ProbeKind::Faulted,
+    ];
+
     /// Stable wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -78,16 +93,7 @@ impl ProbeKind {
     }
 
     fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "executed" => ProbeKind::Executed,
-            "exe-cache" => ProbeKind::ExeCacheHit,
-            "dec-cache" => ProbeKind::DecisionCacheHit,
-            "store" => ProbeKind::StoreHit,
-            "server" => ProbeKind::ServerHit,
-            "deduced" => ProbeKind::Deduced,
-            "faulted" => ProbeKind::Faulted,
-            _ => return None,
-        })
+        ProbeKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -96,8 +102,8 @@ impl ProbeKind {
 pub struct ProbeEvent {
     /// Benchmark/configuration name the probe belongs to.
     pub case: String,
-    /// Per-case monotone probe number (0-based, assigned at answer
-    /// time on the answering thread).
+    /// The case's answer count before this one: 0-based and contiguous
+    /// per case.
     pub seq: u64,
     /// Digest of the probed decision vector (keys the decisions cache).
     /// Zero for `deduced` events, which have no materialized vector.
@@ -109,7 +115,8 @@ pub struct ProbeEvent {
     /// Unique ORAQL queries observed by that compilation (0 when the
     /// compile was skipped).
     pub unique: u64,
-    /// Wall time spent answering, in microseconds.
+    /// Wall time from the probe's first attempt to its answer, in
+    /// microseconds (retries included).
     pub wall_micros: u64,
 }
 
@@ -255,18 +262,7 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip() {
-        for (i, kind) in [
-            ProbeKind::Executed,
-            ProbeKind::ExeCacheHit,
-            ProbeKind::DecisionCacheHit,
-            ProbeKind::StoreHit,
-            ProbeKind::ServerHit,
-            ProbeKind::Deduced,
-            ProbeKind::Faulted,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (i, kind) in ProbeKind::ALL.into_iter().enumerate() {
             let ev = sample(kind, i as u64);
             let line = ev.to_jsonl();
             assert_eq!(ProbeEvent::parse_jsonl(&line), Some(ev), "{line}");

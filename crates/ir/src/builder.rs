@@ -80,11 +80,6 @@ impl<'m> FunctionBuilder<'m> {
         self.loc = Some(SrcLoc { file, line, col });
     }
 
-    /// Clears the current source location.
-    pub fn clear_loc(&mut self) {
-        self.loc = None;
-    }
-
     /// The `i`-th argument as a value.
     pub fn arg(&self, i: u32) -> Value {
         Value::Arg(i)

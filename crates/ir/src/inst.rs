@@ -270,22 +270,6 @@ impl Inst {
         )
     }
 
-    /// True for instructions that read or write memory (or perform I/O),
-    /// i.e. instructions that must not be removed as trivially dead and
-    /// that memory-dependence analyses care about.
-    pub fn has_side_effects(&self) -> bool {
-        matches!(
-            self,
-            Inst::Store { .. }
-                | Inst::Call { .. }
-                | Inst::Print { .. }
-                | Inst::Memcpy { .. }
-                | Inst::Ret { .. }
-                | Inst::Br { .. }
-                | Inst::CondBr { .. }
-        )
-    }
-
     /// True when the instruction may read memory.
     pub fn reads_memory(&self) -> bool {
         matches!(

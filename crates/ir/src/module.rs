@@ -78,11 +78,6 @@ impl Function {
         &mut self.insts[id.0 as usize].inst
     }
 
-    /// Full instruction record (payload + block + location).
-    pub fn inst_data(&self, id: InstId) -> &InstData {
-        &self.insts[id.0 as usize]
-    }
-
     /// Source location of an instruction, if recorded.
     pub fn loc(&self, id: InstId) -> Option<SrcLoc> {
         self.insts[id.0 as usize].loc

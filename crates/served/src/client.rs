@@ -572,7 +572,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Server, ServerConfig};
+    use crate::server::{Server, ServerOptions};
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -600,7 +600,7 @@ mod tests {
     #[test]
     fn breaker_fast_fails_then_half_open_probe_recovers() {
         let dir = scratch("breaker");
-        let cfg = ServerConfig::new(&dir);
+        let cfg = ServerOptions::new(&dir);
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         let addr = server.addr();
         // Generous cooldown so the breaker is observably open.
@@ -631,7 +631,7 @@ mod tests {
         assert_eq!(client.stats().io_errors, after_trip + 1);
         // Restart on the same port and wait out the cooldown: the next
         // probe succeeds and closes the breaker for good.
-        let port_cfg = ServerConfig::new(&dir);
+        let port_cfg = ServerOptions::new(&dir);
         let server = Server::start(&port_cfg, &addr).unwrap();
         std::thread::sleep(Duration::from_millis(250));
         assert_eq!(client.get_dec(1).unwrap(), Some((true, 1)));
@@ -643,7 +643,7 @@ mod tests {
     #[test]
     fn retries_survive_server_restart() {
         let dir = scratch("retry");
-        let cfg = ServerConfig::new(&dir);
+        let cfg = ServerOptions::new(&dir);
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         let addr = server.addr();
         let client = Client::new(&addr);
@@ -662,7 +662,7 @@ mod tests {
     #[test]
     fn concurrent_clients_share_one_handle() {
         let dir = scratch("shared");
-        let server = Server::start(&ServerConfig::new(&dir), "127.0.0.1:0").unwrap();
+        let server = Server::start(&ServerOptions::new(&dir), "127.0.0.1:0").unwrap();
         let client = std::sync::Arc::new(Client::new(&server.addr()));
         std::thread::scope(|s| {
             for t in 0..4u64 {

@@ -39,4 +39,4 @@ pub mod server;
 
 pub use client::{backoff_delay, Client, ClientError, ClientOptions, ClientStats};
 pub use net::Addr;
-pub use server::{CrashMode, Server, ServerConfig, ServerOptions};
+pub use server::{CrashMode, Server, ServerOptions};

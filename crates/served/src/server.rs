@@ -149,10 +149,6 @@ pub struct ServerOptions {
     pub crash_mode: CrashMode,
 }
 
-/// The pre-hardening name of [`ServerOptions`], kept so existing call
-/// sites and docs keep working.
-pub type ServerConfig = ServerOptions;
-
 impl ServerOptions {
     /// A config with the defaults: 4 shards, 2 acceptors, 5 ms fsync,
     /// 10 s write timeout, 100 ms idle poll, unbounded admission, no

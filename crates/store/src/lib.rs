@@ -299,16 +299,6 @@ impl Store {
         self.stats.snapshot()
     }
 
-    /// Entries in the executable-hash key space.
-    pub fn exe_entries(&self) -> usize {
-        lock_ignore_poison(&self.inner).maps.exe.len()
-    }
-
-    /// Entries in the decisions-digest key space.
-    pub fn dec_entries(&self) -> usize {
-        lock_ignore_poison(&self.inner).maps.dec.len()
-    }
-
     /// Looks up a verdict by salted module hash.
     pub fn exe_verdict(&self, key: u64) -> Option<(bool, u64)> {
         let hit = lock_ignore_poison(&self.inner).maps.exe.get(&key).copied();

@@ -209,16 +209,6 @@ pub fn render_fig4(events: &[ProbeEvent]) -> String {
     out
 }
 
-const KINDS: [ProbeKind; 7] = [
-    ProbeKind::Executed,
-    ProbeKind::ExeCacheHit,
-    ProbeKind::DecisionCacheHit,
-    ProbeKind::StoreHit,
-    ProbeKind::ServerHit,
-    ProbeKind::Deduced,
-    ProbeKind::Faulted,
-];
-
 /// Per-case wall-clock breakdown by answer kind (the paper's Fig. 6
 /// effort-breakdown flavor): where did the probing time actually go —
 /// real executions, or cache tiers answering in microseconds?
@@ -226,14 +216,14 @@ pub fn render_fig6(events: &[ProbeEvent]) -> String {
     let mut out = String::new();
     out.push_str("--- effort breakdown, wall ms by answer kind (fig. 6) ---\n");
     out.push_str(&format!("{:24}", "case"));
-    for k in KINDS {
+    for k in ProbeKind::ALL {
         out.push_str(&format!(" {:>9}", k.as_str()));
     }
     out.push_str(&format!(" {:>9}\n", "total"));
     for (case, evs) in by_case(events) {
         out.push_str(&format!("{case:24}"));
         let mut total = 0u64;
-        for k in KINDS {
+        for k in ProbeKind::ALL {
             let micros: u64 = evs
                 .iter()
                 .filter(|e| e.kind == k)
@@ -255,7 +245,7 @@ pub fn render_funnel(events: &[ProbeEvent]) -> String {
     out.push_str("--- cache-tier funnel ---\n");
     let total = events.len() as u64;
     out.push_str(&format!("{:12} {:>8} {:>7}\n", "tier", "answers", "share"));
-    for k in KINDS {
+    for k in ProbeKind::ALL {
         let n = events.iter().filter(|e| e.kind == k).count() as u64;
         let pct = if total == 0 {
             0.0

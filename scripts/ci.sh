@@ -37,6 +37,10 @@ cargo test -q --offline --test served_roundtrip
 # agreement, span hierarchy, fig2-equals-CLI), likewise by name.
 cargo test -q --offline -p oraql-obs
 cargo test -q --offline --test obs_analyzer
+# The accounting gate: every probe answer is counted once, so trace
+# kinds, effort, failure stats and the `oraql_driver_*_total` counters
+# agree across the jobs, store, server and fault legs, likewise by name.
+cargo test -q --offline --test probe_accounting
 # The --jobs gates: every case repeats exactly at jobs 2 and 8 (budget-
 # truncated runs included), decisions agree with jobs 1, and the suite
 # completes verified under chaos at jobs 4, likewise by name.
@@ -86,15 +90,17 @@ target/release/oraql -b testsnap --server "$SERVED_ADDR" \
 kill "$SERVED_PID"
 SERVED_PID=""
 
-# Metrics smoke: one instrumented run must leave a non-zero probe
-# counter in a parseable exposition, a round-trippable spans file, and
-# an analyzer that accepts all three artifacts.
+# Metrics smoke: one instrumented run of a bisecting case must leave a
+# probe counter equal to its trace's line count (one event per answer)
+# in a parseable exposition, a round-trippable spans file, and an
+# analyzer that accepts all three artifacts.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$STORE_TMP" "$SERVED_TMP" "$OBS_TMP"; [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true' EXIT
-target/release/oraql -b testsnap --trace "$OBS_TMP/trace.jsonl" \
+target/release/oraql -b testsnap_omp --trace "$OBS_TMP/trace.jsonl" \
     --metrics-out "$OBS_TMP/metrics.prom" --spans-out "$OBS_TMP/spans.jsonl" \
     | grep -E 'probes: [1-9][0-9]* total'
-grep -E '^oraql_driver_probes_total [1-9][0-9]*$' "$OBS_TMP/metrics.prom"
+PROBES="$(sed -n 's/^oraql_driver_probes_total \([1-9][0-9]*\)$/\1/p' "$OBS_TMP/metrics.prom")"
+test "$PROBES" -eq "$(wc -l < "$OBS_TMP/trace.jsonl")"
 target/release/oraql trace --probes "$OBS_TMP/trace.jsonl" \
     --spans "$OBS_TMP/spans.jsonl" --check-metrics "$OBS_TMP/metrics.prom" \
     > /dev/null

@@ -15,7 +15,7 @@ use std::time::Duration;
 use oraql::faults::{quiet_injected_panics, Rate};
 use oraql::{
     run_suite, Driver, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, TestCase,
-    Verifier,
+    TraceSink, Verifier,
 };
 use oraql_workloads as workloads;
 
@@ -110,6 +110,53 @@ fn deadline_cuts_injected_hangs() {
     .unwrap();
     assert!(r.failures.deadlines > 0, "{:?}", r.failures);
     assert_verifies(&case, &r);
+}
+
+/// An attempt the watchdog gave up on never answers its probe. With a
+/// 20 ms deadline each injected hang sleeps 80 ms and so wakes while
+/// the case is still probing; the orphan may fill the caches, but the
+/// trace still holds one event per probe answer, during the run and
+/// after it.
+#[test]
+fn orphaned_attempts_never_answer_a_probe() {
+    let case = workloads::find_case("testsnap_omp").expect("case");
+    let quiet = TraceSink::in_memory();
+    let healthy = Driver::run(
+        &case,
+        DriverOptions {
+            trace: Some(quiet.clone()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let answers = quiet.events().len();
+
+    quiet_injected_panics();
+    let plan = FaultPlan::quiet(7).with_rate(FaultSite::ProbeHang, Rate::new(1, 4));
+    let sink = TraceSink::in_memory();
+    let r = Driver::run(
+        &case,
+        DriverOptions {
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            probe_deadline: Some(Duration::from_millis(20)),
+            trace: Some(sink.clone()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(r.failures.deadlines > 0, "{:?}", r.failures);
+    assert_verifies(&case, &r);
+    if r.failures.quarantined > 0 {
+        // A probe hung on every attempt and degraded to may-alias: the
+        // bisection path may differ from the healthy one.
+        return;
+    }
+    assert_eq!(r.decisions, healthy.decisions);
+    let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+    assert_eq!(seqs.len(), answers, "one trace event per probe answer");
+    assert_eq!(seqs, (0..answers as u64).collect::<Vec<_>>());
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(sink.events().len(), answers, "an orphan answered late");
 }
 
 /// Full suite under a mixed plan at `jobs = 4`: every case completes,

@@ -54,18 +54,10 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 }
 
 fn kind_total(events: &[ProbeEvent]) -> u64 {
-    [
-        ProbeKind::Executed,
-        ProbeKind::ExeCacheHit,
-        ProbeKind::DecisionCacheHit,
-        ProbeKind::StoreHit,
-        ProbeKind::ServerHit,
-        ProbeKind::Deduced,
-        ProbeKind::Faulted,
-    ]
-    .iter()
-    .map(|&k| events.iter().filter(|e| e.kind == k).count() as u64)
-    .sum()
+    ProbeKind::ALL
+        .iter()
+        .map(|&k| events.iter().filter(|e| e.kind == k).count() as u64)
+        .sum()
 }
 
 /// Every analyzer aggregate must be a pure function of the event *set*:

@@ -1,11 +1,10 @@
 //! Determinism of the parallel probing driver: `--jobs 1` and
 //! `--jobs N` must take the same bisection path on real workloads —
 //! the same raw final decisions, tests run, tests deduced and verified
-//! output — and the trace/effort counters must stay internally
-//! consistent.
+//! output. (That the trace and the effort counters agree is checked by
+//! `tests/probe_accounting.rs`.)
 
-use oraql::trace::TraceSink;
-use oraql::{Driver, DriverOptions, ProbeKind};
+use oraql::{Driver, DriverOptions};
 use oraql_workloads as workloads;
 
 fn run_with_jobs(name: &str, jobs: usize) -> oraql::DriverResult {
@@ -68,46 +67,4 @@ fn sequential_runs_are_bit_stable() {
         assert_eq!(a.effort, b.effort, "{name}");
         assert_eq!(a.final_run.stdout, b.final_run.stdout, "{name}");
     }
-}
-
-/// The probe trace agrees with the effort counters at `jobs = 1` and
-/// at `jobs > 1`, where the decisions cache also answers.
-#[test]
-fn trace_is_consistent_with_effort() {
-    let case = workloads::find_case("testsnap_omp").expect("case");
-    let sink = TraceSink::in_memory();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            trace: Some(sink.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let events = sink.events();
-    let count = |k: ProbeKind| events.iter().filter(|e| e.kind == k).count() as u64;
-    assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
-    assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
-    assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
-    assert_eq!(count(ProbeKind::DecisionCacheHit), 0); // jobs = 1
-
-    let par_sink = TraceSink::in_memory();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            jobs: 4,
-            trace: Some(par_sink.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let events = par_sink.events();
-    let count = |k: ProbeKind| events.iter().filter(|e| e.kind == k).count() as u64;
-    assert_eq!(count(ProbeKind::Executed), r.effort.tests_run);
-    assert_eq!(count(ProbeKind::ExeCacheHit), r.effort.tests_cached);
-    assert_eq!(
-        count(ProbeKind::DecisionCacheHit),
-        r.effort.tests_dec_cached
-    );
-    assert_eq!(count(ProbeKind::Deduced), r.effort.tests_deduced);
 }

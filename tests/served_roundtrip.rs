@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use oraql::trace::TraceSink;
 use oraql::{Driver, DriverOptions, DriverResult, ProbeKind, Store};
-use oraql_served::{Client, Server, ServerConfig};
+use oraql_served::{Client, Server, ServerOptions};
 use oraql_workloads as workloads;
 
 /// Fresh scratch directory, removed on drop.
@@ -68,7 +68,7 @@ fn assert_same_result(name: &str, a: &DriverResult, b: &DriverResult) {
 #[test]
 fn warm_run_through_server_is_compile_free() {
     let scratch = Scratch::new("warm");
-    let server = Server::start(&ServerConfig::new(scratch.data()), "127.0.0.1:0").unwrap();
+    let server = Server::start(&ServerOptions::new(scratch.data()), "127.0.0.1:0").unwrap();
 
     let cold_client = Arc::new(Client::new(&server.addr()));
     let cold = run_with_server("testsnap_omp", &cold_client);
@@ -100,7 +100,7 @@ fn warm_run_through_server_is_compile_free() {
 fn server_answers_are_written_back_to_the_store() {
     let name = "testsnap_omp";
     let scratch = Scratch::new("writeback");
-    let server = Server::start(&ServerConfig::new(scratch.data()), "127.0.0.1:0").unwrap();
+    let server = Server::start(&ServerOptions::new(scratch.data()), "127.0.0.1:0").unwrap();
     let cold = run_with_server(name, &Arc::new(Client::new(&server.addr())));
     assert!(cold.effort.tests_run > 0, "{:?}", cold.effort);
 
@@ -169,7 +169,7 @@ fn server_answers_are_written_back_to_the_store() {
 fn concurrent_tenants_build_one_shared_corpus() {
     let names = ["testsnap", "testsnap_omp", "gridmini"];
     let scratch = Scratch::new("tenants");
-    let server = Server::start(&ServerConfig::new(scratch.data()), "127.0.0.1:0").unwrap();
+    let server = Server::start(&ServerOptions::new(scratch.data()), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
     // Cold: one thread per case, plus a second racer on the first case.
@@ -259,7 +259,7 @@ fn dead_server_falls_back_to_local_store() {
 #[test]
 fn killed_mid_append_server_recovers() {
     let scratch = Scratch::new("kill");
-    let config = ServerConfig::new(scratch.data());
+    let config = ServerOptions::new(scratch.data());
     let server = Server::start(&config, "127.0.0.1:0").unwrap();
     let client = Arc::new(Client::new(&server.addr()));
     let cold = run_with_server("gridmini", &client);
