@@ -39,7 +39,7 @@ fn lookup_throughput(addr: &str, clients: usize) -> f64 {
                 let client = Client::new(&addr);
                 for i in 0..LOOKUPS_PER_CLIENT {
                     // Stride by client id so concurrent clients fan out
-                    // over different shards at any instant.
+                    // over different keys at any instant.
                     let key = (i * (c as u64 + 1)) % POPULATION;
                     let got = client.get_dec(key).expect("lookup");
                     assert!(got.is_some(), "populated key {key} missing");

@@ -18,7 +18,6 @@
 
 use crate::compile::Scope;
 use crate::strategy::Strategy;
-use oraql_vm::InterpMode;
 
 /// Parsed configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +40,6 @@ pub struct Config {
     pub use_cfl: bool,
     /// Dump report after the run.
     pub dump: bool,
-    /// Interpreter execution mode (`decoded` or `tree`).
-    pub interp: InterpMode,
     /// Persistent verdict-store journal path (`store = <path>`; the
     /// CLI's `--no-store` overrides it).
     pub store: Option<String>,
@@ -82,7 +79,6 @@ impl Default for Config {
             max_tests: 4_096,
             use_cfl: false,
             dump: false,
-            interp: InterpMode::default(),
             store: None,
             server: None,
             fault_plan: None,
@@ -138,10 +134,6 @@ impl Config {
                     cfg.dump = value
                         .parse()
                         .map_err(|e| format!("line {}: bad dump: {e}", ln + 1))?
-                }
-                "interp" => {
-                    cfg.interp = InterpMode::parse(value)
-                        .ok_or_else(|| format!("line {}: bad interp: {value:?}", ln + 1))?
                 }
                 "store" => {
                     if value.is_empty() {

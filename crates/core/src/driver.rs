@@ -99,7 +99,7 @@ use oraql_ir::module::Module;
 use oraql_obs::{Span, SpanSink};
 use oraql_passes::Stats;
 use oraql_store::Store;
-use oraql_vm::{InterpMode, Interpreter, RunOutcome, VmFault};
+use oraql_vm::{Interpreter, RunOutcome, VmFault};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -173,10 +173,6 @@ pub struct DriverOptions {
     /// probe trace: spans carry timing topology, the trace carries
     /// verdicts.
     pub spans: Option<SpanSink>,
-    /// Interpreter execution mode for every VM run the driver performs
-    /// (baseline, probes, final). Both modes are observably identical —
-    /// see `oraql_vm::decode` — so this only affects probe latency.
-    pub interp: InterpMode,
     /// Persistent verdict store shared across processes (CLI:
     /// `--store <path>`). `None` (the default) keeps the seed behaviour:
     /// verdicts live and die with the process. With a store attached,
@@ -228,7 +224,6 @@ impl Default for DriverOptions {
             jobs: 1,
             trace: None,
             spans: None,
-            interp: InterpMode::default(),
             store: None,
             server: None,
             faults: None,
@@ -624,7 +619,6 @@ struct ProbeEngine {
     use_cfl: bool,
     optimism: OptimismKind,
     fuel: u64,
-    interp: InterpMode,
     verifier: Verifier,
     /// In-memory tier, executable-hash space.
     exe: Mutex<HashMap<u64, Verdict>>,
@@ -908,7 +902,7 @@ impl ProbeEngine {
         let vm_started = Instant::now();
         let run = {
             let _s = self.span("vm", probe_span);
-            run_module_with(&compiled.module, self.fuel, self.interp, fx.vm_fault)
+            run_module_with(&compiled.module, self.fuel, fx.vm_fault)
         };
         dmetrics()
             .vm_run_micros
@@ -1098,7 +1092,7 @@ impl Driver {
             compile(&*case.build, &CompileOptions::baseline())
         }))
         .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
-        let baseline_run = run_module(&baseline.module, case.fuel, opts.interp)
+        let baseline_run = run_module(&baseline.module, case.fuel)
             .map_err(|e| DriverError::BaselineBroken(Mismatch::ExecutionFailed(e)))?;
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
@@ -1129,7 +1123,6 @@ impl Driver {
             use_cfl: case.use_cfl,
             optimism: case.optimism,
             fuel: case.fuel,
-            interp: opts.interp,
             verifier,
             exe: Mutex::default(),
             dec: (opts.jobs > 1).then(Mutex::default),
@@ -1168,7 +1161,7 @@ impl Driver {
         };
         let finalc = catch_unwind(AssertUnwindSafe(|| compile(&*case.build, &final_opts)))
             .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
-        let final_run = run_module(&finalc.module, case.fuel, driver.opts.interp)
+        let final_run = run_module(&finalc.module, case.fuel)
             .map_err(|e| DriverError::FinalBroken(Mismatch::ExecutionFailed(e)))?;
         driver
             .engine
@@ -1233,21 +1226,13 @@ impl Driver {
     }
 }
 
-fn run_module(m: &Module, fuel: u64, mode: InterpMode) -> Result<RunOutcome, String> {
-    run_module_with(m, fuel, mode, None)
+fn run_module(m: &Module, fuel: u64) -> Result<RunOutcome, String> {
+    run_module_with(m, fuel, None)
 }
 
-fn run_module_with(
-    m: &Module,
-    fuel: u64,
-    mode: InterpMode,
-    fault: Option<VmFault>,
-) -> Result<RunOutcome, String> {
+fn run_module_with(m: &Module, fuel: u64, fault: Option<VmFault>) -> Result<RunOutcome, String> {
     let main = m.find_func("main").ok_or("no main")?;
-    let mut interp = Interpreter::new(m)
-        .with_fuel(fuel)
-        .with_mode(mode)
-        .with_fault(fault);
+    let mut interp = Interpreter::new(m).with_fuel(fuel).with_fault(fault);
     match interp.run(main, vec![]) {
         Ok(_) => Ok(RunOutcome {
             stdout: interp.stdout().to_owned(),

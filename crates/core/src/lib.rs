@@ -30,8 +30,8 @@
 //!   Attached via [`DriverOptions`]'s `store` field (`--store` in the
 //!   CLI) as a write-through tier behind the driver's in-memory caches.
 //! * [`served`] (the `oraql-served` crate) — the shared verdict
-//!   *server*: a daemon owning sharded journals, answering lookups from
-//!   an in-memory index and batching appends with group fsync, so many
+//!   *server*: a daemon owning one store journal, answering lookups
+//!   from the store's in-memory map and batching fsyncs, so many
 //!   concurrent drivers share one probe corpus. Attached via
 //!   [`DriverOptions`]'s `server` field (`--server ADDR` in the CLI) as
 //!   a third cache tier behind the local store, with circuit-breaker

@@ -238,10 +238,27 @@ impl TraceSink {
     }
 }
 
-/// Reads every parseable event from a JSONL trace file.
+/// Reads a JSONL trace file back, skipping blank lines and rejecting
+/// malformed ones (an `InvalidData` error naming the line), so a torn
+/// or garbled trace never yields tables short of events.
 pub fn read_trace(path: impl AsRef<Path>) -> std::io::Result<Vec<ProbeEvent>> {
     let text = std::fs::read_to_string(path)?;
-    Ok(text.lines().filter_map(ProbeEvent::parse_jsonl).collect())
+    let mut out = Vec::new();
+    for (no, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match ProbeEvent::parse_jsonl(line) {
+            Some(ev) => out.push(ev),
+            None => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("bad trace line {}: {line}", no + 1),
+                ));
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -289,6 +306,27 @@ mod tests {
         let back = read_trace(&path).unwrap();
         assert_eq!(back, sink.events());
         assert_eq!(back.len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn read_trace_rejects_a_garbled_line() {
+        let path =
+            std::env::temp_dir().join(format!("oraql_trace_garbled_{}.jsonl", std::process::id()));
+        let good = sample(ProbeKind::Executed, 0).to_jsonl();
+        let garbled = sample(ProbeKind::Deduced, 1)
+            .to_jsonl()
+            .replace("\"seq\"", "\"sq\"");
+        std::fs::write(&path, format!("{good}\n\n{garbled}\n{good}\n")).unwrap();
+        let err = read_trace(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("bad trace line 3: "), "{err}");
+        std::fs::write(&path, format!("{good}\n\n{good}\n")).unwrap();
+        assert_eq!(
+            read_trace(&path).unwrap().len(),
+            2,
+            "blank lines are skipped"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,7 +11,7 @@
 //! through its wire and daemon paths: connection resets, torn and
 //! garbled response frames, response latency and hangs, failing group
 //! fsyncs, and crash points that kill the daemon between its journal
-//! append, index update, ack, and fsync steps.
+//! append, ack, and fsync steps.
 //!
 //! # Determinism contract
 //!
@@ -93,11 +93,11 @@ pub enum FaultSite {
     /// The server sits on a response past the client's read timeout,
     /// so only the client-side deadline can reclaim the request.
     ResponseHang,
-    /// A group-fsync pass fails for a dirty shard; the shard is
+    /// A group-fsync pass fails for the dirty journal; the journal is
     /// re-marked dirty and retried on the next pass.
     FsyncFail,
     /// The daemon dies at a named crash point (between journal append,
-    /// index update, ack, and fsync) — `std::process::abort` in the
+    /// ack, and fsync) — `std::process::abort` in the
     /// real daemon, a simulated hard stop for in-process servers.
     CrashPoint,
 }

@@ -1,22 +1,21 @@
 //! The `oraql-served` daemon and its operator CLI.
 //!
 //! ```text
-//! oraql-served serve --dir DIR [--listen ADDR] [--shards N]
-//!                    [--acceptors N] [--fsync-ms N]
-//!                    [--write-timeout-ms N] [--idle-poll-ms N]
+//! oraql-served serve --dir DIR [--listen ADDR] [--fsync-ms N]
 //!                    [--max-inflight N] [--max-conns N]
 //!                    [--request-deadline-ms N] [--fault-plan SPEC]
 //! oraql-served ping|stats|metrics|sync|compact ADDR
 //! ```
 //!
-//! `serve` runs until killed; the journals are crash-safe, so SIGKILL
-//! at any point loses at most one fsync interval of acked writes and
-//! never corrupts recovery (see `docs/OPERATIONS.md`). `--fault-plan`
-//! arms the wire/daemon chaos sites (`FaultPlan::parse` syntax) with
-//! `CrashMode::Abort` — an injected `crash-point` genuinely kills the
-//! process, which is exactly what the crash-torture harness wants from
-//! a child daemon. The other subcommands are thin client wrappers for
-//! operators and scripts.
+//! `serve` keeps its corpus in `DIR/verdicts.journal`, an ordinary
+//! store journal, and runs until killed; the journal is crash-safe, so
+//! SIGKILL at any point loses at most one fsync interval of acked
+//! writes and never corrupts recovery (see `docs/OPERATIONS.md`).
+//! `--fault-plan` arms the wire/daemon chaos sites (`FaultPlan::parse`
+//! syntax) with `CrashMode::Abort` — an injected `crash-point` genuinely
+//! kills the process, which is exactly what the crash-torture harness
+//! wants from a child daemon. The other subcommands are thin client
+//! wrappers for operators and scripts.
 
 use oraql_served::{Client, CrashMode, Server, ServerOptions};
 use std::process::ExitCode;
@@ -24,8 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage:
-  oraql-served serve --dir DIR [--listen ADDR] [--shards N] [--acceptors N] [--fsync-ms N]
-                     [--write-timeout-ms N] [--idle-poll-ms N] [--max-inflight N]
+  oraql-served serve --dir DIR [--listen ADDR] [--fsync-ms N] [--max-inflight N]
                      [--max-conns N] [--request-deadline-ms N] [--fault-plan SPEC]
   oraql-served ping ADDR
   oraql-served stats ADDR
@@ -35,8 +33,8 @@ const USAGE: &str = "usage:
 
 ADDR is host:port for TCP or unix:<path> (or any string containing '/')
 for a Unix-domain socket. Default listen address: 127.0.0.1:7437.
-Defaults: 4 shards, 2 acceptors, 5 ms fsync, 10000 ms write timeout,
-100 ms idle poll, 100 ms request deadline, unbounded inflight/conns.
+The corpus lives in DIR/verdicts.journal, which `oraql --store` can open.
+Defaults: 5 ms fsync, 100 ms request deadline, unbounded inflight/conns.
 --fault-plan injects wire/daemon chaos (testing only); crash points
 abort the process.";
 
@@ -85,21 +83,9 @@ fn serve(args: &[String]) -> ExitCode {
         let parsed = match a.as_str() {
             "--dir" => val("--dir").map(|v| dir = Some(v)),
             "--listen" => val("--listen").map(|v| listen = v),
-            "--shards" => val("--shards")
-                .and_then(|v| num("--shards", v))
-                .map(|n| config.shards = n),
-            "--acceptors" => val("--acceptors")
-                .and_then(|v| num("--acceptors", v))
-                .map(|n| config.acceptors = n),
             "--fsync-ms" => val("--fsync-ms")
                 .and_then(|v| num("--fsync-ms", v))
                 .map(|n| config.fsync_interval = Duration::from_millis(n)),
-            "--write-timeout-ms" => val("--write-timeout-ms")
-                .and_then(|v| num("--write-timeout-ms", v))
-                .map(|n| config.write_timeout = Duration::from_millis(n)),
-            "--idle-poll-ms" => val("--idle-poll-ms")
-                .and_then(|v| num("--idle-poll-ms", v))
-                .map(|n: u64| config.idle_poll = Duration::from_millis(n.max(1))),
             "--max-inflight" => val("--max-inflight")
                 .and_then(|v| num("--max-inflight", v))
                 .map(|n| config.max_inflight = n),
@@ -130,15 +116,14 @@ fn serve(args: &[String]) -> ExitCode {
         Err(e) => return fail(&format!("cannot start: {e}")),
     };
     println!(
-        "oraql-served: listening on {}, {} shards in {}, {} records indexed",
+        "oraql-served: listening on {}, {} records in {}",
         server.addr(),
-        config.shards.max(1),
-        config.dir.display(),
-        server.indexed_records()
+        server.indexed_records(),
+        config.dir.join(oraql_served::server::JOURNAL).display()
     );
-    // Run until killed. The journals tolerate SIGKILL at any point;
-    // a clean `kill` (SIGTERM) also just drops the process — recovery
-    // on next start truncates at most one torn tail per shard.
+    // Run until killed. The journal tolerates SIGKILL at any point; a
+    // clean `kill` (SIGTERM) also just drops the process — recovery on
+    // next start truncates at most one torn tail.
     loop {
         std::thread::park();
     }

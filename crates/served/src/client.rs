@@ -552,7 +552,7 @@ impl Client {
         }
     }
 
-    /// Forces a group fsync of every dirty shard.
+    /// Forces a group fsync of the server's journal.
     pub fn sync(&self) -> Result<(), ClientError> {
         match self.request(&Request::Sync)? {
             Response::Ok => Ok(()),
@@ -560,7 +560,8 @@ impl Client {
         }
     }
 
-    /// Compacts every shard journal; returns the per-shard summary.
+    /// Compacts the server's journal; returns the one-line summary
+    /// (`N records, BEFORE -> AFTER bytes`).
     pub fn server_compact(&self) -> Result<String, ClientError> {
         match self.request(&Request::Compact)? {
             Response::Text(t) => Ok(t),

@@ -6,10 +6,8 @@
 //!
 //! [`Addr`] is plain data. A [`Conn`] wraps one socket and must be
 //! owned by one thread at a time (frames interleaved by two writers are
-//! garbage — see [`crate::protocol`]). A [`Listener`] may be cloned
-//! with [`Listener::try_clone`] and accepted on from many threads
-//! concurrently; the kernel hands each incoming connection to exactly
-//! one acceptor.
+//! garbage — see [`crate::protocol`]). A [`Listener`] is owned by the
+//! one thread that accepts on it.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -186,16 +184,6 @@ impl Listener {
                 })?;
                 Ok(Addr::Unix(p.to_path_buf()))
             }
-        }
-    }
-
-    /// Clones the listener handle so several acceptor threads can share
-    /// one bound socket.
-    pub fn try_clone(&self) -> io::Result<Listener> {
-        match self {
-            Listener::Tcp(l) => Ok(Listener::Tcp(l.try_clone()?)),
-            #[cfg(unix)]
-            Listener::Unix(l) => Ok(Listener::Unix(l.try_clone()?)),
         }
     }
 

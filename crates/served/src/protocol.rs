@@ -79,11 +79,11 @@ pub enum Op {
     /// Append reference outputs: body `salt u64 | utf8 bytes` (the
     /// store's `\x1e`-joined encoding).
     PutRefs = 0x07,
-    /// Server + per-shard counters as UTF-8 text; empty body.
+    /// Journal, store and server counters as UTF-8 text; empty body.
     Stats = 0x08,
-    /// Force a group fsync of every dirty shard now; empty body.
+    /// Force a group fsync of the journal now; empty body.
     Sync = 0x09,
-    /// Compact every shard journal; empty body, text summary response.
+    /// Compact the journal; empty body, text summary response.
     Compact = 0x0a,
     /// Metrics-registry snapshot as Prometheus-style text exposition;
     /// empty body. See `docs/OPERATIONS.md` § Monitoring.
@@ -553,7 +553,10 @@ mod tests {
             (Op::PutDec, Response::Busy),
             (Op::GetDec, Response::Busy),
             (Op::Sync, Response::Ok),
-            (Op::Compact, Response::Text("compacted 3 shards".into())),
+            (
+                Op::Compact,
+                Response::Text("3 records, 138 -> 92 bytes".into()),
+            ),
             (
                 Op::Metrics,
                 Response::Text(

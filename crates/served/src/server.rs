@@ -1,27 +1,26 @@
-//! The verdict server: sharded journals, a read-mostly index, group
-//! fsync, admission control, and a thread-per-connection acceptor pool.
+//! The verdict server: one journal, group fsync, admission control,
+//! and a thread per connection.
 //!
 //! # Architecture
 //!
-//! The daemon owns `shards` independent [`oraql_store::Store`] journals
-//! (`shard-NN.journal` under one directory). A record lands in shard
-//! `key % shards` — verdict keys and case salts are already
-//! well-mixed salted hashes, so this spreads load without any routing
-//! table. Each shard pairs its store (durability, dedup, compaction,
-//! advisory locking — all inherited from PR 3) with an in-memory
-//! [`std::sync::RwLock`]'d map replayed from the journal at startup, so
-//! **lookups never touch disk**: a `GET` takes one shard read lock and
-//! one hash probe.
+//! The daemon owns one [`oraql_store::Store`] at
+//! `<dir>/verdicts.journal` — an ordinary store journal, so
+//! `oraql --store` can open the same file — and answers every op
+//! straight from it. The store keeps its live records in memory
+//! (replayed from the journal at startup), so **lookups never touch
+//! disk**: a `GET` takes the store's lock for one hash probe.
 //!
 //! Writes go journal-first (a `write(2)` append under the store's
-//! shared advisory lock), then update the index, then ack — so a
+//! shared advisory lock, then the in-memory map), then ack — so a
 //! client that got its `PUT` acked sees the record in its own later
 //! `GET`s, and a crash at *any* point loses at most unacked work (the
 //! crash-point torture in `crates/served/tests/crash_torture.rs` pins
-//! this). Durability is batched: a background thread group-fsyncs
-//! every dirty shard each `fsync_interval` (and at shutdown), bounding
-//! the power-loss window to one interval without paying an fsync per
-//! append. The `SYNC` op forces a pass for clients that need a hard
+//! this). Durability is batched: a background thread group-fsyncs the
+//! journal each `fsync_interval` when anything was appended (and at
+//! shutdown), bounding the power-loss window to one interval without
+//! paying an fsync per append. [`Store::sync`] flushes a cloned
+//! descriptor outside the store's lock, so a group fsync never stalls
+//! a lookup. The `SYNC` op forces a pass for clients that need a hard
 //! checkpoint.
 //!
 //! # Overload: admission control and load shedding
@@ -56,29 +55,38 @@
 //!
 //! # Concurrency contract
 //!
-//! * Acceptor threads share the listener via `try_clone`; each accepted
-//!   connection gets its own serving thread (thread-per-connection:
-//!   named threads, an atomic shutdown flag, handles joined on drop,
-//!   poison-immune locks).
-//! * Shard state is `RwLock` per shard: many concurrent readers, one
-//!   writer, no cross-shard lock is ever held — two ops deadlock-free
-//!   by construction.
+//! * One acceptor thread; each accepted connection gets its own
+//!   serving thread (thread-per-connection: named threads, an atomic
+//!   shutdown flag, handles joined on drop, poison-immune locks).
+//! * The store's one mutex is the only lock on the data path, held for
+//!   a hash probe, one append or a compaction, never across a socket
+//!   call — two ops cannot deadlock.
 //! * [`Server::shutdown`] (also run by `Drop`) stops accepting, wakes
-//!   every blocked acceptor, joins every connection thread, and runs a
+//!   the blocked acceptor, joins every connection thread, and runs a
 //!   final group fsync — after it returns, all acked writes are on
 //!   disk (unless a simulated crash is in effect, which is the point).
 
 use crate::net::{Addr, Conn, Listener};
 use crate::protocol::{read_frame, write_frame, Op, Request, Response, Status};
 use oraql_faults::{FaultInjector, FaultSite};
-use oraql_store::{Record, Store, StoreError, REF_SEP};
-use std::collections::HashMap;
+use oraql_store::{Store, StoreError, REF_SEP};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The daemon's journal, under [`ServerOptions::dir`].
+pub const JOURNAL: &str = "verdicts.journal";
+
+/// How long one response write may block on a stalled peer before the
+/// connection is dropped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a connection thread blocks in `read` before re-checking the
+/// shutdown flag. Bounds shutdown latency, not request latency.
+const IDLE_POLL: Duration = Duration::from_millis(100);
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -99,32 +107,17 @@ pub enum CrashMode {
     Simulate,
 }
 
-/// How a [`Server`] is laid out on disk, sized, and hardened. Plain
-/// data; build one, hand it to [`Server::start`]. Every duration and
-/// bound here is a daemon CLI flag — see `oraql-served serve --help`
-/// and the defaults table in `docs/OPERATIONS.md`.
+/// Where a [`Server`] keeps its journal, and how it is sized and
+/// hardened. Plain data; build one, hand it to [`Server::start`].
+/// Every duration and bound here is a daemon CLI flag — see
+/// `oraql-served serve --help` and `docs/OPERATIONS.md`.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Directory holding the shard journals (created if missing).
+    /// Directory holding [`JOURNAL`] (created if missing).
     pub dir: PathBuf,
-    /// Number of shard journals (≥ 1). Must stay constant across
-    /// restarts of the same `dir` — records do not migrate.
-    pub shards: usize,
-    /// Acceptor threads sharing the listening socket (≥ 1). Each
-    /// accepted connection still gets its own serving thread; this only
-    /// bounds how many accepts can be in flight at once.
-    pub acceptors: usize,
     /// Group-fsync cadence: the upper bound on how long an acked write
     /// may sit only in the page cache. Default 5 ms.
     pub fsync_interval: Duration,
-    /// Per-connection socket write timeout: how long one response write
-    /// may block on a stalled peer before the connection is dropped.
-    /// Default 10 s.
-    pub write_timeout: Duration,
-    /// How long a connection thread blocks in `read` before re-checking
-    /// the shutdown flag. Bounds shutdown latency, not request latency.
-    /// Default 100 ms.
-    pub idle_poll: Duration,
     /// Admission cap on concurrently executing requests; `0` means
     /// unbounded (the default). See the module docs on overload.
     pub max_inflight: usize,
@@ -150,17 +143,12 @@ pub struct ServerOptions {
 }
 
 impl ServerOptions {
-    /// A config with the defaults: 4 shards, 2 acceptors, 5 ms fsync,
-    /// 10 s write timeout, 100 ms idle poll, unbounded admission, no
+    /// A config with the defaults: 5 ms fsync, unbounded admission, no
     /// faults.
     pub fn new(dir: impl Into<PathBuf>) -> ServerOptions {
         ServerOptions {
             dir: dir.into(),
-            shards: 4,
-            acceptors: 2,
             fsync_interval: Duration::from_millis(5),
-            write_timeout: Duration::from_secs(10),
-            idle_poll: Duration::from_millis(100),
             max_inflight: 0,
             max_conns: 0,
             request_deadline: Duration::from_millis(100),
@@ -171,77 +159,26 @@ impl ServerOptions {
     }
 }
 
-/// The in-memory image of one shard's live records. Guarded by the
-/// shard's `RwLock`; populated by journal replay at startup, kept in
-/// step by every accepted `PUT`.
-#[derive(Debug, Default)]
-struct ShardIndex {
-    dec: HashMap<u64, (bool, u64)>,
-    exe: HashMap<u64, (bool, u64)>,
-    refs: HashMap<u64, String>,
-}
-
-/// Per-shard counters (all monotone, all relaxed — they feed summary
-/// text, not synchronization).
-#[derive(Debug, Default)]
-struct ShardCounters {
-    lookups: AtomicU64,
-    hits: AtomicU64,
-    appends: AtomicU64,
-    fsyncs: AtomicU64,
-}
-
-struct Shard {
-    store: Store,
-    index: RwLock<ShardIndex>,
-    /// Set by every acked append, cleared by the fsync pass that
-    /// persisted it.
-    dirty: AtomicBool,
-    counters: ShardCounters,
-}
-
-impl Shard {
-    fn open(path: PathBuf) -> Result<Shard, StoreError> {
-        let store = Store::open(path)?;
-        let mut index = ShardIndex::default();
-        for r in store.export() {
-            match r {
-                Record::DecVerdict { key, pass, unique } => {
-                    index.dec.insert(key, (pass, unique));
-                }
-                Record::ExeVerdict { key, pass, unique } => {
-                    index.exe.insert(key, (pass, unique));
-                }
-                Record::Reference { key, output } => {
-                    index.refs.insert(key, output);
-                }
-            }
-        }
-        Ok(Shard {
-            store,
-            index: RwLock::new(index),
-            dirty: AtomicBool::new(false),
-            counters: ShardCounters::default(),
-        })
-    }
-}
-
-/// Server-wide counters.
+/// Server-wide counters (all monotone except `active`, all relaxed —
+/// they feed summary text, not synchronization).
 #[derive(Debug, Default)]
 struct ServerCounters {
     connections: AtomicU64,
     active: AtomicU64,
-    requests: AtomicU64,
     bad_frames: AtomicU64,
     shed: AtomicU64,
-    fsync_batches: AtomicU64,
+    fsyncs: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
 }
 
-/// State shared by every acceptor, connection, and the fsync thread.
+/// State shared by the acceptor, every connection, and the fsync
+/// thread.
 struct Core {
-    shards: Vec<Shard>,
+    store: Store,
+    /// Set by every acked append, cleared by the fsync pass that
+    /// persisted it.
+    dirty: AtomicBool,
     counters: ServerCounters,
     shutdown: AtomicBool,
     /// Set by a simulated crash-point: the daemon behaves as killed
@@ -249,16 +186,10 @@ struct Core {
     crashed: AtomicBool,
     /// Requests currently executing (admitted, not yet answered).
     inflight: AtomicU64,
-    dir: PathBuf,
     opts: ServerOptions,
 }
 
 impl Core {
-    fn shard_of(&self, key: u64) -> &Shard {
-        // shards >= 1 is enforced by Server::start.
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
     fn note_shed(&self) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
         static SHED: std::sync::OnceLock<&'static oraql_obs::Counter> = std::sync::OnceLock::new();
@@ -321,272 +252,135 @@ impl Core {
         }
     }
 
-    /// One group-fsync pass: persist every shard dirtied since the last
-    /// pass. A shard whose fsync fails (for real or via the
-    /// `fsync-fail` site) is re-marked dirty so the next pass retries
-    /// instead of silently dropping durability.
+    /// One group-fsync pass: persist the journal if anything was
+    /// appended since the last pass. A failed fsync (for real or via
+    /// the `fsync-fail` site) re-marks the journal dirty so the next
+    /// pass retries instead of silently dropping durability.
     fn sync_dirty(&self) -> io::Result<()> {
         if self.crashed.load(Ordering::Acquire) {
             return Ok(()); // a dead daemon syncs nothing
         }
         self.crash_point("fsync-pass");
-        let mut synced = 0u64;
-        let mut first_err = None;
-        for shard in &self.shards {
-            if shard.dirty.swap(false, Ordering::AcqRel) {
-                if let Some(f) = &self.opts.faults {
-                    if f.fire(FaultSite::FsyncFail) {
-                        shard.dirty.store(true, Ordering::Release);
-                        first_err.get_or_insert(io::Error::other("injected fsync failure"));
-                        continue;
-                    }
-                }
-                match shard.store.sync() {
-                    Ok(()) => {
-                        shard.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        synced += 1;
-                    }
-                    Err(e) => {
-                        shard.dirty.store(true, Ordering::Release);
-                        first_err.get_or_insert(e);
-                    }
-                }
+        if !self.dirty.swap(false, Ordering::AcqRel) {
+            return Ok(());
+        }
+        let injected = self
+            .opts
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.fire(FaultSite::FsyncFail));
+        let res = if injected {
+            Err(io::Error::other("injected fsync failure"))
+        } else {
+            self.store.sync()
+        };
+        match &res {
+            Ok(()) => {
+                self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
             }
+            Err(_) => self.dirty.store(true, Ordering::Release),
         }
-        if synced > 0 {
-            self.counters.fsync_batches.fetch_add(1, Ordering::Relaxed);
-            // Batch size = shards flushed by one group fsync: a
-            // measure of how well the interval amortizes sync cost.
-            static BATCH: std::sync::OnceLock<&'static oraql_obs::Histogram> =
-                std::sync::OnceLock::new();
-            BATCH
-                .get_or_init(|| oraql_obs::global().histogram("oraql_served_fsync_batch_size"))
-                .observe(synced);
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        res
     }
 
-    fn get(&self, key: u64, exe: bool) -> Response {
-        let shard = self.shard_of(key);
-        shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let index = shard.index.read().unwrap_or_else(|p| p.into_inner());
-        let found = if exe {
-            index.exe.get(&key)
-        } else {
-            index.dec.get(&key)
-        };
-        match found {
-            Some(&(pass, unique)) => {
-                shard.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Response::Verdict { pass, unique }
-            }
-            None => Response::NotFound,
-        }
-    }
-
-    fn put(&self, key: u64, pass: bool, unique: u64, exe: bool) -> Response {
-        let shard = self.shard_of(key);
-        let res = if exe {
-            shard.store.record_exe(key, pass, unique)
-        } else {
-            shard.store.record_dec(key, pass, unique)
-        };
+    /// Answers a write once the store has journaled it: the record is
+    /// journaled but not acked, so a crash here must lose nothing acked
+    /// (nothing was).
+    fn journaled(&self, res: io::Result<()>) -> Response {
         if let Err(e) = res {
             return Response::Err(Status::Io, e.to_string());
         }
-        // The record is journaled but neither indexed nor acked: a
-        // crash here must lose nothing acked (nothing was).
         self.crash_point("put-journaled");
-        let mut index = shard.index.write().unwrap_or_else(|p| p.into_inner());
-        if exe {
-            index.exe.insert(key, (pass, unique));
-        } else {
-            index.dec.insert(key, (pass, unique));
-        }
-        drop(index);
-        shard.counters.appends.fetch_add(1, Ordering::Relaxed);
-        shard.dirty.store(true, Ordering::Release);
+        self.dirty.store(true, Ordering::Release);
         Response::Ok
     }
 
-    fn get_refs(&self, salt: u64) -> Response {
-        let shard = self.shard_of(salt);
-        shard.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let index = shard.index.read().unwrap_or_else(|p| p.into_inner());
-        match index.refs.get(&salt) {
-            Some(joined) => {
-                shard.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Response::Text(joined.clone())
+    fn compact(&self) -> Response {
+        // The store takes its advisory lock exclusively; a briefly
+        // contended shared (append) lock resolves in microseconds, so a
+        // couple of retries ride it out.
+        let mut res = self.store.compact();
+        for _ in 0..4 {
+            if !matches!(res, Err(StoreError::Locked)) {
+                break;
             }
-            None => Response::NotFound,
+            std::thread::sleep(Duration::from_millis(5));
+            res = self.store.compact();
+        }
+        match res {
+            Ok(c) => Response::Text(format!(
+                "{} records, {} -> {} bytes",
+                c.records, c.bytes_before, c.bytes_after
+            )),
+            Err(e) => Response::Err(Status::Io, e.to_string()),
         }
     }
 
-    fn put_refs(&self, salt: u64, refs: &str) -> Response {
-        let shard = self.shard_of(salt);
-        let outputs: Vec<String> = refs.split(REF_SEP).map(str::to_owned).collect();
-        if let Err(e) = shard.store.record_references(salt, &outputs) {
-            return Response::Err(Status::Io, e.to_string());
-        }
-        self.crash_point("put-journaled");
-        let mut index = shard.index.write().unwrap_or_else(|p| p.into_inner());
-        index.refs.insert(salt, refs.to_string());
-        drop(index);
-        shard.counters.appends.fetch_add(1, Ordering::Relaxed);
-        shard.dirty.store(true, Ordering::Release);
-        Response::Ok
-    }
-
-    fn compact_all(&self) -> Response {
-        let mut lines = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            // The store takes its advisory lock exclusively; a briefly
-            // contended shared (append) lock resolves in microseconds,
-            // so a couple of retries ride it out.
-            let mut last = None;
-            for _ in 0..5 {
-                match shard.store.compact() {
-                    Ok(c) => {
-                        last = Some(Ok(c));
-                        break;
-                    }
-                    Err(StoreError::Locked) => {
-                        last = Some(Err(StoreError::Locked));
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        last = Some(Err(e));
-                        break;
-                    }
-                }
-            }
-            match last {
-                Some(Ok(c)) => lines.push(format!(
-                    "shard {i}: {} records, {} -> {} bytes",
-                    c.records, c.bytes_before, c.bytes_after
-                )),
-                Some(Err(e)) => lines.push(format!("shard {i}: {e}")),
-                None => lines.push(format!("shard {i}: not attempted")),
-            }
-        }
-        Response::Text(lines.join("\n"))
-    }
-
-    /// Renders the `STATS` text: this connection's counters, then one
-    /// line per shard, then server totals. The line shapes here are
-    /// documented in `docs/OPERATIONS.md` — change both together.
-    fn stats_text(&self, conn: &ConnCounters) -> String {
-        let mut out = format!(
-            "oraql-served: {} shards in {}, {} acceptors\n",
-            self.shards.len(),
-            self.dir.display(),
-            self.opts.acceptors.max(1)
-        );
-        out.push_str(&format!(
-            "conn: {} requests, {} lookups, {} hits, {} appends, {} B in, {} B out\n",
-            conn.requests, conn.lookups, conn.hits, conn.appends, conn.bytes_in, conn.bytes_out
-        ));
-        for (i, shard) in self.shards.iter().enumerate() {
-            let c = &shard.counters;
-            let s = shard.store.stats();
-            out.push_str(&format!(
-                "shard {i}: {} lookups, {} hits, {} appends, {} fsyncs; journal: {} recovered, {} corrupt dropped, {} torn dropped, {} compactions\n",
-                c.lookups.load(Ordering::Relaxed),
-                c.hits.load(Ordering::Relaxed),
-                c.appends.load(Ordering::Relaxed),
-                c.fsyncs.load(Ordering::Relaxed),
-                s.recovered,
-                s.dropped_corrupt,
-                s.dropped_torn,
-                s.compactions,
-            ));
-        }
+    /// Renders the `STATS` text: the journal, the store's own counter
+    /// line (the one `oraql --store` prints), then the server's. The
+    /// line shapes here are documented in `docs/OPERATIONS.md` — change
+    /// both together.
+    fn stats_text(&self) -> String {
+        let s = self.store.stats();
         let g = &self.counters;
-        let (mut lookups, mut hits, mut appends) = (0u64, 0u64, 0u64);
-        for shard in &self.shards {
-            lookups += shard.counters.lookups.load(Ordering::Relaxed);
-            hits += shard.counters.hits.load(Ordering::Relaxed);
-            appends += shard.counters.appends.load(Ordering::Relaxed);
-        }
-        out.push_str(&format!(
-            "total: {} lookups, {} hits, {} appends, {} fsync batches, {} connections ({} active), {} bad frames, {} shed, {} B in, {} B out",
-            lookups,
-            hits,
-            appends,
-            g.fsync_batches.load(Ordering::Relaxed),
+        format!(
+            "oraql-served: {}, {} records\nstore: {s}\nserver: {} fsyncs, {} compactions, {} connections ({} active), {} bad frames, {} shed, {} B in, {} B out",
+            self.store.path().display(),
+            self.store.len(),
+            g.fsyncs.load(Ordering::Relaxed),
+            s.compactions,
             g.connections.load(Ordering::Relaxed),
             g.active.load(Ordering::Relaxed),
             g.bad_frames.load(Ordering::Relaxed),
             g.shed.load(Ordering::Relaxed),
             g.bytes_in.load(Ordering::Relaxed),
             g.bytes_out.load(Ordering::Relaxed),
-        ));
-        out
+        )
     }
 
-    fn dispatch(&self, req: Request, conn: &mut ConnCounters) -> Response {
-        conn.requests += 1;
+    fn dispatch(&self, req: Request) -> Response {
         let started = std::time::Instant::now();
         let op = req.op();
-        let resp = self.dispatch_inner(req, conn);
+        let resp = self.dispatch_inner(req);
         let (count, micros) = op_metrics(op);
         count.inc();
         micros.observe(started.elapsed().as_micros() as u64);
         resp
     }
 
-    fn dispatch_inner(&self, req: Request, conn: &mut ConnCounters) -> Response {
+    fn dispatch_inner(&self, req: Request) -> Response {
+        let verdict = |found: Option<(bool, u64)>| match found {
+            Some((pass, unique)) => Response::Verdict { pass, unique },
+            None => Response::NotFound,
+        };
         match req {
             Request::Ping => Response::Ok,
-            Request::GetDec { key } => {
-                conn.lookups += 1;
-                let r = self.get(key, false);
-                if matches!(r, Response::Verdict { .. }) {
-                    conn.hits += 1;
-                }
-                r
-            }
-            Request::GetExe { key } => {
-                conn.lookups += 1;
-                let r = self.get(key, true);
-                if matches!(r, Response::Verdict { .. }) {
-                    conn.hits += 1;
-                }
-                r
-            }
+            Request::GetDec { key } => verdict(self.store.dec_verdict(key)),
+            Request::GetExe { key } => verdict(self.store.exe_verdict(key)),
             Request::PutDec { key, pass, unique } => {
-                conn.appends += 1;
-                self.put(key, pass, unique, false)
+                self.journaled(self.store.record_dec(key, pass, unique))
             }
             Request::PutExe { key, pass, unique } => {
-                conn.appends += 1;
-                self.put(key, pass, unique, true)
+                self.journaled(self.store.record_exe(key, pass, unique))
             }
-            Request::GetRefs { salt } => {
-                conn.lookups += 1;
-                let r = self.get_refs(salt);
-                if matches!(r, Response::Text(_)) {
-                    conn.hits += 1;
-                }
-                r
-            }
+            Request::GetRefs { salt } => match self.store.references(salt) {
+                Some(outputs) => Response::Text(outputs.join(&REF_SEP.to_string())),
+                None => Response::NotFound,
+            },
             Request::PutRefs { salt, refs } => {
-                conn.appends += 1;
-                self.put_refs(salt, &refs)
+                let outputs: Vec<String> = refs.split(REF_SEP).map(str::to_owned).collect();
+                self.journaled(self.store.record_references(salt, &outputs))
             }
-            Request::Stats => Response::Text(self.stats_text(conn)),
+            Request::Stats => Response::Text(self.stats_text()),
             Request::Sync => match self.sync_dirty() {
                 Ok(()) => Response::Ok,
                 Err(e) => Response::Err(Status::Io, e.to_string()),
             },
-            Request::Compact => self.compact_all(),
+            Request::Compact => self.compact(),
             // The process-wide registry: this daemon's own request
             // counters and latency histograms, plus everything the
-            // embedded `oraql-store` shards published. A scraper polls
-            // this op; see docs/OPERATIONS.md § Monitoring.
+            // embedded `oraql-store` published. A scraper polls this
+            // op; see docs/OPERATIONS.md § Monitoring.
             Request::Metrics => Response::Text(oraql_obs::global().snapshot().render()),
         }
     }
@@ -655,17 +449,6 @@ fn op_metrics(op: Op) -> (&'static oraql_obs::Counter, &'static oraql_obs::Histo
     slots[(op as u8 - 1) as usize]
 }
 
-/// Per-connection counters, reported by `STATS` on the same connection.
-#[derive(Debug, Default)]
-struct ConnCounters {
-    requests: u64,
-    lookups: u64,
-    hits: u64,
-    appends: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-}
-
 /// The request id to echo for a raw request payload, whether or not it
 /// decodes (a shed or malformed request still gets its id back).
 fn req_id_of(payload: &[u8]) -> u64 {
@@ -676,10 +459,10 @@ fn req_id_of(payload: &[u8]) -> u64 {
 }
 
 /// Answers the first request on an over-cap connection with `BUSY` and
-/// returns (the caller closes). Waiting bounded by `idle_poll` ticks so
+/// returns (the caller closes). Waiting bounded by [`IDLE_POLL`] ticks so
 /// shutdown is never blocked on a silent peer.
 fn shed_conn(core: &Core, conn: &mut Conn) {
-    let _ = conn.set_read_timeout(Some(core.opts.idle_poll));
+    let _ = conn.set_read_timeout(Some(IDLE_POLL));
     let deadline = Instant::now() + Duration::from_secs(1);
     while Instant::now() < deadline && !core.is_dead() {
         match read_frame(conn) {
@@ -743,9 +526,8 @@ fn serve_conn(core: &Core, mut conn: Conn) {
         core.counters.active.fetch_sub(1, Ordering::Relaxed);
         return;
     }
-    let _ = conn.set_read_timeout(Some(core.opts.idle_poll));
-    let _ = conn.set_write_timeout(Some(core.opts.write_timeout));
-    let mut counters = ConnCounters::default();
+    let _ = conn.set_read_timeout(Some(IDLE_POLL));
+    let _ = conn.set_write_timeout(Some(WRITE_TIMEOUT));
     loop {
         if core.is_dead() {
             break;
@@ -764,12 +546,9 @@ fn serve_conn(core: &Core, mut conn: Conn) {
                 break;
             }
         };
-        let frame_in = (12 + payload.len()) as u64;
-        counters.bytes_in += frame_in;
         core.counters
             .bytes_in
-            .fetch_add(frame_in, Ordering::Relaxed);
-        core.counters.requests.fetch_add(1, Ordering::Relaxed);
+            .fetch_add((12 + payload.len()) as u64, Ordering::Relaxed);
         // The admission slot is held until the response leaves (or the
         // connection breaks): an in-flight request includes its write,
         // so a stalled peer counts against `max_inflight`.
@@ -786,7 +565,7 @@ fn serve_conn(core: &Core, mut conn: Conn) {
             Ok((req_id, req)) => {
                 if core.admit(req.op()) {
                     slot.0 = Some(core);
-                    (req_id, core.dispatch(req, &mut counters))
+                    (req_id, core.dispatch(req))
                 } else {
                     (req_id, Response::Busy)
                 }
@@ -814,7 +593,6 @@ fn serve_conn(core: &Core, mut conn: Conn) {
         if !inject_wire_faults(core, &mut conn, &mut frame) {
             break;
         }
-        counters.bytes_out += frame.len() as u64;
         core.counters
             .bytes_out
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
@@ -829,13 +607,13 @@ fn serve_conn(core: &Core, mut conn: Conn) {
     core.counters.active.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// A running verdict server. Owns the shards, the acceptor pool, and
-/// the group-fsync thread; [`Server::shutdown`] (or `Drop`) tears all
-/// of it down and leaves every acked write durable.
+/// A running verdict server. Owns the journal, the acceptor, and the
+/// group-fsync thread; [`Server::shutdown`] (or `Drop`) tears all of it
+/// down and leaves every acked write durable.
 pub struct Server {
     core: Arc<Core>,
     addr: Addr,
-    /// Acceptors + the fsync thread + every live connection thread.
+    /// The acceptor + the fsync thread + every live connection thread.
     /// Connection threads push here as they spawn, so shutdown pops
     /// until empty rather than iterating a snapshot.
     handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -846,43 +624,36 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("addr", &self.addr)
-            .field("shards", &self.core.shards.len())
+            .field("journal", &self.core.store.path())
             .finish()
     }
 }
 
 impl Server {
-    /// Opens (or creates) the shard journals under `config.dir`,
-    /// replays them into the in-memory index, binds `addr` (use port 0
-    /// for an ephemeral TCP port), and spawns the acceptor pool and
-    /// fsync thread. On return the server is accepting connections.
+    /// Opens (or creates) `config.dir/verdicts.journal`, binds `addr`
+    /// (use port 0 for an ephemeral TCP port), and spawns the acceptor
+    /// and fsync thread. On return the server is accepting connections.
     pub fn start(config: &ServerOptions, addr: &str) -> io::Result<Server> {
         std::fs::create_dir_all(&config.dir)?;
-        let shards = config.shards.max(1);
-        let mut opened = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let path = config.dir.join(format!("shard-{i:02}.journal"));
-            opened.push(Shard::open(path).map_err(io::Error::other)?);
-        }
+        let store = Store::open(config.dir.join(JOURNAL)).map_err(io::Error::other)?;
         let listener = Listener::bind(&Addr::parse(addr))?;
         let bound = listener.local_addr()?;
         let core = Arc::new(Core {
-            shards: opened,
+            store,
+            dirty: AtomicBool::new(false),
             counters: ServerCounters::default(),
             shutdown: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
-            dir: config.dir.clone(),
             opts: config.clone(),
         });
         let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..core.opts.acceptors.max(1) {
-            let l = listener.try_clone()?;
+        {
             let c = Arc::clone(&core);
             let hs = Arc::clone(&handles);
             let h = std::thread::Builder::new()
-                .name(format!("oraql-served-accept-{i}"))
-                .spawn(move || accept_loop(&l, &c, &hs))?;
+                .name("oraql-served-accept".to_string())
+                .spawn(move || accept_loop(&listener, &c, &hs))?;
             lock_ignore_poison(&handles).push(h);
         }
         {
@@ -906,7 +677,6 @@ impl Server {
                 })?;
             lock_ignore_poison(&handles).push(h);
         }
-        drop(listener);
         Ok(Server {
             core,
             addr: bound,
@@ -921,17 +691,9 @@ impl Server {
         self.addr.to_string()
     }
 
-    /// Total records currently indexed across all shards (dec + exe +
-    /// refs). Takes each shard's read lock briefly.
+    /// Live records in the journal (dec + exe + refs).
     pub fn indexed_records(&self) -> usize {
-        self.core
-            .shards
-            .iter()
-            .map(|s| {
-                let i = s.index.read().unwrap_or_else(|p| p.into_inner());
-                i.dec.len() + i.exe.len() + i.refs.len()
-            })
-            .sum()
+        self.core.store.len()
     }
 
     /// Has a simulated crash-point fired? (Always `false` under
@@ -968,11 +730,9 @@ impl Server {
         }
         self.down = true;
         self.core.shutdown.store(true, Ordering::Release);
-        // Wake every acceptor blocked in accept(2): one throwaway
-        // connection per acceptor thread.
-        for _ in 0..self.core.opts.acceptors.max(1) {
-            let _ = Conn::connect(&self.addr, Duration::from_millis(200));
-        }
+        // Wake the acceptor blocked in accept(2) with one throwaway
+        // connection.
+        let _ = Conn::connect(&self.addr, Duration::from_millis(200));
         loop {
             let h = lock_ignore_poison(&self.handles).pop();
             match h {
@@ -1065,7 +825,23 @@ mod tests {
         );
         client.sync().unwrap();
         server.shutdown().unwrap();
-        // A fresh server over the same dir replays the journals.
+        // The directory is one ordinary store journal (plus its lock
+        // file) that a plain `Store::open` reads back.
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["verdicts.journal", "verdicts.journal.lock"]);
+        let store = Store::open(dir.join(JOURNAL)).unwrap();
+        assert_eq!(store.dec_verdict(7), Some((true, 42)));
+        assert_eq!(store.exe_verdict(9), Some((false, 0)));
+        assert_eq!(
+            store.references(3),
+            Some(vec!["a\n".to_string(), "b\n".to_string()])
+        );
+        drop(store);
+        // A fresh server over the same dir replays the journal.
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         assert_eq!(server.indexed_records(), 3);
         let client = Client::new(&server.addr());
@@ -1076,34 +852,53 @@ mod tests {
     }
 
     #[test]
-    fn stats_compact_and_sharding() {
+    fn stats_and_compact() {
         let dir = scratch("stats");
         let mut cfg = ServerOptions::new(&dir);
-        cfg.shards = 3;
+        cfg.fsync_interval = Duration::from_secs(3600); // only the explicit sync
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         let client = Client::new(&server.addr());
-        for k in 0..30u64 {
-            client.put_dec(k, true, k).unwrap();
+        for round in 0..2u64 {
+            for k in 0..30u64 {
+                client.put_dec(k, true, k + round).unwrap();
+            }
         }
         for k in 0..30u64 {
-            assert_eq!(client.get_dec(k).unwrap(), Some((true, k)));
+            assert_eq!(client.get_dec(k).unwrap(), Some((true, k + 1)));
         }
+        assert_eq!(client.get_exe(99).unwrap(), None);
+        client.sync().unwrap();
         let stats = client.server_stats().unwrap();
-        assert!(stats.contains("3 shards"), "{stats}");
+        let lines: Vec<&str> = stats.lines().collect();
+        assert_eq!(lines.len(), 3, "{stats}");
+        assert_eq!(
+            lines[0],
+            format!("oraql-served: {}, 30 records", dir.join(JOURNAL).display())
+        );
+        assert_eq!(
+            lines[1],
+            "store: 30 hits (0 exe / 30 dec), 1 misses, 60 appends; journal: 0 recovered, 0 corrupt dropped, 0 torn dropped"
+        );
         assert!(
-            stats.contains("total: 30 lookups, 30 hits, 30 appends"),
+            lines[2].starts_with(
+                "server: 1 fsyncs, 0 compactions, 1 connections (1 active), 0 bad frames, 0 shed, "
+            ),
             "{stats}"
         );
-        // Every shard saw an even share (keys 0..30 mod 3).
-        for i in 0..3 {
-            assert!(stats.contains(&format!("shard {i}: 10 lookups")), "{stats}");
-        }
         let summary = client.server_compact().unwrap();
-        assert!(summary.contains("shard 0:"), "{summary}");
-        assert!(summary.contains("records"), "{summary}");
+        let bytes = std::fs::metadata(dir.join(JOURNAL)).unwrap().len();
+        assert!(summary.starts_with("30 records, "), "{summary}");
+        assert!(
+            summary.ends_with(&format!(" -> {bytes} bytes")),
+            "{summary}"
+        );
+        assert!(
+            client.server_stats().unwrap().contains(", 1 compactions, "),
+            "compaction counted"
+        );
         // Compaction preserved the live set.
         for k in 0..30u64 {
-            assert_eq!(client.get_dec(k).unwrap(), Some((true, k)));
+            assert_eq!(client.get_dec(k).unwrap(), Some((true, k + 1)));
         }
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

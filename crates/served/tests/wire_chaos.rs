@@ -154,7 +154,7 @@ fn garbled_frames_never_yield_wrong_values() {
 
 /// `fsync-fail` firing on every group-fsync pass costs durability
 /// *timing*, never durability: the journal appends still happen, the
-/// shard stays dirty and keeps retrying, and a restart over the same
+/// journal stays dirty and keeps retrying, and a restart over the same
 /// directory serves every acked write.
 #[test]
 fn fsync_failures_do_not_lose_acked_writes() {

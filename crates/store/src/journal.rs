@@ -250,7 +250,7 @@ pub fn scan(bytes: &[u8], base: u64) -> Scan {
 
 /// Validates the header bytes. Defensive against short input: anything
 /// shorter than [`HEADER_LEN`] is rejected as [`HeaderError::BadMagic`]
-/// rather than panicking (a server replaying an arbitrary shard file
+/// rather than panicking (a server replaying an arbitrary journal file
 /// must never be able to crash here).
 pub fn check_header(bytes: &[u8]) -> Result<(), HeaderError> {
     if bytes.get(0..8) != Some(&MAGIC[..]) {

@@ -336,38 +336,15 @@ impl Store {
             .map(|s| s.split(REF_SEP).map(str::to_owned).collect())
     }
 
-    /// A deterministic snapshot of every live record, in the same order
-    /// [`Store::compact`] would write them (exe, then dec, then refs,
-    /// each sorted by key). Used by `oraql-served` to replay a shard
-    /// journal into its read-mostly in-memory index at startup.
-    ///
-    /// Concurrency: takes the internal mutex for the duration of the
-    /// copy; safe to call from any thread, but returns only what this
-    /// handle has loaded — call [`Store::refresh`] first to see foreign
-    /// appends.
-    pub fn export(&self) -> Vec<Record> {
-        let inner = lock_ignore_poison(&self.inner);
-        let mut out =
-            Vec::with_capacity(inner.maps.exe.len() + inner.maps.dec.len() + inner.maps.refs.len());
-        let mut exe: Vec<_> = inner.maps.exe.iter().collect();
-        exe.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, &(pass, unique)) in exe {
-            out.push(Record::ExeVerdict { key, pass, unique });
-        }
-        let mut dec: Vec<_> = inner.maps.dec.iter().collect();
-        dec.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, &(pass, unique)) in dec {
-            out.push(Record::DecVerdict { key, pass, unique });
-        }
-        let mut refs: Vec<_> = inner.maps.refs.iter().collect();
-        refs.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, output) in refs {
-            out.push(Record::Reference {
-                key,
-                output: output.clone(),
-            });
-        }
-        out
+    /// Live records (exe + dec + refs) this handle has loaded.
+    pub fn len(&self) -> usize {
+        let maps = &lock_ignore_poison(&self.inner).maps;
+        maps.exe.len() + maps.dec.len() + maps.refs.len()
+    }
+
+    /// Whether this handle has loaded no live record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     /// Records an executable-hash verdict (no-op if an identical record
@@ -477,8 +454,14 @@ impl Store {
     /// Flushes appended records to disk (`fdatasync`). Appends are
     /// plain `write(2)` calls; call this at a checkpoint (end of a
     /// case, end of a run) to bound the loss window on power failure.
+    ///
+    /// The flush runs on a cloned descriptor outside the handle's lock,
+    /// so lookups and appends from other threads proceed while the disk
+    /// catches up. A compaction that swaps the journal meanwhile has
+    /// already synced the new file itself.
     pub fn sync(&self) -> std::io::Result<()> {
-        let res = lock_ignore_poison(&self.inner).writer.sync_data();
+        let writer = lock_ignore_poison(&self.inner).writer.try_clone()?;
+        let res = writer.sync_data();
         if res.is_ok() {
             stats::obs().fsyncs.inc();
         }

@@ -87,8 +87,8 @@ impl StoreStats {
 /// Process-wide registry handles mirroring the per-handle counters
 /// above: `StoreStats` stays the source for per-store CLI lines, the
 /// registry aggregates across every handle in the process (warm +
-/// chaos stores, server shards) for `--metrics-out` and the served
-/// `METRICS` op.
+/// chaos stores, the server's journal) for `--metrics-out` and the
+/// served `METRICS` op.
 pub(crate) struct StoreObs {
     pub appends: &'static oraql_obs::Counter,
     pub fsyncs: &'static oraql_obs::Counter,

@@ -31,27 +31,6 @@ pub enum InterpMode {
     TreeWalk,
 }
 
-impl InterpMode {
-    /// Parses a mode name as accepted by `--interp` and the `interp`
-    /// config key.
-    pub fn parse(s: &str) -> Option<InterpMode> {
-        match s {
-            "decoded" => Some(InterpMode::Decoded),
-            "tree" | "treewalk" | "tree-walk" => Some(InterpMode::TreeWalk),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for InterpMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            InterpMode::Decoded => "decoded",
-            InterpMode::TreeWalk => "tree",
-        })
-    }
-}
-
 /// Execution statistics — the `perf` / kernel-timer stand-in.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecStats {

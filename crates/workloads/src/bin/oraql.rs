@@ -3,7 +3,7 @@
 //! ```text
 //! oraql --list
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
-//!       [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]
+//!       [--jobs N] [--trace <file.jsonl>]
 //!       [--store <journal>] [--no-store]
 //!       [--server <addr>] [--no-server]
 //!       [--fault-plan <spec>] [--probe-deadline-ms N]
@@ -83,7 +83,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: oraql --list\n       \
          oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]\n                \
-         [--jobs N] [--trace <file.jsonl>] [--interp decoded|tree]\n                \
+         [--jobs N] [--trace <file.jsonl>]\n                \
          [--store <journal>] [--no-store]\n                \
          [--server <addr>] [--no-server]\n                \
          [--fault-plan <spec>] [--probe-deadline-ms N]\n                \
@@ -123,7 +123,7 @@ fn parsed_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str,
 
 /// Compiles and runs one benchmark with a fixed decision sequence (the
 /// paper's "program compiled with (almost) perfect alias information").
-fn replay(name: &str, seq_arg: &str, interp: oraql_vm::InterpMode) -> i32 {
+fn replay(name: &str, seq_arg: &str) -> i32 {
     let Some((case, _)) = prepare_case(name, None) else {
         eprintln!("unknown benchmark {name:?}; try --list");
         return 2;
@@ -143,9 +143,7 @@ fn replay(name: &str, seq_arg: &str, interp: oraql_vm::InterpMode) -> i32 {
         eprintln!("{name}: module has no main function");
         return 1;
     };
-    let mut interp = oraql_vm::Interpreter::new(&compiled.module)
-        .with_fuel(case.fuel)
-        .with_mode(interp);
+    let mut interp = oraql_vm::Interpreter::new(&compiled.module).with_fuel(case.fuel);
     match interp.run(main, vec![]) {
         Ok(_) => {
             print!("{}", interp.stdout());
@@ -372,6 +370,8 @@ fn main() {
     let mut opts = DriverOptions::default();
     let mut dump = false;
     let mut all = false;
+    let mut strategy: Option<Strategy> = None;
+    let mut max_tests: Option<u64> = None;
     let mut emit_sequence: Option<String> = None;
     let mut replay_seq: Option<String> = None;
     let mut trace_path: Option<String> = None;
@@ -404,15 +404,15 @@ fn main() {
             "--benchmark" | "-b" => benchmark = Some(flag_value(&args, &mut i, flag)),
             "--strategy" | "-s" => {
                 let v = flag_value(&args, &mut i, flag);
-                opts.strategy = Strategy::parse(&v).unwrap_or_else(|e| {
+                strategy = Some(Strategy::parse(&v).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2)
-                });
+                }));
             }
             "--emit-sequence" => emit_sequence = Some(flag_value(&args, &mut i, flag)),
             "--replay" => replay_seq = Some(flag_value(&args, &mut i, flag)),
             "--max-tests" => {
-                opts.max_tests = parsed_flag(&args, &mut i, flag, "an integer probe budget");
+                max_tests = Some(parsed_flag(&args, &mut i, flag, "an integer probe budget"));
             }
             "--jobs" | "-j" => {
                 opts.jobs = parsed_flag(&args, &mut i, flag, "an integer >= 1");
@@ -432,22 +432,12 @@ fn main() {
             "--probe-deadline-ms" => {
                 probe_deadline_ms = Some(parsed_flag(&args, &mut i, flag, "a millisecond count"));
             }
-            "--interp" => {
-                let v = flag_value(&args, &mut i, flag);
-                opts.interp = oraql_vm::InterpMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("bad --interp {v:?}: expected decoded|tree");
-                    std::process::exit(2)
-                });
-            }
             "--config" | "-c" => {
                 let path = flag_value(&args, &mut i, flag);
                 let cfg = Config::load(&path).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2)
                 });
-                opts.strategy = cfg.strategy;
-                opts.max_tests = cfg.max_tests;
-                opts.interp = cfg.interp;
                 benchmark = Some(cfg.benchmark.clone());
                 dump |= cfg.dump;
                 config = Some(cfg);
@@ -459,6 +449,15 @@ fn main() {
         }
         i += 1;
     }
+    // CLI --strategy / --max-tests win over the config keys, wherever
+    // they appear on the command line.
+    let cfg = config.as_ref();
+    opts.strategy = strategy
+        .or(cfg.map(|c| c.strategy))
+        .unwrap_or(opts.strategy);
+    opts.max_tests = max_tests
+        .or(cfg.map(|c| c.max_tests))
+        .unwrap_or(opts.max_tests);
     opts.trace_passes = dump;
     let sink = trace_path.as_deref().map(|p| {
         TraceSink::to_file(p).unwrap_or_else(|e| {
@@ -536,7 +535,7 @@ fn main() {
     let gate = !no_gate && config.as_ref().is_none_or(|c| c.soundness_gate);
 
     let code = if let (Some(name), Some(seq)) = (&benchmark, &replay_seq) {
-        replay(name, seq, opts.interp)
+        replay(name, seq)
     } else if all {
         run_all(&opts, dump, config.as_ref())
     } else if let Some(name) = benchmark {

@@ -41,6 +41,9 @@ cargo test -q --offline --test obs_analyzer
 # kinds, effort, failure stats and the `oraql_driver_*_total` counters
 # agree across the jobs, store, server and fault legs, likewise by name.
 cargo test -q --offline --test probe_accounting
+# The CLI gate: a `--strategy` or `--max-tests` flag wins over
+# `--config` on either side of it, by name.
+cargo test -q --offline -p oraql-workloads --test cli_flags
 # The --jobs gates: every case repeats exactly at jobs 2 and 8 (budget-
 # truncated runs included), decisions agree with jobs 1, and the suite
 # completes verified under chaos at jobs 4, likewise by name.
@@ -71,7 +74,9 @@ target/release/oraql -b testsnap --store "$STORE_TMP/verdicts.journal" \
     | grep -E 'store: [1-9][0-9]* hits'
 
 # Served smoke: a daemon on an ephemeral port, the same case twice
-# through --server — the second run must answer probes remotely.
+# through --server — the second run must answer probes remotely. The
+# daemon's corpus is one ordinary store journal: once synced and the
+# daemon stopped, `--store` on that file replays the case compile-free.
 SERVED_TMP="$(mktemp -d)"
 SERVED_PID=""
 trap 'rm -rf "$STORE_TMP" "$SERVED_TMP"; [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true' EXIT
@@ -87,8 +92,14 @@ target/release/oraql-served ping "$SERVED_ADDR"
 target/release/oraql -b testsnap --server "$SERVED_ADDR" > /dev/null
 target/release/oraql -b testsnap --server "$SERVED_ADDR" \
     | grep -E 'client: [1-9][0-9]* hits'
+target/release/oraql-served sync "$SERVED_ADDR"
 kill "$SERVED_PID"
+wait "$SERVED_PID" || true
 SERVED_PID=""
+target/release/oraql -b testsnap --store "$SERVED_TMP/data/verdicts.journal" \
+    > "$SERVED_TMP/replay"
+grep -E '^probing: 0 compiles' "$SERVED_TMP/replay"
+grep -E 'store: [1-9][0-9]* hits' "$SERVED_TMP/replay"
 
 # Metrics smoke: one instrumented run of a bisecting case must leave a
 # probe counter equal to its trace's line count (one event per answer)

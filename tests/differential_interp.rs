@@ -9,8 +9,9 @@
 //! 1. randomized programs (loops/phis, branches, calls, parallel
 //!    regions, floats, externals) from the deterministic generator in
 //!    `common`, at several fuel budgets including mid-block exhaustion;
-//! 2. all sixteen registered workload configurations, both the raw
-//!    module and the baseline-compiled one;
+//! 2. all sixteen registered workload configurations: the raw module,
+//!    the baseline-compiled one, and the driver's all-optimistic first
+//!    probe, which miscompiles the nine with aliasing pairs;
 //! 3. hand-mutilated IR reproducing every robustness fix of this
 //!    change: out-of-range instruction ids (as operands and in block
 //!    lists), executed `Removed` placeholders, branches to missing
@@ -26,6 +27,7 @@ use oraql_suite::ir::inst::{FuncRef, Inst, InstId};
 use oraql_suite::ir::interner::StrId;
 use oraql_suite::ir::{BlockId, GlobalId, Module, Ty, Value};
 use oraql_suite::oraql::compile::{compile, CompileOptions};
+use oraql_suite::oraql::{Decisions, Verifier};
 use oraql_suite::vm::{lower_function, ExecStats, InterpMode, Interpreter, RtVal, RuntimeError};
 use oraql_suite::workloads;
 
@@ -280,17 +282,40 @@ fn fuel_boundary_sweep() {
 /// in both modes — raw and baseline-compiled.
 #[test]
 fn workloads_differential_all_configs() {
+    let mut miscompiled = Vec::new();
     for info in &workloads::CASE_INFOS {
         let case = workloads::find_case(info.name).expect("registered case");
         let raw = (case.build)();
         let _ = assert_modes_agree(&raw, case.fuel, &format!("{} (raw)", info.name));
         let compiled = compile(&*case.build, &CompileOptions::baseline());
-        let _ = assert_modes_agree(
+        let (_, reference, _) = assert_modes_agree(
             &compiled.module,
             case.fuel,
             &format!("{} (baseline-compiled)", info.name),
         );
+        // The driver's first probe answers every query optimistically,
+        // which miscompiles each configuration with an aliasing pair:
+        // the modes must agree on the wrong program too.
+        let probe = CompileOptions {
+            oraql: Some((Decisions::all_optimistic(), case.scope.clone())),
+            use_cfl: case.use_cfl,
+            optimism: case.optimism,
+            ..CompileOptions::default()
+        };
+        let optimistic = compile(&*case.build, &probe);
+        let (result, stdout, _) = assert_modes_agree(
+            &optimistic.module,
+            case.fuel,
+            &format!("{} (all-optimistic)", info.name),
+        );
+        let mut references = vec![reference];
+        references.extend(case.extra_references.iter().cloned());
+        let verifier = Verifier::new(references, &case.ignore_patterns);
+        if result.is_err() || verifier.check(&stdout).is_err() {
+            miscompiled.push(info.name);
+        }
     }
+    assert_eq!(miscompiled.len(), 9, "miscompiled: {miscompiled:?}");
 }
 
 // ---- malformed-but-type-checked IR ------------------------------------

@@ -253,7 +253,7 @@ fn dead_server_falls_back_to_local_store() {
 }
 
 /// SIGKILL mid-append: after a populated daemon dies leaving a torn
-/// half-record at a shard journal's tail, a restarted daemon must drop
+/// half-record at its journal's tail, a restarted daemon must drop
 /// exactly the torn tail (visible in STATS), keep every acked verdict,
 /// and serve a compile-free warm replay.
 #[test]
@@ -267,14 +267,14 @@ fn killed_mid_append_server_recovers() {
     server.shutdown().unwrap();
 
     // A kill mid-append leaves a record header whose payload never made
-    // it to disk. Forge exactly that at the tail of shard 0.
-    let shard0 = scratch.data().join("shard-00.journal");
-    let mut bytes = std::fs::read(&shard0).unwrap();
+    // it to disk. Forge exactly that at the journal's tail.
+    let journal = scratch.data().join("verdicts.journal");
+    let mut bytes = std::fs::read(&journal).unwrap();
     assert!(!bytes.is_empty());
     bytes.extend_from_slice(&[1u8]); // tag
     bytes.extend_from_slice(&200u32.to_le_bytes()); // payload length…
     bytes.extend_from_slice(&[0xab, 0xcd]); // …but only 2 bytes follow
-    std::fs::write(&shard0, &bytes).unwrap();
+    std::fs::write(&journal, &bytes).unwrap();
 
     let server = Server::start(&config, "127.0.0.1:0").unwrap();
     let client = Arc::new(Client::new(&server.addr()));
