@@ -8,6 +8,7 @@
 //! could answer.
 
 use crate::location::{AliasResult, MemoryLocation};
+use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{CallKind, FuncRef, Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
 
@@ -87,7 +88,7 @@ pub struct AAManager {
     /// Cached memory-effect summaries per callee: `(reads, writes)`.
     /// Sound to cache across transformations: passes only remove
     /// accesses, so a stale `true` is merely conservative.
-    callee_effects: std::collections::HashMap<FunctionId, (bool, bool)>,
+    callee_effects: FxHashMap<FunctionId, (bool, bool)>,
 }
 
 impl AAManager {
@@ -101,7 +102,7 @@ impl AAManager {
             current_pass: String::new(),
             suppressed: std::collections::HashSet::new(),
             log: None,
-            callee_effects: std::collections::HashMap::new(),
+            callee_effects: FxHashMap::default(),
         }
     }
 

@@ -5,10 +5,10 @@
 use crate::aa::{AliasAnalysis, QueryCtx};
 use crate::location::{AliasResult, LocationSize, MemoryLocation};
 use crate::pointer::{decompose, DecomposedPtr, PtrBase};
+use oraql_ir::hash::{FxHashMap, FxHashSet};
 use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::Function;
 use oraql_ir::value::Value;
-use std::collections::HashSet;
 
 /// The workhorse local alias analysis (LLVM's `BasicAAResult`).
 #[derive(Default)]
@@ -18,7 +18,7 @@ pub struct BasicAA {
     /// keep across transformations: our passes only remove or move
     /// instructions, which can never *create* an escape, so a cached
     /// `true` stays conservative and a cached `false` stays correct.
-    escape_cache: std::cell::RefCell<std::collections::HashMap<(u32, InstId), bool>>,
+    escape_cache: std::cell::RefCell<FxHashMap<(u32, InstId), bool>>,
 }
 
 impl BasicAA {
@@ -42,7 +42,7 @@ impl BasicAA {
 /// call, or merged through a phi/select (we do not trace merges).
 pub fn alloca_escapes(f: &Function, alloca: InstId) -> bool {
     // Collect the set of values derived from the alloca by GEP chains.
-    let mut derived: HashSet<Value> = HashSet::new();
+    let mut derived: FxHashSet<Value> = FxHashSet::default();
     derived.insert(Value::Inst(alloca));
     // Iterate to a fixed point; GEP chains are shallow in practice.
     loop {

@@ -6,23 +6,27 @@
 use crate::aa::{AliasAnalysis, QueryCtx};
 use crate::location::{AliasResult, MemoryLocation};
 use crate::pointer::{decompose, PtrBase};
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::Inst;
 use oraql_ir::module::{GlobalId, Module};
 use oraql_ir::value::Value;
-use std::collections::HashSet;
 
 /// Address-taken analysis over a module's globals, computed once and
 /// cached (sound under our transformations, which never introduce new
 /// escapes).
 pub struct GlobalsAA {
-    address_taken: HashSet<GlobalId>,
+    address_taken: FxHashSet<GlobalId>,
+    /// Every global of the module is address-taken, so the one NoAlias
+    /// rule can never fire and `alias` answers without decomposing
+    /// either pointer.
+    all_taken: bool,
     answered: u64,
 }
 
 /// Computes the set of globals whose address escapes: stored as a value,
 /// passed to any call, returned, or merged through phi/select.
-pub fn address_taken_globals(m: &Module) -> HashSet<GlobalId> {
-    let mut taken = HashSet::new();
+pub fn address_taken_globals(m: &Module) -> FxHashSet<GlobalId> {
+    let mut taken = FxHashSet::default();
     for f in &m.funcs {
         for id in f.live_insts() {
             let mut check = |v: Value| {
@@ -50,8 +54,11 @@ pub fn address_taken_globals(m: &Module) -> HashSet<GlobalId> {
 impl GlobalsAA {
     /// Builds the analysis for `m` (computes address-taken information).
     pub fn new(m: &Module) -> Self {
+        let address_taken = address_taken_globals(m);
+        let all_taken = (0..m.globals.len()).all(|g| address_taken.contains(&GlobalId(g as u32)));
         GlobalsAA {
-            address_taken: address_taken_globals(m),
+            address_taken,
+            all_taken,
             answered: 0,
         }
     }
@@ -68,6 +75,9 @@ impl AliasAnalysis for GlobalsAA {
     }
 
     fn alias(&mut self, ctx: &QueryCtx<'_>, a: &MemoryLocation, b: &MemoryLocation) -> AliasResult {
+        if self.all_taken {
+            return AliasResult::MayAlias;
+        }
         let f = ctx.module.func(ctx.func);
         let ba = decompose(f, a.ptr).base;
         let bb = decompose(f, b.ptr).base;
@@ -166,6 +176,32 @@ mod tests {
         };
         assert!(!aa.is_address_taken(q));
         assert!(aa.is_address_taken(l));
+    }
+
+    #[test]
+    fn all_globals_taken_answers_may_alias() {
+        let mut m = Module::new("t");
+        let loud = m.add_global("loud", 64, vec![], false);
+        let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr], None);
+        b.store(Ty::Ptr, Value::Global(loud), b.arg(0));
+        b.ret(None);
+        b.finish();
+        let mut aa = GlobalsAA::new(&m);
+        assert!(aa.all_taken);
+        let ctx = QueryCtx {
+            module: &m,
+            func: FunctionId(0),
+            pass: "t",
+        };
+        assert_eq!(
+            aa.alias(
+                &ctx,
+                &MemoryLocation::precise(Value::Global(loud), 8),
+                &MemoryLocation::precise(Value::Arg(0), 8)
+            ),
+            AliasResult::MayAlias
+        );
+        assert!(!GlobalsAA::new(&setup().0).all_taken);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 
 use crate::domtree::DomTree;
 use oraql_ir::cfg;
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::module::Function;
 use oraql_ir::value::BlockId;
-use std::collections::HashSet;
 
 /// One natural loop.
 #[derive(Debug, Clone)]
@@ -14,7 +14,7 @@ pub struct Loop {
     /// Source blocks of the back edges.
     pub latches: Vec<BlockId>,
     /// All blocks in the loop, including the header.
-    pub blocks: HashSet<BlockId>,
+    pub blocks: FxHashSet<BlockId>,
     /// Index of the enclosing loop in the forest, if nested.
     pub parent: Option<usize>,
     /// Nesting depth (outermost = 1).
@@ -22,9 +22,16 @@ pub struct Loop {
 }
 
 /// All natural loops of a function, ordered outer-before-inner.
+///
+/// The forest keeps the predecessor lists it was built from, so its
+/// answers describe the CFG edges as they were at [`LoopForest::build`].
+/// Passes that move or remove instructions keep them valid; a pass that
+/// changes an edge builds a new forest before asking again.
 pub struct LoopForest {
     /// The loops; indices are referenced by [`Loop::parent`].
     pub loops: Vec<Loop>,
+    /// Predecessor lists at build time, indexed by block id.
+    preds: Vec<Vec<BlockId>>,
 }
 
 impl LoopForest {
@@ -50,7 +57,7 @@ impl LoopForest {
         let mut loops: Vec<Loop> = raw
             .into_iter()
             .map(|(header, latches)| {
-                let mut blocks: HashSet<BlockId> = HashSet::new();
+                let mut blocks: FxHashSet<BlockId> = FxHashSet::default();
                 blocks.insert(header);
                 let mut stack: Vec<BlockId> = latches.clone();
                 while let Some(b) = stack.pop() {
@@ -102,7 +109,7 @@ impl LoopForest {
             loops[i].depth = d;
         }
 
-        LoopForest { loops }
+        LoopForest { loops, preds }
     }
 
     /// The innermost loop containing `b`, if any.
@@ -116,15 +123,12 @@ impl LoopForest {
     /// The unique preheader of a loop: the single predecessor of the
     /// header outside the loop. `None` when there are several (LICM then
     /// skips the loop).
-    pub fn preheader(&self, f: &Function, l: &Loop) -> Option<BlockId> {
-        let preds = cfg::predecessors(f);
-        let outside: Vec<BlockId> = preds[l.header.0 as usize]
+    pub fn preheader(&self, l: &Loop) -> Option<BlockId> {
+        let mut outside = self.preds[l.header.0 as usize]
             .iter()
-            .copied()
-            .filter(|p| !l.blocks.contains(p))
-            .collect();
-        match outside.as_slice() {
-            [one] => Some(*one),
+            .filter(|p| !l.blocks.contains(p));
+        match (outside.next(), outside.next()) {
+            (Some(&one), None) => Some(one),
             _ => None,
         }
     }
@@ -169,7 +173,7 @@ mod tests {
         assert_eq!(l.depth, 1);
         assert!(l.blocks.contains(&BlockId(2)));
         assert!(!l.blocks.contains(&BlockId(3)));
-        assert_eq!(forest.preheader(f, l), Some(Function::ENTRY));
+        assert_eq!(forest.preheader(l), Some(Function::ENTRY));
         assert_eq!(forest.exit_blocks(f, l), vec![BlockId(3)]);
     }
 

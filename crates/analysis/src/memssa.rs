@@ -11,10 +11,10 @@
 use crate::aa::AAManager;
 use crate::location::MemoryLocation;
 use oraql_ir::cfg;
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::InstId;
 use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_ir::value::BlockId;
-use std::collections::HashSet;
 
 /// A memory access in the MemorySSA graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,7 +112,7 @@ impl MemorySsa {
         loc: &MemoryLocation,
         start: MemAccess,
     ) -> MemAccess {
-        let mut visited_phis: HashSet<BlockId> = HashSet::new();
+        let mut visited_phis = FxHashSet::default();
         let mut budget = self.walk_budget;
         self.walk(m, func, aa, loc, start, &mut visited_phis, &mut budget)
     }
@@ -125,7 +125,7 @@ impl MemorySsa {
         aa: &mut AAManager,
         loc: &MemoryLocation,
         mut access: MemAccess,
-        visited_phis: &mut HashSet<BlockId>,
+        visited_phis: &mut FxHashSet<BlockId>,
         budget: &mut usize,
     ) -> MemAccess {
         let f = m.func(func);

@@ -209,7 +209,7 @@ fn loop_without_unique_preheader_is_skipped_by_helpers() {
     let dt = DomTree::build(f);
     let forest = LoopForest::build(f, &dt);
     assert_eq!(forest.loops.len(), 1);
-    assert_eq!(forest.preheader(f, &forest.loops[0]), None);
+    assert_eq!(forest.preheader(&forest.loops[0]), None);
 }
 
 #[test]

@@ -1,6 +1,11 @@
 //! The "compiler": builds the conservative alias-analysis chain, appends
 //! the ORAQL pass as the last resort, runs the standard optimization
 //! pipeline and collects the statistics the evaluation reports.
+//!
+//! Two entry points: [`compile`] runs the pipeline and then collects
+//! the Fig. 6 statistics (baseline and final compiles, reports);
+//! [`compile_pipeline`] stops after the pipeline, which is all a probe
+//! reads.
 
 use crate::pass::{OraqlAA, OraqlShared};
 use crate::sequence::Decisions;
@@ -121,8 +126,9 @@ impl CompileOptions {
 pub struct Compiled {
     /// The optimized module (run it with `oraql_vm::Interpreter`).
     pub module: Module,
-    /// Pass statistics (`-stats` analogue), including machine-level
-    /// counters appended after lowering.
+    /// Pass statistics (`-stats` analogue). After [`compile`] they
+    /// include the machine-level and alias-analysis counters; after
+    /// [`compile_pipeline`] only the passes' own.
     pub stats: Stats,
     /// Total no-alias answers across the whole analysis chain
     /// (the paper's "# No-Alias Results" column).
@@ -149,27 +155,18 @@ pub fn conservative_chain(m: &Module, use_cfl: bool) -> AAManager {
     aa
 }
 
-/// Compiles a freshly built module under the given options.
+/// Compiles a freshly built module under the given options: the
+/// pipeline step ([`compile_pipeline`]), then the Fig. 6 statistics
+/// step, which lowers each function once for the `asm printer` and
+/// `register allocation` counters and copies the analysis chain's
+/// counters under `alias analysis`.
 pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
-    let mut module = build();
-    let mut aa = conservative_chain(&module, opts.use_cfl);
-    aa.suppressed = opts.suppress.iter().cloned().collect();
-    let oraql = opts.oraql.as_ref().map(|(decisions, scope)| {
-        let shared = crate::pass::new_shared_with(decisions.clone(), scope.clone(), opts.optimism);
-        aa.add(Box::new(OraqlAA::new(shared.clone())));
-        shared
-    });
-
-    let mut stats = Stats::new();
-    let mut pm = standard_pipeline();
-    pm.trace_executions = opts.trace_passes;
-    pm.verify_each = opts.verify_each;
-    pm.run(&mut module, &mut aa, &mut stats);
-
+    let (mut compiled, aa) = run_pipeline(build, opts);
+    let stats = &mut compiled.stats;
     // Machine-level statistics (asm printer / register allocation),
     // from one lowering of each function.
     for target in [Target::Host, Target::Device] {
-        let (insts, spills) = oraql_vm::machine::module_machine_stats(&module, target);
+        let (insts, spills) = oraql_vm::machine::module_machine_stats(&compiled.module, target);
         if insts > 0 {
             stats.set(
                 "asm printer",
@@ -189,21 +186,52 @@ pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
     }
     stats.set("alias analysis", "no-alias results", aa.no_alias_total());
     stats.set("alias analysis", "total queries", aa.total_queries);
+    compiled
+}
 
-    Compiled {
+/// The pipeline step of [`compile`] alone: build, analysis chain,
+/// pass pipeline. The module, the query counts and the ORAQL state
+/// are exactly [`compile`]'s; `stats` holds only the passes' own
+/// counters. A probe reads nothing else, so probes compile this way.
+pub fn compile_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
+    run_pipeline(build, opts).0
+}
+
+/// Builds the module, installs the chain (plus ORAQL when requested)
+/// and runs the standard pipeline; returns the chain with the result so
+/// [`compile`] can read its counters.
+fn run_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> (Compiled, AAManager) {
+    let mut module = build();
+    let mut aa = conservative_chain(&module, opts.use_cfl);
+    aa.suppressed = opts.suppress.iter().cloned().collect();
+    let oraql = opts.oraql.as_ref().map(|(decisions, scope)| {
+        let shared = crate::pass::new_shared_with(decisions.clone(), scope.clone(), opts.optimism);
+        aa.add(Box::new(OraqlAA::new(shared.clone())));
+        shared
+    });
+
+    let mut stats = Stats::new();
+    let mut pm = standard_pipeline();
+    pm.trace_executions = opts.trace_passes;
+    pm.verify_each = opts.verify_each;
+    pm.run(&mut module, &mut aa, &mut stats);
+
+    let compiled = Compiled {
         no_alias_total: aa.no_alias_total(),
         total_queries: aa.total_queries,
         module,
         stats,
         oraql,
         pass_trace: pm.trace,
-    }
+    };
+    (compiled, aa)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oraql_ir::builder::FunctionBuilder;
+    use oraql_ir::printer::module_str;
     use oraql_ir::{Ty, Value};
     use oraql_vm::Interpreter;
 
@@ -304,6 +332,31 @@ mod tests {
         let c = compile(&trap_module, &opts);
         let out = Interpreter::run_main(&c.module).unwrap();
         assert_eq!(out.stdout, "8\n");
+    }
+
+    #[test]
+    fn pipeline_step_matches_compile_without_statistics() {
+        for decisions in [Decisions::all_optimistic(), Decisions::all_pessimistic()] {
+            let opts = CompileOptions::with_oraql(decisions, Scope::everything());
+            let full = compile(&trap_module, &opts);
+            let probe = compile_pipeline(&trap_module, &opts);
+            assert_eq!(module_str(&full.module), module_str(&probe.module));
+            assert_eq!(full.no_alias_total, probe.no_alias_total);
+            assert_eq!(full.total_queries, probe.total_queries);
+            let oraql = |c: &Compiled| c.oraql.as_ref().map(|s| s.lock().stats);
+            assert_eq!(oraql(&full), oraql(&probe));
+            assert!(oraql(&probe).is_some_and(|s| s.unique() > 0));
+            let has = |c: &Compiled, group: &str| c.stats.iter().any(|(p, _, _)| p == group);
+            for group in ["asm printer", "register allocation", "alias analysis"] {
+                assert!(has(&full, group), "compile() lacks {group}");
+                assert!(!has(&probe, group), "pipeline step has {group}");
+            }
+            // Every pass counter the pipeline step records, compile()
+            // records with the same value.
+            for (p, k, v) in probe.stats.iter() {
+                assert_eq!(full.stats.get(p, k), v, "{p} - {k}");
+            }
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@
 //! [`DriverError::CasePanicked`] instead of unwinding through
 //! [`run_suite`].
 
-use crate::compile::{compile, CompileOptions, Scope};
+use crate::compile::{compile, compile_pipeline, CompileOptions, Scope};
 use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
 use crate::sequence::Decisions;
 use crate::strategy::{ProbeOutcome, Prober, Strategy};
@@ -865,9 +865,11 @@ impl ProbeEngine {
         }
         self.tally().compiles += 1;
         let compile_started = Instant::now();
+        // A probe reads only the module and the ORAQL state: the
+        // pipeline step alone, no Fig. 6 statistics.
         let compiled = {
             let _s = self.span("compile", probe_span);
-            compile(
+            compile_pipeline(
                 &*self.build,
                 &CompileOptions {
                     oraql: Some((d.clone(), self.scope.clone())),

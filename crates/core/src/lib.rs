@@ -43,7 +43,8 @@
 //!   dumps of (non-)cached optimistic/pessimistic queries with source
 //!   locations and the issuing pass.
 //! * [`mod@compile`] — the "compiler": conservative AA chain + ORAQL last,
-//!   the standard pipeline from `oraql-passes`, machine statistics.
+//!   the standard pipeline from `oraql-passes`, machine statistics
+//!   (which [`compile_pipeline`], the probes' compile, leaves out).
 //! * [`config`] — benchmark description files for the CLI driver.
 //! * [`truth`] — ground-truth alias labels and the corpus soundness
 //!   gate: generated workloads (`oraql-gen`) attach a label map to
@@ -67,7 +68,7 @@ pub use oraql_faults as faults;
 pub use oraql_served as served;
 pub use oraql_store as store;
 
-pub use compile::{compile, CompileOptions, Compiled, Scope};
+pub use compile::{compile, compile_pipeline, CompileOptions, Compiled, Scope};
 pub use driver::{
     run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats, ProbeFailure,
     TestCase,

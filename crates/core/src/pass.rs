@@ -17,9 +17,9 @@ use crate::compile::Scope;
 use crate::sequence::Decisions;
 use oraql_analysis::aa::{AliasAnalysis, QueryCtx};
 use oraql_analysis::location::{AliasResult, MemoryLocation};
+use oraql_ir::hash::FxHashMap;
 use oraql_ir::module::FunctionId;
 use oraql_ir::value::Value;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Query counters, matching the columns of the paper's Fig. 4.
@@ -86,7 +86,7 @@ pub struct OraqlState {
     /// Next sequence index to consume.
     pub next_index: u64,
     /// Per-pointer-pair decision cache.
-    cache: HashMap<(FunctionId, Value, Value), usize>,
+    cache: FxHashMap<(FunctionId, Value, Value), usize>,
     /// Counters.
     pub stats: OraqlStats,
     /// Unique query records (always collected; one entry per cache key).

@@ -5,20 +5,58 @@ use crate::inst::Inst;
 use crate::module::Function;
 use crate::value::BlockId;
 
-/// Successor blocks of `bb` (0, 1 or 2 entries).
-pub fn successors(f: &Function, bb: BlockId) -> Vec<BlockId> {
+/// The successors of one block: at most two, held inline, so asking
+/// for them allocates nothing. Derefs to `[BlockId]` and iterates by
+/// value.
+#[derive(Clone, Copy)]
+pub struct Successors {
+    targets: [BlockId; 2],
+    len: u8,
+}
+
+impl Successors {
+    fn of(targets: &[BlockId]) -> Self {
+        let mut s = Successors {
+            targets: [BlockId(0); 2],
+            len: targets.len() as u8,
+        };
+        s.targets[..targets.len()].copy_from_slice(targets);
+        s
+    }
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.targets[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.targets.into_iter().take(self.len as usize)
+    }
+}
+
+/// Successor blocks of `bb` (0, 1 or 2 entries; a conditional branch
+/// with two equal targets has one).
+pub fn successors(f: &Function, bb: BlockId) -> Successors {
     match f.terminator(bb).map(|t| f.inst(t)) {
-        Some(Inst::Br { target }) => vec![*target],
+        Some(Inst::Br { target }) => Successors::of(&[*target]),
         Some(Inst::CondBr {
             then_bb, else_bb, ..
         }) => {
             if then_bb == else_bb {
-                vec![*then_bb]
+                Successors::of(&[*then_bb])
             } else {
-                vec![*then_bb, *else_bb]
+                Successors::of(&[*then_bb, *else_bb])
             }
         }
-        _ => vec![],
+        _ => Successors::of(&[]),
     }
 }
 
@@ -127,7 +165,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        assert_eq!(successors(f, Function::ENTRY), vec![x]);
+        assert_eq!(*successors(f, Function::ENTRY), [x]);
     }
 
     #[test]

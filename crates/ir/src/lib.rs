@@ -11,8 +11,9 @@
 //!   parameter attributes, alias scopes and source locations
 //!   ([`meta`]),
 //! * a builder API ([`builder::FunctionBuilder`]), a textual printer
-//!   ([`printer`]), a structural verifier ([`verify`]) and CFG
-//!   utilities ([`mod@cfg`]).
+//!   ([`printer`]), a structural verifier ([`verify`]), CFG
+//!   utilities ([`mod@cfg`]) and the hasher of the compiler's
+//!   in-memory, id-keyed maps ([`hash`]).
 //!
 //! The design deliberately mirrors the parts of LLVM that matter for the
 //! paper: memory is byte addressed, pointers are untyped, and every load
@@ -39,6 +40,7 @@
 
 pub mod builder;
 pub mod cfg;
+pub mod hash;
 pub mod inst;
 pub mod interner;
 pub mod meta;
@@ -48,6 +50,7 @@ pub mod types;
 pub mod value;
 pub mod verify;
 
+pub use hash::{FxHashMap, FxHashSet};
 pub use inst::{BinOp, CallKind, CastKind, CmpPred, FuncRef, GepOffset, Inst, InstData, InstId};
 pub use interner::{StrId, StringInterner};
 pub use meta::{AccessMeta, ScopeId, SrcLoc, Target, TbaaTag, TbaaTree};

@@ -3,11 +3,11 @@
 
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::{AliasResult, MemoryLocation};
+use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{CallKind, FuncRef, GepOffset, Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
-use std::collections::HashMap;
 
 /// Structural key of a pure expression (commutative operands are
 /// canonicalized).
@@ -44,24 +44,14 @@ fn expr_key(inst: &Inst) -> Option<ExprKey> {
     })
 }
 
-/// One available memory value: the content of `(ptr, ty)` is `value`.
-/// The access metadata of the originating load/store is kept so that
-/// invalidation queries carry the proper TBAA/scope information.
+/// One available memory value: the content of `(loc.ptr, ty)` is
+/// `value`. The location keeps the access metadata of the originating
+/// load/store, so invalidation queries carry the proper TBAA/scope
+/// information.
 struct AvailLoad {
-    ptr: Value,
     ty: Ty,
     value: Value,
-    meta: oraql_ir::meta::AccessMeta,
-}
-
-impl AvailLoad {
-    fn location(&self) -> MemoryLocation {
-        let mut loc = MemoryLocation::precise(self.ptr, self.ty.size());
-        loc.tbaa = self.meta.tbaa;
-        loc.scopes = self.meta.scopes.clone();
-        loc.noalias = self.meta.noalias.clone();
-        loc
-    }
+    loc: MemoryLocation,
 }
 
 /// The pass.
@@ -75,26 +65,26 @@ impl Pass for EarlyCSE {
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let nblocks = m.func(fid).blocks.len();
         let mut eliminated = 0u64;
+        let mut exprs: FxHashMap<ExprKey, Value> = FxHashMap::default();
+        let mut avail: Vec<AvailLoad> = Vec::new();
+        // The block's eliminated instructions, each mapped to its final
+        // replacement.
+        let mut replace: FxHashMap<InstId, Value> = FxHashMap::default();
         for bi in 0..nblocks {
-            let bb = oraql_ir::value::BlockId(bi as u32);
-            let mut exprs: HashMap<ExprKey, Value> = HashMap::new();
-            let mut avail: Vec<AvailLoad> = Vec::new();
-            // (from, to) replacements and removals applied after the scan
-            // of each block to keep borrows simple.
-            let mut replace: Vec<(InstId, Value)> = Vec::new();
-
-            let inst_ids: Vec<InstId> = m.func(fid).blocks[bi].insts.clone();
-            for id in inst_ids {
-                // Clone the instruction so we can query AA (which borrows
-                // the module) while inspecting it.
-                let inst = m.func(fid).inst(id).clone();
+            exprs.clear();
+            avail.clear();
+            replace.clear();
+            // The scan only reads the module (AA takes `&Module`); the
+            // block's rewrite is applied after it.
+            let f = m.func(fid);
+            for &id in &f.blocks[bi].insts {
+                let inst = f.inst(id);
 
                 // Pure-expression CSE.
-                if let Some(key) = expr_key(&inst) {
+                if let Some(key) = expr_key(inst) {
                     match exprs.get(&key) {
                         Some(&prev) => {
-                            replace.push((id, prev));
-                            eliminated += 1;
+                            replace.insert(id, resolve(&replace, prev));
                         }
                         None => {
                             exprs.insert(key, Value::Inst(id));
@@ -103,38 +93,28 @@ impl Pass for EarlyCSE {
                     continue;
                 }
 
-                match &inst {
-                    Inst::Load { ptr, ty, meta } => {
-                        if let Some(a) = avail.iter().find(|a| a.ptr == *ptr && a.ty == *ty) {
-                            replace.push((id, a.value));
-                            eliminated += 1;
+                match inst {
+                    Inst::Load { ptr, ty, .. } => {
+                        if let Some(a) = avail.iter().find(|a| a.loc.ptr == *ptr && a.ty == *ty) {
+                            replace.insert(id, resolve(&replace, a.value));
                         } else {
                             avail.push(AvailLoad {
-                                ptr: *ptr,
                                 ty: *ty,
                                 value: Value::Inst(id),
-                                meta: meta.clone(),
+                                loc: MemoryLocation::of_access(f, id).expect("load location"),
                             });
                         }
                     }
-                    Inst::Store {
-                        ptr,
-                        value,
-                        ty,
-                        meta,
-                    } => {
+                    Inst::Store { value, ty, .. } => {
                         // Kill everything this store may clobber.
-                        let sloc =
-                            MemoryLocation::of_access(m.func(fid), id).expect("store location");
-                        avail.retain(|a| {
-                            cx.aa.alias(m, fid, &sloc, &a.location()) == AliasResult::NoAlias
-                        });
+                        let sloc = MemoryLocation::of_access(f, id).expect("store location");
+                        avail
+                            .retain(|a| cx.aa.alias(m, fid, &sloc, &a.loc) == AliasResult::NoAlias);
                         // The stored value is now available.
                         avail.push(AvailLoad {
-                            ptr: *ptr,
                             ty: *ty,
                             value: *value,
-                            meta: meta.clone(),
+                            loc: sloc,
                         });
                     }
                     Inst::Call { callee, kind, .. } => {
@@ -150,31 +130,53 @@ impl Pass for EarlyCSE {
                         }
                     }
                     Inst::Memcpy { .. } => {
-                        let dloc =
-                            MemoryLocation::memcpy_dest(m.func(fid), id).expect("memcpy dest");
-                        avail.retain(|a| {
-                            cx.aa.alias(m, fid, &dloc, &a.location()) == AliasResult::NoAlias
-                        });
+                        let dloc = MemoryLocation::memcpy_dest(f, id).expect("memcpy dest");
+                        avail
+                            .retain(|a| cx.aa.alias(m, fid, &dloc, &a.loc) == AliasResult::NoAlias);
                     }
                     _ => {}
                 }
-                let _ = bb;
             }
-
-            let f = m.func_mut(fid);
-            // Replacement targets may themselves have been replaced
-            // earlier in this block; resolve chains before rewriting.
-            let mut resolved: HashMap<Value, Value> = HashMap::new();
-            for (id, mut to) in replace {
-                while let Some(&t2) = resolved.get(&to) {
-                    to = t2;
-                }
-                f.replace_all_uses(Value::Inst(id), to);
-                f.remove_inst(id);
-                resolved.insert(Value::Inst(id), to);
+            if !replace.is_empty() {
+                eliminated += replace.len() as u64;
+                rewrite_block(m.func_mut(fid), bi, &replace);
             }
         }
         cx.stat("early CSE", "instructions eliminated", eliminated);
+    }
+}
+
+/// `to` with every instruction already eliminated in this block
+/// replaced by its own replacement, so each recorded entry is final.
+fn resolve(replace: &FxHashMap<InstId, Value>, mut to: Value) -> Value {
+    while let Value::Inst(t) = to {
+        match replace.get(&t) {
+            Some(&next) => to = next,
+            None => break,
+        }
+    }
+    to
+}
+
+/// Applies one block's eliminations: every use of a key of `replace`
+/// in the function becomes its replacement (one sweep over the
+/// operands), and the eliminated instructions leave the block (one
+/// `retain`). The result equals a `replace_all_uses` plus `remove_inst`
+/// per entry in recording order, because each replacement is already
+/// final.
+fn rewrite_block(f: &mut Function, bi: usize, replace: &FxHashMap<InstId, Value>) {
+    for data in &mut f.insts {
+        data.inst.for_each_operand_mut(|v| {
+            if let Value::Inst(i) = *v {
+                if let Some(&to) = replace.get(&i) {
+                    *v = to;
+                }
+            }
+        });
+    }
+    f.blocks[bi].insts.retain(|id| !replace.contains_key(id));
+    for &id in replace.keys() {
+        *f.inst_mut(id) = Inst::Removed;
     }
 }
 

@@ -6,11 +6,11 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::{AliasResult, LocationSize, MemoryLocation};
 use oraql_analysis::memssa::{MemAccess, MemorySsa};
+use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
-use std::collections::HashMap;
 
 /// The pass.
 pub struct Gvn;
@@ -29,7 +29,7 @@ impl Pass for Gvn {
         let dt = DomTree::build(m.func(fid));
         let mssa = MemorySsa::build(m.func(fid));
 
-        let mut load_table: HashMap<LoadKey, InstId> = HashMap::new();
+        let mut load_table: FxHashMap<LoadKey, InstId> = FxHashMap::default();
         let mut loads_deleted = 0u64;
         let mut forwarded = 0u64;
 
@@ -39,11 +39,10 @@ impl Pass for Gvn {
         for bb in rpo {
             let inst_ids: Vec<InstId> = m.func(fid).blocks[bb.0 as usize].insts.clone();
             for id in inst_ids {
-                let inst = m.func(fid).inst(id).clone();
-                let Inst::Load { ptr, ty, .. } = inst else {
+                let f = m.func(fid);
+                let &Inst::Load { ptr, ty, .. } = f.inst(id) else {
                     continue;
                 };
-                let f = m.func(fid);
                 let Some(loc) = MemoryLocation::of_access(f, id) else {
                     continue;
                 };

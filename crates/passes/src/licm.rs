@@ -6,10 +6,10 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::MemoryLocation;
 use oraql_analysis::loops::{Loop, LoopForest};
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{BinOp, Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
 use oraql_ir::value::{BlockId, Value};
-use std::collections::HashSet;
 
 /// The pass.
 pub struct Licm;
@@ -21,6 +21,8 @@ impl Pass for Licm {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let dt = DomTree::build(m.func(fid));
+        // LICM moves instructions, never edges, so the forest's
+        // predecessor lists stay valid for every preheader query.
         let forest = LoopForest::build(m.func(fid), &dt);
         // Innermost loops first: hoisting into an inner preheader (which
         // lives in the outer loop) lets the outer loop hoist further.
@@ -29,11 +31,11 @@ impl Pass for Licm {
         let mut hoisted_loads = 0u64;
         let mut hoisted_exprs = 0u64;
         for li in order {
-            let l = forest.loops[li].clone();
-            let Some(pre) = forest.preheader(m.func(fid), &l) else {
+            let l = &forest.loops[li];
+            let Some(pre) = forest.preheader(l) else {
                 continue;
             };
-            let (loads, exprs) = hoist_loop(m, fid, cx, &dt, &l, pre);
+            let (loads, exprs) = hoist_loop(m, fid, cx, &dt, l, pre);
             hoisted_loads += loads;
             hoisted_exprs += exprs;
         }
@@ -44,7 +46,7 @@ impl Pass for Licm {
 
 /// Is `v` invariant w.r.t. the loop, given the set of loop-defined
 /// instructions still inside the loop?
-fn is_invariant(v: Value, in_loop: &HashSet<InstId>) -> bool {
+fn is_invariant(v: Value, in_loop: &FxHashSet<InstId>) -> bool {
     match v {
         Value::Inst(i) => !in_loop.contains(&i),
         _ => true,
@@ -85,7 +87,7 @@ fn hoist_loop(
     };
 
     // Instructions currently defined inside the loop.
-    let mut in_loop: HashSet<InstId> = {
+    let mut in_loop: FxHashSet<InstId> = {
         let f = m.func(fid);
         l.blocks
             .iter()
@@ -113,8 +115,7 @@ fn hoist_loop(
             if !in_loop.contains(&id) {
                 continue;
             }
-            let inst = m.func(fid).inst(id).clone();
-            match &inst {
+            match m.func(fid).inst(id) {
                 i if speculatable_pure(i) => {
                     let mut inv = true;
                     i.for_each_operand(|v| inv &= is_invariant(v, &in_loop));
@@ -125,8 +126,8 @@ fn hoist_loop(
                         moved_any = true;
                     }
                 }
-                Inst::Load { ptr, .. } => {
-                    if !is_invariant(*ptr, &in_loop) {
+                &Inst::Load { ptr, .. } => {
+                    if !is_invariant(ptr, &in_loop) {
                         continue;
                     }
                     // The load must execute on every iteration so the

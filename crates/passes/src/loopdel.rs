@@ -7,10 +7,10 @@
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::loops::{Loop, LoopForest};
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
 use oraql_ir::value::BlockId;
-use std::collections::HashSet;
 
 /// The pass.
 pub struct LoopDeletion;
@@ -22,7 +22,9 @@ impl Pass for LoopDeletion {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut deleted = 0u64;
-        // Recompute the forest after each deletion (block sets change).
+        // Recompute the forest after each deletion (block sets and
+        // edges change); `try_delete` edits nothing before its last
+        // preheader query.
         loop {
             let dt = DomTree::build(m.func(fid));
             let forest = LoopForest::build(m.func(fid), &dt);
@@ -44,7 +46,7 @@ impl Pass for LoopDeletion {
 
 fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) -> bool {
     let f = m.func(fid);
-    let Some(pre) = forest.preheader(f, l) else {
+    let Some(pre) = forest.preheader(l) else {
         return false;
     };
     let exits = forest.exit_blocks(f, l);
@@ -80,7 +82,7 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
     }
 
     // No value defined inside the loop used outside it.
-    let defined: HashSet<InstId> = loop_insts.iter().copied().collect();
+    let defined: FxHashSet<InstId> = loop_insts.iter().copied().collect();
     for bi in 0..f.blocks.len() {
         let bb = BlockId(bi as u32);
         if l.blocks.contains(&bb) {

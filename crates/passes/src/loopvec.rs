@@ -15,11 +15,11 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::{AliasResult, MemoryLocation};
 use oraql_analysis::loops::LoopForest;
+use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{BinOp, CastKind, CmpPred, GepOffset, Inst, InstId};
 use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::{BlockId, Value};
-use std::collections::HashMap;
 
 /// Vectorization factor.
 pub const VF: i64 = 4;
@@ -34,7 +34,9 @@ impl Pass for LoopVectorize {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut vectorized = 0u64;
-        // Vectorizing appends blocks; collect candidates once.
+        // Vectorizing appends blocks and edges; collect candidates
+        // once, before any transform, while the forest's predecessor
+        // lists still describe the function.
         let dt = DomTree::build(m.func(fid));
         let forest = LoopForest::build(m.func(fid), &dt);
         let candidates: Vec<CanonLoop> = forest
@@ -77,7 +79,7 @@ fn recognize(
     if !l.blocks.contains(&body) || body == header {
         return None;
     }
-    let pre = forest.preheader(f, l)?;
+    let pre = forest.preheader(l)?;
     // Header must be exactly [phi, cmp, condbr].
     let h = &f.blocks[header.0 as usize].insts;
     if h.len() != 3 {
@@ -188,7 +190,7 @@ enum Role {
 }
 
 struct Plan {
-    roles: HashMap<InstId, Role>,
+    roles: FxHashMap<InstId, Role>,
 }
 
 /// Is `v` defined outside the loop body/header?
@@ -217,7 +219,7 @@ fn consec_gep(f: &Function, canon: &CanonLoop, id: InstId) -> Option<(Value, i64
 
 fn legalize(m: &Module, fid: FunctionId, cx: &mut PassCx<'_>, canon: &CanonLoop) -> Option<Plan> {
     // Re-borrow the function locally for the pure structural phase.
-    let mut roles: HashMap<InstId, Role> = HashMap::new();
+    let mut roles: FxHashMap<InstId, Role> = FxHashMap::default();
     {
         let f = m.func(fid);
         let body = &f.blocks[canon.body.0 as usize].insts;
@@ -539,9 +541,9 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
 
     // 5. Vector body: clone lane-wise.
     let body_ids: Vec<InstId> = f.blocks[canon.body.0 as usize].insts.clone();
-    let mut vec_map: HashMap<InstId, Value> = HashMap::new(); // vector values
-    let mut uni_map: HashMap<InstId, Value> = HashMap::new(); // scalar clones
-    let mut splat_cache: HashMap<(Value, Ty), Value> = HashMap::new();
+    let mut vec_map: FxHashMap<InstId, Value> = FxHashMap::default(); // vector values
+    let mut uni_map: FxHashMap<InstId, Value> = FxHashMap::default(); // scalar clones
+    let mut splat_cache: FxHashMap<(Value, Ty), Value> = FxHashMap::default();
 
     // Local helper: vectorize an operand (splat invariants/uniforms).
     fn vec_operand(
@@ -549,9 +551,9 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
         vb: BlockId,
         v: Value,
         scalar_ty: Ty,
-        vec_map: &HashMap<InstId, Value>,
-        uni_map: &HashMap<InstId, Value>,
-        splat_cache: &mut HashMap<(Value, Ty), Value>,
+        vec_map: &FxHashMap<InstId, Value>,
+        uni_map: &FxHashMap<InstId, Value>,
+        splat_cache: &mut FxHashMap<(Value, Ty), Value>,
     ) -> Value {
         if let Value::Inst(d) = v {
             if let Some(&vv) = vec_map.get(&d) {
@@ -568,7 +570,7 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
         vb: BlockId,
         v: Value,
         scalar_ty: Ty,
-        cache: &mut HashMap<(Value, Ty), Value>,
+        cache: &mut FxHashMap<(Value, Ty), Value>,
     ) -> Value {
         if let Some(&s) = cache.get(&(v, scalar_ty)) {
             return s;
@@ -586,7 +588,7 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
         Value::Inst(id)
     }
     // Resolve an operand that must stay scalar in the uniform clone.
-    fn uni_operand(v: Value, uni_map: &HashMap<InstId, Value>) -> Value {
+    fn uni_operand(v: Value, uni_map: &FxHashMap<InstId, Value>) -> Value {
         match v {
             Value::Inst(d) => uni_map.get(&d).copied().unwrap_or(v),
             _ => v,

@@ -20,6 +20,9 @@ impl Pass for MachineSink {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut sunk = 0u64;
+        // Sinking moves instructions, never edges: one predecessor map
+        // serves the whole run.
+        let preds = cfg::predecessors(m.func(fid));
         // Iterate until no more motion; sinking one inst can enable its
         // operands to sink too.
         loop {
@@ -31,7 +34,6 @@ impl Pass for MachineSink {
                 if succs.len() != 2 {
                     continue; // only branchy blocks benefit
                 }
-                let preds = cfg::predecessors(m.func(fid));
                 // Candidates, scanned backwards so dependent chains sink
                 // in the right order across iterations.
                 let ids: Vec<InstId> = m.func(fid).blocks[bi].insts.clone();

@@ -9,6 +9,10 @@ set -eux
 # below run.
 cargo build --release --offline --workspace
 cargo test -q --offline
+# The unit tests of the compiler crates (driver, CFG, loops, MemorySSA,
+# EarlyCSE, GVN, the interpreter, ...): `cargo test` at the root runs
+# only the umbrella package's.
+cargo test -q --offline -p oraql -p oraql-ir -p oraql-analysis -p oraql-passes -p oraql-vm
 # The differential suite is the equivalence gate for the two interpreter
 # modes (tree-walk reference vs. pre-decoded executor); run it by name so
 # a filtered `cargo test` invocation can never silently skip it.
@@ -19,6 +23,9 @@ cargo test -q --offline --test differential_interp
 # block-position index of MemorySSA and dominance against a linear scan.
 cargo test -q --offline --test suite_golden
 cargo test -q --offline --test analysis_index
+# The CFG facts passes reuse (a loop forest's preheaders, MachineSink's
+# one predecessor map, inline successors) against fresh ones, by name.
+cargo test -q --offline --test cfg_reuse
 # The persistent verdict store's robustness gates (journal recovery,
 # warm-run determinism), likewise by name.
 cargo test -q --offline -p oraql-store
@@ -62,6 +69,10 @@ cargo test -q --offline -p oraql-served --test wire_chaos
 cargo test -q --offline -p oraql-served --test crash_torture
 cargo test -q --offline -p oraql-served --test reconnect_storm
 cargo test -q --offline --test chaos_net
+# The benchmark (its own Cargo workspace) links these crates' public
+# API; building and testing it here (13 tests, the traced loop's
+# fidelity gate among them) shows an API break before a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
