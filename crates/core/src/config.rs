@@ -15,8 +15,18 @@
 //! fuel = 500000000
 //! max_tests = 4096
 //! ```
+//!
+//! A file describes the benchmark, not the run environment. A key
+//! exists when no flag sets its value (`files`, `target`, `ignore`,
+//! `reference`, `fuel`, `use_cfl`) or when a file in `configs/` sets
+//! it (`benchmark`, `strategy`, `max_tests`, `dump`); for those four a
+//! flag wins wherever it appears. Everything else — journal, server,
+//! fault plan, deadline, metrics and spans paths, the soundness gate —
+//! is a flag only, and a file naming it fails with `unknown key`.
+//! [`Config::apply`] is the one place a config reaches a run.
 
 use crate::compile::Scope;
+use crate::driver::{DriverOptions, TestCase};
 use crate::strategy::Strategy;
 
 /// Parsed configuration.
@@ -40,31 +50,6 @@ pub struct Config {
     pub use_cfl: bool,
     /// Dump report after the run.
     pub dump: bool,
-    /// Persistent verdict-store journal path (`store = <path>`; the
-    /// CLI's `--no-store` overrides it).
-    pub store: Option<String>,
-    /// Verdict-server address (`server = host:port` or `server =
-    /// unix:<path>`; the CLI's `--no-server` overrides it). Attaches
-    /// `oraql-served` as a third cache tier behind the local store.
-    pub server: Option<String>,
-    /// Fault-injection plan spec (`fault_plan = seed=42,vm-trap=1/16`;
-    /// see `oraql_faults::FaultPlan::parse`). Validated at parse time.
-    pub fault_plan: Option<String>,
-    /// Wall-clock watchdog per probe attempt, in milliseconds
-    /// (`probe_deadline_ms = 2000`; 0 disables).
-    pub probe_deadline_ms: u64,
-    /// Metrics exposition output path (`metrics_out = <path>`; CLI
-    /// flag `--metrics-out`). At the end of the run the registry
-    /// snapshot is written there as Prometheus-style text.
-    pub metrics_out: Option<String>,
-    /// Span-trace output path (`spans_out = <path>`; CLI flag
-    /// `--spans-out`). Enables span tracing; one JSONL line per span.
-    pub spans_out: Option<String>,
-    /// Ground-truth soundness gate for generated (`gen:`) benchmarks
-    /// (`soundness_gate = false` disables; CLI flag `--no-gate`). On by
-    /// default; ignored for hand-written benchmarks, which have no
-    /// labels to check against.
-    pub soundness_gate: bool,
 }
 
 impl Default for Config {
@@ -79,13 +64,6 @@ impl Default for Config {
             max_tests: 4_096,
             use_cfl: false,
             dump: false,
-            store: None,
-            server: None,
-            fault_plan: None,
-            probe_deadline_ms: 0,
-            metrics_out: None,
-            spans_out: None,
-            soundness_gate: true,
         }
     }
 }
@@ -135,45 +113,6 @@ impl Config {
                         .parse()
                         .map_err(|e| format!("line {}: bad dump: {e}", ln + 1))?
                 }
-                "store" => {
-                    if value.is_empty() {
-                        return Err(format!("line {}: store needs a path", ln + 1));
-                    }
-                    cfg.store = Some(value.to_owned());
-                }
-                "server" => {
-                    if value.is_empty() {
-                        return Err(format!("line {}: server needs an address", ln + 1));
-                    }
-                    cfg.server = Some(value.to_owned());
-                }
-                "fault_plan" => {
-                    oraql_faults::FaultPlan::parse(value)
-                        .map_err(|e| format!("line {}: {e}", ln + 1))?;
-                    cfg.fault_plan = Some(value.to_owned());
-                }
-                "metrics_out" => {
-                    if value.is_empty() {
-                        return Err(format!("line {}: metrics_out needs a path", ln + 1));
-                    }
-                    cfg.metrics_out = Some(value.to_owned());
-                }
-                "spans_out" => {
-                    if value.is_empty() {
-                        return Err(format!("line {}: spans_out needs a path", ln + 1));
-                    }
-                    cfg.spans_out = Some(value.to_owned());
-                }
-                "probe_deadline_ms" => {
-                    cfg.probe_deadline_ms = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad probe_deadline_ms: {e}", ln + 1))?
-                }
-                "soundness_gate" => {
-                    cfg.soundness_gate = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad soundness_gate: {e}", ln + 1))?
-                }
                 other => return Err(format!("line {}: unknown key {other:?}", ln + 1)),
             }
         }
@@ -187,6 +126,26 @@ impl Config {
     pub fn load(path: &str) -> Result<Config, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Self::parse(&src)
+    }
+
+    /// Lets this config reach a run: the one place a config value is
+    /// copied into a [`TestCase`] or [`DriverOptions`]. Scope and
+    /// ignore patterns replace the case's own only when the file sets
+    /// them; references, fuel and `use_cfl` are always copied; strategy
+    /// and test budget go into `opts`, where a flag may then override
+    /// them.
+    pub fn apply(&self, case: &mut TestCase, opts: &mut DriverOptions) {
+        if self.scope != Scope::everything() {
+            case.scope = self.scope.clone();
+        }
+        if !self.ignore.is_empty() {
+            case.ignore_patterns = self.ignore.clone();
+        }
+        case.extra_references = self.references.clone();
+        case.fuel = self.fuel;
+        case.use_cfl = self.use_cfl;
+        opts.strategy = self.strategy;
+        opts.max_tests = self.max_tests;
     }
 }
 
@@ -238,69 +197,38 @@ mod tests {
         assert!(Config::parse("benchmark = x\nwhat = y\n").is_err());
         assert!(Config::parse("benchmark = x\nfuel = lots\n").is_err());
         assert!(Config::parse("benchmark = x\nnonsense line\n").is_err());
-        assert!(Config::parse("benchmark = x\nstore =\n").is_err());
-        assert!(Config::parse("benchmark = x\nserver =\n").is_err());
-        assert!(Config::parse("benchmark = x\nmetrics_out =\n").is_err());
-        assert!(Config::parse("benchmark = x\nspans_out =\n").is_err());
+        // Run settings a flag sets are not keys.
+        for line in [
+            "store = j",
+            "server = 127.0.0.1:7437",
+            "fault_plan = seed=9,vm-trap=1/8",
+            "probe_deadline_ms = 1500",
+            "metrics_out = m.prom",
+            "spans_out = s.jsonl",
+            "soundness_gate = true",
+        ] {
+            let err = Config::parse(&format!("benchmark = x\n{line}\n")).unwrap_err();
+            assert!(err.contains("unknown key"), "{line}: {err}");
+        }
     }
 
     #[test]
-    fn parses_observability_paths() {
-        let cfg = Config::parse(
-            "benchmark = x\n\
-             metrics_out = out/metrics.prom\n\
-             spans_out = out/spans.jsonl\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.metrics_out.as_deref(), Some("out/metrics.prom"));
-        assert_eq!(cfg.spans_out.as_deref(), Some("out/spans.jsonl"));
-        let d = Config::parse("benchmark = x\n").unwrap();
-        assert_eq!(d.metrics_out, None);
-        assert_eq!(d.spans_out, None);
-    }
-
-    #[test]
-    fn parses_store_path() {
-        let cfg = Config::parse("benchmark = x\nstore = .oraql/verdicts.journal\n").unwrap();
-        assert_eq!(cfg.store.as_deref(), Some(".oraql/verdicts.journal"));
-        assert_eq!(Config::parse("benchmark = x\n").unwrap().store, None);
-    }
-
-    #[test]
-    fn parses_server_address() {
-        let cfg = Config::parse("benchmark = x\nserver = 127.0.0.1:7437\n").unwrap();
-        assert_eq!(cfg.server.as_deref(), Some("127.0.0.1:7437"));
-        let cfg = Config::parse("benchmark = x\nserver = unix:/run/oraql.sock\n").unwrap();
-        assert_eq!(cfg.server.as_deref(), Some("unix:/run/oraql.sock"));
-        assert_eq!(Config::parse("benchmark = x\n").unwrap().server, None);
-    }
-
-    #[test]
-    fn parses_fault_plan_and_deadline() {
-        let cfg = Config::parse(
-            "benchmark = x\n\
-             fault_plan = seed=9,vm-trap=1/8,compile-panic=1/16\n\
-             probe_deadline_ms = 1500\n",
-        )
-        .unwrap();
-        assert_eq!(
-            cfg.fault_plan.as_deref(),
-            Some("seed=9,vm-trap=1/8,compile-panic=1/16")
-        );
-        assert_eq!(cfg.probe_deadline_ms, 1500);
-        let d = Config::parse("benchmark = x\n").unwrap();
-        assert_eq!(d.fault_plan, None);
-        assert_eq!(d.probe_deadline_ms, 0);
-        // A malformed plan is rejected at parse time, not at run time.
-        assert!(Config::parse("benchmark = x\nfault_plan = bogus-site=1/2\n").is_err());
-        assert!(Config::parse("benchmark = x\nprobe_deadline_ms = soon\n").is_err());
-    }
-
-    #[test]
-    fn parses_soundness_gate() {
-        let cfg = Config::parse("benchmark = x\nsoundness_gate = false\n").unwrap();
-        assert!(!cfg.soundness_gate);
-        assert!(Config::parse("benchmark = x\n").unwrap().soundness_gate);
-        assert!(Config::parse("benchmark = x\nsoundness_gate = perhaps\n").is_err());
+    fn apply_copies_scope_and_ignore_only_when_set() {
+        let mut case = TestCase::new("x", || oraql_ir::module::Module::new("x"));
+        case.scope.target = Some("device".into());
+        case.ignore_patterns = vec!["Runtime: <int> cycles".into()];
+        let mut opts = DriverOptions::default();
+        let cfg = Config::parse("benchmark = x\nfuel = 9\nmax_tests = 3\nstrategy = frequency\n")
+            .unwrap();
+        cfg.apply(&mut case, &mut opts);
+        assert_eq!(case.scope.target.as_deref(), Some("device"));
+        assert_eq!(case.ignore_patterns.len(), 1);
+        assert_eq!((case.fuel, opts.max_tests), (9, 3));
+        assert_eq!(opts.strategy, Strategy::FrequencySpace);
+        let cfg = Config::parse("benchmark = x\nfiles = a.cpp\nignore = FOM: <any>\n").unwrap();
+        cfg.apply(&mut case, &mut opts);
+        assert_eq!(case.scope, cfg.scope);
+        assert_eq!(case.ignore_patterns, cfg.ignore);
+        assert_eq!(case.fuel, oraql_vm::DEFAULT_FUEL);
     }
 }

@@ -75,12 +75,12 @@
 //! deterministic fault-injection plan ([`DriverOptions::faults`], see
 //! the `oraql-faults` crate). An attempt that panics, times out, traps
 //! with an injected VM error, or produces garbled output is classified
-//! as a [`ProbeFailure`] and retried with a short backoff
-//! ([`DriverOptions::probe_retries`] times). A probe whose attempts are
-//! all exhausted is **quarantined**: it answers with the pessimistic
-//! may-alias verdict (`pass = false`, the always-safe direction — the
-//! bisection strategies only ever *add* pessimism for failing probes,
-//! and the final verification gate still backstops the result),
+//! as a [`ProbeFailure`] and retried twice with a short backoff. A
+//! probe whose attempts are all exhausted is **quarantined**: it
+//! answers with the pessimistic may-alias verdict (`pass = false`,
+//! the always-safe direction — the bisection strategies only ever
+//! *add* pessimism for failing probes, and the final verification gate
+//! still backstops the result),
 //! nothing is written to any cache or the persistent store, and the
 //! answer is traced as [`ProbeKind::Faulted`]. Counts surface in
 //! [`DriverResult::failures`]. A panic in the *baseline or final*
@@ -201,9 +201,6 @@ pub struct DriverOptions {
     /// run inline with no extra thread, so the fault-free fast path
     /// pays nothing beyond a `catch_unwind`.
     pub probe_deadline: Option<Duration>,
-    /// How many times a failed probe attempt is retried (with a short
-    /// backoff) before the probe is quarantined to may-alias.
-    pub probe_retries: u32,
     /// Ground-truth alias labels for the corpus soundness gate (see
     /// [`crate::truth`]). When set, every final verdict is
     /// cross-checked against the labels after verification; a kept
@@ -228,7 +225,6 @@ impl Default for DriverOptions {
             server: None,
             faults: None,
             probe_deadline: None,
-            probe_retries: 2,
             ground_truth: None,
         }
     }
@@ -643,8 +639,6 @@ struct ProbeEngine {
     faults: Option<Arc<FaultInjector>>,
     /// Optional wall-clock watchdog per attempt.
     deadline: Option<Duration>,
-    /// Retries before a failing probe is quarantined.
-    retries: u32,
     /// Decisions digests whose probes exhausted every retry: answered
     /// may-alias immediately, never re-attempted, never persisted.
     quarantine: Mutex<HashSet<u64>>,
@@ -669,6 +663,10 @@ const FUEL_LIE_CAP: u64 = 24;
 
 /// The safe degradation verdict: may-alias, no unique-count claim.
 const MAY_ALIAS: Verdict = (false, 0);
+
+/// Retries of a failed probe attempt (each after a short backoff)
+/// before the probe is quarantined to may-alias.
+const PROBE_RETRIES: u64 = 2;
 
 /// Best-effort human-readable panic payload.
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -758,7 +756,7 @@ impl ProbeEngine {
     }
 
     /// Answers one probe through the sandbox: quarantine short-circuit,
-    /// then up to `1 + retries` attempts, each under `catch_unwind`
+    /// then up to `1 + PROBE_RETRIES` attempts, each under `catch_unwind`
     /// (plus a watchdog thread when a deadline is configured). Never
     /// panics and never blocks past the configured deadline-per-attempt
     /// times the retry budget. The answer is accounted here, so an
@@ -775,7 +773,7 @@ impl ProbeEngine {
             if lock_ignore_poison(&self.quarantine).contains(&digest) {
                 break 'answered (Answer::Faulted, MAY_ALIAS);
             }
-            let attempts = 1 + self.retries as u64;
+            let attempts = 1 + PROBE_RETRIES;
             for attempt_no in 0..attempts {
                 let fx = self.sample_attempt();
                 let outcome = match self.deadline {
@@ -1136,7 +1134,6 @@ impl Driver {
             case_span: case_id,
             faults: opts.faults.clone(),
             deadline: opts.probe_deadline,
-            retries: opts.probe_retries,
             quarantine: Mutex::new(HashSet::new()),
         });
         let mut driver = Driver { opts, engine };
@@ -1628,7 +1625,6 @@ mod tests {
             let mut opts = chaos_opts(plan);
             opts.strategy = strategy;
             opts.max_tests = 12; // attempts consume budget: keep the walk short
-            opts.probe_retries = 1;
             opts.trace = Some(sink.clone());
             let case = mixed_case(3, 1, 0);
             let r = Driver::run(&case, opts).expect("sandbox must contain every panic");

@@ -200,7 +200,7 @@ impl Rate {
 
 /// A parsed, immutable fault plan: seed plus one rate per site.
 ///
-/// Spec syntax (CLI `--fault-plan`, config `fault_plan =`): a
+/// Spec syntax (CLI `--fault-plan`): a
 /// comma-separated list of `key=value` items. `seed=<u64>` sets the
 /// seed (default 0); every other key is a [`FaultSite`] name with a
 /// `num/den` rational (or `0` to disable). Example:

@@ -34,23 +34,49 @@ fn config_text_of(plan: &GenPlan, g: &GenCase) -> String {
     format!(
         "# generated by oraql-gen; regenerate with: oraql gen --plan \"{}\"\n\
          # motifs: {}  labels: no={no} may={may} must={must}\n\
-         benchmark = {}\n\
-         soundness_gate = true\n",
+         benchmark = {}\n",
         plan.render(),
         motifs.join("+"),
         g.case.name,
     )
 }
 
-fn manifest_line(index: u32, g: &GenCase) -> String {
-    let (no, may, must) = g.truth.counts();
-    let motifs: Vec<&str> = g.motifs.iter().map(|m| m.as_str()).collect();
-    format!(
-        "{}  {}  no={no} may={may} must={must}  motifs={}\n",
-        case_file_name(index),
-        g.case.name,
-        motifs.join("+"),
-    )
+/// The manifest as its cases are composed: label totals plus one line
+/// per case file.
+#[derive(Default)]
+struct Manifest {
+    labels: (usize, usize, usize),
+    lines: String,
+}
+
+impl Manifest {
+    fn add(&mut self, index: u32, g: &GenCase) {
+        let (no, may, must) = g.truth.counts();
+        self.labels.0 += no;
+        self.labels.1 += may;
+        self.labels.2 += must;
+        let motifs: Vec<&str> = g.motifs.iter().map(|m| m.as_str()).collect();
+        self.lines.push_str(&format!(
+            "{}  {}  no={no} may={may} must={must}  motifs={}\n",
+            case_file_name(index),
+            g.case.name,
+            motifs.join("+"),
+        ));
+    }
+
+    fn render(&self, plan: &GenPlan) -> String {
+        let (no, may, must) = self.labels;
+        format!(
+            "# oraql-gen corpus manifest\n\
+             plan = {}\n\
+             cases = {}\n\
+             labels = no={no} may={may} must={must}\n\
+             {}",
+            plan.render(),
+            plan.cases,
+            self.lines,
+        )
+    }
 }
 
 /// Renders the config file for case `index` of `plan`.
@@ -61,28 +87,11 @@ pub fn config_text(plan: &GenPlan, index: u32) -> String {
 /// Renders the corpus manifest: the plan, per-case files, and label
 /// tallies.
 pub fn manifest_text(plan: &GenPlan) -> String {
-    let mut total = (0usize, 0usize, 0usize);
-    let mut lines = String::new();
+    let mut manifest = Manifest::default();
     for index in 0..plan.cases {
-        let g = compose(plan, index);
-        let (no, may, must) = g.truth.counts();
-        total.0 += no;
-        total.1 += may;
-        total.2 += must;
-        lines.push_str(&manifest_line(index, &g));
+        manifest.add(index, &compose(plan, index));
     }
-    format!(
-        "# oraql-gen corpus manifest\n\
-         plan = {}\n\
-         cases = {}\n\
-         labels = no={} may={} must={}\n\
-         {lines}",
-        plan.render(),
-        plan.cases,
-        total.0,
-        total.1,
-        total.2,
-    )
+    manifest.render(plan)
 }
 
 /// Writes the corpus for `plan` into `dir` (created if missing): one
@@ -90,31 +99,15 @@ pub fn manifest_text(plan: &GenPlan) -> String {
 /// overwriting — running it twice leaves byte-identical files.
 pub fn write_corpus(plan: &GenPlan, dir: &Path) -> io::Result<CorpusSummary> {
     std::fs::create_dir_all(dir)?;
-    let mut labels = (0usize, 0usize, 0usize);
-    let mut manifest = String::new();
+    let mut manifest = Manifest::default();
     for index in 0..plan.cases {
         let g = compose(plan, index);
-        let (no, may, must) = g.truth.counts();
-        labels.0 += no;
-        labels.1 += may;
-        labels.2 += must;
-        manifest.push_str(&manifest_line(index, &g));
+        manifest.add(index, &g);
         std::fs::write(dir.join(case_file_name(index)), config_text_of(plan, &g))?;
     }
-    let header = format!(
-        "# oraql-gen corpus manifest\n\
-         plan = {}\n\
-         cases = {}\n\
-         labels = no={} may={} must={}\n",
-        plan.render(),
-        plan.cases,
-        labels.0,
-        labels.1,
-        labels.2,
-    );
-    std::fs::write(dir.join("MANIFEST.txt"), header + &manifest)?;
+    std::fs::write(dir.join("MANIFEST.txt"), manifest.render(plan))?;
     Ok(CorpusSummary {
         cases: plan.cases,
-        labels,
+        labels: manifest.labels,
     })
 }

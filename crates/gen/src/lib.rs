@@ -178,7 +178,6 @@ mod tests {
                 let text = String::from_utf8(bytes.clone()).unwrap();
                 let cfg = oraql::config::Config::parse(&text).unwrap();
                 assert!(resolve(&cfg.benchmark).is_some(), "{}", cfg.benchmark);
-                assert!(cfg.soundness_gate);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -3,10 +3,10 @@
 //! ```text
 //! oraql --list
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
-//!       [--jobs N] [--trace <file.jsonl>]
-//!       [--store <journal>] [--no-store]
-//!       [--server <addr>] [--no-server]
-//!       [--fault-plan <spec>] [--probe-deadline-ms N]
+//!       [--max-tests N] [--jobs N] [--trace <file.jsonl>]
+//!       [--store <journal>] [--server <addr>]
+//!       [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
+//!       [--metrics-out <file.prom>] [--spans-out <file.jsonl>]
 //!       [--emit-sequence <file>]            # save the final decisions
 //! oraql --benchmark <name> --replay <seq>   # compile+run a saved
 //!                                           # sequence (or @file)
@@ -21,6 +21,12 @@
 //! effort, and (with `--dump`) the Fig. 3-style pessimistic-query
 //! report.
 //!
+//! `--config <file>` reads a benchmark description (see
+//! `oraql::config`); `Config::apply` is how it reaches every run,
+//! `--replay` included. A flag that a config key can also set
+//! (`--benchmark`, `--strategy`, `--max-tests`, `--dump`) wins wherever
+//! it appears on the command line.
+//!
 //! `--jobs N` (default 1): with `--all`, up to `N` benchmarks run at
 //! once, one thread each, and every benchmark probes sequentially with
 //! caches of its own. `1` is the sequential driver with byte-for-byte
@@ -31,8 +37,7 @@
 //!
 //! `--store <journal>` attaches the crash-safe persistent verdict store
 //! (`oraql-store`): probe verdicts are journaled across runs, so a warm
-//! re-run answers probes without compiling. A `store = <path>` config
-//! key does the same; `--no-store` overrides both.
+//! re-run answers probes without compiling.
 //!
 //! `--server <addr>` (host:port or `unix:<path>`) attaches the shared
 //! verdict server (`oraql-served`) as a third cache tier behind the
@@ -40,16 +45,16 @@
 //! computed verdicts are written through so concurrent drivers share
 //! one probe corpus. If the daemon is unreachable the client's circuit
 //! breaker fast-fails and the run falls back to the local tiers — a
-//! dead server never fails a probe. A `server = <addr>` config key does
-//! the same; `--no-server` overrides both.
+//! dead server never fails a probe.
 //!
 //! `--fault-plan <spec>` (e.g. `seed=42,vm-trap=1/16,compile-panic=1/32`)
 //! arms the deterministic fault injector on the probe path — chaos
 //! testing for the probe sandbox. Failed probes retry and then degrade
 //! to pessimistic may-alias; counters are reported per run and a fault
 //! summary is printed at exit. `--probe-deadline-ms N` puts each probe
-//! attempt under a wall-clock watchdog (0 disables). Config keys
-//! `fault_plan =` / `probe_deadline_ms =` do the same; the CLI wins.
+//! attempt under a wall-clock watchdog (0 disables). These two,
+//! `--jobs`, `--max-tests`, `--server` and `--no-gate` are parsed by
+//! `oraql_workloads::driver_flags`, which `oraql gen` shares.
 //!
 //! `--metrics-out <path>` writes the process-wide metrics registry
 //! (counters, gauges, latency histograms from driver, VM, store, and
@@ -57,8 +62,7 @@
 //! and prints an additive `--- metrics ---` summary section rendered
 //! from the same snapshot. `--spans-out <path>` enables span tracing:
 //! one JSONL line per `case > probe > compile|vm|verify|store|server`
-//! span. Config keys `metrics_out =` / `spans_out =` do the same; the
-//! CLI wins. Both are off by default, so default output is unchanged.
+//! span. Both are off by default, so default output is unchanged.
 //!
 //! `oraql trace` is the offline analyzer: it recomputes the Fig. 2 /
 //! Fig. 4 / Fig. 6 tables, the cache-tier funnel, per-case latency
@@ -71,28 +75,33 @@
 //! benchmark names everywhere a registered name is accepted —
 //! `--benchmark`, configs, `--replay` — and carry their label map: the
 //! driver cross-checks every final verdict against it (the soundness
-//! gate) unless `--no-gate` or `soundness_gate = false` disables it.
+//! gate) unless `--no-gate` disables it.
+
+use std::sync::Arc;
 
 use oraql::config::Config;
 use oraql::report::{render_report, render_trace_summary, DumpFlags};
 use oraql::trace::TraceSink;
-use oraql::{Driver, DriverOptions, DriverResult, Strategy, TestCase};
+use oraql::{Driver, DriverOptions, DriverResult, GroundTruth, Strategy, TestCase};
 use oraql_workloads as workloads;
+use workloads::driver_flags::DriverFlags;
 
+const USAGE: &str = "usage: oraql --list
+       oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]
+                [--jobs N] [--trace <file.jsonl>]
+                [--store <journal>] [--server <addr>]
+                [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
+                [--metrics-out <file.prom>] [--spans-out <file.jsonl>]
+                [--emit-sequence <file>]
+       oraql --benchmark <name> --replay <seq|@file>
+       oraql --config <file>
+       oraql --all [--jobs N]
+       oraql trace --probes <trace.jsonl> [--spans <spans.jsonl>] [--help]
+       oraql gen --plan <spec> [--out <dir>] [--run] [--no-gate] [--help]";
+
+/// A command line that names no run: usage on stderr, exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: oraql --list\n       \
-         oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]\n                \
-         [--jobs N] [--trace <file.jsonl>]\n                \
-         [--store <journal>] [--no-store]\n                \
-         [--server <addr>] [--no-server]\n                \
-         [--fault-plan <spec>] [--probe-deadline-ms N]\n                \
-         [--metrics-out <file.prom>] [--spans-out <file.jsonl>]\n       \
-         oraql --config <file>\n       \
-         oraql --all [--jobs N]\n       \
-         oraql trace --probes <trace.jsonl> [--spans <spans.jsonl>] [--help]\n       \
-         oraql gen --plan <spec> [--out <dir>] [--run] [--no-gate] [--help]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -108,26 +117,9 @@ fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
     }
 }
 
-/// Fetches and parses the value of `flag` or exits with a one-line
-/// error naming the flag and the expected shape.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str, want: &str) -> T {
-    let v = flag_value(args, i, flag);
-    match v.parse() {
-        Ok(x) => x,
-        Err(_) => {
-            eprintln!("bad {flag} {v:?}: expected {want}");
-            std::process::exit(2)
-        }
-    }
-}
-
 /// Compiles and runs one benchmark with a fixed decision sequence (the
 /// paper's "program compiled with (almost) perfect alias information").
-fn replay(name: &str, seq_arg: &str) -> i32 {
-    let Some((case, _)) = prepare_case(name, None) else {
-        eprintln!("unknown benchmark {name:?}; try --list");
-        return 2;
-    };
+fn replay(name: &str, case: &TestCase, seq_arg: &str) -> i32 {
     let decisions = match oraql::Decisions::from_arg(seq_arg) {
         Ok(d) => d,
         Err(e) => {
@@ -169,31 +161,15 @@ fn replay(name: &str, seq_arg: &str) -> i32 {
 
 /// Looks up a registered case — or reconstructs a generated one from
 /// its `gen:<plan>#<index>` name, together with its ground-truth label
-/// map — and applies config-file overrides.
-fn prepare_case(
-    name: &str,
-    cfg: Option<&Config>,
-) -> Option<(TestCase, Option<std::sync::Arc<oraql::GroundTruth>>)> {
-    let (mut case, truth) = match workloads::find_case(name) {
-        Some(c) => (c, None),
+/// map.
+fn resolve_case(name: &str) -> Option<(TestCase, Option<Arc<GroundTruth>>)> {
+    match workloads::find_case(name) {
+        Some(c) => Some((c, None)),
         None => {
             let g = oraql_gen::resolve(name)?;
-            (g.case, Some(std::sync::Arc::new(g.truth)))
+            Some((g.case, Some(Arc::new(g.truth))))
         }
-    };
-    if let Some(cfg) = cfg {
-        // Config overrides the registry defaults.
-        if cfg.scope != oraql::compile::Scope::everything() {
-            case.scope = cfg.scope.clone();
-        }
-        if !cfg.ignore.is_empty() {
-            case.ignore_patterns = cfg.ignore.clone();
-        }
-        case.extra_references = cfg.references.clone();
-        case.fuel = cfg.fuel;
-        case.use_cfl = cfg.use_cfl;
     }
-    Some((case, truth))
 }
 
 /// Prints one driver result in the report format; returns the exit code.
@@ -299,21 +275,13 @@ fn print_result(
 
 fn run_one(
     name: &str,
-    mut opts: DriverOptions,
+    case: &TestCase,
+    opts: DriverOptions,
     dump: bool,
-    cfg: Option<&Config>,
     emit_sequence: Option<&str>,
-    gate: bool,
 ) -> i32 {
-    let Some((case, truth)) = prepare_case(name, cfg) else {
-        eprintln!("unknown benchmark {name:?}; try --list");
-        return 2;
-    };
-    if gate {
-        opts.ground_truth = truth;
-    }
     let jobs = opts.jobs;
-    match Driver::run(&case, opts) {
+    match Driver::run(case, opts) {
         Ok(r) => print_result(name, &r, jobs, dump, emit_sequence),
         Err(e) => {
             eprintln!("{name}: driver failed: {e}");
@@ -324,12 +292,8 @@ fn run_one(
 
 /// `--all`: every registered benchmark, up to `--jobs` of them at once.
 /// Reports are printed in registry order either way.
-fn run_all(opts: &DriverOptions, dump: bool, cfg: Option<&Config>) -> i32 {
-    let cases: Vec<TestCase> = workloads::CASE_INFOS
-        .iter()
-        .filter_map(|info| prepare_case(info.name, cfg).map(|(c, _)| c))
-        .collect();
-    let results = oraql::run_suite(&cases, opts);
+fn run_all(cases: &[TestCase], opts: &DriverOptions, dump: bool) -> i32 {
+    let results = oraql::run_suite(cases, opts);
     let mut worst = 0;
     for (case, result) in cases.iter().zip(&results) {
         match result {
@@ -367,28 +331,24 @@ fn main() {
     }
     let mut benchmark: Option<String> = None;
     let mut config: Option<Config> = None;
-    let mut opts = DriverOptions::default();
+    let mut flags = DriverFlags::default();
     let mut dump = false;
     let mut all = false;
     let mut strategy: Option<Strategy> = None;
-    let mut max_tests: Option<u64> = None;
     let mut emit_sequence: Option<String> = None;
     let mut replay_seq: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut store_path: Option<String> = None;
-    let mut no_store = false;
-    let mut server_addr: Option<String> = None;
-    let mut no_server = false;
-    let mut fault_plan: Option<String> = None;
-    let mut probe_deadline_ms: Option<u64> = None;
     let mut metrics_out: Option<String> = None;
     let mut spans_out: Option<String> = None;
-    let mut no_gate = false;
     let mut i = 0;
     while i < args.len() {
-        let flag = args[i].clone();
-        let flag = flag.as_str();
+        let flag = args[i].as_str();
         match flag {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--list" => {
                 for info in workloads::CASE_INFOS
                     .iter()
@@ -400,7 +360,6 @@ fn main() {
             }
             "--all" => all = true,
             "--dump" => dump = true,
-            "--no-gate" => no_gate = true,
             "--benchmark" | "-b" => benchmark = Some(flag_value(&args, &mut i, flag)),
             "--strategy" | "-s" => {
                 let v = flag_value(&args, &mut i, flag);
@@ -411,53 +370,64 @@ fn main() {
             }
             "--emit-sequence" => emit_sequence = Some(flag_value(&args, &mut i, flag)),
             "--replay" => replay_seq = Some(flag_value(&args, &mut i, flag)),
-            "--max-tests" => {
-                max_tests = Some(parsed_flag(&args, &mut i, flag, "an integer probe budget"));
-            }
-            "--jobs" | "-j" => {
-                opts.jobs = parsed_flag(&args, &mut i, flag, "an integer >= 1");
-                if opts.jobs < 1 {
-                    eprintln!("bad {flag}: expected an integer >= 1");
-                    std::process::exit(2)
-                }
-            }
             "--trace" => trace_path = Some(flag_value(&args, &mut i, flag)),
             "--store" => store_path = Some(flag_value(&args, &mut i, flag)),
-            "--no-store" => no_store = true,
-            "--server" => server_addr = Some(flag_value(&args, &mut i, flag)),
-            "--no-server" => no_server = true,
-            "--fault-plan" => fault_plan = Some(flag_value(&args, &mut i, flag)),
             "--metrics-out" => metrics_out = Some(flag_value(&args, &mut i, flag)),
             "--spans-out" => spans_out = Some(flag_value(&args, &mut i, flag)),
-            "--probe-deadline-ms" => {
-                probe_deadline_ms = Some(parsed_flag(&args, &mut i, flag, "a millisecond count"));
-            }
             "--config" | "-c" => {
                 let path = flag_value(&args, &mut i, flag);
-                let cfg = Config::load(&path).unwrap_or_else(|e| {
+                config = Some(Config::load(&path).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     std::process::exit(2)
-                });
-                benchmark = Some(cfg.benchmark.clone());
-                dump |= cfg.dump;
-                config = Some(cfg);
+                }));
             }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                usage()
-            }
+            _ => match flags.parse(&args, &mut i) {
+                Ok(true) => {}
+                Ok(false) => {
+                    eprintln!("unknown flag {flag:?}");
+                    usage()
+                }
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(2)
+                }
+            },
         }
         i += 1;
     }
-    // CLI --strategy / --max-tests win over the config keys, wherever
-    // they appear on the command line.
-    let cfg = config.as_ref();
-    opts.strategy = strategy
-        .or(cfg.map(|c| c.strategy))
-        .unwrap_or(opts.strategy);
-    opts.max_tests = max_tests
-        .or(cfg.map(|c| c.max_tests))
-        .unwrap_or(opts.max_tests);
+
+    // `--replay` needs a benchmark; then `--all`; then one benchmark.
+    let benchmark = benchmark.or_else(|| config.as_ref().map(|c| c.benchmark.clone()));
+    let replay_seq = replay_seq.filter(|_| benchmark.is_some());
+    let names: Vec<&str> = match &benchmark {
+        _ if all && replay_seq.is_none() => workloads::CASE_INFOS.iter().map(|c| c.name).collect(),
+        Some(name) => vec![name],
+        None => usage(),
+    };
+    // The config reaches every case and the options through
+    // `Config::apply`; the flags go on top, so a flag wins over the
+    // config wherever it appears.
+    let mut opts = DriverOptions::default();
+    let mut cases = Vec::with_capacity(names.len());
+    for name in &names {
+        let Some((mut case, truth)) = resolve_case(name) else {
+            eprintln!("unknown benchmark {name:?}; try --list");
+            std::process::exit(2)
+        };
+        if let Some(cfg) = &config {
+            cfg.apply(&mut case, &mut opts);
+        }
+        // Only a generated case has labels for the gate to check.
+        if flags.gate {
+            opts.ground_truth = truth;
+        }
+        cases.push(case);
+    }
+    flags.apply(&mut opts);
+    if let Some(s) = strategy {
+        opts.strategy = s;
+    }
+    let dump = dump || config.as_ref().is_some_and(|c| c.dump);
     opts.trace_passes = dump;
     let sink = trace_path.as_deref().map(|p| {
         TraceSink::to_file(p).unwrap_or_else(|e| {
@@ -467,11 +437,8 @@ fn main() {
     });
     opts.trace = sink.clone();
 
-    // CLI --metrics-out / --spans-out win over the config keys. The
-    // span sink streams to its file as spans close; the metrics
+    // The span sink streams to its file as spans close; the metrics
     // exposition is written once at exit.
-    let metrics_out = metrics_out.or_else(|| config.as_ref().and_then(|c| c.metrics_out.clone()));
-    let spans_out = spans_out.or_else(|| config.as_ref().and_then(|c| c.spans_out.clone()));
     let spans = spans_out.as_deref().map(|p| {
         oraql_obs::SpanSink::to_file(std::path::Path::new(p)).unwrap_or_else(|e| {
             eprintln!("cannot open spans file {p}: {e}");
@@ -483,15 +450,8 @@ fn main() {
     // if the process (e.g. under a test harness) did earlier work.
     let snap0 = oraql_obs::global().snapshot();
 
-    // CLI --store wins over the config's `store =` key; --no-store
-    // disables both.
-    let store_path = if no_store {
-        None
-    } else {
-        store_path.or_else(|| config.as_ref().and_then(|c| c.store.clone()))
-    };
     let store = store_path.as_deref().map(|p| match oraql::Store::open(p) {
-        Ok(s) => std::sync::Arc::new(s),
+        Ok(s) => Arc::new(s),
         Err(e) => {
             eprintln!("cannot open verdict store {p}: {e}");
             std::process::exit(2)
@@ -499,56 +459,12 @@ fn main() {
     });
     opts.store = store.clone();
 
-    // CLI --server wins over the config's `server =` key; --no-server
-    // disables both. Dialing is lazy, so a dead daemon costs nothing
-    // until the first probe misses every local tier.
-    let server_addr = if no_server {
-        None
-    } else {
-        server_addr.or_else(|| config.as_ref().and_then(|c| c.server.clone()))
-    };
-    let server = server_addr
-        .as_deref()
-        .map(|addr| std::sync::Arc::new(oraql::served::Client::new(addr)));
-    opts.server = server.clone();
-
-    // CLI --fault-plan / --probe-deadline-ms win over the config keys.
-    let fault_plan = fault_plan.or_else(|| config.as_ref().and_then(|c| c.fault_plan.clone()));
-    let injector = fault_plan.as_deref().map(|spec| {
-        let plan = oraql::FaultPlan::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bad --fault-plan: {e}");
-            std::process::exit(2)
-        });
-        // Injected panics are expected noise under a fault plan; keep
-        // their backtrace banners off stderr.
-        oraql::faults::quiet_injected_panics();
-        std::sync::Arc::new(oraql::FaultInjector::new(plan))
-    });
-    opts.faults = injector.clone();
-    opts.probe_deadline = probe_deadline_ms
-        .or_else(|| config.as_ref().map(|c| c.probe_deadline_ms))
-        .filter(|&ms| ms > 0)
-        .map(std::time::Duration::from_millis);
-
-    // `--no-gate` wins over the config's `soundness_gate` key (default
-    // on). The gate only ever has labels to check on generated cases.
-    let gate = !no_gate && config.as_ref().is_none_or(|c| c.soundness_gate);
-
-    let code = if let (Some(name), Some(seq)) = (&benchmark, &replay_seq) {
-        replay(name, seq)
+    let code = if let Some(seq) = &replay_seq {
+        replay(names[0], &cases[0], seq)
     } else if all {
-        run_all(&opts, dump, config.as_ref())
-    } else if let Some(name) = benchmark {
-        run_one(
-            &name,
-            opts.clone(),
-            dump,
-            config.as_ref(),
-            emit_sequence.as_deref(),
-            gate,
-        )
+        run_all(&cases, &opts, dump)
     } else {
-        usage()
+        run_one(names[0], &cases[0], opts, dump, emit_sequence.as_deref())
     };
 
     if let (Some(sink), Some(path)) = (&sink, &trace_path) {
@@ -564,11 +480,11 @@ fn main() {
         println!("--- verdict store ({path}) ---");
         println!("store: {}", store.stats());
     }
-    if let (Some(server), Some(addr)) = (&server, &server_addr) {
-        println!("--- verdict server ({addr}) ---");
+    if let Some(server) = &flags.server {
+        println!("--- verdict server ({}) ---", server.addr());
         println!("client: {}", server.stats());
     }
-    if let (Some(inj), Some(spec)) = (&injector, &fault_plan) {
+    if let Some((spec, inj)) = &flags.faults {
         println!("--- fault injection ({spec}) ---");
         for (site, occurrences, fired) in inj.summary() {
             println!(

@@ -17,7 +17,9 @@
 //! `--server` attaches a verdict-server client as the run's third
 //! cache tier (same semantics as the main CLI's `--server`), which is
 //! how CI drives a generated ground-truth corpus through a live
-//! daemon under wire chaos.
+//! daemon under wire chaos. Every flag but `--plan`, `--out` and
+//! `--run` is one of the driver flags `oraql` takes too, parsed by
+//! [`crate::driver_flags`].
 
 use std::sync::Arc;
 
@@ -25,14 +27,12 @@ use oraql::truth::TruthReport;
 use oraql::DriverOptions;
 use oraql_gen::{suite, write_corpus, GenPlan};
 
-fn gen_usage() -> i32 {
-    eprintln!(
-        "usage: oraql gen --plan \"seed=S,cases=N,motifs=red+outlined+aos+csr+halo,per=K\"\n                \
-         [--out <dir>] [--run] [--jobs N] [--no-gate]\n                \
-         [--fault-plan <spec>] [--probe-deadline-ms N] [--max-tests N] [--server <addr>]"
-    );
-    2
-}
+use crate::driver_flags::DriverFlags;
+
+const GEN_USAGE: &str =
+    "usage: oraql gen --plan \"seed=S,cases=N,motifs=red+outlined+aos+csr+halo,per=K\"
+                [--out <dir>] [--run] [--jobs N] [--no-gate]
+                [--fault-plan <spec>] [--probe-deadline-ms N] [--max-tests N] [--server <addr>]";
 
 macro_rules! bail {
     ($($arg:tt)*) => {{
@@ -46,11 +46,7 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut plan_spec: Option<String> = None;
     let mut out_dir: Option<String> = None;
     let mut run = false;
-    let mut gate = true;
-    let mut opts = DriverOptions::default();
-    let mut fault_plan: Option<String> = None;
-    let mut probe_deadline_ms: u64 = 0;
-    let mut server_addr: Option<String> = None;
+    let mut flags = DriverFlags::default();
 
     let mut i = 0;
     while i < args.len() {
@@ -60,7 +56,10 @@ pub fn run_cli(args: &[String]) -> i32 {
             args.get(*i).cloned()
         };
         match flag {
-            "--help" | "-h" => return gen_usage(),
+            "--help" | "-h" => {
+                println!("{GEN_USAGE}");
+                return 0;
+            }
             "--plan" => match value(&mut i) {
                 Some(v) => plan_spec = Some(v),
                 None => bail!("missing value for --plan"),
@@ -70,53 +69,24 @@ pub fn run_cli(args: &[String]) -> i32 {
                 None => bail!("missing value for --out"),
             },
             "--run" => run = true,
-            "--no-gate" => gate = false,
-            "--jobs" | "-j" => match value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.jobs = n,
-                _ => bail!("bad --jobs: expected an integer >= 1"),
+            _ => match flags.parse(args, &mut i) {
+                Ok(true) => {}
+                Ok(false) => bail!("unknown flag {flag:?} for oraql gen (try --help)"),
+                Err(e) => bail!("{e}"),
             },
-            "--max-tests" => match value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => opts.max_tests = n,
-                None => bail!("bad --max-tests: expected an integer"),
-            },
-            "--fault-plan" => match value(&mut i) {
-                Some(v) => fault_plan = Some(v),
-                None => bail!("missing value for --fault-plan"),
-            },
-            "--probe-deadline-ms" => match value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => probe_deadline_ms = n,
-                None => bail!("bad --probe-deadline-ms: expected an integer"),
-            },
-            "--server" => match value(&mut i) {
-                Some(v) => server_addr = Some(v),
-                None => bail!("missing value for --server"),
-            },
-            other => bail!("unknown flag {other:?} for oraql gen (try --help)"),
         }
         i += 1;
     }
 
     let Some(spec) = plan_spec else {
-        return gen_usage();
+        bail!("{GEN_USAGE}");
     };
     let plan = match GenPlan::parse(&spec) {
         Ok(p) => p,
         Err(e) => bail!("bad --plan: {e}"),
     };
-    if let Some(spec) = &fault_plan {
-        let fp = match oraql::FaultPlan::parse(spec) {
-            Ok(p) => p,
-            Err(e) => bail!("bad --fault-plan: {e}"),
-        };
-        oraql::faults::quiet_injected_panics();
-        opts.faults = Some(Arc::new(oraql::FaultInjector::new(fp)));
-    }
-    if probe_deadline_ms > 0 {
-        opts.probe_deadline = Some(std::time::Duration::from_millis(probe_deadline_ms));
-    }
-    if let Some(addr) = &server_addr {
-        opts.server = Some(Arc::new(oraql::served::Client::new(addr)));
-    }
+    let mut opts = DriverOptions::default();
+    flags.apply(&mut opts);
 
     println!("plan: {}", plan.render());
     if let Some(dir) = &out_dir {
@@ -143,7 +113,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         return 0;
     }
 
-    if gate {
+    if flags.gate {
         opts.ground_truth = Some(Arc::new(truth));
     }
     let results = oraql::run_suite(&cases, &opts);
@@ -169,7 +139,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         results.len() - failed,
         opts.jobs
     );
-    if gate {
+    if flags.gate {
         println!("ground truth: {total}");
     }
     if let Some(client) = &opts.server {

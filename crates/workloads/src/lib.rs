@@ -23,6 +23,7 @@
 
 pub mod amg;
 pub mod analyze;
+pub mod driver_flags;
 pub mod gencli;
 pub mod gridmini;
 pub mod lulesh;

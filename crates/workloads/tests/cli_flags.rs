@@ -1,17 +1,24 @@
-//! A command-line flag wins over the `--config` file wherever it
-//! appears: `--strategy` and `--max-tests` before `--config` must run
-//! exactly what they run after it.
+//! The command line and the `--config` file reach a run in one way: a
+//! flag wins over the config wherever it appears (`--benchmark`,
+//! `--strategy` and `--max-tests` before `--config` must run exactly
+//! what they run after it), and every run mode, `--replay` included,
+//! runs the case the config describes.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// The `probing:` line of one `oraql` run from the workspace root.
-fn probing(args: &[&str]) -> String {
+/// One `oraql` run from the workspace root.
+fn oraql(args: &[&str]) -> Output {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let out = Command::new(env!("CARGO_BIN_EXE_oraql"))
+    Command::new(env!("CARGO_BIN_EXE_oraql"))
         .args(args)
         .current_dir(root)
         .output()
-        .expect("run oraql");
+        .expect("run oraql")
+}
+
+/// The `probing:` line of one successful `oraql` run.
+fn probing(args: &[&str]) -> String {
+    let out = oraql(args);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "oraql {args:?} failed:\n{stdout}");
     stdout
@@ -24,7 +31,11 @@ fn probing(args: &[&str]) -> String {
 #[test]
 fn flags_win_over_config_in_either_order() {
     const CONFIG: &str = "configs/amg_csr.conf";
-    for flag in [["--max-tests", "1"], ["--strategy", "frequency"]] {
+    for flag in [
+        ["--max-tests", "1"],
+        ["--strategy", "frequency"],
+        ["--benchmark", "sw4lite_halo"],
+    ] {
         let before = probing(&[flag[0], flag[1], "--config", CONFIG]);
         let after = probing(&["--config", CONFIG, flag[0], flag[1]]);
         assert_eq!(before, after, "{flag:?} before vs after --config");
@@ -33,5 +44,34 @@ fn flags_win_over_config_in_either_order() {
             probing(&["--config", CONFIG]),
             "{flag:?} had no effect"
         );
+    }
+}
+
+#[test]
+fn replay_runs_the_case_the_config_describes() {
+    // A scope that matches no file leaves ORAQL nothing to answer.
+    let path = std::env::temp_dir().join(format!("oraql_replay_scope_{}.conf", std::process::id()));
+    std::fs::write(&path, "benchmark = testsnap_omp\nfiles = nothing.cpp\n").unwrap();
+    let out = oraql(&["--config", path.to_str().unwrap(), "--replay", "...1"]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "replay failed:\n{stderr}");
+    assert!(
+        stderr.contains("replay: 0 optimistic / 0 pessimistic"),
+        "replay ignored the config's scope:\n{stderr}"
+    );
+}
+
+#[test]
+fn help_prints_usage_and_removed_flags_are_unknown() {
+    for args in [&["--help"][..], &["gen", "--help"]] {
+        let out = oraql(args);
+        assert!(out.status.success(), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: oraql"));
+    }
+    for flag in ["--no-store", "--no-server"] {
+        let out = oraql(&["-b", "testsnap", flag]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     }
 }

@@ -48,8 +48,9 @@ cargo test -q --offline --test obs_analyzer
 # kinds, effort, failure stats and the `oraql_driver_*_total` counters
 # agree across the jobs, store, server and fault legs, likewise by name.
 cargo test -q --offline --test probe_accounting
-# The CLI gate: a `--strategy` or `--max-tests` flag wins over
-# `--config` on either side of it, by name.
+# The CLI gate: a `--benchmark`, `--strategy` or `--max-tests` flag wins
+# over `--config` on either side of it, and `--replay` runs the case the
+# config describes, by name.
 cargo test -q --offline -p oraql-workloads --test cli_flags
 # The --jobs gates: every case repeats exactly at jobs 2 and 8 (budget-
 # truncated runs included), decisions agree with jobs 1, and the suite
@@ -138,6 +139,10 @@ target/release/oraql gen --plan "$GEN_PLAN" --out "$GEN_TMP/b" > /dev/null
 diff -r "$GEN_TMP/a" "$GEN_TMP/b"
 target/release/oraql gen --plan "$GEN_PLAN" --run --jobs 4 \
     | grep -E 'suite: 64 ok, 0 failed'
+# A generated case file names only its benchmark: the soundness gate is
+# on by default, so running it checks the case's labels.
+target/release/oraql --config "$GEN_TMP/a/case_00000.conf" \
+    | grep -E '^ground truth: .* 0 violations$'
 
 # Jobs-parity smoke: one unique-count rule at every job count, so
 # `--jobs 2` walks every case's `--jobs 1` bisection path. Only the

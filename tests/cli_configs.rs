@@ -2,10 +2,20 @@
 //! the workflow they describe.
 
 use oraql_suite::oraql::config::Config;
-use oraql_suite::oraql::{Driver, DriverOptions, Strategy};
+use oraql_suite::oraql::{Driver, DriverOptions, DriverResult, Strategy};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/{}", env!("CARGO_MANIFEST_DIR"), rel)
+}
+
+/// Runs the benchmark a shipped config names, as `oraql --config` does:
+/// the config reaches the case and the options through `Config::apply`.
+fn run_config(file: &str) -> DriverResult {
+    let cfg = Config::load(&repo_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let mut case = oraql_workloads::find_case(&cfg.benchmark).unwrap();
+    let mut opts = DriverOptions::default();
+    cfg.apply(&mut case, &mut opts);
+    Driver::run(&case, opts).unwrap()
 }
 
 #[test]
@@ -48,19 +58,7 @@ fn shipped_configs_parse() {
 
 #[test]
 fn gridmini_config_drives_device_scoped_probe() {
-    let cfg = Config::load(&repo_path("configs/gridmini_device.conf")).unwrap();
-    let mut case = oraql_workloads::find_case(&cfg.benchmark).unwrap();
-    case.scope = cfg.scope.clone();
-    case.ignore_patterns = cfg.ignore.clone();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            strategy: cfg.strategy,
-            max_tests: cfg.max_tests,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let r = run_config("configs/gridmini_device.conf");
     assert!(r.fully_optimistic);
     // All answered queries live in device functions (GridMini's host
     // side is plain enough that the conservative chain resolves it
@@ -77,19 +75,7 @@ fn gridmini_config_drives_device_scoped_probe() {
 
 #[test]
 fn frequency_config_still_pins_lulesh_hazards() {
-    let cfg = Config::load(&repo_path("configs/lulesh_mpi_frequency.conf")).unwrap();
-    let mut case = oraql_workloads::find_case(&cfg.benchmark).unwrap();
-    case.scope = cfg.scope.clone();
-    case.ignore_patterns = cfg.ignore.clone();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            strategy: cfg.strategy,
-            max_tests: cfg.max_tests,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let r = run_config("configs/lulesh_mpi_frequency.conf");
     assert!(!r.fully_optimistic);
     assert!(r.oraql.unique_pessimistic >= 16);
     // Frequency space is locally maximal but coarser: it may pin more
@@ -103,19 +89,7 @@ fn frequency_config_still_pins_lulesh_hazards() {
 #[test]
 fn motif_proxy_configs_pin_exactly_the_planted_hazard() {
     for file in ["configs/amg_csr.conf", "configs/sw4lite_halo.conf"] {
-        let cfg = Config::load(&repo_path(file)).unwrap();
-        let mut case = oraql_workloads::find_case(&cfg.benchmark).unwrap();
-        case.scope = cfg.scope.clone();
-        case.ignore_patterns = cfg.ignore.clone();
-        let r = Driver::run(
-            &case,
-            DriverOptions {
-                strategy: cfg.strategy,
-                max_tests: cfg.max_tests,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let r = run_config(file);
         assert!(!r.fully_optimistic, "{file}");
         assert_eq!(r.oraql.unique_pessimistic, 1, "{file}");
         assert!(r.oraql.unique_optimistic >= 4, "{file}");

@@ -202,7 +202,6 @@ fn total_probe_failure_degrades_to_may_alias() {
     let opts = DriverOptions {
         jobs: 4,
         max_tests: 12,
-        probe_retries: 1,
         faults: Some(Arc::new(FaultInjector::new(plan))),
         ..Default::default()
     };
