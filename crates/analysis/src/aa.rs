@@ -77,7 +77,7 @@ pub struct AAManager {
     /// Total queries issued.
     pub total_queries: u64,
     /// Pass currently issuing queries (set by the pass manager).
-    pub current_pass: String,
+    pub current_pass: &'static str,
     /// Analyses whose definite answers are discarded (treated as
     /// may-alias). The paper's §VIII proposes *blocking* existing
     /// analyses to categorize the effect of already-known queries —
@@ -99,7 +99,7 @@ impl AAManager {
             counts: Vec::new(),
             fallback_may_alias: 0,
             total_queries: 0,
-            current_pass: String::new(),
+            current_pass: "",
             suppressed: std::collections::HashSet::new(),
             log: None,
             callee_effects: FxHashMap::default(),
@@ -208,7 +208,7 @@ impl AAManager {
         let ctx = QueryCtx {
             module,
             func,
-            pass: &self.current_pass,
+            pass: self.current_pass,
         };
         for (i, analysis) in self.analyses.iter_mut().enumerate() {
             let r = analysis.alias(&ctx, a, b);
@@ -248,7 +248,7 @@ impl AAManager {
                 b: b.clone(),
                 result,
                 answered_by,
-                pass: self.current_pass.clone(),
+                pass: self.current_pass.to_owned(),
             });
         }
     }
@@ -402,7 +402,7 @@ mod tests {
         let m = Module::new("t");
         let mut mgr = AAManager::new();
         mgr.enable_log();
-        mgr.current_pass = "GVN".into();
+        mgr.current_pass = "GVN";
         let (a, b) = locs();
         mgr.alias(&m, FunctionId(0), &a, &b);
         let log = mgr.take_log();

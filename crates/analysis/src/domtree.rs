@@ -1,121 +1,59 @@
-//! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
+//! Dominator tree: a function's CFG facts ([`CfgFacts`]) plus an index
+//! of instruction positions.
 
+use crate::facts::CfgFacts;
 use oraql_ir::cfg;
 use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::Function;
 use oraql_ir::value::BlockId;
+use std::rc::Rc;
 
 /// Immediate-dominator tree of one function's CFG.
 ///
-/// `build` also records every instruction's position within its block,
-/// so [`DomTree::inst_dominates`] orders two instructions of one block
-/// in O(1). That index relies on one condition: while the tree is
-/// alive, instructions may be removed (GVN deletes loads while it holds
-/// the tree; removal keeps the relative order of the rest) but not
-/// inserted or moved. Block-level queries depend only on the CFG, so
-/// passes that move instructions (LICM) may keep using those.
+/// The block-level answers come from shared [`CfgFacts`]. The tree also
+/// records every instruction's position within its block, so
+/// [`DomTree::inst_dominates`] orders two instructions of one block in
+/// O(1). That index relies on one condition: while the tree is alive,
+/// instructions may be removed (GVN deletes loads while it holds the
+/// tree; removal keeps the relative order of the rest) but not inserted
+/// or moved. Block-level queries depend only on the CFG, so passes that
+/// move instructions (LICM) may keep using those.
 pub struct DomTree {
-    /// `idom[b]` = immediate dominator of block `b`; entry maps to
-    /// itself; unreachable blocks map to `None`.
-    idom: Vec<Option<BlockId>>,
-    /// Depth of each block in the dominator tree (entry = 0).
-    depth: Vec<u32>,
-    /// Reverse postorder used during construction (reachable blocks).
-    rpo: Vec<BlockId>,
+    cfg: Rc<CfgFacts>,
     /// Each instruction's position within its block at build time
     /// ([`cfg::block_positions`]).
     pos: Vec<u32>,
 }
 
 impl DomTree {
-    /// Builds the dominator tree of `f`.
+    /// Builds the dominator tree of `f` from fresh CFG facts.
     pub fn build(f: &Function) -> Self {
-        let n = f.blocks.len();
-        let rpo = cfg::reverse_postorder(f);
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b.0 as usize] = i;
-        }
-        let preds = cfg::predecessors(f);
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[Function::ENTRY.0 as usize] = Some(Function::ENTRY);
+        DomTree::new(CfgFacts::build(f), f)
+    }
 
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while rpo_index[a.0 as usize] > rpo_index[b.0 as usize] {
-                    a = idom[a.0 as usize].expect("processed");
-                }
-                while rpo_index[b.0 as usize] > rpo_index[a.0 as usize] {
-                    b = idom[b.0 as usize].expect("processed");
-                }
-            }
-            a
-        };
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.0 as usize] {
-                    if idom[p.0 as usize].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
-                if new_idom.is_some() && idom[b.0 as usize] != new_idom {
-                    idom[b.0 as usize] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-
-        // Depths.
-        let mut depth = vec![0u32; n];
-        for &b in &rpo {
-            if b == Function::ENTRY {
-                continue;
-            }
-            if let Some(d) = idom[b.0 as usize] {
-                depth[b.0 as usize] = depth[d.0 as usize] + 1;
-            }
-        }
-
+    /// The dominator tree of `f` over its CFG facts `cfg`, which must
+    /// describe `f`'s current edges.
+    pub(crate) fn new(cfg: Rc<CfgFacts>, f: &Function) -> Self {
         DomTree {
-            idom,
-            depth,
-            rpo,
+            cfg,
             pos: cfg::block_positions(f),
         }
+    }
+
+    /// The CFG facts the tree answers block-level queries from.
+    pub fn cfg(&self) -> &Rc<CfgFacts> {
+        &self.cfg
     }
 
     /// Immediate dominator of `b` (`None` for the entry block and
     /// unreachable blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        match self.idom[b.0 as usize] {
-            Some(d) if d != b => Some(d),
-            _ => None,
-        }
+        self.cfg.idom(b)
     }
 
     /// Does `a` dominate `b`? (Reflexive: every block dominates itself.)
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.idom[b.0 as usize].is_none() || self.idom[a.0 as usize].is_none() {
-            return false; // unreachable blocks dominate nothing
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if self.depth[cur.0 as usize] <= self.depth[a.0 as usize] {
-                return false;
-            }
-            cur = self.idom[cur.0 as usize].expect("reachable");
-        }
+        self.cfg.dominates(a, b)
     }
 
     /// Does instruction `ia` dominate instruction `ib` (strictly, in
@@ -134,9 +72,9 @@ impl DomTree {
         }
     }
 
-    /// The reverse postorder computed during construction.
+    /// Reverse postorder of the reachable blocks.
     pub fn rpo(&self) -> &[BlockId] {
-        &self.rpo
+        self.cfg.rpo()
     }
 }
 

@@ -15,7 +15,9 @@
 //!   CFLAnders}AA`,
 //! * structural analyses shared by the transformation passes:
 //!   [`domtree::DomTree`], [`loops::LoopForest`] and
-//!   [`memssa::MemorySsa`].
+//!   [`memssa::MemorySsa`], over the CFG facts
+//!   ([`facts::CfgFacts`]) that [`facts::FunctionFacts`] keeps across
+//!   the passes of a pipeline run.
 //!
 //! The ORAQL pass itself lives in the `oraql` crate and implements
 //! [`aa::AliasAnalysis`]; the driver appends it at the *end* of the chain
@@ -27,6 +29,7 @@ pub mod andersen;
 pub mod basic;
 pub mod constraints;
 pub mod domtree;
+pub mod facts;
 pub mod globals;
 pub mod location;
 pub mod loops;

@@ -1,13 +1,15 @@
 //! Natural-loop detection over the dominator tree.
 
 use crate::domtree::DomTree;
+use crate::facts::CfgFacts;
 use oraql_ir::cfg;
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::module::Function;
 use oraql_ir::value::BlockId;
+use std::rc::Rc;
 
 /// One natural loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     /// The loop header (target of the back edges).
     pub header: BlockId,
@@ -23,26 +25,31 @@ pub struct Loop {
 
 /// All natural loops of a function, ordered outer-before-inner.
 ///
-/// The forest keeps the predecessor lists it was built from, so its
-/// answers describe the CFG edges as they were at [`LoopForest::build`].
-/// Passes that move or remove instructions keep them valid; a pass that
-/// changes an edge builds a new forest before asking again.
+/// The forest keeps the CFG facts it was built from, so its answers
+/// describe the CFG edges as they were at build time. Passes that move
+/// or remove instructions keep them valid; a pass that changes an edge
+/// asks for a new forest (`FunctionFacts::loops` rebuilds it) before
+/// asking again.
 pub struct LoopForest {
     /// The loops; indices are referenced by [`Loop::parent`].
     pub loops: Vec<Loop>,
-    /// Predecessor lists at build time, indexed by block id.
-    preds: Vec<Vec<BlockId>>,
+    cfg: Rc<CfgFacts>,
 }
 
 impl LoopForest {
     /// Detects loops in `f` using dominance (`dt` must belong to `f`).
     pub fn build(f: &Function, dt: &DomTree) -> Self {
+        LoopForest::from_cfg(f, Rc::clone(dt.cfg()))
+    }
+
+    /// Detects loops in `f` from its CFG facts `cfg`.
+    pub(crate) fn from_cfg(f: &Function, cfg: Rc<CfgFacts>) -> Self {
         // Find back edges: n -> h where h dominates n.
         let mut raw: Vec<(BlockId, Vec<BlockId>)> = Vec::new(); // (header, latches)
         for bi in 0..f.blocks.len() {
             let n = BlockId(bi as u32);
-            for s in cfg::successors(f, n) {
-                if dt.dominates(s, n) {
+            for s in cfg.successors(n) {
+                if cfg.dominates(s, n) {
                     match raw.iter_mut().find(|(h, _)| *h == s) {
                         Some((_, latches)) => latches.push(n),
                         None => raw.push((s, vec![n])),
@@ -53,7 +60,7 @@ impl LoopForest {
 
         // Compute loop bodies: backward flood from latches, stopping at
         // the header.
-        let preds = cfg::predecessors(f);
+        let preds = cfg.preds();
         let mut loops: Vec<Loop> = raw
             .into_iter()
             .map(|(header, latches)| {
@@ -109,7 +116,7 @@ impl LoopForest {
             loops[i].depth = d;
         }
 
-        LoopForest { loops, preds }
+        LoopForest { loops, cfg }
     }
 
     /// The innermost loop containing `b`, if any.
@@ -124,7 +131,7 @@ impl LoopForest {
     /// header outside the loop. `None` when there are several (LICM then
     /// skips the loop).
     pub fn preheader(&self, l: &Loop) -> Option<BlockId> {
-        let mut outside = self.preds[l.header.0 as usize]
+        let mut outside = self.cfg.preds()[l.header.0 as usize]
             .iter()
             .filter(|p| !l.blocks.contains(p));
         match (outside.next(), outside.next()) {

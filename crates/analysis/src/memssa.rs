@@ -9,12 +9,13 @@
 //! originate here).
 
 use crate::aa::AAManager;
+use crate::facts::CfgFacts;
 use crate::location::MemoryLocation;
-use oraql_ir::cfg;
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::InstId;
 use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_ir::value::BlockId;
+use std::rc::Rc;
 
 /// A memory access in the MemorySSA graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,53 +31,66 @@ pub enum MemAccess {
 /// MemorySSA form of one function (structure only; clobber walks take
 /// the AA manager as a parameter).
 ///
-/// `build` records every instruction's position within its block, so
-/// finding the def before an instruction is a binary search rather than
-/// a scan of the block. The index relies on one condition: while the
-/// analysis is alive, instructions of the function may be removed (GVN
-/// deletes loads between its clobber walks; removal keeps the relative
-/// order of the rest) but not inserted or moved.
+/// `build` records, for every instruction, how many defs precede it in
+/// its block (for a def, its index in the block's def list), so the def
+/// before an instruction, and each step of a walk from a def, is one
+/// lookup. The record relies on one condition: while the analysis is
+/// alive, loads may be removed (GVN deletes loads between its clobber
+/// walks; that changes no def count) but defs may not be removed, and
+/// no instruction may be inserted or moved.
 pub struct MemorySsa {
     /// Memory-writing instructions per block, in order.
     defs_in_block: Vec<Vec<InstId>>,
-    /// Each instruction's position within its block at build time
-    /// ([`cfg::block_positions`]).
-    pos: Vec<u32>,
-    /// Predecessor lists (cached).
-    preds: Vec<Vec<BlockId>>,
+    /// `defs_before[i]`: the defs before instruction `i` in its block at
+    /// build time.
+    defs_before: Vec<u32>,
+    /// The function's CFG facts (for predecessor lists).
+    cfg: Rc<CfgFacts>,
     /// Maximum steps a clobber walk may take before giving up.
     pub walk_budget: usize,
 }
 
 impl MemorySsa {
-    /// Builds MemorySSA structure for `f`.
-    pub fn build(f: &Function) -> Self {
+    /// Builds MemorySSA structure for `f` over its CFG facts `cfg`.
+    pub fn build(f: &Function, cfg: Rc<CfgFacts>) -> Self {
         let mut defs_in_block = vec![Vec::new(); f.blocks.len()];
-        for (bi, block) in f.blocks.iter().enumerate() {
+        let mut defs_before = vec![0u32; f.insts.len()];
+        for (block, defs) in f.blocks.iter().zip(&mut defs_in_block) {
             for &id in &block.insts {
+                defs_before[id.0 as usize] = defs.len() as u32;
                 if f.inst(id).writes_memory() {
-                    defs_in_block[bi].push(id);
+                    defs.push(id);
                 }
             }
         }
         MemorySsa {
             defs_in_block,
-            pos: cfg::block_positions(f),
-            preds: cfg::predecessors(f),
+            defs_before,
+            cfg,
             walk_budget: 200,
         }
     }
 
-    /// The memory state at the *entry* of `bb`.
+    /// The memory state at the *entry* of `bb`: follows the chain of
+    /// single predecessors without defs. Off the entry's reach that chain
+    /// can close into a cycle; after one step per block it must have
+    /// revisited a block, and the answer is `Phi(bb)`.
     pub fn entry_access(&self, bb: BlockId) -> MemAccess {
-        if bb == Function::ENTRY {
-            return MemAccess::LiveOnEntry;
+        let mut cur = bb;
+        for _ in 0..=self.defs_in_block.len() {
+            if cur == Function::ENTRY {
+                return MemAccess::LiveOnEntry;
+            }
+            match self.cfg.preds()[cur.0 as usize].as_slice() {
+                [] => return MemAccess::LiveOnEntry, // unreachable block
+                [p] if *p != cur => match self.defs_in_block[p.0 as usize].last() {
+                    Some(&d) => return MemAccess::Def(d),
+                    None => cur = *p,
+                },
+                _ => return MemAccess::Phi(cur),
+            }
         }
-        match self.preds[bb.0 as usize].as_slice() {
-            [] => MemAccess::LiveOnEntry, // unreachable block
-            [p] if *p != bb => self.end_access(*p),
-            _ => MemAccess::Phi(bb),
-        }
+        MemAccess::Phi(bb)
     }
 
     /// The memory state at the *end* of `bb`.
@@ -92,11 +106,9 @@ impl MemorySsa {
     /// entry state.
     pub fn defining_access(&self, f: &Function, id: InstId) -> MemAccess {
         let bb = f.block_of(id);
-        let defs = &self.defs_in_block[bb.0 as usize];
-        let pos = self.pos[id.0 as usize];
-        match defs.partition_point(|d| self.pos[d.0 as usize] < pos) {
+        match self.defs_before[id.0 as usize] {
             0 => self.entry_access(bb),
-            k => MemAccess::Def(defs[k - 1]),
+            k => MemAccess::Def(self.defs_in_block[bb.0 as usize][k as usize - 1]),
         }
     }
 
@@ -149,7 +161,7 @@ impl MemorySsa {
                     // Resolve through the merge only if every incoming
                     // path reaches the same clobber.
                     let mut results: Vec<MemAccess> = Vec::new();
-                    for &p in &self.preds[bb.0 as usize] {
+                    for &p in &self.cfg.preds()[bb.0 as usize] {
                         let r =
                             self.walk(m, func, aa, loc, self.end_access(p), visited_phis, budget);
                         results.push(r);
@@ -196,7 +208,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
         let load_id = f.blocks[0].insts[4];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
@@ -219,7 +231,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
         let load_id = f.blocks[0].insts[2];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
@@ -249,7 +261,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
         let load_id = f.blocks[j.0 as usize].insts[0];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
@@ -284,7 +296,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
         let load_id = f.blocks[j.0 as usize].insts[0];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
@@ -298,8 +310,8 @@ mod tests {
 
     #[test]
     fn removing_loads_after_build_matches_a_fresh_build() {
-        // GVN deletes loads while it holds the analysis: the kept
-        // position index must answer as a rebuilt one would.
+        // GVN deletes loads while it holds the analysis: the kept def
+        // counts must answer as rebuilt ones would.
         let mut m = Module::new("t");
         let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr, Ty::Ptr], None);
         let (p, q) = (b.arg(0), b.arg(1));
@@ -313,7 +325,7 @@ mod tests {
         b.print("{}", vec![l4]);
         b.ret(None);
         let id = b.finish();
-        let mssa = MemorySsa::build(m.func(id));
+        let mssa = MemorySsa::build(m.func(id), CfgFacts::build(m.func(id)));
         let insts = m.func(id).blocks[0].insts.clone();
         // Remove the first and third load (the analysis does not need
         // their uses rewritten).
@@ -321,7 +333,7 @@ mod tests {
         f.remove_inst(insts[1]);
         f.remove_inst(insts[4]);
         let f = m.func(id);
-        let fresh = MemorySsa::build(f);
+        let fresh = MemorySsa::build(f, CfgFacts::build(f));
         let accesses = f.live_insts().filter(|&i| {
             f.inst(i).writes_memory() || matches!(f.inst(i), oraql_ir::inst::Inst::Load { .. })
         });
@@ -347,6 +359,36 @@ mod tests {
     }
 
     #[test]
+    fn unreachable_cycle_of_single_predecessors_ends_at_a_phi() {
+        // entry returns; x -> y -> x is a cycle no def breaks, off the
+        // entry's reach. Following single predecessors would never end.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr], None);
+        let (x, y) = (b.new_block(), b.new_block());
+        b.ret(None);
+        b.switch_to(x);
+        let l = b.load(Ty::I64, b.arg(0));
+        b.print("{}", vec![l]);
+        b.br(y);
+        b.switch_to(y);
+        b.br(x);
+        let id = b.finish();
+        oraql_ir::verify::assert_valid(&m);
+        let f = m.func(id);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
+        let load_id = f.blocks[x.0 as usize].insts[0];
+        let start = mssa.defining_access(f, load_id);
+        assert_eq!(start, MemAccess::Phi(x));
+        assert_eq!(mssa.end_access(y), MemAccess::Phi(y));
+        let loc = MemoryLocation::of_access(f, load_id).unwrap();
+        let mut aa = mgr();
+        assert!(matches!(
+            mssa.clobber_walk(&m, id, &mut aa, &loc, start),
+            MemAccess::Phi(_)
+        ));
+    }
+
+    #[test]
     fn loop_phi_is_a_barrier() {
         let mut m = Module::new("t");
         let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr], None);
@@ -361,7 +403,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, CfgFacts::build(f));
         assert!(mssa.num_defs() >= 2);
         let exit = f.block_of(f.live_insts().last().unwrap());
         let load_id = f.blocks[exit.0 as usize].insts[0];

@@ -6,6 +6,7 @@ use oraql_analysis::aa::QueryCtx;
 use oraql_analysis::andersen::AndersenAA;
 use oraql_analysis::basic::BasicAA;
 use oraql_analysis::domtree::DomTree;
+use oraql_analysis::facts::CfgFacts;
 use oraql_analysis::loops::LoopForest;
 use oraql_analysis::memssa::{MemAccess, MemorySsa};
 use oraql_analysis::steens::SteensgaardAA;
@@ -154,7 +155,7 @@ fn memssa_walk_budget_gives_conservative_answer() {
     b.ret(None);
     let id = b.finish();
     let f = m.func(id);
-    let mut mssa = MemorySsa::build(f);
+    let mut mssa = MemorySsa::build(f, CfgFacts::build(f));
     mssa.walk_budget = 5;
     let load = f
         .live_insts()
@@ -167,7 +168,7 @@ fn memssa_walk_budget_gives_conservative_answer() {
     let r = mssa.clobber_walk(&m, id, &mut aa, &loc, start);
     assert!(matches!(r, MemAccess::Def(_)), "budget must stop at a def");
     // With the default budget the walk sees through all 64 stores.
-    let mssa2 = MemorySsa::build(f);
+    let mssa2 = MemorySsa::build(f, CfgFacts::build(f));
     let r2 = mssa2.clobber_walk(&m, id, &mut aa, &loc, start);
     assert_eq!(r2, MemAccess::LiveOnEntry);
 }

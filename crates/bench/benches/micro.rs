@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oraql_analysis::andersen::AndersenAA;
 use oraql_analysis::basic::BasicAA;
+use oraql_analysis::facts::CfgFacts;
 use oraql_analysis::location::MemoryLocation;
 use oraql_analysis::memssa::MemorySsa;
 use oraql_analysis::steens::SteensgaardAA;
@@ -58,7 +59,10 @@ fn bench_aa(c: &mut Criterion) {
     g.bench_function("MemorySSA/build-per-function", |b| {
         b.iter(|| {
             (0..m.funcs.len())
-                .map(|i| MemorySsa::build(m.func(FunctionId(i as u32))).num_defs())
+                .map(|i| {
+                    let f = m.func(FunctionId(i as u32));
+                    MemorySsa::build(f, CfgFacts::build(f)).num_defs()
+                })
                 .sum::<usize>()
         })
     });

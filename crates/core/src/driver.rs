@@ -28,9 +28,10 @@
 //! * the **decisions digest** (case salt plus [`Decisions::render`]),
 //!   walked before the compile — a hit skips the compile and the run.
 //!   The in-memory tier keeps this space only at `jobs > 1`;
-//! * the **executable hash** (case salt plus the printed module),
-//!   walked after the compile — a hit skips the run (the seed driver's
-//!   cache).
+//! * the **executable hash** ([`oraql_ir::printer::module_key`] under
+//!   the case salt: the printed module's fields, hashed without
+//!   printing), walked after the compile — a hit skips the run (the
+//!   seed driver's cache).
 //!
 //! The first hit of a walk answers the probe. Every answer is counted
 //! once, in `ProbeEngine::execute`, into the case's tally: its
@@ -425,13 +426,6 @@ impl FailureStats {
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn module_text_hash(salt: u64, text: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    salt.hash(&mut h);
-    text.hash(&mut h);
-    h.finish()
 }
 
 /// The driver's latency histograms, resolved once. Its counters have
@@ -880,8 +874,10 @@ impl ProbeEngine {
         dmetrics()
             .compile_micros
             .observe(compile_started.elapsed().as_micros() as u64);
-        let text = oraql_ir::printer::module_str(&compiled.module);
-        let h = module_text_hash(self.salt, &text);
+        let h = {
+            let _s = self.span("key", probe_span);
+            oraql_ir::printer::module_key(self.salt, &compiled.module)
+        };
         if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span) {
             return Ok(hit);
         }

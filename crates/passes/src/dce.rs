@@ -67,6 +67,7 @@ impl Pass for Dce {
 mod tests {
     use super::*;
     use crate::stats::Stats;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
@@ -79,6 +80,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             Dce.run(m, FunctionId(fi as u32), &mut cx);
         }

@@ -185,6 +185,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
@@ -197,6 +198,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             EarlyCSE.run(m, FunctionId(fi as u32), &mut cx);
         }

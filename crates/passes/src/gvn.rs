@@ -3,7 +3,6 @@
 //! CSE of pure expressions.
 
 use crate::manager::{Pass, PassCx};
-use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::{AliasResult, LocationSize, MemoryLocation};
 use oraql_analysis::memssa::{MemAccess, MemorySsa};
 use oraql_ir::hash::FxHashMap;
@@ -11,6 +10,7 @@ use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
+use std::rc::Rc;
 
 /// The pass.
 pub struct Gvn;
@@ -26,8 +26,8 @@ impl Pass for Gvn {
     }
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
-        let dt = DomTree::build(m.func(fid));
-        let mssa = MemorySsa::build(m.func(fid));
+        let dt = cx.facts.domtree(m.func(fid));
+        let mssa = MemorySsa::build(m.func(fid), Rc::clone(dt.cfg()));
 
         let mut load_table: FxHashMap<LoadKey, InstId> = FxHashMap::default();
         let mut loads_deleted = 0u64;
@@ -101,6 +101,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
@@ -113,6 +114,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             Gvn.run(m, FunctionId(fi as u32), &mut cx);
         }

@@ -37,5 +37,5 @@ pub mod sink;
 pub mod slp;
 pub mod stats;
 
-pub use manager::{standard_pipeline, Pass, PassCx, PassManager};
+pub use manager::{standard_passes, standard_pipeline, Pass, PassCx, PassManager};
 pub use stats::Stats;

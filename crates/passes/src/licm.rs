@@ -5,7 +5,7 @@
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::MemoryLocation;
-use oraql_analysis::loops::{Loop, LoopForest};
+use oraql_analysis::loops::Loop;
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{BinOp, Inst, InstId};
 use oraql_ir::module::{FunctionId, Module};
@@ -20,10 +20,10 @@ impl Pass for Licm {
     }
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
-        let dt = DomTree::build(m.func(fid));
+        let dt = cx.facts.domtree(m.func(fid));
         // LICM moves instructions, never edges, so the forest's
         // predecessor lists stay valid for every preheader query.
-        let forest = LoopForest::build(m.func(fid), &dt);
+        let forest = cx.facts.loops(m.func(fid));
         // Innermost loops first: hoisting into an inner preheader (which
         // lives in the outer loop) lets the outer loop hoist further.
         let mut order: Vec<usize> = (0..forest.loops.len()).collect();
@@ -164,6 +164,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::Ty;
@@ -177,6 +178,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             Licm.run(m, FunctionId(fi as u32), &mut cx);
         }

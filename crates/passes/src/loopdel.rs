@@ -5,7 +5,6 @@
 //! (`# deleted loops` 2 → 55 under ORAQL).
 
 use crate::manager::{Pass, PassCx};
-use oraql_analysis::domtree::DomTree;
 use oraql_analysis::loops::{Loop, LoopForest};
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{Inst, InstId};
@@ -22,12 +21,11 @@ impl Pass for LoopDeletion {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut deleted = 0u64;
-        // Recompute the forest after each deletion (block sets and
-        // edges change); `try_delete` edits nothing before its last
-        // preheader query.
+        // Ask for the forest again after each deletion: it retargets
+        // edges, so the facts rebuild it. `try_delete` edits nothing
+        // before its last preheader query.
         loop {
-            let dt = DomTree::build(m.func(fid));
-            let forest = LoopForest::build(m.func(fid), &dt);
+            let forest = cx.facts.loops(m.func(fid));
             let mut deleted_one = false;
             for l in &forest.loops {
                 if try_delete(m, fid, &forest, l) {
@@ -138,6 +136,7 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
 mod tests {
     use super::*;
     use crate::stats::Stats;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
@@ -150,6 +149,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             LoopDeletion.run(m, FunctionId(fi as u32), &mut cx);
         }

@@ -12,7 +12,6 @@
 //! to the scalar version, which the verification harness relies on.
 
 use crate::manager::{Pass, PassCx};
-use oraql_analysis::domtree::DomTree;
 use oraql_analysis::location::{AliasResult, MemoryLocation};
 use oraql_analysis::loops::LoopForest;
 use oraql_ir::hash::FxHashMap;
@@ -37,8 +36,7 @@ impl Pass for LoopVectorize {
         // Vectorizing appends blocks and edges; collect candidates
         // once, before any transform, while the forest's predecessor
         // lists still describe the function.
-        let dt = DomTree::build(m.func(fid));
-        let forest = LoopForest::build(m.func(fid), &dt);
+        let forest = cx.facts.loops(m.func(fid));
         let candidates: Vec<CanonLoop> = forest
             .loops
             .iter()
@@ -766,6 +764,7 @@ mod tests {
     use crate::manager::PassCx;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
@@ -778,6 +777,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             LoopVectorize.run(m, FunctionId(fi as u32), &mut cx);
         }

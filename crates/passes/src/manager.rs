@@ -1,8 +1,10 @@
 //! The pass manager: runs a fixed pipeline of function passes, setting
 //! the AA manager's `current_pass` before each so every alias query is
-//! attributed to its issuer.
+//! attributed to its issuer, and keeping each function's CFG facts
+//! across the passes.
 
 use crate::stats::Stats;
+use oraql_analysis::facts::FunctionFacts;
 use oraql_analysis::AAManager;
 use oraql_ir::module::{FunctionId, Module};
 
@@ -12,6 +14,9 @@ pub struct PassCx<'a> {
     pub aa: &'a mut AAManager,
     /// The statistics registry.
     pub stats: &'a mut Stats,
+    /// The function's CFG facts, kept across the passes of one run:
+    /// ask them for its dominator tree, loop forest and predecessors.
+    pub facts: &'a mut FunctionFacts,
 }
 
 impl PassCx<'_> {
@@ -55,12 +60,15 @@ impl PassManager {
 
     /// Runs the pipeline: for each pass, over each function, in order
     /// (pass-major, like LLVM's module-level CGSCC scheduling of our
-    /// simple function passes).
+    /// simple function passes). One [`FunctionFacts`] per function
+    /// lives for the whole run.
     pub fn run(&mut self, m: &mut Module, aa: &mut AAManager, stats: &mut Stats) {
+        let mut facts: Vec<FunctionFacts> = Vec::new();
         for pass in &mut self.passes {
-            for fi in 0..m.funcs.len() {
+            facts.resize_with(m.funcs.len(), FunctionFacts::default);
+            for (fi, facts) in facts.iter_mut().enumerate() {
                 let fid = FunctionId(fi as u32);
-                aa.current_pass = pass.name().to_owned();
+                aa.current_pass = pass.name();
                 if self.trace_executions {
                     self.trace.push(format!(
                         "Executing Pass '{}' on Function '{}'...",
@@ -68,7 +76,7 @@ impl PassManager {
                         m.func(fid).name
                     ));
                 }
-                let mut cx = PassCx { aa, stats };
+                let mut cx = PassCx { aa, stats, facts };
                 pass.run(m, fid, &mut cx);
                 if self.verify_each {
                     if let Err(e) = oraql_ir::verify::verify_function(m, fid) {
@@ -77,17 +85,23 @@ impl PassManager {
                 }
             }
         }
-        aa.current_pass.clear();
+        aa.current_pass = "";
     }
 }
 
 /// The standard "O3-like" pipeline used by the ORAQL driver and the
-/// benchmarks. Order mirrors the interplay the paper describes: memory
-/// SSA priming first (it issues the bulk of queries), scalar cleanups,
-/// loop transforms, vectorization, then late sinking. GVN and DSE run a
-/// second time to pick up opportunities exposed by LICM.
+/// benchmarks: a [`PassManager`] over [`standard_passes`].
 pub fn standard_pipeline() -> PassManager {
-    PassManager::new(vec![
+    PassManager::new(standard_passes())
+}
+
+/// The passes of [`standard_pipeline`], in order. Order mirrors the
+/// interplay the paper describes: memory SSA priming first (it issues
+/// the bulk of queries), scalar cleanups, loop transforms,
+/// vectorization, then late sinking. GVN and DSE run a second time to
+/// pick up opportunities exposed by LICM.
+pub fn standard_passes() -> Vec<Box<dyn Pass>> {
+    vec![
         Box::new(crate::memssa_prime::MemorySsaPrime),
         Box::new(crate::earlycse::EarlyCSE),
         Box::new(crate::gvn::Gvn),
@@ -100,7 +114,7 @@ pub fn standard_pipeline() -> PassManager {
         Box::new(crate::slp::SlpVectorize),
         Box::new(crate::sink::MachineSink),
         Box::new(crate::dce::Dce),
-    ])
+    ]
 }
 
 #[cfg(test)]

@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::value::Value;
@@ -137,6 +138,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             MemCpyOpt.run(m, FunctionId(fi as u32), &mut cx);
         }

@@ -25,7 +25,7 @@ impl Pass for MemorySsaPrime {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let f = m.func(fid);
-        let mssa = MemorySsa::build(f);
+        let mssa = MemorySsa::build(f, cx.facts.cfg(f));
         let loads: Vec<_> = f
             .live_insts()
             .filter(|&id| matches!(f.inst(id), Inst::Load { .. }))
@@ -54,6 +54,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
@@ -75,6 +76,7 @@ mod tests {
         let mut cx = PassCx {
             aa: &mut aa,
             stats: &mut stats,
+            facts: &mut FunctionFacts::default(),
         };
         MemorySsaPrime.run(&mut m, fid, &mut cx);
         assert_eq!(stats.get("MemorySSA", "clobber walks"), 1);

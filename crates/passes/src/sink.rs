@@ -20,9 +20,10 @@ impl Pass for MachineSink {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut sunk = 0u64;
-        // Sinking moves instructions, never edges: one predecessor map
-        // serves the whole run.
-        let preds = cfg::predecessors(m.func(fid));
+        // Sinking moves instructions, never edges: the facts'
+        // predecessor lists serve the whole run.
+        let facts = cx.facts.cfg(m.func(fid));
+        let preds = facts.preds();
         // Iterate until no more motion; sinking one inst can enable its
         // operands to sink too.
         loop {
@@ -131,6 +132,7 @@ mod tests {
     use super::*;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::inst::CmpPred;
@@ -145,6 +147,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             MachineSink.run(m, FunctionId(fi as u32), &mut cx);
         }

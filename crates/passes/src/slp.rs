@@ -425,6 +425,7 @@ mod tests {
     use crate::manager::PassCx;
     use crate::stats::Stats;
     use oraql_analysis::basic::BasicAA;
+    use oraql_analysis::facts::FunctionFacts;
     use oraql_analysis::AAManager;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
@@ -437,6 +438,7 @@ mod tests {
             let mut cx = PassCx {
                 aa: &mut aa,
                 stats: &mut stats,
+                facts: &mut FunctionFacts::default(),
             };
             SlpVectorize.run(m, FunctionId(fi as u32), &mut cx);
         }

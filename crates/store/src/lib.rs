@@ -18,7 +18,8 @@
 //!   probes that agree on all of those;
 //! * the **decisions digest** (salt + rendered decision vector) keys
 //!   compile-free answers;
-//! * the **module hash** (salt + printed module text) keys
+//! * the **module hash** (`oraql_ir::printer::module_key` under the
+//!   salt: the printed module's fields, hashed without printing) keys
 //!   run-free answers for bit-identical recompilations.
 //!
 //! If a workload generator, verifier input, or fuel budget changes, the

@@ -20,11 +20,17 @@ cargo test -q --offline --test differential_interp
 # The compile-path byte-identity gates, likewise by name: the 16
 # configurations at jobs 1 against their golden (raw final decisions,
 # effort, query counts, machine stats, final-module hash), and the
-# block-position index of MemorySSA and dominance against a linear scan.
+# per-instruction indexes of MemorySSA and dominance against a linear
+# scan.
 cargo test -q --offline --test suite_golden
 cargo test -q --offline --test analysis_index
-# The CFG facts passes reuse (a loop forest's preheaders, MachineSink's
-# one predecessor map, inline successors) against fresh ones, by name.
+# The structural executable key against the printed text, by name:
+# equal keys exactly when equal texts, over 122 probe compiles per
+# configuration and a generated corpus.
+cargo test -q --offline --test module_key
+# The CFG facts the pass manager keeps per function across passes
+# (predecessors, RPO, dominators, the loop forest) against fresh ones
+# after every pass, edge-editing passes included, by name.
 cargo test -q --offline --test cfg_reuse
 # The persistent verdict store's robustness gates (journal recovery,
 # warm-run determinism), likewise by name.

@@ -1,5 +1,6 @@
-//! Differential test of the block-position index behind
-//! `MemorySsa::defining_access` and `DomTree::inst_dominates`.
+//! Differential test of the per-instruction indexes behind
+//! `MemorySsa::defining_access` (defs before each instruction) and
+//! `DomTree::inst_dominates` (block positions).
 //!
 //! On every function of the 16 workloads and of the `oraql-gen` corpus
 //! the CI smoke runs (`seed=2024,cases=64,per=3`), as built and after a
@@ -14,6 +15,7 @@ use oraql_analysis::memssa::{MemAccess, MemorySsa};
 use oraql_gen::GenPlan;
 use oraql_ir::inst::{Inst, InstId};
 use oraql_ir::module::{Function, FunctionId, Module};
+use std::rc::Rc;
 
 /// The linear-scan reference for `defining_access`: walk the block
 /// backwards from `id` to the nearest memory-writing instruction.
@@ -87,8 +89,8 @@ fn check_module(mut m: Module, what: &str) -> u64 {
     for fi in 0..m.funcs.len() {
         let fid = FunctionId(fi as u32);
         let what = format!("{what} @{}", m.func(fid).name);
-        let mssa = MemorySsa::build(m.func(fid));
         let dt = DomTree::build(m.func(fid));
+        let mssa = MemorySsa::build(m.func(fid), Rc::clone(dt.cfg()));
         checked += check_function(&mssa, &dt, m.func(fid), &[], &what);
         let f = m.func_mut(fid);
         let loads: Vec<InstId> = f

@@ -1,30 +1,47 @@
 //! Reused CFG facts against fresh ones.
 //!
-//! `LoopForest` answers `preheader` from the predecessor lists it was
-//! built with, `MachineSink` builds one predecessor map per function,
-//! and `cfg::successors` returns its targets inline. On every function
-//! of the 16 workloads, as built and after a baseline compile:
+//! The pass manager keeps one `FunctionFacts` per function for a whole
+//! compile: the predecessor lists, reverse postorder and immediate
+//! dominators GVN, LICM, loop deletion, the loop vectorizer, MemorySSA
+//! and MachineSink read, and the loop forest once a pass asks for it.
+//! The facts are rebuilt only when a function's terminators no longer
+//! name the edges they were built from. This test wraps each of the 12
+//! passes of the standard pipeline and checks, after every pass on every
+//! function of the 16 workloads and of the CI smoke's `oraql-gen`
+//! corpus, compiled both baseline and all-optimistic:
 //!
+//! - the kept facts equal fresh `cfg::predecessors`,
+//!   `cfg::reverse_postorder` and `DomTree::build`;
+//! - the kept loop forest equals a fresh `LoopForest::build`, and each
+//!   loop's preheader is the unique outside predecessor of its header
+//!   in a fresh predecessor map;
 //! - each block's `cfg::successors` are its terminator's targets (one
 //!   for a conditional branch whose two targets are equal, none for a
 //!   return);
-//! - each loop's `preheader` is the unique outside predecessor of its
-//!   header in a fresh `cfg::predecessors`, before LICM runs on the
-//!   function and still after it (the forest LICM asks was built first);
-//! - `MachineSink` leaves `cfg::predecessors` unchanged.
+//! - every pass but loop deletion and the loop vectorizer, the two that
+//!   edit edges, hands the next pass the very same facts;
+//! - the checked compile prints exactly as `compile_pipeline`'s does.
 
-use oraql::compile::{compile, conservative_chain, CompileOptions};
+use oraql::compile::{compile_pipeline, conservative_chain, CompileOptions};
+use oraql::pass::{new_shared_with, OraqlAA};
+use oraql::{Decisions, TestCase};
 use oraql_analysis::domtree::DomTree;
+use oraql_analysis::facts::{CfgFacts, FunctionFacts};
 use oraql_analysis::loops::{Loop, LoopForest};
+use oraql_gen::GenPlan;
 use oraql_ir::builder::FunctionBuilder;
 use oraql_ir::cfg;
 use oraql_ir::inst::Inst;
 use oraql_ir::module::{Function, FunctionId, Module};
+use oraql_ir::printer::module_str;
 use oraql_ir::types::Ty;
 use oraql_ir::value::{BlockId, Value};
-use oraql_passes::licm::Licm;
-use oraql_passes::sink::MachineSink;
-use oraql_passes::{Pass, PassCx, Stats};
+use oraql_passes::{standard_passes, Pass, PassCx, PassManager, Stats};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// The passes that retarget or add edges.
+const EDGE_EDITORS: [&str; 2] = ["loop deletion", "loop vectorizer"];
 
 /// The targets the terminator of `bb` names, equal targets once.
 fn terminator_targets(f: &Function, bb: BlockId) -> Vec<BlockId> {
@@ -55,107 +72,184 @@ fn fresh_preheader(f: &Function, l: &Loop) -> Option<BlockId> {
     }
 }
 
-/// What one module's checks saw.
+/// What the checks saw.
 #[derive(Default)]
 struct Seen {
+    /// The facts each function's last check got, by function index.
+    kept: Vec<Option<Rc<CfgFacts>>>,
+    /// The module being compiled (for messages).
+    what: String,
+    checks: u64,
     blocks: u64,
     loops: u64,
     preheaders: u64,
-    sunk: u64,
+    rebuilds: u64,
 }
 
-fn run_pass(pass: &mut dyn Pass, m: &mut Module, fid: FunctionId) -> Stats {
-    let mut aa = conservative_chain(m, false);
-    let mut stats = Stats::new();
-    pass.run(
-        m,
-        fid,
-        &mut PassCx {
-            aa: &mut aa,
-            stats: &mut stats,
-        },
-    );
-    stats
-}
-
-fn check_module(mut m: Module, what: &str, seen: &mut Seen) {
-    for fi in 0..m.funcs.len() {
-        let fid = FunctionId(fi as u32);
-        let what = format!("{what} @{}", m.func(fid).name);
-
-        let f = m.func(fid);
-        for bi in 0..f.blocks.len() {
-            let bb = BlockId(bi as u32);
-            assert_eq!(
-                &*cfg::successors(f, bb),
-                terminator_targets(f, bb).as_slice(),
-                "{what}: successors of bb{bi}"
-            );
-            seen.blocks += 1;
-        }
-
-        let dt = DomTree::build(f);
-        let forest = LoopForest::build(f, &dt);
-        for l in &forest.loops {
-            let fresh = fresh_preheader(f, l);
-            assert_eq!(
-                forest.preheader(l),
-                fresh,
-                "{what}: loop at bb{}",
-                l.header.0
-            );
-            seen.loops += 1;
-            seen.preheaders += u64::from(fresh.is_some());
-        }
-        // LICM moves instructions, never edges: the forest built before
-        // it still answers what a fresh computation answers after it.
-        run_pass(&mut Licm, &mut m, fid);
-        for l in &forest.loops {
-            assert_eq!(
-                forest.preheader(l),
-                fresh_preheader(m.func(fid), l),
-                "{what}: loop at bb{} after LICM",
-                l.header.0
-            );
-        }
-
-        let before = cfg::predecessors(m.func(fid));
-        let stats = run_pass(&mut MachineSink, &mut m, fid);
-        seen.sunk += stats.get("machine sinking", "instructions sunk");
+/// Checks the facts `facts` keeps for `f` after `pass` ran on it.
+fn check_facts(
+    f: &Function,
+    fid: FunctionId,
+    facts: &mut FunctionFacts,
+    pass: &str,
+    seen: &mut Seen,
+) {
+    let what = format!("{} @{} after {pass}", seen.what, f.name);
+    let kept = facts.cfg(f);
+    for bi in 0..f.blocks.len() {
+        let bb = BlockId(bi as u32);
         assert_eq!(
-            cfg::predecessors(m.func(fid)),
-            before,
-            "{what}: predecessors after MachineSink"
+            &*cfg::successors(f, bb),
+            terminator_targets(f, bb).as_slice(),
+            "{what}: successors of bb{bi}"
         );
+        seen.blocks += 1;
     }
+    assert_eq!(
+        kept.preds(),
+        cfg::predecessors(f).as_slice(),
+        "{what}: predecessors"
+    );
+    assert_eq!(
+        kept.rpo(),
+        cfg::reverse_postorder(f).as_slice(),
+        "{what}: RPO"
+    );
+    let fresh = DomTree::build(f);
+    for bi in 0..f.blocks.len() {
+        let bb = BlockId(bi as u32);
+        assert_eq!(kept.idom(bb), fresh.idom(bb), "{what}: idom of bb{bi}");
+    }
+    let forest = facts.loops(f);
+    let fresh_forest = LoopForest::build(f, &fresh);
+    assert_eq!(forest.loops, fresh_forest.loops, "{what}: loop forest");
+    for l in &forest.loops {
+        let pre = fresh_preheader(f, l);
+        assert_eq!(forest.preheader(l), pre, "{what}: loop at bb{}", l.header.0);
+        seen.loops += 1;
+        seen.preheaders += u64::from(pre.is_some());
+    }
+
+    let slot = &mut seen.kept[fid.0 as usize];
+    if let Some(prev) = slot.as_ref().filter(|prev| !Rc::ptr_eq(prev, &kept)) {
+        assert!(
+            EDGE_EDITORS.contains(&pass),
+            "{what}: facts rebuilt after a pass that edits no edge"
+        );
+        assert!(!prev.matches(f), "{what}: facts rebuilt while still valid");
+        seen.rebuilds += 1;
+    }
+    *slot = Some(kept);
+    seen.checks += 1;
+}
+
+/// A pipeline pass followed by the checks.
+struct Checked {
+    inner: Box<dyn Pass>,
+    seen: Rc<RefCell<Seen>>,
+}
+
+impl Pass for Checked {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
+        self.inner.run(m, fid, cx);
+        let mut seen = self.seen.borrow_mut();
+        check_facts(m.func(fid), fid, cx.facts, self.inner.name(), &mut seen);
+    }
+}
+
+/// Runs the standard pipeline with every pass checked over `module`,
+/// under the conservative chain plus ORAQL when `decisions` is set.
+/// Returns the compiled module and the pass statistics.
+fn checked_compile(
+    mut module: Module,
+    case: &TestCase,
+    decisions: Option<&Decisions>,
+    seen: &Rc<RefCell<Seen>>,
+) -> (Module, Stats) {
+    seen.borrow_mut().kept = vec![None; module.funcs.len()];
+    let mut aa = conservative_chain(&module, case.use_cfl);
+    if let Some(d) = decisions {
+        let shared = new_shared_with(d.clone(), case.scope.clone(), case.optimism);
+        aa.add(Box::new(OraqlAA::new(shared)));
+    }
+    let passes = standard_passes()
+        .into_iter()
+        .map(|inner| {
+            Box::new(Checked {
+                inner,
+                seen: Rc::clone(seen),
+            }) as Box<dyn Pass>
+        })
+        .collect();
+    let mut stats = Stats::new();
+    PassManager::new(passes).run(&mut module, &mut aa, &mut stats);
+    (module, stats)
+}
+
+/// Compiles each case baseline and all-optimistic with every pass
+/// checked, and compares each result with `compile_pipeline`'s.
+fn check_cases(cases: &[TestCase]) -> Seen {
+    let seen = Rc::new(RefCell::new(Seen::default()));
+    for case in cases {
+        for decisions in [None, Some(Decisions::all_optimistic())] {
+            seen.borrow_mut().what = format!(
+                "{} ({})",
+                case.name,
+                if decisions.is_some() {
+                    "optimistic"
+                } else {
+                    "baseline"
+                }
+            );
+            let (module, _) = checked_compile((case.build)(), case, decisions.as_ref(), &seen);
+            let opts = CompileOptions {
+                oraql: decisions.map(|d| (d, case.scope.clone())),
+                use_cfl: case.use_cfl,
+                optimism: case.optimism,
+                ..CompileOptions::default()
+            };
+            assert_eq!(
+                module_str(&module),
+                module_str(&compile_pipeline(&*case.build, &opts).module),
+                "{}: the checks changed the compile",
+                seen.borrow().what
+            );
+        }
+    }
+    Rc::try_unwrap(seen).ok().expect("one owner").into_inner()
 }
 
 #[test]
 fn reused_cfg_facts_equal_fresh_ones_on_the_workloads() {
     let cases = oraql_workloads::all_cases();
     assert_eq!(cases.len(), 16);
-    let mut seen = Seen::default();
-    for case in &cases {
-        check_module((case.build)(), &case.name, &mut seen);
-        let compiled = compile(&*case.build, &CompileOptions::baseline());
-        check_module(
-            compiled.module,
-            &format!("{} (compiled)", case.name),
-            &mut seen,
-        );
-    }
-    // The checks saw what they check.
-    assert!(seen.blocks > 0);
+    let seen = check_cases(&cases);
+    // The checks saw what they check, edge edits included.
+    assert!(seen.checks > 0 && seen.blocks > 0);
     assert!(seen.loops > 0 && seen.preheaders > 0);
+    assert!(seen.rebuilds > 0, "no pass edited an edge");
+}
+
+#[test]
+fn reused_cfg_facts_equal_fresh_ones_on_the_gen_corpus() {
+    let plan = GenPlan::parse("seed=2024,cases=64,per=3").expect("plan");
+    let (cases, _) = oraql_gen::suite(&plan);
+    assert_eq!(cases.len(), 64);
+    let seen = check_cases(&cases);
+    assert!(seen.checks > 0 && seen.loops > 0);
 }
 
 /// The shapes the workloads lack: a conditional branch with two equal
 /// targets, and an instruction `MachineSink` moves (the workloads give
-/// it none).
+/// it none) over the kept predecessor lists.
 #[test]
 fn same_target_branch_and_a_sunk_instruction() {
     let mut m = Module::new("t");
-    let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::I1, Ty::I64], None);
+    let mut b = FunctionBuilder::new(&mut m, "main", vec![Ty::I1, Ty::I64], None);
     let (then_bb, else_bb, join) = (b.new_block(), b.new_block(), b.new_block());
     let x = b.mul(b.arg(1), Value::ConstInt(3));
     b.cond_br(b.arg(0), then_bb, else_bb);
@@ -170,8 +264,16 @@ fn same_target_branch_and_a_sunk_instruction() {
     let f = m.func(id);
     assert_eq!(*cfg::successors(f, then_bb), [join]);
     assert!(cfg::successors(f, join).is_empty());
-    let mut seen = Seen::default();
-    check_module(m, "synthetic", &mut seen);
-    assert_eq!(seen.blocks, 4);
-    assert_eq!(seen.sunk, 1, "the mul sinks into its one user's block");
+    let case = TestCase::new("synthetic", || Module::new("unused"));
+    let seen = Rc::new(RefCell::new(Seen::default()));
+    let (_, stats) = checked_compile(m, &case, None, &seen);
+    let seen = seen.borrow();
+    assert_eq!(seen.checks, 12, "one check per pass");
+    assert_eq!(seen.blocks, 4 * 12);
+    assert_eq!(seen.rebuilds, 0);
+    assert_eq!(
+        stats.get("machine sinking", "instructions sunk"),
+        1,
+        "the mul sinks into its one user's block"
+    );
 }

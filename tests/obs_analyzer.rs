@@ -144,7 +144,7 @@ fn span_file_rebuilds_the_case_probe_hierarchy() {
                 assert_eq!(by_id[&s.parent].name, "case", "probe parent");
                 assert_eq!(by_id[&s.parent].case, s.case, "probe case label");
             }
-            "compile" | "vm" | "verify" => {
+            "compile" | "key" | "vm" | "verify" => {
                 assert_eq!(by_id[&s.parent].name, "probe", "{} parent", s.name);
             }
             "baseline" | "final" | "store" | "server" => {
