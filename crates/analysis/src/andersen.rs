@@ -127,23 +127,11 @@ impl AliasAnalysis for AndersenAA {
             // Values created after extraction (by passes): walk to the
             // underlying base and retry once.
             let f = ctx.module.func(ctx.func);
-            let base_a = crate::pointer::decompose(f, a.ptr);
-            let base_b = crate::pointer::decompose(f, b.ptr);
-            let to_val = |base: &crate::pointer::PtrBase| match *base {
-                crate::pointer::PtrBase::Alloca(i)
-                | crate::pointer::PtrBase::LoadResult(i)
-                | crate::pointer::PtrBase::CallResult(i)
-                | crate::pointer::PtrBase::Merge(i) => Some(oraql_ir::value::Value::Inst(i)),
-                crate::pointer::PtrBase::Arg { index, .. } => {
-                    Some(oraql_ir::value::Value::Arg(index))
-                }
-                crate::pointer::PtrBase::Global(g) => Some(oraql_ir::value::Value::Global(g)),
-                crate::pointer::PtrBase::Unknown => None,
+            let node = |ptr| {
+                let v = crate::pointer::decompose(f, ptr).base.value()?;
+                self.sys.node_of(ctx.func, v)
             };
-            match (
-                to_val(&base_a.base).and_then(|v| self.sys.node_of(ctx.func, v)),
-                to_val(&base_b.base).and_then(|v| self.sys.node_of(ctx.func, v)),
-            ) {
+            match (node(a.ptr), node(b.ptr)) {
                 (Some(na), Some(nb)) => return self.decide(na, nb),
                 _ => return AliasResult::MayAlias,
             }

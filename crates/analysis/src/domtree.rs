@@ -82,7 +82,7 @@ impl DomTree {
 mod tests {
     use super::*;
     use oraql_ir::builder::FunctionBuilder;
-    use oraql_ir::{Module, Ty, Value};
+    use oraql_ir::{Edit, Module, Ty, Value};
 
     /// Diamond: entry -> (t, e) -> join.
     fn diamond() -> (Module, BlockId, BlockId, BlockId) {
@@ -146,8 +146,8 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         let dt = DomTree::build(f);
-        let i0 = f.blocks[0].insts[0];
-        let i1 = f.blocks[0].insts[1];
+        let i0 = f.blocks()[0].insts[0];
+        let i1 = f.blocks()[0].insts[1];
         assert!(dt.inst_dominates(f, i0, i1));
         assert!(!dt.inst_dominates(f, i1, i0));
         assert!(!dt.inst_dominates(f, i0, i0));
@@ -170,8 +170,8 @@ mod tests {
         let id = b.finish();
         let dt = DomTree::build(m.func(id));
         let all: Vec<_> = m.func(id).live_insts().collect();
-        let removed = m.func(id).blocks[0].insts[1];
-        m.func_mut(id).remove_inst(removed);
+        let removed = m.func(id).blocks()[0].insts[1];
+        m.func_mut(id).apply(&[Edit::Remove(removed)]);
         let f = m.func(id);
         let fresh = DomTree::build(f);
         for &x in &all {
@@ -189,7 +189,7 @@ mod tests {
             }
         }
         // The store still follows the first load across the gap.
-        let (first, store) = (f.blocks[0].insts[0], f.blocks[0].insts[1]);
+        let (first, store) = (f.blocks()[0].insts[0], f.blocks()[0].insts[1]);
         assert!(dt.inst_dominates(f, first, store));
     }
 }

@@ -41,7 +41,7 @@ impl CfgFacts {
     /// Computes the facts of `f` (dominators by the Cooper–Harvey–Kennedy
     /// iterative algorithm).
     pub fn build(f: &Function) -> Rc<Self> {
-        let n = f.blocks.len();
+        let n = f.blocks().len();
         let succs: Vec<Successors> = (0..n)
             .map(|i| cfg::successors(f, BlockId(i as u32)))
             .collect();
@@ -114,7 +114,7 @@ impl CfgFacts {
     /// Do `f`'s terminators still name the edges these facts were built
     /// from? O(blocks).
     pub fn matches(&self, f: &Function) -> bool {
-        self.succs.len() == f.blocks.len()
+        self.succs.len() == f.blocks().len()
             && self
                 .succs
                 .iter()
@@ -211,7 +211,7 @@ mod tests {
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::inst::Inst;
     use oraql_ir::module::FunctionId;
-    use oraql_ir::{Module, Ty, Value};
+    use oraql_ir::{Edit, Module, Ty, Value};
 
     #[test]
     fn kept_until_an_edge_moves() {
@@ -235,7 +235,7 @@ mod tests {
             .live_insts()
             .find(|&i| matches!(f.inst(i), Inst::Store { .. }))
             .unwrap();
-        f.remove_inst(store);
+        f.apply(&[Edit::Remove(store)]);
         assert!(Rc::ptr_eq(&cfg, &facts.cfg(m.func(id))));
         assert!(Rc::ptr_eq(&forest, &facts.loops(m.func(id))));
         // Retargeting the latch removes the back edge: fresh facts, no

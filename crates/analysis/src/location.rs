@@ -188,15 +188,15 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let load = f.blocks[0].insts[0];
-        let store = f.blocks[0].insts[1];
+        let load = f.blocks()[0].insts[0];
+        let store = f.blocks()[0].insts[1];
         let la = MemoryLocation::of_access(f, load).unwrap();
         let lb = MemoryLocation::of_access(f, store).unwrap();
         assert_eq!(la.size, LocationSize::Precise(8));
         assert_eq!(lb.size, LocationSize::Precise(4));
         assert_eq!(la.ptr, lb.ptr);
         // Terminator is not an access.
-        let ret = f.blocks[0].insts[2];
+        let ret = f.blocks()[0].insts[2];
         assert!(MemoryLocation::of_access(f, ret).is_none());
     }
 
@@ -210,7 +210,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let mc = f.blocks[0].insts[0];
+        let mc = f.blocks()[0].insts[0];
         assert_eq!(
             MemoryLocation::memcpy_dest(f, mc).unwrap().size,
             LocationSize::Precise(32)

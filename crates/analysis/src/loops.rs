@@ -46,7 +46,7 @@ impl LoopForest {
     pub(crate) fn from_cfg(f: &Function, cfg: Rc<CfgFacts>) -> Self {
         // Find back edges: n -> h where h dominates n.
         let mut raw: Vec<(BlockId, Vec<BlockId>)> = Vec::new(); // (header, latches)
-        for bi in 0..f.blocks.len() {
+        for bi in 0..f.blocks().len() {
             let n = BlockId(bi as u32);
             for s in cfg.successors(n) {
                 if cfg.dominates(s, n) {

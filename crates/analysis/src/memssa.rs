@@ -53,9 +53,9 @@ pub struct MemorySsa {
 impl MemorySsa {
     /// Builds MemorySSA structure for `f` over its CFG facts `cfg`.
     pub fn build(f: &Function, cfg: Rc<CfgFacts>) -> Self {
-        let mut defs_in_block = vec![Vec::new(); f.blocks.len()];
-        let mut defs_before = vec![0u32; f.insts.len()];
-        for (block, defs) in f.blocks.iter().zip(&mut defs_in_block) {
+        let mut defs_in_block = vec![Vec::new(); f.blocks().len()];
+        let mut defs_before = vec![0u32; f.insts().len()];
+        for (block, defs) in f.blocks().iter().zip(&mut defs_in_block) {
             for &id in &block.insts {
                 defs_before[id.0 as usize] = defs.len() as u32;
                 if f.inst(id).writes_memory() {
@@ -187,7 +187,7 @@ mod tests {
     use super::*;
     use crate::basic::BasicAA;
     use oraql_ir::builder::FunctionBuilder;
-    use oraql_ir::{Module, Ty, Value};
+    use oraql_ir::{Edit, Module, Ty, Value};
 
     fn mgr() -> AAManager {
         let mut aa = AAManager::new();
@@ -209,7 +209,7 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
-        let load_id = f.blocks[0].insts[4];
+        let load_id = f.blocks()[0].insts[4];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
         // Defining access is the store to y...
@@ -232,7 +232,7 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
-        let load_id = f.blocks[0].insts[2];
+        let load_id = f.blocks()[0].insts[2];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
         let mut aa = mgr();
@@ -262,7 +262,7 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
-        let load_id = f.blocks[j.0 as usize].insts[0];
+        let load_id = f.blocks()[j.0 as usize].insts[0];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
         assert_eq!(start, MemAccess::Phi(j));
@@ -297,7 +297,7 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
-        let load_id = f.blocks[j.0 as usize].insts[0];
+        let load_id = f.blocks()[j.0 as usize].insts[0];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
         let mut aa = mgr();
@@ -326,12 +326,11 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let mssa = MemorySsa::build(m.func(id), CfgFacts::build(m.func(id)));
-        let insts = m.func(id).blocks[0].insts.clone();
+        let insts = m.func(id).blocks()[0].insts.clone();
         // Remove the first and third load (the analysis does not need
         // their uses rewritten).
         let f = m.func_mut(id);
-        f.remove_inst(insts[1]);
-        f.remove_inst(insts[4]);
+        f.apply(&[Edit::Remove(insts[1]), Edit::Remove(insts[4])]);
         let f = m.func(id);
         let fresh = MemorySsa::build(f, CfgFacts::build(f));
         let accesses = f.live_insts().filter(|&i| {
@@ -376,7 +375,7 @@ mod tests {
         oraql_ir::verify::assert_valid(&m);
         let f = m.func(id);
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
-        let load_id = f.blocks[x.0 as usize].insts[0];
+        let load_id = f.blocks()[x.0 as usize].insts[0];
         let start = mssa.defining_access(f, load_id);
         assert_eq!(start, MemAccess::Phi(x));
         assert_eq!(mssa.end_access(y), MemAccess::Phi(y));
@@ -406,7 +405,7 @@ mod tests {
         let mssa = MemorySsa::build(f, CfgFacts::build(f));
         assert!(mssa.num_defs() >= 2);
         let exit = f.block_of(f.live_insts().last().unwrap());
-        let load_id = f.blocks[exit.0 as usize].insts[0];
+        let load_id = f.blocks()[exit.0 as usize].insts[0];
         let loc = MemoryLocation::of_access(f, load_id).unwrap();
         let start = mssa.defining_access(f, load_id);
         let mut aa = mgr();

@@ -39,6 +39,20 @@ impl PtrBase {
     pub fn is_identified(self) -> bool {
         matches!(self, PtrBase::Alloca(_) | PtrBase::Global(_))
     }
+
+    /// The value naming the base: its instruction, argument or global;
+    /// `None` when unknown.
+    pub fn value(self) -> Option<Value> {
+        match self {
+            PtrBase::Alloca(i)
+            | PtrBase::LoadResult(i)
+            | PtrBase::CallResult(i)
+            | PtrBase::Merge(i) => Some(Value::Inst(i)),
+            PtrBase::Arg { index, .. } => Some(Value::Arg(index)),
+            PtrBase::Global(g) => Some(Value::Global(g)),
+            PtrBase::Unknown => None,
+        }
+    }
 }
 
 /// A pointer decomposed as `base + const_off + sum(index_i * scale_i)`.
@@ -188,7 +202,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let dec = decompose(f, Value::Inst(f.blocks[0].insts[2])); // d
+        let dec = decompose(f, Value::Inst(f.blocks()[0].insts[2])); // d
         assert_eq!(
             dec.base,
             PtrBase::Arg {
@@ -210,7 +224,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let dec = decompose(f, Value::Inst(f.blocks[0].insts[0]));
+        let dec = decompose(f, Value::Inst(f.blocks()[0].insts[0]));
         assert!(dec.is_const_offset());
         assert_eq!(dec.const_off, 24);
     }
@@ -226,7 +240,7 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         let f = m.func(id);
-        let dec = decompose(f, Value::Inst(f.blocks[0].insts[1]));
+        let dec = decompose(f, Value::Inst(f.blocks()[0].insts[1]));
         assert!(matches!(dec.base, PtrBase::Alloca(_)));
         assert!(dec.base.is_identified());
         let argdec = decompose(f, Value::Arg(0));

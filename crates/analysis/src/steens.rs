@@ -141,16 +141,7 @@ impl SteensgaardAA {
         }
         // Pass-created value: fall back to the underlying object's value.
         let f = ctx.module.func(ctx.func);
-        let base = crate::pointer::decompose(f, ptr).base;
-        let v = match base {
-            crate::pointer::PtrBase::Alloca(i)
-            | crate::pointer::PtrBase::LoadResult(i)
-            | crate::pointer::PtrBase::CallResult(i)
-            | crate::pointer::PtrBase::Merge(i) => oraql_ir::value::Value::Inst(i),
-            crate::pointer::PtrBase::Arg { index, .. } => oraql_ir::value::Value::Arg(index),
-            crate::pointer::PtrBase::Global(g) => oraql_ir::value::Value::Global(g),
-            crate::pointer::PtrBase::Unknown => return None,
-        };
+        let v = crate::pointer::decompose(f, ptr).base.value()?;
         self.sys.node_of(ctx.func, v)
     }
 }

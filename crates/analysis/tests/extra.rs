@@ -232,8 +232,8 @@ fn chain_order_determines_answerer() {
     aa.add(Box::new(oraql_analysis::tbaa::TypeBasedAA::new()));
     aa.enable_log();
     let f = m.func(id);
-    let s0 = f.blocks[0].insts[2];
-    let s1 = f.blocks[0].insts[3];
+    let s0 = f.blocks()[0].insts[2];
+    let s1 = f.blocks()[0].insts[3];
     let la = MemoryLocation::of_access(f, s0).unwrap();
     let lb = MemoryLocation::of_access(f, s1).unwrap();
     assert_eq!(aa.alias(&m, id, &la, &lb), AliasResult::NoAlias);

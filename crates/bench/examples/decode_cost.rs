@@ -12,7 +12,7 @@ fn main() {
         let compiled =
             oraql::compile::compile(&*case.build, &oraql::compile::CompileOptions::baseline());
         let m = &compiled.module;
-        let statics: usize = m.funcs.iter().map(|f| f.insts.len()).sum();
+        let statics: usize = m.funcs.iter().map(|f| f.insts().len()).sum();
         let gbytes: u64 = m.globals.iter().map(|g| g.size).sum();
         // Time a full decode of every function via a throwaway run in
         // each mode, plus decode_function directly.

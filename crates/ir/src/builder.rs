@@ -3,7 +3,7 @@
 
 use crate::inst::{BinOp, CallKind, CastKind, CmpPred, FuncRef, GepOffset, Inst, InstId};
 use crate::meta::{AccessMeta, SrcLoc, Target, TbaaTag};
-use crate::module::{Block, Function, FunctionId, Module, Param};
+use crate::module::{Function, FunctionId, Module, Param};
 use crate::types::Ty;
 use crate::value::{BlockId, Value};
 
@@ -20,27 +20,9 @@ impl<'m> FunctionBuilder<'m> {
     /// Starts a new host function with the given signature. All
     /// parameters default to non-`noalias`; use [`Self::set_noalias`].
     pub fn new(module: &'m mut Module, name: &str, params: Vec<Ty>, ret: Option<Ty>) -> Self {
-        let params = params
-            .into_iter()
-            .enumerate()
-            .map(|(i, ty)| Param {
-                ty,
-                noalias: false,
-                name: format!("arg{i}"),
-            })
-            .collect();
         FunctionBuilder {
             module,
-            func: Function {
-                name: name.to_owned(),
-                params,
-                ret,
-                blocks: vec![Block::default()],
-                insts: Vec::new(),
-                target: Target::Host,
-                outlined: false,
-                src_file: None,
-            },
+            func: Function::new(name, plain_params(params), ret),
             cur: Function::ENTRY,
             loc: None,
         }
@@ -514,7 +496,7 @@ impl<'m> FunctionBuilder<'m> {
 }
 
 /// Declares a function signature up-front (so forward calls can reference
-/// it) and returns a builder that fills in the body of that declaration.
+/// it) and returns its id; [`Function::push_inst`] fills in its body.
 ///
 /// This is needed when building mutually recursive or forward-referenced
 /// functions: `FunctionBuilder::finish` appends, so ids must be known
@@ -525,73 +507,23 @@ pub fn declare_function(
     params: Vec<Ty>,
     ret: Option<Ty>,
 ) -> FunctionId {
-    let params = params
-        .into_iter()
+    let id = FunctionId(module.funcs.len() as u32);
+    module
+        .funcs
+        .push(Function::new(name, plain_params(params), ret));
+    id
+}
+
+/// Non-`noalias` parameters named `arg0`, `arg1`, ... of the given types.
+fn plain_params(tys: Vec<Ty>) -> Vec<Param> {
+    tys.into_iter()
         .enumerate()
         .map(|(i, ty)| Param {
             ty,
             noalias: false,
             name: format!("arg{i}"),
         })
-        .collect();
-    let id = FunctionId(module.funcs.len() as u32);
-    module.funcs.push(Function {
-        name: name.to_owned(),
-        params,
-        ret,
-        blocks: vec![Block::default()],
-        insts: Vec::new(),
-        target: Target::Host,
-        outlined: false,
-        src_file: None,
-    });
-    id
-}
-
-/// Builder over an already-declared function (see [`declare_function`]).
-pub struct BodyBuilder<'m> {
-    module: &'m mut Module,
-    id: FunctionId,
-    cur: BlockId,
-    loc: Option<SrcLoc>,
-}
-
-impl<'m> BodyBuilder<'m> {
-    /// Starts building the body of `id`.
-    pub fn new(module: &'m mut Module, id: FunctionId) -> Self {
-        BodyBuilder {
-            module,
-            id,
-            cur: Function::ENTRY,
-            loc: None,
-        }
-    }
-
-    fn func_mut(&mut self) -> &mut Function {
-        self.module.func_mut(self.id)
-    }
-
-    /// Emits an instruction at the cursor.
-    pub fn emit(&mut self, inst: Inst) -> InstId {
-        let cur = self.cur;
-        let loc = self.loc;
-        self.func_mut().push_inst(cur, inst, loc)
-    }
-
-    /// Emits and wraps the result.
-    pub fn emit_value(&mut self, inst: Inst) -> Value {
-        Value::Inst(self.emit(inst))
-    }
-
-    /// Moves the cursor.
-    pub fn switch_to(&mut self, bb: BlockId) {
-        self.cur = bb;
-    }
-
-    /// Creates a new block.
-    pub fn new_block(&mut self) -> BlockId {
-        self.func_mut().add_block()
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -625,7 +557,7 @@ mod tests {
         let id = b.finish();
         let f = m.func(id);
         // preheader(entry) + header + body + exit
-        assert_eq!(f.blocks.len(), 4);
+        assert_eq!(f.blocks().len(), 4);
         // Phi has two incoming edges after patching.
         let phi = f
             .live_insts()
@@ -673,10 +605,10 @@ mod tests {
         b.ret(Some(r));
         let caller = b.finish();
         // Fill in the declared body.
-        let mut bb = BodyBuilder::new(&mut m, callee);
-        bb.emit(Inst::Ret {
+        let ret = Inst::Ret {
             val: Some(Value::Arg(0)),
-        });
+        };
+        m.func_mut(callee).push_inst(Function::ENTRY, ret, None);
         assert_eq!(m.func(caller).name, "caller");
         assert_eq!(m.func(callee).live_inst_count(), 1);
     }

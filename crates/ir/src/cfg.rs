@@ -60,10 +60,34 @@ pub fn successors(f: &Function, bb: BlockId) -> Successors {
     }
 }
 
+/// Points the edges of `bb`'s terminator that enter `from` at `to`
+/// instead. False, with nothing changed, when `bb` has no terminator, or
+/// its terminator is neither a branch to `from` nor a conditional branch
+/// (whose arms that name `from` are the ones retargeted).
+pub fn retarget(f: &mut Function, bb: BlockId, from: BlockId, to: BlockId) -> bool {
+    let Some(t) = f.terminator(bb) else {
+        return false;
+    };
+    match f.inst_mut(t) {
+        Inst::Br { target } if *target == from => *target = to,
+        Inst::CondBr {
+            then_bb, else_bb, ..
+        } => {
+            for arm in [then_bb, else_bb] {
+                if *arm == from {
+                    *arm = to;
+                }
+            }
+        }
+        _ => return false,
+    }
+    true
+}
+
 /// Predecessor lists for every block, indexed by block id.
 pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); f.blocks.len()];
-    for i in 0..f.blocks.len() {
+    let mut preds = vec![Vec::new(); f.blocks().len()];
+    for i in 0..f.blocks().len() {
         let bb = BlockId(i as u32);
         for s in successors(f, bb) {
             preds[s.0 as usize].push(bb);
@@ -75,7 +99,7 @@ pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
 /// Reverse postorder over the CFG starting at the entry block.
 /// Unreachable blocks are not visited.
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let n = f.blocks.len();
+    let n = f.blocks().len();
     let mut visited = vec![false; n];
     let mut post = Vec::with_capacity(n);
     // Iterative DFS with an explicit stack of (block, next-successor-idx).
@@ -101,7 +125,7 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
 
 /// True when every block is reachable from entry.
 pub fn all_reachable(f: &Function) -> bool {
-    reverse_postorder(f).len() == f.blocks.len()
+    reverse_postorder(f).len() == f.blocks().len()
 }
 
 /// Each instruction's index within its block's instruction list,
@@ -111,8 +135,8 @@ pub fn all_reachable(f: &Function) -> bool {
 /// while instructions are removed, because removal keeps the relative
 /// order of the rest; inserting or moving an instruction invalidates it.
 pub fn block_positions(f: &Function) -> Vec<u32> {
-    let mut pos = vec![u32::MAX; f.insts.len()];
-    for block in &f.blocks {
+    let mut pos = vec![u32::MAX; f.insts().len()];
+    for block in f.blocks() {
         for (i, &id) in block.insts.iter().enumerate() {
             pos[id.0 as usize] = i as u32;
         }
@@ -124,7 +148,7 @@ pub fn block_positions(f: &Function) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::module::Module;
+    use crate::module::{Edit, Module};
     use crate::types::Ty;
     use crate::value::Value;
 
@@ -194,14 +218,14 @@ mod tests {
         let id = b.finish();
         let f = m.func_mut(id);
         let (l0, l1, l2) = (
-            f.blocks[0].insts[0],
-            f.blocks[1].insts[0],
-            f.blocks[1].insts[1],
+            f.blocks()[0].insts[0],
+            f.blocks()[1].insts[0],
+            f.blocks()[1].insts[1],
         );
         let pos = block_positions(f);
         assert_eq!((pos[l0.0 as usize], pos[l1.0 as usize]), (0, 0));
         assert_eq!(pos[l2.0 as usize], 1);
-        f.remove_inst(l1);
+        f.apply(&[Edit::Remove(l1)]);
         let pos = block_positions(f);
         assert_eq!(pos[l1.0 as usize], u32::MAX);
         assert_eq!(pos[l2.0 as usize], 0);

@@ -54,6 +54,6 @@ pub use hash::{FxHashMap, FxHashSet};
 pub use inst::{BinOp, CallKind, CastKind, CmpPred, FuncRef, GepOffset, Inst, InstData, InstId};
 pub use interner::{StrId, StringInterner};
 pub use meta::{AccessMeta, ScopeId, SrcLoc, Target, TbaaTag, TbaaTree};
-pub use module::{Function, FunctionId, Global, GlobalId, Module, Param};
+pub use module::{Edit, Edits, Function, FunctionId, Global, GlobalId, Module, Param, Place};
 pub use types::Ty;
 pub use value::{BlockId, Value};

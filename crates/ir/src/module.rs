@@ -34,6 +34,20 @@ pub struct Block {
 }
 
 /// A function: parameters, a CFG of basic blocks and an instruction arena.
+///
+/// The block lists and the arena are private. Other code reads them
+/// through [`Function::blocks`] and [`Function::insts`] and changes them
+/// only through this type's methods: the creation methods
+/// ([`Function::push_inst`], [`Function::insert_inst`],
+/// [`Function::add_block`]), payload edits through
+/// [`Function::inst_mut`], and replacements, removals and moves through
+/// one [`Edits`] batch handed to [`Function::apply`]. Those methods keep
+/// three invariants:
+/// - each live id sits in exactly one block, the one its
+///   [`InstData::block`] names;
+/// - a removed id stays in the arena as [`Inst::Removed`], so ids stay
+///   stable;
+/// - the arena never shrinks.
 #[derive(Debug, Clone)]
 pub struct Function {
     /// Symbol name.
@@ -43,10 +57,9 @@ pub struct Function {
     /// Return type, `None` for void.
     pub ret: Option<Ty>,
     /// Basic blocks; `BlockId(i)` indexes this vector. Block 0 is entry.
-    pub blocks: Vec<Block>,
-    /// Instruction arena; `InstId(i)` indexes this vector. Removed
-    /// instructions stay as `Inst::Removed` so ids remain stable.
-    pub insts: Vec<InstData>,
+    blocks: Vec<Block>,
+    /// Instruction arena; `InstId(i)` indexes this vector.
+    insts: Vec<InstData>,
     /// Compilation target (host or device).
     pub target: Target,
     /// True for compiler-generated outlined bodies (parallel regions,
@@ -57,9 +70,69 @@ pub struct Function {
     pub src_file: Option<StrId>,
 }
 
+/// Where [`Function::apply`] places a moved instruction in its
+/// destination block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Place {
+    /// Just before the terminator, or last when the block has none
+    /// (LICM's hoist into a preheader).
+    BeforeTerminator,
+    /// Just after the leading phis (MachineSink's sink into a successor).
+    AfterPhis,
+}
+
+/// One entry of an [`Edits`] batch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Edit {
+    /// Every use of the instruction becomes the value, and the
+    /// instruction is removed.
+    Replace(InstId, Value),
+    /// The instruction leaves its block and becomes [`Inst::Removed`].
+    Remove(InstId),
+    /// The instruction moves to a place in another block.
+    Move(InstId, BlockId, Place),
+}
+
+impl Edit {
+    /// The instruction this entry edits.
+    fn id(self) -> InstId {
+        let (Edit::Replace(id, _) | Edit::Remove(id) | Edit::Move(id, ..)) = self;
+        id
+    }
+}
+
+/// A batch of edits to one function, in recording order, for
+/// [`Function::apply`].
+pub type Edits = Vec<Edit>;
+
 impl Function {
     /// Entry block id (always block 0).
     pub const ENTRY: BlockId = BlockId(0);
+
+    /// A host function with an empty entry block and no instructions.
+    pub fn new(name: &str, params: Vec<Param>, ret: Option<Ty>) -> Self {
+        Function {
+            name: name.to_owned(),
+            params,
+            ret,
+            blocks: vec![Block::default()],
+            insts: Vec::new(),
+            target: Target::Host,
+            outlined: false,
+            src_file: None,
+        }
+    }
+
+    /// The basic blocks; `BlockId(i)` indexes this slice.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The instruction arena; `InstId(i)` indexes this slice. Removed
+    /// instructions stay as [`Inst::Removed`].
+    pub fn insts(&self) -> &[InstData] {
+        &self.insts
+    }
 
     /// Immutable access to an instruction payload.
     pub fn inst(&self, id: InstId) -> &Inst {
@@ -73,7 +146,9 @@ impl Function {
         self.insts.get(id.0 as usize).map(|d| &d.inst)
     }
 
-    /// Mutable access to an instruction payload.
+    /// Mutable access to an instruction payload, for edits that keep the
+    /// instruction where it is (a phi's incoming list, a memcpy's
+    /// source, a terminator's targets).
     pub fn inst_mut(&mut self, id: InstId) -> &mut Inst {
         &mut self.insts[id.0 as usize].inst
     }
@@ -111,37 +186,89 @@ impl Function {
         id
     }
 
-    /// Removes `id` from its block and marks it `Removed`. Uses of its
-    /// result become dangling; callers must have rewritten them first
-    /// (asserted by the verifier in debug builds).
-    pub fn remove_inst(&mut self, id: InstId) {
-        let bb = self.insts[id.0 as usize].block;
-        self.blocks[bb.0 as usize].insts.retain(|&i| i != id);
-        self.insts[id.0 as usize].inst = Inst::Removed;
-    }
-
-    /// Moves `id` from its current position to the end of `to`, placing
-    /// it just before the terminator. Used by LICM hoisting/sinking.
-    pub fn move_inst_before_terminator(&mut self, id: InstId, to: BlockId) {
-        let from = self.insts[id.0 as usize].block;
-        self.blocks[from.0 as usize].insts.retain(|&i| i != id);
-        let dest = &mut self.blocks[to.0 as usize].insts;
-        let pos = dest.len().saturating_sub(1);
-        // The destination block always has a terminator for well-formed
-        // functions; insert before it.
-        dest.insert(pos, id);
-        self.insts[id.0 as usize].block = to;
-    }
-
-    /// Replaces every use of `from` with `to` across the whole function.
-    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
-        for data in &mut self.insts {
-            data.inst.for_each_operand_mut(|v| {
-                if *v == from {
-                    *v = to;
-                }
-            });
+    /// Applies a batch: one sweep over every operand when it replaces
+    /// anything, one `retain` per block an instruction leaves, then the
+    /// moves. Replaced and removed ids become [`Inst::Removed`].
+    ///
+    /// Each replacement value is first resolved through the batch's
+    /// other replacements, so the result equals applying the entries one
+    /// at a time in recording order. That holds for every batch that
+    /// names only instructions live when their entry is recorded, moves
+    /// no phi or terminator, and has no cycle of replacements.
+    pub fn apply(&mut self, edits: &[Edit]) {
+        let mut replace = Vec::new();
+        let mut gone = Vec::with_capacity(edits.len());
+        let mut touched = Vec::with_capacity(edits.len());
+        for &e in edits {
+            if let Edit::Replace(id, v) = e {
+                replace.push((id, v));
+            }
+            gone.push(e.id());
+            touched.push(self.block_of(e.id()));
         }
+        replace.sort_unstable_by_key(|&(id, _)| id);
+        let (lo, hi) = match (replace.first(), replace.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
+            _ => (InstId(u32::MAX), InstId(0)),
+        };
+        let find = |r: &[(InstId, Value)], v: Value| match v {
+            Value::Inst(i) if lo <= i && i <= hi => r.binary_search_by_key(&i, |e| e.0).ok(),
+            _ => None,
+        };
+        for k in 0..replace.len() {
+            for _ in 0..replace.len() {
+                let Some(j) = find(&replace, replace[k].1) else {
+                    break;
+                };
+                replace[k].1 = replace[j].1;
+            }
+            debug_assert!(find(&replace, replace[k].1).is_none(), "replacement cycle");
+        }
+        if !replace.is_empty() {
+            for data in &mut self.insts {
+                data.inst.for_each_operand_mut(|v| {
+                    if let Some(j) = find(&replace, *v) {
+                        *v = replace[j].1;
+                    }
+                });
+            }
+        }
+
+        gone.sort_unstable();
+        touched.sort_unstable();
+        touched.dedup();
+        for bb in touched {
+            let list = &mut self.blocks[bb.0 as usize].insts;
+            list.retain(|id| gone.binary_search(id).is_err());
+        }
+        for (k, &e) in edits.iter().enumerate() {
+            let Edit::Move(id, to, place) = e else {
+                self.insts[e.id().0 as usize].inst = Inst::Removed;
+                continue;
+            };
+            self.insts[id.0 as usize].block = to;
+            if edits[k + 1..].iter().any(|later| later.id() == id) {
+                continue; // moved again or removed later
+            }
+            let list = &self.blocks[to.0 as usize].insts;
+            let at = match place {
+                Place::BeforeTerminator => list.len() - usize::from(self.terminator(to).is_some()),
+                Place::AfterPhis => list
+                    .iter()
+                    .take_while(|&&x| matches!(self.inst(x), Inst::Phi { .. }))
+                    .count(),
+            };
+            self.blocks[to.0 as usize].insts.insert(at, id);
+        }
+    }
+
+    /// The instruction list of block `bb`, writable without any check.
+    /// It exists only for the malformed-IR tests of the interpreter and
+    /// the machine lowering, which put an out-of-range id into a block
+    /// list; everything else edits through [`Function::apply`].
+    #[doc(hidden)]
+    pub fn malformed_block_list(&mut self, bb: BlockId) -> &mut Vec<InstId> {
+        &mut self.blocks[bb.0 as usize].insts
     }
 
     /// Adds a fresh empty block and returns its id.
@@ -289,16 +416,7 @@ mod tests {
     use crate::meta::AccessMeta;
 
     fn empty_func() -> Function {
-        Function {
-            name: "f".into(),
-            params: vec![],
-            ret: None,
-            blocks: vec![Block::default()],
-            insts: vec![],
-            target: Target::Host,
-            outlined: false,
-            src_file: None,
-        }
+        Function::new("f", vec![], None)
     }
 
     #[test]
@@ -315,13 +433,13 @@ mod tests {
         let r = f.push_inst(Function::ENTRY, Inst::Ret { val: None }, None);
         assert_eq!(f.live_inst_count(), 2);
         assert_eq!(f.terminator(Function::ENTRY), Some(r));
-        f.remove_inst(a);
+        f.apply(&[Edit::Remove(a)]);
         assert_eq!(f.live_inst_count(), 1);
         assert!(matches!(f.inst(a), Inst::Removed));
     }
 
     #[test]
-    fn replace_all_uses() {
+    fn replace_rewrites_every_use() {
         let mut f = empty_func();
         let a = f.push_inst(
             Function::ENTRY,
@@ -340,11 +458,13 @@ mod tests {
             },
             None,
         );
-        f.replace_all_uses(Value::Inst(a), Value::Arg(0));
+        f.apply(&[Edit::Replace(a, Value::Arg(0))]);
         match f.inst(l) {
             Inst::Load { ptr, .. } => assert_eq!(*ptr, Value::Arg(0)),
             _ => unreachable!(),
         }
+        assert!(matches!(f.inst(a), Inst::Removed));
+        assert_eq!(f.blocks()[0].insts, vec![l]);
     }
 
     #[test]
@@ -379,9 +499,9 @@ mod tests {
         f.push_inst(Function::ENTRY, Inst::Br { target: bb2 }, None);
         f.push_inst(bb2, Inst::Ret { val: None }, None);
         // Move the alloca from bb2 into entry, before the branch.
-        f.move_inst_before_terminator(a, Function::ENTRY);
+        f.apply(&[Edit::Move(a, Function::ENTRY, Place::BeforeTerminator)]);
         assert_eq!(f.block_of(a), Function::ENTRY);
-        assert_eq!(f.blocks[0].insts.len(), 2);
-        assert_eq!(f.blocks[0].insts[0], a);
+        assert_eq!(f.blocks()[0].insts.len(), 2);
+        assert_eq!(f.blocks()[0].insts[0], a);
     }
 }

@@ -200,7 +200,7 @@ pub fn write_function(s: &mut String, m: &Module, id: FunctionId) {
     }
     let outlined = if f.outlined { " outlined" } else { "" };
     let _ = writeln!(s, ") target({}){outlined} {{", f.target.name());
-    for (bi, block) in f.blocks.iter().enumerate() {
+    for (bi, block) in f.blocks().iter().enumerate() {
         let _ = writeln!(s, "bb{bi}:");
         for &iid in &block.insts {
             s.push_str("  ");
@@ -528,8 +528,8 @@ impl KeyWords {
             self.word(ty_code(Some(p.ty)) | u64::from(p.noalias) << 12);
             self.str(&p.name);
         }
-        self.word(f.blocks.len() as u64);
-        for block in &f.blocks {
+        self.word(f.blocks().len() as u64);
+        for block in f.blocks() {
             self.word(block.insts.len() as u64);
             for &id in &block.insts {
                 self.inst(f, id);
@@ -577,6 +577,7 @@ pub fn module_key(salt: u64, m: &Module) -> u64 {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::module::Edit;
     use crate::types::Ty;
 
     #[test]
@@ -685,7 +686,7 @@ mod tests {
         // attribute, a removed instruction.
         let edits: [fn(&mut Function); 4] = [
             |f| {
-                f.insts[1].inst = Inst::Load {
+                *f.inst_mut(InstId(1)) = Inst::Load {
                     ptr: Value::ConstInt(0),
                     ty: Ty::I64,
                     meta: Default::default(),
@@ -702,8 +703,8 @@ mod tests {
             },
             |f| f.outlined = true,
             |f| {
-                let last = *f.blocks[1].insts.first().unwrap();
-                f.remove_inst(last);
+                let last = *f.blocks()[1].insts.first().unwrap();
+                f.apply(&[Edit::Remove(last)]);
             },
         ];
         for (i, edit) in edits.iter().enumerate() {

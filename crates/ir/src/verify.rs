@@ -55,27 +55,27 @@ pub fn verify_function(m: &Module, id: FunctionId) -> Result<(), VerifyError> {
         })
     };
 
-    if f.blocks.is_empty() {
+    if f.blocks().is_empty() {
         return err("function has no blocks".into());
     }
 
     let preds = cfg::predecessors(f);
 
     // Collect live instruction ids for operand checking.
-    let mut live = vec![false; f.insts.len()];
-    for (bi, block) in f.blocks.iter().enumerate() {
+    let mut live = vec![false; f.insts().len()];
+    for (bi, block) in f.blocks().iter().enumerate() {
         for &iid in &block.insts {
-            if iid.0 as usize >= f.insts.len() {
+            if iid.0 as usize >= f.insts().len() {
                 return err(format!("block {bi} references out-of-range inst {iid:?}"));
             }
             if live[iid.0 as usize] {
                 return err(format!("inst {iid:?} appears in more than one position"));
             }
             live[iid.0 as usize] = true;
-            if f.insts[iid.0 as usize].block != BlockId(bi as u32) {
+            if f.insts()[iid.0 as usize].block != BlockId(bi as u32) {
                 return err(format!(
                     "inst {iid:?} block back-pointer is {:?}, expected block {bi}",
-                    f.insts[iid.0 as usize].block
+                    f.insts()[iid.0 as usize].block
                 ));
             }
             if matches!(f.inst(iid), Inst::Removed) {
@@ -84,7 +84,7 @@ pub fn verify_function(m: &Module, id: FunctionId) -> Result<(), VerifyError> {
         }
     }
 
-    for (bi, block) in f.blocks.iter().enumerate() {
+    for (bi, block) in f.blocks().iter().enumerate() {
         // Terminator discipline.
         match block.insts.last() {
             None => return err(format!("block {bi} is empty")),
@@ -129,13 +129,13 @@ pub fn verify_function(m: &Module, id: FunctionId) -> Result<(), VerifyError> {
 
             // Branch targets exist.
             match inst {
-                Inst::Br { target } if target.0 as usize >= f.blocks.len() => {
+                Inst::Br { target } if target.0 as usize >= f.blocks().len() => {
                     return err(format!("branch to unknown block {target:?}"));
                 }
                 Inst::CondBr {
                     then_bb, else_bb, ..
-                } if (then_bb.0 as usize >= f.blocks.len()
-                    || else_bb.0 as usize >= f.blocks.len()) =>
+                } if (then_bb.0 as usize >= f.blocks().len()
+                    || else_bb.0 as usize >= f.blocks().len()) =>
                 {
                     return err("conditional branch to unknown block".into());
                 }
@@ -150,7 +150,7 @@ pub fn verify_function(m: &Module, id: FunctionId) -> Result<(), VerifyError> {
                 }
                 match v {
                     Value::Inst(d) => {
-                        if d.0 as usize >= f.insts.len() || !live[d.0 as usize] {
+                        if d.0 as usize >= f.insts().len() || !live[d.0 as usize] {
                             op_err = Some(format!("{iid:?} uses dead/unknown inst {d:?}"));
                         } else if f.inst(d).result_ty().is_none() {
                             op_err = Some(format!("{iid:?} uses void inst {d:?} as a value"));
@@ -236,6 +236,7 @@ pub fn users_of(m: &Module, id: FunctionId, needle: InstId) -> Vec<InstId> {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::module::Edit;
     use crate::types::Ty;
     use crate::value::Value;
 
@@ -273,8 +274,8 @@ mod tests {
         let id = b.finish();
         // Remove the load but leave the store using it.
         let f = m.func_mut(id);
-        let load = f.blocks[0].insts[0];
-        f.remove_inst(load);
+        let load = f.blocks()[0].insts[0];
+        f.apply(&[Edit::Remove(load)]);
         let e = verify_function(&m, id).unwrap_err();
         assert!(e.message.contains("dead"), "{e}");
     }
@@ -318,7 +319,7 @@ mod tests {
         b.store(Ty::I64, v, p);
         b.ret(None);
         let id = b.finish();
-        let load = m.func(id).blocks[0].insts[0];
+        let load = m.func(id).blocks()[0].insts[0];
         let users = users_of(&m, id, load);
         assert_eq!(users.len(), 1);
     }

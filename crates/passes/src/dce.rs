@@ -4,8 +4,8 @@
 //! deletion don't survive into the executable.
 
 use crate::manager::{Pass, PassCx};
-use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::inst::Inst;
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 use oraql_ir::value::Value;
 
 /// The pass.
@@ -38,7 +38,7 @@ impl Pass for Dce {
         loop {
             // Count uses of every instruction result.
             let f = m.func(fid);
-            let mut uses = vec![0u32; f.insts.len()];
+            let mut uses = vec![0u32; f.insts().len()];
             for id in f.live_insts() {
                 f.inst(id).for_each_operand(|v| {
                     if let Value::Inst(d) = v {
@@ -46,18 +46,16 @@ impl Pass for Dce {
                     }
                 });
             }
-            let dead: Vec<InstId> = f
+            let dead: Edits = f
                 .live_insts()
                 .filter(|&id| uses[id.0 as usize] == 0 && removable(f.inst(id)))
+                .map(Edit::Remove)
                 .collect();
             if dead.is_empty() {
                 break;
             }
-            let fm = m.func_mut(fid);
-            for id in dead {
-                fm.remove_inst(id);
-                removed += 1;
-            }
+            removed += dead.len() as u64;
+            m.func_mut(fid).apply(&dead);
         }
         cx.stat("DCE", "instructions removed", removed);
     }
@@ -66,27 +64,10 @@ impl Pass for Dce {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
     use oraql_vm::Interpreter;
-
-    fn run_dce(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            Dce.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn dead_chain_removed_transitively() {
@@ -104,7 +85,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_dce(&mut m);
+        let stats = run_pass(&mut m, Dce);
         assert_eq!(stats.get("DCE", "instructions removed"), 3);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
@@ -120,7 +101,7 @@ mod tests {
         b.print("ok", vec![]);
         b.ret(None);
         let id = b.finish();
-        run_dce(&mut m);
+        run_pass(&mut m, Dce);
         let s = oraql_vm::machine::lower_function(&m, id, None).unwrap();
         assert_eq!(s.stack_bytes, 0);
     }
@@ -136,7 +117,7 @@ mod tests {
         b.print("done", vec![]);
         b.ret(None);
         b.finish();
-        let stats = run_dce(&mut m);
+        let stats = run_pass(&mut m, Dce);
         assert_eq!(stats.get("DCE", "instructions removed"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "done\n");
@@ -151,7 +132,7 @@ mod tests {
         b.print("{}", vec![y]);
         b.ret(None);
         b.finish();
-        let stats = run_dce(&mut m);
+        let stats = run_pass(&mut m, Dce);
         assert_eq!(stats.get("DCE", "instructions removed"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "9\n");
@@ -177,7 +158,7 @@ mod tests {
         );
         b.ret(None);
         b.finish();
-        let stats = run_dce(&mut m);
+        let stats = run_pass(&mut m, Dce);
         assert_eq!(stats.get("DCE", "instructions removed"), 1);
     }
 }

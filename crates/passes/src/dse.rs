@@ -6,7 +6,7 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::{AliasResult, LocationSize, MemoryLocation};
 use oraql_analysis::pointer::{decompose, PtrBase};
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 
 /// The pass.
 pub struct Dse;
@@ -28,9 +28,9 @@ impl Pass for Dse {
 /// intervening read is dead.
 fn overwritten_in_block(m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) -> u64 {
     let mut deleted = 0u64;
-    let nblocks = m.func(fid).blocks.len();
+    let nblocks = m.func(fid).blocks().len();
     for bi in 0..nblocks {
-        let ids: Vec<InstId> = m.func(fid).blocks[bi].insts.clone();
+        let ids: Vec<InstId> = m.func(fid).blocks()[bi].insts.clone();
         'stores: for (pos, &id) in ids.iter().enumerate() {
             if !matches!(m.func(fid).inst(id), Inst::Store { .. }) {
                 continue;
@@ -52,7 +52,7 @@ fn overwritten_in_block(m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) ->
                             LocationSize::BeforeOrAfterPointer => false,
                         };
                     if covers {
-                        m.func_mut(fid).remove_inst(id);
+                        m.func_mut(fid).apply(&[Edit::Remove(id)]);
                         deleted += 1;
                         continue 'stores;
                     }
@@ -71,73 +71,36 @@ fn overwritten_in_block(m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) ->
 /// copies show up as loads of unknown provenance (or calls), which the
 /// alias queries below account for conservatively.
 fn never_read_locals(m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) -> u64 {
-    let mut dead: Vec<InstId> = Vec::new();
-    let stores: Vec<InstId> = {
-        let f = m.func(fid);
-        f.live_insts()
-            .filter(|&id| matches!(f.inst(id), Inst::Store { .. }))
-            .collect()
-    };
-    'stores: for id in stores {
-        {
-            let f = m.func(fid);
-            let Inst::Store { ptr, .. } = f.inst(id) else {
-                continue;
-            };
-            match decompose(f, *ptr).base {
-                PtrBase::Alloca(_) => {}
-                _ => continue 'stores,
-            }
-        }
-        let loc = MemoryLocation::of_access(m.func(fid), id).expect("store loc");
-        let readers: Vec<InstId> = {
-            let f = m.func(fid);
-            f.live_insts()
-                .filter(|&r| f.inst(r).reads_memory())
-                .collect()
+    let f = m.func(fid);
+    let readers: Vec<InstId> = f
+        .live_insts()
+        .filter(|&r| f.inst(r).reads_memory())
+        .collect();
+    let mut dead = Edits::new();
+    for id in f.live_insts() {
+        let Inst::Store { ptr, .. } = f.inst(id) else {
+            continue;
         };
-        for r in readers {
-            if cx.aa.may_read(m, fid, r, &loc) {
-                continue 'stores;
-            }
+        if !matches!(decompose(f, *ptr).base, PtrBase::Alloca(_)) {
+            continue;
         }
-        dead.push(id);
+        let loc = MemoryLocation::of_access(f, id).expect("store loc");
+        if !readers.iter().any(|&r| cx.aa.may_read(m, fid, r, &loc)) {
+            dead.push(Edit::Remove(id));
+        }
     }
-    let n = dead.len() as u64;
-    let f = m.func_mut(fid);
-    for id in dead {
-        f.remove_inst(id);
-    }
-    n
+    m.func_mut(fid).apply(&dead);
+    dead.len() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::value::Value;
     use oraql_ir::Ty;
     use oraql_vm::Interpreter;
-
-    fn run_dse(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            Dse.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn overwritten_store_deleted() {
@@ -150,7 +113,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_dse(&mut m);
+        let stats = run_pass(&mut m, Dse);
         assert_eq!(stats.get("DSE", "stores deleted"), 1);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "2\n");
@@ -168,7 +131,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_dse(&mut m);
+        let stats = run_pass(&mut m, Dse);
         assert_eq!(stats.get("DSE", "stores deleted"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "1\n");
@@ -189,7 +152,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_dse(&mut m);
+        let stats = run_pass(&mut m, Dse);
         assert_eq!(stats.get("DSE", "stores deleted"), 1); // the loop store
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "42\n");
@@ -212,7 +175,7 @@ mod tests {
         b.call(sink, vec![scratch], None);
         b.ret(None);
         b.finish();
-        let stats = run_dse(&mut m);
+        let stats = run_pass(&mut m, Dse);
         assert_eq!(stats.get("DSE", "stores deleted"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "5\n");
@@ -230,7 +193,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_dse(&mut m);
+        let stats = run_pass(&mut m, Dse);
         assert_eq!(stats.get("DSE", "stores deleted"), 0);
     }
 }

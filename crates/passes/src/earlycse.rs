@@ -4,8 +4,8 @@
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::{AliasResult, MemoryLocation};
 use oraql_ir::hash::FxHashMap;
-use oraql_ir::inst::{CallKind, FuncRef, GepOffset, Inst, InstId};
-use oraql_ir::module::{Function, FunctionId, Module};
+use oraql_ir::inst::{CallKind, FuncRef, GepOffset, Inst};
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
 
@@ -63,28 +63,26 @@ impl Pass for EarlyCSE {
     }
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
-        let nblocks = m.func(fid).blocks.len();
+        let nblocks = m.func(fid).blocks().len();
         let mut eliminated = 0u64;
         let mut exprs: FxHashMap<ExprKey, Value> = FxHashMap::default();
         let mut avail: Vec<AvailLoad> = Vec::new();
-        // The block's eliminated instructions, each mapped to its final
-        // replacement.
-        let mut replace: FxHashMap<InstId, Value> = FxHashMap::default();
         for bi in 0..nblocks {
             exprs.clear();
             avail.clear();
-            replace.clear();
             // The scan only reads the module (AA takes `&Module`); the
-            // block's rewrite is applied after it.
+            // block's eliminations are applied as one batch after it.
+            let mut edits = Edits::new();
             let f = m.func(fid);
-            for &id in &f.blocks[bi].insts {
+            for &id in &f.blocks()[bi].insts {
                 let inst = f.inst(id);
 
                 // Pure-expression CSE.
                 if let Some(key) = expr_key(inst) {
                     match exprs.get(&key) {
                         Some(&prev) => {
-                            replace.insert(id, resolve(&replace, prev));
+                            edits.push(Edit::Replace(id, prev));
+                            eliminated += 1;
                         }
                         None => {
                             exprs.insert(key, Value::Inst(id));
@@ -96,7 +94,8 @@ impl Pass for EarlyCSE {
                 match inst {
                     Inst::Load { ptr, ty, .. } => {
                         if let Some(a) = avail.iter().find(|a| a.loc.ptr == *ptr && a.ty == *ty) {
-                            replace.insert(id, resolve(&replace, a.value));
+                            edits.push(Edit::Replace(id, a.value));
+                            eliminated += 1;
                         } else {
                             avail.push(AvailLoad {
                                 ty: *ty,
@@ -137,74 +136,20 @@ impl Pass for EarlyCSE {
                     _ => {}
                 }
             }
-            if !replace.is_empty() {
-                eliminated += replace.len() as u64;
-                rewrite_block(m.func_mut(fid), bi, &replace);
+            if !edits.is_empty() {
+                m.func_mut(fid).apply(&edits);
             }
         }
         cx.stat("early CSE", "instructions eliminated", eliminated);
     }
 }
 
-/// `to` with every instruction already eliminated in this block
-/// replaced by its own replacement, so each recorded entry is final.
-fn resolve(replace: &FxHashMap<InstId, Value>, mut to: Value) -> Value {
-    while let Value::Inst(t) = to {
-        match replace.get(&t) {
-            Some(&next) => to = next,
-            None => break,
-        }
-    }
-    to
-}
-
-/// Applies one block's eliminations: every use of a key of `replace`
-/// in the function becomes its replacement (one sweep over the
-/// operands), and the eliminated instructions leave the block (one
-/// `retain`). The result equals a `replace_all_uses` plus `remove_inst`
-/// per entry in recording order, because each replacement is already
-/// final.
-fn rewrite_block(f: &mut Function, bi: usize, replace: &FxHashMap<InstId, Value>) {
-    for data in &mut f.insts {
-        data.inst.for_each_operand_mut(|v| {
-            if let Value::Inst(i) = *v {
-                if let Some(&to) = replace.get(&i) {
-                    *v = to;
-                }
-            }
-        });
-    }
-    f.blocks[bi].insts.retain(|id| !replace.contains_key(id));
-    for &id in replace.keys() {
-        *f.inst_mut(id) = Inst::Removed;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
-
-    fn run_pass(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            EarlyCSE.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn duplicate_arithmetic_eliminated() {
@@ -217,7 +162,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, EarlyCSE);
         assert_eq!(stats.get("early CSE", "instructions eliminated"), 1);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
@@ -238,7 +183,7 @@ mod tests {
         b.print("{}", vec![s]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, EarlyCSE);
         // l1 is forwarded from the store (store-to-load fwd) and l2 too.
         assert!(stats.get("early CSE", "instructions eliminated") >= 2);
         let out = Interpreter::run_main(&m).unwrap();
@@ -271,7 +216,7 @@ mod tests {
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, "10\n"); // 1 + 9
-        run_pass(&mut m);
+        run_pass(&mut m, EarlyCSE);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(after.stdout, "10\n"); // load not wrongly CSE'd
     }
@@ -298,7 +243,7 @@ mod tests {
         b.print("{}", vec![s]);
         b.ret(None);
         b.finish();
-        run_pass(&mut m);
+        run_pass(&mut m, EarlyCSE);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "1\n"); // 0 + 1, not 0 + 0
     }

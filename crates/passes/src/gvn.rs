@@ -7,7 +7,7 @@ use oraql_analysis::location::{AliasResult, LocationSize, MemoryLocation};
 use oraql_analysis::memssa::{MemAccess, MemorySsa};
 use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
 use std::rc::Rc;
@@ -37,7 +37,7 @@ impl Pass for Gvn {
         // are seen first.
         let rpo: Vec<_> = dt.rpo().to_vec();
         for bb in rpo {
-            let inst_ids: Vec<InstId> = m.func(fid).blocks[bb.0 as usize].insts.clone();
+            let inst_ids: Vec<InstId> = m.func(fid).blocks()[bb.0 as usize].insts.clone();
             for id in inst_ids {
                 let f = m.func(fid);
                 let &Inst::Load { ptr, ty, .. } = f.inst(id) else {
@@ -61,9 +61,7 @@ impl Pass for Gvn {
                             && cx.aa.alias(m, fid, &sloc, &loc) == AliasResult::MustAlias
                             && dt.inst_dominates(m.func(fid), d, id)
                         {
-                            let fm = m.func_mut(fid);
-                            fm.replace_all_uses(Value::Inst(id), value);
-                            fm.remove_inst(id);
+                            m.func_mut(fid).apply(&[Edit::Replace(id, value)]);
                             forwarded += 1;
                             loads_deleted += 1;
                             continue;
@@ -79,9 +77,8 @@ impl Pass for Gvn {
                         if !matches!(m.func(fid).inst(prev), Inst::Removed)
                             && dt.inst_dominates(m.func(fid), prev, id) =>
                     {
-                        let fm = m.func_mut(fid);
-                        fm.replace_all_uses(Value::Inst(id), Value::Inst(prev));
-                        fm.remove_inst(id);
+                        m.func_mut(fid)
+                            .apply(&[Edit::Replace(id, Value::Inst(prev))]);
                         loads_deleted += 1;
                     }
                     _ => {
@@ -99,28 +96,9 @@ impl Pass for Gvn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
-
-    fn run_gvn(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            Gvn.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn cross_block_redundant_load_eliminated() {
@@ -142,7 +120,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_gvn(&mut m);
+        let stats = run_pass(&mut m, Gvn);
         assert!(stats.get("GVN", "loads deleted") >= 1, "{}", stats.render());
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
@@ -159,7 +137,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_gvn(&mut m);
+        let stats = run_pass(&mut m, Gvn);
         assert_eq!(stats.get("GVN", "loads forwarded from stores"), 1);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "11\n");
@@ -187,7 +165,7 @@ mod tests {
         b.call(work, vec![Value::Global(g), Value::Global(g)], None);
         b.ret(None);
         b.finish();
-        run_gvn(&mut m);
+        run_pass(&mut m, Gvn);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "8\n"); // 1 + 7, not 1 + 1
     }
@@ -206,7 +184,7 @@ mod tests {
         let s = b.add(l1, l2);
         b.ret(Some(s));
         b.finish();
-        let stats = run_gvn(&mut m);
+        let stats = run_pass(&mut m, Gvn);
         assert_eq!(stats.get("GVN", "loads deleted"), 1);
     }
 
@@ -229,7 +207,7 @@ mod tests {
         b.print("{}", vec![fin]);
         b.ret(None);
         b.finish();
-        run_gvn(&mut m);
+        run_pass(&mut m, Gvn);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "10\n");
     }

@@ -8,7 +8,7 @@ use oraql_analysis::location::MemoryLocation;
 use oraql_analysis::loops::Loop;
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{BinOp, Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, FunctionId, Module, Place};
 use oraql_ir::value::{BlockId, Value};
 
 /// The pass.
@@ -81,7 +81,7 @@ fn hoist_loop(
         let f = m.func(fid);
         l.blocks
             .iter()
-            .flat_map(|bb| f.blocks[bb.0 as usize].insts.iter().copied())
+            .flat_map(|bb| f.blocks()[bb.0 as usize].insts.iter().copied())
             .filter(|&id| f.inst(id).writes_memory())
             .collect()
     };
@@ -91,7 +91,7 @@ fn hoist_loop(
         let f = m.func(fid);
         l.blocks
             .iter()
-            .flat_map(|bb| f.blocks[bb.0 as usize].insts.iter().copied())
+            .flat_map(|bb| f.blocks()[bb.0 as usize].insts.iter().copied())
             .collect()
     };
 
@@ -107,7 +107,7 @@ fn hoist_loop(
                 if !l.blocks.contains(&bb) {
                     continue;
                 }
-                v.extend(f.blocks[bb.0 as usize].insts.iter().copied());
+                v.extend(f.blocks()[bb.0 as usize].insts.iter().copied());
             }
             v
         };
@@ -115,16 +115,12 @@ fn hoist_loop(
             if !in_loop.contains(&id) {
                 continue;
             }
-            match m.func(fid).inst(id) {
+            let hoist = match m.func(fid).inst(id) {
                 i if speculatable_pure(i) => {
                     let mut inv = true;
                     i.for_each_operand(|v| inv &= is_invariant(v, &in_loop));
-                    if inv {
-                        m.func_mut(fid).move_inst_before_terminator(id, pre);
-                        in_loop.remove(&id);
-                        hoisted_exprs += 1;
-                        moved_any = true;
-                    }
+                    hoisted_exprs += u64::from(inv);
+                    inv
                 }
                 &Inst::Load { ptr, .. } => {
                     if !is_invariant(ptr, &in_loop) {
@@ -141,14 +137,16 @@ fn hoist_loop(
                         .iter()
                         .filter(|w| !matches!(m.func(fid).inst(**w), Inst::Removed))
                         .any(|&w| cx.aa.may_clobber(m, fid, w, &loc));
-                    if !clobbered {
-                        m.func_mut(fid).move_inst_before_terminator(id, pre);
-                        in_loop.remove(&id);
-                        hoisted_loads += 1;
-                        moved_any = true;
-                    }
+                    hoisted_loads += u64::from(!clobbered);
+                    !clobbered
                 }
-                _ => {}
+                _ => false,
+            };
+            if hoist {
+                m.func_mut(fid)
+                    .apply(&[Edit::Move(id, pre, Place::BeforeTerminator)]);
+                in_loop.remove(&id);
+                moved_any = true;
             }
         }
         if !moved_any {
@@ -162,29 +160,10 @@ fn hoist_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::Ty;
     use oraql_vm::Interpreter;
-
-    fn run_licm(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            Licm.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn invariant_load_hoisted_when_no_alias() {
@@ -205,7 +184,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_licm(&mut m);
+        let stats = run_pass(&mut m, Licm);
         assert_eq!(stats.get("LICM", "loads hoisted or sunk"), 1);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
@@ -238,7 +217,7 @@ mod tests {
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, "4\n");
-        let stats = run_licm(&mut m);
+        let stats = run_pass(&mut m, Licm);
         assert_eq!(stats.get("LICM", "loads hoisted or sunk"), 0);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(after.stdout, "4\n");
@@ -258,7 +237,7 @@ mod tests {
         });
         b.ret(None);
         b.finish();
-        let stats = run_licm(&mut m);
+        let stats = run_pass(&mut m, Licm);
         assert!(stats.get("LICM", "expressions hoisted") >= 1);
     }
 
@@ -277,7 +256,7 @@ mod tests {
         });
         b.ret(None);
         let id = b.finish();
-        run_licm(&mut m);
+        run_pass(&mut m, Licm);
         // The div must still be inside the loop body (block 2).
         let f = m.func(id);
         let div = f
@@ -305,7 +284,7 @@ mod tests {
         });
         b.ret(None);
         b.finish();
-        let stats = run_licm(&mut m);
+        let stats = run_pass(&mut m, Licm);
         assert_eq!(stats.get("LICM", "loads hoisted or sunk"), 1);
     }
 }

@@ -6,9 +6,10 @@
 
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::loops::{Loop, LoopForest};
+use oraql_ir::cfg;
 use oraql_ir::hash::FxHashSet;
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 use oraql_ir::value::BlockId;
 
 /// The pass.
@@ -56,7 +57,7 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
     // The exit block must not have phis (they would need incoming-edge
     // surgery) and must not be the header of an enclosing structure we
     // would confuse; requiring no phis is enough for our builder shapes.
-    if f.blocks[exit.0 as usize]
+    if f.blocks()[exit.0 as usize]
         .insts
         .iter()
         .any(|&i| matches!(f.inst(i), Inst::Phi { .. }))
@@ -68,7 +69,7 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
     let loop_insts: Vec<InstId> = l
         .blocks
         .iter()
-        .flat_map(|bb| f.blocks[bb.0 as usize].insts.iter().copied())
+        .flat_map(|bb| f.blocks()[bb.0 as usize].insts.iter().copied())
         .collect();
     for &id in &loop_insts {
         match f.inst(id) {
@@ -81,12 +82,12 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
 
     // No value defined inside the loop used outside it.
     let defined: FxHashSet<InstId> = loop_insts.iter().copied().collect();
-    for bi in 0..f.blocks.len() {
+    for bi in 0..f.blocks().len() {
         let bb = BlockId(bi as u32);
         if l.blocks.contains(&bb) {
             continue;
         }
-        for &id in &f.blocks[bi].insts {
+        for &id in &f.blocks()[bi].insts {
             let mut uses_loop_val = false;
             f.inst(id).for_each_operand(|v| {
                 if let oraql_ir::value::Value::Inst(d) = v {
@@ -103,29 +104,12 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
     // blocks (they become unreachable stubs branching to the exit, which
     // keeps the CFG well-formed; the exit has no phis so its predecessor
     // list does not matter).
+    let gut: Edits = loop_insts.into_iter().map(Edit::Remove).collect();
     let fm = m.func_mut(fid);
-    let header = l.header;
-    if let Some(t) = fm.terminator(pre) {
-        match fm.inst_mut(t) {
-            Inst::Br { target } if *target == header => *target = exit,
-            Inst::CondBr {
-                then_bb, else_bb, ..
-            } => {
-                if *then_bb == header {
-                    *then_bb = exit;
-                }
-                if *else_bb == header {
-                    *else_bb = exit;
-                }
-            }
-            _ => return false,
-        }
-    } else {
+    if !cfg::retarget(fm, pre, l.header, exit) {
         return false;
     }
-    for &id in &loop_insts {
-        fm.remove_inst(id);
-    }
+    fm.apply(&gut);
     for &bb in &l.blocks {
         fm.push_inst(bb, Inst::Br { target: exit }, None);
     }
@@ -135,27 +119,10 @@ fn try_delete(m: &mut Module, fid: FunctionId, forest: &LoopForest, l: &Loop) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
     use oraql_vm::Interpreter;
-
-    fn run_pass(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            LoopDeletion.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn dead_loop_deleted() {
@@ -169,7 +136,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, LoopDeletion);
         assert_eq!(stats.get("loop deletion", "deleted loops"), 1);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
@@ -188,7 +155,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, LoopDeletion);
         assert_eq!(stats.get("loop deletion", "deleted loops"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "9\n");
@@ -203,7 +170,7 @@ mod tests {
         b.print("{}", vec![iv]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, LoopDeletion);
         assert_eq!(stats.get("loop deletion", "deleted loops"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "10\n");
@@ -222,7 +189,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, LoopDeletion);
         // The outer loop (with the inner nest inside it) is dead as a
         // whole; deleting it takes the inner loop with it.
         assert!(stats.get("loop deletion", "deleted loops") >= 1);

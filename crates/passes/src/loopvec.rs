@@ -14,6 +14,7 @@
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::{AliasResult, MemoryLocation};
 use oraql_analysis::loops::LoopForest;
+use oraql_ir::cfg;
 use oraql_ir::hash::FxHashMap;
 use oraql_ir::inst::{BinOp, CastKind, CmpPred, GepOffset, Inst, InstId};
 use oraql_ir::module::{Function, FunctionId, Module};
@@ -79,7 +80,7 @@ fn recognize(
     }
     let pre = forest.preheader(l)?;
     // Header must be exactly [phi, cmp, condbr].
-    let h = &f.blocks[header.0 as usize].insts;
+    let h = &f.blocks()[header.0 as usize].insts;
     if h.len() != 3 {
         return None;
     }
@@ -138,7 +139,7 @@ fn recognize(
         return None;
     }
     // Body ends with a branch back to the header; next_add = iv + 1.
-    let b = &f.blocks[body.0 as usize].insts;
+    let b = &f.blocks()[body.0 as usize].insts;
     match f.inst(*b.last()?) {
         Inst::Br { target } if *target == header => {}
         _ => return None,
@@ -220,7 +221,7 @@ fn legalize(m: &Module, fid: FunctionId, cx: &mut PassCx<'_>, canon: &CanonLoop)
     let mut roles: FxHashMap<InstId, Role> = FxHashMap::default();
     {
         let f = m.func(fid);
-        let body = &f.blocks[canon.body.0 as usize].insts;
+        let body = &f.blocks()[canon.body.0 as usize].insts;
         for &id in &body[..body.len() - 1] {
             if id == canon.next_add {
                 roles.insert(id, Role::Increment);
@@ -439,7 +440,7 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
     let f = m.func_mut(fid);
     // 1. Trip-count math in the preheader.
     let pre = canon.pre;
-    let mut at = f.blocks[pre.0 as usize].insts.len() - 1;
+    let mut at = f.blocks()[pre.0 as usize].insts.len() - 1;
     let emit_pre = |f: &mut Function, inst: Inst, at: &mut usize| -> Value {
         let id = f.insert_inst(pre, *at, inst, None);
         *at += 1;
@@ -492,21 +493,8 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
     let mid = f.add_block();
 
     // 3. Preheader now enters the vector loop.
-    let pt = f.terminator(pre).expect("preheader terminator");
-    match f.inst_mut(pt) {
-        Inst::Br { target } if *target == canon.header => *target = vh,
-        Inst::CondBr {
-            then_bb, else_bb, ..
-        } => {
-            if *then_bb == canon.header {
-                *then_bb = vh;
-            }
-            if *else_bb == canon.header {
-                *else_bb = vh;
-            }
-        }
-        other => panic!("unexpected preheader terminator {other:?}"),
-    }
+    let retargeted = cfg::retarget(f, pre, canon.header, vh);
+    assert!(retargeted, "unexpected preheader terminator");
 
     // 4. Vector header.
     let viv = f.push_inst(
@@ -538,7 +526,7 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
     );
 
     // 5. Vector body: clone lane-wise.
-    let body_ids: Vec<InstId> = f.blocks[canon.body.0 as usize].insts.clone();
+    let body_ids: Vec<InstId> = f.blocks()[canon.body.0 as usize].insts.clone();
     let mut vec_map: FxHashMap<InstId, Value> = FxHashMap::default(); // vector values
     let mut uni_map: FxHashMap<InstId, Value> = FxHashMap::default(); // scalar clones
     let mut splat_cache: FxHashMap<(Value, Ty), Value> = FxHashMap::default();
@@ -761,29 +749,9 @@ fn transform(m: &mut Module, fid: FunctionId, canon: &CanonLoop, plan: &Plan) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::PassCx;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
-
-    fn run_vec(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            LoopVectorize.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     /// out[i] = a[i] * k + b[i], distinct local arrays, n = 10 (so a
     /// scalar remainder of 2 runs).
@@ -833,7 +801,7 @@ mod tests {
     fn kernel_loop_vectorized_and_output_identical() {
         let mut m = axpy(10);
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_vec(&mut m);
+        let stats = run_pass(&mut m, LoopVectorize);
         // Kernel loop vectorizes. The init loop uses si_to_fp(i) (an iv
         // use outside addresses) and the checksum loop is a reduction
         // through memory (uniform-address store): both rejected.
@@ -854,7 +822,7 @@ mod tests {
         // n = 3 < VF: vector loop must not execute.
         let mut m = axpy(3);
         let before = Interpreter::run_main(&m).unwrap();
-        run_vec(&mut m);
+        run_pass(&mut m, LoopVectorize);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
     }
@@ -863,7 +831,7 @@ mod tests {
     fn exact_multiple_trip_count() {
         let mut m = axpy(8);
         let before = Interpreter::run_main(&m).unwrap();
-        run_vec(&mut m);
+        run_pass(&mut m, LoopVectorize);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
     }
@@ -885,7 +853,7 @@ mod tests {
         });
         b.ret(None);
         b.finish();
-        let stats = run_vec(&mut m);
+        let stats = run_pass(&mut m, LoopVectorize);
         assert_eq!(stats.get("loop vectorizer", "vectorized loops"), 0);
     }
 
@@ -907,7 +875,7 @@ mod tests {
         });
         b.ret(None);
         b.finish();
-        let stats = run_vec(&mut m);
+        let stats = run_pass(&mut m, LoopVectorize);
         assert_eq!(stats.get("loop vectorizer", "vectorized loops"), 1);
     }
 
@@ -928,7 +896,7 @@ mod tests {
         });
         b.ret(None);
         b.finish();
-        let stats = run_vec(&mut m);
+        let stats = run_pass(&mut m, LoopVectorize);
         assert_eq!(stats.get("loop vectorizer", "vectorized loops"), 0);
     }
 
@@ -955,7 +923,7 @@ mod tests {
         b.ret(None);
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_vec(&mut m);
+        let stats = run_pass(&mut m, LoopVectorize);
         assert!(stats.get("loop vectorizer", "vectorized loops") >= 1);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);

@@ -117,6 +117,18 @@ pub fn standard_passes() -> Vec<Box<dyn Pass>> {
     ]
 }
 
+/// Runs one pass over every function of `m` through a [`PassManager`]
+/// over a BasicAA chain, checks the IR, and returns the statistics.
+#[cfg(test)]
+pub(crate) fn run_pass(m: &mut Module, pass: impl Pass + 'static) -> Stats {
+    let mut aa = AAManager::new();
+    aa.add(Box::new(oraql_analysis::basic::BasicAA::new()));
+    let mut stats = Stats::new();
+    PassManager::new(vec![Box::new(pass)]).run(m, &mut aa, &mut stats);
+    oraql_ir::verify::assert_valid(m);
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

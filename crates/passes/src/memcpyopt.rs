@@ -4,7 +4,7 @@
 use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::{AliasResult, MemoryLocation};
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 
 /// The pass.
 pub struct MemCpyOpt;
@@ -18,28 +18,26 @@ impl Pass for MemCpyOpt {
         let mut optimized = 0u64;
 
         // Remove no-op copies first.
-        let noop: Vec<InstId> = {
-            let f = m.func(fid);
-            f.live_insts()
-                .filter(|&id| match f.inst(id) {
-                    Inst::Memcpy {
-                        dst, src, bytes, ..
-                    } => dst == src || bytes.as_int() == Some(0),
-                    _ => false,
-                })
-                .collect()
-        };
-        for id in noop {
-            m.func_mut(fid).remove_inst(id);
-            optimized += 1;
-        }
+        let f = m.func(fid);
+        let noop: Edits = f
+            .live_insts()
+            .filter(|&id| match f.inst(id) {
+                Inst::Memcpy {
+                    dst, src, bytes, ..
+                } => dst == src || bytes.as_int() == Some(0),
+                _ => false,
+            })
+            .map(Edit::Remove)
+            .collect();
+        optimized += noop.len() as u64;
+        m.func_mut(fid).apply(&noop);
 
         // Chain forwarding within a block:
         //   memcpy(b, a, n) ... memcpy(c, b, k<=n)  =>  memcpy(c, a, k)
         // provided nothing between the two copies may write `a` or `b`.
-        let nblocks = m.func(fid).blocks.len();
+        let nblocks = m.func(fid).blocks().len();
         for bi in 0..nblocks {
-            let ids: Vec<InstId> = m.func(fid).blocks[bi].insts.clone();
+            let ids: Vec<InstId> = m.func(fid).blocks()[bi].insts.clone();
             for (i, &first) in ids.iter().enumerate() {
                 let (b_dst, a_src, n) = match m.func(fid).inst(first) {
                     Inst::Memcpy {
@@ -121,30 +119,11 @@ impl Pass for MemCpyOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::value::Value;
     use oraql_ir::Ty;
     use oraql_vm::Interpreter;
-
-    fn run_pass(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            MemCpyOpt.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     #[test]
     fn chain_is_forwarded() {
@@ -160,7 +139,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         let fid = b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MemCpyOpt);
         assert_eq!(stats.get("memcpy optimization", "memcpys optimized"), 1);
         // Second copy now reads from a directly.
         let f = m.func(fid);
@@ -191,7 +170,7 @@ mod tests {
         b.print("{}", vec![l]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MemCpyOpt);
         assert_eq!(stats.get("memcpy optimization", "memcpys optimized"), 0);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "1\n"); // t still holds the old value
@@ -208,7 +187,7 @@ mod tests {
         b.print("ok", vec![]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MemCpyOpt);
         assert_eq!(stats.get("memcpy optimization", "memcpys optimized"), 2);
         let out = Interpreter::run_main(&m).unwrap();
         assert_eq!(out.stdout, "ok\n");

@@ -7,7 +7,7 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::MemoryLocation;
 use oraql_ir::cfg;
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, FunctionId, Module, Place};
 use oraql_ir::value::{BlockId, Value};
 
 /// The pass.
@@ -28,7 +28,7 @@ impl Pass for MachineSink {
         // operands to sink too.
         loop {
             let mut moved = false;
-            let nblocks = m.func(fid).blocks.len();
+            let nblocks = m.func(fid).blocks().len();
             for bi in 0..nblocks {
                 let bb = BlockId(bi as u32);
                 let succs = cfg::successors(m.func(fid), bb);
@@ -37,7 +37,7 @@ impl Pass for MachineSink {
                 }
                 // Candidates, scanned backwards so dependent chains sink
                 // in the right order across iterations.
-                let ids: Vec<InstId> = m.func(fid).blocks[bi].insts.clone();
+                let ids: Vec<InstId> = m.func(fid).blocks()[bi].insts.clone();
                 for &id in ids.iter().rev() {
                     let f = m.func(fid);
                     let inst = f.inst(id);
@@ -88,8 +88,8 @@ impl Pass for MachineSink {
                     // Loads may only sink past non-clobbering writes.
                     if is_load {
                         let loc = MemoryLocation::of_access(f, id).expect("load");
-                        let pos = f.blocks[bi].insts.iter().position(|&x| x == id).unwrap();
-                        let after: Vec<InstId> = f.blocks[bi].insts[pos + 1..].to_vec();
+                        let pos = f.blocks()[bi].insts.iter().position(|&x| x == id).unwrap();
+                        let after: Vec<InstId> = f.blocks()[bi].insts[pos + 1..].to_vec();
                         let mut blocked = false;
                         for w in after {
                             if m.func(fid).inst(w).writes_memory()
@@ -104,17 +104,8 @@ impl Pass for MachineSink {
                         }
                     }
                     // Move to the head of the target (after its phis).
-                    let fm = m.func_mut(fid);
-                    let from = fm.block_of(id);
-                    fm.blocks[from.0 as usize].insts.retain(|&x| x != id);
-                    let tb = &mut fm.blocks[target.0 as usize];
-                    let at = tb
-                        .insts
-                        .iter()
-                        .position(|&x| !matches!(fm.insts[x.0 as usize].inst, Inst::Phi { .. }))
-                        .unwrap_or(tb.insts.len());
-                    fm.blocks[target.0 as usize].insts.insert(at, id);
-                    fm.insts[id.0 as usize].block = target;
+                    m.func_mut(fid)
+                        .apply(&[Edit::Move(id, target, Place::AfterPhis)]);
                     sunk += 1;
                     moved = true;
                 }
@@ -130,30 +121,11 @@ impl Pass for MachineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::inst::CmpPred;
     use oraql_ir::{Ty, Value};
     use oraql_vm::{Interpreter, RtVal};
-
-    fn run_pass(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            MachineSink.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     /// f(flag, p): compute an expensive value but only print it on one
     /// branch; the untaken path should not pay for it after sinking.
@@ -186,7 +158,7 @@ mod tests {
     #[test]
     fn pure_chain_sinks_into_used_branch() {
         let (mut m, fid) = build(true);
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MachineSink);
         // With restrict args the load sinks past the store, and the mul
         // goes with it.
         assert_eq!(stats.get("machine sinking", "instructions sunk"), 2);
@@ -203,7 +175,7 @@ mod tests {
         assert_eq!(f.block_of(load), BlockId(1));
         assert_eq!(f.block_of(mul), BlockId(1));
         // Load precedes mul after sinking.
-        let pos = |x: InstId| f.blocks[1].insts.iter().position(|&i| i == x).unwrap();
+        let pos = |x: InstId| f.blocks()[1].insts.iter().position(|&i| i == x).unwrap();
         assert!(pos(load) < pos(mul));
         let _ = fid;
     }
@@ -211,7 +183,7 @@ mod tests {
     #[test]
     fn aliasing_store_blocks_load_sinking() {
         let (mut m, _) = build(false);
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MachineSink);
         // The load cannot move past the may-aliasing store; the mul
         // cannot move because its operand stays.
         assert_eq!(stats.get("machine sinking", "instructions sunk"), 1); // only the mul? no: mul uses v in bb0... mul's user w is in t.
@@ -221,7 +193,7 @@ mod tests {
     #[test]
     fn semantics_preserved_on_taken_branch() {
         let (mut m, fid) = build(true);
-        run_pass(&mut m);
+        run_pass(&mut m, MachineSink);
         // Execute the then-branch against real memory.
         let g = { m.add_global("cell", 16, vec![42, 0, 0, 0, 0, 0, 0, 0], false) };
         let mut i = Interpreter::new(&m);
@@ -248,7 +220,7 @@ mod tests {
         b.print("neg {}", vec![x]);
         b.ret(None);
         b.finish();
-        let stats = run_pass(&mut m);
+        let stats = run_pass(&mut m, MachineSink);
         assert_eq!(stats.get("machine sinking", "instructions sunk"), 0);
     }
 }

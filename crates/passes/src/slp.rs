@@ -7,7 +7,7 @@ use crate::manager::{Pass, PassCx};
 use oraql_analysis::location::MemoryLocation;
 use oraql_analysis::pointer::decompose;
 use oraql_ir::inst::{BinOp, CastKind, Inst, InstId};
-use oraql_ir::module::{FunctionId, Module};
+use oraql_ir::module::{Edit, Edits, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::Value;
 
@@ -28,6 +28,14 @@ struct Group {
     rhs_shared: Option<Value>,
 }
 
+impl Group {
+    /// The scalar instructions the group's vector code replaces.
+    fn members(&self) -> impl Iterator<Item = InstId> + '_ {
+        let loads = self.lhs_loads.iter().chain(&self.rhs_loads);
+        self.stores.iter().chain(&self.bins).chain(loads).copied()
+    }
+}
+
 impl Pass for SlpVectorize {
     fn name(&self) -> &'static str {
         "SLP"
@@ -35,7 +43,7 @@ impl Pass for SlpVectorize {
 
     fn run(&mut self, m: &mut Module, fid: FunctionId, cx: &mut PassCx<'_>) {
         let mut generated = 0u64;
-        let nblocks = m.func(fid).blocks.len();
+        let nblocks = m.func(fid).blocks().len();
         for bi in 0..nblocks {
             // Repeatedly harvest groups from this block until none fit.
             while let Some(group) = find_group(m, fid, bi, cx) {
@@ -59,16 +67,7 @@ fn const_addr(f: &oraql_ir::module::Function, ptr: Value) -> Option<(Value, i64)
         return None;
     }
     // Re-anchor on the base as a value for grouping.
-    let base = match d.base {
-        oraql_analysis::pointer::PtrBase::Alloca(i)
-        | oraql_analysis::pointer::PtrBase::LoadResult(i)
-        | oraql_analysis::pointer::PtrBase::CallResult(i)
-        | oraql_analysis::pointer::PtrBase::Merge(i) => Value::Inst(i),
-        oraql_analysis::pointer::PtrBase::Arg { index, .. } => Value::Arg(index),
-        oraql_analysis::pointer::PtrBase::Global(g) => Value::Global(g),
-        oraql_analysis::pointer::PtrBase::Unknown => return None,
-    };
-    Some((base, d.const_off))
+    Some((d.base.value()?, d.const_off))
 }
 
 /// Number of uses of `needle` across the function.
@@ -86,7 +85,7 @@ fn use_count(f: &oraql_ir::module::Function, needle: InstId) -> usize {
 
 fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Option<Group> {
     let f = m.func(fid);
-    let ids = &f.blocks[bi].insts;
+    let ids = &f.blocks()[bi].insts;
 
     // Collect candidate store lanes.
     let mut lanes_by_base: Vec<(Value, Ty, BinOp, Vec<Lane>)> = Vec::new();
@@ -238,7 +237,7 @@ fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Op
 }
 
 fn position(f: &oraql_ir::module::Function, bi: usize, id: InstId) -> usize {
-    f.blocks[bi]
+    f.blocks()[bi]
         .insts
         .iter()
         .position(|&x| x == id)
@@ -250,14 +249,7 @@ fn position(f: &oraql_ir::module::Function, bi: usize, id: InstId) -> usize {
 /// affected window must not interfere (alias queries).
 fn group_safe(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>, g: &Group) -> bool {
     let f = m.func(fid);
-    let members: Vec<InstId> = g
-        .stores
-        .iter()
-        .chain(&g.bins)
-        .chain(&g.lhs_loads)
-        .chain(&g.rhs_loads)
-        .copied()
-        .collect();
+    let members: Vec<InstId> = g.members().collect();
     let first = members.iter().map(|&i| position(f, bi, i)).min().unwrap();
     let last = members.iter().map(|&i| position(f, bi, i)).max().unwrap();
 
@@ -291,7 +283,7 @@ fn group_safe(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>, g: &G
     }
 
     // External instructions inside the window.
-    let window: Vec<InstId> = f.blocks[bi].insts[first..=last]
+    let window: Vec<InstId> = f.blocks()[bi].insts[first..=last]
         .iter()
         .copied()
         .filter(|id| !members.contains(id))
@@ -407,44 +399,17 @@ fn apply_group(m: &mut Module, fid: FunctionId, bi: usize, g: &Group) -> u64 {
     );
     generated += 1;
 
-    for &id in g
-        .stores
-        .iter()
-        .chain(&g.bins)
-        .chain(&g.lhs_loads)
-        .chain(&g.rhs_loads)
-    {
-        f.remove_inst(id);
-    }
+    let scalars: Edits = g.members().map(Edit::Remove).collect();
+    f.apply(&scalars);
     generated
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::PassCx;
-    use crate::stats::Stats;
-    use oraql_analysis::basic::BasicAA;
-    use oraql_analysis::facts::FunctionFacts;
-    use oraql_analysis::AAManager;
+    use crate::manager::run_pass;
     use oraql_ir::builder::FunctionBuilder;
     use oraql_vm::Interpreter;
-
-    fn run_slp(m: &mut Module) -> Stats {
-        let mut aa = AAManager::new();
-        aa.add(Box::new(BasicAA::new()));
-        let mut stats = Stats::new();
-        for fi in 0..m.funcs.len() {
-            let mut cx = PassCx {
-                aa: &mut aa,
-                stats: &mut stats,
-                facts: &mut FunctionFacts::default(),
-            };
-            SlpVectorize.run(m, FunctionId(fi as u32), &mut cx);
-        }
-        oraql_ir::verify::assert_valid(m);
-        stats
-    }
 
     /// out[k] = a[k] + b[k] for k in 0..4, fully unrolled.
     fn unrolled(distinct_out: bool) -> Module {
@@ -484,7 +449,7 @@ mod tests {
     fn unrolled_lanes_packed() {
         let mut m = unrolled(true);
         let before = Interpreter::run_main(&m).unwrap();
-        let stats = run_slp(&mut m);
+        let stats = run_pass(&mut m, SlpVectorize);
         assert!(
             stats.get("SLP", "vector instructions generated") >= 4,
             "{}",
@@ -500,7 +465,7 @@ mod tests {
         // out == a (lane-aligned in-place): still safe.
         let mut m = unrolled(false);
         let before = Interpreter::run_main(&m).unwrap();
-        run_slp(&mut m);
+        run_pass(&mut m, SlpVectorize);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, after.stdout);
     }
@@ -530,7 +495,7 @@ mod tests {
         b.print("{}", vec![s]);
         b.ret(None);
         b.finish();
-        let stats = run_slp(&mut m);
+        let stats = run_pass(&mut m, SlpVectorize);
         assert!(stats.get("SLP", "vector instructions generated") >= 3);
         let out2 = Interpreter::run_main(&m).unwrap();
         assert_eq!(out2.stdout, "9.0\n");
@@ -561,7 +526,7 @@ mod tests {
         b.finish();
         let before = Interpreter::run_main(&m).unwrap();
         assert_eq!(before.stdout, "2.0\n"); // 0+1 -> a1, a1+1 -> a2
-        let stats = run_slp(&mut m);
+        let stats = run_pass(&mut m, SlpVectorize);
         assert_eq!(stats.get("SLP", "vector instructions generated"), 0);
         let after = Interpreter::run_main(&m).unwrap();
         assert_eq!(after.stdout, "2.0\n");

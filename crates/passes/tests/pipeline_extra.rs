@@ -260,7 +260,7 @@ fn second_gvn_round_picks_up_licm_exposure() {
                 oraql_analysis::pointer::underlying_object(f, *ptr)
                     == oraql_analysis::pointer::underlying_object(f, {
                         // the first alloca in the function is k
-                        oraql_ir::value::Value::Inst(f.blocks[0].insts[0])
+                        oraql_ir::value::Value::Inst(f.blocks()[0].insts[0])
                     })
             })
         })

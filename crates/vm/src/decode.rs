@@ -282,7 +282,7 @@ fn decode_opd(f: &Function, global_bases: &[u64], v: Value, msgs: &mut Vec<Box<s
         },
         Value::Arg(i) => Opd::Arg(i),
         Value::Inst(id) => {
-            if (id.0 as usize) < f.insts.len() {
+            if (id.0 as usize) < f.insts().len() {
                 Opd::Slot(id.0)
             } else {
                 Opd::Bad(msg(msgs, format!("instruction id %{} out of range", id.0)))
@@ -347,7 +347,7 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
             .get_or_init(|| oraql_obs::global().counter("oraql_vm_decode_lowerings_total"))
             .inc();
     }
-    let n_blocks = f.blocks.len();
+    let n_blocks = f.blocks().len();
 
     // Pass 1: predecessor lists, giving each (pred, target) pair a
     // stable edge index (first occurrence; a CondBr with both arms on
@@ -357,7 +357,7 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
     // lists build in two counting passes over one flat arena.
     const NONE: u32 = u32::MAX;
     let succs: Vec<[u32; 2]> = f
-        .blocks
+        .blocks()
         .iter()
         .map(|block| match first_terminator(f, &block.insts) {
             Some(Inst::Br { target }) if (target.0 as usize) < n_blocks => [target.0, NONE],
@@ -404,15 +404,15 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
 
     // Pass 2: decode each block into the shared arenas.
     let mut blocks: Vec<DBlock> = Vec::with_capacity(n_blocks);
-    let mut ops: Vec<Op> = Vec::with_capacity(f.insts.len());
-    let mut costs: Vec<u8> = Vec::with_capacity(f.insts.len());
+    let mut ops: Vec<Op> = Vec::with_capacity(f.insts().len());
+    let mut costs: Vec<u8> = Vec::with_capacity(f.insts().len());
     let mut segs: Vec<Seg> = Vec::new();
     let mut phi_slots: Vec<u32> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
     let mut copies: Vec<Option<Opd>> = Vec::new();
     let mut msgs: Vec<Box<str>> = Vec::new();
     let mut phi_incoming = Vec::new();
-    for (b, block) in f.blocks.iter().enumerate() {
+    for (b, block) in f.blocks().iter().enumerate() {
         // Leading phis (the only ones the tree-walk ever evaluates).
         let phi_start = phi_slots.len() as u32;
         phi_incoming.clear();
@@ -530,7 +530,7 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
         edges,
         copies,
         msgs,
-        n_slots: f.insts.len(),
+        n_slots: f.insts().len(),
     }
 }
 

@@ -462,7 +462,7 @@ impl<'m> Interpreter<'m> {
         let frame_id = self.next_frame;
         self.next_frame += 1;
         let mut frame = Frame {
-            values: vec![None; f.insts.len()],
+            values: vec![None; f.insts().len()],
             args,
         };
         let mut block = Function::ENTRY;
@@ -471,7 +471,7 @@ impl<'m> Interpreter<'m> {
             // Phase 1: evaluate all phis of this block against the
             // incoming edge (parallel-copy semantics).
             let insts = &f
-                .blocks
+                .blocks()
                 .get(block.0 as usize)
                 .ok_or_else(|| RuntimeError::BadProgram(format!("missing block bb{}", block.0)))?
                 .insts;

@@ -103,7 +103,7 @@ pub fn lower_function(
 
     // 0. Validate every id the lowering will index with, so the passes
     //    below can use plain indexing on a known-consistent function.
-    for (b, block) in f.blocks.iter().enumerate() {
+    for (b, block) in f.blocks().iter().enumerate() {
         for &id in &block.insts {
             let inst = f.get_inst(id).ok_or_else(|| {
                 LowerError::BadIr(format!(
@@ -113,7 +113,7 @@ pub fn lower_function(
             })?;
             if let Inst::Phi { incoming, .. } = inst {
                 for (bb, _) in incoming {
-                    if bb.0 as usize >= f.blocks.len() {
+                    if bb.0 as usize >= f.blocks().len() {
                         return Err(LowerError::BadIr(format!(
                             "phi %{} of {} references missing block bb{}",
                             id.0, f.name, bb.0
@@ -127,7 +127,7 @@ pub fn lower_function(
                     return;
                 }
                 match v {
-                    Value::Inst(i) if i.0 as usize >= f.insts.len() => {
+                    Value::Inst(i) if i.0 as usize >= f.insts().len() => {
                         operand_err = Some(format!(
                             "instruction id %{} out of range in {} bb{}",
                             i.0, f.name, b
@@ -147,16 +147,16 @@ pub fn lower_function(
     }
 
     // 1. Linearize: position of every live instruction in block order.
-    let mut pos_of = vec![usize::MAX; f.insts.len()];
+    let mut pos_of = vec![usize::MAX; f.insts().len()];
     let mut order: Vec<InstId> = Vec::new();
-    for block in &f.blocks {
+    for block in f.blocks() {
         for &id in &block.insts {
             pos_of[id.0 as usize] = order.len();
             order.push(id);
         }
     }
     let block_end: Vec<usize> = f
-        .blocks
+        .blocks()
         .iter()
         .map(|b| b.insts.last().map(|&i| pos_of[i.0 as usize]).unwrap_or(0))
         .collect();
@@ -164,18 +164,18 @@ pub fn lower_function(
     // 2. Live intervals [def, last_use] per value (args def at 0). A use
     //    inside a phi is charged at the end of the incoming block, which
     //    approximates liveness across back edges.
-    let n_vals = f.insts.len() + f.params.len();
+    let n_vals = f.insts().len() + f.params.len();
     let val_index = |v: Value| -> Option<usize> {
         match v {
             Value::Inst(i) => Some(i.0 as usize),
-            Value::Arg(a) => Some(f.insts.len() + a as usize),
+            Value::Arg(a) => Some(f.insts().len() + a as usize),
             _ => None,
         }
     };
     let mut start = vec![usize::MAX; n_vals];
     let mut end = vec![0usize; n_vals];
     for a in 0..f.params.len() {
-        start[f.insts.len() + a] = 0;
+        start[f.insts().len() + a] = 0;
     }
     for &id in &order {
         let p = pos_of[id.0 as usize];
@@ -296,7 +296,7 @@ pub fn module_spills(m: &Module, target: Target) -> u64 {
 mod tests {
     use super::*;
     use oraql_ir::builder::FunctionBuilder;
-    use oraql_ir::{Ty, Value};
+    use oraql_ir::{Edit, Ty, Value};
 
     #[test]
     fn small_function_uses_few_registers() {
@@ -364,9 +364,8 @@ mod tests {
         let before = lower_function(&m, id, None).unwrap().machine_insts;
         // Simulate GVN: replace l2 with l1 and delete the second load.
         let f = m.func_mut(id);
-        let l2_id = f.blocks[0].insts[1];
-        f.replace_all_uses(Value::Inst(l2_id), l1);
-        f.remove_inst(l2_id);
+        let l2_id = f.blocks()[0].insts[1];
+        f.apply(&[Edit::Replace(l2_id, l1)]);
         let after = lower_function(&m, id, None).unwrap().machine_insts;
         assert_eq!(after, before - 1);
     }

@@ -239,7 +239,7 @@ mod tests {
     fn sse_variant_uses_vector_ops() {
         let m = build(Variant::Sse);
         let uses_vec = m.funcs.iter().any(|f| {
-            f.insts.iter().any(|d| {
+            f.insts().iter().any(|d| {
                 matches!(
                     d.inst,
                     oraql_ir::inst::Inst::Load {

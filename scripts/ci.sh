@@ -30,8 +30,17 @@ cargo test -q --offline --test analysis_index
 cargo test -q --offline --test module_key
 # The CFG facts the pass manager keeps per function across passes
 # (predecessors, RPO, dominators, the loop forest) against fresh ones
-# after every pass, edge-editing passes included, by name.
+# after every pass, edge-editing passes included; the baseline compile
+# also runs the module on the VM after every pass and verifies its
+# output, naming the first pass that breaks it, by name.
 cargo test -q --offline --test cfg_reuse
+# The one edit path: seeded random batches of replacements, removals and
+# moves, applied at once and one entry at a time, must agree, by name.
+cargo test -q --offline --test edit_batches
+# Minimality: flipping any single pessimistic decision of a final
+# sequence breaks verification, on every workload and the CI gen plan,
+# by name.
+cargo test -q --offline --test driver_minimality
 # The persistent verdict store's robustness gates (journal recovery,
 # warm-run determinism), likewise by name.
 cargo test -q --offline -p oraql-store

@@ -14,14 +14,14 @@ use oraql_analysis::domtree::DomTree;
 use oraql_analysis::memssa::{MemAccess, MemorySsa};
 use oraql_gen::GenPlan;
 use oraql_ir::inst::{Inst, InstId};
-use oraql_ir::module::{Function, FunctionId, Module};
+use oraql_ir::module::{Edit, Function, FunctionId, Module};
 use std::rc::Rc;
 
 /// The linear-scan reference for `defining_access`: walk the block
 /// backwards from `id` to the nearest memory-writing instruction.
 fn scan_defining_access(mssa: &MemorySsa, f: &Function, id: InstId) -> MemAccess {
     let bb = f.block_of(id);
-    let insts = &f.blocks[bb.0 as usize].insts;
+    let insts = &f.blocks()[bb.0 as usize].insts;
     let pos = insts.iter().position(|&i| i == id).expect("live access");
     match insts[..pos]
         .iter()
@@ -49,7 +49,7 @@ fn check_function(
     what: &str,
 ) -> u64 {
     let mut checked = 0;
-    for (bi, block) in f.blocks.iter().enumerate() {
+    for (bi, block) in f.blocks().iter().enumerate() {
         for &id in block.insts.iter().filter(|&&i| is_access(f, i)) {
             assert_eq!(
                 mssa.defining_access(f, id),
@@ -74,7 +74,7 @@ fn check_function(
         }
     }
     for &r in removed {
-        for &b in &f.blocks[f.block_of(r).0 as usize].insts {
+        for &b in &f.blocks()[f.block_of(r).0 as usize].insts {
             assert!(!dt.inst_dominates(f, r, b), "{what}: removed %{}", r.0);
             assert!(!dt.inst_dominates(f, b, r), "{what}: removed %{}", r.0);
         }
@@ -99,7 +99,7 @@ fn check_module(mut m: Module, what: &str) -> u64 {
             .step_by(2)
             .collect();
         for &l in &loads {
-            f.remove_inst(l);
+            f.apply(&[Edit::Remove(l)]);
         }
         checked += check_function(&mssa, &dt, m.func(fid), &loads, &what);
     }

@@ -21,10 +21,16 @@
 //! - every pass but loop deletion and the loop vectorizer, the two that
 //!   edit edges, hands the next pass the very same facts;
 //! - the checked compile prints exactly as `compile_pipeline`'s does.
+//!
+//! The baseline compile also checks each pass's output: after a pass's
+//! last function, the module runs on the VM with the case's fuel, and
+//! the case's verifier (the unoptimized module's output, the case's
+//! extra references and its ignore patterns) must accept what it
+//! prints. A failure names the first pass that broke the program.
 
 use oraql::compile::{compile_pipeline, conservative_chain, CompileOptions};
 use oraql::pass::{new_shared_with, OraqlAA};
-use oraql::{Decisions, TestCase};
+use oraql::{Decisions, TestCase, Verifier};
 use oraql_analysis::domtree::DomTree;
 use oraql_analysis::facts::{CfgFacts, FunctionFacts};
 use oraql_analysis::loops::{Loop, LoopForest};
@@ -37,6 +43,7 @@ use oraql_ir::printer::module_str;
 use oraql_ir::types::Ty;
 use oraql_ir::value::{BlockId, Value};
 use oraql_passes::{standard_passes, Pass, PassCx, PassManager, Stats};
+use oraql_vm::Interpreter;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -79,7 +86,10 @@ struct Seen {
     kept: Vec<Option<Rc<CfgFacts>>>,
     /// The module being compiled (for messages).
     what: String,
+    /// The case's verifier and fuel when each pass's output must run.
+    run: Option<(Verifier, u64)>,
     checks: u64,
+    vm_runs: u64,
     blocks: u64,
     loops: u64,
     preheaders: u64,
@@ -96,7 +106,7 @@ fn check_facts(
 ) {
     let what = format!("{} @{} after {pass}", seen.what, f.name);
     let kept = facts.cfg(f);
-    for bi in 0..f.blocks.len() {
+    for bi in 0..f.blocks().len() {
         let bb = BlockId(bi as u32);
         assert_eq!(
             &*cfg::successors(f, bb),
@@ -116,7 +126,7 @@ fn check_facts(
         "{what}: RPO"
     );
     let fresh = DomTree::build(f);
-    for bi in 0..f.blocks.len() {
+    for bi in 0..f.blocks().len() {
         let bb = BlockId(bi as u32);
         assert_eq!(kept.idom(bb), fresh.idom(bb), "{what}: idom of bb{bi}");
     }
@@ -143,6 +153,38 @@ fn check_facts(
     seen.checks += 1;
 }
 
+/// What `m`'s `main` prints, run with `fuel`.
+fn stdout(m: &Module, fuel: u64) -> Result<String, String> {
+    let main = m.find_func("main").ok_or("no main")?;
+    let mut vm = Interpreter::new(m).with_fuel(fuel);
+    vm.run(main, vec![]).map_err(|e| e.to_string())?;
+    Ok(vm.stdout().to_owned())
+}
+
+/// Runs `m` after `pass` and checks its output against the case's
+/// verifier.
+fn check_output(m: &Module, pass: &str, seen: &mut Seen) {
+    let Some((verifier, fuel)) = &seen.run else {
+        return;
+    };
+    let what = format!("{} after {pass}", seen.what);
+    let out = stdout(m, *fuel).unwrap_or_else(|e| panic!("{what}: the module fails: {e}"));
+    if let Err(e) = verifier.check(&out) {
+        panic!("{what}: the output does not verify: {e:?}");
+    }
+    seen.vm_runs += 1;
+}
+
+/// The case's verifier: the unoptimized module's output, the case's
+/// extra references and its ignore patterns.
+fn verifier(case: &TestCase) -> Verifier {
+    let reference = stdout(&(case.build)(), case.fuel)
+        .unwrap_or_else(|e| panic!("{}: the unoptimized module fails: {e}", case.name));
+    let mut references = vec![reference];
+    references.extend(case.extra_references.iter().cloned());
+    Verifier::new(references, &case.ignore_patterns)
+}
+
 /// A pipeline pass followed by the checks.
 struct Checked {
     inner: Box<dyn Pass>,
@@ -158,6 +200,9 @@ impl Pass for Checked {
         self.inner.run(m, fid, cx);
         let mut seen = self.seen.borrow_mut();
         check_facts(m.func(fid), fid, cx.facts, self.inner.name(), &mut seen);
+        if fid.0 as usize + 1 == m.funcs.len() {
+            check_output(m, self.inner.name(), &mut seen);
+        }
     }
 }
 
@@ -191,11 +236,13 @@ fn checked_compile(
 }
 
 /// Compiles each case baseline and all-optimistic with every pass
-/// checked, and compares each result with `compile_pipeline`'s.
+/// checked, and compares each result with `compile_pipeline`'s. The
+/// baseline compile runs the module after every pass.
 fn check_cases(cases: &[TestCase]) -> Seen {
     let seen = Rc::new(RefCell::new(Seen::default()));
     for case in cases {
         for decisions in [None, Some(Decisions::all_optimistic())] {
+            seen.borrow_mut().run = decisions.is_none().then(|| (verifier(case), case.fuel));
             seen.borrow_mut().what = format!(
                 "{} ({})",
                 case.name,
@@ -230,6 +277,7 @@ fn reused_cfg_facts_equal_fresh_ones_on_the_workloads() {
     let seen = check_cases(&cases);
     // The checks saw what they check, edge edits included.
     assert!(seen.checks > 0 && seen.blocks > 0);
+    assert_eq!(seen.vm_runs, 12 * 16, "one run per baseline pass");
     assert!(seen.loops > 0 && seen.preheaders > 0);
     assert!(seen.rebuilds > 0, "no pass edited an edge");
 }
@@ -241,6 +289,7 @@ fn reused_cfg_facts_equal_fresh_ones_on_the_gen_corpus() {
     assert_eq!(cases.len(), 64);
     let seen = check_cases(&cases);
     assert!(seen.checks > 0 && seen.loops > 0);
+    assert_eq!(seen.vm_runs, 12 * 64, "one run per baseline pass");
 }
 
 /// The shapes the workloads lack: a conditional branch with two equal

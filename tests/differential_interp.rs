@@ -333,7 +333,7 @@ fn well_formed() -> (Module, Vec<InstId>) {
     b.print("{}", vec![s]); // 3
     b.ret(None); // 4
     let fid = b.finish();
-    let ids = (0..m.func(fid).insts.len() as u32).map(InstId).collect();
+    let ids = (0..m.func(fid).insts().len() as u32).map(InstId).collect();
     (m, ids)
 }
 
@@ -351,7 +351,7 @@ fn expect_bad_program(m: &Module, ctx: &str) {
 fn bad_inst_id_operand_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    if let Inst::Print { args, .. } = &mut m.func_mut(fid).insts[ids[3].0 as usize].inst {
+    if let Inst::Print { args, .. } = m.func_mut(fid).inst_mut(ids[3]) {
         args[0] = Value::Inst(InstId(999));
     } else {
         panic!("expected print");
@@ -364,7 +364,9 @@ fn bad_inst_id_operand_traps() {
 fn bad_inst_id_in_block_list_traps() {
     let (mut m, _) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).blocks[0].insts.insert(2, InstId(999));
+    m.func_mut(fid)
+        .malformed_block_list(BlockId(0))
+        .insert(2, InstId(999));
     expect_bad_program(&m, "bad block-list id");
 }
 
@@ -373,7 +375,7 @@ fn bad_inst_id_in_block_list_traps() {
 fn removed_instruction_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).insts[ids[0].0 as usize].inst = Inst::Removed;
+    *m.func_mut(fid).inst_mut(ids[0]) = Inst::Removed;
     expect_bad_program(&m, "executed Removed");
 }
 
@@ -382,7 +384,7 @@ fn removed_instruction_traps() {
 fn branch_to_missing_block_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).insts[ids[4].0 as usize].inst = Inst::Br {
+    *m.func_mut(fid).inst_mut(ids[4]) = Inst::Br {
         target: BlockId(99),
     };
     expect_bad_program(&m, "missing block");
@@ -421,7 +423,7 @@ fn phi_in_entry_block_traps() {
 fn bad_string_id_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    if let Inst::Print { fmt, .. } = &mut m.func_mut(fid).insts[ids[3].0 as usize].inst {
+    if let Inst::Print { fmt, .. } = m.func_mut(fid).inst_mut(ids[3]) {
         *fmt = StrId(999);
     } else {
         panic!("expected print");
@@ -434,7 +436,7 @@ fn bad_string_id_traps() {
 fn bad_global_id_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    if let Inst::Store { ptr, .. } = &mut m.func_mut(fid).insts[ids[0].0 as usize].inst {
+    if let Inst::Store { ptr, .. } = m.func_mut(fid).inst_mut(ids[0]) {
         *ptr = Value::Global(GlobalId(99));
     } else {
         panic!("expected store");
@@ -448,7 +450,7 @@ fn bad_global_id_traps() {
 fn bad_callee_traps() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).insts[ids[3].0 as usize].inst = Inst::Call {
+    *m.func_mut(fid).inst_mut(ids[3]) = Inst::Call {
         callee: FuncRef::Internal(oraql_suite::ir::module::FunctionId(99)),
         args: vec![],
         ret: None,
@@ -458,7 +460,7 @@ fn bad_callee_traps() {
 
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).insts[ids[3].0 as usize].inst = Inst::Call {
+    *m.func_mut(fid).inst_mut(ids[3]) = Inst::Call {
         callee: FuncRef::External(StrId(999)),
         args: vec![],
         ret: None,
@@ -473,7 +475,7 @@ fn bad_callee_traps() {
 fn machine_lowering_rejects_malformed_ir() {
     let (mut m, ids) = well_formed();
     let fid = m.find_func("main").unwrap();
-    if let Inst::Print { args, .. } = &mut m.func_mut(fid).insts[ids[3].0 as usize].inst {
+    if let Inst::Print { args, .. } = m.func_mut(fid).inst_mut(ids[3]) {
         args[0] = Value::Inst(InstId(999));
     } else {
         panic!("expected print");
@@ -482,7 +484,9 @@ fn machine_lowering_rejects_malformed_ir() {
 
     let (mut m, _) = well_formed();
     let fid = m.find_func("main").unwrap();
-    m.func_mut(fid).blocks[0].insts.insert(2, InstId(999));
+    m.func_mut(fid)
+        .malformed_block_list(BlockId(0))
+        .insert(2, InstId(999));
     assert!(lower_function(&m, fid, None).is_err(), "bad block-list id");
 
     // Well-formed modules still lower, including under register
