@@ -39,24 +39,6 @@ pub trait AliasAnalysis {
     }
 }
 
-/// A record of one answered query, for reporting.
-#[derive(Debug, Clone)]
-pub struct QueryRecord {
-    /// Function the query was issued in.
-    pub func: FunctionId,
-    /// First location.
-    pub a: MemoryLocation,
-    /// Second location.
-    pub b: MemoryLocation,
-    /// Final result.
-    pub result: AliasResult,
-    /// Name of the analysis that answered, `None` for the may-alias
-    /// fallback.
-    pub answered_by: Option<&'static str>,
-    /// Pass that issued the query.
-    pub pass: String,
-}
-
 /// Per-analysis answer counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnswerCounts {
@@ -84,7 +66,6 @@ pub struct AAManager {
     /// suppressed analyses still run (their statistics count), but the
     /// chain falls through them.
     pub suppressed: std::collections::HashSet<String>,
-    log: Option<Vec<QueryRecord>>,
     /// Cached memory-effect summaries per callee: `(reads, writes)`.
     /// Sound to cache across transformations: passes only remove
     /// accesses, so a stale `true` is merely conservative.
@@ -101,7 +82,6 @@ impl AAManager {
             total_queries: 0,
             current_pass: "",
             suppressed: std::collections::HashSet::new(),
-            log: None,
             callee_effects: FxHashMap::default(),
         }
     }
@@ -150,17 +130,6 @@ impl AAManager {
         self.counts.push(AnswerCounts::default());
     }
 
-    /// Enables query logging (for report generation). Costly on large
-    /// compilations; off by default.
-    pub fn enable_log(&mut self) {
-        self.log = Some(Vec::new());
-    }
-
-    /// Drains the recorded log.
-    pub fn take_log(&mut self) -> Vec<QueryRecord> {
-        self.log.take().unwrap_or_default()
-    }
-
     /// Per-analysis answer counters, in chain order.
     pub fn answer_counts(&self) -> &[AnswerCounts] {
         &self.counts
@@ -197,13 +166,11 @@ impl AAManager {
         // Identical pointers with identical size are trivially MustAlias;
         // LLVM answers this in AAResults before consulting analyses.
         if a.ptr == b.ptr {
-            let r = if a.size == b.size {
+            return if a.size == b.size {
                 AliasResult::MustAlias
             } else {
                 AliasResult::PartialAlias
             };
-            self.record(module, func, a, b, r, Some("identity"));
-            return r;
         }
         let ctx = QueryCtx {
             module,
@@ -222,35 +189,11 @@ impl AAManager {
                     AliasResult::PartialAlias => self.counts[i].partial_alias += 1,
                     AliasResult::MayAlias => unreachable!(),
                 }
-                let name = analysis.name();
-                self.record(module, func, a, b, r, Some(name));
                 return r;
             }
         }
         self.fallback_may_alias += 1;
-        self.record(module, func, a, b, AliasResult::MayAlias, None);
         AliasResult::MayAlias
-    }
-
-    fn record(
-        &mut self,
-        _module: &Module,
-        func: FunctionId,
-        a: &MemoryLocation,
-        b: &MemoryLocation,
-        result: AliasResult,
-        answered_by: Option<&'static str>,
-    ) {
-        if let Some(log) = &mut self.log {
-            log.push(QueryRecord {
-                func,
-                a: a.clone(),
-                b: b.clone(),
-                result,
-                answered_by,
-                pass: self.current_pass.to_owned(),
-            });
-        }
     }
 
     /// Whether instruction `id` may write to `loc` ("mod" side of LLVM's
@@ -395,21 +338,6 @@ mod tests {
         );
         // The chain analysis was never consulted.
         assert_eq!(mgr.answer_counts()[0].no_alias, 0);
-    }
-
-    #[test]
-    fn log_records_queries() {
-        let m = Module::new("t");
-        let mut mgr = AAManager::new();
-        mgr.enable_log();
-        mgr.current_pass = "GVN";
-        let (a, b) = locs();
-        mgr.alias(&m, FunctionId(0), &a, &b);
-        let log = mgr.take_log();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log[0].pass, "GVN");
-        assert_eq!(log[0].result, AliasResult::MayAlias);
-        assert!(log[0].answered_by.is_none());
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub mod scoped;
 pub mod steens;
 pub mod tbaa;
 
-pub use aa::{AAManager, AliasAnalysis, QueryCtx, QueryRecord};
+pub use aa::{AAManager, AliasAnalysis, QueryCtx};
 pub use location::{AliasResult, LocationSize, MemoryLocation};

@@ -119,14 +119,6 @@ impl LoopForest {
         LoopForest { loops, cfg }
     }
 
-    /// The innermost loop containing `b`, if any.
-    pub fn innermost_containing(&self, b: BlockId) -> Option<&Loop> {
-        self.loops
-            .iter()
-            .filter(|l| l.blocks.contains(&b))
-            .max_by_key(|l| l.depth)
-    }
-
     /// The unique preheader of a loop: the single predecessor of the
     /// header outside the loop. `None` when there are several (LICM then
     /// skips the loop).
@@ -223,28 +215,5 @@ mod tests {
         let dt = DomTree::build(f);
         let forest = LoopForest::build(f, &dt);
         assert!(forest.loops.is_empty());
-        assert!(forest.innermost_containing(Function::ENTRY).is_none());
-    }
-
-    #[test]
-    fn innermost_containing_picks_deepest() {
-        let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new(&mut m, "n", vec![Ty::Ptr], None);
-        let p = b.arg(0);
-        let mut inner_body = None;
-        b.counted_loop(Value::ConstInt(0), Value::ConstInt(4), |b, _| {
-            b.counted_loop(Value::ConstInt(0), Value::ConstInt(4), |b, j| {
-                inner_body = Some(b.current_block());
-                let addr = b.gep_scaled(p, j, 8, 0);
-                b.store(Ty::I64, j, addr);
-            });
-        });
-        b.ret(None);
-        let id = b.finish();
-        let f = m.func(id);
-        let dt = DomTree::build(f);
-        let forest = LoopForest::build(f, &dt);
-        let l = forest.innermost_containing(inner_body.unwrap()).unwrap();
-        assert_eq!(l.depth, 2);
     }
 }

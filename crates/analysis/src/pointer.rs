@@ -32,14 +32,6 @@ pub enum PtrBase {
 }
 
 impl PtrBase {
-    /// True when the base is an "identified object" in LLVM terms: a
-    /// distinct allocation whose address is not an alias of any other
-    /// identified object (allocas, globals, and — against other
-    /// identified objects — noalias arguments).
-    pub fn is_identified(self) -> bool {
-        matches!(self, PtrBase::Alloca(_) | PtrBase::Global(_))
-    }
-
     /// The value naming the base: its instruction, argument or global;
     /// `None` when unknown.
     pub fn value(self) -> Option<Value> {
@@ -242,7 +234,6 @@ mod tests {
         let f = m.func(id);
         let dec = decompose(f, Value::Inst(f.blocks()[0].insts[1]));
         assert!(matches!(dec.base, PtrBase::Alloca(_)));
-        assert!(dec.base.is_identified());
         let argdec = decompose(f, Value::Arg(0));
         assert_eq!(
             argdec.base,
@@ -251,7 +242,6 @@ mod tests {
                 noalias: true
             }
         );
-        assert!(!argdec.base.is_identified());
     }
 
     #[test]

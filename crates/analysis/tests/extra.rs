@@ -216,7 +216,7 @@ fn loop_without_unique_preheader_is_skipped_by_helpers() {
 #[test]
 fn chain_order_determines_answerer() {
     // BasicAA resolves alloca-vs-alloca before TBAA even though both
-    // could; the chain records BasicAA as the answerer.
+    // could; BasicAA's slot counts the answer.
     let mut m = Module::new("t");
     let int_tag = m.tbaa.add("int", TbaaTag::ROOT);
     let dbl_tag = m.tbaa.add("double", TbaaTag::ROOT);
@@ -230,15 +230,15 @@ fn chain_order_determines_answerer() {
     let mut aa = AAManager::new();
     aa.add(Box::new(BasicAA::new()));
     aa.add(Box::new(oraql_analysis::tbaa::TypeBasedAA::new()));
-    aa.enable_log();
     let f = m.func(id);
     let s0 = f.blocks()[0].insts[2];
     let s1 = f.blocks()[0].insts[3];
     let la = MemoryLocation::of_access(f, s0).unwrap();
     let lb = MemoryLocation::of_access(f, s1).unwrap();
     assert_eq!(aa.alias(&m, id, &la, &lb), AliasResult::NoAlias);
-    let log = aa.take_log();
-    assert_eq!(log[0].answered_by, Some("BasicAA"));
+    let counts = aa.answer_counts();
+    assert_eq!(counts[0].no_alias, 1, "BasicAA answered");
+    assert_eq!(counts[1].no_alias, 0, "TBAA was never asked");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oraql::report::summarize_trace_by_case;
-use oraql::trace::read_trace;
+use oraql::trace::{read_trace, ProbeKind};
 use oraql::{Driver, DriverOptions};
 use oraql_bench::{pct, print_table, run_all_configs, trace_artifact};
 use oraql_workloads::find_case;
@@ -90,7 +90,7 @@ fn print_fig4() {
     // compiles (to hash the executable), so compiles = executed +
     // exe-cache events.
     let trace = read_trace(trace_artifact()).expect("read trace artifact");
-    let by_case = summarize_trace_by_case(&trace);
+    let by_case = summarize_trace_by_case(&trace.probes);
     let eff: Vec<Vec<String>> = results
         .iter()
         .map(|(info, r)| {
@@ -99,13 +99,15 @@ fn print_fig4() {
                 .find(|(case, _)| case == info.name)
                 .map(|(_, t)| *t)
                 .unwrap_or_default();
+            let executed = t.count(ProbeKind::Executed);
+            let cached = t.count(ProbeKind::ExeCacheHit);
             vec![
                 info.name.to_string(),
                 r.fully_optimistic.to_string(),
-                (t.executed + t.exe_cache_hits).to_string(),
-                t.executed.to_string(),
-                t.exe_cache_hits.to_string(),
-                t.deduced.to_string(),
+                (executed + cached).to_string(),
+                executed.to_string(),
+                cached.to_string(),
+                t.count(ProbeKind::Deduced).to_string(),
             ]
         })
         .collect();

@@ -64,7 +64,7 @@ fn print_fig6() {
     let path = trace_artifact();
     let trace = read_trace(&path).expect("read trace artifact");
     println!("\n### Probe trace summary (from {})\n", path.display());
-    print!("{}", render_trace_summary(&trace));
+    print!("{}", render_trace_summary(&trace.probes));
 }
 
 fn bench(c: &mut Criterion) {

@@ -1,13 +1,13 @@
 //! Observability overhead benchmark.
 //!
 //! The acceptance bar for the metrics/span instrumentation is that a
-//! fully instrumented suite run (probe trace + span trace streaming to
-//! files + metrics registry live) stays within **1.05×** of the
-//! uninstrumented wall clock. This bench drives the full 16-config
-//! workload suite both ways and records the ratio — and, while it has
-//! the artifacts in hand, re-derives the in-run probe-trace summary
-//! from the JSONL file alone, which must match byte-for-byte (the
-//! `oraql trace --fig2` reproducibility criterion).
+//! fully instrumented suite run (the one trace stream — probe answers
+//! and spans — written to its file, metrics registry live) stays within
+//! **1.05×** of the uninstrumented wall clock. This bench drives the
+//! full 16-config workload suite both ways and records the ratio — and,
+//! while it has the artifacts in hand, re-derives the in-run
+//! probe-trace summary from the JSONL file alone, which must match
+//! byte-for-byte (the `oraql trace --fig2` reproducibility criterion).
 //!
 //! Writes `$ORAQL_BENCH_OUT` (default `BENCH_obs.json`). Not a
 //! criterion bench: the JSON artifact is the point, and each pass is a
@@ -18,7 +18,6 @@ use std::time::Instant;
 use oraql::report::render_trace_summary;
 use oraql::trace::{read_trace, TraceSink};
 use oraql::DriverOptions;
-use oraql_obs::SpanSink;
 
 fn suite_pass(opts: &DriverOptions, label: &str) -> f64 {
     let cases: Vec<_> = oraql_workloads::CASE_INFOS
@@ -38,7 +37,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let trace_path = dir.join("trace.jsonl");
-    let spans_path = dir.join("spans.jsonl");
     let metrics_path = dir.join("metrics.prom");
 
     // Warm-up: touch every case once so lazy module construction and
@@ -47,26 +45,25 @@ fn main() {
 
     let plain = suite_pass(&DriverOptions::default(), "plain");
 
-    let sink = TraceSink::to_file(trace_path.to_str().unwrap()).expect("trace file");
-    let spans = SpanSink::to_file(&spans_path).expect("spans file");
+    let sink = TraceSink::to_file(&trace_path).expect("trace file");
     let snap0 = oraql_obs::global().snapshot();
     let instrumented = suite_pass(
         &DriverOptions {
             trace: Some(sink.clone()),
-            spans: Some(spans.clone()),
             ..Default::default()
         },
         "instrumented",
     );
-    assert_eq!(sink.flush(), 0, "probe trace lines dropped");
-    assert_eq!(spans.flush(), 0, "span lines dropped");
+    assert_eq!(sink.flush(), 0, "trace lines dropped");
     let snap = oraql_obs::global().snapshot();
     std::fs::write(&metrics_path, snap.render()).expect("write exposition");
 
     // The analyzer's ground truth: the Fig. 2 table recomputed from the
     // JSONL artifact must equal the live in-run summary exactly.
     let live = render_trace_summary(&sink.events());
-    let replayed = render_trace_summary(&read_trace(&trace_path).expect("read trace back"));
+    let trace = read_trace(&trace_path).expect("read trace back");
+    assert_eq!(trace.spans.len(), sink.spans().len(), "span lines lost");
+    let replayed = render_trace_summary(&trace.probes);
     assert_eq!(replayed, live, "fig2 replay drifted from live summary");
     // And the exposition must survive its own parser with the probes
     // the trace saw.
@@ -90,7 +87,7 @@ fn main() {
     println!(
         "probes traced: {} | spans: {}",
         sink.events().len(),
-        spans.events().len()
+        trace.spans.len()
     );
     assert!(
         ratio <= 1.05,
@@ -107,7 +104,7 @@ fn main() {
          \"fig2_replay_matches\": true\n}}\n",
         oraql_workloads::CASE_INFOS.len(),
         sink.events().len(),
-        spans.events().len()
+        trace.spans.len()
     );
     std::fs::write(&out, json).expect("write bench output");
     println!("wrote {out}");

@@ -12,8 +12,9 @@ use oraql::trace::TraceSink;
 use oraql::{Driver, DriverOptions, DriverResult};
 use oraql_workloads::{find_case, find_info, CaseInfo, CASE_INFOS};
 
-/// Where the shared probe-trace artifact is written: `$ORAQL_TRACE_OUT`
-/// or `BENCH_trace.jsonl` in the working directory. Every suite-shaped
+/// Where the shared trace artifact (probe answers and spans) is
+/// written: `$ORAQL_TRACE_OUT` or `BENCH_trace.jsonl` in the working
+/// directory. Every suite-shaped
 /// bench target records into — and recomputes its effort tables from —
 /// this one file, so the numbers in every table trace back to the same
 /// probe events.
@@ -43,8 +44,8 @@ fn run_config_traced(name: &str, sink: Option<&TraceSink>) -> (CaseInfo, DriverR
 }
 
 /// Runs all sixteen configurations (sequentially; each driver is
-/// internally deterministic) while recording every probe answer into
-/// the JSONL artifact at [`trace_artifact`]. Consumers re-read that
+/// internally deterministic) while recording every probe answer and
+/// span into the JSONL trace at [`trace_artifact`]. Consumers re-read that
 /// file (via `oraql::trace::read_trace`) instead of keeping their own
 /// counters.
 pub fn run_all_configs() -> Vec<(CaseInfo, DriverResult)> {

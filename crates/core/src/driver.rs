@@ -97,7 +97,7 @@ use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
 use oraql_ir::module::Module;
-use oraql_obs::{Span, SpanSink};
+use oraql_obs::Span;
 use oraql_passes::Stats;
 use oraql_store::Store;
 use oraql_vm::{Interpreter, RunOutcome, VmFault};
@@ -166,14 +166,12 @@ pub struct DriverOptions {
     /// keeps an in-memory decisions-digest map per case (see the module
     /// docs).
     pub jobs: usize,
-    /// Probe-trace sink; every probe answer is recorded here.
+    /// The run's event stream (CLI: `--trace <path>`). When set, every
+    /// probe answer is recorded here, and every case opens its
+    /// `case > baseline|probe|final|store|server` span tree here, each
+    /// probe span with its `compile|key|vm|verify|store|server`
+    /// children; each answer names its probe span.
     pub trace: Option<TraceSink>,
-    /// Span sink (CLI: `--spans-out <path>`); when set, every case
-    /// emits a `case > probe > compile|vm|verify|store|server` span
-    /// tree reconstructing where wall clock went. Independent of the
-    /// probe trace: spans carry timing topology, the trace carries
-    /// verdicts.
-    pub spans: Option<SpanSink>,
     /// Persistent verdict store shared across processes (CLI:
     /// `--store <path>`). `None` (the default) keeps the seed behaviour:
     /// verdicts live and die with the process. With a store attached,
@@ -221,7 +219,6 @@ impl Default for DriverOptions {
             trace_passes: false,
             jobs: 1,
             trace: None,
-            spans: None,
             store: None,
             server: None,
             faults: None,
@@ -428,26 +425,12 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// The driver's latency histograms, resolved once. Its counters have
-/// no handles: each case's [`Tally`] adds them when its driver drops.
-struct DriverMetrics {
-    probe_micros: &'static oraql_obs::Histogram,
-    compile_micros: &'static oraql_obs::Histogram,
-    vm_run_micros: &'static oraql_obs::Histogram,
-    verify_micros: &'static oraql_obs::Histogram,
-}
-
-fn dmetrics() -> &'static DriverMetrics {
-    static M: OnceLock<DriverMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let r = oraql_obs::global();
-        DriverMetrics {
-            probe_micros: r.histogram("oraql_driver_probe_micros"),
-            compile_micros: r.histogram("oraql_driver_compile_micros"),
-            vm_run_micros: r.histogram("oraql_driver_vm_run_micros"),
-            verify_micros: r.histogram("oraql_driver_verify_micros"),
-        }
-    })
+/// The driver's probe-latency histogram, resolved once. The driver's
+/// counters have no handles: each case's [`Tally`] adds them when its
+/// driver drops.
+fn probe_micros() -> &'static oraql_obs::Histogram {
+    static H: OnceLock<&'static oraql_obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| oraql_obs::global().histogram("oraql_driver_probe_micros"))
 }
 
 fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
@@ -623,11 +606,10 @@ struct ProbeEngine {
     server: Option<Arc<oraql_served::Client>>,
     /// The case's one accounting record.
     tally: Mutex<Tally>,
+    /// The run's event stream: probe answers and spans.
     trace: Option<TraceSink>,
-    /// Span sink shared with the driver; `None` when spans are off.
-    spans: Option<SpanSink>,
-    /// Id of this case's root span (0 when spans are off), the parent
-    /// of every probe span the engine opens.
+    /// Id of this case's root span (0 without a trace), the parent of
+    /// every probe span the engine opens.
     case_span: u64,
     /// Optional deterministic fault plan (chaos testing).
     faults: Option<Arc<FaultInjector>>,
@@ -682,9 +664,17 @@ impl ProbeEngine {
 
     /// The one place a probe answer is accounted: it bumps the tally,
     /// observes the probe's latency and traces the answer, numbered by
-    /// the case's answer count so far. Only `execute` and `note_deduced`
-    /// call it, both on the case's own thread.
-    fn account(&self, answer: Answer, digest: u64, (pass, unique): Verdict, started: Instant) {
+    /// the case's answer count so far and joined to `span`, the probe
+    /// span it was given in (0: none). Only `execute` and
+    /// `note_deduced` call it, both on the case's own thread.
+    fn account(
+        &self,
+        answer: Answer,
+        digest: u64,
+        (pass, unique): Verdict,
+        started: Instant,
+        span: u64,
+    ) {
         let seq = {
             let mut tally = self.tally();
             let seq = tally.answers.values().sum();
@@ -692,7 +682,7 @@ impl ProbeEngine {
             seq
         };
         let wall_micros = started.elapsed().as_micros() as u64;
-        dmetrics().probe_micros.observe(wall_micros);
+        probe_micros().observe(wall_micros);
         if let Some(sink) = &self.trace {
             sink.record(ProbeEvent {
                 case: self.case_name.clone(),
@@ -702,16 +692,17 @@ impl ProbeEngine {
                 pass,
                 unique,
                 wall_micros,
+                span,
             });
         }
     }
 
-    /// Opens a child span under `parent` when span tracing is on.
+    /// Opens a child span under `parent` when the run is traced.
     /// Returns `None` (zero cost beyond the branch) otherwise.
     fn span(&self, name: &'static str, parent: u64) -> Option<Span> {
-        self.spans
+        self.trace
             .as_ref()
-            .map(|s| s.span(name, &self.case_name, parent))
+            .map(|t| t.span(name, &self.case_name, parent))
     }
 
     /// Draws this attempt's fault decisions from the plan (all quiet
@@ -800,7 +791,7 @@ impl ProbeEngine {
             self.tally().failures.quarantined += 1;
             (Answer::Faulted, MAY_ALIAS)
         };
-        self.account(answer, digest, verdict, started);
+        self.account(answer, digest, verdict, started, probe_id);
         let (pass, unique) = verdict;
         ProbeOutcome { pass, unique }
     }
@@ -856,7 +847,6 @@ impl ProbeEngine {
             std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
         }
         self.tally().compiles += 1;
-        let compile_started = Instant::now();
         // A probe reads only the module and the ORAQL state: the
         // pipeline step alone, no Fig. 6 statistics.
         let compiled = {
@@ -871,9 +861,6 @@ impl ProbeEngine {
                 },
             )
         };
-        dmetrics()
-            .compile_micros
-            .observe(compile_started.elapsed().as_micros() as u64);
         let h = {
             let _s = self.span("key", probe_span);
             oraql_ir::printer::module_key(self.salt, &compiled.module)
@@ -895,14 +882,10 @@ impl ProbeEngine {
             std::thread::sleep(dur);
         }
         self.tally().vm_runs += 1;
-        let vm_started = Instant::now();
         let run = {
             let _s = self.span("vm", probe_span);
             run_module_with(&compiled.module, self.fuel, fx.vm_fault)
         };
-        dmetrics()
-            .vm_run_micros
-            .observe(vm_started.elapsed().as_micros() as u64);
         if fx.vm_fault.is_some() {
             if let Err(e) = &run {
                 // The injected trap / lying fuel budget killed the run:
@@ -918,14 +901,10 @@ impl ProbeEngine {
                 if fx.garble {
                     stdout.push_str("\u{7f}garbled probe output\n");
                 }
-                let verify_started = Instant::now();
                 let ok = {
                     let _s = self.span("verify", probe_span);
                     self.verifier.check(&stdout).is_ok()
                 };
-                dmetrics()
-                    .verify_micros
-                    .observe(verify_started.elapsed().as_micros() as u64);
                 if fx.garble && !ok {
                     // We know the mismatch is our own corruption: a
                     // transient I/O failure, not a verdict. Nothing is
@@ -1076,12 +1055,11 @@ impl Driver {
     pub fn run(case: &TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
         // The case span covers the whole workflow; the guards record on
         // every exit path, including `?` errors.
-        let spans = opts.spans.clone();
-        let case_root = spans.as_ref().map(|s| s.span("case", &case.name, 0));
+        let trace = opts.trace.clone();
+        let span = |name, parent| trace.as_ref().map(|t| t.span(name, &case.name, parent));
+        let case_root = span("case", 0);
         let case_id = case_root.as_ref().map_or(0, Span::id);
-        let baseline_span = spans
-            .as_ref()
-            .map(|s| s.span("baseline", &case.name, case_id));
+        let baseline_span = span("baseline", case_id);
         // Step 1: baseline (ORAQL deactivated) — produces the reference.
         // A panicking build closure fails this case, not the suite.
         let baseline = catch_unwind(AssertUnwindSafe(|| {
@@ -1126,7 +1104,6 @@ impl Driver {
             server: opts.server.clone(),
             tally: Mutex::default(),
             trace: opts.trace.clone(),
-            spans: spans.clone(),
             case_span: case_id,
             faults: opts.faults.clone(),
             deadline: opts.probe_deadline,
@@ -1146,7 +1123,7 @@ impl Driver {
         };
 
         // Step 4: final compile + verification.
-        let final_span = spans.as_ref().map(|s| s.span("final", &case.name, case_id));
+        let final_span = span("final", case_id);
         let final_opts = CompileOptions {
             oraql: Some((decisions.clone(), case.scope.clone())),
             use_cfl: case.use_cfl,
@@ -1168,15 +1145,13 @@ impl Driver {
         if let Some(store) = &driver.opts.store {
             // Checkpoint the journal once per case: bounds the loss
             // window on power failure without paying a sync per probe.
-            let _s = spans.as_ref().map(|s| s.span("store", &case.name, case_id));
+            let _s = span("store", case_id);
             let _ = store.sync();
         }
         if let Some(server) = &driver.opts.server {
             // Same checkpoint for the shared tier: ask the server to
             // group-fsync whatever this case appended.
-            let _s = spans
-                .as_ref()
-                .map(|s| s.span("server", &case.name, case_id));
+            let _s = span("server", case_id);
             let _ = server.sync();
         }
         let tally = driver.engine.tally().clone();
@@ -1254,7 +1229,7 @@ impl Prober for Driver {
 
     fn note_deduced(&mut self) {
         self.engine
-            .account(Answer::Deduced, 0, (false, 0), Instant::now());
+            .account(Answer::Deduced, 0, (false, 0), Instant::now(), 0);
     }
 }
 

@@ -147,50 +147,45 @@ pub fn queries_by_pass(queries: &[UniqueQuery]) -> Vec<(String, u64)> {
     v
 }
 
-/// Aggregated view of one case's (or a whole trace's) probe events.
+/// Aggregated view of one case's (or a whole trace's) probe events:
+/// the one fold behind every probe table (Fig. 2, Fig. 4, Fig. 6 and
+/// the cache-tier funnel).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// All probe answers (including deduced ones).
-    pub probes: u64,
-    /// Probes that compiled, ran and verified.
-    pub executed: u64,
-    /// Probes answered from the executable-hash cache.
-    pub exe_cache_hits: u64,
-    /// Probes answered from the decisions-digest cache.
-    pub dec_cache_hits: u64,
-    /// Probes answered from the persistent verdict store.
-    pub store_hits: u64,
-    /// Probes answered by the shared verdict server.
-    pub server_hits: u64,
-    /// Probes answered by the Fig. 2 deduction rule.
-    pub deduced: u64,
-    /// Probes that failed in the sandbox and degraded to may-alias.
-    pub faulted: u64,
+    /// Answers per kind, in [`ProbeKind::ALL`] order.
+    pub answers: [u64; ProbeKind::ALL.len()],
+    /// Wall time spent answering per kind, in microseconds, in
+    /// [`ProbeKind::ALL`] order.
+    pub wall_micros: [u64; ProbeKind::ALL.len()],
     /// Passing verdicts.
     pub passes: u64,
-    /// Total wall time spent answering, in microseconds.
-    pub wall_micros: u64,
     /// Largest unique-query count any probe observed.
     pub max_unique: u64,
 }
 
 impl TraceSummary {
     fn add(&mut self, e: &ProbeEvent) {
-        self.probes += 1;
-        match e.kind {
-            ProbeKind::Executed => self.executed += 1,
-            ProbeKind::ExeCacheHit => self.exe_cache_hits += 1,
-            ProbeKind::DecisionCacheHit => self.dec_cache_hits += 1,
-            ProbeKind::StoreHit => self.store_hits += 1,
-            ProbeKind::ServerHit => self.server_hits += 1,
-            ProbeKind::Deduced => self.deduced += 1,
-            ProbeKind::Faulted => self.faulted += 1,
-        }
+        self.answers[e.kind as usize] += 1;
+        self.wall_micros[e.kind as usize] += e.wall_micros;
         if e.pass {
             self.passes += 1;
         }
-        self.wall_micros += e.wall_micros;
         self.max_unique = self.max_unique.max(e.unique);
+    }
+
+    /// Answers of one kind.
+    pub fn count(&self, kind: ProbeKind) -> u64 {
+        self.answers[kind as usize]
+    }
+
+    /// All probe answers (including deduced ones).
+    pub fn probes(&self) -> u64 {
+        self.answers.iter().sum()
+    }
+
+    /// Total wall time spent answering, in microseconds.
+    pub fn total_wall_micros(&self) -> u64 {
+        self.wall_micros.iter().sum()
     }
 }
 
@@ -205,64 +200,41 @@ pub fn summarize_trace(events: &[ProbeEvent]) -> TraceSummary {
 
 /// Aggregates a probe trace per case, sorted by case name.
 pub fn summarize_trace_by_case(events: &[ProbeEvent]) -> Vec<(String, TraceSummary)> {
-    let mut map: std::collections::BTreeMap<String, TraceSummary> = Default::default();
+    let mut map: std::collections::BTreeMap<&str, TraceSummary> = Default::default();
     for e in events {
-        map.entry(e.case.clone()).or_default().add(e);
+        map.entry(&e.case).or_default().add(e);
     }
-    map.into_iter().collect()
+    map.into_iter().map(|(c, t)| (c.to_owned(), t)).collect()
+}
+
+/// Fig. 2's column width for each kind, in [`ProbeKind::ALL`] order.
+const KIND_WIDTHS: [usize; ProbeKind::ALL.len()] = [9, 9, 9, 7, 7, 8, 8];
+
+/// One Fig. 2 row: the answer count, each kind's count and the wall
+/// time.
+fn write_summary_row(s: &mut String, name: &str, t: &TraceSummary) {
+    let _ = write!(s, "{name:<24} {:>7}", t.probes());
+    for (n, width) in t.answers.iter().zip(KIND_WIDTHS) {
+        let _ = write!(s, " {n:>width$}");
+    }
+    let _ = writeln!(s, " {:>10.1}", t.total_wall_micros() as f64 / 1000.0);
 }
 
 /// Renders the per-case probe-effort table plus a totals row — the
 /// report path consuming the JSONL probe trace.
 pub fn render_trace_summary(events: &[ProbeEvent]) -> String {
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10}",
-        "case",
-        "probes",
-        "executed",
-        "exe-cache",
-        "dec-cache",
-        "store",
-        "server",
-        "deduced",
-        "faulted",
-        "wall(ms)"
-    );
+    let _ = write!(s, "{:<24} {:>7}", "case", "probes");
+    for (kind, width) in ProbeKind::ALL.iter().zip(KIND_WIDTHS) {
+        let _ = write!(s, " {:>width$}", kind.as_str());
+    }
+    let _ = writeln!(s, " {:>10}", "wall(ms)");
     let per_case = summarize_trace_by_case(events);
     for (name, t) in &per_case {
-        let _ = writeln!(
-            s,
-            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10.1}",
-            name,
-            t.probes,
-            t.executed,
-            t.exe_cache_hits,
-            t.dec_cache_hits,
-            t.store_hits,
-            t.server_hits,
-            t.deduced,
-            t.faulted,
-            t.wall_micros as f64 / 1000.0
-        );
+        write_summary_row(&mut s, name, t);
     }
     if per_case.len() > 1 {
-        let t = summarize_trace(events);
-        let _ = writeln!(
-            s,
-            "{:<24} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>10.1}",
-            "TOTAL",
-            t.probes,
-            t.executed,
-            t.exe_cache_hits,
-            t.dec_cache_hits,
-            t.store_hits,
-            t.server_hits,
-            t.deduced,
-            t.faulted,
-            t.wall_micros as f64 / 1000.0
-        );
+        write_summary_row(&mut s, "TOTAL", &summarize_trace(events));
     }
     s
 }
@@ -386,6 +358,7 @@ mod tests {
             pass,
             unique: 9,
             wall_micros: 500,
+            span: 0,
         }
     }
 
@@ -401,21 +374,17 @@ mod tests {
             trace_event("b", ProbeKind::Faulted, false),
         ];
         let t = summarize_trace(&events);
-        assert_eq!(t.probes, 7);
-        assert_eq!(t.executed, 1);
-        assert_eq!(t.exe_cache_hits, 1);
-        assert_eq!(t.dec_cache_hits, 1);
-        assert_eq!(t.store_hits, 1);
-        assert_eq!(t.server_hits, 1);
-        assert_eq!(t.deduced, 1);
-        assert_eq!(t.faulted, 1);
+        assert_eq!(t.probes(), 7);
+        assert_eq!(t.answers, [1; 7], "one answer of each kind");
+        assert_eq!(t.wall_micros, [500; 7]);
+        assert_eq!(t.total_wall_micros(), 3500);
         assert_eq!(t.passes, 4);
         assert_eq!(t.max_unique, 9);
         let per_case = summarize_trace_by_case(&events);
         assert_eq!(per_case.len(), 2);
         assert_eq!(per_case[0].0, "a");
-        assert_eq!(per_case[0].1.probes, 3);
-        assert_eq!(per_case[1].1.server_hits, 1);
+        assert_eq!(per_case[0].1.probes(), 3);
+        assert_eq!(per_case[1].1.count(ProbeKind::ServerHit), 1);
         let text = render_trace_summary(&events);
         assert!(text.contains("TOTAL"), "{text}");
         assert!(text.starts_with("case"), "{text}");

@@ -1,11 +1,18 @@
-//! Probe-trace observability: a JSONL sink recording every probe the
-//! driver answers, however it answers it.
+//! The run's one event stream: a JSONL sink recording every probe
+//! answer the driver gives, however it gives it, and every span it
+//! opens, in one file.
 //!
 //! The paper's Fig. 2 (probing effort) and Fig. 4 (query statistics)
 //! were produced from ad-hoc counters; this module replaces those with
 //! a structured event stream so the same data can be recomputed,
-//! plotted, or diffed after the fact. One [`ProbeEvent`] is emitted per
-//! probe answer:
+//! plotted, or diffed after the fact. A trace file holds two kinds of
+//! line, told apart by their keys:
+//!
+//! * one [`ProbeEvent`] per probe answer (it has a `kind` key);
+//! * one [`SpanEvent`] per closed span (`case > probe > compile|key|vm|
+//!   verify|store|server`, plus the `baseline` and `final` phases).
+//!
+//! A probe answer's `kind` is one of:
 //!
 //! * `executed` — the module was compiled, run in the VM, and verified;
 //! * `exe-cache` — a bit-identical recompilation reused a prior verdict
@@ -19,28 +26,32 @@
 //! * `deduced` — the Fig. 2 deduction rule answered without a test;
 //! * `faulted` — the sandbox quarantined the probe to may-alias.
 //!
+//! Each answer's `span` names the `probe` span it was given in, so an
+//! answer joins its compile, VM and verify spans by id alone. `deduced`
+//! answers open no probe span and carry 0.
+//!
 //! Under `--probe-deadline-ms` too there is one event per answer: an
 //! attempt the watchdog gave up on never answers, so it is not traced.
 //!
 //! # Determinism contract
 //!
-//! With `--jobs 1` the event *sequence* is deterministic and reproduces
-//! the seed driver's probe order exactly. With `--jobs N` up to `N`
-//! cases probe at once and their events interleave in scheduling
+//! With `--jobs 1` the probe-answer *sequence* is deterministic and
+//! reproduces the seed driver's probe order exactly. With `--jobs N` up
+//! to `N` cases probe at once and their events interleave in scheduling
 //! order, but each case probes sequentially, so the per-case `seq`
 //! numbers reconstruct a per-case sequence that is identical at any
-//! `N > 1`. Wall-clock fields are the only inherently non-reproducible
-//! values.
+//! `N > 1`. Wall-clock fields and span ids are the only
+//! non-reproducible values.
 //!
-//! The format is line-delimited JSON with a fixed key set (no external
-//! serialization crates in this hermetic build — the writer and parser
-//! are hand-rolled and round-trip exactly; see
-//! [`ProbeEvent::to_jsonl`] / [`ProbeEvent::parse_jsonl`]).
+//! The format is line-delimited JSON with a fixed key set per kind (no
+//! external serialization crates in this hermetic build — the writer
+//! and parser are hand-rolled and round-trip exactly; see
+//! [`ProbeEvent::to_jsonl`] / [`ProbeEvent::parse_jsonl`] and
+//! [`SpanEvent`]'s pair).
 
 use oraql_obs::jsonl::{escape_json, json_bool, json_str, json_u64};
+use oraql_obs::{Span, SpanEvent, SpanSink};
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -68,7 +79,8 @@ pub enum ProbeKind {
 }
 
 impl ProbeKind {
-    /// Every kind, in wire-documentation order.
+    /// Every kind, in wire-documentation order, which is also
+    /// declaration order: `kind as usize` indexes arrays kept in it.
     pub const ALL: [ProbeKind; 7] = [
         ProbeKind::Executed,
         ProbeKind::ExeCacheHit,
@@ -118,6 +130,9 @@ pub struct ProbeEvent {
     /// Wall time from the probe's first attempt to its answer, in
     /// microseconds (retries included).
     pub wall_micros: u64,
+    /// Id of the `probe` span the answer was given in; 0 for `deduced`
+    /// answers, which have no probe span.
+    pub span: u64,
 }
 
 impl ProbeEvent {
@@ -128,13 +143,14 @@ impl ProbeEvent {
         s.push_str(&escape_json(&self.case));
         let _ = write!(
             s,
-            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"wall_micros\":{}}}",
+            "\",\"seq\":{},\"digest\":{},\"kind\":\"{}\",\"pass\":{},\"unique\":{},\"wall_micros\":{},\"span\":{}}}",
             self.seq,
             self.digest,
             self.kind.as_str(),
             self.pass,
             self.unique,
-            self.wall_micros
+            self.wall_micros,
+            self.span
         );
         s
     }
@@ -155,110 +171,111 @@ impl ProbeEvent {
             pass: json_bool(line, "pass")?,
             unique: json_u64(line, "unique")?,
             wall_micros: json_u64(line, "wall_micros")?,
+            span: json_u64(line, "span")?,
         })
     }
 }
 
-#[derive(Debug, Default)]
-struct TraceInner {
-    events: Vec<ProbeEvent>,
-    file: Option<BufWriter<File>>,
-    /// JSONL lines lost to failed file writes. The in-memory copy is
-    /// still recorded, so `events()` stays complete; the count is
-    /// surfaced by [`TraceSink::flush`] and the
-    /// `oraql_trace_dropped_lines_total` registry counter.
-    dropped: u64,
-}
-
-/// Thread-shared probe-trace sink. Cloning shares the underlying
-/// buffer; all driver threads of a suite run feed one sink.
-#[derive(Debug, Clone, Default)]
+/// Thread-shared sink of a run's trace. Cloning shares the buffers
+/// and the file; all driver threads of a suite run feed one sink.
+#[derive(Debug, Clone)]
 pub struct TraceSink {
-    inner: Arc<Mutex<TraceInner>>,
+    probes: Arc<Mutex<Vec<ProbeEvent>>>,
+    /// Hands out span guards and owns the one file writer, which the
+    /// probe lines go through too.
+    spans: SpanSink,
 }
 
 impl TraceSink {
-    /// An in-memory sink (events retrievable via [`TraceSink::events`]).
+    /// An in-memory sink (events retrievable via [`TraceSink::events`]
+    /// and [`TraceSink::spans`]).
     pub fn in_memory() -> Self {
-        TraceSink::default()
+        TraceSink {
+            probes: Arc::default(),
+            spans: SpanSink::in_memory(),
+        }
     }
 
-    /// A sink that additionally appends JSONL lines to `path`
-    /// (truncating any existing file).
+    /// A sink that additionally appends every probe and span line to
+    /// `path` (truncating any existing file).
     pub fn to_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = BufWriter::new(File::create(path)?);
         Ok(TraceSink {
-            inner: Arc::new(Mutex::new(TraceInner {
-                events: Vec::new(),
-                file: Some(file),
-                dropped: 0,
-            })),
+            probes: Arc::default(),
+            spans: SpanSink::to_file(path.as_ref())?,
         })
     }
 
-    /// Records one event (writes the JSONL line immediately when backed
-    /// by a file). A failed write never loses the in-memory event; it
-    /// is counted and reported by [`TraceSink::flush`].
+    /// Records one probe answer (its line goes to the file at once). A
+    /// failed write never loses the in-memory event; it is counted and
+    /// reported by [`TraceSink::flush`].
     pub fn record(&self, ev: ProbeEvent) {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(f) = inner.file.as_mut() {
-            if writeln!(f, "{}", ev.to_jsonl()).is_err() {
-                inner.dropped += 1;
-                oraql_obs::global()
-                    .counter("oraql_trace_dropped_lines_total")
-                    .inc();
-            }
-        }
-        inner.events.push(ev);
-    }
-
-    /// Snapshot of all recorded events, in record order.
-    pub fn events(&self) -> Vec<ProbeEvent> {
-        self.inner
+        self.spans.write_line(|| ev.to_jsonl());
+        self.probes
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .events
+            .push(ev);
+    }
+
+    /// Opens a span of `case` under `parent` (0 for a root); its line
+    /// is recorded when the guard drops.
+    pub fn span(&self, name: &'static str, case: &str, parent: u64) -> Span {
+        self.spans.span(name, case, parent)
+    }
+
+    /// Snapshot of all recorded probe answers, in record order.
+    pub fn events(&self) -> Vec<ProbeEvent> {
+        self.probes
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
             .clone()
     }
 
+    /// Snapshot of all closed spans, in completion order.
+    pub fn spans(&self) -> Vec<SpanEvent> {
+        self.spans.events()
+    }
+
     /// Flushes the backing file, if any. Returns the total number of
-    /// JSONL lines dropped by failed writes (including a failed flush)
-    /// so callers can report data loss once instead of never.
+    /// JSONL lines, of either kind, dropped by failed writes (including
+    /// a failed flush) so callers can report data loss once instead of
+    /// never.
     pub fn flush(&self) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(f) = inner.file.as_mut() {
-            if f.flush().is_err() {
-                inner.dropped += 1;
-                oraql_obs::global()
-                    .counter("oraql_trace_dropped_lines_total")
-                    .inc();
-            }
-        }
-        inner.dropped
+        self.spans.flush()
     }
 }
 
-/// Reads a JSONL trace file back, skipping blank lines and rejecting
-/// malformed ones (an `InvalidData` error naming the line), so a torn
-/// or garbled trace never yields tables short of events.
-pub fn read_trace(path: impl AsRef<Path>) -> std::io::Result<Vec<ProbeEvent>> {
+/// A trace file read back: both kinds of line, each in file order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Trace {
+    /// The probe answers.
+    pub probes: Vec<ProbeEvent>,
+    /// The closed spans.
+    pub spans: Vec<SpanEvent>,
+}
+
+/// Reads a JSONL trace file back, skipping blank lines and rejecting a
+/// line that is neither a probe answer nor a span (an `InvalidData`
+/// error naming the line), so a torn or garbled trace never yields
+/// tables short of events.
+pub fn read_trace(path: impl AsRef<Path>) -> std::io::Result<Trace> {
     let text = std::fs::read_to_string(path)?;
-    let mut out = Vec::new();
+    let mut trace = Trace::default();
     for (no, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match ProbeEvent::parse_jsonl(line) {
-            Some(ev) => out.push(ev),
-            None => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad trace line {}: {line}", no + 1),
-                ));
-            }
+        if let Some(ev) = ProbeEvent::parse_jsonl(line) {
+            trace.probes.push(ev);
+        } else if let Some(span) = SpanEvent::parse_jsonl(line) {
+            trace.spans.push(span);
+        } else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("bad trace line {}: {line}", no + 1),
+            ));
         }
     }
-    Ok(out)
+    Ok(trace)
 }
 
 #[cfg(test)]
@@ -274,12 +291,20 @@ mod tests {
             pass: seq.is_multiple_of(2),
             unique: 42,
             wall_micros: 1234,
+            span: 7,
         }
+    }
+
+    /// A per-process, per-test path: concurrent `cargo test` runs and
+    /// the tests of one run must not race on one temp file.
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("oraql_trace_{tag}_{}.jsonl", std::process::id()))
     }
 
     #[test]
     fn jsonl_roundtrip() {
         for (i, kind) in ProbeKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is declaration order");
             let ev = sample(kind, i as u64);
             let line = ev.to_jsonl();
             assert_eq!(ProbeEvent::parse_jsonl(&line), Some(ev), "{line}");
@@ -291,40 +316,82 @@ mod tests {
         assert_eq!(ProbeEvent::parse_jsonl(""), None);
         assert_eq!(ProbeEvent::parse_jsonl("{\"case\":\"x\"}"), None);
         assert_eq!(ProbeEvent::parse_jsonl("not json"), None);
+        let no_span = sample(ProbeKind::Executed, 0)
+            .to_jsonl()
+            .replace(",\"span\":7", "");
+        assert_eq!(ProbeEvent::parse_jsonl(&no_span), None, "{no_span}");
     }
 
     #[test]
-    fn sink_roundtrips_through_file() {
-        // Per-process unique path: two concurrent `cargo test`
-        // invocations must not race on one temp file.
-        let path =
-            std::env::temp_dir().join(format!("oraql_trace_test_{}.jsonl", std::process::id()));
+    fn both_kinds_roundtrip_through_one_file() {
+        let path = temp_path("roundtrip");
         let sink = TraceSink::to_file(&path).unwrap();
-        sink.record(sample(ProbeKind::Executed, 0));
-        sink.record(sample(ProbeKind::Deduced, 1));
+        {
+            let case = sink.span("case", "f", 0);
+            let probe = sink.span("probe", "f", case.id());
+            sink.record(ProbeEvent {
+                span: probe.id(),
+                ..sample(ProbeKind::Executed, 0)
+            });
+            drop(sink.span("compile", "f", probe.id()));
+        }
+        sink.record(ProbeEvent {
+            span: 0,
+            ..sample(ProbeKind::Deduced, 1)
+        });
         assert_eq!(sink.flush(), 0, "healthy sink drops nothing");
         let back = read_trace(&path).unwrap();
-        assert_eq!(back, sink.events());
-        assert_eq!(back.len(), 2);
+        assert_eq!(back.probes, sink.events());
+        assert_eq!(back.spans, sink.spans());
+        assert_eq!((back.probes.len(), back.spans.len()), (2, 3));
+        let probe_span = back.spans.iter().find(|s| s.name == "probe").unwrap();
+        assert_eq!(
+            back.probes[0].span, probe_span.id,
+            "the answer names its span"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn span_only_file_reads_back_with_zero_probes() {
+        let path = temp_path("spans_only");
+        let sink = TraceSink::to_file(&path).unwrap();
+        drop(sink.span("case", "f", 0));
+        assert_eq!(sink.flush(), 0);
+        let back = read_trace(&path).unwrap();
+        assert!(back.probes.is_empty());
+        assert_eq!(back.spans, sink.spans());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn read_trace_rejects_a_garbled_line() {
-        let path =
-            std::env::temp_dir().join(format!("oraql_trace_garbled_{}.jsonl", std::process::id()));
+        let path = temp_path("garbled");
         let good = sample(ProbeKind::Executed, 0).to_jsonl();
-        let garbled = sample(ProbeKind::Deduced, 1)
+        let span = SpanEvent {
+            id: 7,
+            parent: 0,
+            name: "probe".into(),
+            case: "x".into(),
+            start_micros: 1,
+            dur_micros: 2,
+        }
+        .to_jsonl();
+        let garbled_probe = sample(ProbeKind::Deduced, 1)
             .to_jsonl()
             .replace("\"seq\"", "\"sq\"");
-        std::fs::write(&path, format!("{good}\n\n{garbled}\n{good}\n")).unwrap();
-        let err = read_trace(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().starts_with("bad trace line 3: "), "{err}");
-        std::fs::write(&path, format!("{good}\n\n{good}\n")).unwrap();
+        let garbled_span = span.replace("\"parent\"", "\"parnt\"");
+        for garbled in [&garbled_probe, &garbled_span] {
+            std::fs::write(&path, format!("{good}\n\n{garbled}\n{span}\n")).unwrap();
+            let err = read_trace(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().starts_with("bad trace line 3: "), "{err}");
+        }
+        std::fs::write(&path, format!("{good}\n\n{span}\n{good}\n")).unwrap();
+        let back = read_trace(&path).unwrap();
         assert_eq!(
-            read_trace(&path).unwrap().len(),
-            2,
+            (back.probes.len(), back.spans.len()),
+            (2, 1),
             "blank lines are skipped"
         );
         std::fs::remove_file(&path).ok();
@@ -337,12 +404,30 @@ mod tests {
         let Ok(sink) = TraceSink::to_file("/dev/full") else {
             return; // platform without /dev/full: nothing to test
         };
-        // BufWriter defers the failure; force tiny writes + flush.
-        sink.record(sample(ProbeKind::Executed, 0));
-        let dropped = sink.flush();
-        assert!(dropped >= 1, "write failure must be counted");
-        // The in-memory copy is intact regardless.
-        assert_eq!(sink.events().len(), 1);
+        let before = oraql_obs::global()
+            .snapshot()
+            .counters
+            .get("oraql_trace_dropped_lines_total")
+            .copied()
+            .unwrap_or(0);
+        // Lines longer than the writer's buffer fail at the write, so
+        // each kind of line is counted where it is written.
+        let long = "x".repeat(16 << 10);
+        sink.record(ProbeEvent {
+            case: long.clone(),
+            ..sample(ProbeKind::Executed, 0)
+        });
+        drop(sink.span("probe", &long, 0));
+        assert_eq!(sink.flush(), 2, "one count for both kinds of line");
+        let after = oraql_obs::global()
+            .snapshot()
+            .counters
+            .get("oraql_trace_dropped_lines_total")
+            .copied()
+            .unwrap_or(0);
+        assert!(after >= before + 2, "the registry counter sees both");
+        // The in-memory copies are intact regardless.
+        assert_eq!((sink.events().len(), sink.spans().len()), (1, 1));
     }
 
     #[test]

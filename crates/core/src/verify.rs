@@ -67,11 +67,6 @@ impl Verifier {
         }
     }
 
-    /// Adds another acceptable reference output.
-    pub fn add_reference(&mut self, reference: String) {
-        self.references.push(reference);
-    }
-
     /// Checks `stdout` against the references.
     pub fn check(&self, stdout: &str) -> Result<(), Mismatch> {
         let mut best: Option<Mismatch> = None;
@@ -155,8 +150,7 @@ mod tests {
 
     #[test]
     fn multiple_references_any_match() {
-        let mut v = Verifier::exact("mesh=271\n".into());
-        v.add_reference("mesh=272\n".into());
+        let v = Verifier::new(vec!["mesh=271\n".into(), "mesh=272\n".into()], &[]);
         assert!(v.check("mesh=271\n").is_ok());
         assert!(v.check("mesh=272\n").is_ok());
         assert!(v.check("mesh=273\n").is_err());
@@ -164,8 +158,7 @@ mod tests {
 
     #[test]
     fn reports_deepest_divergence() {
-        let mut v = Verifier::exact("a\nx\n".into());
-        v.add_reference("a\nb\nc\n".into());
+        let v = Verifier::new(vec!["a\nx\n".into(), "a\nb\nc\n".into()], &[]);
         let e = v.check("a\nb\nd\n").unwrap_err();
         match e {
             Mismatch::OutputDiffers { line, .. } => assert_eq!(line, 3),

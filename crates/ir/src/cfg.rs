@@ -123,11 +123,6 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     post
 }
 
-/// True when every block is reachable from entry.
-pub fn all_reachable(f: &Function) -> bool {
-    reverse_postorder(f).len() == f.blocks().len()
-}
-
 /// Each instruction's index within its block's instruction list,
 /// indexed by instruction id; `u32::MAX` for arena entries no block
 /// lists (removed instructions). Comparing two entries orders two
@@ -175,7 +170,7 @@ mod tests {
         assert_eq!(*rpo.last().unwrap(), j);
         let preds = predecessors(f);
         assert_eq!(preds[j.0 as usize].len(), 2);
-        assert!(all_reachable(f));
+        assert_eq!(rpo.len(), f.blocks().len(), "every block reachable");
     }
 
     #[test]
@@ -201,7 +196,8 @@ mod tests {
         b.switch_to(dead);
         b.ret(None);
         let id = b.finish();
-        assert!(!all_reachable(m.func(id)));
+        let f = m.func(id);
+        assert!(reverse_postorder(f).len() < f.blocks().len());
     }
 
     #[test]
@@ -238,6 +234,7 @@ mod tests {
         b.counted_loop(Value::ConstInt(0), Value::ConstInt(4), |_, _| {});
         b.ret(None);
         let id = b.finish();
-        assert!(all_reachable(m.func(id)));
+        let f = m.func(id);
+        assert_eq!(reverse_postorder(f).len(), f.blocks().len());
     }
 }

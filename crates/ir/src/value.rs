@@ -35,29 +35,12 @@ impl Value {
         Value::ConstFloat(x.to_bits())
     }
 
-    /// Extracts a float constant, if this is one.
-    pub fn as_f64(self) -> Option<f64> {
-        match self {
-            Value::ConstFloat(bits) => Some(f64::from_bits(bits)),
-            _ => None,
-        }
-    }
-
     /// Extracts an integer constant, if this is one.
     pub fn as_int(self) -> Option<i64> {
         match self {
             Value::ConstInt(i) => Some(i),
             _ => None,
         }
-    }
-
-    /// True for constants (and `Undef`), i.e. values with no defining
-    /// instruction or argument slot.
-    pub fn is_const(self) -> bool {
-        matches!(
-            self,
-            Value::ConstInt(_) | Value::ConstFloat(_) | Value::Undef
-        )
     }
 }
 
@@ -68,16 +51,17 @@ mod tests {
     #[test]
     fn float_roundtrip() {
         let v = Value::const_f64(3.25);
-        assert_eq!(v.as_f64(), Some(3.25));
+        let Value::ConstFloat(bits) = v else {
+            panic!("{v:?} is not a float constant")
+        };
+        assert_eq!(f64::from_bits(bits), 3.25);
         assert_eq!(v.as_int(), None);
-        assert!(v.is_const());
     }
 
     #[test]
     fn int_extraction() {
         assert_eq!(Value::ConstInt(7).as_int(), Some(7));
-        assert!(Value::Undef.is_const());
-        assert!(!Value::Arg(0).is_const());
+        assert_eq!(Value::Undef.as_int(), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! remaining risk in tests.)
 
 use crate::cfg;
-use crate::inst::{FuncRef, Inst, InstId};
+use crate::inst::{FuncRef, Inst};
 use crate::module::{FunctionId, Module};
 use crate::value::{BlockId, Value};
 
@@ -215,23 +215,6 @@ pub fn assert_valid(m: &Module) {
     }
 }
 
-/// Returns the list of instruction ids in `f` that mention `needle` as an
-/// operand (a helper for tests and pass assertions).
-pub fn users_of(m: &Module, id: FunctionId, needle: InstId) -> Vec<InstId> {
-    let f = m.func(id);
-    f.live_insts()
-        .filter(|&i| {
-            let mut used = false;
-            f.inst(i).for_each_operand(|v| {
-                if v == Value::Inst(needle) {
-                    used = true;
-                }
-            });
-            used
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,19 +291,5 @@ mod tests {
         b.ret(None);
         let id = b.finish();
         assert!(verify_function(&m, id).is_err());
-    }
-
-    #[test]
-    fn users_of_finds_uses() {
-        let mut m = Module::new("t");
-        let mut b = FunctionBuilder::new(&mut m, "f", vec![Ty::Ptr], None);
-        let p = b.arg(0);
-        let v = b.load(Ty::I64, p);
-        b.store(Ty::I64, v, p);
-        b.ret(None);
-        let id = b.finish();
-        let load = m.func(id).blocks()[0].insts[0];
-        let users = users_of(&m, id, load);
-        assert_eq!(users.len(), 1);
     }
 }

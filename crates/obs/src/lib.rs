@@ -1,6 +1,6 @@
 //! Observability substrate for the ORAQL stack.
 //!
-//! Three pieces, all std-only:
+//! Four pieces, all std-only:
 //!
 //! 1. A process-wide [`Registry`] of metrics — sharded atomic
 //!    [`Counter`]s, [`Gauge`]s, and fixed-bucket log2 latency
@@ -10,11 +10,12 @@
 //!    daemon's `METRICS` op render a [`Snapshot`] as Prometheus-style
 //!    text exposition.
 //! 2. Span tracing ([`SpanSink`] / [`SpanEvent`]) — a scoped-timer
-//!    API feeding the same JSONL sink family as the probe trace, so a
-//!    suite run emits a spans file (`case > probe > compile|vm|verify
-//!    |store|server`) that reconstructs where wall clock went.
+//!    API whose sink also owns the run's one trace file: span lines
+//!    (`case > probe > compile|key|vm|verify|store|server`) and
+//!    `oraql-core`'s probe-answer lines share its writer, so one file
+//!    says where wall clock went and which probe gave each answer.
 //! 3. The [`jsonl`] helpers shared with `oraql-core`'s probe trace so
-//!    both sinks escape and format identically.
+//!    both kinds of line escape and format identically.
 //! 4. The [`rng`] module — the repo's single splitmix64 definition,
 //!    shared by the fault injector, the property tests, and the
 //!    workload generator so seeds can't drift between harnesses.
@@ -29,4 +30,4 @@ pub mod rng;
 mod span;
 
 pub use registry::{global, Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
-pub use span::{read_spans, Span, SpanEvent, SpanSink};
+pub use span::{Span, SpanEvent, SpanSink};

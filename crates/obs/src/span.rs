@@ -1,16 +1,21 @@
-//! Scoped-timer span tracing feeding the same JSONL sink family as
-//! the probe trace.
+//! Scoped-timer span tracing, and the one JSONL writer of a run's trace.
 //!
 //! A [`SpanSink`] hands out [`Span`] guards; each guard records one
 //! [`SpanEvent`] on drop (including unwinds, so a panicking probe
 //! still closes its span). Events carry `id`/`parent` so the
-//! analyzer can rebuild the `case > probe > compile|vm|verify|store|
-//! server` hierarchy, and `start_micros` relative to the sink's
-//! creation instant so merged files from one run share a clock.
+//! analyzer can rebuild the `case > probe > compile|key|vm|verify|
+//! store|server` hierarchy, and `start_micros` relative to the sink's
+//! creation instant so every span of one run shares a clock.
+//!
+//! A sink made with [`SpanSink::to_file`] owns the run's trace file.
+//! Its span lines and every line handed to [`SpanSink::write_line`]
+//! (`oraql-core`'s probe answers) go through one buffered writer, one
+//! dropped-line count and one registry counter,
+//! `oraql_trace_dropped_lines_total`.
 
 use crate::jsonl::{escape_json, json_str, json_u64};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,11 +70,32 @@ impl SpanEvent {
 struct SpanInner {
     events: Vec<SpanEvent>,
     file: Option<BufWriter<File>>,
+    /// Lines lost to failed writes; a failed flush counts as one.
     dropped: u64,
 }
 
-/// Shared, cloneable span sink. Clones share the buffer, the id
-/// allocator, and the epoch, so spans from worker threads interleave
+impl SpanInner {
+    /// The trace file's one write path; `line` is rendered only when
+    /// there is a file. A failed write loses only the file copy of the
+    /// line; it is counted, never raised.
+    fn write_line(&mut self, line: impl FnOnce() -> String) {
+        if let Some(f) = self.file.as_mut() {
+            if writeln!(f, "{}", line()).is_err() {
+                self.note_dropped();
+            }
+        }
+    }
+
+    fn note_dropped(&mut self) {
+        self.dropped += 1;
+        crate::global()
+            .counter("oraql_trace_dropped_lines_total")
+            .inc();
+    }
+}
+
+/// Shared, cloneable span sink. Clones share the buffer, the file, the
+/// id allocator, and the epoch, so spans from worker threads interleave
 /// into one stream.
 #[derive(Clone)]
 pub struct SpanSink {
@@ -109,7 +135,7 @@ impl SpanSink {
         }
     }
 
-    /// Sink that also streams each event to `path` (truncated).
+    /// Sink that also streams every line to `path` (truncated).
     pub fn to_file(path: &Path) -> std::io::Result<SpanSink> {
         let file = File::create(path)?;
         let sink = SpanSink::in_memory();
@@ -131,16 +157,16 @@ impl SpanSink {
         }
     }
 
+    /// Appends one line of another kind to the backing file, if any,
+    /// through the writer the span lines use; `line` is rendered only
+    /// when there is a file.
+    pub fn write_line(&self, line: impl FnOnce() -> String) {
+        lock_ignore_poison(&self.inner).write_line(line);
+    }
+
     fn record(&self, ev: SpanEvent) {
         let mut inner = lock_ignore_poison(&self.inner);
-        if let Some(f) = inner.file.as_mut() {
-            if writeln!(f, "{}", ev.to_jsonl()).is_err() {
-                inner.dropped += 1;
-                crate::global()
-                    .counter("oraql_spans_dropped_lines_total")
-                    .inc();
-            }
-        }
+        inner.write_line(|| ev.to_jsonl());
         inner.events.push(ev);
     }
 
@@ -149,17 +175,14 @@ impl SpanSink {
         lock_ignore_poison(&self.inner).events.clone()
     }
 
-    /// Flush the backing file, if any. Returns the number of span
-    /// lines dropped by failed writes (including a failed flush), so
-    /// callers can report data loss once instead of never.
+    /// Flush the backing file, if any. Returns the number of lines
+    /// dropped by failed writes (including a failed flush), so callers
+    /// can report data loss once instead of never.
     pub fn flush(&self) -> u64 {
         let mut inner = lock_ignore_poison(&self.inner);
         if let Some(f) = inner.file.as_mut() {
             if f.flush().is_err() {
-                inner.dropped += 1;
-                crate::global()
-                    .counter("oraql_spans_dropped_lines_total")
-                    .inc();
+                inner.note_dropped();
             }
         }
         inner.dropped
@@ -196,29 +219,6 @@ impl Drop for Span {
         };
         self.sink.record(ev);
     }
-}
-
-/// Read a spans file back, skipping blank lines and rejecting
-/// malformed ones.
-pub fn read_spans(path: &Path) -> std::io::Result<Vec<SpanEvent>> {
-    let f = File::open(path)?;
-    let mut out = Vec::new();
-    for (no, line) in BufReader::new(f).lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match SpanEvent::parse_jsonl(&line) {
-            Some(ev) => out.push(ev),
-            None => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad span line {}: {line}", no + 1),
-                ));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -270,23 +270,5 @@ mod tests {
         }));
         assert_eq!(sink.events().len(), 1);
         assert_eq!(sink.events()[0].name, "probe");
-    }
-
-    #[test]
-    fn sink_roundtrips_through_file() {
-        let path = std::env::temp_dir().join(format!(
-            "oraql_spans_test_{}_{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let sink = SpanSink::to_file(&path).expect("create spans file");
-        {
-            let case = sink.span("case", "f", 0);
-            drop(sink.span("compile", "f", case.id()));
-        }
-        assert_eq!(sink.flush(), 0, "no dropped lines");
-        let back = read_spans(&path).expect("read spans back");
-        assert_eq!(back, sink.events());
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,7 +1,5 @@
 //! Runtime values.
 
-use oraql_ir::types::Ty;
-
 /// A value held in a virtual register during interpretation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RtVal {
@@ -42,18 +40,6 @@ impl RtVal {
             other => Err(format!("expected pointer, got {other:?}")),
         }
     }
-
-    /// The zero/default value of a type (used for undef materialization
-    /// in tests; the interpreter proper traps on undef reads).
-    pub fn zero_of(ty: Ty) -> RtVal {
-        match ty {
-            Ty::F32 | Ty::F64 => RtVal::F(0.0),
-            Ty::Ptr => RtVal::P(0),
-            Ty::VecI64(n) => RtVal::VI(vec![0; n as usize]),
-            Ty::VecF64(n) => RtVal::VF(vec![0.0; n as usize]),
-            _ => RtVal::I(0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -67,11 +53,5 @@ mod tests {
         assert_eq!(RtVal::P(0x1000).as_p().unwrap(), 0x1000);
         assert!(RtVal::I(3).as_f().is_err());
         assert!(RtVal::F(1.0).as_p().is_err());
-    }
-
-    #[test]
-    fn zeros() {
-        assert_eq!(RtVal::zero_of(Ty::I64), RtVal::I(0));
-        assert_eq!(RtVal::zero_of(Ty::VecF64(4)), RtVal::VF(vec![0.0; 4]));
     }
 }

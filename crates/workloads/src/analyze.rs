@@ -1,69 +1,58 @@
 //! The `oraql trace` analyzer: recomputes the paper's tables from the
-//! JSONL artifacts a run leaves behind, so results can be re-derived,
+//! JSONL trace a run leaves behind, so results can be re-derived,
 //! plotted, or diffed without re-running a single probe.
 //!
 //! ```text
-//! oraql trace --probes run.jsonl [--spans spans.jsonl]
+//! oraql trace <trace.jsonl>
 //!             [--fig2] [--fig4] [--fig6] [--funnel] [--latency]
 //!             [--top-spans] [--check-metrics metrics.prom]
 //! ```
 //!
-//! With no section flag, every section the inputs support is printed.
+//! One file holds both kinds of line (see `oraql::trace`): the probe
+//! answers feed Fig. 2/4/6, the funnel and the latency table, the spans
+//! feed `--top-spans`. With no section flag every section is printed; a
+//! file without lines of one kind prints that kind's tables empty.
 //! `--fig2` reproduces the in-run `--- probe trace summary ---` table
 //! byte-for-byte (both call `oraql::report::render_trace_summary` on
 //! the same events), which is the analyzer's ground-truth anchor: the
 //! post-hoc pipeline and the live CLI cannot drift apart.
 //!
-//! Every aggregate here is order-insensitive — totals, per-case maps
-//! (BTreeMap), and log2 histograms whose merge is associative — so a
-//! `--jobs 4` trace, whose events interleave in scheduling order,
-//! analyzes identically however the scheduler shuffled it.
+//! Every aggregate here is order-insensitive — the per-case
+//! `oraql::report::TraceSummary` fold (a BTreeMap of sums and maxima),
+//! and log2 histograms whose merge is associative — so a `--jobs 4`
+//! trace, whose events interleave in scheduling order, analyzes
+//! identically however the scheduler shuffled it.
 
-use oraql::report::render_trace_summary;
+use oraql::report::{render_trace_summary, summarize_trace, summarize_trace_by_case};
 use oraql::trace::{read_trace, ProbeEvent, ProbeKind};
-use oraql_obs::{read_spans, HistogramSnapshot, Snapshot, SpanEvent};
+use oraql_obs::{HistogramSnapshot, Snapshot, SpanEvent};
 use std::collections::BTreeMap;
 
-const USAGE: &str = "usage: oraql trace --probes <trace.jsonl> [--spans <spans.jsonl>]
+const USAGE: &str = "usage: oraql trace <trace.jsonl>
                    [--fig2] [--fig4] [--fig6] [--funnel] [--latency]
                    [--top-spans] [--check-metrics <metrics.prom>]
 
-Recomputes the paper's tables from a run's JSONL artifacts:
+Recomputes the paper's tables from a run's --trace file:
   --fig2           probing-effort table (identical to the in-run summary)
   --fig4           per-case query statistics
   --fig6           per-case wall-clock breakdown by answer kind
   --funnel         cache-tier funnel totals
   --latency        per-case probe-latency quantiles (p50/p90/p99)
-  --top-spans      self-time profile from the spans file
+  --top-spans      self-time profile of the file's spans
   --check-metrics  parse a metrics exposition and report its contents";
 
 /// Entry point for the `oraql trace` subcommand. Returns the exit code.
 pub fn run_cli(args: &[String]) -> i32 {
-    let mut probes_path: Option<String> = None;
-    let mut spans_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
+    let mut trace_path: Option<&str> = None;
+    let mut metrics_path: Option<&str> = None;
     let mut sections: Vec<&'static str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--probes" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => probes_path = Some(p.clone()),
-                    None => return usage_err(),
-                }
-            }
-            "--spans" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => spans_path = Some(p.clone()),
-                    None => return usage_err(),
-                }
-            }
             "--check-metrics" => {
                 i += 1;
                 match args.get(i) {
-                    Some(p) => metrics_path = Some(p.clone()),
+                    Some(p) => metrics_path = Some(p),
                     None => return usage_err(),
                 }
             }
@@ -77,66 +66,50 @@ pub fn run_cli(args: &[String]) -> i32 {
                 println!("{USAGE}");
                 return 0;
             }
+            path if !path.starts_with('-') && trace_path.is_none() => trace_path = Some(path),
             _ => return usage_err(),
         }
         i += 1;
     }
-    if probes_path.is_none() && metrics_path.is_none() {
+    if trace_path.is_none() && metrics_path.is_none() {
         return usage_err();
     }
 
     let mut code = 0;
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         code = code.max(check_metrics(path));
     }
-    let events = match &probes_path {
-        Some(path) => match read_trace(path) {
-            Ok(evs) => Some(evs),
-            Err(e) => {
-                eprintln!("oraql trace: cannot read {path}: {e}");
-                return 1;
-            }
-        },
-        None => None,
+    let Some(path) = trace_path else {
+        return code;
     };
-    let spans = match &spans_path {
-        Some(path) => match read_spans(std::path::Path::new(path)) {
-            Ok(sp) => Some(sp),
-            Err(e) => {
-                eprintln!("oraql trace: cannot read {path}: {e}");
-                return 1;
-            }
-        },
-        None => None,
+    let trace = match read_trace(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("oraql trace: cannot read {path}: {e}");
+            return 1;
+        }
     };
-
+    let events = &trace.probes;
     let all = sections.is_empty();
     let want = |s: &str| all || sections.contains(&s);
-    if let Some(events) = &events {
-        if want("fig2") {
-            println!("--- probing effort (fig. 2) ---");
-            print!("{}", render_trace_summary(events));
-        }
-        if want("fig4") {
-            print!("{}", render_fig4(events));
-        }
-        if want("fig6") {
-            print!("{}", render_fig6(events));
-        }
-        if want("funnel") {
-            print!("{}", render_funnel(events));
-        }
-        if want("latency") {
-            print!("{}", render_latency(events));
-        }
+    if want("fig2") {
+        println!("--- probing effort (fig. 2) ---");
+        print!("{}", render_trace_summary(events));
     }
-    if let Some(spans) = &spans {
-        if want("top-spans") {
-            print!("{}", render_top_spans(spans));
-        }
-    } else if sections.contains(&"top-spans") {
-        eprintln!("oraql trace: --top-spans needs --spans <file>");
-        code = code.max(2);
+    if want("fig4") {
+        print!("{}", render_fig4(events));
+    }
+    if want("fig6") {
+        print!("{}", render_fig6(events));
+    }
+    if want("funnel") {
+        print!("{}", render_funnel(events));
+    }
+    if want("latency") {
+        print!("{}", render_latency(events));
+    }
+    if want("top-spans") {
+        print!("{}", render_top_spans(&trace.spans));
     }
     code
 }
@@ -175,16 +148,6 @@ fn check_metrics(path: &str) -> i32 {
     }
 }
 
-/// Order-insensitive per-case accumulator shared by Fig. 4 / Fig. 6 /
-/// latency: one pass over the events, BTreeMap for stable output.
-fn by_case(events: &[ProbeEvent]) -> BTreeMap<String, Vec<&ProbeEvent>> {
-    let mut map: BTreeMap<String, Vec<&ProbeEvent>> = BTreeMap::new();
-    for ev in events {
-        map.entry(ev.case.clone()).or_default().push(ev);
-    }
-    map
-}
-
 /// Per-case query statistics (the paper's Fig. 4 flavor, recomputed
 /// from the trace instead of the in-process counters).
 pub fn render_fig4(events: &[ProbeEvent]) -> String {
@@ -194,16 +157,14 @@ pub fn render_fig4(events: &[ProbeEvent]) -> String {
         "{:24} {:>7} {:>7} {:>7} {:>10}\n",
         "case", "probes", "passes", "fails", "max-unique"
     ));
-    for (case, evs) in by_case(events) {
-        let passes = evs.iter().filter(|e| e.pass).count();
-        let max_unique = evs.iter().map(|e| e.unique).max().unwrap_or(0);
+    for (case, t) in summarize_trace_by_case(events) {
         out.push_str(&format!(
             "{:24} {:>7} {:>7} {:>7} {:>10}\n",
             case,
-            evs.len(),
-            passes,
-            evs.len() - passes,
-            max_unique
+            t.probes(),
+            t.passes,
+            t.probes() - t.passes,
+            t.max_unique
         ));
     }
     out
@@ -220,19 +181,15 @@ pub fn render_fig6(events: &[ProbeEvent]) -> String {
         out.push_str(&format!(" {:>9}", k.as_str()));
     }
     out.push_str(&format!(" {:>9}\n", "total"));
-    for (case, evs) in by_case(events) {
+    for (case, t) in summarize_trace_by_case(events) {
         out.push_str(&format!("{case:24}"));
-        let mut total = 0u64;
-        for k in ProbeKind::ALL {
-            let micros: u64 = evs
-                .iter()
-                .filter(|e| e.kind == k)
-                .map(|e| e.wall_micros)
-                .sum();
-            total += micros;
+        for micros in t.wall_micros {
             out.push_str(&format!(" {:>9.1}", micros as f64 / 1000.0));
         }
-        out.push_str(&format!(" {:>9.1}\n", total as f64 / 1000.0));
+        out.push_str(&format!(
+            " {:>9.1}\n",
+            t.total_wall_micros() as f64 / 1000.0
+        ));
     }
     out
 }
@@ -243,10 +200,10 @@ pub fn render_fig6(events: &[ProbeEvent]) -> String {
 pub fn render_funnel(events: &[ProbeEvent]) -> String {
     let mut out = String::new();
     out.push_str("--- cache-tier funnel ---\n");
-    let total = events.len() as u64;
+    let t = summarize_trace(events);
+    let total = t.probes();
     out.push_str(&format!("{:12} {:>8} {:>7}\n", "tier", "answers", "share"));
-    for k in ProbeKind::ALL {
-        let n = events.iter().filter(|e| e.kind == k).count() as u64;
+    for (k, n) in ProbeKind::ALL.iter().zip(t.answers) {
         let pct = if total == 0 {
             0.0
         } else {
@@ -366,6 +323,7 @@ mod tests {
             pass,
             unique,
             wall_micros: wall,
+            span: 0,
         }
     }
 

@@ -6,13 +6,13 @@
 //!       [--max-tests N] [--jobs N] [--trace <file.jsonl>]
 //!       [--store <journal>] [--server <addr>]
 //!       [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
-//!       [--metrics-out <file.prom>] [--spans-out <file.jsonl>]
+//!       [--metrics-out <file.prom>]
 //!       [--emit-sequence <file>]            # save the final decisions
 //! oraql --benchmark <name> --replay <seq>   # compile+run a saved
 //!                                           # sequence (or @file)
 //! oraql --config <file>
 //! oraql --all [--jobs N]
-//! oraql trace --probes <trace.jsonl> [--spans <spans.jsonl>] ...
+//! oraql trace <trace.jsonl> [--fig2] [--top-spans] ... [--check-metrics <file.prom>]
 //! oraql gen --plan <spec> [--out DIR] [--run] ...
 //! ```
 //!
@@ -32,8 +32,9 @@
 //! caches of its own. `1` is the sequential driver with byte-for-byte
 //! identical output to earlier versions; `N > 1` also answers repeated
 //! decision vectors from an in-memory decisions cache. `--trace` writes
-//! one JSONL event per probe answer and prints a per-case summary
-//! table.
+//! the run's one event stream — a JSONL line per probe answer and per
+//! `case > probe > compile|key|vm|verify|store|server` span, each answer
+//! naming its probe span — and prints a per-case summary table.
 //!
 //! `--store <journal>` attaches the crash-safe persistent verdict store
 //! (`oraql-store`): probe verdicts are journaled across runs, so a warm
@@ -60,13 +61,12 @@
 //! (counters, gauges, latency histograms from driver, VM, store, and
 //! server client) as a Prometheus-style exposition at exit
 //! and prints an additive `--- metrics ---` summary section rendered
-//! from the same snapshot. `--spans-out <path>` enables span tracing:
-//! one JSONL line per `case > probe > compile|vm|verify|store|server`
-//! span. Both are off by default, so default output is unchanged.
+//! from the same snapshot. It and `--trace` are off by default, so
+//! default output is unchanged.
 //!
 //! `oraql trace` is the offline analyzer: it recomputes the Fig. 2 /
 //! Fig. 4 / Fig. 6 tables, the cache-tier funnel, per-case latency
-//! quantiles, and a span self-time profile from those JSONL artifacts
+//! quantiles, and a span self-time profile from a `--trace` file
 //! (see `oraql trace --help`).
 //!
 //! `oraql gen` materializes and runs seeded aliasing corpora with
@@ -91,12 +91,12 @@ const USAGE: &str = "usage: oraql --list
                 [--jobs N] [--trace <file.jsonl>]
                 [--store <journal>] [--server <addr>]
                 [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
-                [--metrics-out <file.prom>] [--spans-out <file.jsonl>]
+                [--metrics-out <file.prom>]
                 [--emit-sequence <file>]
        oraql --benchmark <name> --replay <seq|@file>
        oraql --config <file>
        oraql --all [--jobs N]
-       oraql trace --probes <trace.jsonl> [--spans <spans.jsonl>] [--help]
+       oraql trace <trace.jsonl> [<sections>] [--check-metrics <file.prom>] [--help]
        oraql gen --plan <spec> [--out <dir>] [--run] [--no-gate] [--help]";
 
 /// A command line that names no run: usage on stderr, exit 2.
@@ -340,7 +340,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut store_path: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut spans_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -373,7 +372,6 @@ fn main() {
             "--trace" => trace_path = Some(flag_value(&args, &mut i, flag)),
             "--store" => store_path = Some(flag_value(&args, &mut i, flag)),
             "--metrics-out" => metrics_out = Some(flag_value(&args, &mut i, flag)),
-            "--spans-out" => spans_out = Some(flag_value(&args, &mut i, flag)),
             "--config" | "-c" => {
                 let path = flag_value(&args, &mut i, flag);
                 config = Some(Config::load(&path).unwrap_or_else(|e| {
@@ -436,16 +434,6 @@ fn main() {
         })
     });
     opts.trace = sink.clone();
-
-    // The span sink streams to its file as spans close; the metrics
-    // exposition is written once at exit.
-    let spans = spans_out.as_deref().map(|p| {
-        oraql_obs::SpanSink::to_file(std::path::Path::new(p)).unwrap_or_else(|e| {
-            eprintln!("cannot open spans file {p}: {e}");
-            std::process::exit(2)
-        })
-    });
-    opts.spans = spans.clone();
     // Registry baseline, so the printed section reflects this run even
     // if the process (e.g. under a test harness) did earlier work.
     let snap0 = oraql_obs::global().snapshot();
@@ -470,7 +458,7 @@ fn main() {
     if let (Some(sink), Some(path)) = (&sink, &trace_path) {
         let dropped = sink.flush();
         if dropped > 0 {
-            eprintln!("warning: {dropped} probe trace lines lost writing {path}");
+            eprintln!("warning: {dropped} trace lines lost writing {path}");
         }
         println!("--- probe trace summary ({path}) ---");
         print!("{}", render_trace_summary(&sink.events()));
@@ -493,14 +481,6 @@ fn main() {
             );
         }
         println!("total faults fired: {}", inj.total_fired());
-    }
-    if let (Some(spans), Some(path)) = (&spans, &spans_out) {
-        let dropped = spans.flush();
-        if dropped > 0 {
-            eprintln!("warning: {dropped} span lines lost writing {path}");
-        }
-        println!("--- spans ({path}) ---");
-        println!("spans recorded: {}", spans.events().len());
     }
     if let Some(path) = &metrics_out {
         let snap = oraql_obs::global().snapshot();

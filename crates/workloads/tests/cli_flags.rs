@@ -69,9 +69,16 @@ fn help_prints_usage_and_removed_flags_are_unknown() {
         assert!(out.status.success(), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: oraql"));
     }
-    for flag in ["--no-store", "--no-server"] {
+    for flag in ["--no-store", "--no-server", "--spans-out"] {
         let out = oraql(&["-b", "testsnap", flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+    }
+    // The analyzer reads one positional trace file: its old `--probes`
+    // and `--spans` inputs are unknown.
+    for flag in ["--probes", "--spans"] {
+        let out = oraql(&["trace", flag, "x"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: oraql trace"));
     }
 }

@@ -2,10 +2,10 @@
 # Observability overhead benchmark (see docs/OPERATIONS.md § Monitoring).
 #
 # Drives the full 16-config workload suite uninstrumented and fully
-# instrumented (probe trace + span trace streaming to files + metrics
-# registry), asserts the overhead ratio stays within the 1.05x budget,
-# and verifies the `oraql trace --fig2` replay matches the in-run
-# summary byte-for-byte. Writes JSON to BENCH_obs.json in the repo
+# instrumented (the one trace stream of probe answers and spans written
+# to its file, plus the metrics registry), asserts the overhead ratio
+# stays within the 1.05x budget, and verifies the `oraql trace --fig2`
+# replay matches the in-run summary byte-for-byte. Writes JSON to BENCH_obs.json in the repo
 # root; override with ORAQL_BENCH_OUT.
 set -eu
 cd "$(dirname "$0")/.."

@@ -56,7 +56,8 @@ cargo test -q --offline -p oraql-served
 cargo test -q --offline --test served_roundtrip
 # The observability gates: registry/span/exposition unit suites and the
 # analyzer determinism tests (order insensitivity, jobs 1-vs-4
-# agreement, span hierarchy, fig2-equals-CLI), likewise by name.
+# agreement, span hierarchy and the answer-to-span join, fig2-equals-CLI,
+# pinned Fig. 4/6/funnel text), likewise by name.
 cargo test -q --offline -p oraql-obs
 cargo test -q --offline --test obs_analyzer
 # The accounting gate: every probe answer is counted once, so trace
@@ -129,19 +130,20 @@ grep -E '^probing: 0 compiles' "$SERVED_TMP/replay"
 grep -E 'store: [1-9][0-9]* hits' "$SERVED_TMP/replay"
 
 # Metrics smoke: one instrumented run of a bisecting case must leave a
-# probe counter equal to its trace's line count (one event per answer)
-# in a parseable exposition, a round-trippable spans file, and an
-# analyzer that accepts all three artifacts.
+# probe counter equal to its trace's probe lines (one line with a "kind"
+# key per answer; the span lines have none) in a parseable exposition,
+# and an analyzer that accepts both artifacts and profiles the trace's
+# probe spans.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$STORE_TMP" "$SERVED_TMP" "$OBS_TMP"; [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true' EXIT
 target/release/oraql -b testsnap_omp --trace "$OBS_TMP/trace.jsonl" \
-    --metrics-out "$OBS_TMP/metrics.prom" --spans-out "$OBS_TMP/spans.jsonl" \
+    --metrics-out "$OBS_TMP/metrics.prom" \
     | grep -E 'probes: [1-9][0-9]* total'
 PROBES="$(sed -n 's/^oraql_driver_probes_total \([1-9][0-9]*\)$/\1/p' "$OBS_TMP/metrics.prom")"
-test "$PROBES" -eq "$(wc -l < "$OBS_TMP/trace.jsonl")"
-target/release/oraql trace --probes "$OBS_TMP/trace.jsonl" \
-    --spans "$OBS_TMP/spans.jsonl" --check-metrics "$OBS_TMP/metrics.prom" \
-    > /dev/null
+test "$PROBES" -eq "$(grep -c '"kind":' "$OBS_TMP/trace.jsonl")"
+target/release/oraql trace "$OBS_TMP/trace.jsonl" \
+    --check-metrics "$OBS_TMP/metrics.prom" --top-spans > "$OBS_TMP/analysis"
+grep -E '^probe +[1-9][0-9]* ' "$OBS_TMP/analysis"
 
 # Generator smoke: a 64-case corpus materialized twice must be
 # byte-identical, and the same plan must run green through the gated

@@ -1,17 +1,17 @@
 //! Integration coverage for the observability layer: the `oraql trace`
 //! analyzer's aggregates are order-insensitive and deterministic, a
 //! `--jobs 4` run's trace satisfies the same invariants as `--jobs 1`,
-//! the span file rebuilds the `case > probe > compile|vm|verify` tree,
-//! and the analyzer's Fig. 2 table reproduces the in-run CLI summary
-//! from the JSONL artifact alone.
+//! the trace file's spans rebuild the `case > probe > compile|vm|verify`
+//! tree and each answer names its probe span, and the analyzer's
+//! Fig. 2 table reproduces the in-run CLI summary from the JSONL
+//! artifact alone.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use oraql::report::render_trace_summary;
 use oraql::trace::{read_trace, ProbeEvent, ProbeKind, TraceSink};
 use oraql::{run_suite, DriverOptions, TestCase};
-use oraql_obs::{read_spans, SpanSink};
 use oraql_workloads as workloads;
 use oraql_workloads::analyze;
 
@@ -31,14 +31,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the suite with a trace (and optionally span) sink attached,
-/// returning the recorded probe events.
-fn traced_run(jobs: usize, spans: Option<&SpanSink>) -> Vec<ProbeEvent> {
-    let sink = TraceSink::in_memory();
+/// Runs the suite with `sink` attached, returning the recorded probe
+/// events.
+fn traced_run(jobs: usize, sink: &TraceSink) -> Vec<ProbeEvent> {
     let opts = DriverOptions {
         jobs,
         trace: Some(sink.clone()),
-        spans: spans.cloned(),
         ..Default::default()
     };
     for r in run_suite(&small_suite(), &opts) {
@@ -65,7 +63,7 @@ fn kind_total(events: &[ProbeEvent]) -> u64 {
 /// would) changes no rendered table.
 #[test]
 fn analyzer_aggregates_are_order_insensitive() {
-    let events = traced_run(4, None);
+    let events = traced_run(4, &TraceSink::in_memory());
     assert!(events.len() > 10, "suite produced only {}", events.len());
     let fig2 = render_trace_summary(&events);
     let fig4 = analyze::render_fig4(&events);
@@ -89,8 +87,8 @@ fn analyzer_aggregates_are_order_insensitive() {
 /// but never *the answer*.
 #[test]
 fn parallel_trace_agrees_with_sequential_on_shared_digests() {
-    let seq = traced_run(1, None);
-    let par = traced_run(4, None);
+    let seq = traced_run(1, &TraceSink::in_memory());
+    let par = traced_run(4, &TraceSink::in_memory());
 
     // Funnel conservation: every probe is answered by exactly one tier.
     assert_eq!(kind_total(&seq), seq.len() as u64);
@@ -121,22 +119,25 @@ fn parallel_trace_agrees_with_sequential_on_shared_digests() {
     }
 }
 
-/// The spans file must round-trip and rebuild the probe hierarchy:
-/// every `probe` hangs off a `case` root, every `compile`/`vm`/`verify`
-/// off a `probe`, and parent spans enclose their children's span count.
+/// The trace file must round-trip both kinds of line, its spans must
+/// rebuild the probe hierarchy — every `probe` hangs off a `case` root,
+/// every `compile`/`vm`/`verify` off a `probe` — and each answer must
+/// name its own probe span of its own case.
 #[test]
 fn span_file_rebuilds_the_case_probe_hierarchy() {
     let dir = scratch("spans");
-    let path = dir.join("spans.jsonl");
-    let sink = SpanSink::to_file(&path).unwrap();
-    let events = traced_run(1, Some(&sink));
-    assert_eq!(sink.flush(), 0, "span lines were dropped");
+    let path = dir.join("trace.jsonl");
+    let sink = TraceSink::to_file(&path).unwrap();
+    let events = traced_run(1, &sink);
+    assert_eq!(sink.flush(), 0, "trace lines were dropped");
 
-    let spans = read_spans(&path).unwrap();
-    assert_eq!(spans, sink.events(), "file does not round-trip");
+    let trace = read_trace(&path).unwrap();
+    assert_eq!(trace.probes, events, "probe lines do not round-trip");
+    assert_eq!(trace.spans, sink.spans(), "span lines do not round-trip");
+    let spans = &trace.spans;
     let by_id: BTreeMap<u64, _> = spans.iter().map(|s| (s.id, s)).collect();
     let mut probes = 0u64;
-    for s in &spans {
+    for s in spans {
         match s.name.as_str() {
             "case" => assert_eq!(s.parent, 0, "case spans are roots"),
             "probe" => {
@@ -161,8 +162,23 @@ fn span_file_rebuilds_the_case_probe_hierarchy() {
         .filter(|e| e.kind != ProbeKind::Deduced)
         .count() as u64;
     assert_eq!(probes, sandboxed, "probe span per sandboxed answer");
+    // The join: each sandboxed answer names a probe span of its case,
+    // no two answers share one, and deduced answers name none.
+    let mut joined = BTreeSet::new();
+    for e in &trace.probes {
+        if e.kind == ProbeKind::Deduced {
+            assert_eq!(e.span, 0, "deduced answer with a span: {e:?}");
+            continue;
+        }
+        let span = by_id
+            .get(&e.span)
+            .unwrap_or_else(|| panic!("answer names no span of the file: {e:?}"));
+        assert_eq!(span.name, "probe", "answer joined to a non-probe span");
+        assert_eq!(span.case, e.case, "answer joined to another case's span");
+        assert!(joined.insert(e.span), "two answers share span {}", e.span);
+    }
     // The self-time profile is well-formed: self <= total everywhere.
-    for row in analyze::span_profile(&spans) {
+    for row in analyze::span_profile(spans) {
         assert!(row.self_micros <= row.total_micros, "{row:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -187,7 +203,73 @@ fn analyzer_fig2_reproduces_cli_summary_from_artifact() {
     assert_eq!(sink.flush(), 0, "trace lines were dropped");
 
     let live = render_trace_summary(&sink.events());
-    let replayed = render_trace_summary(&read_trace(&path).unwrap());
+    let trace = read_trace(&path).unwrap();
+    assert!(!trace.spans.is_empty(), "span lines share the file");
+    let replayed = render_trace_summary(&trace.probes);
     assert_eq!(replayed, live, "artifact does not reproduce CLI summary");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fixed list of answers over three cases, every kind and both
+/// verdicts, parsed from JSONL so the list reads the same at every
+/// version of the event type.
+fn pinned_events() -> Vec<ProbeEvent> {
+    [
+        r#"{"case":"alpha","seq":0,"digest":11,"kind":"executed","pass":false,"unique":12,"wall_micros":1530,"span":3}"#,
+        r#"{"case":"alpha","seq":1,"digest":12,"kind":"exe-cache","pass":true,"unique":7,"wall_micros":45,"span":5}"#,
+        r#"{"case":"alpha","seq":2,"digest":0,"kind":"deduced","pass":false,"unique":0,"wall_micros":2,"span":0}"#,
+        r#"{"case":"alpha","seq":3,"digest":13,"kind":"executed","pass":true,"unique":9,"wall_micros":2210,"span":8}"#,
+        r#"{"case":"alpha","seq":4,"digest":14,"kind":"faulted","pass":false,"unique":0,"wall_micros":10120,"span":11}"#,
+        r#"{"case":"beta_with_a_long_name_x","seq":0,"digest":21,"kind":"store","pass":true,"unique":4,"wall_micros":88,"span":14}"#,
+        r#"{"case":"beta_with_a_long_name_x","seq":1,"digest":22,"kind":"server","pass":false,"unique":6,"wall_micros":301,"span":16}"#,
+        r#"{"case":"beta_with_a_long_name_x","seq":2,"digest":23,"kind":"dec-cache","pass":true,"unique":4,"wall_micros":12,"span":18}"#,
+        r#"{"case":"gamma","seq":0,"digest":31,"kind":"executed","pass":true,"unique":3,"wall_micros":999,"span":20}"#,
+        r#"{"case":"gamma","seq":1,"digest":32,"kind":"exe-cache","pass":false,"unique":3,"wall_micros":51,"span":22}"#,
+        r#"{"case":"gamma","seq":2,"digest":33,"kind":"executed","pass":true,"unique":5,"wall_micros":1049,"span":25}"#,
+    ]
+    .iter()
+    .map(|line| ProbeEvent::parse_jsonl(line).expect(line))
+    .collect()
+}
+
+/// Fig. 4, Fig. 6 and the funnel render exactly this text for
+/// [`pinned_events`].
+#[test]
+fn fig4_fig6_and_funnel_text_is_pinned() {
+    let events = pinned_events();
+    assert_eq!(
+        analyze::render_fig4(&events),
+        "\
+--- query statistics (fig. 4) ---
+case                      probes  passes   fails max-unique
+alpha                          5       2       3         12
+beta_with_a_long_name_x        3       2       1          6
+gamma                          3       2       1          5
+"
+    );
+    assert_eq!(
+        analyze::render_fig6(&events),
+        "\
+--- effort breakdown, wall ms by answer kind (fig. 6) ---
+case                      executed exe-cache dec-cache     store    server   deduced   faulted     total
+alpha                          3.7       0.0       0.0       0.0       0.0       0.0      10.1      13.9
+beta_with_a_long_name_x        0.0       0.0       0.0       0.1       0.3       0.0       0.0       0.4
+gamma                          2.0       0.1       0.0       0.0       0.0       0.0       0.0       2.1
+"
+    );
+    assert_eq!(
+        analyze::render_funnel(&events),
+        "\
+--- cache-tier funnel ---
+tier          answers   share
+executed            4   36.4%
+exe-cache           2   18.2%
+dec-cache           1    9.1%
+store               1    9.1%
+server              1    9.1%
+deduced             1    9.1%
+faulted             1    9.1%
+TOTAL              11  100.0%
+"
+    );
 }
