@@ -12,22 +12,10 @@ use oraql_bench::{print_table, run_config};
 
 fn bench(c: &mut Criterion) {
     let case = oraql_workloads::find_case("testsnap_omp").unwrap();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            trace_passes: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let r = Driver::run(&case, DriverOptions::default()).unwrap();
 
     println!("\n### Fig. 3 — pessimistic queries of TestSNAP (OpenMP), with issuing pass\n");
-    let text = render_report(
-        &r.final_module,
-        &r.queries,
-        DumpFlags::pessimistic_only(),
-        &r.pass_trace,
-    );
+    let text = render_report(&r.final_module, &r.queries, DumpFlags::pessimistic_only());
     println!("{text}");
     println!(
         "(total: {} unique pessimistic, reused {} times from the cache)",
@@ -57,7 +45,7 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("report");
     g.bench_function("render/testsnap_omp", |b| {
-        b.iter(|| render_report(&r.final_module, &r.queries, DumpFlags::all(), &r.pass_trace))
+        b.iter(|| render_report(&r.final_module, &r.queries, DumpFlags::all()))
     });
     g.finish();
 }

@@ -21,6 +21,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use oraql::store::Space;
 use oraql::{Driver, DriverOptions};
 use oraql_served::{Client, Server, ServerOptions};
 
@@ -41,7 +42,7 @@ fn lookup_throughput(addr: &str, clients: usize) -> f64 {
                     // Stride by client id so concurrent clients fan out
                     // over different keys at any instant.
                     let key = (i * (c as u64 + 1)) % POPULATION;
-                    let got = client.get_dec(key).expect("lookup");
+                    let got = client.get(Space::Dec, key).expect("lookup");
                     assert!(got.is_some(), "populated key {key} missing");
                 }
             }));
@@ -93,7 +94,8 @@ fn main() {
     // Phase 1: populate, then sustained concurrent lookups.
     let seed = Client::new(&addr);
     for key in 0..POPULATION {
-        seed.put_dec(key, key % 3 != 0, key).expect("populate");
+        seed.put(Space::Dec, key, (key % 3 != 0, key))
+            .expect("populate");
     }
     seed.sync().expect("sync");
     let mut lookup_rows = Vec::new();

@@ -82,8 +82,6 @@ pub struct CompileOptions {
     /// (Steensgaard + Andersen). Off by default, mirroring LLVM 14's
     /// default pipeline where the CFL analyses are disabled.
     pub use_cfl: bool,
-    /// Record `-debug-pass=Executions`-style trace lines.
-    pub trace_passes: bool,
     /// Verify IR after every pass (slow; tests enable it).
     pub verify_each: bool,
     /// Conservative analyses whose answers are *blocked* (treated as
@@ -99,7 +97,6 @@ impl Default for CompileOptions {
         CompileOptions {
             oraql: None,
             use_cfl: false,
-            trace_passes: false,
             verify_each: false,
             suppress: Vec::new(),
             optimism: crate::pass::OptimismKind::NoAlias,
@@ -137,8 +134,6 @@ pub struct Compiled {
     pub total_queries: u64,
     /// Handle to the ORAQL pass state, when installed.
     pub oraql: Option<OraqlShared>,
-    /// Pass-execution trace when requested.
-    pub pass_trace: Vec<String>,
 }
 
 /// Builds the conservative chain used by every compilation.
@@ -212,7 +207,6 @@ fn run_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> (Compiled,
 
     let mut stats = Stats::new();
     let mut pm = standard_pipeline();
-    pm.trace_executions = opts.trace_passes;
     pm.verify_each = opts.verify_each;
     pm.run(&mut module, &mut aa, &mut stats);
 
@@ -222,7 +216,6 @@ fn run_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> (Compiled,
         module,
         stats,
         oraql,
-        pass_trace: pm.trace,
     };
     (compiled, aa)
 }
@@ -357,18 +350,5 @@ mod tests {
                 assert_eq!(full.stats.get(p, k), v, "{p} - {k}");
             }
         }
-    }
-
-    #[test]
-    fn trace_records_pass_executions() {
-        let opts = CompileOptions {
-            trace_passes: true,
-            ..CompileOptions::default()
-        };
-        let c = compile(&trap_module, &opts);
-        assert!(c
-            .pass_trace
-            .iter()
-            .any(|l| l.contains("Executing Pass 'GVN'")));
     }
 }

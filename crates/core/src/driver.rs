@@ -21,9 +21,10 @@
 //!    [`FailureStats::server_down`] / `server_busy`, kept cheap by the
 //!    client's circuit breaker — see `docs/ARCHITECTURE.md` §7).
 //!
-//! Each tier files verdicts under two keys, both salted content hashes
-//! of the case, so a changed workload, verifier input or fuel budget
-//! changes every key and stale entries are simply never consulted:
+//! Each tier files verdicts under two keys, one per key space
+//! ([`oraql_store::Space`]), both salted content hashes of the case, so
+//! a changed workload, verifier input or fuel budget changes every key
+//! and stale entries are simply never consulted:
 //!
 //! * the **decisions digest** (case salt plus [`Decisions::render`]),
 //!   walked before the compile — a hit skips the compile and the run.
@@ -42,8 +43,8 @@
 //! probe's decisions digest in every tier; a VM run also files it under
 //! the executable hash in every tier. Store and server write errors are
 //! swallowed: those tiers are accelerators, never dependencies. The
-//! accepted references are recorded in the store and the server under
-//! the case salt.
+//! accepted references themselves are not stored: the case salt hashes
+//! them, so a changed reference changes every key.
 //!
 //! # Concurrency and determinism contract
 //!
@@ -99,7 +100,7 @@ use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
 use oraql_ir::module::Module;
 use oraql_obs::Span;
 use oraql_passes::Stats;
-use oraql_store::Store;
+use oraql_store::{Space, Store, Verdict};
 use oraql_vm::{Interpreter, RunOutcome, VmFault};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -158,8 +159,6 @@ pub struct DriverOptions {
     /// Upper bound on executed tests (compiles still happen for cached
     /// verdicts).
     pub max_tests: u64,
-    /// Record `-debug-pass=Executions` trace lines in the final compile.
-    pub trace_passes: bool,
     /// Case concurrency (CLI: `--jobs`). [`run_suite`] runs up to
     /// `jobs` cases at once; each case probes sequentially either way.
     /// `1` (the default) is the sequential seed driver; `N > 1` also
@@ -216,7 +215,6 @@ impl Default for DriverOptions {
         DriverOptions {
             strategy: Strategy::Chunked,
             max_tests: 4_096,
-            trace_passes: false,
             jobs: 1,
             trace: None,
             store: None,
@@ -287,8 +285,6 @@ pub struct DriverResult {
     pub queries: Vec<UniqueQuery>,
     /// The final optimized module.
     pub final_module: Module,
-    /// Pass trace of the final compilation (when requested).
-    pub pass_trace: Vec<String>,
     /// What the ground-truth gate saw (`Some` iff
     /// [`DriverOptions::ground_truth`] was set; always violation-free
     /// here, because violations fail the case instead).
@@ -454,10 +450,6 @@ fn case_salt(case: &TestCase, references: &[String]) -> u64 {
     h.finish()
 }
 
-/// A probe verdict as every tier stores it: (verified, unique-query
-/// count).
-type Verdict = (bool, u64);
-
 /// A verdict tier; [`TIERS`] is the walk order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Tier {
@@ -467,15 +459,6 @@ enum Tier {
 }
 
 const TIERS: [Tier; 3] = [Tier::Memory, Tier::Store, Tier::Server];
-
-/// The two key spaces every tier files verdicts under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Space {
-    /// Salted decisions digest, walked before the compile.
-    Dec,
-    /// Salted executable hash, walked after the compile.
-    Exe,
-}
 
 /// What answered a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -981,10 +964,7 @@ impl ProbeEngine {
                 let store = self.store.as_ref()?;
                 let found = {
                     let _s = self.span("store", probe_span);
-                    match space {
-                        Space::Dec => store.dec_verdict(key),
-                        Space::Exe => store.exe_verdict(key),
-                    }
+                    store.verdict(space, key)
                 };
                 if found.is_some() && fx.store_read_corrupt {
                     self.note_failure(&ProbeFailure::StoreCorrupt);
@@ -995,11 +975,7 @@ impl ProbeEngine {
             Tier::Server => {
                 let client = self.server.as_ref()?;
                 let _s = self.span("server", probe_span);
-                let res = match space {
-                    Space::Dec => client.get_dec(key),
-                    Space::Exe => client.get_exe(key),
-                };
-                res.unwrap_or_else(|e| {
+                client.get(space, key).unwrap_or_else(|e| {
                     self.note_failure(&match e {
                         oraql_served::ClientError::Busy => ProbeFailure::ServerBusy,
                         _ => ProbeFailure::ServerDown,
@@ -1015,7 +991,6 @@ impl ProbeEngine {
     /// degrades that tier, it never fails a probe (the store's and the
     /// client's own counters record them).
     fn write(&self, tiers: &[Tier], space: Space, key: u64, v: Verdict) {
-        let (pass, unique) = v;
         for tier in tiers {
             match tier {
                 Tier::Memory => {
@@ -1025,18 +1000,12 @@ impl ProbeEngine {
                 }
                 Tier::Store => {
                     if let Some(store) = &self.store {
-                        let _ = match space {
-                            Space::Dec => store.record_dec(key, pass, unique),
-                            Space::Exe => store.record_exe(key, pass, unique),
-                        };
+                        let _ = store.record(space, key, v);
                     }
                 }
                 Tier::Server => {
                     if let Some(client) = &self.server {
-                        let _ = match space {
-                            Space::Dec => client.put_dec(key, pass, unique),
-                            Space::Exe => client.put_exe(key, pass, unique),
-                        };
+                        let _ = client.put(space, key, v);
                     }
                 }
             }
@@ -1071,18 +1040,6 @@ impl Driver {
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
         let salt = case_salt(case, &references);
-        if let Some(store) = &opts.store {
-            // Record the accepted references under the case salt: a
-            // warm reader can tell *what* a salt's verdicts were
-            // verified against, and the record doubles as an integrity
-            // anchor (same salt ⇒ same references, by construction).
-            let _ = store.record_references(salt, &references);
-        }
-        if let Some(server) = &opts.server {
-            // Same anchor record, shared tier. Errors are swallowed:
-            // an unreachable server degrades to the local store.
-            let _ = server.put_refs(salt, &references);
-        }
         let verifier = Verifier::new(references, &case.ignore_patterns);
         verifier
             .check(&baseline_run.stdout)
@@ -1127,7 +1084,6 @@ impl Driver {
         let final_opts = CompileOptions {
             oraql: Some((decisions.clone(), case.scope.clone())),
             use_cfl: case.use_cfl,
-            trace_passes: driver.opts.trace_passes,
             optimism: case.optimism,
             ..CompileOptions::default()
         };
@@ -1190,7 +1146,6 @@ impl Driver {
             failures: tally.failures,
             queries: st.queries.clone(),
             final_module: finalc.module.clone(),
-            pass_trace: finalc.pass_trace.clone(),
             truth,
         })
     }

@@ -92,15 +92,10 @@ pub fn render_query(m: &Module, q: &UniqueQuery) -> String {
     s
 }
 
-/// Renders the dump for a whole compilation, optionally interleaved with
-/// the pass-execution trace lines (`-debug-pass=Executions` style), so
-/// users can see which pass issued each initial query.
-pub fn render_report(
-    m: &Module,
-    queries: &[UniqueQuery],
-    flags: DumpFlags,
-    pass_trace: &[String],
-) -> String {
+/// Renders the dump for a whole compilation, interleaved with
+/// `-debug-pass=Executions`-style lines naming the pass and function
+/// that issued the queries below them.
+pub fn render_report(m: &Module, queries: &[UniqueQuery], flags: DumpFlags) -> String {
     let mut s = String::new();
     if !(flags.first || flags.cached) || !(flags.optimistic || flags.pessimistic) {
         return s; // one flag of each category is required (paper §IV-D)
@@ -114,19 +109,12 @@ pub fn render_report(
             continue;
         }
         if q.pass != last_pass {
-            // Find the matching trace line (pass *and* function), if
-            // tracing was enabled.
-            let fname = &m.func(q.func).name;
-            let needle = format!("'{}' on Function '{}'", q.pass, fname);
-            if let Some(line) = pass_trace.iter().find(|l| l.contains(&needle)) {
-                let _ = writeln!(s, "[...] {line}");
-            } else {
-                let _ = writeln!(
-                    s,
-                    "[...] Executing Pass '{}' on Function '{}'...",
-                    q.pass, fname
-                );
-            }
+            let _ = writeln!(
+                s,
+                "[...] Executing Pass '{}' on Function '{}'...",
+                q.pass,
+                m.func(q.func).name
+            );
             last_pass = q.pass.clone();
         }
         s.push_str(&render_query(m, q));
@@ -247,7 +235,7 @@ mod tests {
     use oraql_ir::builder::FunctionBuilder;
     use oraql_ir::{Ty, Value};
 
-    fn compiled() -> (Module, Vec<UniqueQuery>, Vec<String>) {
+    fn compiled() -> (Module, Vec<UniqueQuery>) {
         let build = || {
             let mut m = Module::new("t");
             let work = {
@@ -288,20 +276,19 @@ mod tests {
             &build,
             &CompileOptions {
                 oraql: Some((Decisions::all_pessimistic(), Scope::everything())),
-                trace_passes: true,
                 ..CompileOptions::default()
             },
         );
         let st = c.oraql.unwrap();
         let queries = st.lock().queries.clone();
-        (c.module, queries, c.pass_trace)
+        (c.module, queries)
     }
 
     #[test]
     fn report_contains_fig3_elements() {
-        let (m, queries, trace) = compiled();
+        let (m, queries) = compiled();
         assert!(!queries.is_empty());
-        let text = render_report(&m, &queries, DumpFlags::pessimistic_only(), &trace);
+        let text = render_report(&m, &queries, DumpFlags::pessimistic_only());
         assert!(text.contains("[ORAQL] Pessimistic query [Cached"), "{text}");
         assert!(text.contains("Scope: .omp_outlined."), "{text}");
         assert!(text.contains("Executing Pass"), "{text}");
@@ -310,39 +297,39 @@ mod tests {
 
     #[test]
     fn flags_require_one_of_each_category() {
-        let (m, queries, trace) = compiled();
+        let (m, queries) = compiled();
         let none = DumpFlags {
             first: false,
             cached: false,
             optimistic: true,
             pessimistic: true,
         };
-        assert!(render_report(&m, &queries, none, &trace).is_empty());
+        assert!(render_report(&m, &queries, none).is_empty());
         let none2 = DumpFlags {
             first: true,
             cached: true,
             optimistic: false,
             pessimistic: false,
         };
-        assert!(render_report(&m, &queries, none2, &trace).is_empty());
+        assert!(render_report(&m, &queries, none2).is_empty());
     }
 
     #[test]
     fn optimistic_filter_hides_pessimistic() {
-        let (m, queries, trace) = compiled();
+        let (m, queries) = compiled();
         let flags = DumpFlags {
             first: true,
             cached: true,
             optimistic: true,
             pessimistic: false,
         };
-        let text = render_report(&m, &queries, flags, &trace);
+        let text = render_report(&m, &queries, flags);
         assert!(!text.contains("Pessimistic query"), "{text}");
     }
 
     #[test]
     fn per_pass_breakdown() {
-        let (_, queries, _) = compiled();
+        let (_, queries) = compiled();
         let by_pass = queries_by_pass(&queries);
         assert!(!by_pass.is_empty());
         let total: u64 = by_pass.iter().map(|(_, n)| n).sum();

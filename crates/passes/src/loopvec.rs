@@ -367,11 +367,14 @@ fn legalize(m: &Module, fid: FunctionId, cx: &mut PassCx<'_>, canon: &CanonLoop)
         }
     }
 
-    // Dependence phase: issues alias queries.
-    let accesses: Vec<(InstId, Role)> = roles
+    // Dependence phase: issues alias queries, in body order (never in
+    // the hash order of `roles`, which would leak into ORAQL's query
+    // sequence).
+    let accesses: Vec<(InstId, Role)> = m.func(fid).blocks()[canon.body.0 as usize]
+        .insts
         .iter()
+        .filter_map(|id| Some((*id, *roles.get(id)?)))
         .filter(|(_, r)| matches!(r, Role::ConsecLoad | Role::ConsecStore | Role::UniformLoad))
-        .map(|(&i, &r)| (i, r))
         .collect();
     for &(s, rs) in &accesses {
         if rs != Role::ConsecStore {
@@ -898,6 +901,76 @@ mod tests {
         b.finish();
         let stats = run_pass(&mut m, LoopVectorize);
         assert_eq!(stats.get("loop vectorizer", "vectorized loops"), 0);
+    }
+
+    /// Answers every query `NoAlias` and logs its pointer pair.
+    struct Recorder(std::rc::Rc<std::cell::RefCell<Vec<(Value, Value)>>>);
+
+    impl oraql_analysis::AliasAnalysis for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn alias(
+            &mut self,
+            _ctx: &oraql_analysis::aa::QueryCtx<'_>,
+            a: &MemoryLocation,
+            b: &MemoryLocation,
+        ) -> AliasResult {
+            self.0.borrow_mut().push((a.ptr, b.ptr));
+            AliasResult::NoAlias
+        }
+    }
+
+    #[test]
+    fn dependence_queries_follow_body_order() {
+        // o[i] = a[i] + b[i]; p[i] = c[i]: the queries pair each store
+        // with every other access, stores and accesses in body order.
+        let mut m = Module::new("t");
+        let mut b = FunctionBuilder::new(&mut m, "kern", vec![Ty::Ptr; 6], None);
+        let [a, bb, c, o, p, n] = [0, 1, 2, 3, 4, 5].map(|i| b.arg(i));
+        let mut geps = Vec::new();
+        b.counted_loop(Value::ConstInt(0), n, |b, i| {
+            let mut at = |b: &mut FunctionBuilder, base| {
+                let g = b.gep_scaled(base, i, 8, 0);
+                geps.push(g);
+                g
+            };
+            let ai = at(b, a);
+            let av = b.load(Ty::F64, ai);
+            let bi = at(b, bb);
+            let bv = b.load(Ty::F64, bi);
+            let s = b.fadd(av, bv);
+            let oi = at(b, o);
+            b.store(Ty::F64, s, oi);
+            let ci = at(b, c);
+            let cv = b.load(Ty::F64, ci);
+            let pi = at(b, p);
+            b.store(Ty::F64, cv, pi);
+        });
+        b.ret(None);
+        b.finish();
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut aa = oraql_analysis::AAManager::new();
+        aa.add(Box::new(Recorder(log.clone())));
+        let mut stats = crate::stats::Stats::new();
+        crate::manager::PassManager::new(vec![Box::new(LoopVectorize)])
+            .run(&mut m, &mut aa, &mut stats);
+        assert_eq!(stats.get("loop vectorizer", "vectorized loops"), 1);
+        let [ai, bi, oi, ci, pi] = [0, 1, 2, 3, 4].map(|k| geps[k]);
+        assert_eq!(
+            *log.borrow(),
+            [
+                (oi, ai),
+                (oi, bi),
+                (oi, ci),
+                (oi, pi),
+                (pi, ai),
+                (pi, bi),
+                (pi, oi),
+                (pi, ci)
+            ]
+        );
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     /// Verify IR after each pass (tests turn this on; costs time).
     pub verify_each: bool,
-    /// Print pass executions like `-debug-pass=Executions`.
-    pub trace_executions: bool,
-    /// Collected trace lines when `trace_executions` is set.
-    pub trace: Vec<String>,
 }
 
 impl PassManager {
@@ -53,8 +49,6 @@ impl PassManager {
         PassManager {
             passes,
             verify_each: false,
-            trace_executions: false,
-            trace: Vec::new(),
         }
     }
 
@@ -69,13 +63,6 @@ impl PassManager {
             for (fi, facts) in facts.iter_mut().enumerate() {
                 let fid = FunctionId(fi as u32);
                 aa.current_pass = pass.name();
-                if self.trace_executions {
-                    self.trace.push(format!(
-                        "Executing Pass '{}' on Function '{}'...",
-                        pass.name(),
-                        m.func(fid).name
-                    ));
-                }
                 let mut cx = PassCx { aa, stats, facts };
                 pass.run(m, fid, &mut cx);
                 if self.verify_each {
@@ -156,12 +143,8 @@ mod tests {
         }
         let mut aa = AAManager::new();
         let mut stats = Stats::new();
-        let mut pm = PassManager::new(vec![Box::new(CountingPass)]);
-        pm.trace_executions = true;
-        pm.run(&mut m, &mut aa, &mut stats);
+        PassManager::new(vec![Box::new(CountingPass)]).run(&mut m, &mut aa, &mut stats);
         assert_eq!(stats.get("Counting", "runs"), 2);
-        assert_eq!(pm.trace.len(), 2);
-        assert!(pm.trace[0].contains("Executing Pass 'Counting' on Function 'a'"));
     }
 
     #[test]

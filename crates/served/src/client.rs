@@ -26,6 +26,9 @@
 //!    half-open probe it *closes* the breaker), and tells the driver
 //!    to fall back to its local tiers.
 //!
+//! Verdicts go through two calls, [`Client::get`] and [`Client::put`],
+//! each naming its key space ([`oraql_store::Space`]).
+//!
 //! Backoff jitter is deterministic — a pure function of
 //! `(seed, req_id, attempt)` via `splitmix64` (see [`backoff_delay`]) —
 //! so N clients with distinct seeds spread their reconnects instead of
@@ -45,7 +48,7 @@
 use crate::net::{Addr, Conn};
 use crate::protocol::{read_frame, write_frame, Request, Response, Status};
 use oraql_faults::splitmix64;
-use oraql_store::REF_SEP;
+use oraql_store::{Space, Verdict};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -172,7 +175,7 @@ struct Counters {
 /// A plain-value copy of a client's counters at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
-    /// `GET` requests issued (dec + exe + refs).
+    /// `GET` requests issued (both key spaces).
     pub lookups: u64,
     /// `GET`s the server answered with a record.
     pub hits: u64,
@@ -473,65 +476,35 @@ impl Client {
         }
     }
 
-    fn get_verdict(&self, req: Request) -> Result<Option<(bool, u64)>, ClientError> {
+    /// Looks up the verdict filed under `key` in `space`.
+    pub fn get(&self, space: Space, key: u64) -> Result<Option<Verdict>, ClientError> {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        match self.request(&req)? {
-            Response::Verdict { pass, unique } => {
+        match self.request(&Request::Get { space, key })? {
+            Response::Verdict(v) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some((pass, unique)))
+                Ok(Some(v))
             }
             Response::NotFound => Ok(None),
             other => Err(Self::remote_err(other)),
         }
     }
 
-    /// Looks up a decisions-digest verdict.
-    pub fn get_dec(&self, key: u64) -> Result<Option<(bool, u64)>, ClientError> {
-        self.get_verdict(Request::GetDec { key })
+    /// [`Client::get`] in [`Space::Dec`].
+    pub fn get_dec(&self, key: u64) -> Result<Option<Verdict>, ClientError> {
+        self.get(Space::Dec, key)
     }
 
-    /// Looks up an executable-hash verdict.
-    pub fn get_exe(&self, key: u64) -> Result<Option<(bool, u64)>, ClientError> {
-        self.get_verdict(Request::GetExe { key })
-    }
-
-    fn put(&self, req: Request) -> Result<(), ClientError> {
+    /// Files `verdict` under `key` in `space` on the server.
+    pub fn put(&self, space: Space, key: u64, verdict: Verdict) -> Result<(), ClientError> {
         self.counters.appends.fetch_add(1, Ordering::Relaxed);
-        match self.request(&req)? {
+        match self.request(&Request::Put {
+            space,
+            key,
+            verdict,
+        })? {
             Response::Ok => Ok(()),
             other => Err(Self::remote_err(other)),
         }
-    }
-
-    /// Appends a decisions-digest verdict.
-    pub fn put_dec(&self, key: u64, pass: bool, unique: u64) -> Result<(), ClientError> {
-        self.put(Request::PutDec { key, pass, unique })
-    }
-
-    /// Appends an executable-hash verdict.
-    pub fn put_exe(&self, key: u64, pass: bool, unique: u64) -> Result<(), ClientError> {
-        self.put(Request::PutExe { key, pass, unique })
-    }
-
-    /// Looks up the reference outputs stored for a case salt.
-    pub fn get_refs(&self, salt: u64) -> Result<Option<Vec<String>>, ClientError> {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        match self.request(&Request::GetRefs { salt })? {
-            Response::Text(joined) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(joined.split(REF_SEP).map(str::to_owned).collect()))
-            }
-            Response::NotFound => Ok(None),
-            other => Err(Self::remote_err(other)),
-        }
-    }
-
-    /// Appends the accepted reference outputs for a case salt.
-    pub fn put_refs(&self, salt: u64, outputs: &[String]) -> Result<(), ClientError> {
-        self.put(Request::PutRefs {
-            salt,
-            refs: outputs.join(&REF_SEP.to_string()),
-        })
     }
 
     /// Fetches the server's `STATS` text.
@@ -606,18 +579,18 @@ mod tests {
         let addr = server.addr();
         // Generous cooldown so the breaker is observably open.
         let client = snappy(&addr, Duration::from_millis(200));
-        client.put_dec(1, true, 1).unwrap();
+        client.put(Space::Dec, 1, (true, 1)).unwrap();
         server.shutdown().unwrap();
         // First call after the server died: a real error trips the breaker.
         assert!(matches!(
-            client.get_dec(1),
+            client.get(Space::Dec, 1),
             Err(ClientError::Unavailable(_))
         ));
         let after_trip = client.stats().io_errors;
         assert!(after_trip >= 1);
         // Inside the cooldown: fail-fast, no new socket error.
         assert!(matches!(
-            client.get_dec(1),
+            client.get(Space::Dec, 1),
             Err(ClientError::Unavailable(_))
         ));
         assert_eq!(client.stats().io_errors, after_trip);
@@ -626,7 +599,7 @@ mod tests {
         // probe fails (one more io error) and re-opens the breaker.
         std::thread::sleep(Duration::from_millis(250));
         assert!(matches!(
-            client.get_dec(1),
+            client.get(Space::Dec, 1),
             Err(ClientError::Unavailable(_))
         ));
         assert_eq!(client.stats().io_errors, after_trip + 1);
@@ -635,8 +608,8 @@ mod tests {
         let port_cfg = ServerOptions::new(&dir);
         let server = Server::start(&port_cfg, &addr).unwrap();
         std::thread::sleep(Duration::from_millis(250));
-        assert_eq!(client.get_dec(1).unwrap(), Some((true, 1)));
-        assert_eq!(client.get_dec(1).unwrap(), Some((true, 1)));
+        assert_eq!(client.get(Space::Dec, 1).unwrap(), Some((true, 1)));
+        assert_eq!(client.get(Space::Dec, 1).unwrap(), Some((true, 1)));
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -648,13 +621,13 @@ mod tests {
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         let addr = server.addr();
         let client = Client::new(&addr);
-        client.put_dec(5, true, 5).unwrap();
+        client.put(Space::Dec, 5, (true, 5)).unwrap();
         // Bounce the server; the client's cached connection is now
         // stale, but the next request must succeed via an idempotent
         // retry on a fresh connection, not error.
         server.shutdown().unwrap();
         let server = Server::start(&cfg, &addr).unwrap();
-        assert_eq!(client.get_dec(5).unwrap(), Some((true, 5)));
+        assert_eq!(client.get(Space::Dec, 5).unwrap(), Some((true, 5)));
         assert!(client.stats().retries >= 1);
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -671,8 +644,8 @@ mod tests {
                 s.spawn(move || {
                     for k in 0..25u64 {
                         let key = t * 100 + k;
-                        c.put_dec(key, true, key).unwrap();
-                        assert_eq!(c.get_dec(key).unwrap(), Some((true, key)));
+                        c.put(Space::Dec, key, (true, key)).unwrap();
+                        assert_eq!(c.get(Space::Dec, key).unwrap(), Some((true, key)));
                     }
                 });
             }

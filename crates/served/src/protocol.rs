@@ -28,6 +28,14 @@
 //! example that `tests/served_roundtrip.rs` pins against this module)
 //! lives in `docs/PROTOCOL.md`.
 //!
+//! # Verdicts
+//!
+//! A verdict lookup or append names one key space
+//! ([`oraql_store::Space`]): [`Request::Get`] and [`Request::Put`]
+//! carry it, and it picks the op byte (`GetDec`/`GetExe`,
+//! `PutDec`/`PutExe`). Op bytes `0x06` and `0x07`, which carried the
+//! retired reference-output records, are answered `bad-op`.
+//!
 //! # Concurrency contract
 //!
 //! The module is pure data plus blocking frame I/O helpers; nothing
@@ -36,6 +44,7 @@
 //! between threads without external serialization (interleaved frames
 //! are garbage).
 
+use oraql_store::{Space, Verdict};
 use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build (request and response byte 0).
@@ -74,11 +83,6 @@ pub enum Op {
     PutDec = 0x04,
     /// Append an executable-hash verdict: same body shape as [`Op::PutDec`].
     PutExe = 0x05,
-    /// Look up the reference outputs for a case salt: body `salt u64 LE`.
-    GetRefs = 0x06,
-    /// Append reference outputs: body `salt u64 | utf8 bytes` (the
-    /// store's `\x1e`-joined encoding).
-    PutRefs = 0x07,
     /// Journal, store and server counters as UTF-8 text; empty body.
     Stats = 0x08,
     /// Force a group fsync of the journal now; empty body.
@@ -99,8 +103,6 @@ impl Op {
             0x03 => Op::GetExe,
             0x04 => Op::PutDec,
             0x05 => Op::PutExe,
-            0x06 => Op::GetRefs,
-            0x07 => Op::PutRefs,
             0x08 => Op::Stats,
             0x09 => Op::Sync,
             0x0a => Op::Compact,
@@ -169,45 +171,22 @@ impl Status {
 pub enum Request {
     /// [`Op::Ping`].
     Ping,
-    /// [`Op::GetDec`].
-    GetDec {
-        /// Salted decisions digest.
+    /// [`Op::GetDec`] or [`Op::GetExe`]: look up a verdict.
+    Get {
+        /// The key space `key` lives in.
+        space: Space,
+        /// Salted decisions digest or module hash.
         key: u64,
     },
-    /// [`Op::GetExe`].
-    GetExe {
-        /// Salted module hash.
+    /// [`Op::PutDec`] or [`Op::PutExe`]: append a verdict.
+    Put {
+        /// The key space `key` lives in.
+        space: Space,
+        /// Salted decisions digest or module hash.
         key: u64,
-    },
-    /// [`Op::PutDec`].
-    PutDec {
-        /// Salted decisions digest.
-        key: u64,
-        /// Did the compiled program verify?
-        pass: bool,
-        /// Unique ORAQL queries the probe reported.
-        unique: u64,
-    },
-    /// [`Op::PutExe`].
-    PutExe {
-        /// Salted module hash.
-        key: u64,
-        /// Did the compiled program verify?
-        pass: bool,
-        /// Unique ORAQL queries the probe reported.
-        unique: u64,
-    },
-    /// [`Op::GetRefs`].
-    GetRefs {
-        /// Case salt.
-        salt: u64,
-    },
-    /// [`Op::PutRefs`].
-    PutRefs {
-        /// Case salt.
-        salt: u64,
-        /// `\x1e`-joined accepted reference outputs.
-        refs: String,
+        /// Did the compiled program verify, and the unique ORAQL
+        /// queries the probe reported.
+        verdict: Verdict,
     },
     /// [`Op::Stats`].
     Stats,
@@ -224,12 +203,18 @@ impl Request {
     pub fn op(&self) -> Op {
         match self {
             Request::Ping => Op::Ping,
-            Request::GetDec { .. } => Op::GetDec,
-            Request::GetExe { .. } => Op::GetExe,
-            Request::PutDec { .. } => Op::PutDec,
-            Request::PutExe { .. } => Op::PutExe,
-            Request::GetRefs { .. } => Op::GetRefs,
-            Request::PutRefs { .. } => Op::PutRefs,
+            Request::Get {
+                space: Space::Dec, ..
+            } => Op::GetDec,
+            Request::Get {
+                space: Space::Exe, ..
+            } => Op::GetExe,
+            Request::Put {
+                space: Space::Dec, ..
+            } => Op::PutDec,
+            Request::Put {
+                space: Space::Exe, ..
+            } => Op::PutExe,
             Request::Stats => Op::Stats,
             Request::Sync => Op::Sync,
             Request::Compact => Op::Compact,
@@ -244,20 +229,16 @@ impl Request {
             | Request::Sync
             | Request::Compact
             | Request::Metrics => Vec::new(),
-            Request::GetDec { key } | Request::GetExe { key } | Request::GetRefs { salt: key } => {
-                key.to_le_bytes().to_vec()
-            }
-            Request::PutDec { key, pass, unique } | Request::PutExe { key, pass, unique } => {
+            Request::Get { key, .. } => key.to_le_bytes().to_vec(),
+            Request::Put {
+                key,
+                verdict: (pass, unique),
+                ..
+            } => {
                 let mut b = Vec::with_capacity(17);
                 b.extend_from_slice(&key.to_le_bytes());
                 b.push(u8::from(*pass));
                 b.extend_from_slice(&unique.to_le_bytes());
-                b
-            }
-            Request::PutRefs { salt, refs } => {
-                let mut b = Vec::with_capacity(8 + refs.len());
-                b.extend_from_slice(&salt.to_le_bytes());
-                b.extend_from_slice(refs.as_bytes());
                 b
             }
         }
@@ -290,17 +271,9 @@ impl Request {
             let raw: [u8; 8] = b.try_into().map_err(|_| (Status::BadFrame, req_id))?;
             Ok(u64::from_le_bytes(raw))
         };
-        let verdict_of = |b: &[u8]| -> Result<(u64, bool, u64), (Status, u64)> {
-            if b.len() != 17 {
-                return Err((Status::BadFrame, req_id));
-            }
-            let key = key_of(&b[0..8])?;
-            let pass = match b[8] {
-                0 => false,
-                1 => true,
-                _ => return Err((Status::BadFrame, req_id)),
-            };
-            Ok((key, pass, key_of(&b[9..17])?))
+        let space = match op {
+            Op::GetExe | Op::PutExe => Space::Exe,
+            _ => Space::Dec,
         };
         let req = match op {
             Op::Ping | Op::Stats | Op::Sync | Op::Compact | Op::Metrics => {
@@ -315,27 +288,23 @@ impl Request {
                     _ => Request::Compact,
                 }
             }
-            Op::GetDec => Request::GetDec { key: key_of(body)? },
-            Op::GetExe => Request::GetExe { key: key_of(body)? },
-            Op::GetRefs => Request::GetRefs {
-                salt: key_of(body)?,
+            Op::GetDec | Op::GetExe => Request::Get {
+                space,
+                key: key_of(body)?,
             },
-            Op::PutDec => {
-                let (key, pass, unique) = verdict_of(body)?;
-                Request::PutDec { key, pass, unique }
-            }
-            Op::PutExe => {
-                let (key, pass, unique) = verdict_of(body)?;
-                Request::PutExe { key, pass, unique }
-            }
-            Op::PutRefs => {
-                if body.len() < 8 {
+            Op::PutDec | Op::PutExe => {
+                if body.len() != 17 {
                     return Err((Status::BadFrame, req_id));
                 }
-                Request::PutRefs {
-                    salt: key_of(&body[0..8])?,
-                    refs: String::from_utf8(body[8..].to_vec())
-                        .map_err(|_| (Status::BadFrame, req_id))?,
+                let pass = match body[8] {
+                    0 => false,
+                    1 => true,
+                    _ => return Err((Status::BadFrame, req_id)),
+                };
+                Request::Put {
+                    space,
+                    key: key_of(&body[0..8])?,
+                    verdict: (pass, key_of(&body[9..17])?),
                 }
             }
         };
@@ -348,14 +317,9 @@ impl Request {
 pub enum Response {
     /// [`Status::Ok`] with an empty body (ping, puts, sync).
     Ok,
-    /// [`Status::Ok`] carrying a verdict (get-dec / get-exe).
-    Verdict {
-        /// Did the compiled program verify?
-        pass: bool,
-        /// Unique ORAQL queries the recorded probe reported.
-        unique: u64,
-    },
-    /// [`Status::Ok`] carrying UTF-8 text (refs, stats, compact
+    /// [`Status::Ok`] carrying the verdict a `Get` found.
+    Verdict(Verdict),
+    /// [`Status::Ok`] carrying UTF-8 text (stats, compact and metrics
     /// summaries).
     Text(String),
     /// [`Status::NotFound`] — the lookup key has no record.
@@ -371,7 +335,7 @@ impl Response {
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
         match self {
             Response::Ok => frame(&[VERSION, Status::Ok as u8], req_id, &[]),
-            Response::Verdict { pass, unique } => {
+            Response::Verdict((pass, unique)) => {
                 let mut body = Vec::with_capacity(9);
                 body.push(u8::from(*pass));
                 body.extend_from_slice(&unique.to_le_bytes());
@@ -406,15 +370,12 @@ impl Response {
                         return Err("malformed verdict body".into());
                     }
                     let raw: [u8; 8] = body[1..9].try_into().map_err(|_| "short verdict body")?;
-                    Response::Verdict {
-                        pass: body[0] == 1,
-                        unique: u64::from_le_bytes(raw),
-                    }
+                    Response::Verdict((body[0] == 1, u64::from_le_bytes(raw)))
                 }
-                Op::GetRefs | Op::Stats | Op::Compact | Op::Metrics => Response::Text(
+                Op::Stats | Op::Compact | Op::Metrics => Response::Text(
                     String::from_utf8(body.to_vec()).map_err(|_| "non-UTF-8 text body")?,
                 ),
-                Op::Ping | Op::PutDec | Op::PutExe | Op::PutRefs | Op::Sync => Response::Ok,
+                Op::Ping | Op::PutDec | Op::PutExe | Op::Sync => Response::Ok,
             },
             Status::NotFound => Response::NotFound,
             Status::Busy => Response::Busy,
@@ -491,28 +452,51 @@ mod tests {
     fn all_requests() -> Vec<Request> {
         vec![
             Request::Ping,
-            Request::GetDec { key: 7 },
-            Request::GetExe { key: u64::MAX },
-            Request::PutDec {
+            Request::Get {
+                space: Space::Dec,
+                key: 7,
+            },
+            Request::Get {
+                space: Space::Exe,
+                key: u64::MAX,
+            },
+            Request::Put {
+                space: Space::Dec,
                 key: 0x0123_4567_89ab_cdef,
-                pass: true,
-                unique: 42,
+                verdict: (true, 42),
             },
-            Request::PutExe {
+            Request::Put {
+                space: Space::Exe,
                 key: 1,
-                pass: false,
-                unique: 0,
-            },
-            Request::GetRefs { salt: 99 },
-            Request::PutRefs {
-                salt: 3,
-                refs: "checksum 1.5\n\x1eother\n".into(),
+                verdict: (false, 0),
             },
             Request::Stats,
             Request::Sync,
             Request::Compact,
             Request::Metrics,
         ]
+    }
+
+    #[test]
+    fn verdict_requests_keep_their_op_bytes() {
+        let ops: Vec<u8> = all_requests()[1..5].iter().map(|r| r.op() as u8).collect();
+        assert_eq!(ops, [0x02, 0x03, 0x04, 0x05]);
+        // Both spaces share one body shape; only the op byte differs.
+        let body = |r: &Request| r.encode(9)[22..].to_vec();
+        for space in [Space::Dec, Space::Exe] {
+            assert_eq!(
+                body(&Request::Get { space, key: 5 }),
+                5u64.to_le_bytes().to_vec()
+            );
+            let put = body(&Request::Put {
+                space,
+                key: 5,
+                verdict: (true, 6),
+            });
+            assert_eq!(put[..8], 5u64.to_le_bytes());
+            assert_eq!(put[8], 1);
+            assert_eq!(put[9..], 6u64.to_le_bytes());
+        }
     }
 
     #[test]
@@ -532,22 +516,9 @@ mod tests {
     fn response_roundtrip() {
         let cases = [
             (Op::Ping, Response::Ok),
-            (
-                Op::GetDec,
-                Response::Verdict {
-                    pass: true,
-                    unique: 42,
-                },
-            ),
-            (
-                Op::GetExe,
-                Response::Verdict {
-                    pass: false,
-                    unique: 0,
-                },
-            ),
+            (Op::GetDec, Response::Verdict((true, 42))),
+            (Op::GetExe, Response::Verdict((false, 0))),
             (Op::GetExe, Response::NotFound),
-            (Op::GetRefs, Response::Text("a\x1eb".into())),
             (Op::Stats, Response::Text("total: 0 lookups".into())),
             (Op::PutDec, Response::Ok),
             (Op::PutDec, Response::Busy),
@@ -605,6 +576,13 @@ mod tests {
             Request::decode(&raw(VERSION, 0xee, 78, &[])),
             Err((Status::BadOp, 78))
         );
+        // The retired reference-output ops are unknown ops now.
+        for (op, id) in [(0x06, 82), (0x07, 83)] {
+            assert_eq!(
+                Request::decode(&raw(VERSION, op, id, &5u64.to_le_bytes())),
+                Err((Status::BadOp, id))
+            );
+        }
         // Ping carries no body.
         assert_eq!(
             Request::decode(&raw(VERSION, Op::Ping as u8, 79, &[1])),
@@ -616,10 +594,10 @@ mod tests {
             Err((Status::BadFrame, 80))
         );
         // Non-boolean pass byte.
-        let mut put = Request::PutDec {
+        let mut put = Request::Put {
+            space: Space::Dec,
             key: 1,
-            pass: true,
-            unique: 2,
+            verdict: (true, 2),
         }
         .encode(81);
         put[12 + 2 + 8 + 8] = 7;
@@ -629,7 +607,10 @@ mod tests {
     #[test]
     fn frame_io_roundtrip_and_eof() {
         let mut buf = Vec::new();
-        let req = Request::GetDec { key: 5 };
+        let req = Request::Get {
+            space: Space::Dec,
+            key: 5,
+        };
         write_frame(&mut buf, &req.encode(1)).unwrap();
         write_frame(&mut buf, &Request::Ping.encode(2)).unwrap();
         let mut r = std::io::Cursor::new(buf);
@@ -652,10 +633,10 @@ mod tests {
 
     #[test]
     fn checksum_catches_any_single_byte_garble() {
-        let clean = Request::PutDec {
+        let clean = Request::Put {
+            space: Space::Exe,
             key: 0xdead_beef,
-            pass: true,
-            unique: 9,
+            verdict: (true, 9),
         }
         .encode(0x51);
         // Flip each payload byte in turn: every corruption must be

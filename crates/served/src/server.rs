@@ -69,7 +69,7 @@
 use crate::net::{Addr, Conn, Listener};
 use crate::protocol::{read_frame, write_frame, Op, Request, Response, Status};
 use oraql_faults::{FaultInjector, FaultSite};
-use oraql_store::{Store, StoreError, REF_SEP};
+use oraql_store::{Store, StoreError};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -342,35 +342,25 @@ impl Core {
         let started = std::time::Instant::now();
         let op = req.op();
         let resp = self.dispatch_inner(req);
-        let (count, micros) = op_metrics(op);
-        count.inc();
-        micros.observe(started.elapsed().as_micros() as u64);
+        if let Some((count, micros)) = op_metrics(op) {
+            count.inc();
+            micros.observe(started.elapsed().as_micros() as u64);
+        }
         resp
     }
 
     fn dispatch_inner(&self, req: Request) -> Response {
-        let verdict = |found: Option<(bool, u64)>| match found {
-            Some((pass, unique)) => Response::Verdict { pass, unique },
-            None => Response::NotFound,
-        };
         match req {
             Request::Ping => Response::Ok,
-            Request::GetDec { key } => verdict(self.store.dec_verdict(key)),
-            Request::GetExe { key } => verdict(self.store.exe_verdict(key)),
-            Request::PutDec { key, pass, unique } => {
-                self.journaled(self.store.record_dec(key, pass, unique))
-            }
-            Request::PutExe { key, pass, unique } => {
-                self.journaled(self.store.record_exe(key, pass, unique))
-            }
-            Request::GetRefs { salt } => match self.store.references(salt) {
-                Some(outputs) => Response::Text(outputs.join(&REF_SEP.to_string())),
-                None => Response::NotFound,
-            },
-            Request::PutRefs { salt, refs } => {
-                let outputs: Vec<String> = refs.split(REF_SEP).map(str::to_owned).collect();
-                self.journaled(self.store.record_references(salt, &outputs))
-            }
+            Request::Get { space, key } => self
+                .store
+                .verdict(space, key)
+                .map_or(Response::NotFound, Response::Verdict),
+            Request::Put {
+                space,
+                key,
+                verdict,
+            } => self.journaled(self.store.record(space, key, verdict)),
             Request::Stats => Response::Text(self.stats_text()),
             Request::Sync => match self.sync_dirty() {
                 Ok(()) => Response::Ok,
@@ -388,53 +378,57 @@ impl Core {
 
 /// Registry handles for one wire op: request counter + latency
 /// histogram. Names are static per op, resolved once each.
-fn op_metrics(op: Op) -> (&'static oraql_obs::Counter, &'static oraql_obs::Histogram) {
+fn op_metrics(op: Op) -> Option<(&'static oraql_obs::Counter, &'static oraql_obs::Histogram)> {
     use std::sync::OnceLock;
-    // One slot per op byte value; op bytes start at 0x01.
-    static SLOTS: OnceLock<Vec<(&'static oraql_obs::Counter, &'static oraql_obs::Histogram)>> =
-        OnceLock::new();
-    const NAMES: [(&str, &str); 11] = [
+    type Slot = (
+        Op,
+        &'static oraql_obs::Counter,
+        &'static oraql_obs::Histogram,
+    );
+    static SLOTS: OnceLock<Vec<Slot>> = OnceLock::new();
+    const NAMES: [(Op, &str, &str); 9] = [
         (
+            Op::Ping,
             "oraql_served_requests_ping_total",
             "oraql_served_op_ping_micros",
         ),
         (
+            Op::GetDec,
             "oraql_served_requests_get_dec_total",
             "oraql_served_op_get_dec_micros",
         ),
         (
+            Op::GetExe,
             "oraql_served_requests_get_exe_total",
             "oraql_served_op_get_exe_micros",
         ),
         (
+            Op::PutDec,
             "oraql_served_requests_put_dec_total",
             "oraql_served_op_put_dec_micros",
         ),
         (
+            Op::PutExe,
             "oraql_served_requests_put_exe_total",
             "oraql_served_op_put_exe_micros",
         ),
         (
-            "oraql_served_requests_get_refs_total",
-            "oraql_served_op_get_refs_micros",
-        ),
-        (
-            "oraql_served_requests_put_refs_total",
-            "oraql_served_op_put_refs_micros",
-        ),
-        (
+            Op::Stats,
             "oraql_served_requests_stats_total",
             "oraql_served_op_stats_micros",
         ),
         (
+            Op::Sync,
             "oraql_served_requests_sync_total",
             "oraql_served_op_sync_micros",
         ),
         (
+            Op::Compact,
             "oraql_served_requests_compact_total",
             "oraql_served_op_compact_micros",
         ),
         (
+            Op::Metrics,
             "oraql_served_requests_metrics_total",
             "oraql_served_op_metrics_micros",
         ),
@@ -443,10 +437,13 @@ fn op_metrics(op: Op) -> (&'static oraql_obs::Counter, &'static oraql_obs::Histo
         let r = oraql_obs::global();
         NAMES
             .iter()
-            .map(|&(c, h)| (r.counter(c), r.histogram(h)))
+            .map(|&(op, c, h)| (op, r.counter(c), r.histogram(h)))
             .collect()
     });
-    slots[(op as u8 - 1) as usize]
+    slots
+        .iter()
+        .find(|slot| slot.0 == op)
+        .map(|&(_, count, micros)| (count, micros))
 }
 
 /// The request id to echo for a raw request payload, whether or not it
@@ -691,7 +688,7 @@ impl Server {
         self.addr.to_string()
     }
 
-    /// Live records in the journal (dec + exe + refs).
+    /// Live verdicts in the journal (both key spaces).
     pub fn indexed_records(&self) -> usize {
         self.core.store.len()
     }
@@ -796,6 +793,7 @@ fn accept_loop(listener: &Listener, core: &Arc<Core>, handles: &Arc<Mutex<Vec<Jo
 mod tests {
     use super::*;
     use crate::client::Client;
+    use oraql_store::Space;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("oraql_served_{name}_{}", std::process::id()));
@@ -811,18 +809,15 @@ mod tests {
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         let client = Client::new(&server.addr());
         client.ping().unwrap();
-        assert_eq!(client.get_dec(7).unwrap(), None);
-        client.put_dec(7, true, 42).unwrap();
-        assert_eq!(client.get_dec(7).unwrap(), Some((true, 42)));
-        client.put_exe(9, false, 0).unwrap();
-        assert_eq!(client.get_exe(9).unwrap(), Some((false, 0)));
-        client
-            .put_refs(3, &["a\n".to_string(), "b\n".to_string()])
-            .unwrap();
-        assert_eq!(
-            client.get_refs(3).unwrap(),
-            Some(vec!["a\n".to_string(), "b\n".to_string()])
-        );
+        assert_eq!(client.get(Space::Dec, 7).unwrap(), None);
+        client.put(Space::Dec, 7, (true, 42)).unwrap();
+        assert_eq!(client.get(Space::Dec, 7).unwrap(), Some((true, 42)));
+        client.put(Space::Exe, 9, (false, 0)).unwrap();
+        assert_eq!(client.get(Space::Exe, 9).unwrap(), Some((false, 0)));
+        // One key, two spaces: two separate verdicts.
+        client.put(Space::Exe, 7, (false, 3)).unwrap();
+        assert_eq!(client.get(Space::Exe, 7).unwrap(), Some((false, 3)));
+        assert_eq!(client.get(Space::Dec, 7).unwrap(), Some((true, 42)));
         client.sync().unwrap();
         server.shutdown().unwrap();
         // The directory is one ordinary store journal (plus its lock
@@ -834,19 +829,16 @@ mod tests {
         files.sort();
         assert_eq!(files, ["verdicts.journal", "verdicts.journal.lock"]);
         let store = Store::open(dir.join(JOURNAL)).unwrap();
-        assert_eq!(store.dec_verdict(7), Some((true, 42)));
-        assert_eq!(store.exe_verdict(9), Some((false, 0)));
-        assert_eq!(
-            store.references(3),
-            Some(vec!["a\n".to_string(), "b\n".to_string()])
-        );
+        assert_eq!(store.verdict(Space::Dec, 7), Some((true, 42)));
+        assert_eq!(store.verdict(Space::Exe, 9), Some((false, 0)));
+        assert_eq!(store.verdict(Space::Exe, 7), Some((false, 3)));
         drop(store);
         // A fresh server over the same dir replays the journal.
         let server = Server::start(&cfg, "127.0.0.1:0").unwrap();
         assert_eq!(server.indexed_records(), 3);
         let client = Client::new(&server.addr());
-        assert_eq!(client.get_dec(7).unwrap(), Some((true, 42)));
-        assert_eq!(client.get_exe(9).unwrap(), Some((false, 0)));
+        assert_eq!(client.get(Space::Dec, 7).unwrap(), Some((true, 42)));
+        assert_eq!(client.get(Space::Exe, 9).unwrap(), Some((false, 0)));
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -860,13 +852,13 @@ mod tests {
         let client = Client::new(&server.addr());
         for round in 0..2u64 {
             for k in 0..30u64 {
-                client.put_dec(k, true, k + round).unwrap();
+                client.put(Space::Dec, k, (true, k + round)).unwrap();
             }
         }
         for k in 0..30u64 {
-            assert_eq!(client.get_dec(k).unwrap(), Some((true, k + 1)));
+            assert_eq!(client.get(Space::Dec, k).unwrap(), Some((true, k + 1)));
         }
-        assert_eq!(client.get_exe(99).unwrap(), None);
+        assert_eq!(client.get(Space::Exe, 99).unwrap(), None);
         client.sync().unwrap();
         let stats = client.server_stats().unwrap();
         let lines: Vec<&str> = stats.lines().collect();
@@ -898,7 +890,7 @@ mod tests {
         );
         // Compaction preserved the live set.
         for k in 0..30u64 {
-            assert_eq!(client.get_dec(k).unwrap(), Some((true, k + 1)));
+            assert_eq!(client.get(Space::Dec, k).unwrap(), Some((true, k + 1)));
         }
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -912,8 +904,8 @@ mod tests {
         let cfg = ServerOptions::new(dir.join("data"));
         let server = Server::start(&cfg, &format!("unix:{}", sock.display())).unwrap();
         let client = Client::new(&server.addr());
-        client.put_dec(1, true, 1).unwrap();
-        assert_eq!(client.get_dec(1).unwrap(), Some((true, 1)));
+        client.put(Space::Dec, 1, (true, 1)).unwrap();
+        assert_eq!(client.get(Space::Dec, 1).unwrap(), Some((true, 1)));
         server.shutdown().unwrap();
         assert!(!sock.exists(), "socket file removed on shutdown");
         let _ = std::fs::remove_dir_all(&dir);
@@ -944,6 +936,14 @@ mod tests {
         let p = read_frame(&mut conn).unwrap().unwrap();
         assert_eq!(p[1], Status::BadOp as u8);
         assert_eq!(u64::from_le_bytes(p[2..10].try_into().unwrap()), 31);
+        // The retired reference-output ops are unknown ops.
+        for (op, id) in [(0x06, 34), (0x07, 35)] {
+            let payload = raw_payload(VERSION, op, id, &3u64.to_le_bytes());
+            write_frame(&mut conn, &raw_frame(&payload)).unwrap();
+            let p = read_frame(&mut conn).unwrap().unwrap();
+            assert_eq!(p[1], Status::BadOp as u8);
+            assert_eq!(u64::from_le_bytes(p[2..10].try_into().unwrap()), id);
+        }
         // Wrong version: body carries the server's version byte.
         write_frame(&mut conn, &raw_frame(&raw_payload(9, 0x01, 32, &[]))).unwrap();
         let p = read_frame(&mut conn).unwrap().unwrap();
@@ -985,7 +985,7 @@ mod tests {
                     );
                     let mut busy = 0u32;
                     for k in 0..6u64 {
-                        if let Err(crate::client::ClientError::Busy) = client.get_dec(k) {
+                        if let Err(crate::client::ClientError::Busy) = client.get(Space::Dec, k) {
                             busy += 1;
                         }
                     }
@@ -1040,7 +1040,7 @@ mod tests {
         );
         // The put journals, then hits `put-journaled`, which "kills"
         // the daemon: no ack ever arrives.
-        assert!(client.put_dec(1, true, 1).is_err());
+        assert!(client.put(Space::Dec, 1, (true, 1)).is_err());
         assert!(server.is_crashed());
         server.shutdown().unwrap();
         // Restart over the same dir: the journaled-but-unacked record
@@ -1049,8 +1049,8 @@ mod tests {
         let server = Server::start(&ServerOptions::new(&dir), "127.0.0.1:0").unwrap();
         let client = Client::new(&server.addr());
         client.ping().unwrap();
-        client.put_dec(2, false, 9).unwrap();
-        assert_eq!(client.get_dec(2).unwrap(), Some((false, 9)));
+        client.put(Space::Dec, 2, (false, 9)).unwrap();
+        assert_eq!(client.get(Space::Dec, 2).unwrap(), Some((false, 9)));
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,6 +12,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use oraql_served::{Client, ClientOptions};
+use oraql_store::Space;
 
 /// The expected verdict for key `k`; a pure function, so serving a
 /// torn or bit-rotted record shows up as a value mismatch.
@@ -120,7 +121,7 @@ impl Torture {
         let mut i = 0;
         while i < acked.len() {
             let k = acked[i];
-            match self.client.get_dec(k) {
+            match self.client.get(Space::Dec, k) {
                 Ok(got) => {
                     assert_eq!(
                         got,
@@ -179,7 +180,7 @@ fn acked_writes_survive_repeated_crash_points() {
                 acked.len()
             );
             let (pass, unique) = verdict(k);
-            match t.client.put_dec(k, pass, unique) {
+            match t.client.put(Space::Dec, k, (pass, unique)) {
                 Ok(()) => {
                     acked.push(k);
                     k += 1;

@@ -8,6 +8,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use oraql_served::{backoff_delay, Client, ClientOptions, Server, ServerOptions};
+use oraql_store::Space;
 
 /// N clients start against an address nothing listens on, retry
 /// through their breakers, and must all converge — with their own data
@@ -50,7 +51,7 @@ fn client_fleet_recovers_from_dead_then_revived_server() {
                 let deadline = Instant::now() + Duration::from_secs(20);
                 let mut failures_before_revival = 0u64;
                 loop {
-                    match client.put_dec(i, i % 2 == 0, i * 31) {
+                    match client.put(Space::Dec, i, (i % 2 == 0, i * 31)) {
                         Ok(()) => break,
                         Err(_) => {
                             if !revived.load(Ordering::Acquire) {
@@ -89,7 +90,7 @@ fn client_fleet_recovers_from_dead_then_revived_server() {
         let check = Client::new(&addr);
         for i in 0..FLEET as u64 {
             assert_eq!(
-                check.get_dec(i).unwrap(),
+                check.get(Space::Dec, i).unwrap(),
                 Some((i % 2 == 0, i * 31)),
                 "client {i}'s write lost in the storm"
             );

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use oraql_faults::{FaultInjector, FaultPlan, FaultSite, Rate};
 use oraql_served::{Client, ClientError, ClientOptions, CrashMode, Server, ServerOptions};
+use oraql_store::Space;
 
 /// Fresh scratch directory, removed on drop.
 struct Scratch(std::path::PathBuf);
@@ -83,10 +84,10 @@ fn retries_absorb_every_wire_fault_class() {
     const KEYS: u64 = 160;
     for k in 0..KEYS {
         let (pass, unique) = verdict(k);
-        eventually("put", || client.put_dec(k, pass, unique));
+        eventually("put", || client.put(Space::Dec, k, (pass, unique)));
     }
     for k in 0..KEYS {
-        let got = eventually("get", || client.get_dec(k));
+        let got = eventually("get", || client.get(Space::Dec, k));
         assert_eq!(got, Some(verdict(k)), "key {k} came back wrong");
     }
 
@@ -138,8 +139,8 @@ fn garbled_frames_never_yield_wrong_values() {
     );
     for k in 0..96u64 {
         let (pass, unique) = verdict(k);
-        eventually("put", || client.put_exe(k, pass, unique));
-        let got = eventually("get", || client.get_exe(k));
+        eventually("put", || client.put(Space::Exe, k, (pass, unique)));
+        let got = eventually("get", || client.get(Space::Exe, k));
         assert_eq!(got, Some(verdict(k)), "key {k}");
     }
     assert!(
@@ -170,7 +171,7 @@ fn fsync_failures_do_not_lose_acked_writes() {
     const KEYS: u64 = 64;
     for k in 0..KEYS {
         let (pass, unique) = verdict(k);
-        client.put_dec(k, pass, unique).unwrap();
+        client.put(Space::Dec, k, (pass, unique)).unwrap();
     }
     // Give the fsync thread time to (fail to) sync a few times.
     std::thread::sleep(Duration::from_millis(50));
@@ -187,7 +188,11 @@ fn fsync_failures_do_not_lose_acked_writes() {
     let reopened = Server::start(&ServerOptions::new(&scratch.0), "127.0.0.1:0").unwrap();
     let client = Client::new(&reopened.addr());
     for k in 0..KEYS {
-        assert_eq!(client.get_dec(k).unwrap(), Some(verdict(k)), "key {k}");
+        assert_eq!(
+            client.get(Space::Dec, k).unwrap(),
+            Some(verdict(k)),
+            "key {k}"
+        );
     }
     reopened.shutdown().unwrap();
 }
@@ -226,7 +231,7 @@ fn busy_is_not_retried_and_does_not_trip_the_breaker() {
                 let client = Client::with_options(&addr, opts);
                 let mut busy = 0u64;
                 for i in 0..8u64 {
-                    if let Err(ClientError::Busy) = client.get_dec(t * 100 + i) {
+                    if let Err(ClientError::Busy) = client.get(Space::Dec, t * 100 + i) {
                         busy += 1;
                     }
                 }

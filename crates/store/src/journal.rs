@@ -10,11 +10,16 @@
 //!
 //! The checksum is FNV-1a 64 over the tag byte followed by the payload
 //! bytes, so neither field can be swapped or bit-flipped unnoticed.
-//! Three record tags exist:
+//! Each record is one verdict, and its tag names the key space
+//! ([`Space`]) its key lives in:
 //!
 //! * `1` — executable-hash verdict: `key u64 | pass u8 | unique u64`
 //! * `2` — decisions-digest verdict: same payload shape
-//! * `3` — reference output: `key u64 | utf8 bytes`
+//!
+//! Tag `3` (reference outputs, `key u64 | utf8 bytes`) is retired: the
+//! case salt already hashes the references, and nothing read the
+//! record. Journals written before hold it; [`scan`] skips an intact
+//! one without counting it corrupt, and compaction drops it.
 //!
 //! # Recovery guarantees
 //!
@@ -34,6 +39,8 @@
 //!   only hard error: silently rewriting a file that is not ours would
 //!   destroy data.
 
+use crate::{Space, Verdict};
+
 /// Journal magic, first 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"ORAQLST1";
 /// Current format version.
@@ -46,100 +53,67 @@ pub const RECORD_HEADER_LEN: usize = 1 + 4 + 8;
 /// length field may not force a multi-gigabyte allocation).
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// One decoded journal record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
-    /// Verdict keyed by the salted executable (module-text) hash.
-    ExeVerdict {
-        /// Salted module hash.
-        key: u64,
-        /// Did the compiled program verify?
-        pass: bool,
-        /// Unique ORAQL queries observed by that compilation.
-        unique: u64,
-    },
-    /// Verdict keyed by the salted decisions digest.
-    DecVerdict {
-        /// Salted decisions digest.
-        key: u64,
-        /// Did the compiled program verify?
-        pass: bool,
-        /// Unique ORAQL queries reported by that probe answer.
-        unique: u64,
-    },
-    /// Reference output(s) keyed by the case salt.
-    Reference {
-        /// Case salt (see `oraql::driver`'s `case_salt`).
-        key: u64,
-        /// Accepted reference outputs, `\x1e`-joined.
-        output: String,
-    },
+/// Tag of the retired reference-output record (`key u64 | utf8
+/// bytes`). Journals written before its retirement may hold it: an
+/// intact one is skipped, neither recovered nor counted corrupt.
+const RETIRED_REFERENCE_TAG: u8 = 3;
+
+/// Verdict payload length: `key u64 | pass u8 | unique u64`.
+const VERDICT_PAYLOAD_LEN: usize = 17;
+
+/// One decoded journal record: a verdict filed under one key space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record {
+    /// The key space, which the record's tag names.
+    pub space: Space,
+    /// Salted decisions digest or executable hash.
+    pub key: u64,
+    /// Did the compiled program verify, and the unique ORAQL queries
+    /// of that compilation.
+    pub verdict: Verdict,
 }
 
 impl Record {
     fn tag(&self) -> u8 {
-        match self {
-            Record::ExeVerdict { .. } => 1,
-            Record::DecVerdict { .. } => 2,
-            Record::Reference { .. } => 3,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        match self {
-            Record::ExeVerdict { key, pass, unique } | Record::DecVerdict { key, pass, unique } => {
-                let mut p = Vec::with_capacity(17);
-                p.extend_from_slice(&key.to_le_bytes());
-                p.push(u8::from(*pass));
-                p.extend_from_slice(&unique.to_le_bytes());
-                p
-            }
-            Record::Reference { key, output } => {
-                let mut p = Vec::with_capacity(8 + output.len());
-                p.extend_from_slice(&key.to_le_bytes());
-                p.extend_from_slice(output.as_bytes());
-                p
-            }
+        match self.space {
+            Space::Exe => 1,
+            Space::Dec => 2,
         }
     }
 
     fn decode(tag: u8, payload: &[u8]) -> Option<Record> {
-        match tag {
-            1 | 2 => {
-                if payload.len() != 17 {
-                    return None;
-                }
-                let key = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-                let pass = match payload[8] {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                let unique = u64::from_le_bytes(payload[9..17].try_into().ok()?);
-                Some(if tag == 1 {
-                    Record::ExeVerdict { key, pass, unique }
-                } else {
-                    Record::DecVerdict { key, pass, unique }
-                })
-            }
-            3 => {
-                if payload.len() < 8 {
-                    return None;
-                }
-                let key = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-                let output = String::from_utf8(payload[8..].to_vec()).ok()?;
-                Some(Record::Reference { key, output })
-            }
-            _ => None,
+        let space = match tag {
+            1 => Space::Exe,
+            2 => Space::Dec,
+            _ => return None,
+        };
+        if payload.len() != VERDICT_PAYLOAD_LEN {
+            return None;
         }
+        let key = u64::from_le_bytes(payload[0..8].try_into().ok()?);
+        let pass = match payload[8] {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let unique = u64::from_le_bytes(payload[9..17].try_into().ok()?);
+        Some(Record {
+            space,
+            key,
+            verdict: (pass, unique),
+        })
     }
 
     /// Encodes the record as one wire frame (record header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+        let (pass, unique) = self.verdict;
+        let mut payload = [0u8; VERDICT_PAYLOAD_LEN];
+        payload[0..8].copy_from_slice(&self.key.to_le_bytes());
+        payload[8] = u8::from(pass);
+        payload[9..17].copy_from_slice(&unique.to_le_bytes());
+        let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + VERDICT_PAYLOAD_LEN);
         frame.push(self.tag());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&(VERDICT_PAYLOAD_LEN as u32).to_le_bytes());
         frame.extend_from_slice(&checksum(self.tag(), &payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         frame
@@ -242,6 +216,7 @@ pub fn scan(bytes: &[u8], base: u64) -> Scan {
         }
         match Record::decode(tag, payload) {
             Some(r) => s.records.push(r),
+            None if tag == RETIRED_REFERENCE_TAG => {}
             None => s.corrupt += 1,
         }
     }
@@ -272,19 +247,20 @@ mod tests {
 
     fn sample() -> Vec<Record> {
         vec![
-            Record::ExeVerdict {
+            Record {
+                space: Space::Exe,
                 key: 0xdead_beef,
-                pass: true,
-                unique: 42,
+                verdict: (true, 42),
             },
-            Record::DecVerdict {
+            Record {
+                space: Space::Dec,
                 key: 7,
-                pass: false,
-                unique: 0,
+                verdict: (false, 0),
             },
-            Record::Reference {
+            Record {
+                space: Space::Dec,
                 key: 99,
-                output: "checksum 1.5\nRuntime: 3 cycles\n".into(),
+                verdict: (true, 3),
             },
         ]
     }
@@ -294,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_record_kinds() {
+    fn roundtrip_both_spaces() {
         let rs = sample();
         let s = scan(&frames(&rs), HEADER_LEN as u64);
         assert_eq!(s.records, rs);
@@ -376,11 +352,41 @@ mod tests {
     }
 
     #[test]
+    fn verdict_frames_keep_their_bytes() {
+        // Tag, payload length, FNV-1a checksum, key, pass, unique: the
+        // format journals have always had.
+        let frame = Record {
+            space: Space::Dec,
+            key: 0x0123_4567_89ab_cdef,
+            verdict: (true, 42),
+        }
+        .encode();
+        let mut want = vec![2, 17, 0, 0, 0];
+        let payload: Vec<u8> = [
+            &0x0123_4567_89ab_cdefu64.to_le_bytes()[..],
+            &[1],
+            &42u64.to_le_bytes(),
+        ]
+        .concat();
+        want.extend_from_slice(&checksum(2, &payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(frame, want);
+        let exe = Record {
+            space: Space::Exe,
+            key: 0x0123_4567_89ab_cdef,
+            verdict: (true, 42),
+        }
+        .encode();
+        assert_eq!(exe[0], 1);
+        assert_eq!(exe[13..], want[13..], "one payload shape for both spaces");
+    }
+
+    #[test]
     fn non_boolean_pass_byte_is_corrupt() {
-        let r = Record::ExeVerdict {
+        let r = Record {
+            space: Space::Exe,
             key: 1,
-            pass: true,
-            unique: 2,
+            verdict: (true, 2),
         };
         let mut bytes = r.encode();
         // Set the pass byte to 2 and fix up the checksum so only the

@@ -3,24 +3,26 @@
 //! ORAQL's probing loop recomputes the same verdicts in every process:
 //! the driver's in-memory verdict caches die with the run, so every
 //! CLI invocation, bench target, and CI pass pays the full probe bill
-//! again. This crate persists those verdicts (and the reference outputs
-//! that gate them) in an on-disk, append-only, content-addressed
-//! journal, so a warm re-run answers probes with metadata lookups
-//! instead of compile + VM + verify cycles.
+//! again. This crate persists those verdicts in an on-disk,
+//! append-only, content-addressed journal, so a warm re-run answers
+//! probes with metadata lookups instead of compile + VM + verify
+//! cycles.
 //!
 //! ## Content addressing
 //!
-//! Keys are the driver's existing salted hashes — nothing here invents
-//! new identity:
+//! A [`Verdict`] is filed under a key in one of two key spaces
+//! ([`Space`]). Keys are the driver's existing salted hashes — nothing
+//! here invents new identity. The **case salt** hashes the benchmark
+//! name, accepted references, ignore patterns and fuel, so a verdict is
+//! only transferable between probes that agree on all of those; under
+//! it,
 //!
-//! * the **case salt** hashes the benchmark name, accepted references,
-//!   ignore patterns and fuel — a verdict is only transferable between
-//!   probes that agree on all of those;
-//! * the **decisions digest** (salt + rendered decision vector) keys
-//!   compile-free answers;
+//! * the **decisions digest** (salt + rendered decision vector,
+//!   [`Space::Dec`]) keys compile-free answers;
 //! * the **module hash** (`oraql_ir::printer::module_key` under the
-//!   salt: the printed module's fields, hashed without printing) keys
-//!   run-free answers for bit-identical recompilations.
+//!   salt: the printed module's fields, hashed without printing,
+//!   [`Space::Exe`]) keys run-free answers for bit-identical
+//!   recompilations.
 //!
 //! If a workload generator, verifier input, or fuel budget changes, the
 //! salt changes, every key changes, and stale entries are simply never
@@ -45,6 +47,14 @@
 //!   `O_APPEND` descriptor under a shared advisory lock; torn/interleaved
 //!   writes are detected by checksums on the next open. [`Store::refresh`]
 //!   picks up records other handles appended since open.
+//!
+//! ## Chaos
+//!
+//! A handle given a [`FaultInjector`] ([`Store::with_faults`]) draws the
+//! `store-write-bitflip` and `store-write-torn` sites on every append
+//! in [`Store::record`], its one write path. A damaged frame still
+//! lands in the writing handle's maps, as silent disk rot would; the
+//! next open drops it as corrupt or torn.
 
 // The PR 4 driver audit, extended to the store now that a long-lived
 // server owns journals: no `unwrap`/`expect` may sit on an I/O-reachable
@@ -57,6 +67,7 @@ pub mod stats;
 
 pub use journal::Record;
 use journal::{HeaderError, Scan, HEADER_LEN};
+use oraql_faults::{FaultInjector, FaultSite};
 pub use stats::{StatsSnapshot, StoreStats};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -64,11 +75,18 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Chaos-testing hook: may mutate (bit-flip) or truncate (tear) an
-/// encoded record frame just before it is written to the journal.
-/// Returns `true` when it corrupted the frame. See
-/// [`Store::set_write_corruptor`].
-pub type WriteCorruptor = Arc<dyn Fn(&mut Vec<u8>) -> bool + Send + Sync>;
+/// A probe verdict as every tier files it: did the compiled program
+/// verify, and how many unique ORAQL queries its compilation reported.
+pub type Verdict = (bool, u64);
+
+/// The two key spaces a verdict is filed under (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Space {
+    /// The salted decisions digest: a hit skips the compile and the run.
+    Dec,
+    /// The salted executable hash: a hit skips the run.
+    Exe,
+}
 
 /// Errors opening or maintaining a store.
 #[derive(Debug)]
@@ -110,26 +128,17 @@ pub struct Compaction {
     pub bytes_after: u64,
 }
 
+/// The live verdicts, one map per [`Space`] (indexed by `space as usize`).
 #[derive(Debug, Default)]
-struct Maps {
-    exe: HashMap<u64, (bool, u64)>,
-    dec: HashMap<u64, (bool, u64)>,
-    refs: HashMap<u64, String>,
-}
+struct Maps([HashMap<u64, Verdict>; 2]);
 
 impl Maps {
+    fn space(&self, space: Space) -> &HashMap<u64, Verdict> {
+        &self.0[space as usize]
+    }
+
     fn apply(&mut self, r: Record) {
-        match r {
-            Record::ExeVerdict { key, pass, unique } => {
-                self.exe.insert(key, (pass, unique));
-            }
-            Record::DecVerdict { key, pass, unique } => {
-                self.dec.insert(key, (pass, unique));
-            }
-            Record::Reference { key, output } => {
-                self.refs.insert(key, output);
-            }
-        }
+        self.0[r.space as usize].insert(r.key, r.verdict);
     }
 }
 
@@ -148,29 +157,14 @@ struct Inner {
 
 /// A handle to one on-disk verdict store. Cheap to share via `Arc`;
 /// every operation is safe from any thread.
+#[derive(Debug)]
 pub struct Store {
     path: PathBuf,
     stats: StoreStats,
     inner: Mutex<Inner>,
-    /// Fault-injection hook applied to encoded frames before append.
-    corruptor: Mutex<Option<WriteCorruptor>>,
+    /// Chaos: draws the store-write fault sites on every append.
+    faults: Option<Arc<FaultInjector>>,
 }
-
-impl std::fmt::Debug for Store {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Store")
-            .field("path", &self.path)
-            .field("stats", &self.stats)
-            .field("inner", &self.inner)
-            .field("corruptor", &lock_ignore_poison(&self.corruptor).is_some())
-            .finish()
-    }
-}
-
-/// Separator between the joined reference outputs of one record
-/// (ASCII record separator; cannot occur in program stdout, which the
-/// VM builds from formatted prints).
-pub const REF_SEP: char = '\x1e';
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -266,18 +260,16 @@ impl Store {
                 lock,
                 scanned,
             }),
-            corruptor: Mutex::new(None),
+            faults: None,
         })
     }
 
-    /// Installs (or clears) a chaos-testing [`WriteCorruptor`]. While
-    /// set, every appended frame is offered to the hook first; a frame
-    /// the hook corrupts still lands in this handle's in-memory maps —
-    /// exactly like real silent disk rot, the damage is only discovered
-    /// (checksum-skipped and counted) by the next process that scans
-    /// the journal. Counted in [`StatsSnapshot::injected_corrupt`].
-    pub fn set_write_corruptor(&self, c: Option<WriteCorruptor>) {
-        *lock_ignore_poison(&self.corruptor) = c;
+    /// Hands this handle a fault injector (`None`: none). Every later
+    /// append draws the `store-write-bitflip` and `store-write-torn`
+    /// sites from it (see the module docs).
+    pub fn with_faults(mut self, faults: Option<Arc<FaultInjector>>) -> Store {
+        self.faults = faults;
+        self
     }
 
     fn note_scan(stats: &StoreStats, scan: &Scan) {
@@ -300,47 +292,30 @@ impl Store {
         self.stats.snapshot()
     }
 
-    /// Looks up a verdict by salted module hash.
-    pub fn exe_verdict(&self, key: u64) -> Option<(bool, u64)> {
-        let hit = lock_ignore_poison(&self.inner).maps.exe.get(&key).copied();
-        StoreStats::bump(
-            if hit.is_some() {
-                &self.stats.exe_hits
-            } else {
-                &self.stats.misses
-            },
-            1,
-        );
+    /// Looks up the verdict filed under `key` in `space`.
+    pub fn verdict(&self, space: Space, key: u64) -> Option<Verdict> {
+        let hit = lock_ignore_poison(&self.inner)
+            .maps
+            .space(space)
+            .get(&key)
+            .copied();
+        let counter = match (hit, space) {
+            (None, _) => &self.stats.misses,
+            (Some(_), Space::Dec) => &self.stats.dec_hits,
+            (Some(_), Space::Exe) => &self.stats.exe_hits,
+        };
+        StoreStats::bump(counter, 1);
         hit
     }
 
-    /// Looks up a verdict by salted decisions digest.
-    pub fn dec_verdict(&self, key: u64) -> Option<(bool, u64)> {
-        let hit = lock_ignore_poison(&self.inner).maps.dec.get(&key).copied();
-        StoreStats::bump(
-            if hit.is_some() {
-                &self.stats.dec_hits
-            } else {
-                &self.stats.misses
-            },
-            1,
-        );
-        hit
-    }
-
-    /// The stored reference outputs for a case salt, if any.
-    pub fn references(&self, salt: u64) -> Option<Vec<String>> {
+    /// Live verdicts (both spaces) this handle has loaded.
+    pub fn len(&self) -> usize {
         lock_ignore_poison(&self.inner)
             .maps
-            .refs
-            .get(&salt)
-            .map(|s| s.split(REF_SEP).map(str::to_owned).collect())
-    }
-
-    /// Live records (exe + dec + refs) this handle has loaded.
-    pub fn len(&self) -> usize {
-        let maps = &lock_ignore_poison(&self.inner).maps;
-        maps.exe.len() + maps.dec.len() + maps.refs.len()
+            .0
+            .iter()
+            .map(HashMap::len)
+            .sum()
     }
 
     /// Whether this handle has loaded no live record.
@@ -348,45 +323,39 @@ impl Store {
         self.len() == 0
     }
 
-    /// Records an executable-hash verdict (no-op if an identical record
-    /// is already live, so re-runs do not grow the journal).
-    pub fn record_exe(&self, key: u64, pass: bool, unique: u64) -> std::io::Result<()> {
-        self.record(Record::ExeVerdict { key, pass, unique })
-    }
-
-    /// Records a decisions-digest verdict (same dedup as
-    /// [`Store::record_exe`]).
+    /// [`Store::record`] in [`Space::Dec`].
     pub fn record_dec(&self, key: u64, pass: bool, unique: u64) -> std::io::Result<()> {
-        self.record(Record::DecVerdict { key, pass, unique })
+        self.record(Space::Dec, key, (pass, unique))
     }
 
-    /// Records the accepted reference outputs for a case salt.
-    pub fn record_references(&self, salt: u64, outputs: &[String]) -> std::io::Result<()> {
-        let joined = outputs.join(&REF_SEP.to_string());
-        self.record(Record::Reference {
-            key: salt,
-            output: joined,
-        })
-    }
-
-    fn record(&self, r: Record) -> std::io::Result<()> {
+    /// Files `verdict` under `key` in `space`: one journal append, then
+    /// the in-memory map. A no-op when that verdict is already live, so
+    /// re-runs do not grow the journal; a changed verdict is appended
+    /// and the last one wins.
+    pub fn record(&self, space: Space, key: u64, verdict: Verdict) -> std::io::Result<()> {
         let mut inner = lock_ignore_poison(&self.inner);
-        let live = match &r {
-            Record::ExeVerdict { key, pass, unique } => {
-                inner.maps.exe.get(key) == Some(&(*pass, *unique))
-            }
-            Record::DecVerdict { key, pass, unique } => {
-                inner.maps.dec.get(key) == Some(&(*pass, *unique))
-            }
-            Record::Reference { key, output } => inner.maps.refs.get(key) == Some(output),
-        };
-        if live {
+        if inner.maps.space(space).get(&key) == Some(&verdict) {
             return Ok(());
         }
+        let r = Record {
+            space,
+            key,
+            verdict,
+        };
         let mut frame = r.encode();
-        if let Some(c) = lock_ignore_poison(&self.corruptor).as_ref() {
-            if c(&mut frame) {
-                StoreStats::bump(&self.stats.injected_corrupt, 1);
+        if let Some(f) = &self.faults {
+            // Both sites are drawn on every append, so each site's
+            // occurrence stream stays independent of the other's rate.
+            let (flip, tear) = (
+                f.fire(FaultSite::StoreWriteBitFlip),
+                f.fire(FaultSite::StoreWriteTorn),
+            );
+            if flip {
+                let last = frame.len() - 1;
+                frame[last] ^= 0x01;
+            }
+            if tear {
+                frame.truncate(frame.len() / 2);
             }
         }
         inner.lock.lock_shared()?;
@@ -497,30 +466,21 @@ impl Store {
         let mut out = Vec::with_capacity(bytes_before as usize);
         out.extend_from_slice(&journal::header());
         let mut records = 0u64;
-        // Deterministic journal bytes: sorted keys per record kind.
-        let mut exe: Vec<_> = inner.maps.exe.iter().collect();
-        exe.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, &(pass, unique)) in exe {
-            out.extend_from_slice(&Record::ExeVerdict { key, pass, unique }.encode());
-            records += 1;
-        }
-        let mut dec: Vec<_> = inner.maps.dec.iter().collect();
-        dec.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, &(pass, unique)) in dec {
-            out.extend_from_slice(&Record::DecVerdict { key, pass, unique }.encode());
-            records += 1;
-        }
-        let mut refs: Vec<_> = inner.maps.refs.iter().collect();
-        refs.sort_unstable_by_key(|(k, _)| **k);
-        for (&key, output) in refs {
-            out.extend_from_slice(
-                &Record::Reference {
-                    key,
-                    output: output.clone(),
-                }
-                .encode(),
-            );
-            records += 1;
+        // Deterministic journal bytes: tag order, then sorted keys.
+        for space in [Space::Exe, Space::Dec] {
+            let mut live: Vec<_> = inner.maps.space(space).iter().collect();
+            live.sort_unstable_by_key(|(k, _)| **k);
+            for (&key, &verdict) in live {
+                out.extend_from_slice(
+                    &Record {
+                        space,
+                        key,
+                        verdict,
+                    }
+                    .encode(),
+                );
+                records += 1;
+            }
         }
         {
             let mut f = File::create(&tmp)?;
@@ -569,19 +529,19 @@ mod tests {
         let path = tmp("roundtrip");
         {
             let s = Store::open(&path).unwrap();
-            s.record_exe(1, true, 10).unwrap();
-            s.record_dec(2, false, 20).unwrap();
-            s.record_references(3, &["a\n".into(), "b\n".into()])
-                .unwrap();
+            s.record(Space::Exe, 1, (true, 10)).unwrap();
+            s.record(Space::Dec, 2, (false, 20)).unwrap();
+            // The spaces are disjoint: one key, two verdicts.
+            s.record(Space::Exe, 2, (true, 30)).unwrap();
             s.sync().unwrap();
         }
         let s = Store::open(&path).unwrap();
-        assert_eq!(s.exe_verdict(1), Some((true, 10)));
-        assert_eq!(s.dec_verdict(2), Some((false, 20)));
-        assert_eq!(s.references(3), Some(vec!["a\n".into(), "b\n".into()]));
+        assert_eq!(s.verdict(Space::Exe, 1), Some((true, 10)));
+        assert_eq!(s.verdict(Space::Dec, 2), Some((false, 20)));
+        assert_eq!(s.verdict(Space::Exe, 2), Some((true, 30)));
         assert_eq!(s.stats().recovered, 3);
-        assert_eq!(s.stats().hits(), 2);
-        assert_eq!(s.exe_verdict(999), None);
+        assert_eq!(s.stats().hits(), 3);
+        assert_eq!(s.verdict(Space::Dec, 1), None);
         assert_eq!(s.stats().misses, 1);
         cleanup(&path);
     }
@@ -590,15 +550,15 @@ mod tests {
     fn identical_rerecord_does_not_grow_journal() {
         let path = tmp("dedup");
         let s = Store::open(&path).unwrap();
-        s.record_exe(1, true, 10).unwrap();
+        s.record(Space::Exe, 1, (true, 10)).unwrap();
         let len = std::fs::metadata(&path).unwrap().len();
-        s.record_exe(1, true, 10).unwrap();
+        s.record(Space::Exe, 1, (true, 10)).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
         assert_eq!(s.stats().appends, 1);
         // A *changed* verdict for the same key is appended (last wins).
-        s.record_exe(1, true, 11).unwrap();
+        s.record(Space::Exe, 1, (true, 11)).unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() > len);
-        assert_eq!(s.exe_verdict(1), Some((true, 11)));
+        assert_eq!(s.verdict(Space::Exe, 1), Some((true, 11)));
         cleanup(&path);
     }
 
@@ -608,7 +568,7 @@ mod tests {
         {
             let s = Store::open(&path).unwrap();
             for k in 0..10 {
-                s.record_dec(k, true, k).unwrap();
+                s.record(Space::Dec, k, (true, k)).unwrap();
             }
             s.sync().unwrap();
         }
@@ -621,17 +581,17 @@ mod tests {
         assert_eq!(s.stats().dropped_torn, 1);
         assert_eq!(s.stats().recovered, 9);
         for k in 0..9 {
-            assert_eq!(s.dec_verdict(k), Some((true, k)), "record {k}");
+            assert_eq!(s.verdict(Space::Dec, k), Some((true, k)), "record {k}");
         }
-        assert_eq!(s.dec_verdict(9), None);
+        assert_eq!(s.verdict(Space::Dec, 9), None);
         // The torn bytes are gone: appends resume on a frame boundary
         // and a further reopen sees a clean journal.
-        s.record_dec(9, true, 9).unwrap();
+        s.record(Space::Dec, 9, (true, 9)).unwrap();
         s.sync().unwrap();
         let s2 = Store::open(&path).unwrap();
         assert_eq!(s2.stats().dropped_torn, 0);
         assert_eq!(s2.stats().recovered, 10);
-        assert_eq!(s2.dec_verdict(9), Some((true, 9)));
+        assert_eq!(s2.verdict(Space::Dec, 9), Some((true, 9)));
         cleanup(&path);
     }
 
@@ -640,17 +600,17 @@ mod tests {
         let path = tmp("corrupt");
         {
             let s = Store::open(&path).unwrap();
-            s.record_exe(1, true, 10).unwrap();
-            s.record_exe(2, true, 20).unwrap();
-            s.record_exe(3, true, 30).unwrap();
+            s.record(Space::Exe, 1, (true, 10)).unwrap();
+            s.record(Space::Exe, 2, (true, 20)).unwrap();
+            s.record(Space::Exe, 3, (true, 30)).unwrap();
             s.sync().unwrap();
         }
         // Flip one payload byte of the middle record.
         let mut bytes = std::fs::read(&path).unwrap();
-        let frame = Record::ExeVerdict {
+        let frame = Record {
+            space: Space::Exe,
             key: 1,
-            pass: true,
-            unique: 10,
+            verdict: (true, 10),
         }
         .encode()
         .len();
@@ -661,9 +621,13 @@ mod tests {
         assert_eq!(s.stats().dropped_corrupt, 1);
         assert_eq!(s.stats().dropped_torn, 0);
         assert_eq!(s.stats().recovered, 2);
-        assert_eq!(s.exe_verdict(1), Some((true, 10)));
-        assert_eq!(s.exe_verdict(2), None, "corrupt record must not serve");
-        assert_eq!(s.exe_verdict(3), Some((true, 30)));
+        assert_eq!(s.verdict(Space::Exe, 1), Some((true, 10)));
+        assert_eq!(
+            s.verdict(Space::Exe, 2),
+            None,
+            "corrupt record must not serve"
+        );
+        assert_eq!(s.verdict(Space::Exe, 3), Some((true, 30)));
         cleanup(&path);
     }
 
@@ -688,12 +652,12 @@ mod tests {
             let b2 = Arc::clone(&b);
             sc.spawn(move || {
                 for k in 0..50 {
-                    a2.record_exe(k, true, k).unwrap();
+                    a2.record(Space::Exe, k, (true, k)).unwrap();
                 }
             });
             sc.spawn(move || {
                 for k in 50..100 {
-                    b2.record_dec(k, false, k).unwrap();
+                    b2.record(Space::Dec, k, (false, k)).unwrap();
                 }
             });
         });
@@ -704,12 +668,20 @@ mod tests {
         a.refresh().unwrap();
         b.refresh().unwrap();
         for k in 0..50 {
-            assert_eq!(a.exe_verdict(k), Some((true, k)));
-            assert_eq!(b.exe_verdict(k), Some((true, k)), "b sees a's records");
+            assert_eq!(a.verdict(Space::Exe, k), Some((true, k)));
+            assert_eq!(
+                b.verdict(Space::Exe, k),
+                Some((true, k)),
+                "b sees a's records"
+            );
         }
         for k in 50..100 {
-            assert_eq!(b.dec_verdict(k), Some((false, k)));
-            assert_eq!(a.dec_verdict(k), Some((false, k)), "a sees b's records");
+            assert_eq!(b.verdict(Space::Dec, k), Some((false, k)));
+            assert_eq!(
+                a.verdict(Space::Dec, k),
+                Some((false, k)),
+                "a sees b's records"
+            );
         }
         // And a cold reopen recovers every record intact.
         let c = Store::open(&path).unwrap();
@@ -725,26 +697,30 @@ mod tests {
         let s = Store::open(&path).unwrap();
         for round in 0..5u64 {
             for k in 0..20u64 {
-                s.record_dec(k, true, 100 * round + k).unwrap();
+                s.record(Space::Dec, k, (true, 100 * round + k)).unwrap();
             }
         }
-        s.record_references(7, &["ref\n".into()]).unwrap();
+        s.record(Space::Exe, 7, (true, 7)).unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
         let c = s.compact().unwrap();
         assert_eq!(c.records, 21);
         assert_eq!(c.bytes_before, before);
         assert!(c.bytes_after < before, "{c:?}");
         for k in 0..20 {
-            assert_eq!(s.dec_verdict(k), Some((true, 400 + k)), "latest round wins");
+            assert_eq!(
+                s.verdict(Space::Dec, k),
+                Some((true, 400 + k)),
+                "latest round wins"
+            );
         }
         // Appends after compaction land in the new journal.
-        s.record_exe(1000, false, 1).unwrap();
+        s.record(Space::Exe, 1000, (false, 1)).unwrap();
         s.sync().unwrap();
         let r = Store::open(&path).unwrap();
         assert_eq!(r.stats().recovered, 22);
-        assert_eq!(r.dec_verdict(5), Some((true, 405)));
-        assert_eq!(r.exe_verdict(1000), Some((false, 1)));
-        assert_eq!(r.references(7), Some(vec!["ref\n".into()]));
+        assert_eq!(r.verdict(Space::Dec, 5), Some((true, 405)));
+        assert_eq!(r.verdict(Space::Exe, 1000), Some((false, 1)));
+        assert_eq!(r.verdict(Space::Exe, 7), Some((true, 7)));
         cleanup(&path);
     }
 
@@ -753,9 +729,9 @@ mod tests {
         let path = tmp("compact_det");
         {
             let s = Store::open(&path).unwrap();
-            s.record_exe(3, true, 3).unwrap();
-            s.record_exe(1, true, 1).unwrap();
-            s.record_dec(2, false, 2).unwrap();
+            s.record(Space::Exe, 3, (true, 3)).unwrap();
+            s.record(Space::Exe, 1, (true, 1)).unwrap();
+            s.record(Space::Dec, 2, (false, 2)).unwrap();
             s.sync().unwrap();
         }
         // Corrupt the journal, reopen (skips the bad record), compact:
@@ -786,16 +762,16 @@ mod tests {
         let path = tmp("stale");
         let a = Store::open(&path).unwrap();
         let b = Store::open(&path).unwrap();
-        a.record_exe(1, true, 1).unwrap();
+        a.record(Space::Exe, 1, (true, 1)).unwrap();
         b.refresh().unwrap();
         // b compacts (rename swaps the inode); a's next append must not
         // vanish into the unlinked file.
         b.compact().unwrap();
-        a.record_exe(2, true, 2).unwrap();
+        a.record(Space::Exe, 2, (true, 2)).unwrap();
         a.sync().unwrap();
         let c = Store::open(&path).unwrap();
-        assert_eq!(c.exe_verdict(1), Some((true, 1)));
-        assert_eq!(c.exe_verdict(2), Some((true, 2)));
+        assert_eq!(c.verdict(Space::Exe, 1), Some((true, 1)));
+        assert_eq!(c.verdict(Space::Exe, 2), Some((true, 2)));
         cleanup(&path);
     }
 
@@ -803,68 +779,160 @@ mod tests {
     fn display_of_stats_is_stable() {
         let path = tmp("display");
         let s = Store::open(&path).unwrap();
-        s.record_exe(1, true, 1).unwrap();
-        let _ = s.exe_verdict(1);
+        s.record(Space::Exe, 1, (true, 1)).unwrap();
+        let _ = s.verdict(Space::Exe, 1);
         let text = s.stats().to_string();
         assert!(text.contains("1 hits (1 exe / 0 dec)"), "{text}");
         assert!(text.contains("1 appends"), "{text}");
         cleanup(&path);
     }
 
+    /// A handle whose every append draws `site` as fired.
+    fn open_faulty(path: &Path, site: FaultSite) -> (Store, Arc<FaultInjector>) {
+        use oraql_faults::{FaultPlan, Rate};
+        let inj = Arc::new(FaultInjector::new(
+            FaultPlan::quiet(1).with_rate(site, Rate::always()),
+        ));
+        let s = Store::open(path)
+            .unwrap()
+            .with_faults(Some(Arc::clone(&inj)));
+        (s, inj)
+    }
+
     #[test]
-    fn write_corruptor_bitflip_is_dropped_on_reopen() {
-        let path = tmp("corruptor_flip");
+    fn bitflip_site_is_dropped_on_reopen() {
+        let path = tmp("fault_flip");
+        Store::open(&path)
+            .unwrap()
+            .record(Space::Exe, 1, (true, 10))
+            .unwrap();
         {
-            let s = Store::open(&path).unwrap();
-            s.record_exe(1, true, 10).unwrap();
-            // Flip one payload bit of every frame appended from here on.
-            s.set_write_corruptor(Some(Arc::new(|frame: &mut Vec<u8>| {
-                let last = frame.len() - 1;
-                frame[last] ^= 0x01;
-                true
-            })));
-            s.record_exe(2, true, 20).unwrap();
+            let (s, inj) = open_faulty(&path, FaultSite::StoreWriteBitFlip);
+            s.record(Space::Exe, 2, (true, 20)).unwrap();
+            s.record(Space::Dec, 3, (false, 0)).unwrap();
             s.sync().unwrap();
-            // The writing handle still sees the record in memory —
+            // The writing handle still sees the records in memory —
             // silent disk rot is invisible to the writer by design.
-            assert_eq!(s.exe_verdict(2), Some((true, 20)));
-            assert_eq!(s.stats().injected_corrupt, 1);
+            assert_eq!(s.verdict(Space::Exe, 2), Some((true, 20)));
+            // A live verdict is not appended again, so nothing is drawn.
+            s.record(Space::Exe, 2, (true, 20)).unwrap();
+            assert_eq!(
+                inj.summary(),
+                [
+                    (FaultSite::StoreWriteTorn, 2, 0),
+                    (FaultSite::StoreWriteBitFlip, 2, 2)
+                ]
+            );
         }
         let s2 = Store::open(&path).unwrap();
-        assert_eq!(s2.exe_verdict(1), Some((true, 10)), "clean record kept");
-        assert_eq!(s2.exe_verdict(2), None, "corrupt record dropped");
-        assert_eq!(s2.stats().dropped_corrupt, 1);
+        assert_eq!(
+            s2.verdict(Space::Exe, 1),
+            Some((true, 10)),
+            "clean record kept"
+        );
+        assert_eq!(s2.verdict(Space::Exe, 2), None, "corrupt record dropped");
+        assert_eq!(s2.stats().dropped_corrupt, 2);
         assert_eq!(s2.stats().recovered, 1);
         cleanup(&path);
     }
 
     #[test]
-    fn write_corruptor_torn_tail_is_truncated_on_reopen() {
-        let path = tmp("corruptor_torn");
+    fn torn_site_is_truncated_on_reopen() {
+        let path = tmp("fault_torn");
+        Store::open(&path)
+            .unwrap()
+            .record(Space::Exe, 1, (true, 10))
+            .unwrap();
         {
-            let s = Store::open(&path).unwrap();
-            s.record_exe(1, true, 10).unwrap();
             // Tear the frame in half, as if the process died mid-write.
-            s.set_write_corruptor(Some(Arc::new(|frame: &mut Vec<u8>| {
-                frame.truncate(frame.len() / 2);
-                true
-            })));
-            s.record_exe(2, false, 0).unwrap();
+            let (s, inj) = open_faulty(&path, FaultSite::StoreWriteTorn);
+            s.record(Space::Exe, 2, (false, 0)).unwrap();
             s.sync().unwrap();
+            assert_eq!(inj.fired(FaultSite::StoreWriteTorn), 1);
         }
         let s2 = Store::open(&path).unwrap();
-        assert_eq!(s2.exe_verdict(1), Some((true, 10)));
-        assert_eq!(s2.exe_verdict(2), None, "torn record truncated away");
+        assert_eq!(s2.verdict(Space::Exe, 1), Some((true, 10)));
+        assert_eq!(
+            s2.verdict(Space::Exe, 2),
+            None,
+            "torn record truncated away"
+        );
         assert_eq!(s2.stats().dropped_torn, 1);
-        // Clearing the hook restores normal appends.
-        {
-            let s = Store::open(&path).unwrap();
-            s.set_write_corruptor(None);
-            s.record_exe(3, true, 30).unwrap();
-            s.sync().unwrap();
-        }
+        // A handle without faults appends normally after the cut.
+        s2.record(Space::Exe, 3, (true, 30)).unwrap();
+        s2.sync().unwrap();
         let s3 = Store::open(&path).unwrap();
-        assert_eq!(s3.exe_verdict(3), Some((true, 30)));
+        assert_eq!(s3.verdict(Space::Exe, 3), Some((true, 30)));
+        assert_eq!(
+            (s3.stats().dropped_corrupt, s3.stats().dropped_torn),
+            (0, 0)
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn journal_with_retired_reference_records_still_opens() {
+        // A journal as written before the reference record retired:
+        // verdicts of both spaces with tag-3 reference records between
+        // them, built from raw frames.
+        fn reference(key: u64, output: &str) -> Vec<u8> {
+            let mut payload = key.to_le_bytes().to_vec();
+            payload.extend_from_slice(output.as_bytes());
+            let mut frame = vec![3u8];
+            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&journal::checksum(3, &payload).to_le_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        }
+        let verdicts = [
+            (Space::Exe, 1, (true, 10)),
+            (Space::Dec, 2, (false, 0)),
+            (Space::Dec, 3, (true, 4)),
+        ];
+        let frame = |(space, key, verdict): (Space, u64, Verdict)| {
+            Record {
+                space,
+                key,
+                verdict,
+            }
+            .encode()
+        };
+        let path = tmp("retired_refs");
+        let mut bytes = journal::header().to_vec();
+        bytes.extend(reference(99, "checksum 1.5\n\x1eother\n"));
+        bytes.extend(frame(verdicts[0]));
+        bytes.extend(frame(verdicts[1]));
+        bytes.extend(reference(98, "x\n"));
+        bytes.extend(frame(verdicts[2]));
+        std::fs::write(&path, &bytes).unwrap();
+
+        let s = Store::open(&path).unwrap();
+        let st = s.stats();
+        assert_eq!(
+            (st.recovered, st.dropped_corrupt, st.dropped_torn),
+            (3, 0, 0)
+        );
+        assert_eq!(s.len(), 3, "no reference record is served");
+        for (space, key, verdict) in verdicts {
+            assert_eq!(s.verdict(space, key), Some(verdict));
+        }
+        assert_eq!(s.verdict(Space::Exe, 99), None);
+        // Appends land after the old records; compaction drops the
+        // reference bytes and keeps every verdict.
+        s.record(Space::Exe, 4, (true, 1)).unwrap();
+        let c = s.compact().unwrap();
+        assert_eq!(c.records, 4);
+        let compacted = std::fs::read(&path).unwrap();
+        let mut want = journal::header().to_vec();
+        for v in [
+            verdicts[0],
+            (Space::Exe, 4, (true, 1)),
+            verdicts[1],
+            verdicts[2],
+        ] {
+            want.extend(frame(v));
+        }
+        assert_eq!(compacted, want);
         cleanup(&path);
     }
 }

@@ -26,9 +26,6 @@ pub struct StoreStats {
     pub dropped_torn: AtomicU64,
     /// Compactions performed by this handle.
     pub compactions: AtomicU64,
-    /// Frames deliberately corrupted by an installed chaos-testing
-    /// write corruptor (see `Store::set_write_corruptor`).
-    pub injected_corrupt: AtomicU64,
 }
 
 /// A plain-value copy of [`StoreStats`] at one instant.
@@ -50,9 +47,6 @@ pub struct StatsSnapshot {
     pub dropped_torn: u64,
     /// Compactions performed by this handle.
     pub compactions: u64,
-    /// Frames deliberately corrupted by a chaos-testing write
-    /// corruptor.
-    pub injected_corrupt: u64,
 }
 
 impl StatsSnapshot {
@@ -75,7 +69,6 @@ impl StoreStats {
             dropped_corrupt: r(&self.dropped_corrupt),
             dropped_torn: r(&self.dropped_torn),
             compactions: r(&self.compactions),
-            injected_corrupt: r(&self.injected_corrupt),
         }
     }
 

@@ -50,11 +50,13 @@
 //!
 //! `--fault-plan <spec>` (e.g. `seed=42,vm-trap=1/16,compile-panic=1/32`)
 //! arms the deterministic fault injector on the probe path — chaos
-//! testing for the probe sandbox. Failed probes retry and then degrade
-//! to pessimistic may-alias; counters are reported per run and a fault
-//! summary is printed at exit. `--probe-deadline-ms N` puts each probe
-//! attempt under a wall-clock watchdog (0 disables). These two,
-//! `--jobs`, `--max-tests`, `--server` and `--no-gate` are parsed by
+//! testing for the probe sandbox — and, with `--store`, on the store's
+//! journal appends (`store-write-bitflip`, `store-write-torn`). Failed
+//! probes retry and then degrade to pessimistic may-alias; counters are
+//! reported per run and a fault summary is printed at exit.
+//! `--probe-deadline-ms N` puts each probe attempt under a wall-clock
+//! watchdog (0 disables). These two, `--jobs`, `--max-tests`,
+//! `--server` and `--no-gate` are parsed by
 //! `oraql_workloads::driver_flags`, which `oraql gen` shares.
 //!
 //! `--metrics-out <path>` writes the process-wide metrics registry
@@ -258,12 +260,7 @@ fn print_result(
     }
     if dump {
         println!("--- pessimistic query report ---");
-        let text = render_report(
-            &r.final_module,
-            &r.queries,
-            DumpFlags::pessimistic_only(),
-            &r.pass_trace,
-        );
+        let text = render_report(&r.final_module, &r.queries, DumpFlags::pessimistic_only());
         if text.is_empty() {
             println!("(no pessimistic queries)");
         } else {
@@ -426,7 +423,6 @@ fn main() {
         opts.strategy = s;
     }
     let dump = dump || config.as_ref().is_some_and(|c| c.dump);
-    opts.trace_passes = dump;
     let sink = trace_path.as_deref().map(|p| {
         TraceSink::to_file(p).unwrap_or_else(|e| {
             eprintln!("cannot open trace file {p}: {e}");
@@ -438,8 +434,10 @@ fn main() {
     // if the process (e.g. under a test harness) did earlier work.
     let snap0 = oraql_obs::global().snapshot();
 
+    // A fault plan reaches the store too: its appends draw the
+    // store-write sites.
     let store = store_path.as_deref().map(|p| match oraql::Store::open(p) {
-        Ok(s) => Arc::new(s),
+        Ok(s) => Arc::new(s.with_faults(opts.faults.clone())),
         Err(e) => {
             eprintln!("cannot open verdict store {p}: {e}");
             std::process::exit(2)

@@ -29,14 +29,7 @@ fn main() {
 
     for name in configs {
         let case = workloads::find_case(name).expect(name);
-        let r = Driver::run(
-            &case,
-            DriverOptions {
-                trace_passes: true,
-                ..Default::default()
-            },
-        )
-        .expect("driver");
+        let r = Driver::run(&case, DriverOptions::default()).expect("driver");
         total_opt += r.oraql.unique_optimistic;
         total_pess += r.oraql.unique_pessimistic;
         for (pass, n) in queries_by_pass(&r.queries) {
@@ -60,12 +53,7 @@ fn main() {
             println!("--- irreducible pessimistic queries ({name}) ---");
             print!(
                 "{}",
-                render_report(
-                    &r.final_module,
-                    &r.queries,
-                    DumpFlags::pessimistic_only(),
-                    &r.pass_trace
-                )
+                render_report(&r.final_module, &r.queries, DumpFlags::pessimistic_only())
             );
         }
     }

@@ -56,14 +56,7 @@ fn build() -> Module {
 
 fn main() {
     let case = TestCase::new("quickstart", build);
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            trace_passes: true,
-            ..Default::default()
-        },
-    )
-    .expect("driver");
+    let r = Driver::run(&case, DriverOptions::default()).expect("driver");
 
     println!("fully optimistic:      {}", r.fully_optimistic);
     println!("final decisions:       {}", r.decisions.render());
@@ -89,12 +82,7 @@ fn main() {
     println!("\n--- the queries ORAQL had to keep pessimistic ---");
     print!(
         "{}",
-        render_report(
-            &r.final_module,
-            &r.queries,
-            DumpFlags::pessimistic_only(),
-            &r.pass_trace
-        )
+        render_report(&r.final_module, &r.queries, DumpFlags::pessimistic_only())
     );
 
     assert!(!r.fully_optimistic);

@@ -8,11 +8,11 @@ set -eux
 # build would skip the `oraql` and `oraql-served` binaries the smokes
 # below run.
 cargo build --release --offline --workspace
-cargo test -q --offline
-# The unit tests of the compiler crates (driver, CFG, loops, MemorySSA,
-# EarlyCSE, GVN, the interpreter, ...): `cargo test` at the root runs
-# only the umbrella package's.
-cargo test -q --offline -p oraql -p oraql-ir -p oraql-analysis -p oraql-passes -p oraql-vm
+# Every package's tests: the umbrella package's integration suites and
+# each crate's unit and integration tests (a plain `cargo test` at the
+# root runs only the umbrella package's). The by-name lines below repeat
+# the gates that must never be skipped by a filtered invocation.
+cargo test -q --offline --workspace
 # The differential suite is the equivalence gate for the two interpreter
 # modes (tree-walk reference vs. pre-decoded executor); run it by name so
 # a filtered `cargo test` invocation can never silently skip it.

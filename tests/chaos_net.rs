@@ -17,6 +17,7 @@ use std::time::Duration;
 use oraql_suite::gen::{suite, GenPlan};
 use oraql_suite::oraql::faults::{FaultInjector, FaultPlan, FaultSite, Rate, SITES};
 use oraql_suite::oraql::served::{Client, ClientOptions, CrashMode, Server, ServerOptions};
+use oraql_suite::oraql::store::Space;
 use oraql_suite::oraql::TestCase;
 use oraql_suite::oraql::{run_suite, DriverOptions, DriverResult, TruthReport};
 
@@ -172,7 +173,7 @@ fn chaos_matrix_preserves_verdicts_byte_for_byte() {
                         );
                         let mut k = n;
                         while !stop_noise.load(std::sync::atomic::Ordering::Relaxed) {
-                            let _ = tenant.get_dec(k);
+                            let _ = tenant.get(Space::Dec, k);
                             k = k.wrapping_add(3);
                         }
                     }));

@@ -9,6 +9,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use oraql::store::Space;
 use oraql::trace::TraceSink;
 use oraql::{Driver, DriverOptions, DriverResult, ProbeKind, Store};
 use oraql_served::{Client, Server, ServerOptions};
@@ -95,7 +96,7 @@ fn warm_run_through_server_is_compile_free() {
 /// server answer lands in the local store, so a later run with only that
 /// store is compile-free and answered by the store alone; and a run the
 /// store answers entirely writes nothing past it — the server receives
-/// only the case's references record.
+/// nothing at all.
 #[test]
 fn server_answers_are_written_back_to_the_store() {
     let name = "testsnap_omp";
@@ -133,7 +134,10 @@ fn server_answers_are_written_back_to_the_store() {
             ProbeKind::StoreHit => assert!(seen.contains(&e.digest), "{e:?}"),
             other => panic!("{name}: {other:?} answered a warm probe"),
         }
-        assert_eq!(store.dec_verdict(e.digest), Some((e.pass, e.unique)));
+        assert_eq!(
+            store.verdict(Space::Dec, e.digest),
+            Some((e.pass, e.unique))
+        );
         answered += 1;
     }
 
@@ -150,13 +154,13 @@ fn server_answers_are_written_back_to_the_store() {
         .all(|k| matches!(k, ProbeKind::StoreHit | ProbeKind::Deduced)));
 
     // Store plus server: the store answers first, so nothing is looked
-    // up remotely and only the references record is appended.
+    // up or appended remotely.
     let quiet = Arc::new(Client::new(&server.addr()));
     let both = with_store(Some(&quiet), &TraceSink::in_memory());
     assert_same_result(name, &cold, &both);
     assert_eq!(both.effort.tests_server, 0, "{:?}", both.effort);
     let cs = quiet.stats();
-    assert_eq!((cs.lookups, cs.hits, cs.appends), (0, 0, 1), "{cs}");
+    assert_eq!((cs.lookups, cs.hits, cs.appends), (0, 0, 0), "{cs}");
 
     server.shutdown().unwrap();
 }
@@ -314,7 +318,8 @@ fn protocol_docs_match_the_wire() {
             })
             .unwrap_or_else(|| panic!("no `{prefix}` hex line in PROTOCOL.md worked example"))
     };
-    let req = Request::GetDec {
+    let req = Request::Get {
+        space: Space::Dec,
         key: 0x0123_4567_89ab_cdef,
     };
     assert_eq!(
@@ -322,10 +327,7 @@ fn protocol_docs_match_the_wire() {
         req.encode(0x42),
         "documented request frame drifted"
     );
-    let resp = Response::Verdict {
-        pass: true,
-        unique: 42,
-    };
+    let resp = Response::Verdict((true, 42));
     assert_eq!(
         hex_line("response:"),
         resp.encode(0x42),
@@ -339,8 +341,6 @@ fn protocol_docs_match_the_wire() {
         Op::GetExe,
         Op::PutDec,
         Op::PutExe,
-        Op::GetRefs,
-        Op::PutRefs,
         Op::Stats,
         Op::Sync,
         Op::Compact,

@@ -6,7 +6,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oraql::{Driver, DriverOptions, DriverResult, Store};
+use oraql::faults::Rate;
+use oraql::{Driver, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, Store};
 use oraql_workloads as workloads;
 
 /// Fresh scratch directory, removed on drop.
@@ -138,27 +139,29 @@ fn one_store_serves_a_suite_of_cases() {
     assert_eq!(store.stats().misses, 0, "{:?}", store.stats());
 }
 
-/// Silent disk rot under a live suite: mid-suite, every frame starts
-/// hitting the journal with one payload bit flipped. The writing
-/// process never notices (in-memory maps are fine); the *next* open
-/// must checksum-skip exactly the rotten records without panicking,
-/// keep the clean ones, and a healing re-run converges.
+/// Silent disk rot under a live suite: mid-suite, a handle whose
+/// every append fires `store-write-bitflip` writes the journal with one
+/// payload bit flipped per frame. The writing process never notices
+/// (in-memory maps are fine); the *next* open must checksum-skip
+/// exactly the rotten records without panicking, keep the clean ones,
+/// and a healing re-run converges.
 #[test]
 fn bitflipped_journal_mid_suite_heals_on_rerun() {
     let scratch = Scratch::new("bitflip");
     let store = Arc::new(Store::open(scratch.journal()).unwrap());
     let clean = run_with_store("testsnap", &store);
+    store.sync().unwrap();
+    drop(store);
 
-    let corruptor: oraql::store::WriteCorruptor = Arc::new(|frame: &mut Vec<u8>| {
-        let last = frame.len() - 1;
-        frame[last] ^= 0x10; // one payload bit: checksum must catch it
-        true
-    });
-    store.set_write_corruptor(Some(corruptor));
+    let faults = Arc::new(FaultInjector::new(
+        FaultPlan::quiet(1).with_rate(FaultSite::StoreWriteBitFlip, Rate::always()),
+    ));
+    let store = Store::open(scratch.journal()).unwrap();
+    let store = Arc::new(store.with_faults(Some(Arc::clone(&faults))));
     let rotten = run_with_store("gridmini", &store);
-    let flipped = store.stats().injected_corrupt;
+    let flipped = faults.fired(FaultSite::StoreWriteBitFlip);
     assert!(flipped > 0, "{:?}", store.stats());
-    store.set_write_corruptor(None);
+    assert_eq!(flipped, store.stats().appends, "every append is rotten");
     store.sync().unwrap();
     drop(store);
 
