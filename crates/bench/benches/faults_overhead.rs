@@ -1,27 +1,25 @@
 //! Probe-sandbox overhead benchmark.
 //!
 //! The hardened probe path wraps every attempt in `catch_unwind` (plus
-//! an injector draw when a fault plan is armed, plus a watchdog thread
-//! when a deadline is set). This bench quantifies what that costs on
-//! *healthy* runs by driving the full workload suite three ways:
+//! an injector draw when a fault plan is armed). This bench quantifies
+//! what that costs on *healthy* runs by driving the full workload suite
+//! two ways:
 //!
-//! * `faultfree` — the sandbox's fast path: no plan, no deadline. This
-//!   is the configuration directly comparable to the pre-sandbox
-//!   driver (whose suite wall clock is recorded as `cold_total_ms` in
+//! * `faultfree` — the sandbox's fast path: no plan. This is the
+//!   configuration directly comparable to the pre-sandbox driver
+//!   (whose suite wall clock is recorded as `cold_total_ms` in
 //!   `BENCH_store.json`, written before the sandbox existed).
 //! * `quiet_plan` — a fault plan armed whose rates are all zero: every
 //!   attempt pays the injector draws but no fault ever fires.
-//! * `deadline` — a generous watchdog deadline armed: every attempt
-//!   runs on its own watchdog thread.
 //!
-//! Writes `$ORAQL_BENCH_OUT` (default `BENCH_faults.json`): the three
+//! Writes `$ORAQL_BENCH_OUT` (default `BENCH_faults.json`): the two
 //! totals, the quiet-plan/fault-free ratio, and — when a prior
 //! `BENCH_store.json` is readable — the fault-free total against that
 //! pre-sandbox recording. Not a criterion bench: the JSON artifact is
 //! the point, and each pass is a full driver-suite run.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use oraql::{Driver, DriverOptions, FaultInjector, FaultPlan};
 
@@ -67,19 +65,10 @@ fn main() {
         },
         "quiet_plan",
     );
-    let deadline = run_suite_pass(
-        || DriverOptions {
-            probe_deadline: Some(Duration::from_secs(30)),
-            ..Default::default()
-        },
-        "deadline",
-    );
 
     let quiet_ratio = quiet_plan / faultfree;
-    let deadline_ratio = deadline / faultfree;
     println!("fault-free suite:  {faultfree:>9.1} ms");
     println!("quiet plan armed:  {quiet_plan:>9.1} ms ({quiet_ratio:.3}x)");
-    println!("watchdog deadline: {deadline:>9.1} ms ({deadline_ratio:.3}x)");
 
     // Pre-sandbox reference: the cold suite total recorded by the
     // store_warm bench before the sandbox landed. Same workloads, same
@@ -110,9 +99,7 @@ fn main() {
         "{{\n  \"bench\": \"faults_overhead\",\n  \"cases_total\": {},\n  \
          \"faultfree_total_ms\": {faultfree:.2},\n  \
          \"quiet_plan_total_ms\": {quiet_plan:.2},\n  \
-         \"deadline_total_ms\": {deadline:.2},\n  \
          \"quiet_plan_ratio\": {quiet_ratio:.4},\n  \
-         \"deadline_ratio\": {deadline_ratio:.4},\n  \
          \"prior_cold_total_ms\": {prior_ms},\n  \
          \"sandbox_overhead_vs_prior\": {overhead}\n}}\n",
         oraql_workloads::CASE_INFOS.len()

@@ -21,7 +21,7 @@ use oraql_ir::module::{Function, Module};
 use oraql_passes::{standard_pipeline, Stats};
 
 /// Restriction of the ORAQL pass to parts of a compilation (§IV-E).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Scope {
     /// Only answer queries in functions from these source files
     /// (`None` = all files).

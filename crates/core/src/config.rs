@@ -202,7 +202,6 @@ mod tests {
             "store = j",
             "server = 127.0.0.1:7437",
             "fault_plan = seed=9,vm-trap=1/8",
-            "probe_deadline_ms = 1500",
             "metrics_out = m.prom",
             "spans_out = s.jsonl",
             "soundness_gate = true",

@@ -8,8 +8,8 @@
 //!
 //! # Probe execution and the verdict tiers
 //!
-//! Every probe goes through the case's `ProbeEngine`, which keeps
-//! verdicts in up to three tiers, always walked in this order:
+//! Every probe goes through the case's [`Driver`], which keeps verdicts
+//! in up to three tiers, always walked in this order:
 //!
 //! 1. **in-memory** maps that belong to the case and die with its
 //!    driver;
@@ -22,9 +22,12 @@
 //!    client's circuit breaker — see `docs/ARCHITECTURE.md` §7).
 //!
 //! Each tier files verdicts under two keys, one per key space
-//! ([`oraql_store::Space`]), both salted content hashes of the case, so
-//! a changed workload, verifier input or fuel budget changes every key
-//! and stale entries are simply never consulted:
+//! ([`oraql_store::Space`]), both salted content hashes of the case. The
+//! case salt hashes everything a verdict depends on besides the
+//! decisions: the case name, the accepted references, the ignore
+//! patterns, the fuel budget, the ORAQL scope, `use_cfl`, the optimism
+//! kind and the key of the unoptimized module. A change to any of them
+//! changes every key, and stale entries are simply never consulted:
 //!
 //! * the **decisions digest** (case salt plus [`Decisions::render`]),
 //!   walked before the compile — a hit skips the compile and the run.
@@ -35,7 +38,7 @@
 //!   seed driver's cache).
 //!
 //! The first hit of a walk answers the probe. Every answer is counted
-//! once, in `ProbeEngine::execute`, into the case's tally: its
+//! once, in `Driver::execute`, into the case's tally: its
 //! [`ProbeEffort`] field, its traced [`ProbeKind`] and its
 //! `oraql_driver_*` counters are all read off that tally. The hit is
 //! written back only to the tiers that missed before it. Any
@@ -71,13 +74,15 @@
 //!
 //! # The probe sandbox (failure model)
 //!
-//! Every probe attempt — compile, VM run, verification — executes under
-//! `catch_unwind`, optionally under a wall-clock watchdog
-//! ([`DriverOptions::probe_deadline`]), and optionally under a
+//! Every probe attempt — compile, VM run, verification — runs inline on
+//! its case's thread under `catch_unwind`, and optionally under a
 //! deterministic fault-injection plan ([`DriverOptions::faults`], see
-//! the `oraql-faults` crate). An attempt that panics, times out, traps
-//! with an injected VM error, or produces garbled output is classified
-//! as a [`ProbeFailure`] and retried twice with a short backoff. A
+//! the `oraql-faults` crate). Fuel ([`TestCase::fuel`]) is the one
+//! bound on a probe: a run that exhausts it is a genuine, deterministic
+//! failing verdict, cached like any other. An attempt that panics,
+//! traps with an injected VM error, or produces garbled output is
+//! classified as a [`ProbeFailure`] and retried twice at once (an
+//! injected fault draws a fresh decision; a genuine panic repeats). A
 //! probe whose attempts are all exhausted is **quarantined**: it
 //! answers with the pessimistic may-alias verdict (`pass = false`,
 //! the always-safe direction — the bisection strategies only ever
@@ -91,25 +96,26 @@
 //! [`run_suite`].
 
 use crate::compile::{compile, compile_pipeline, CompileOptions, Scope};
-use crate::pass::{OptimismKind, OraqlStats, UniqueQuery};
+use crate::pass::{OraqlStats, UniqueQuery};
 use crate::sequence::Decisions;
 use crate::strategy::{ProbeOutcome, Prober, Strategy};
 use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
 use oraql_ir::module::Module;
+use oraql_ir::printer::module_key;
 use oraql_obs::Span;
 use oraql_passes::Stats;
 use oraql_store::{Space, Store, Verdict};
 use oraql_vm::{Interpreter, RunOutcome, VmFault};
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// A benchmark handed to the driver: how to build the program, where
 /// ORAQL may answer, and how to verify output.
@@ -117,8 +123,7 @@ pub struct TestCase {
     /// Benchmark name.
     pub name: String,
     /// Builds a fresh module (one "compilation" input). Must be
-    /// deterministic: the driver compiles it many times, possibly on a
-    /// watchdog thread (see [`DriverOptions::probe_deadline`]).
+    /// deterministic: the driver compiles it many times.
     pub build: Arc<dyn Fn() -> Module + Send + Sync>,
     /// ORAQL scope restriction (files / target).
     pub scope: Scope,
@@ -192,13 +197,6 @@ pub struct DriverOptions {
     /// (CLI: `--fault-plan <spec>`). `None` (the default) injects
     /// nothing; the sandbox around each probe is active either way.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Wall-clock deadline per probe attempt (CLI:
-    /// `--probe-deadline-ms`). When set, each attempt runs on a
-    /// watchdog thread and a timeout classifies as
-    /// [`ProbeFailure::Deadline`]; when `None` (the default) attempts
-    /// run inline with no extra thread, so the fault-free fast path
-    /// pays nothing beyond a `catch_unwind`.
-    pub probe_deadline: Option<Duration>,
     /// Ground-truth alias labels for the corpus soundness gate (see
     /// [`crate::truth`]). When set, every final verdict is
     /// cross-checked against the labels after verification; a kept
@@ -220,7 +218,6 @@ impl Default for DriverOptions {
             store: None,
             server: None,
             faults: None,
-            probe_deadline: None,
             ground_truth: None,
         }
     }
@@ -346,8 +343,6 @@ pub enum ProbeFailure {
     /// The attempt panicked (injected `compile-panic`, or a genuine bug
     /// in the build closure / pass pipeline).
     Panic(String),
-    /// The watchdog deadline expired before the attempt finished.
-    Deadline,
     /// The VM refused the run with an injected error (`vm-trap`,
     /// `vm-fuel-lie`); a *genuine* trap is a failing verdict, not a
     /// probe failure.
@@ -374,7 +369,6 @@ impl std::fmt::Display for ProbeFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProbeFailure::Panic(m) => write!(f, "probe panicked: {m}"),
-            ProbeFailure::Deadline => write!(f, "probe deadline exceeded"),
             ProbeFailure::VmError(m) => write!(f, "injected VM error: {m}"),
             ProbeFailure::OutputMismatch => write!(f, "probe output garbled"),
             ProbeFailure::StoreCorrupt => write!(f, "store record corrupt"),
@@ -390,8 +384,6 @@ impl std::fmt::Display for ProbeFailure {
 pub struct FailureStats {
     /// Attempts that panicked.
     pub panics: u64,
-    /// Attempts that exceeded the probe deadline.
-    pub deadlines: u64,
     /// Attempts killed by an injected VM error.
     pub vm_errors: u64,
     /// Attempts whose output was garbled before verification.
@@ -417,10 +409,6 @@ impl FailureStats {
     }
 }
 
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// The driver's probe-latency histogram, resolved once. The driver's
 /// counters have no handles: each case's [`Tally`] adds them when its
 /// driver drops.
@@ -438,15 +426,20 @@ fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
 
 /// Cache-key salt identifying one case within the shared store and
 /// server tiers: a probe verdict is only transferable between probes
-/// that agree on the case name *and* the accepted references — the
-/// verdict of a bit-identical module under a different verifier is a
-/// different fact.
-fn case_salt(case: &TestCase, references: &[String]) -> u64 {
+/// that agree on everything it depends on besides the decisions — the
+/// verifier (name, references, ignore patterns, fuel), the ORAQL
+/// configuration (scope, `use_cfl`, optimism), and the program itself,
+/// `source`: the [`module_key`] of the unoptimized module.
+fn case_salt(case: &TestCase, references: &[String], source: u64) -> u64 {
     let mut h = DefaultHasher::new();
     case.name.hash(&mut h);
     references.hash(&mut h);
     case.ignore_patterns.hash(&mut h);
     case.fuel.hash(&mut h);
+    case.scope.hash(&mut h);
+    case.use_cfl.hash(&mut h);
+    case.optimism.hash(&mut h);
+    source.hash(&mut h);
     h.finish()
 }
 
@@ -487,9 +480,8 @@ impl Answer {
     }
 }
 
-/// Everything one case counts, behind its engine's one accounting
-/// mutex: probe answers, counted where they are answered, and work and
-/// sandbox events, counted where they happen.
+/// Everything one case counts: probe answers, counted where they are
+/// answered, and work and sandbox events, counted where they happen.
 #[derive(Debug, Clone, Default)]
 struct Tally {
     /// Probe answers, by what answered.
@@ -563,55 +555,13 @@ impl Tally {
     }
 }
 
-/// The probe execution engine: everything needed to answer one probe
-/// of one case. It sits behind an `Arc` with its caches behind mutexes
-/// because a watchdog thread (see [`DriverOptions::probe_deadline`])
-/// runs each attempt and may outlive one that timed out.
-struct ProbeEngine {
-    case_name: String,
-    salt: u64,
-    build: Arc<dyn Fn() -> Module + Send + Sync>,
-    scope: Scope,
-    use_cfl: bool,
-    optimism: OptimismKind,
-    fuel: u64,
-    verifier: Verifier,
-    /// In-memory tier, executable-hash space.
-    exe: Mutex<HashMap<u64, Verdict>>,
-    /// In-memory tier, decisions-digest space: `None` at `jobs = 1`,
-    /// so that it reproduces the seed effort counters exactly.
-    dec: Option<Mutex<HashMap<u64, Verdict>>>,
-    /// Persistent tier. Consulted at any job count: a stored verdict is
-    /// the one its key's probe answered, so replaying it cannot perturb
-    /// the bisection path.
-    store: Option<Arc<Store>>,
-    /// Remote tier: the shared verdict server.
-    server: Option<Arc<oraql_served::Client>>,
-    /// The case's one accounting record.
-    tally: Mutex<Tally>,
-    /// The run's event stream: probe answers and spans.
-    trace: Option<TraceSink>,
-    /// Id of this case's root span (0 without a trace), the parent of
-    /// every probe span the engine opens.
-    case_span: u64,
-    /// Optional deterministic fault plan (chaos testing).
-    faults: Option<Arc<FaultInjector>>,
-    /// Optional wall-clock watchdog per attempt.
-    deadline: Option<Duration>,
-    /// Decisions digests whose probes exhausted every retry: answered
-    /// may-alias immediately, never re-attempted, never persisted.
-    quarantine: Mutex<HashSet<u64>>,
-}
-
-/// Faults pre-sampled for one probe attempt. Sampling happens on the
-/// calling thread *before* any watchdog thread is spawned, so thread
-/// timing can never perturb the deterministic fault stream.
+/// Faults drawn for one probe attempt, all at its start and in a fixed
+/// site order, so the fault stream is a pure function of the plan and
+/// the probe sequence.
 #[derive(Debug, Clone, Copy, Default)]
 struct AttemptFaults {
     compile_panic: bool,
     vm_fault: Option<VmFault>,
-    delay: bool,
-    hang: bool,
     garble: bool,
     store_read_corrupt: bool,
 }
@@ -623,8 +573,8 @@ const FUEL_LIE_CAP: u64 = 24;
 /// The safe degradation verdict: may-alias, no unique-count claim.
 const MAY_ALIAS: Verdict = (false, 0);
 
-/// Retries of a failed probe attempt (each after a short backoff)
-/// before the probe is quarantined to may-alias.
+/// Retries of a failed probe attempt before the probe is quarantined to
+/// may-alias.
 const PROBE_RETRIES: u64 = 2;
 
 /// Best-effort human-readable panic payload.
@@ -640,386 +590,29 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl ProbeEngine {
-    fn tally(&self) -> MutexGuard<'_, Tally> {
-        lock_ignore_poison(&self.tally)
-    }
-
-    /// The one place a probe answer is accounted: it bumps the tally,
-    /// observes the probe's latency and traces the answer, numbered by
-    /// the case's answer count so far and joined to `span`, the probe
-    /// span it was given in (0: none). Only `execute` and
-    /// `note_deduced` call it, both on the case's own thread.
-    fn account(
-        &self,
-        answer: Answer,
-        digest: u64,
-        (pass, unique): Verdict,
-        started: Instant,
-        span: u64,
-    ) {
-        let seq = {
-            let mut tally = self.tally();
-            let seq = tally.answers.values().sum();
-            *tally.answers.entry(answer).or_default() += 1;
-            seq
-        };
-        let wall_micros = started.elapsed().as_micros() as u64;
-        probe_micros().observe(wall_micros);
-        if let Some(sink) = &self.trace {
-            sink.record(ProbeEvent {
-                case: self.case_name.clone(),
-                seq,
-                digest,
-                kind: answer.kind(),
-                pass,
-                unique,
-                wall_micros,
-                span,
-            });
-        }
-    }
-
-    /// Opens a child span under `parent` when the run is traced.
-    /// Returns `None` (zero cost beyond the branch) otherwise.
-    fn span(&self, name: &'static str, parent: u64) -> Option<Span> {
-        self.trace
-            .as_ref()
-            .map(|t| t.span(name, &self.case_name, parent))
-    }
-
-    /// Draws this attempt's fault decisions from the plan (all quiet
-    /// when no plan is configured).
-    fn sample_attempt(&self) -> AttemptFaults {
-        let Some(inj) = &self.faults else {
-            return AttemptFaults::default();
-        };
-        AttemptFaults {
-            compile_panic: inj.fire(FaultSite::CompilePanic),
-            vm_fault: if inj.fire(FaultSite::VmTrap) {
-                Some(VmFault::Trap)
-            } else if inj.fire(FaultSite::VmFuelLie) {
-                Some(VmFault::FuelLie(FUEL_LIE_CAP))
-            } else {
-                None
-            },
-            delay: inj.fire(FaultSite::ProbeDelay),
-            hang: inj.fire(FaultSite::ProbeHang),
-            garble: inj.fire(FaultSite::OutputGarble),
-            store_read_corrupt: inj.fire(FaultSite::StoreReadCorrupt),
-        }
-    }
-
-    fn note_failure(&self, f: &ProbeFailure) {
-        let fs = &mut self.tally().failures;
-        match f {
-            ProbeFailure::Panic(_) => fs.panics += 1,
-            ProbeFailure::Deadline => fs.deadlines += 1,
-            ProbeFailure::VmError(_) => fs.vm_errors += 1,
-            ProbeFailure::OutputMismatch => fs.output_mismatches += 1,
-            ProbeFailure::StoreCorrupt => fs.store_corrupt += 1,
-            ProbeFailure::ServerDown => fs.server_down += 1,
-            ProbeFailure::ServerBusy => fs.server_busy += 1,
-        }
-    }
-
-    /// Answers one probe through the sandbox: quarantine short-circuit,
-    /// then up to `1 + PROBE_RETRIES` attempts, each under `catch_unwind`
-    /// (plus a watchdog thread when a deadline is configured). Never
-    /// panics and never blocks past the configured deadline-per-attempt
-    /// times the retry budget. The answer is accounted here, so an
-    /// attempt the watchdog gave up on cannot answer.
-    fn execute(self: &Arc<Self>, d: &Decisions) -> ProbeOutcome {
-        let started = Instant::now();
-        let digest = decisions_digest(self.salt, d);
-        // The probe span covers the quarantine check, every retry, and
-        // the degradation path; its guard records even if an attempt
-        // unwinds past us.
-        let probe_span = self.span("probe", self.case_span);
-        let probe_id = probe_span.as_ref().map_or(0, Span::id);
-        let (answer, verdict) = 'answered: {
-            if lock_ignore_poison(&self.quarantine).contains(&digest) {
-                break 'answered (Answer::Faulted, MAY_ALIAS);
-            }
-            let attempts = 1 + PROBE_RETRIES;
-            for attempt_no in 0..attempts {
-                let fx = self.sample_attempt();
-                let outcome = match self.deadline {
-                    Some(deadline) => self.attempt_with_deadline(d, digest, fx, deadline, probe_id),
-                    None => match catch_unwind(AssertUnwindSafe(|| {
-                        self.attempt(d, digest, fx, probe_id)
-                    })) {
-                        Ok(r) => r,
-                        Err(p) => Err(ProbeFailure::Panic(panic_message(&*p))),
-                    },
-                };
-                match outcome {
-                    Ok(answered) => break 'answered answered,
-                    Err(failure) => {
-                        self.note_failure(&failure);
-                        if attempt_no + 1 < attempts {
-                            self.tally().failures.retries += 1;
-                            // Tiny exponential backoff: transient
-                            // scheduling or I/O hiccups clear, injected
-                            // faults draw a fresh decision from the plan.
-                            std::thread::sleep(Duration::from_millis(1 << attempt_no.min(4)));
-                        }
-                    }
-                }
-            }
-            // Every attempt failed: quarantine this decision vector and
-            // degrade to the pessimistic verdict. Never cached, never
-            // persisted — a later healthy run recomputes it for real.
-            lock_ignore_poison(&self.quarantine).insert(digest);
-            self.tally().failures.quarantined += 1;
-            (Answer::Faulted, MAY_ALIAS)
-        };
-        self.account(answer, digest, verdict, started, probe_id);
-        let (pass, unique) = verdict;
-        ProbeOutcome { pass, unique }
-    }
-
-    /// Runs one attempt on a watchdog thread and gives up after
-    /// `deadline`. An orphaned attempt keeps running in the background;
-    /// if it eventually completes, any verdict it wrote to the caches
-    /// is genuine and safely reusable, and its answer is dropped.
-    fn attempt_with_deadline(
-        self: &Arc<Self>,
-        d: &Decisions,
-        digest: u64,
-        fx: AttemptFaults,
-        deadline: Duration,
-        probe_span: u64,
-    ) -> Result<(Answer, Verdict), ProbeFailure> {
-        let (tx, rx) = channel();
-        let engine = Arc::clone(self);
-        let d = d.clone();
-        let spawned = std::thread::Builder::new()
-            .name("oraql-probe-attempt".into())
-            .spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    engine.attempt(&d, digest, fx, probe_span)
-                }));
-                let _ = tx.send(r);
-            });
-        if spawned.is_err() {
-            return Err(ProbeFailure::Panic("probe thread spawn failed".into()));
-        }
-        match rx.recv_timeout(deadline) {
-            Ok(Ok(r)) => r,
-            Ok(Err(p)) => Err(ProbeFailure::Panic(panic_message(&*p))),
-            Err(_) => Err(ProbeFailure::Deadline),
-        }
-    }
-
-    /// One raw probe attempt — the decisions-digest walk, the compile,
-    /// the executable-hash walk, then an actual execution — with `fx`'s
-    /// faults injected at their sites. `digest` is `d`'s decisions
-    /// digest. Returns what answered, for `execute` to account.
-    fn attempt(
-        &self,
-        d: &Decisions,
-        digest: u64,
-        fx: AttemptFaults,
-        probe_span: u64,
-    ) -> Result<(Answer, Verdict), ProbeFailure> {
-        if let Some(hit) = self.lookup(Space::Dec, digest, digest, fx, probe_span) {
-            return Ok(hit);
-        }
-        if fx.compile_panic {
-            std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
-        }
-        self.tally().compiles += 1;
-        // A probe reads only the module and the ORAQL state: the
-        // pipeline step alone, no Fig. 6 statistics.
-        let compiled = {
-            let _s = self.span("compile", probe_span);
-            compile_pipeline(
-                &*self.build,
-                &CompileOptions {
-                    oraql: Some((d.clone(), self.scope.clone())),
-                    use_cfl: self.use_cfl,
-                    optimism: self.optimism,
-                    ..CompileOptions::default()
-                },
-            )
-        };
-        let h = {
-            let _s = self.span("key", probe_span);
-            oraql_ir::printer::module_key(self.salt, &compiled.module)
-        };
-        if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span) {
-            return Ok(hit);
-        }
-        if fx.delay || fx.hang {
-            // `probe-delay` stays well under any reasonable deadline;
-            // `probe-hang` overshoots the configured deadline so only
-            // the watchdog can reclaim the slot (bounded regardless, so
-            // a hang without a watchdog cannot stall the driver
-            // forever).
-            let dur = match (fx.hang, self.deadline) {
-                (false, _) => Duration::from_millis(1),
-                (true, Some(dl)) => dl.saturating_mul(4).min(Duration::from_secs(2)),
-                (true, None) => Duration::from_millis(25),
-            };
-            std::thread::sleep(dur);
-        }
-        self.tally().vm_runs += 1;
-        let run = {
-            let _s = self.span("vm", probe_span);
-            run_module_with(&compiled.module, self.fuel, fx.vm_fault)
-        };
-        if fx.vm_fault.is_some() {
-            if let Err(e) = &run {
-                // The injected trap / lying fuel budget killed the run:
-                // a transient probe failure, not a verdict. (A program
-                // that completes even under the lie produced genuine,
-                // trustworthy output and is judged normally below.)
-                return Err(ProbeFailure::VmError(e.clone()));
-            }
-        }
-        let pass = match run {
-            Ok(run) => {
-                let mut stdout = run.stdout;
-                if fx.garble {
-                    stdout.push_str("\u{7f}garbled probe output\n");
-                }
-                let ok = {
-                    let _s = self.span("verify", probe_span);
-                    self.verifier.check(&stdout).is_ok()
-                };
-                if fx.garble && !ok {
-                    // We know the mismatch is our own corruption: a
-                    // transient I/O failure, not a verdict. Nothing is
-                    // cached.
-                    return Err(ProbeFailure::OutputMismatch);
-                }
-                ok
-            }
-            Err(_) => false, // genuine traps count as verification failures
-        };
-        let unique = compiled
-            .oraql
-            .as_ref()
-            .map(|s| s.lock().stats.unique())
-            .unwrap_or(0);
-        // A computed verdict is written through to every tier under
-        // both keys: this is how one tenant's probe bill becomes every
-        // tenant's warm cache.
-        self.write(&TIERS, Space::Exe, h, (pass, unique));
-        self.write(&TIERS, Space::Dec, digest, (pass, unique));
-        Ok((Answer::Executed, (pass, unique)))
-    }
-
-    /// Walks the tiers for `key` in `space`. The first hit answers: it
-    /// is written back to the tiers that missed before it, and an
-    /// executable-hash hit is also filed under the probe's decisions
-    /// `digest` in every tier. Its unique count is the stored one, at
-    /// every job count.
-    fn lookup(
-        &self,
-        space: Space,
-        key: u64,
-        digest: u64,
-        fx: AttemptFaults,
-        probe_span: u64,
-    ) -> Option<(Answer, Verdict)> {
-        let (i, v) = TIERS
-            .iter()
-            .enumerate()
-            .find_map(|(i, &tier)| Some((i, self.read(tier, space, key, fx, probe_span)?)))?;
-        self.write(&TIERS[..i], space, key, v);
-        if space == Space::Exe {
-            self.write(&TIERS, Space::Dec, digest, v);
-        }
-        Some((Answer::Hit(TIERS[i], space), v))
-    }
-
-    /// The in-memory map of `space` (`None`: no decisions map at
-    /// `jobs = 1`).
-    fn memory(&self, space: Space) -> Option<&Mutex<HashMap<u64, Verdict>>> {
-        match space {
-            Space::Dec => self.dec.as_ref(),
-            Space::Exe => Some(&self.exe),
-        }
-    }
-
-    /// Reads one tier. A store hit under the injected
-    /// `store-read-corrupt` fault, and a failed server call, are noted
-    /// as sandbox failures and read as misses: the walk goes on, and a
-    /// recompute is the recovery, so no retry is consumed. The client's
-    /// circuit breaker makes every server call during an outage's
-    /// cooldown free.
-    fn read(
-        &self,
-        tier: Tier,
-        space: Space,
-        key: u64,
-        fx: AttemptFaults,
-        probe_span: u64,
-    ) -> Option<Verdict> {
-        match tier {
-            Tier::Memory => lock_ignore_poison(self.memory(space)?).get(&key).copied(),
-            Tier::Store => {
-                let store = self.store.as_ref()?;
-                let found = {
-                    let _s = self.span("store", probe_span);
-                    store.verdict(space, key)
-                };
-                if found.is_some() && fx.store_read_corrupt {
-                    self.note_failure(&ProbeFailure::StoreCorrupt);
-                    return None;
-                }
-                found
-            }
-            Tier::Server => {
-                let client = self.server.as_ref()?;
-                let _s = self.span("server", probe_span);
-                client.get(space, key).unwrap_or_else(|e| {
-                    self.note_failure(&match e {
-                        oraql_served::ClientError::Busy => ProbeFailure::ServerBusy,
-                        _ => ProbeFailure::ServerDown,
-                    });
-                    None
-                })
-            }
-        }
-    }
-
-    /// Files `v` under `key` in each of `tiers`. Store and server
-    /// errors are swallowed: a read-only disk or an unreachable server
-    /// degrades that tier, it never fails a probe (the store's and the
-    /// client's own counters record them).
-    fn write(&self, tiers: &[Tier], space: Space, key: u64, v: Verdict) {
-        for tier in tiers {
-            match tier {
-                Tier::Memory => {
-                    if let Some(map) = self.memory(space) {
-                        lock_ignore_poison(map).insert(key, v);
-                    }
-                }
-                Tier::Store => {
-                    if let Some(store) = &self.store {
-                        let _ = store.record(space, key, v);
-                    }
-                }
-                Tier::Server => {
-                    if let Some(client) = &self.server {
-                        let _ = client.put(space, key, v);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The probing driver.
-pub struct Driver {
+/// The probing driver: everything needed to answer the probes of one
+/// case, on the case's own thread.
+pub struct Driver<'a> {
+    case: &'a TestCase,
     opts: DriverOptions,
-    engine: Arc<ProbeEngine>,
+    salt: u64,
+    verifier: Verifier,
+    /// Id of this case's root span (0 without a trace), the parent of
+    /// every probe span the driver opens.
+    case_span: u64,
+    /// In-memory tier, executable-hash space.
+    exe: HashMap<u64, Verdict>,
+    /// In-memory tier, decisions-digest space: `None` at `jobs = 1`,
+    /// so that it reproduces the seed effort counters exactly.
+    dec: Option<HashMap<u64, Verdict>>,
+    /// The case's one accounting record.
+    tally: Tally,
+    /// Decisions digests whose probes exhausted every retry: answered
+    /// may-alias immediately, never re-attempted, never persisted.
+    quarantine: HashSet<u64>,
 }
 
-impl Driver {
+impl Driver<'_> {
     /// Runs the full workflow on one case, with caches of its own.
     pub fn run(case: &TestCase, opts: DriverOptions) -> Result<DriverResult, DriverError> {
         // The case span covers the whole workflow; the guards record on
@@ -1030,43 +623,40 @@ impl Driver {
         let case_id = case_root.as_ref().map_or(0, Span::id);
         let baseline_span = span("baseline", case_id);
         // Step 1: baseline (ORAQL deactivated) — produces the reference.
-        // A panicking build closure fails this case, not the suite.
+        // A panicking build closure fails this case, not the suite. The
+        // build it already does keys the unoptimized module for the salt.
+        let source = Cell::new(0);
+        let build = || {
+            let m = (case.build)();
+            source.set(module_key(0, &m));
+            m
+        };
         let baseline = catch_unwind(AssertUnwindSafe(|| {
-            compile(&*case.build, &CompileOptions::baseline())
+            compile(&build, &CompileOptions::baseline())
         }))
         .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
         let baseline_run = run_module(&baseline.module, case.fuel)
             .map_err(|e| DriverError::BaselineBroken(Mismatch::ExecutionFailed(e)))?;
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
-        let salt = case_salt(case, &references);
+        let salt = case_salt(case, &references, source.get());
         let verifier = Verifier::new(references, &case.ignore_patterns);
         verifier
             .check(&baseline_run.stdout)
             .map_err(DriverError::BaselineBroken)?;
         drop(baseline_span);
 
-        let engine = Arc::new(ProbeEngine {
-            case_name: case.name.clone(),
+        let mut driver = Driver {
+            case,
             salt,
-            build: Arc::clone(&case.build),
-            scope: case.scope.clone(),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            fuel: case.fuel,
             verifier,
-            exe: Mutex::default(),
-            dec: (opts.jobs > 1).then(Mutex::default),
-            store: opts.store.clone(),
-            server: opts.server.clone(),
-            tally: Mutex::default(),
-            trace: opts.trace.clone(),
             case_span: case_id,
-            faults: opts.faults.clone(),
-            deadline: opts.probe_deadline,
-            quarantine: Mutex::new(HashSet::new()),
-        });
-        let mut driver = Driver { opts, engine };
+            exe: HashMap::new(),
+            dec: (opts.jobs > 1).then(HashMap::new),
+            tally: Tally::default(),
+            quarantine: HashSet::new(),
+            opts,
+        };
 
         // Step 2: the empty sequence — everything optimistic.
         let all_opt = Decisions::all_optimistic();
@@ -1092,7 +682,6 @@ impl Driver {
         let final_run = run_module(&finalc.module, case.fuel)
             .map_err(|e| DriverError::FinalBroken(Mismatch::ExecutionFailed(e)))?;
         driver
-            .engine
             .verifier
             .check(&final_run.stdout)
             .map_err(DriverError::FinalBroken)?;
@@ -1110,7 +699,6 @@ impl Driver {
             let _s = span("server", case_id);
             let _ = server.sync();
         }
-        let tally = driver.engine.tally().clone();
         let shared = finalc
             .oraql
             .as_ref()
@@ -1142,12 +730,319 @@ impl Driver {
             final_stats: finalc.stats.clone(),
             baseline_run,
             final_run,
-            effort: tally.effort(),
-            failures: tally.failures,
+            effort: driver.tally.effort(),
+            failures: driver.tally.failures,
             queries: st.queries.clone(),
             final_module: finalc.module.clone(),
             truth,
         })
+    }
+
+    /// The one place a probe answer is accounted: it bumps the tally,
+    /// observes the probe's latency and traces the answer, numbered by
+    /// the case's answer count so far and joined to `span`, the probe
+    /// span it was given in (0: none). Only `execute` and
+    /// `note_deduced` call it.
+    fn account(
+        &mut self,
+        answer: Answer,
+        digest: u64,
+        (pass, unique): Verdict,
+        started: Instant,
+        span: u64,
+    ) {
+        let seq = self.tally.answers.values().sum();
+        *self.tally.answers.entry(answer).or_default() += 1;
+        let wall_micros = started.elapsed().as_micros() as u64;
+        probe_micros().observe(wall_micros);
+        if let Some(sink) = &self.opts.trace {
+            sink.record(ProbeEvent {
+                case: self.case.name.clone(),
+                seq,
+                digest,
+                kind: answer.kind(),
+                pass,
+                unique,
+                wall_micros,
+                span,
+            });
+        }
+    }
+
+    /// Opens a child span under `parent` when the run is traced.
+    /// Returns `None` (zero cost beyond the branch) otherwise.
+    fn span(&self, name: &'static str, parent: u64) -> Option<Span> {
+        self.opts
+            .trace
+            .as_ref()
+            .map(|t| t.span(name, &self.case.name, parent))
+    }
+
+    /// Draws this attempt's fault decisions from the plan (all quiet
+    /// when no plan is configured).
+    fn sample_attempt(&self) -> AttemptFaults {
+        let Some(inj) = &self.opts.faults else {
+            return AttemptFaults::default();
+        };
+        AttemptFaults {
+            compile_panic: inj.fire(FaultSite::CompilePanic),
+            vm_fault: if inj.fire(FaultSite::VmTrap) {
+                Some(VmFault::Trap)
+            } else if inj.fire(FaultSite::VmFuelLie) {
+                Some(VmFault::FuelLie(FUEL_LIE_CAP))
+            } else {
+                None
+            },
+            garble: inj.fire(FaultSite::OutputGarble),
+            store_read_corrupt: inj.fire(FaultSite::StoreReadCorrupt),
+        }
+    }
+
+    fn note_failure(&mut self, f: &ProbeFailure) {
+        let fs = &mut self.tally.failures;
+        match f {
+            ProbeFailure::Panic(_) => fs.panics += 1,
+            ProbeFailure::VmError(_) => fs.vm_errors += 1,
+            ProbeFailure::OutputMismatch => fs.output_mismatches += 1,
+            ProbeFailure::StoreCorrupt => fs.store_corrupt += 1,
+            ProbeFailure::ServerDown => fs.server_down += 1,
+            ProbeFailure::ServerBusy => fs.server_busy += 1,
+        }
+    }
+
+    /// Answers one probe through the sandbox: quarantine short-circuit,
+    /// then up to `1 + PROBE_RETRIES` attempts, each under
+    /// `catch_unwind`. Never panics; fuel bounds every VM run, so every
+    /// attempt ends.
+    fn execute(&mut self, d: &Decisions) -> ProbeOutcome {
+        let started = Instant::now();
+        let digest = decisions_digest(self.salt, d);
+        // The probe span covers the quarantine check, every retry, and
+        // the degradation path; its guard records even if an attempt
+        // unwinds past us.
+        let probe_span = self.span("probe", self.case_span);
+        let probe_id = probe_span.as_ref().map_or(0, Span::id);
+        let (answer, verdict) = 'answered: {
+            if self.quarantine.contains(&digest) {
+                break 'answered (Answer::Faulted, MAY_ALIAS);
+            }
+            let attempts = 1 + PROBE_RETRIES;
+            for attempt_no in 0..attempts {
+                let fx = self.sample_attempt();
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| self.attempt(d, digest, fx, probe_id)))
+                        .unwrap_or_else(|p| Err(ProbeFailure::Panic(panic_message(&*p))));
+                match outcome {
+                    Ok(answered) => break 'answered answered,
+                    Err(failure) => {
+                        self.note_failure(&failure);
+                        if attempt_no + 1 < attempts {
+                            self.tally.failures.retries += 1;
+                        }
+                    }
+                }
+            }
+            // Every attempt failed: quarantine this decision vector and
+            // degrade to the pessimistic verdict. Never cached, never
+            // persisted — a later healthy run recomputes it for real.
+            self.quarantine.insert(digest);
+            self.tally.failures.quarantined += 1;
+            (Answer::Faulted, MAY_ALIAS)
+        };
+        self.account(answer, digest, verdict, started, probe_id);
+        let (pass, unique) = verdict;
+        ProbeOutcome { pass, unique }
+    }
+
+    /// One raw probe attempt — the decisions-digest walk, the compile,
+    /// the executable-hash walk, then an actual execution — with `fx`'s
+    /// faults injected at their sites. `digest` is `d`'s decisions
+    /// digest. Returns what answered, for `execute` to account.
+    fn attempt(
+        &mut self,
+        d: &Decisions,
+        digest: u64,
+        fx: AttemptFaults,
+        probe_span: u64,
+    ) -> Result<(Answer, Verdict), ProbeFailure> {
+        if let Some(hit) = self.lookup(Space::Dec, digest, digest, fx, probe_span) {
+            return Ok(hit);
+        }
+        if fx.compile_panic {
+            std::panic::panic_any(InjectedPanic("probe pass-pipeline compile"));
+        }
+        self.tally.compiles += 1;
+        let case = self.case;
+        // A probe reads only the module and the ORAQL state: the
+        // pipeline step alone, no Fig. 6 statistics.
+        let compiled = {
+            let _s = self.span("compile", probe_span);
+            compile_pipeline(
+                &*case.build,
+                &CompileOptions {
+                    oraql: Some((d.clone(), case.scope.clone())),
+                    use_cfl: case.use_cfl,
+                    optimism: case.optimism,
+                    ..CompileOptions::default()
+                },
+            )
+        };
+        let h = {
+            let _s = self.span("key", probe_span);
+            module_key(self.salt, &compiled.module)
+        };
+        if let Some(hit) = self.lookup(Space::Exe, h, digest, fx, probe_span) {
+            return Ok(hit);
+        }
+        self.tally.vm_runs += 1;
+        let run = {
+            let _s = self.span("vm", probe_span);
+            run_module_with(&compiled.module, case.fuel, fx.vm_fault)
+        };
+        if fx.vm_fault.is_some() {
+            if let Err(e) = &run {
+                // The injected trap / lying fuel budget killed the run:
+                // a transient probe failure, not a verdict. (A program
+                // that completes even under the lie produced genuine,
+                // trustworthy output and is judged normally below.)
+                return Err(ProbeFailure::VmError(e.clone()));
+            }
+        }
+        let pass = match run {
+            Ok(run) => {
+                let mut stdout = run.stdout;
+                if fx.garble {
+                    stdout.push_str("\u{7f}garbled probe output\n");
+                }
+                let ok = {
+                    let _s = self.span("verify", probe_span);
+                    self.verifier.check(&stdout).is_ok()
+                };
+                if fx.garble && !ok {
+                    // We know the mismatch is our own corruption: a
+                    // transient I/O failure, not a verdict. Nothing is
+                    // cached.
+                    return Err(ProbeFailure::OutputMismatch);
+                }
+                ok
+            }
+            // Genuine traps, fuel exhaustion included, count as
+            // verification failures.
+            Err(_) => false,
+        };
+        let unique = compiled
+            .oraql
+            .as_ref()
+            .map(|s| s.lock().stats.unique())
+            .unwrap_or(0);
+        // A computed verdict is written through to every tier under
+        // both keys: this is how one tenant's probe bill becomes every
+        // tenant's warm cache.
+        self.write(&TIERS, Space::Exe, h, (pass, unique));
+        self.write(&TIERS, Space::Dec, digest, (pass, unique));
+        Ok((Answer::Executed, (pass, unique)))
+    }
+
+    /// Walks the tiers for `key` in `space`. The first hit answers: it
+    /// is written back to the tiers that missed before it, and an
+    /// executable-hash hit is also filed under the probe's decisions
+    /// `digest` in every tier. Its unique count is the stored one, at
+    /// every job count.
+    fn lookup(
+        &mut self,
+        space: Space,
+        key: u64,
+        digest: u64,
+        fx: AttemptFaults,
+        probe_span: u64,
+    ) -> Option<(Answer, Verdict)> {
+        let (i, v) = (0..TIERS.len())
+            .find_map(|i| Some((i, self.read(TIERS[i], space, key, fx, probe_span)?)))?;
+        self.write(&TIERS[..i], space, key, v);
+        if space == Space::Exe {
+            self.write(&TIERS, Space::Dec, digest, v);
+        }
+        Some((Answer::Hit(TIERS[i], space), v))
+    }
+
+    /// The in-memory map of `space` (`None`: no decisions map at
+    /// `jobs = 1`).
+    fn memory(&mut self, space: Space) -> Option<&mut HashMap<u64, Verdict>> {
+        match space {
+            Space::Dec => self.dec.as_mut(),
+            Space::Exe => Some(&mut self.exe),
+        }
+    }
+
+    /// Reads one tier. A store hit under the injected
+    /// `store-read-corrupt` fault, and a failed server call, are noted
+    /// as sandbox failures and read as misses: the walk goes on, and a
+    /// recompute is the recovery, so no retry is consumed. The client's
+    /// circuit breaker makes every server call during an outage's
+    /// cooldown free.
+    fn read(
+        &mut self,
+        tier: Tier,
+        space: Space,
+        key: u64,
+        fx: AttemptFaults,
+        probe_span: u64,
+    ) -> Option<Verdict> {
+        match tier {
+            Tier::Memory => self.memory(space)?.get(&key).copied(),
+            Tier::Store => {
+                let found = {
+                    let store = self.opts.store.as_ref()?;
+                    let _s = self.span("store", probe_span);
+                    store.verdict(space, key)
+                };
+                if found.is_some() && fx.store_read_corrupt {
+                    self.note_failure(&ProbeFailure::StoreCorrupt);
+                    return None;
+                }
+                found
+            }
+            Tier::Server => {
+                let got = {
+                    let client = self.opts.server.as_ref()?;
+                    let _s = self.span("server", probe_span);
+                    client.get(space, key)
+                };
+                got.unwrap_or_else(|e| {
+                    self.note_failure(&match e {
+                        oraql_served::ClientError::Busy => ProbeFailure::ServerBusy,
+                        _ => ProbeFailure::ServerDown,
+                    });
+                    None
+                })
+            }
+        }
+    }
+
+    /// Files `v` under `key` in each of `tiers`. Store and server
+    /// errors are swallowed: a read-only disk or an unreachable server
+    /// degrades that tier, it never fails a probe (the store's and the
+    /// client's own counters record them).
+    fn write(&mut self, tiers: &[Tier], space: Space, key: u64, v: Verdict) {
+        for tier in tiers {
+            match tier {
+                Tier::Memory => {
+                    if let Some(map) = self.memory(space) {
+                        map.insert(key, v);
+                    }
+                }
+                Tier::Store => {
+                    if let Some(store) = &self.opts.store {
+                        let _ = store.record(space, key, v);
+                    }
+                }
+                Tier::Server => {
+                    if let Some(client) = &self.opts.server {
+                        let _ = client.put(space, key, v);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1167,33 +1062,30 @@ fn run_module_with(m: &Module, fuel: u64, fault: Option<VmFault>) -> Result<RunO
     }
 }
 
-impl Prober for Driver {
+impl Prober for Driver<'_> {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-        self.engine.execute(d)
+        self.execute(d)
     }
 
     fn budget_exceeded(&self) -> bool {
-        // Panicked and timed-out attempts abort *before* the run-site
-        // `tests_run` increment, so they must consume budget here —
-        // otherwise a persistently failing probe environment (every
-        // compile panicking, say) would let the bisection walk forever.
+        // Panicked attempts abort *before* the run-site `tests_run`
+        // increment, so they must consume budget here — otherwise a
+        // persistently failing probe environment (every compile
+        // panicking, say) would let the bisection walk forever.
         // VM-error and output-mismatch failures already counted.
-        let t = self.engine.tally();
-        t.vm_runs + t.failures.panics + t.failures.deadlines >= self.opts.max_tests
+        self.tally.vm_runs + self.tally.failures.panics >= self.opts.max_tests
     }
 
     fn note_deduced(&mut self) {
-        self.engine
-            .account(Answer::Deduced, 0, (false, 0), Instant::now(), 0);
+        self.account(Answer::Deduced, 0, (false, 0), Instant::now(), 0);
     }
 }
 
-impl Drop for Driver {
+impl Drop for Driver<'_> {
     /// Hands the case's tally to the registry, once, on every exit path
-    /// of [`Driver::run`]. An orphaned attempt's later work is not
-    /// counted.
+    /// of [`Driver::run`].
     fn drop(&mut self) {
-        self.engine.tally().report();
+        self.tally.report();
     }
 }
 
@@ -1215,27 +1107,29 @@ pub fn run_suite(
         return cases.iter().map(run_one).collect();
     }
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<DriverResult, DriverError>>>> =
-        (0..cases.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..opts.jobs.min(cases.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= cases.len() {
-                    break;
-                }
-                *lock_ignore_poison(&results[i]) = Some(run_one(&cases[i]));
-            });
-        }
+    let mut done: Vec<(usize, Result<DriverResult, DriverError>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..opts.jobs.min(cases.len()))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(case) = cases.get(i) else {
+                            break mine;
+                        };
+                        mine.push((i, run_one(case)));
+                    }
+                })
+            })
+            .collect();
+        // `run_one` catches every panic, so a worker never unwinds.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .unwrap_or_else(|| Err(DriverError::Internal("case result missing".into())))
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub struct UniqueQuery {
 /// whether optimistic must-alias responses unlock further
 /// optimizations, e.g. store-to-load forwarding between pointers the
 /// analyses cannot relate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OptimismKind {
     /// Optimistic answers are `NoAlias` (the paper's main design).
     #[default]

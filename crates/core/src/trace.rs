@@ -30,9 +30,6 @@
 //! answer joins its compile, VM and verify spans by id alone. `deduced`
 //! answers open no probe span and carry 0.
 //!
-//! Under `--probe-deadline-ms` too there is one event per answer: an
-//! attempt the watchdog gave up on never answers, so it is not traced.
-//!
 //! # Determinism contract
 //!
 //! With `--jobs 1` the probe-answer *sequence* is deterministic and

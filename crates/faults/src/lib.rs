@@ -6,12 +6,13 @@
 //! crate provides the chaos side of that bargain: a **seeded,
 //! deterministic fault plan** that the driver threads through its probe
 //! path (see `oraql::driver`), injecting panics, VM traps, fuel lies,
-//! latency, hangs, corrupted probe output, and store-journal rot at
-//! named sites. The served tier (`oraql-served`) threads the same plan
-//! through its wire and daemon paths: connection resets, torn and
-//! garbled response frames, response latency and hangs, failing group
-//! fsyncs, and crash points that kill the daemon between its journal
-//! append, ack, and fsync steps.
+//! corrupted probe output, and store-journal rot at named sites. A
+//! runaway probe needs no site: the VM's fuel budget ends it with a
+//! genuine failing verdict. The served tier (`oraql-served`) threads
+//! the same plan through its wire and daemon paths: connection resets,
+//! torn and garbled response frames, response latency and hangs,
+//! failing group fsyncs, and crash points that kill the daemon between
+//! its journal append, ack, and fsync steps.
 //!
 //! # Determinism contract
 //!
@@ -60,11 +61,6 @@ pub enum FaultSite {
     /// The VM is given a lying (tiny) fuel budget, so healthy programs
     /// report `FuelExhausted`.
     VmFuelLie,
-    /// Artificial probe latency (bounded sleep, stays under deadlines).
-    ProbeDelay,
-    /// Probe hang: sleeps well past the configured probe deadline, so
-    /// only the watchdog can reclaim the slot.
-    ProbeHang,
     /// The probe's observed stdout is garbled before verification
     /// (simulates corrupted probe I/O).
     OutputGarble,
@@ -104,12 +100,10 @@ pub enum FaultSite {
 
 /// All sites, in wire order. Index into this array is the site's
 /// stable id (used for counters and sub-seed derivation).
-pub const SITES: [FaultSite; 16] = [
+pub const SITES: [FaultSite; 14] = [
     FaultSite::CompilePanic,
     FaultSite::VmTrap,
     FaultSite::VmFuelLie,
-    FaultSite::ProbeDelay,
-    FaultSite::ProbeHang,
     FaultSite::OutputGarble,
     FaultSite::StoreReadCorrupt,
     FaultSite::StoreWriteTorn,
@@ -130,8 +124,6 @@ impl FaultSite {
             FaultSite::CompilePanic => "compile-panic",
             FaultSite::VmTrap => "vm-trap",
             FaultSite::VmFuelLie => "vm-fuel-lie",
-            FaultSite::ProbeDelay => "probe-delay",
-            FaultSite::ProbeHang => "probe-hang",
             FaultSite::OutputGarble => "output-garble",
             FaultSite::StoreReadCorrupt => "store-read-corrupt",
             FaultSite::StoreWriteTorn => "store-write-torn",
@@ -206,7 +198,7 @@ impl Rate {
 /// `num/den` rational (or `0` to disable). Example:
 ///
 /// ```text
-/// seed=42,compile-panic=1/16,vm-trap=1/16,probe-hang=1/64
+/// seed=42,compile-panic=1/16,vm-trap=1/16,output-garble=1/64
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -423,12 +415,12 @@ mod tests {
 
     #[test]
     fn parse_render_roundtrip() {
-        let spec = "seed=42,compile-panic=1/16,vm-trap=1/8,probe-hang=1/64";
+        let spec = "seed=42,compile-panic=1/16,vm-trap=1/8,output-garble=1/64";
         let plan = FaultPlan::parse(spec).unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rate(FaultSite::CompilePanic), Rate::new(1, 16));
         assert_eq!(plan.rate(FaultSite::VmTrap), Rate::new(1, 8));
-        assert_eq!(plan.rate(FaultSite::ProbeDelay), Rate::never());
+        assert_eq!(plan.rate(FaultSite::VmFuelLie), Rate::never());
         let rendered = plan.render();
         assert_eq!(FaultPlan::parse(&rendered).unwrap(), plan);
     }

@@ -1,46 +1,35 @@
-//! Process-wide metrics registry: sharded counters, gauges, and
-//! fixed-bucket log2 histograms, registered by static name and
-//! snapshot-able without stopping writers.
+//! Process-wide metrics registry: counters, gauges, and fixed-bucket
+//! log2 histograms, registered by static name and snapshot-able without
+//! stopping writers.
 //!
 //! Design notes:
 //! - Handles are `&'static` (leaked on first registration) so hot
 //!   paths cache them in `OnceLock`s and bump with one relaxed atomic
 //!   op — no map lookup, no lock.
-//! - Counters are sharded across cache-line-padded atomics indexed by
-//!   a cheap thread-local, so the probe pool's workers do not bounce
-//!   one cache line between cores.
+//! - A counter is one cache-line-aligned atomic: it is bumped once per
+//!   case, VM run, store append or server operation, never from a hot
+//!   loop, so per-thread shards buy nothing.
 //! - Histograms bucket values by `64 - leading_zeros`, giving exact
 //!   powers of two as bucket bounds. Bucket merge is element-wise
 //!   addition, which makes aggregation associative and commutative —
 //!   the property the trace analyzer's determinism tests pin down.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-const SHARDS: usize = 8;
-
-/// One cache line per shard so concurrent writers do not false-share.
+/// Monotonic counter. One cache line each, so counters that different
+/// threads bump at once (a served daemon's connection threads, the
+/// driver's case threads) never share a line.
 #[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    IDX.with(|i| *i)
-}
-
-/// Monotonic counter, sharded per thread.
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
     fn new() -> Self {
         Counter {
-            shards: std::array::from_fn(|_| PaddedU64(AtomicU64::new(0))),
+            value: AtomicU64::new(0),
         }
     }
 
@@ -49,16 +38,11 @@ impl Counter {
     }
 
     pub fn add(&self, by: u64) {
-        self.shards[shard_index()]
-            .0
-            .fetch_add(by, Ordering::Relaxed);
+        self.value.fetch_add(by, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -455,7 +439,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_shards_sum() {
+    fn counter_adds_up() {
         let r = Registry::new();
         let c = r.counter("test_counter");
         c.inc();
@@ -467,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_is_thread_safe_across_shards() {
+    fn counter_is_thread_safe() {
         let r = Registry::new();
         let c = r.counter("mt_counter");
         std::thread::scope(|s| {

@@ -26,15 +26,19 @@
 //! [`scan`] never panics on hostile bytes. Three failure classes are
 //! distinguished and counted:
 //!
-//! * **torn tail** — the file ends inside a record header or payload
-//!   (the classic kill-mid-write). The partial bytes are dropped and
-//!   the scan reports the offset where the valid prefix ends, so the
-//!   opener can truncate and append safely after it.
-//! * **corrupt record** — the checksum does not match (or the tag is
-//!   unknown) but the declared length stays in bounds. The record is
-//!   skipped and the scan continues at the next offset; a corrupted
-//!   *length* field degenerates into a checksum failure downstream or a
-//!   torn tail, never an out-of-bounds read.
+//! * **corrupt span** — a frame that is not intact: its checksum does
+//!   not match (a flipped bit, an unknown tag), its declared length is
+//!   out of range, or it was torn by a writer killed mid-append while
+//!   later appends landed after it. The scan resumes at the first
+//!   offset where an intact frame starts, or at the damaged frame's
+//!   own declared end if that comes first, and counts the skipped span
+//!   as one corrupt record. So a damaged frame costs only itself, and
+//!   every intact frame after it is recovered. A frame that decodes to
+//!   no record (a non-boolean pass byte) is one corrupt record too.
+//! * **torn tail** — a damaged span with no intact frame after it (the
+//!   classic kill-mid-write at the end of the file). It is dropped and
+//!   the scan reports the offset where it starts, so the opener can
+//!   truncate and append safely there.
 //! * **bad header** — wrong magic or unsupported version. This is the
 //!   only hard error: silently rewriting a file that is not ours would
 //!   destroy data.
@@ -165,13 +169,46 @@ impl std::fmt::Display for HeaderError {
 pub struct Scan {
     /// Every intact record, in file order.
     pub records: Vec<Record>,
-    /// Checksum-mismatched / undecodable records that were skipped.
+    /// Corrupt spans and undecodable records that were skipped.
     pub corrupt: u64,
-    /// 1 when a torn tail (partial final record) was dropped.
+    /// 1 when a torn tail (a damaged span with no intact frame after
+    /// it) was dropped.
     pub torn: u64,
-    /// Offset one past the last frame that was *consumed* (valid or
-    /// corrupt-but-well-framed) — the safe truncate-and-append point.
+    /// Where the torn tail starts, or the end of the bytes without one
+    /// — the safe truncate-and-append point.
     pub valid_end: u64,
+}
+
+/// One record frame as laid out in the bytes, before any check.
+struct Frame<'a> {
+    tag: u8,
+    sum: u64,
+    payload: &'a [u8],
+    /// Offset one past the frame.
+    end: usize,
+}
+
+impl Frame<'_> {
+    fn intact(&self) -> bool {
+        checksum(self.tag, self.payload) == self.sum
+    }
+}
+
+/// The frame starting at `bytes[at..]`, when one fits: `None` when the
+/// bytes end inside it or its declared length is past [`MAX_PAYLOAD`].
+fn frame_at(bytes: &[u8], at: usize) -> Option<Frame<'_>> {
+    let h: &[u8; RECORD_HEADER_LEN] = bytes.get(at..at + RECORD_HEADER_LEN)?.try_into().ok()?;
+    let len = u32::from_le_bytes([h[1], h[2], h[3], h[4]]) as usize;
+    if len > MAX_PAYLOAD {
+        return None;
+    }
+    let end = at + RECORD_HEADER_LEN + len;
+    Some(Frame {
+        tag: h[0],
+        sum: u64::from_le_bytes([h[5], h[6], h[7], h[8], h[9], h[10], h[11], h[12]]),
+        payload: bytes.get(at + RECORD_HEADER_LEN..end)?,
+        end,
+    })
 }
 
 /// Scans every record frame after the header. `base` is the absolute
@@ -184,41 +221,34 @@ pub fn scan(bytes: &[u8], base: u64) -> Scan {
     };
     let mut at = 0usize;
     while at < bytes.len() {
-        let rest = &bytes[at..];
-        if rest.len() < RECORD_HEADER_LEN {
-            s.torn = 1;
-            break;
+        let frame = frame_at(bytes, at);
+        match frame {
+            Some(f) if f.intact() => {
+                at = f.end;
+                match Record::decode(f.tag, f.payload) {
+                    Some(r) => s.records.push(r),
+                    None if f.tag == RETIRED_REFERENCE_TAG => {}
+                    None => s.corrupt += 1,
+                }
+            }
+            _ => {
+                // A damaged span: it ends where the next intact frame
+                // starts, or at this frame's declared end if that comes
+                // first, so a bit-flipped frame costs only itself.
+                let declared = frame.map(|f| f.end);
+                let intact_at = |o| frame_at(bytes, o).is_some_and(|f| f.intact());
+                let Some(next) = (at + 1..bytes.len())
+                    .find(|&o| Some(o) == declared || intact_at(o))
+                    .or(declared)
+                else {
+                    s.torn = 1;
+                    break;
+                };
+                s.corrupt += 1;
+                at = next;
+            }
         }
-        let tag = rest[0];
-        // rest.len() >= RECORD_HEADER_LEN was checked above, so these
-        // fixed-index reads cannot go out of bounds.
-        let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
-        let want = u64::from_le_bytes([
-            rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11], rest[12],
-        ]);
-        if len > MAX_PAYLOAD {
-            // A length this absurd means the frame itself is garbage;
-            // nothing after it can be trusted to be framed. Treat the
-            // remainder as a torn tail.
-            s.torn = 1;
-            break;
-        }
-        if rest.len() < RECORD_HEADER_LEN + len {
-            s.torn = 1;
-            break;
-        }
-        let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
-        at += RECORD_HEADER_LEN + len;
         s.valid_end = base + at as u64;
-        if checksum(tag, payload) != want {
-            s.corrupt += 1;
-            continue;
-        }
-        match Record::decode(tag, payload) {
-            Some(r) => s.records.push(r),
-            None if tag == RETIRED_REFERENCE_TAG => {}
-            None => s.corrupt += 1,
-        }
     }
     s
 }
@@ -328,16 +358,51 @@ mod tests {
     }
 
     #[test]
-    fn absurd_length_degrades_to_torn_tail() {
+    fn absurd_length_is_skipped_up_to_the_next_intact_frame() {
         let rs = sample();
         let mut bytes = frames(&rs);
         // Claim a payload far past MAX_PAYLOAD in the second frame.
         let second = frames(&rs[..1]).len();
         bytes[second + 1..second + 5].copy_from_slice(&u32::MAX.to_le_bytes());
         let s = scan(&bytes, HEADER_LEN as u64);
-        assert_eq!(s.records, rs[..1]);
-        assert_eq!(s.torn, 1);
-        assert_eq!(s.valid_end, (HEADER_LEN + second) as u64);
+        assert_eq!(s.records, [rs[0], rs[2]]);
+        assert_eq!((s.corrupt, s.torn), (1, 0));
+        // In the last frame, the same damage is a torn tail.
+        let mut bytes = frames(&rs);
+        let last = frames(&rs[..2]).len();
+        bytes[last + 1..last + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let s = scan(&bytes, HEADER_LEN as u64);
+        assert_eq!(s.records, rs[..2]);
+        assert_eq!((s.corrupt, s.torn), (0, 1));
+        assert_eq!(s.valid_end, (HEADER_LEN + last) as u64);
+    }
+
+    #[test]
+    fn torn_frame_mid_file_keeps_every_intact_frame_after_it() {
+        // A writer killed mid-append left half a frame, and later
+        // appends landed after it.
+        let rs = sample();
+        let torn = Record {
+            space: Space::Exe,
+            key: 5,
+            verdict: (true, 1),
+        }
+        .encode();
+        let mut bytes = frames(&rs[..1]);
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
+        bytes.extend(frames(&rs[1..]));
+        let s = scan(&bytes, HEADER_LEN as u64);
+        assert_eq!(s.records, rs);
+        assert_eq!((s.corrupt, s.torn), (1, 0));
+        assert_eq!(s.valid_end, (HEADER_LEN + bytes.len()) as u64);
+        // Two torn frames in a row are one damaged span.
+        let mut bytes = frames(&rs[..1]);
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
+        bytes.extend_from_slice(&torn[..torn.len() / 3]);
+        bytes.extend(frames(&rs[1..]));
+        let s = scan(&bytes, HEADER_LEN as u64);
+        assert_eq!(s.records, rs);
+        assert_eq!((s.corrupt, s.torn), (1, 0));
     }
 
     #[test]

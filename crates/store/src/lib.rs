@@ -13,9 +13,11 @@
 //! A [`Verdict`] is filed under a key in one of two key spaces
 //! ([`Space`]). Keys are the driver's existing salted hashes — nothing
 //! here invents new identity. The **case salt** hashes the benchmark
-//! name, accepted references, ignore patterns and fuel, so a verdict is
-//! only transferable between probes that agree on all of those; under
-//! it,
+//! name, accepted references, ignore patterns, fuel, ORAQL scope,
+//! `use_cfl`, optimism kind, and the structural key
+//! (`oraql_ir::printer::module_key`) of the unoptimized module the case
+//! builds, so a verdict is only transferable between probes that agree
+//! on all of those; under it,
 //!
 //! * the **decisions digest** (salt + rendered decision vector,
 //!   [`Space::Dec`]) keys compile-free answers;
@@ -24,15 +26,21 @@
 //!   [`Space::Exe`]) keys run-free answers for bit-identical
 //!   recompilations.
 //!
-//! If a workload generator, verifier input, or fuel budget changes, the
-//! salt changes, every key changes, and stale entries are simply never
-//! hit — there is no invalidation protocol to get wrong.
+//! If any of those changes — a workload generator that builds a
+//! different module, a verifier input, the fuel budget, the scope —
+//! the salt changes, every key changes, and stale entries are simply
+//! never hit: there is no invalidation protocol to get wrong. The
+//! module key leaves out what the printed module leaves out (global
+//! initial bytes, a function's source file), so a generator change
+//! that touches only those keeps the salt.
 //!
 //! ## Crash safety
 //!
 //! The journal ([`journal`]) is append-only with per-record checksums.
 //! A process killed mid-append leaves a torn tail that [`Store::open`]
-//! silently truncates; a bit-flipped record is skipped and counted.
+//! silently truncates; a bit-flipped record, or a torn one that later
+//! appends landed after, is skipped up to the next intact record and
+//! counted.
 //! Compaction ([`Store::compact`]) rewrites the journal to one record
 //! per live key through a temp file + atomic rename, guarded by an
 //! advisory file lock so concurrent processes cannot compact over each

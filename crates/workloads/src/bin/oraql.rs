@@ -5,7 +5,7 @@
 //! oraql --benchmark <name> [--strategy chunked|frequency] [--dump]
 //!       [--max-tests N] [--jobs N] [--trace <file.jsonl>]
 //!       [--store <journal>] [--server <addr>]
-//!       [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
+//!       [--fault-plan <spec>] [--no-gate]
 //!       [--metrics-out <file.prom>]
 //!       [--emit-sequence <file>]            # save the final decisions
 //! oraql --benchmark <name> --replay <seq>   # compile+run a saved
@@ -53,9 +53,9 @@
 //! testing for the probe sandbox — and, with `--store`, on the store's
 //! journal appends (`store-write-bitflip`, `store-write-torn`). Failed
 //! probes retry and then degrade to pessimistic may-alias; counters are
-//! reported per run and a fault summary is printed at exit.
-//! `--probe-deadline-ms N` puts each probe attempt under a wall-clock
-//! watchdog (0 disables). These two, `--jobs`, `--max-tests`,
+//! reported per run and a fault summary is printed at exit. Each probe
+//! runs inline on its case's thread; the VM's fuel budget is the one
+//! bound on a probe. `--fault-plan`, `--jobs`, `--max-tests`,
 //! `--server` and `--no-gate` are parsed by
 //! `oraql_workloads::driver_flags`, which `oraql gen` shares.
 //!
@@ -92,7 +92,7 @@ const USAGE: &str = "usage: oraql --list
        oraql --benchmark <name> [--strategy chunked|frequency] [--dump] [--max-tests N]
                 [--jobs N] [--trace <file.jsonl>]
                 [--store <journal>] [--server <addr>]
-                [--fault-plan <spec>] [--probe-deadline-ms N] [--no-gate]
+                [--fault-plan <spec>] [--no-gate]
                 [--metrics-out <file.prom>]
                 [--emit-sequence <file>]
        oraql --benchmark <name> --replay <seq|@file>
@@ -224,11 +224,10 @@ fn print_result(
         // output stays byte-identical to earlier versions.
         let f = &r.failures;
         println!(
-            "sandbox: {} panics, {} deadlines, {} vm errors, {} mismatches, \
+            "sandbox: {} panics, {} vm errors, {} mismatches, \
              {} store-corrupt, {} server-down, {} server-busy | {} retries, \
              {} quarantined to may-alias",
             f.panics,
-            f.deadlines,
             f.vm_errors,
             f.output_mismatches,
             f.store_corrupt,

@@ -1,14 +1,12 @@
 //! The driver flags `oraql` and `oraql gen` both take: `--jobs`/`-j`,
-//! `--max-tests`, `--fault-plan`, `--probe-deadline-ms`, `--server` and
-//! `--no-gate`.
+//! `--max-tests`, `--fault-plan`, `--server` and `--no-gate`.
 //!
 //! One parser holds their range checks and error texts, and builds the
-//! fault injector, the probe deadline and the verdict-server client;
-//! [`DriverFlags::apply`] writes them into a run's options.
+//! fault injector and the verdict-server client; [`DriverFlags::apply`]
+//! writes them into a run's options.
 
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use oraql::served::Client;
 use oraql::{DriverOptions, FaultInjector, FaultPlan};
@@ -20,7 +18,6 @@ pub struct DriverFlags {
     max_tests: Option<u64>,
     /// `--fault-plan`: the spec as given and the injector it arms.
     pub faults: Option<(String, Arc<FaultInjector>)>,
-    probe_deadline: Option<Duration>,
     /// `--server`: the verdict-server client (it dials lazily, so a dead
     /// daemon costs nothing until a probe misses every local tier).
     pub server: Option<Arc<Client>>,
@@ -35,7 +32,6 @@ impl Default for DriverFlags {
             jobs: None,
             max_tests: None,
             faults: None,
-            probe_deadline: None,
             server: None,
             gate: true,
         }
@@ -60,10 +56,6 @@ impl DriverFlags {
             }
             "--max-tests" => {
                 self.max_tests = Some(number(flag, value()?, "an integer probe budget", |_| true)?);
-            }
-            "--probe-deadline-ms" => {
-                let ms: u64 = number(flag, value()?, "a millisecond count", |_| true)?;
-                self.probe_deadline = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--fault-plan" => {
                 let spec = value()?;
@@ -90,7 +82,6 @@ impl DriverFlags {
             opts.max_tests = n;
         }
         opts.faults = self.faults.as_ref().map(|(_, inj)| Arc::clone(inj));
-        opts.probe_deadline = self.probe_deadline;
         opts.server = self.server.clone();
     }
 }

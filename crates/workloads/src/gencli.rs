@@ -3,8 +3,7 @@
 //! ```text
 //! oraql gen --plan "seed=42,cases=1000,motifs=red+csr,per=3" [--out DIR]
 //!           [--run] [--jobs N] [--no-gate]
-//!           [--fault-plan SPEC] [--probe-deadline-ms N] [--max-tests N]
-//!           [--server ADDR]
+//!           [--fault-plan SPEC] [--max-tests N] [--server ADDR]
 //! ```
 //!
 //! With `--out` the corpus is materialized as driver-ready `.conf`
@@ -32,7 +31,7 @@ use crate::driver_flags::DriverFlags;
 const GEN_USAGE: &str =
     "usage: oraql gen --plan \"seed=S,cases=N,motifs=red+outlined+aos+csr+halo,per=K\"
                 [--out <dir>] [--run] [--jobs N] [--no-gate]
-                [--fault-plan <spec>] [--probe-deadline-ms N] [--max-tests N] [--server <addr>]";
+                [--fault-plan <spec>] [--max-tests N] [--server <addr>]";
 
 macro_rules! bail {
     ($($arg:tt)*) => {{

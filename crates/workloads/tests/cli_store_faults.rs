@@ -109,3 +109,21 @@ fn store_write_faults_fire_and_are_dropped_on_reopen() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A frame torn in the middle of the journal costs only itself: later
+/// appends landed after it, and the reopen recovers every one of them.
+#[test]
+fn reopen_recovers_every_intact_frame_after_a_torn_one() {
+    let dir = scratch("torn_mid_file");
+    let journal = dir.join("torn.journal");
+    let journal = journal.to_str().unwrap();
+    let plan = "seed=3,store-write-torn=1/8";
+    let (faulty, _) = run(&dir, "torn", &["--store", journal, "--fault-plan", plan]);
+    let (drawn, torn) = site_row(&faulty, "store-write-torn").expect("store-write-torn row");
+    assert!(torn > 0 && torn < drawn, "{plan}:\n{faulty}");
+
+    let (warm, _) = run(&dir, "torn_warm", &["--store", journal]);
+    let (recovered, _, _) = journal_counts(&warm);
+    assert_eq!(recovered, drawn - torn, "{plan}:\n{warm}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

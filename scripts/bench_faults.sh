@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Probe-sandbox overhead benchmark (see docs/ARCHITECTURE.md §6).
 #
-# Drives the full workload suite fault-free, with a quiet (all-zero)
-# fault plan armed, and with a watchdog deadline armed, and writes the
-# wall-clock totals and overhead ratios as JSON — including the
+# Drives the full workload suite fault-free and with a quiet (all-zero)
+# fault plan armed, and writes the wall-clock totals and the overhead
+# ratio as JSON — including the
 # fault-free total against the pre-sandbox cold suite recording in
 # BENCH_store.json when present. Output path defaults to
 # BENCH_faults.json in the repo root; override with ORAQL_BENCH_OUT.

@@ -10,13 +10,15 @@
 //!   is a pure function of the fault-plan seed: two runs are identical.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use oraql::faults::{quiet_injected_panics, Rate};
+use oraql::faults::quiet_injected_panics;
 use oraql::{
-    run_suite, Driver, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, TestCase,
-    TraceSink, Verifier,
+    run_suite, CompileOptions, Decisions, Driver, DriverOptions, DriverResult, FaultInjector,
+    FaultPlan, ProbeKind, Scope, Store, TestCase, TraceSink, Verifier,
 };
+use oraql_ir::builder::FunctionBuilder;
+use oraql_ir::{CmpPred, Module, Ty, Value};
+use oraql_vm::{Interpreter, RuntimeError};
 use oraql_workloads as workloads;
 
 /// Small-but-real cases that keep the matrix fast; `testsnap_omp` and
@@ -89,74 +91,101 @@ fn chaos_never_gains_optimism() {
     }
 }
 
-/// A hostile plan with a watchdog deadline: hangs are cut short,
-/// classified, and the run still completes and verifies.
-#[test]
-fn deadline_cuts_injected_hangs() {
-    let plan = FaultPlan::quiet(7).with_rate(FaultSite::ProbeHang, Rate::new(1, 3));
-    quiet_injected_panics();
-    let case = workloads::find_case("testsnap_omp").expect("case");
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            // Injected hangs sleep well past this deadline (4x, capped
-            // at 2s), so every one of them must be caught by the
-            // watchdog rather than waited out.
-            probe_deadline: Some(Duration::from_millis(250)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(r.failures.deadlines > 0, "{:?}", r.failures);
-    assert_verifies(&case, &r);
+/// `spin(flag, writer)` loops until it reads a nonzero flag, setting
+/// the flag through `writer` on every trip; `main` passes the same cell
+/// twice, so the baseline leaves after one trip and prints `1`. An
+/// optimistic no-alias answer for the store and the load lets LICM hoist
+/// the flag load out of the loop, so the probe spins until its fuel
+/// runs out.
+fn runaway_case() -> TestCase {
+    let mut case = TestCase::new("runaway", || {
+        let mut m = Module::new("runaway");
+        let spin = {
+            let mut b = FunctionBuilder::new(&mut m, "spin", vec![Ty::Ptr, Ty::Ptr], None);
+            let (flag, writer) = (b.arg(0), b.arg(1));
+            let entry = b.current_block();
+            let header = b.new_block();
+            let exit = b.new_block();
+            b.br(header);
+            b.switch_to(header);
+            let trips = b.phi(Ty::I64, vec![(entry, Value::ConstInt(0))]);
+            b.store(Ty::I64, Value::ConstInt(1), writer);
+            let seen = b.load(Ty::I64, flag);
+            let next = b.add(trips, Value::ConstInt(1));
+            b.add_phi_incoming(trips, header, next);
+            let unset = b.cmp(CmpPred::Eq, Ty::I64, seen, Value::ConstInt(0));
+            b.cond_br(unset, header, exit);
+            b.switch_to(exit);
+            b.print("{}", vec![next]);
+            b.ret(None);
+            b.finish()
+        };
+        let cell = m.add_global("flag", 8, vec![], false);
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], None);
+        b.store(Ty::I64, Value::ConstInt(0), Value::Global(cell));
+        b.call(spin, vec![Value::Global(cell), Value::Global(cell)], None);
+        b.ret(None);
+        b.finish();
+        m
+    });
+    case.fuel = 10_000;
+    case
 }
 
-/// An attempt the watchdog gave up on never answers its probe. With a
-/// 20 ms deadline each injected hang sleeps 80 ms and so wakes while
-/// the case is still probing; the orphan may fill the caches, but the
-/// trace still holds one event per probe answer, during the run and
-/// after it.
+/// Fuel is the one bound on a probe: an optimistic answer that makes a
+/// loop spin ends in a failing executed verdict, with no sandbox event,
+/// and that verdict is cached like any other — a warm run replays it
+/// without a compile. The final sequence keeps the query pessimistic.
 #[test]
-fn orphaned_attempts_never_answer_a_probe() {
-    let case = workloads::find_case("testsnap_omp").expect("case");
-    let quiet = TraceSink::in_memory();
-    let healthy = Driver::run(
-        &case,
-        DriverOptions {
-            trace: Some(quiet.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let answers = quiet.events().len();
+fn fuel_ends_a_probe_that_spins() {
+    let case = runaway_case();
+    let dir = std::env::temp_dir().join(format!("oraql_runaway_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("verdicts.journal");
+    let run = || {
+        let sink = TraceSink::in_memory();
+        let store = Arc::new(Store::open(&journal).unwrap());
+        let r = Driver::run(
+            &case,
+            DriverOptions {
+                store: Some(store),
+                trace: Some(sink.clone()),
+                ..Default::default()
+            },
+        )
+        .expect("a spinning probe must not fail the case");
+        (r, sink.events())
+    };
+    // The all-optimistic compile really spins: only the fuel ends it.
+    let spun = oraql::compile(
+        &*case.build,
+        &CompileOptions::with_oraql(Decisions::all_optimistic(), Scope::everything()),
+    );
+    let main = spun.module.find_func("main").unwrap();
+    let mut vm = Interpreter::new(&spun.module).with_fuel(case.fuel);
+    assert_eq!(
+        vm.run(main, vec![]).unwrap_err(),
+        RuntimeError::FuelExhausted
+    );
 
-    quiet_injected_panics();
-    let plan = FaultPlan::quiet(7).with_rate(FaultSite::ProbeHang, Rate::new(1, 4));
-    let sink = TraceSink::in_memory();
-    let r = Driver::run(
-        &case,
-        DriverOptions {
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-            probe_deadline: Some(Duration::from_millis(20)),
-            trace: Some(sink.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(r.failures.deadlines > 0, "{:?}", r.failures);
-    assert_verifies(&case, &r);
-    if r.failures.quarantined > 0 {
-        // A probe hung on every attempt and degraded to may-alias: the
-        // bisection path may differ from the healthy one.
-        return;
-    }
-    assert_eq!(r.decisions, healthy.decisions);
-    let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
-    assert_eq!(seqs.len(), answers, "one trace event per probe answer");
-    assert_eq!(seqs, (0..answers as u64).collect::<Vec<_>>());
-    std::thread::sleep(Duration::from_millis(200));
-    assert_eq!(sink.events().len(), answers, "an orphan answered late");
+    let (cold, events) = run();
+    assert_eq!(cold.baseline_run.stdout, "1\n");
+    let first = &events[0];
+    assert_eq!((first.kind, first.pass), (ProbeKind::Executed, false));
+    assert!(!cold.fully_optimistic);
+    assert!(cold.failures.is_quiet(), "{:?}", cold.failures);
+    assert!(cold.oraql.unique_pessimistic >= 1, "{:?}", cold.oraql);
+    assert_verifies(&case, &cold);
+
+    let (warm, events) = run();
+    assert_eq!(warm.effort.compiles, 0, "{:?}", warm.effort);
+    assert_eq!(
+        (events[0].kind, events[0].pass),
+        (ProbeKind::StoreHit, false)
+    );
+    assert_eq!(warm.decisions, cold.decisions);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Full suite under a mixed plan at `jobs = 4`: every case completes,

@@ -148,7 +148,7 @@ fn chaos_faults_gain_no_optimism_on_aliasing_pairs() {
     for seed in [1u64, 42, 1337] {
         let spec = format!(
             "seed={seed},compile-panic=1/16,vm-trap=1/24,vm-fuel-lie=1/24,\
-             probe-delay=1/32,output-garble=1/24,store-read-corrupt=1/16"
+             output-garble=1/24,store-read-corrupt=1/16"
         );
         let fault_plan = FaultPlan::parse(&spec).unwrap();
         let t = run_gated(

@@ -7,7 +7,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use oraql::faults::Rate;
-use oraql::{Driver, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, Store};
+use oraql::{
+    Driver, DriverOptions, DriverResult, FaultInjector, FaultPlan, FaultSite, Scope, Store,
+    TestCase,
+};
+use oraql_ir::builder::FunctionBuilder;
+use oraql_ir::{Module, Ty, Value};
 use oraql_workloads as workloads;
 
 /// Fresh scratch directory, removed on drop.
@@ -33,15 +38,19 @@ impl Drop for Scratch {
 }
 
 fn run_with_store(name: &str, store: &Arc<Store>) -> DriverResult {
-    let case = workloads::find_case(name).expect(name);
+    run_case(&workloads::find_case(name).expect(name), Some(store))
+}
+
+/// Runs `case` on `store` (`None`: no store).
+fn run_case(case: &TestCase, store: Option<&Arc<Store>>) -> DriverResult {
     Driver::run(
-        &case,
+        case,
         DriverOptions {
-            store: Some(Arc::clone(store)),
+            store: store.cloned(),
             ..Default::default()
         },
     )
-    .unwrap_or_else(|e| panic!("{name}: {e}"))
+    .unwrap_or_else(|e| panic!("{}: {e}", case.name))
 }
 
 fn assert_same_result(name: &str, cold: &DriverResult, warm: &DriverResult) {
@@ -213,4 +222,72 @@ fn compaction_preserves_driver_verdicts() {
     let warm = run_with_store("testsnap_omp", &store);
     assert_same_result("testsnap_omp", &cold, &warm);
     assert_eq!(warm.effort.tests_run, 0, "{:?}", warm.effort);
+}
+
+/// The store keys cover the ORAQL scope: a warm store filled by the
+/// whole-program run of a case must not answer the probes of the same
+/// case scoped to a file it does not have.
+#[test]
+fn warm_store_does_not_answer_another_scope() {
+    let scratch = Scratch::new("scope");
+    let store = Arc::new(Store::open(scratch.journal()).unwrap());
+    let whole = run_with_store("testsnap_omp", &store);
+    assert!(!whole.fully_optimistic);
+
+    let mut narrow = workloads::find_case("testsnap_omp").unwrap();
+    narrow.scope = Scope::files(vec!["nosuch.cpp".into()]);
+    let cold = run_case(&narrow, None);
+    assert!(cold.fully_optimistic);
+    let warm = run_case(&narrow, Some(&store));
+    assert_same_result("narrow scope", &cold, &warm);
+}
+
+/// Two builders under one case name whose baselines print the same
+/// line: `work(p, q)` prints `*p` read before and after a store of 100
+/// through `q`. The first passes distinct cells holding 60 (`60 + 60`),
+/// the second one cell holding 20 twice (`20 + 100`), so only the
+/// second needs a pessimistic answer.
+fn twin(aliased: bool) -> TestCase {
+    TestCase::new("twin", move || {
+        let mut m = Module::new("twin");
+        let work = {
+            let mut b = FunctionBuilder::new(&mut m, "work", vec![Ty::Ptr, Ty::Ptr], None);
+            let (p, q) = (b.arg(0), b.arg(1));
+            let before = b.load(Ty::I64, p);
+            b.store(Ty::I64, Value::ConstInt(100), q);
+            let after = b.load(Ty::I64, p);
+            let sum = b.add(before, after);
+            b.print("{}", vec![sum]);
+            b.ret(None);
+            b.finish()
+        };
+        let cells = m.add_global("cells", 16, vec![], false);
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], None);
+        let p = b.gep(Value::Global(cells), 0);
+        let q = if aliased {
+            p
+        } else {
+            b.gep(Value::Global(cells), 8)
+        };
+        b.store(Ty::I64, Value::ConstInt(if aliased { 20 } else { 60 }), p);
+        b.call(work, vec![p, q], None);
+        b.ret(None);
+        b.finish();
+        m
+    })
+}
+
+/// The store keys cover the program: a verdict of one builder must not
+/// answer a probe of another under the same case name and references.
+#[test]
+fn warm_store_does_not_answer_another_program() {
+    let scratch = Scratch::new("twins");
+    let store = Arc::new(Store::open(scratch.journal()).unwrap());
+    let apart = run_case(&twin(false), Some(&store));
+    let cold = run_case(&twin(true), None);
+    assert_eq!(apart.baseline_run.stdout, cold.baseline_run.stdout);
+    assert!(apart.fully_optimistic);
+    assert!(!cold.fully_optimistic);
+    let warm = run_case(&twin(true), Some(&store));
+    assert_same_result("aliased twin", &cold, &warm);
 }
