@@ -66,9 +66,11 @@ pub struct AAManager {
     /// suppressed analyses still run (their statistics count), but the
     /// chain falls through them.
     pub suppressed: std::collections::HashSet<String>,
-    /// Cached memory-effect summaries per callee: `(reads, writes)`.
-    /// Sound to cache across transformations: passes only remove
-    /// accesses, so a stale `true` is merely conservative.
+    /// Memory-effect summaries per callee: `(reads, writes)`. The pass
+    /// manager fills them from the unoptimized module before its first
+    /// pass ([`AAManager::summarize_callees`]). Sound to keep across
+    /// transformations: passes only remove accesses, so a stale `true`
+    /// is merely conservative.
     callee_effects: FxHashMap<FunctionId, (bool, bool)>,
 }
 
@@ -122,6 +124,17 @@ impl AAManager {
         }
         self.callee_effects.insert(fid, (reads, writes));
         (reads, writes)
+    }
+
+    /// Summarizes every function of `m` now, so that every later ask
+    /// reads the summary of `m` as it is, whatever the passes do to the
+    /// callee afterwards. Filled at first ask instead, a caller's code
+    /// would depend on how far the pipeline had got through its callee,
+    /// and so on the alias answers given inside the callee.
+    pub fn summarize_callees(&mut self, m: &Module) {
+        for fi in 0..m.funcs.len() {
+            self.callee_effects(m, FunctionId(fi as u32));
+        }
     }
 
     /// Appends an analysis to the end of the chain.

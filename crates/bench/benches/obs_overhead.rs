@@ -4,10 +4,13 @@
 //! fully instrumented suite run (the one trace stream — probe answers
 //! and spans — written to its file, metrics registry live) stays within
 //! **1.05×** of the uninstrumented wall clock. This bench drives the
-//! full 16-config workload suite both ways and records the ratio — and,
-//! while it has the artifacts in hand, re-derives the in-run
+//! full 16-config workload suite both ways in [`PAIRS`] pairs,
+//! alternating which side of a pair runs first, and holds the median of
+//! the pairs' ratios to the bound: one pair's ratio on a shared machine
+//! is mostly noise. On the last traced pass it re-derives the in-run
 //! probe-trace summary from the JSONL file alone, which must match
-//! byte-for-byte (the `oraql trace --fig2` reproducibility criterion).
+//! byte-for-byte (the `oraql trace --fig2` reproducibility criterion),
+//! and checks the registry's probe count against the trace.
 //!
 //! Writes `$ORAQL_BENCH_OUT` (default `BENCH_obs.json`). Not a
 //! criterion bench: the JSON artifact is the point, and each pass is a
@@ -31,6 +34,14 @@ fn suite_pass(opts: &DriverOptions, label: &str) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
+/// Plain/traced pairs measured; the bound holds their median ratio.
+const PAIRS: usize = 9;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() {
     let out = std::env::var("ORAQL_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs.json".into());
     let dir = std::env::temp_dir().join(format!("oraql_bench_obs_{}", std::process::id()));
@@ -43,19 +54,35 @@ fn main() {
     // allocator growth land outside the measured passes.
     let _ = suite_pass(&DriverOptions::default(), "warmup");
 
-    let plain = suite_pass(&DriverOptions::default(), "plain");
-
-    let sink = TraceSink::to_file(&trace_path).expect("trace file");
-    let snap0 = oraql_obs::global().snapshot();
-    let instrumented = suite_pass(
-        &DriverOptions {
-            trace: Some(sink.clone()),
-            ..Default::default()
-        },
-        "instrumented",
-    );
-    assert_eq!(sink.flush(), 0, "trace lines dropped");
-    let snap = oraql_obs::global().snapshot();
+    let (mut plains, mut traceds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    // The sink and the registry around the last traced pass.
+    let mut last = None;
+    for pair in 0..PAIRS {
+        // Alternating which side runs first keeps whatever favours the
+        // first (or second) pass of a pair from tilting every ratio the
+        // same way. The last pair runs its traced pass last.
+        let (mut plain, mut traced) = (0.0, 0.0);
+        for trace in [pair % 2 == 1, pair % 2 == 0] {
+            if trace {
+                let sink = TraceSink::to_file(&trace_path).expect("trace file");
+                let snap0 = oraql_obs::global().snapshot();
+                let opts = DriverOptions {
+                    trace: Some(sink.clone()),
+                    ..Default::default()
+                };
+                traced = suite_pass(&opts, "instrumented");
+                assert_eq!(sink.flush(), 0, "trace lines dropped");
+                last = Some((sink, snap0, oraql_obs::global().snapshot()));
+            } else {
+                plain = suite_pass(&DriverOptions::default(), "plain");
+            }
+        }
+        println!("pair {pair}: plain {plain:>7.1} ms, traced {traced:>7.1} ms");
+        plains.push(plain);
+        traceds.push(traced);
+        ratios.push(traced / plain);
+    }
+    let (sink, snap0, snap) = last.expect("a traced pass");
     std::fs::write(&metrics_path, snap.render()).expect("write exposition");
 
     // The analyzer's ground truth: the Fig. 2 table recomputed from the
@@ -81,9 +108,10 @@ fn main() {
         "registry and trace disagree on probe count"
     );
 
-    let ratio = instrumented / plain;
-    println!("uninstrumented suite: {plain:>9.1} ms");
-    println!("instrumented suite:   {instrumented:>9.1} ms ({ratio:.3}x)");
+    let (plain, instrumented, ratio) = (median(plains), median(traceds), median(ratios));
+    println!("uninstrumented suite: {plain:>9.1} ms (median of {PAIRS})");
+    println!("instrumented suite:   {instrumented:>9.1} ms (median of {PAIRS})");
+    println!("median pair ratio:    {ratio:>9.3}x");
     println!(
         "probes traced: {} | spans: {}",
         sink.events().len(),
@@ -91,11 +119,12 @@ fn main() {
     );
     assert!(
         ratio <= 1.05,
-        "instrumentation overhead {ratio:.3}x exceeds the 1.05x budget"
+        "median instrumentation overhead {ratio:.3}x exceeds the 1.05x budget"
     );
 
     let json = format!(
         "{{\n  \"bench\": \"obs_overhead\",\n  \"cases_total\": {},\n  \
+         \"pairs\": {PAIRS},\n  \
          \"plain_total_ms\": {plain:.2},\n  \
          \"instrumented_total_ms\": {instrumented:.2},\n  \
          \"overhead_ratio\": {ratio:.4},\n  \

@@ -5,7 +5,8 @@
 //! Two entry points: [`compile`] runs the pipeline and then collects
 //! the Fig. 6 statistics (baseline and final compiles, reports);
 //! [`compile_pipeline`] stops after the pipeline, which is all a probe
-//! reads.
+//! reads, and splices in the functions a [`Reuse`] carries instead of
+//! compiling them again.
 
 use crate::pass::{OraqlAA, OraqlShared};
 use crate::sequence::Decisions;
@@ -16,8 +17,9 @@ use oraql_analysis::scoped::ScopedNoAliasAA;
 use oraql_analysis::steens::SteensgaardAA;
 use oraql_analysis::tbaa::TypeBasedAA;
 use oraql_analysis::AAManager;
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::meta::Target;
-use oraql_ir::module::{Function, Module};
+use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_passes::{standard_pipeline, Stats};
 
 /// Restriction of the ORAQL pass to parts of a compilation (§IV-E).
@@ -136,6 +138,52 @@ pub struct Compiled {
     pub oraql: Option<OraqlShared>,
 }
 
+/// Optimized function bodies that [`compile_pipeline`] splices in
+/// instead of running the pipeline over those functions.
+///
+/// A function that no unique ORAQL query names never reached the
+/// decision sequence or ORAQL's pair cache. Its every alias query was
+/// answered by the conservative chain or left out of scope, and both
+/// depend only on its own body, the unoptimized module and the case's
+/// options. No pass looks at another function's body (see
+/// `oraql_passes::manager`), so the function compiles to the same body
+/// under every decision sequence. [`Reuse::decision_free`] collects
+/// those bodies from one compile; a later compile of the same build
+/// under the same options, whatever its decisions, may splice them in.
+#[derive(Debug, Clone, Default)]
+pub struct Reuse {
+    bodies: Vec<(FunctionId, Function)>,
+}
+
+impl Reuse {
+    /// The bodies of `funcs` as `c` compiled them. Exact only for
+    /// functions that consulted no decision in `c`.
+    pub fn of(c: &Compiled, funcs: impl IntoIterator<Item = FunctionId>) -> Reuse {
+        Reuse {
+            bodies: funcs
+                .into_iter()
+                .map(|id| (id, c.module.func(id).clone()))
+                .collect(),
+        }
+    }
+
+    /// Every function of `c` that no unique ORAQL query names.
+    pub fn decision_free(c: &Compiled) -> Reuse {
+        let consulted: FxHashSet<FunctionId> = c
+            .oraql
+            .as_ref()
+            .map(|s| s.lock().queries.iter().map(|q| q.func).collect())
+            .unwrap_or_default();
+        let ids = (0..c.module.funcs.len() as u32).map(FunctionId);
+        Reuse::of(c, ids.filter(|id| !consulted.contains(id)))
+    }
+
+    /// How many functions a compile reuses.
+    pub fn count(&self) -> usize {
+        self.bodies.len()
+    }
+}
+
 /// Builds the conservative chain used by every compilation.
 pub fn conservative_chain(m: &Module, use_cfl: bool) -> AAManager {
     let mut aa = AAManager::new();
@@ -156,7 +204,7 @@ pub fn conservative_chain(m: &Module, use_cfl: bool) -> AAManager {
 /// `register allocation` counters and copies the analysis chain's
 /// counters under `alias analysis`.
 pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
-    let (mut compiled, aa) = run_pipeline(build, opts);
+    let (mut compiled, aa) = run_pipeline(build, opts, &Reuse::default());
     let stats = &mut compiled.stats;
     // Machine-level statistics (asm printer / register allocation),
     // from one lowering of each function.
@@ -185,17 +233,35 @@ pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
 }
 
 /// The pipeline step of [`compile`] alone: build, analysis chain,
-/// pass pipeline. The module, the query counts and the ORAQL state
-/// are exactly [`compile`]'s; `stats` holds only the passes' own
-/// counters. A probe reads nothing else, so probes compile this way.
-pub fn compile_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
-    run_pipeline(build, opts).0
+/// pass pipeline, except that the functions `reuse` carries skip the
+/// pipeline and get its bodies spliced in. A probe reads only the
+/// module and the ORAQL state's unique count and queries, so probes
+/// compile this way.
+///
+/// The module and the ORAQL unique count and queries are exactly
+/// [`compile`]'s when `reuse` is empty or came from an earlier compile
+/// of the same build and options ([`Reuse`]). `stats` holds only the
+/// passes' own counters. `total_queries`, `no_alias_total`,
+/// [`OraqlStats::out_of_scope`](crate::pass::OraqlStats) and the pass
+/// statistics cover only the functions the pipeline ran on, so a
+/// reusing compile reads lower there; no probe reads them.
+pub fn compile_pipeline(
+    build: &dyn Fn() -> Module,
+    opts: &CompileOptions,
+    reuse: &Reuse,
+) -> Compiled {
+    run_pipeline(build, opts, reuse).0
 }
 
 /// Builds the module, installs the chain (plus ORAQL when requested)
-/// and runs the standard pipeline; returns the chain with the result so
-/// [`compile`] can read its counters.
-fn run_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> (Compiled, AAManager) {
+/// and runs the standard pipeline over the functions `reuse` does not
+/// carry, then splices in the ones it does; returns the chain with the
+/// result so [`compile`] can read its counters.
+fn run_pipeline(
+    build: &dyn Fn() -> Module,
+    opts: &CompileOptions,
+    reuse: &Reuse,
+) -> (Compiled, AAManager) {
     let mut module = build();
     let mut aa = conservative_chain(&module, opts.use_cfl);
     aa.suppressed = opts.suppress.iter().cloned().collect();
@@ -208,7 +274,11 @@ fn run_pipeline(build: &dyn Fn() -> Module, opts: &CompileOptions) -> (Compiled,
     let mut stats = Stats::new();
     let mut pm = standard_pipeline();
     pm.verify_each = opts.verify_each;
+    pm.skip = reuse.bodies.iter().map(|(id, _)| *id).collect();
     pm.run(&mut module, &mut aa, &mut stats);
+    for (id, body) in &reuse.bodies {
+        *module.func_mut(*id) = body.clone();
+    }
 
     let compiled = Compiled {
         no_alias_total: aa.no_alias_total(),
@@ -327,12 +397,83 @@ mod tests {
         assert_eq!(out.stdout, "8\n");
     }
 
+    /// `h` in `in.c` forwards a load over a store to an argument that
+    /// aliases it; `g` in `out.c` stores to `@G` around a call of
+    /// `h(@H, @H)`. Under `files = in.c` only `h` asks ORAQL.
+    fn leak_module() -> Module {
+        let mut m = Module::new("leak");
+        let gv = m.add_global("G", 8, vec![], false);
+        let hv = m.add_global("H", 8, vec![], false);
+        let h = {
+            let mut b = FunctionBuilder::new(&mut m, "h", vec![Ty::Ptr, Ty::Ptr], None);
+            b.set_src_file("in.c");
+            let (p, q) = (b.arg(0), b.arg(1));
+            b.store(Ty::I64, Value::ConstInt(1), p);
+            b.store(Ty::I64, Value::ConstInt(2), q);
+            let v = b.load(Ty::I64, p);
+            b.print("{}", vec![v]);
+            b.ret(None);
+            b.finish()
+        };
+        let g = {
+            let mut b = FunctionBuilder::new(&mut m, "g", vec![], None);
+            b.set_src_file("out.c");
+            b.store(Ty::I64, Value::ConstInt(5), Value::Global(gv));
+            b.call(h, vec![Value::Global(hv), Value::Global(hv)], None);
+            b.store(Ty::I64, Value::ConstInt(6), Value::Global(gv));
+            b.ret(None);
+            b.finish()
+        };
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], None);
+        b.set_src_file("out.c");
+        b.call(g, vec![], None);
+        b.ret(None);
+        b.finish();
+        m
+    }
+
+    /// An out-of-scope caller compiles alike under every decision
+    /// sequence: DSE asks for `h`'s effects only after `h` is
+    /// optimized, and under optimism `h`'s load is gone by then, so
+    /// summaries taken at first ask deleted `g`'s first store there
+    /// and kept it under pessimism.
+    #[test]
+    fn out_of_scope_caller_does_not_see_its_callee_optimized() {
+        let scope = Scope::files(vec!["in.c".into()]);
+        let compile = |d: Decisions, reuse: &Reuse| {
+            let opts = CompileOptions::with_oraql(d, scope.clone());
+            compile_pipeline(&leak_module, &opts, reuse)
+        };
+        let pess = compile(Decisions::all_pessimistic(), &Reuse::default());
+        let opt = compile(Decisions::all_optimistic(), &Reuse::default());
+        let g = pess.module.find_func("g").unwrap();
+        let g_text = |c: &Compiled| oraql_ir::printer::function_str(&c.module, g);
+        assert_eq!(g_text(&pess), g_text(&opt));
+        assert!(g_text(&pess).contains("store i64 5"), "{}", g_text(&pess));
+        let h = pess.module.find_func("h").unwrap();
+        assert_ne!(
+            oraql_ir::printer::function_str(&pess.module, h),
+            oraql_ir::printer::function_str(&opt.module, h),
+            "h compiles differently under the two sequences"
+        );
+        // `h` consulted the decisions, `g` and `main` did not; either
+        // compile's `g` spliced into the other gives the full compile.
+        assert_eq!(Reuse::decision_free(&pess).count(), 2);
+        for (from, into, d) in [
+            (&pess, &opt, Decisions::all_optimistic()),
+            (&opt, &pess, Decisions::all_pessimistic()),
+        ] {
+            let reusing = compile(d, &Reuse::of(from, [g]));
+            assert_eq!(module_str(&reusing.module), module_str(&into.module));
+        }
+    }
+
     #[test]
     fn pipeline_step_matches_compile_without_statistics() {
         for decisions in [Decisions::all_optimistic(), Decisions::all_pessimistic()] {
             let opts = CompileOptions::with_oraql(decisions, Scope::everything());
             let full = compile(&trap_module, &opts);
-            let probe = compile_pipeline(&trap_module, &opts);
+            let probe = compile_pipeline(&trap_module, &opts, &Reuse::default());
             assert_eq!(module_str(&full.module), module_str(&probe.module));
             assert_eq!(full.no_alias_total, probe.no_alias_total);
             assert_eq!(full.total_queries, probe.total_queries);

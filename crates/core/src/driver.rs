@@ -49,6 +49,20 @@
 //! accepted references themselves are not stored: the case salt hashes
 //! them, so a changed reference changes every key.
 //!
+//! # Probe compiles reuse decision-free functions
+//!
+//! The case's first successful probe compile notes the functions no
+//! unique ORAQL query names ([`Reuse::decision_free`]): they never
+//! reached the decision sequence or ORAQL's pair cache, so they compile
+//! to the same body under every decision sequence. Every later probe
+//! compile of the case skips the pipeline for them and splices in those
+//! bodies ([`compile_pipeline`]'s `reuse`). Until a probe compile
+//! succeeds (the first probe answered by a tier, or its compile
+//! panicked) nothing is reused. Every probe still counts as one compile
+//! and still builds the module; the baseline and final compiles are
+//! full. The tally counts the spliced functions
+//! (`oraql_driver_funnel_functions_reused_total`).
+//!
 //! # Concurrency and determinism contract
 //!
 //! [`run_suite`] with `jobs = N` runs up to `N` cases at once, one
@@ -95,13 +109,14 @@
 //! [`DriverError::CasePanicked`] instead of unwinding through
 //! [`run_suite`].
 
-use crate::compile::{compile, compile_pipeline, CompileOptions, Scope};
+use crate::compile::{compile, compile_pipeline, CompileOptions, Reuse, Scope};
 use crate::pass::{OraqlStats, UniqueQuery};
 use crate::sequence::Decisions;
 use crate::strategy::{ProbeOutcome, Prober, Strategy};
 use crate::trace::{ProbeEvent, ProbeKind, TraceSink};
 use crate::verify::{Mismatch, Verifier};
 use oraql_faults::{FaultInjector, FaultSite, InjectedPanic};
+use oraql_ir::inst::Inst;
 use oraql_ir::module::Module;
 use oraql_ir::printer::module_key;
 use oraql_obs::Span;
@@ -424,12 +439,40 @@ fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
     h.finish()
 }
 
+/// The key of the program a case builds, `m` unoptimized: its
+/// [`module_key`], plus the fields that key leaves out because the
+/// printer does not print them, though the compile or the run may read
+/// them: each function's source file (the ORAQL scope), each access's
+/// alias scopes (`ScopedNoAliasAA`), each call's return type and each
+/// global's initial bytes.
+fn source_key(m: &Module) -> u64 {
+    let mut h = DefaultHasher::new();
+    module_key(0, m).hash(&mut h);
+    for f in &m.funcs {
+        f.src_file.map(|s| m.strings.resolve(s)).hash(&mut h);
+        for d in f.insts() {
+            match &d.inst {
+                Inst::Load { meta, .. } | Inst::Store { meta, .. } | Inst::Memcpy { meta, .. } => {
+                    meta.scopes.hash(&mut h);
+                    meta.noalias.hash(&mut h);
+                }
+                Inst::Call { ret, .. } => ret.hash(&mut h),
+                _ => {}
+            }
+        }
+    }
+    for g in &m.globals {
+        g.init.hash(&mut h);
+    }
+    h.finish()
+}
+
 /// Cache-key salt identifying one case within the shared store and
 /// server tiers: a probe verdict is only transferable between probes
 /// that agree on everything it depends on besides the decisions — the
 /// verifier (name, references, ignore patterns, fuel), the ORAQL
 /// configuration (scope, `use_cfl`, optimism), and the program itself,
-/// `source`: the [`module_key`] of the unoptimized module.
+/// `source`: the [`source_key`] of the unoptimized module.
 fn case_salt(case: &TestCase, references: &[String], source: u64) -> u64 {
     let mut h = DefaultHasher::new();
     case.name.hash(&mut h);
@@ -488,6 +531,8 @@ struct Tally {
     answers: HashMap<Answer, u64>,
     /// Probe compiles started.
     compiles: u64,
+    /// Functions probe compiles spliced in instead of compiling them.
+    functions_reused: u64,
     /// Probe VM runs started.
     vm_runs: u64,
     failures: FailureStats,
@@ -545,6 +590,10 @@ impl Tally {
             ("oraql_driver_funnel_store_dec_hits_total", store_dec),
             ("oraql_driver_funnel_server_dec_hits_total", server_dec),
             ("oraql_driver_funnel_compiles_total", self.compiles),
+            (
+                "oraql_driver_funnel_functions_reused_total",
+                self.functions_reused,
+            ),
             ("oraql_driver_funnel_exe_cache_hits_total", mem_exe),
             ("oraql_driver_funnel_store_exe_hits_total", store_exe),
             ("oraql_driver_funnel_server_exe_hits_total", server_exe),
@@ -605,6 +654,10 @@ pub struct Driver<'a> {
     /// In-memory tier, decisions-digest space: `None` at `jobs = 1`,
     /// so that it reproduces the seed effort counters exactly.
     dec: Option<HashMap<u64, Verdict>>,
+    /// The decision-free functions of the case's first successful probe
+    /// compile, spliced into every later one; `None` until a probe
+    /// compile succeeds.
+    reuse: Option<Reuse>,
     /// The case's one accounting record.
     tally: Tally,
     /// Decisions digests whose probes exhausted every retry: answered
@@ -628,7 +681,7 @@ impl Driver<'_> {
         let source = Cell::new(0);
         let build = || {
             let m = (case.build)();
-            source.set(module_key(0, &m));
+            source.set(source_key(&m));
             m
         };
         let baseline = catch_unwind(AssertUnwindSafe(|| {
@@ -653,6 +706,7 @@ impl Driver<'_> {
             case_span: case_id,
             exe: HashMap::new(),
             dec: (opts.jobs > 1).then(HashMap::new),
+            reuse: None,
             tally: Tally::default(),
             quarantine: HashSet::new(),
             opts,
@@ -699,11 +753,14 @@ impl Driver<'_> {
             let _s = span("server", case_id);
             let _ = server.sync();
         }
-        let shared = finalc
-            .oraql
-            .as_ref()
-            .ok_or_else(|| DriverError::Internal("final compile lost its oraql pass".into()))?;
-        let st = shared.lock();
+        let (oraql, queries) = {
+            let shared = finalc
+                .oraql
+                .as_ref()
+                .ok_or_else(|| DriverError::Internal("final compile lost its oraql pass".into()))?;
+            let mut st = shared.lock();
+            (st.stats, std::mem::take(&mut st.queries))
+        };
         // Corpus soundness gate: with ground truth attached, the final
         // verdicts — already observationally verified above — must also
         // agree with the by-construction labels. Runs after the final
@@ -713,7 +770,7 @@ impl Driver<'_> {
             .opts
             .ground_truth
             .as_ref()
-            .map(|gt| gt.check(&case.name, &finalc.module, &st.queries, case.optimism));
+            .map(|gt| gt.check(&case.name, &finalc.module, &queries, case.optimism));
         if let Some(t) = &truth {
             if !t.clean() {
                 return Err(DriverError::SoundnessViolation(t.describe_violations()));
@@ -723,16 +780,19 @@ impl Driver<'_> {
             name: case.name.clone(),
             fully_optimistic,
             decisions,
-            oraql: st.stats,
+            oraql,
             no_alias_original: baseline.no_alias_total,
             no_alias_oraql: finalc.no_alias_total,
             baseline_stats: baseline.stats,
-            final_stats: finalc.stats.clone(),
+            final_stats: finalc.stats,
             baseline_run,
             final_run,
             effort: driver.tally.effort(),
             failures: driver.tally.failures,
-            queries: st.queries.clone(),
+            queries,
+            // A clone, because it is compact: the compiled module keeps
+            // the spare capacity its vectors grew, and a suite holds
+            // every case's result at once.
             final_module: finalc.module.clone(),
             truth,
         })
@@ -874,7 +934,10 @@ impl Driver<'_> {
         self.tally.compiles += 1;
         let case = self.case;
         // A probe reads only the module and the ORAQL state: the
-        // pipeline step alone, no Fig. 6 statistics.
+        // pipeline step alone, no Fig. 6 statistics, and no pipeline
+        // run over the functions the first compile found decision-free.
+        let none = Reuse::default();
+        let reuse = self.reuse.as_ref().unwrap_or(&none);
         let compiled = {
             let _s = self.span("compile", probe_span);
             compile_pipeline(
@@ -885,8 +948,13 @@ impl Driver<'_> {
                     optimism: case.optimism,
                     ..CompileOptions::default()
                 },
+                reuse,
             )
         };
+        self.tally.functions_reused += reuse.count() as u64;
+        if self.reuse.is_none() {
+            self.reuse = Some(Reuse::decision_free(&compiled));
+        }
         let h = {
             let _s = self.span("key", probe_span);
             module_key(self.salt, &compiled.module)

@@ -68,7 +68,7 @@ pub use oraql_faults as faults;
 pub use oraql_served as served;
 pub use oraql_store as store;
 
-pub use compile::{compile, compile_pipeline, CompileOptions, Compiled, Scope};
+pub use compile::{compile, compile_pipeline, CompileOptions, Compiled, Reuse, Scope};
 pub use driver::{
     run_suite, Driver, DriverError, DriverOptions, DriverResult, FailureStats, ProbeFailure,
     TestCase,

@@ -2,10 +2,19 @@
 //! the AA manager's `current_pass` before each so every alias query is
 //! attributed to its issuer, and keeping each function's CFG facts
 //! across the passes.
+//!
+//! Every pass reads and writes only the function it runs on. The one
+//! thing a pass learns about another function, its callee's memory
+//! effects, is summarized from the unoptimized module before the first
+//! pass. So each function's optimized body depends on its own body and
+//! the alias answers given for it, and on nothing the pipeline does to
+//! the other functions: a caller may skip functions ([`PassManager::skip`])
+//! and compile the rest exactly as a full run would.
 
 use crate::stats::Stats;
 use oraql_analysis::facts::FunctionFacts;
 use oraql_analysis::AAManager;
+use oraql_ir::hash::FxHashSet;
 use oraql_ir::module::{FunctionId, Module};
 
 /// Shared context handed to every pass invocation.
@@ -41,6 +50,8 @@ pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     /// Verify IR after each pass (tests turn this on; costs time).
     pub verify_each: bool,
+    /// Functions no pass runs on: they keep the body they came in with.
+    pub skip: FxHashSet<FunctionId>,
 }
 
 impl PassManager {
@@ -49,19 +60,25 @@ impl PassManager {
         PassManager {
             passes,
             verify_each: false,
+            skip: FxHashSet::default(),
         }
     }
 
-    /// Runs the pipeline: for each pass, over each function, in order
-    /// (pass-major, like LLVM's module-level CGSCC scheduling of our
-    /// simple function passes). One [`FunctionFacts`] per function
-    /// lives for the whole run.
+    /// Runs the pipeline: for each pass, over each function not in
+    /// [`PassManager::skip`], in order (pass-major, like LLVM's
+    /// module-level CGSCC scheduling of our simple function passes).
+    /// Callee effects are summarized first, from `m` as it comes in. One
+    /// [`FunctionFacts`] per function lives for the whole run.
     pub fn run(&mut self, m: &mut Module, aa: &mut AAManager, stats: &mut Stats) {
+        aa.summarize_callees(m);
         let mut facts: Vec<FunctionFacts> = Vec::new();
         for pass in &mut self.passes {
             facts.resize_with(m.funcs.len(), FunctionFacts::default);
             for (fi, facts) in facts.iter_mut().enumerate() {
                 let fid = FunctionId(fi as u32);
+                if self.skip.contains(&fid) {
+                    continue;
+                }
                 aa.current_pass = pass.name();
                 let mut cx = PassCx { aa, stats, facts };
                 pass.run(m, fid, &mut cx);

@@ -132,8 +132,9 @@ grep -E 'store: [1-9][0-9]* hits' "$SERVED_TMP/replay"
 # Metrics smoke: one instrumented run of a bisecting case must leave a
 # probe counter equal to its trace's probe lines (one line with a "kind"
 # key per answer; the span lines have none) in a parseable exposition,
-# and an analyzer that accepts both artifacts and profiles the trace's
-# probe spans.
+# a nonzero count of functions its probe compiles reused (the case has
+# an out-of-scope function and 29 compiles), and an analyzer that
+# accepts both artifacts and profiles the trace's probe spans.
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$STORE_TMP" "$SERVED_TMP" "$OBS_TMP"; [ -n "$SERVED_PID" ] && kill "$SERVED_PID" 2>/dev/null || true' EXIT
 target/release/oraql -b testsnap_omp --trace "$OBS_TMP/trace.jsonl" \
@@ -141,6 +142,7 @@ target/release/oraql -b testsnap_omp --trace "$OBS_TMP/trace.jsonl" \
     | grep -E 'probes: [1-9][0-9]* total'
 PROBES="$(sed -n 's/^oraql_driver_probes_total \([1-9][0-9]*\)$/\1/p' "$OBS_TMP/metrics.prom")"
 test "$PROBES" -eq "$(grep -c '"kind":' "$OBS_TMP/trace.jsonl")"
+grep -E '^oraql_driver_funnel_functions_reused_total [1-9][0-9]*$' "$OBS_TMP/metrics.prom"
 target/release/oraql trace "$OBS_TMP/trace.jsonl" \
     --check-metrics "$OBS_TMP/metrics.prom" --top-spans > "$OBS_TMP/analysis"
 grep -E '^probe +[1-9][0-9]* ' "$OBS_TMP/analysis"

@@ -28,7 +28,7 @@
 //! extra references and its ignore patterns) must accept what it
 //! prints. A failure names the first pass that broke the program.
 
-use oraql::compile::{compile_pipeline, conservative_chain, CompileOptions};
+use oraql::compile::{compile_pipeline, conservative_chain, CompileOptions, Reuse};
 use oraql::pass::{new_shared_with, OraqlAA};
 use oraql::{Decisions, TestCase, Verifier};
 use oraql_analysis::domtree::DomTree;
@@ -261,7 +261,7 @@ fn check_cases(cases: &[TestCase]) -> Seen {
             };
             assert_eq!(
                 module_str(&module),
-                module_str(&compile_pipeline(&*case.build, &opts).module),
+                module_str(&compile_pipeline(&*case.build, &opts, &Reuse::default()).module),
                 "{}: the checks changed the compile",
                 seen.borrow().what
             );

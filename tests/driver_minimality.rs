@@ -7,7 +7,7 @@
 //! workload and every case of the CI's generated corpus.
 
 use oraql_gen::GenPlan;
-use oraql_suite::oraql::compile::{compile, compile_pipeline, CompileOptions};
+use oraql_suite::oraql::compile::{compile, compile_pipeline, CompileOptions, Reuse};
 use oraql_suite::oraql::{Decisions, Driver, DriverOptions, TestCase, Verifier};
 use oraql_suite::vm::Interpreter;
 
@@ -20,7 +20,7 @@ fn verifies(case: &TestCase, d: Decisions, verifier: &Verifier) -> bool {
         optimism: case.optimism,
         ..CompileOptions::default()
     };
-    let m = compile_pipeline(&*case.build, &opts).module;
+    let m = compile_pipeline(&*case.build, &opts, &Reuse::default()).module;
     let Some(main) = m.find_func("main") else {
         return false;
     };

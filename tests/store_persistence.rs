@@ -291,3 +291,52 @@ fn warm_store_does_not_answer_another_program() {
     let warm = run_case(&twin(true), Some(&store));
     assert_same_result("aliased twin", &cold, &warm);
 }
+
+/// One program under `files = a.c`, with `work(p, p)` compiled from
+/// `file`: it prints `*p` read before and after a store of 100 through
+/// its alias (`20 + 100`). In `b.c` ORAQL never answers for it; in
+/// `a.c` the all-optimistic probe forwards the first load (`20 + 20`).
+/// The printed modules are equal, the source files are not.
+fn file_twin(file: &'static str) -> TestCase {
+    let mut case = TestCase::new("file twin", move || {
+        let mut m = Module::new("file_twin");
+        let work = {
+            let mut b = FunctionBuilder::new(&mut m, "work", vec![Ty::Ptr, Ty::Ptr], None);
+            b.set_src_file(file);
+            let (p, q) = (b.arg(0), b.arg(1));
+            let before = b.load(Ty::I64, p);
+            b.store(Ty::I64, Value::ConstInt(100), q);
+            let after = b.load(Ty::I64, p);
+            let sum = b.add(before, after);
+            b.print("{}", vec![sum]);
+            b.ret(None);
+            b.finish()
+        };
+        let cell = m.add_global("cell", 8, vec![20], false);
+        let mut b = FunctionBuilder::new(&mut m, "main", vec![], None);
+        b.set_src_file("main.c");
+        b.call(work, vec![Value::Global(cell), Value::Global(cell)], None);
+        b.ret(None);
+        b.finish();
+        m
+    });
+    case.scope = Scope::files(vec!["a.c".into()]);
+    case
+}
+
+/// The store keys cover each function's source file: a verdict of the
+/// program with `work` out of scope must not answer a probe of the one
+/// with `work` in scope.
+#[test]
+fn warm_store_does_not_answer_another_source_file() {
+    let scratch = Scratch::new("files");
+    let store = Arc::new(Store::open(scratch.journal()).unwrap());
+    let outside = run_case(&file_twin("b.c"), Some(&store));
+    let cold = run_case(&file_twin("a.c"), None);
+    assert_eq!(outside.baseline_run.stdout, "120\n");
+    assert_eq!(cold.baseline_run.stdout, "120\n");
+    assert!(outside.fully_optimistic);
+    assert!(!cold.fully_optimistic);
+    let warm = run_case(&file_twin("a.c"), Some(&store));
+    assert_same_result("work in scope", &cold, &warm);
+}
