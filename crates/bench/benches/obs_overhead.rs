@@ -1,16 +1,15 @@
 //! Observability overhead benchmark.
 //!
-//! The acceptance bar for the metrics/span instrumentation is that a
-//! fully instrumented suite run (the one trace stream — probe answers
-//! and spans — written to its file, metrics registry live) stays within
-//! **1.05×** of the uninstrumented wall clock. This bench drives the
+//! The acceptance bar for the trace instrumentation is that a fully
+//! instrumented suite run (the one trace stream — probe answers and
+//! spans — written to its file) stays within **1.05×** of the
+//! uninstrumented wall clock. This bench drives the
 //! full 16-config workload suite both ways in [`PAIRS`] pairs,
 //! alternating which side of a pair runs first, and holds the median of
 //! the pairs' ratios to the bound: one pair's ratio on a shared machine
 //! is mostly noise. On the last traced pass it re-derives the in-run
 //! probe-trace summary from the JSONL file alone, which must match
-//! byte-for-byte (the `oraql trace --fig2` reproducibility criterion),
-//! and checks the registry's probe count against the trace.
+//! byte-for-byte (the `oraql trace --fig2` reproducibility criterion).
 //!
 //! Writes `$ORAQL_BENCH_OUT` (default `BENCH_obs.json`). Not a
 //! criterion bench: the JSON artifact is the point, and each pass is a
@@ -48,14 +47,13 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let trace_path = dir.join("trace.jsonl");
-    let metrics_path = dir.join("metrics.prom");
 
     // Warm-up: touch every case once so lazy module construction and
     // allocator growth land outside the measured passes.
     let _ = suite_pass(&DriverOptions::default(), "warmup");
 
     let (mut plains, mut traceds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    // The sink and the registry around the last traced pass.
+    // The sink of the last traced pass.
     let mut last = None;
     for pair in 0..PAIRS {
         // Alternating which side runs first keeps whatever favours the
@@ -65,14 +63,13 @@ fn main() {
         for trace in [pair % 2 == 1, pair % 2 == 0] {
             if trace {
                 let sink = TraceSink::to_file(&trace_path).expect("trace file");
-                let snap0 = oraql_obs::global().snapshot();
                 let opts = DriverOptions {
                     trace: Some(sink.clone()),
                     ..Default::default()
                 };
                 traced = suite_pass(&opts, "instrumented");
                 assert_eq!(sink.flush(), 0, "trace lines dropped");
-                last = Some((sink, snap0, oraql_obs::global().snapshot()));
+                last = Some(sink);
             } else {
                 plain = suite_pass(&DriverOptions::default(), "plain");
             }
@@ -82,8 +79,7 @@ fn main() {
         traceds.push(traced);
         ratios.push(traced / plain);
     }
-    let (sink, snap0, snap) = last.expect("a traced pass");
-    std::fs::write(&metrics_path, snap.render()).expect("write exposition");
+    let sink = last.expect("a traced pass");
 
     // The analyzer's ground truth: the Fig. 2 table recomputed from the
     // JSONL artifact must equal the live in-run summary exactly.
@@ -92,21 +88,6 @@ fn main() {
     assert_eq!(trace.spans.len(), sink.spans().len(), "span lines lost");
     let replayed = render_trace_summary(&trace.probes);
     assert_eq!(replayed, live, "fig2 replay drifted from live summary");
-    // And the exposition must survive its own parser with the probes
-    // the trace saw.
-    let parsed = oraql_obs::Snapshot::parse(&std::fs::read_to_string(&metrics_path).unwrap())
-        .expect("exposition parses");
-    let probes = parsed
-        .delta(&snap0)
-        .counters
-        .get("oraql_driver_probes_total")
-        .copied()
-        .unwrap_or(0);
-    assert_eq!(
-        probes,
-        sink.events().len() as u64,
-        "registry and trace disagree on probe count"
-    );
 
     let (plain, instrumented, ratio) = (median(plains), median(traceds), median(ratios));
     println!("uninstrumented suite: {plain:>9.1} ms (median of {PAIRS})");

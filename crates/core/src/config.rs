@@ -21,8 +21,9 @@
 //! `reference`, `fuel`, `use_cfl`) or when a file in `configs/` sets
 //! it (`benchmark`, `strategy`, `max_tests`, `dump`); for those four a
 //! flag wins wherever it appears. Everything else — journal, server,
-//! fault plan, deadline, metrics and spans paths, the soundness gate —
-//! is a flag only, and a file naming it fails with `unknown key`.
+//! fault plan, trace path, the soundness gate — is a flag only, and a
+//! file naming it (or a retired key such as `metrics_out`) fails with
+//! `unknown key`.
 //! [`Config::apply`] is the one place a config reaches a run.
 
 use crate::compile::Scope;

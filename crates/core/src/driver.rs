@@ -39,15 +39,15 @@
 //!
 //! The first hit of a walk answers the probe. Every answer is counted
 //! once, in `Driver::execute`, into the case's tally: its
-//! [`ProbeEffort`] field, its traced [`ProbeKind`] and its
-//! `oraql_driver_*` counters are all read off that tally. The hit is
-//! written back only to the tiers that missed before it. Any
-//! executable-hash answer, and any VM run, files the verdict under the
-//! probe's decisions digest in every tier; a VM run also files it under
-//! the executable hash in every tier. Store and server write errors are
-//! swallowed: those tiers are accelerators, never dependencies. The
-//! accepted references themselves are not stored: the case salt hashes
-//! them, so a changed reference changes every key.
+//! [`ProbeEffort`] field and its traced [`ProbeKind`] are both read off
+//! that tally. The hit is written back only to the tiers that missed
+//! before it. Any executable-hash answer, and any VM run, files the
+//! verdict under the probe's decisions digest in every tier; a VM run
+//! also files it under the executable hash in every tier. Store and
+//! server write errors are swallowed: those tiers are accelerators,
+//! never dependencies. The accepted references themselves are not
+//! stored: the case salt hashes them, so a changed reference changes
+//! every key.
 //!
 //! # Probe compiles reuse decision-free functions
 //!
@@ -61,7 +61,7 @@
 //! panicked) nothing is reused. Every probe still counts as one compile
 //! and still builds the module; the baseline and final compiles are
 //! full. The tally counts the spliced functions
-//! (`oraql_driver_funnel_functions_reused_total`).
+//! ([`ProbeEffort::functions_reused`]).
 //!
 //! # Concurrency and determinism contract
 //!
@@ -129,7 +129,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A benchmark handed to the driver: how to build the program, where
@@ -167,6 +167,17 @@ impl TestCase {
             fuel: oraql_vm::DEFAULT_FUEL,
             use_cfl: false,
             optimism: crate::pass::OptimismKind::NoAlias,
+        }
+    }
+
+    /// The case's ORAQL compile options under `decisions`: those of
+    /// every probe compile, of the final compile and of a replay.
+    pub fn oraql_options(&self, decisions: Decisions) -> CompileOptions {
+        CompileOptions {
+            oraql: Some((decisions, self.scope.clone())),
+            use_cfl: self.use_cfl,
+            optimism: self.optimism,
+            ..CompileOptions::default()
         }
     }
 }
@@ -255,6 +266,10 @@ pub struct ProbeEffort {
     /// Probes answered by the verdict server (either key space) after
     /// every local tier missed.
     pub tests_server: u64,
+    /// Functions probe compiles spliced in from the case's first
+    /// successful probe compile instead of running the pipeline over
+    /// them.
+    pub functions_reused: u64,
     /// Always 0: the driver no longer speculates. Kept for readers of
     /// the old speculation counters.
     pub spec_launched: u64,
@@ -424,14 +439,6 @@ impl FailureStats {
     }
 }
 
-/// The driver's probe-latency histogram, resolved once. The driver's
-/// counters have no handles: each case's [`Tally`] adds them when its
-/// driver drops.
-fn probe_micros() -> &'static oraql_obs::Histogram {
-    static H: OnceLock<&'static oraql_obs::Histogram> = OnceLock::new();
-    H.get_or_init(|| oraql_obs::global().histogram("oraql_driver_probe_micros"))
-}
-
 fn decisions_digest(salt: u64, d: &Decisions) -> u64 {
     let mut h = DefaultHasher::new();
     salt.hash(&mut h);
@@ -563,43 +570,8 @@ impl Tally {
             tests_deduced: self.count(|a| a == Answer::Deduced),
             tests_dec_cached: mem_dec + store_dec,
             tests_server: server_dec + server_exe,
+            functions_reused: self.functions_reused,
             ..ProbeEffort::default()
-        }
-    }
-
-    /// Adds this tally to the process-wide registry's counters.
-    fn report(&self) {
-        let [mem_dec, store_dec, server_dec] = self.hits(Space::Dec);
-        let [mem_exe, store_exe, server_exe] = self.hits(Space::Exe);
-        // Named in `ProbeKind::ALL` order.
-        let [executed, exe_cache, dec_cache, store, server, deduced, faulted] =
-            ProbeKind::ALL.map(|k| self.count(|a| a.kind() == k));
-        let failures = self.failures;
-        for (name, n) in [
-            ("oraql_driver_probes_total", self.answers.values().sum()),
-            ("oraql_driver_probe_executed_total", executed),
-            ("oraql_driver_probe_exe_cache_total", exe_cache),
-            ("oraql_driver_probe_dec_cache_total", dec_cache),
-            ("oraql_driver_probe_store_total", store),
-            ("oraql_driver_probe_server_total", server),
-            ("oraql_driver_probe_deduced_total", deduced),
-            ("oraql_driver_probe_faulted_total", faulted),
-            ("oraql_driver_retries_total", failures.retries),
-            ("oraql_driver_quarantined_total", failures.quarantined),
-            ("oraql_driver_funnel_dec_cache_hits_total", mem_dec),
-            ("oraql_driver_funnel_store_dec_hits_total", store_dec),
-            ("oraql_driver_funnel_server_dec_hits_total", server_dec),
-            ("oraql_driver_funnel_compiles_total", self.compiles),
-            (
-                "oraql_driver_funnel_functions_reused_total",
-                self.functions_reused,
-            ),
-            ("oraql_driver_funnel_exe_cache_hits_total", mem_exe),
-            ("oraql_driver_funnel_store_exe_hits_total", store_exe),
-            ("oraql_driver_funnel_server_exe_hits_total", server_exe),
-            ("oraql_driver_funnel_vm_runs_total", self.vm_runs),
-        ] {
-            oraql_obs::global().counter(name).add(n);
         }
     }
 }
@@ -725,12 +697,7 @@ impl Driver<'_> {
 
         // Step 4: final compile + verification.
         let final_span = span("final", case_id);
-        let final_opts = CompileOptions {
-            oraql: Some((decisions.clone(), case.scope.clone())),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            ..CompileOptions::default()
-        };
+        let final_opts = case.oraql_options(decisions.clone());
         let finalc = catch_unwind(AssertUnwindSafe(|| compile(&*case.build, &final_opts)))
             .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
         let final_run = run_module(&finalc.module, case.fuel)
@@ -798,11 +765,10 @@ impl Driver<'_> {
         })
     }
 
-    /// The one place a probe answer is accounted: it bumps the tally,
-    /// observes the probe's latency and traces the answer, numbered by
-    /// the case's answer count so far and joined to `span`, the probe
-    /// span it was given in (0: none). Only `execute` and
-    /// `note_deduced` call it.
+    /// The one place a probe answer is accounted: it bumps the tally
+    /// and traces the answer with its latency, numbered by the case's
+    /// answer count so far and joined to `span`, the probe span it was
+    /// given in (0: none). Only `execute` and `note_deduced` call it.
     fn account(
         &mut self,
         answer: Answer,
@@ -813,8 +779,6 @@ impl Driver<'_> {
     ) {
         let seq = self.tally.answers.values().sum();
         *self.tally.answers.entry(answer).or_default() += 1;
-        let wall_micros = started.elapsed().as_micros() as u64;
-        probe_micros().observe(wall_micros);
         if let Some(sink) = &self.opts.trace {
             sink.record(ProbeEvent {
                 case: self.case.name.clone(),
@@ -823,7 +787,7 @@ impl Driver<'_> {
                 kind: answer.kind(),
                 pass,
                 unique,
-                wall_micros,
+                wall_micros: started.elapsed().as_micros() as u64,
                 span,
             });
         }
@@ -940,16 +904,7 @@ impl Driver<'_> {
         let reuse = self.reuse.as_ref().unwrap_or(&none);
         let compiled = {
             let _s = self.span("compile", probe_span);
-            compile_pipeline(
-                &*case.build,
-                &CompileOptions {
-                    oraql: Some((d.clone(), case.scope.clone())),
-                    use_cfl: case.use_cfl,
-                    optimism: case.optimism,
-                    ..CompileOptions::default()
-                },
-                reuse,
-            )
+            compile_pipeline(&*case.build, &case.oraql_options(d.clone()), reuse)
         };
         self.tally.functions_reused += reuse.count() as u64;
         if self.reuse.is_none() {
@@ -1146,14 +1101,6 @@ impl Prober for Driver<'_> {
 
     fn note_deduced(&mut self) {
         self.account(Answer::Deduced, 0, (false, 0), Instant::now(), 0);
-    }
-}
-
-impl Drop for Driver<'_> {
-    /// Hands the case's tally to the registry, once, on every exit path
-    /// of [`Driver::run`].
-    fn drop(&mut self) {
-        self.tally.report();
     }
 }
 

@@ -401,12 +401,6 @@ mod tests {
         let Ok(sink) = TraceSink::to_file("/dev/full") else {
             return; // platform without /dev/full: nothing to test
         };
-        let before = oraql_obs::global()
-            .snapshot()
-            .counters
-            .get("oraql_trace_dropped_lines_total")
-            .copied()
-            .unwrap_or(0);
         // Lines longer than the writer's buffer fail at the write, so
         // each kind of line is counted where it is written.
         let long = "x".repeat(16 << 10);
@@ -416,13 +410,6 @@ mod tests {
         });
         drop(sink.span("probe", &long, 0));
         assert_eq!(sink.flush(), 2, "one count for both kinds of line");
-        let after = oraql_obs::global()
-            .snapshot()
-            .counters
-            .get("oraql_trace_dropped_lines_total")
-            .copied()
-            .unwrap_or(0);
-        assert!(after >= before + 2, "the registry counter sees both");
         // The in-memory copies are intact regardless.
         assert_eq!((sink.events().len(), sink.spans().len()), (1, 1));
     }

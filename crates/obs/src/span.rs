@@ -9,9 +9,8 @@
 //!
 //! A sink made with [`SpanSink::to_file`] owns the run's trace file.
 //! Its span lines and every line handed to [`SpanSink::write_line`]
-//! (`oraql-core`'s probe answers) go through one buffered writer, one
-//! dropped-line count and one registry counter,
-//! `oraql_trace_dropped_lines_total`.
+//! (`oraql-core`'s probe answers) go through one buffered writer and
+//! one dropped-line count, which [`SpanSink::flush`] returns.
 
 use crate::jsonl::{escape_json, json_str, json_u64};
 use std::fs::File;
@@ -81,16 +80,9 @@ impl SpanInner {
     fn write_line(&mut self, line: impl FnOnce() -> String) {
         if let Some(f) = self.file.as_mut() {
             if writeln!(f, "{}", line()).is_err() {
-                self.note_dropped();
+                self.dropped += 1;
             }
         }
-    }
-
-    fn note_dropped(&mut self) {
-        self.dropped += 1;
-        crate::global()
-            .counter("oraql_trace_dropped_lines_total")
-            .inc();
     }
 }
 
@@ -182,7 +174,7 @@ impl SpanSink {
         let mut inner = lock_ignore_poison(&self.inner);
         if let Some(f) = inner.file.as_mut() {
             if f.flush().is_err() {
-                inner.note_dropped();
+                inner.dropped += 1;
             }
         }
         inner.dropped

@@ -4,7 +4,7 @@
 //! oraql-served serve --dir DIR [--listen ADDR] [--fsync-ms N]
 //!                    [--max-inflight N] [--max-conns N]
 //!                    [--request-deadline-ms N] [--fault-plan SPEC]
-//! oraql-served ping|stats|metrics|sync|compact ADDR
+//! oraql-served ping|stats|sync|compact ADDR
 //! ```
 //!
 //! `serve` keeps its corpus in `DIR/verdicts.journal`, an ordinary
@@ -27,7 +27,6 @@ const USAGE: &str = "usage:
                      [--max-conns N] [--request-deadline-ms N] [--fault-plan SPEC]
   oraql-served ping ADDR
   oraql-served stats ADDR
-  oraql-served metrics ADDR
   oraql-served sync ADDR
   oraql-served compact ADDR
 
@@ -51,7 +50,7 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "serve" => serve(&args[1..]),
-        "ping" | "stats" | "metrics" | "sync" | "compact" => {
+        "ping" | "stats" | "sync" | "compact" => {
             let Some(addr) = args.get(1) else {
                 return fail("missing ADDR (see --help)");
             };
@@ -134,7 +133,6 @@ fn client_op(cmd: &str, addr: &str) -> ExitCode {
     let res = match cmd {
         "ping" => client.ping().map(|()| "pong".to_string()),
         "stats" => client.server_stats(),
-        "metrics" => client.server_metrics(),
         "sync" => client.sync().map(|()| "synced".to_string()),
         "compact" => client.server_compact(),
         _ => unreachable!("dispatched in main"),

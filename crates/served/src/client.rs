@@ -144,8 +144,7 @@ pub fn backoff_delay(
     exp.mul_f64(0.5 + (j % 1024) as f64 / 2048.0)
 }
 
-/// Breaker states, in the classic three-state shape. The state gauge
-/// `oraql_client_breaker_state` publishes these as 0/1/2.
+/// Breaker states, in the classic three-state shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Breaker {
     /// Healthy: requests flow, failures trip to `Open`.
@@ -254,21 +253,6 @@ fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-fn breaker_gauge() -> &'static oraql_obs::Gauge {
-    static G: std::sync::OnceLock<&'static oraql_obs::Gauge> = std::sync::OnceLock::new();
-    G.get_or_init(|| oraql_obs::global().gauge("oraql_client_breaker_state"))
-}
-
-fn retries_counter() -> &'static oraql_obs::Counter {
-    static C: std::sync::OnceLock<&'static oraql_obs::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| oraql_obs::global().counter("oraql_client_retries_total"))
-}
-
-fn busy_counter() -> &'static oraql_obs::Counter {
-    static C: std::sync::OnceLock<&'static oraql_obs::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| oraql_obs::global().counter("oraql_client_busy_total"))
-}
-
 impl Client {
     /// Default per-request socket timeout.
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -359,7 +343,6 @@ impl Client {
                     ));
                 }
                 link.breaker = Breaker::HalfOpen;
-                breaker_gauge().set(2);
                 true
             }
         };
@@ -375,7 +358,6 @@ impl Client {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                retries_counter().inc();
                 std::thread::sleep(backoff_delay(
                     self.opts.seed,
                     req_id,
@@ -389,14 +371,11 @@ impl Client {
                     // Alive but shedding: no breaker trip, no retry —
                     // and a probe answered BUSY proves liveness.
                     self.counters.busy.fetch_add(1, Ordering::Relaxed);
-                    busy_counter().inc();
                     link.breaker = Breaker::Closed;
-                    breaker_gauge().set(0);
                     return Err(ClientError::Busy);
                 }
                 Ok(resp) => {
                     link.breaker = Breaker::Closed;
-                    breaker_gauge().set(0);
                     return Ok(resp);
                 }
                 Err(e) => {
@@ -409,7 +388,6 @@ impl Client {
         link.breaker = Breaker::Open {
             until: Instant::now() + self.opts.cooldown,
         };
-        breaker_gauge().set(1);
         Err(ClientError::Unavailable(last_err))
     }
 
@@ -510,16 +488,6 @@ impl Client {
     /// Fetches the server's `STATS` text.
     pub fn server_stats(&self) -> Result<String, ClientError> {
         match self.request(&Request::Stats)? {
-            Response::Text(t) => Ok(t),
-            other => Err(Self::remote_err(other)),
-        }
-    }
-
-    /// Fetches the server's `METRICS` text exposition (the daemon
-    /// process's metrics registry, Prometheus-style `name value`
-    /// lines; parse with `oraql_obs::Snapshot::parse`).
-    pub fn server_metrics(&self) -> Result<String, ClientError> {
-        match self.request(&Request::Metrics)? {
             Response::Text(t) => Ok(t),
             other => Err(Self::remote_err(other)),
         }

@@ -34,7 +34,8 @@
 //! ([`oraql_store::Space`]): [`Request::Get`] and [`Request::Put`]
 //! carry it, and it picks the op byte (`GetDec`/`GetExe`,
 //! `PutDec`/`PutExe`). Op bytes `0x06` and `0x07`, which carried the
-//! retired reference-output records, are answered `bad-op`.
+//! retired reference-output records, and `0x0b`, the retired metrics
+//! scrape, are answered `bad-op`.
 //!
 //! # Concurrency contract
 //!
@@ -89,9 +90,6 @@ pub enum Op {
     Sync = 0x09,
     /// Compact the journal; empty body, text summary response.
     Compact = 0x0a,
-    /// Metrics-registry snapshot as Prometheus-style text exposition;
-    /// empty body. See `docs/OPERATIONS.md` § Monitoring.
-    Metrics = 0x0b,
 }
 
 impl Op {
@@ -106,7 +104,6 @@ impl Op {
             0x08 => Op::Stats,
             0x09 => Op::Sync,
             0x0a => Op::Compact,
-            0x0b => Op::Metrics,
             _ => return None,
         })
     }
@@ -194,8 +191,6 @@ pub enum Request {
     Sync,
     /// [`Op::Compact`].
     Compact,
-    /// [`Op::Metrics`].
-    Metrics,
 }
 
 impl Request {
@@ -218,17 +213,12 @@ impl Request {
             Request::Stats => Op::Stats,
             Request::Sync => Op::Sync,
             Request::Compact => Op::Compact,
-            Request::Metrics => Op::Metrics,
         }
     }
 
     fn body(&self) -> Vec<u8> {
         match self {
-            Request::Ping
-            | Request::Stats
-            | Request::Sync
-            | Request::Compact
-            | Request::Metrics => Vec::new(),
+            Request::Ping | Request::Stats | Request::Sync | Request::Compact => Vec::new(),
             Request::Get { key, .. } => key.to_le_bytes().to_vec(),
             Request::Put {
                 key,
@@ -276,7 +266,7 @@ impl Request {
             _ => Space::Dec,
         };
         let req = match op {
-            Op::Ping | Op::Stats | Op::Sync | Op::Compact | Op::Metrics => {
+            Op::Ping | Op::Stats | Op::Sync | Op::Compact => {
                 if !body.is_empty() {
                     return Err((Status::BadFrame, req_id));
                 }
@@ -284,7 +274,6 @@ impl Request {
                     Op::Ping => Request::Ping,
                     Op::Stats => Request::Stats,
                     Op::Sync => Request::Sync,
-                    Op::Metrics => Request::Metrics,
                     _ => Request::Compact,
                 }
             }
@@ -319,7 +308,7 @@ pub enum Response {
     Ok,
     /// [`Status::Ok`] carrying the verdict a `Get` found.
     Verdict(Verdict),
-    /// [`Status::Ok`] carrying UTF-8 text (stats, compact and metrics
+    /// [`Status::Ok`] carrying UTF-8 text (stats and compact
     /// summaries).
     Text(String),
     /// [`Status::NotFound`] — the lookup key has no record.
@@ -372,7 +361,7 @@ impl Response {
                     let raw: [u8; 8] = body[1..9].try_into().map_err(|_| "short verdict body")?;
                     Response::Verdict((body[0] == 1, u64::from_le_bytes(raw)))
                 }
-                Op::Stats | Op::Compact | Op::Metrics => Response::Text(
+                Op::Stats | Op::Compact => Response::Text(
                     String::from_utf8(body.to_vec()).map_err(|_| "non-UTF-8 text body")?,
                 ),
                 Op::Ping | Op::PutDec | Op::PutExe | Op::Sync => Response::Ok,
@@ -473,7 +462,6 @@ mod tests {
             Request::Stats,
             Request::Sync,
             Request::Compact,
-            Request::Metrics,
         ]
     }
 
@@ -528,13 +516,6 @@ mod tests {
                 Op::Compact,
                 Response::Text("3 records, 138 -> 92 bytes".into()),
             ),
-            (
-                Op::Metrics,
-                Response::Text(
-                    "# TYPE oraql_store_appends_total counter\noraql_store_appends_total 7\n"
-                        .into(),
-                ),
-            ),
             (Op::Ping, Response::Err(Status::BadOp, String::new())),
             (Op::GetDec, Response::Err(Status::Io, "disk died".into())),
         ];
@@ -576,10 +557,15 @@ mod tests {
             Request::decode(&raw(VERSION, 0xee, 78, &[])),
             Err((Status::BadOp, 78))
         );
-        // The retired reference-output ops are unknown ops now.
-        for (op, id) in [(0x06, 82), (0x07, 83)] {
+        // The retired reference-output ops and the retired metrics
+        // scrape are unknown ops now.
+        for (op, id, body) in [
+            (0x06, 82, &5u64.to_le_bytes()[..]),
+            (0x07, 83, &5u64.to_le_bytes()[..]),
+            (0x0b, 84, &[][..]),
+        ] {
             assert_eq!(
-                Request::decode(&raw(VERSION, op, id, &5u64.to_le_bytes())),
+                Request::decode(&raw(VERSION, op, id, body)),
                 Err((Status::BadOp, id))
             );
         }

@@ -36,7 +36,7 @@
 //! * `max_conns` caps serving connections. A connection over the cap
 //!   gets its first request answered `BUSY` and is closed.
 //!
-//! Every shed increments `oraql_served_shed_total`; see
+//! Every shed is counted in the `shed` field of the `STATS` text; see
 //! `docs/OPERATIONS.md` § "Overload & partition playbook".
 //!
 //! # Chaos hooks
@@ -70,7 +70,7 @@ use crate::net::{Addr, Conn, Listener};
 use crate::protocol::{read_frame, write_frame, Op, Request, Response, Status};
 use oraql_faults::{FaultInjector, FaultSite};
 use oraql_store::{Store, StoreError};
-use std::io::{self, Write as _};
+use std::io::{self, Read, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -87,6 +87,61 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a connection thread blocks in `read` before re-checking the
 /// shutdown flag. Bounds shutdown latency, not request latency.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// Whether a read error is the [`IDLE_POLL`] timeout expiring.
+fn is_poll_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// The read side of one [`read_frame`] on a serving connection. An
+/// [`IDLE_POLL`] tick before the frame's first byte surfaces as an
+/// error, so the caller can re-check shutdown and read again with
+/// nothing lost. Once the frame has started, a tick keeps its bytes
+/// and waits on, re-checking shutdown each time, until the peer has
+/// sent nothing for [`WRITE_TIMEOUT`].
+struct FrameRead<'a> {
+    conn: &'a mut Conn,
+    core: &'a Core,
+    /// Whether the frame has delivered a byte.
+    started: bool,
+}
+
+impl Read for FrameRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut stalled: Option<Instant> = None;
+        loop {
+            match self.conn.read(buf) {
+                Ok(n) => {
+                    self.started |= n > 0;
+                    return Ok(n);
+                }
+                Err(e) if self.started && is_poll_tick(&e) => {
+                    let since = *stalled.get_or_insert_with(Instant::now);
+                    if self.core.is_dead() || since.elapsed() >= WRITE_TIMEOUT {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "peer stalled mid-frame",
+                        ));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Reads one request frame from `conn` through a [`FrameRead`]: an
+/// error that [`is_poll_tick`] means no byte of it has arrived yet.
+fn read_request(conn: &mut Conn, core: &Core) -> io::Result<Option<Vec<u8>>> {
+    read_frame(&mut FrameRead {
+        conn,
+        core,
+        started: false,
+    })
+}
 
 fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -192,9 +247,6 @@ struct Core {
 impl Core {
     fn note_shed(&self) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
-        static SHED: std::sync::OnceLock<&'static oraql_obs::Counter> = std::sync::OnceLock::new();
-        SHED.get_or_init(|| oraql_obs::global().counter("oraql_served_shed_total"))
-            .inc();
     }
 
     /// Consults the fault plan for an injected crash at the named
@@ -228,7 +280,7 @@ impl Core {
         // for; data ops shed fast so the driver falls back to its
         // local tiers instead of queueing behind an overload.
         let deadline = match op {
-            Op::Stats | Op::Sync | Op::Compact | Op::Metrics => self.opts.request_deadline * 10,
+            Op::Stats | Op::Sync | Op::Compact => self.opts.request_deadline * 10,
             _ => self.opts.request_deadline,
         };
         let start = Instant::now();
@@ -339,17 +391,6 @@ impl Core {
     }
 
     fn dispatch(&self, req: Request) -> Response {
-        let started = std::time::Instant::now();
-        let op = req.op();
-        let resp = self.dispatch_inner(req);
-        if let Some((count, micros)) = op_metrics(op) {
-            count.inc();
-            micros.observe(started.elapsed().as_micros() as u64);
-        }
-        resp
-    }
-
-    fn dispatch_inner(&self, req: Request) -> Response {
         match req {
             Request::Ping => Response::Ok,
             Request::Get { space, key } => self
@@ -367,83 +408,8 @@ impl Core {
                 Err(e) => Response::Err(Status::Io, e.to_string()),
             },
             Request::Compact => self.compact(),
-            // The process-wide registry: this daemon's own request
-            // counters and latency histograms, plus everything the
-            // embedded `oraql-store` published. A scraper polls this
-            // op; see docs/OPERATIONS.md § Monitoring.
-            Request::Metrics => Response::Text(oraql_obs::global().snapshot().render()),
         }
     }
-}
-
-/// Registry handles for one wire op: request counter + latency
-/// histogram. Names are static per op, resolved once each.
-fn op_metrics(op: Op) -> Option<(&'static oraql_obs::Counter, &'static oraql_obs::Histogram)> {
-    use std::sync::OnceLock;
-    type Slot = (
-        Op,
-        &'static oraql_obs::Counter,
-        &'static oraql_obs::Histogram,
-    );
-    static SLOTS: OnceLock<Vec<Slot>> = OnceLock::new();
-    const NAMES: [(Op, &str, &str); 9] = [
-        (
-            Op::Ping,
-            "oraql_served_requests_ping_total",
-            "oraql_served_op_ping_micros",
-        ),
-        (
-            Op::GetDec,
-            "oraql_served_requests_get_dec_total",
-            "oraql_served_op_get_dec_micros",
-        ),
-        (
-            Op::GetExe,
-            "oraql_served_requests_get_exe_total",
-            "oraql_served_op_get_exe_micros",
-        ),
-        (
-            Op::PutDec,
-            "oraql_served_requests_put_dec_total",
-            "oraql_served_op_put_dec_micros",
-        ),
-        (
-            Op::PutExe,
-            "oraql_served_requests_put_exe_total",
-            "oraql_served_op_put_exe_micros",
-        ),
-        (
-            Op::Stats,
-            "oraql_served_requests_stats_total",
-            "oraql_served_op_stats_micros",
-        ),
-        (
-            Op::Sync,
-            "oraql_served_requests_sync_total",
-            "oraql_served_op_sync_micros",
-        ),
-        (
-            Op::Compact,
-            "oraql_served_requests_compact_total",
-            "oraql_served_op_compact_micros",
-        ),
-        (
-            Op::Metrics,
-            "oraql_served_requests_metrics_total",
-            "oraql_served_op_metrics_micros",
-        ),
-    ];
-    let slots = SLOTS.get_or_init(|| {
-        let r = oraql_obs::global();
-        NAMES
-            .iter()
-            .map(|&(op, c, h)| (op, r.counter(c), r.histogram(h)))
-            .collect()
-    });
-    slots
-        .iter()
-        .find(|slot| slot.0 == op)
-        .map(|&(_, count, micros)| (count, micros))
 }
 
 /// The request id to echo for a raw request payload, whether or not it
@@ -462,7 +428,7 @@ fn shed_conn(core: &Core, conn: &mut Conn) {
     let _ = conn.set_read_timeout(Some(IDLE_POLL));
     let deadline = Instant::now() + Duration::from_secs(1);
     while Instant::now() < deadline && !core.is_dead() {
-        match read_frame(conn) {
+        match read_request(conn, core) {
             Ok(Some(payload)) => {
                 core.note_shed();
                 let frame = Response::Busy.encode(req_id_of(&payload));
@@ -470,11 +436,7 @@ fn shed_conn(core: &Core, conn: &mut Conn) {
                 return;
             }
             Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if is_poll_tick(&e) => continue,
             Err(_) => return,
         }
     }
@@ -529,16 +491,13 @@ fn serve_conn(core: &Core, mut conn: Conn) {
         if core.is_dead() {
             break;
         }
-        let payload = match read_frame(&mut conn) {
+        let payload = match read_request(&mut conn, core) {
             Ok(Some(p)) => p,
-            Ok(None) => break, // peer hung up cleanly
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll tick: re-check shutdown
-            }
+            Ok(None) => break,                      // peer hung up cleanly
+            Err(e) if is_poll_tick(&e) => continue, // idle: re-check shutdown
             Err(_) => {
-                // Torn frame or dead socket: nothing sane to answer on.
+                // Torn frame, stalled peer or dead socket: nothing sane
+                // to answer on.
                 core.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
                 break;
             }
@@ -936,8 +895,9 @@ mod tests {
         let p = read_frame(&mut conn).unwrap().unwrap();
         assert_eq!(p[1], Status::BadOp as u8);
         assert_eq!(u64::from_le_bytes(p[2..10].try_into().unwrap()), 31);
-        // The retired reference-output ops are unknown ops.
-        for (op, id) in [(0x06, 34), (0x07, 35)] {
+        // The retired reference-output ops and the retired metrics
+        // scrape are unknown ops.
+        for (op, id) in [(0x06, 34), (0x07, 35), (0x0b, 36)] {
             let payload = raw_payload(VERSION, op, id, &3u64.to_le_bytes());
             write_frame(&mut conn, &raw_frame(&payload)).unwrap();
             let p = read_frame(&mut conn).unwrap().unwrap();
@@ -953,6 +913,34 @@ mod tests {
         write_frame(&mut conn, &raw_frame(&raw_payload(VERSION, 0x02, 33, &[1]))).unwrap();
         let p = read_frame(&mut conn).unwrap().unwrap();
         assert_eq!(p[1], Status::BadFrame as u8);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A request that arrives in two parts, 2.5 idle polls apart, is
+    /// answered wherever the split falls: inside the 12-byte header or
+    /// inside the payload.
+    #[test]
+    fn frame_split_across_idle_polls_is_answered() {
+        let dir = scratch("split");
+        let server = Server::start(&ServerOptions::new(&dir), "127.0.0.1:0").unwrap();
+        let frame = Request::Ping.encode(7);
+        for cut in [5, 16] {
+            let mut conn =
+                Conn::connect(&Addr::parse(&server.addr()), Duration::from_secs(2)).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            conn.write_all(&frame[..cut]).unwrap();
+            conn.flush().unwrap();
+            std::thread::sleep(IDLE_POLL * 5 / 2);
+            conn.write_all(&frame[cut..]).unwrap();
+            conn.flush().unwrap();
+            let p = read_frame(&mut conn).unwrap().expect("an answer");
+            assert_eq!(
+                Response::decode(Op::Ping, &p),
+                Ok((7, Response::Ok)),
+                "split at byte {cut}"
+            );
+        }
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -220,7 +220,8 @@ impl Store {
         let stats = StoreStats::default();
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.len() >= 8 && bytes[0..8] != journal::MAGIC {
+        let prefix = bytes.len().min(journal::MAGIC.len());
+        if bytes[..prefix] != journal::MAGIC[..prefix] {
             return Err(StoreError::Header(HeaderError::BadMagic));
         }
         if bytes.len() >= HEADER_LEN {
@@ -231,7 +232,6 @@ impl Store {
             // this can only discard a partial header, never user data.
             if !bytes.is_empty() {
                 StoreStats::bump(&stats.dropped_torn, 1);
-                stats::obs().dropped_torn.inc();
             }
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
@@ -284,10 +284,6 @@ impl Store {
         StoreStats::bump(&stats.recovered, scan.records.len() as u64);
         StoreStats::bump(&stats.dropped_corrupt, scan.corrupt);
         StoreStats::bump(&stats.dropped_torn, scan.torn);
-        let obs = stats::obs();
-        obs.recovered.add(scan.records.len() as u64);
-        obs.dropped_corrupt.add(scan.corrupt);
-        obs.dropped_torn.add(scan.torn);
     }
 
     /// The journal path this handle is bound to.
@@ -386,7 +382,6 @@ impl Store {
         // idempotent no-op.
         inner.maps.apply(r);
         StoreStats::bump(&self.stats.appends, 1);
-        stats::obs().appends.inc();
         Ok(())
     }
 
@@ -418,9 +413,6 @@ impl Store {
         // writer. Only consume what is already whole.
         StoreStats::bump(&stats.recovered, scan.records.len() as u64);
         StoreStats::bump(&stats.dropped_corrupt, scan.corrupt);
-        let obs = stats::obs();
-        obs.recovered.add(scan.records.len() as u64);
-        obs.dropped_corrupt.add(scan.corrupt);
         let n = scan.records.len() as u64;
         inner.scanned = scan.valid_end;
         for r in scan.records {
@@ -439,11 +431,7 @@ impl Store {
     /// already synced the new file itself.
     pub fn sync(&self) -> std::io::Result<()> {
         let writer = lock_ignore_poison(&self.inner).writer.try_clone()?;
-        let res = writer.sync_data();
-        if res.is_ok() {
-            stats::obs().fsyncs.inc();
-        }
-        res
+        writer.sync_data()
     }
 
     /// Rewrites the journal keeping exactly one record per live key —
@@ -647,6 +635,31 @@ mod tests {
             Err(StoreError::Header(HeaderError::BadMagic)) => {}
             other => panic!("expected BadMagic, got {other:?}"),
         }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn rejects_a_foreign_file_shorter_than_the_magic() {
+        let path = tmp("short_foreign");
+        std::fs::write(&path, b"hello").unwrap();
+        match Store::open(&path) {
+            Err(StoreError::Header(HeaderError::BadMagic)) => {}
+            other => panic!("expected BadMagic, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), b"hello", "bytes untouched");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn torn_magic_prefix_reinitializes() {
+        let path = tmp("torn_magic");
+        std::fs::write(&path, b"ORAQL").unwrap();
+        let s = Store::open(&path).unwrap();
+        assert_eq!(s.stats().dropped_torn, 1);
+        assert!(s.is_empty());
+        s.record(Space::Dec, 1, (true, 1)).unwrap();
+        drop(s);
+        assert_eq!(Store::open(&path).unwrap().stats().recovered, 1);
         cleanup(&path);
     }
 

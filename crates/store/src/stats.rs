@@ -77,33 +77,6 @@ impl StoreStats {
     }
 }
 
-/// Process-wide registry handles mirroring the per-handle counters
-/// above: `StoreStats` stays the source for per-store CLI lines, the
-/// registry aggregates across every handle in the process (warm +
-/// chaos stores, the server's journal) for `--metrics-out` and the
-/// served `METRICS` op.
-pub(crate) struct StoreObs {
-    pub appends: &'static oraql_obs::Counter,
-    pub fsyncs: &'static oraql_obs::Counter,
-    pub recovered: &'static oraql_obs::Counter,
-    pub dropped_corrupt: &'static oraql_obs::Counter,
-    pub dropped_torn: &'static oraql_obs::Counter,
-}
-
-pub(crate) fn obs() -> &'static StoreObs {
-    static M: std::sync::OnceLock<StoreObs> = std::sync::OnceLock::new();
-    M.get_or_init(|| {
-        let r = oraql_obs::global();
-        StoreObs {
-            appends: r.counter("oraql_store_appends_total"),
-            fsyncs: r.counter("oraql_store_fsyncs_total"),
-            recovered: r.counter("oraql_store_recovered_total"),
-            dropped_corrupt: r.counter("oraql_store_dropped_corrupt_total"),
-            dropped_torn: r.counter("oraql_store_dropped_torn_total"),
-        }
-    })
-}
-
 impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

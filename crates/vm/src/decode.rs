@@ -340,13 +340,6 @@ fn edge_of(preds: &Preds, cur: u32, target: u32, msgs: &mut Vec<Box<str>>) -> Ju
 /// decodes into `Bad` ops/operands/jumps that reproduce the tree-walk's
 /// runtime errors exactly.
 pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> DecodedFunction {
-    {
-        static LOWERINGS: std::sync::OnceLock<&'static oraql_obs::Counter> =
-            std::sync::OnceLock::new();
-        LOWERINGS
-            .get_or_init(|| oraql_obs::global().counter("oraql_vm_decode_lowerings_total"))
-            .inc();
-    }
     let n_blocks = f.blocks().len();
 
     // Pass 1: predecessor lists, giving each (pred, target) pair a

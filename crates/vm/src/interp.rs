@@ -201,35 +201,6 @@ pub struct Interpreter<'m> {
     /// Retired argument vectors, reused across calls, external calls
     /// and per-thread/per-item launch argument lists.
     arg_pool: Vec<Vec<RtVal>>,
-    /// Fuel-refund events (faulted decoded segments unwound), published
-    /// to the metrics registry at the end of each run. Kept out of
-    /// [`ExecStats`] on purpose: the differential tests assert stats
-    /// equality across engines, and refunds are an engine detail.
-    fuel_refunds: u64,
-    /// Instructions already published to the registry, so repeated
-    /// runs on one interpreter flush deltas, not running totals.
-    obs_flushed_insts: u64,
-}
-
-/// Registry handles for the VM, resolved once. The interpreter retires
-/// ~50M insts/s on one core; per-instruction atomics would dominate, so
-/// counts are accumulated in plain fields and flushed per run.
-struct VmMetrics {
-    insts: &'static oraql_obs::Counter,
-    runs: &'static oraql_obs::Counter,
-    refunds: &'static oraql_obs::Counter,
-}
-
-fn vm_metrics() -> &'static VmMetrics {
-    static M: std::sync::OnceLock<VmMetrics> = std::sync::OnceLock::new();
-    M.get_or_init(|| {
-        let r = oraql_obs::global();
-        VmMetrics {
-            insts: r.counter("oraql_vm_insts_total"),
-            runs: r.counter("oraql_vm_runs_total"),
-            refunds: r.counter("oraql_vm_fuel_refunds_total"),
-        }
-    })
 }
 
 struct Frame {
@@ -265,8 +236,6 @@ impl<'m> Interpreter<'m> {
             decoded: vec![None; m.funcs.len()],
             frame_pool: Vec::new(),
             arg_pool: Vec::new(),
-            fuel_refunds: 0,
-            obs_flushed_insts: 0,
         }
     }
 
@@ -314,9 +283,7 @@ impl<'m> Interpreter<'m> {
             .find_func("main")
             .ok_or_else(|| RuntimeError::BadProgram("no main function".into()))?;
         let mut interp = Interpreter::new(m);
-        let res = interp.call(main, Vec::new());
-        interp.flush_metrics();
-        res?;
+        interp.call(main, Vec::new())?;
         Ok(RunOutcome {
             stdout: std::mem::take(&mut interp.out),
             stats: interp.stats,
@@ -333,24 +300,7 @@ impl<'m> Interpreter<'m> {
             self.injected_trap = false;
             return Err(RuntimeError::Injected("trap before execution".into()));
         }
-        let res = self.call(entry, args);
-        self.flush_metrics();
-        res
-    }
-
-    /// Publishes this run's instruction delta, fuel refunds and the run
-    /// itself to the metrics registry — one batch of atomics per run,
-    /// nothing in the decode/dispatch hot loop.
-    fn flush_metrics(&mut self) {
-        let m = vm_metrics();
-        let total = self.stats.total_insts();
-        m.insts.add(total.saturating_sub(self.obs_flushed_insts));
-        self.obs_flushed_insts = total;
-        if self.fuel_refunds > 0 {
-            m.refunds.add(self.fuel_refunds);
-            self.fuel_refunds = 0;
-        }
-        m.runs.inc();
+        self.call(entry, args)
     }
 
     /// Output captured so far.
@@ -886,7 +836,6 @@ impl<'m> Interpreter<'m> {
     /// into the function's op arena) of a segment whose execution
     /// faulted partway through.
     fn refund(&mut self, dfn: &DecodedFunction, from: usize, end: usize) {
-        self.fuel_refunds += 1;
         let n = (end - from) as u64;
         let mut cycles = 0u64;
         let mut loads = 0u64;

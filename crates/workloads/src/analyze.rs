@@ -5,7 +5,7 @@
 //! ```text
 //! oraql trace <trace.jsonl>
 //!             [--fig2] [--fig4] [--fig6] [--funnel] [--latency]
-//!             [--top-spans] [--check-metrics metrics.prom]
+//!             [--top-spans]
 //! ```
 //!
 //! One file holds both kinds of line (see `oraql::trace`): the probe
@@ -25,12 +25,12 @@
 
 use oraql::report::{render_trace_summary, summarize_trace, summarize_trace_by_case};
 use oraql::trace::{read_trace, ProbeEvent, ProbeKind};
-use oraql_obs::{HistogramSnapshot, Snapshot, SpanEvent};
+use oraql_obs::{Histogram, SpanEvent};
 use std::collections::BTreeMap;
 
 const USAGE: &str = "usage: oraql trace <trace.jsonl>
                    [--fig2] [--fig4] [--fig6] [--funnel] [--latency]
-                   [--top-spans] [--check-metrics <metrics.prom>]
+                   [--top-spans]
 
 Recomputes the paper's tables from a run's --trace file:
   --fig2           probing-effort table (identical to the in-run summary)
@@ -38,24 +38,14 @@ Recomputes the paper's tables from a run's --trace file:
   --fig6           per-case wall-clock breakdown by answer kind
   --funnel         cache-tier funnel totals
   --latency        per-case probe-latency quantiles (p50/p90/p99)
-  --top-spans      self-time profile of the file's spans
-  --check-metrics  parse a metrics exposition and report its contents";
+  --top-spans      self-time profile of the file's spans";
 
 /// Entry point for the `oraql trace` subcommand. Returns the exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     let mut trace_path: Option<&str> = None;
-    let mut metrics_path: Option<&str> = None;
     let mut sections: Vec<&'static str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--check-metrics" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => metrics_path = Some(p),
-                    None => return usage_err(),
-                }
-            }
+    for arg in args {
+        match arg.as_str() {
             "--fig2" => sections.push("fig2"),
             "--fig4" => sections.push("fig4"),
             "--fig6" => sections.push("fig6"),
@@ -69,18 +59,9 @@ pub fn run_cli(args: &[String]) -> i32 {
             path if !path.starts_with('-') && trace_path.is_none() => trace_path = Some(path),
             _ => return usage_err(),
         }
-        i += 1;
-    }
-    if trace_path.is_none() && metrics_path.is_none() {
-        return usage_err();
-    }
-
-    let mut code = 0;
-    if let Some(path) = metrics_path {
-        code = code.max(check_metrics(path));
     }
     let Some(path) = trace_path else {
-        return code;
+        return usage_err();
     };
     let trace = match read_trace(path) {
         Ok(t) => t,
@@ -111,41 +92,12 @@ pub fn run_cli(args: &[String]) -> i32 {
     if want("top-spans") {
         print!("{}", render_top_spans(&trace.spans));
     }
-    code
+    0
 }
 
 fn usage_err() -> i32 {
     eprintln!("{USAGE}");
     2
-}
-
-/// Parses a Prometheus-style exposition written by `--metrics-out` (or
-/// scraped from a daemon's `METRICS` op) and reports what it holds.
-/// Exit code 1 when the file does not round-trip — the CI smoke relies
-/// on that.
-fn check_metrics(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("oraql trace: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    match Snapshot::parse(&text) {
-        Some(snap) => {
-            println!(
-                "metrics ({path}): {} counters, {} gauges, {} histograms parsed OK",
-                snap.counters.len(),
-                snap.gauges.len(),
-                snap.histograms.len()
-            );
-            0
-        }
-        None => {
-            eprintln!("oraql trace: {path}: exposition does not parse");
-            1
-        }
-    }
 }
 
 /// Per-case query statistics (the paper's Fig. 4 flavor, recomputed
@@ -218,8 +170,8 @@ pub fn render_funnel(events: &[ProbeEvent]) -> String {
 /// Builds the per-case probe-latency histogram. Public so the
 /// determinism tests can assert jobs-order insensitivity on the exact
 /// structure the rendering consumes.
-pub fn latency_histograms(events: &[ProbeEvent]) -> BTreeMap<String, HistogramSnapshot> {
-    let mut map: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
+pub fn latency_histograms(events: &[ProbeEvent]) -> BTreeMap<String, Histogram> {
+    let mut map: BTreeMap<String, Histogram> = BTreeMap::new();
     for ev in events {
         map.entry(ev.case.clone())
             .or_default()

@@ -6,13 +6,12 @@
 //!       [--max-tests N] [--jobs N] [--trace <file.jsonl>]
 //!       [--store <journal>] [--server <addr>]
 //!       [--fault-plan <spec>] [--no-gate]
-//!       [--metrics-out <file.prom>]
 //!       [--emit-sequence <file>]            # save the final decisions
 //! oraql --benchmark <name> --replay <seq>   # compile+run a saved
 //!                                           # sequence (or @file)
 //! oraql --config <file>
 //! oraql --all [--jobs N]
-//! oraql trace <trace.jsonl> [--fig2] [--top-spans] ... [--check-metrics <file.prom>]
+//! oraql trace <trace.jsonl> [--fig2] [--top-spans] ...
 //! oraql gen --plan <spec> [--out DIR] [--run] ...
 //! ```
 //!
@@ -59,12 +58,11 @@
 //! `--server` and `--no-gate` are parsed by
 //! `oraql_workloads::driver_flags`, which `oraql gen` shares.
 //!
-//! `--metrics-out <path>` writes the process-wide metrics registry
-//! (counters, gauges, latency histograms from driver, VM, store, and
-//! server client) as a Prometheus-style exposition at exit
-//! and prints an additive `--- metrics ---` summary section rendered
-//! from the same snapshot. It and `--trace` are off by default, so
-//! default output is unchanged.
+//! A run reports through its own artifacts: the `probing:` line (and
+//! `sandbox:` when anything failed) per case, the `--trace` file and
+//! its summary table, and one `store:` / `client:` line per attached
+//! verdict tier. The trace and the tier lines appear only with their
+//! flags, so default output is unchanged.
 //!
 //! `oraql trace` is the offline analyzer: it recomputes the Fig. 2 /
 //! Fig. 4 / Fig. 6 tables, the cache-tier funnel, per-case latency
@@ -93,12 +91,11 @@ const USAGE: &str = "usage: oraql --list
                 [--jobs N] [--trace <file.jsonl>]
                 [--store <journal>] [--server <addr>]
                 [--fault-plan <spec>] [--no-gate]
-                [--metrics-out <file.prom>]
                 [--emit-sequence <file>]
        oraql --benchmark <name> --replay <seq|@file>
        oraql --config <file>
        oraql --all [--jobs N]
-       oraql trace <trace.jsonl> [<sections>] [--check-metrics <file.prom>] [--help]
+       oraql trace <trace.jsonl> [<sections>] [--help]
        oraql gen --plan <spec> [--out <dir>] [--run] [--no-gate] [--help]";
 
 /// A command line that names no run: usage on stderr, exit 2.
@@ -120,7 +117,9 @@ fn flag_value(args: &[String], i: &mut usize, flag: &str) -> String {
 }
 
 /// Compiles and runs one benchmark with a fixed decision sequence (the
-/// paper's "program compiled with (almost) perfect alias information").
+/// paper's "program compiled with (almost) perfect alias information"),
+/// under the case's compile options, as the driver's final compile
+/// does.
 fn replay(name: &str, case: &TestCase, seq_arg: &str) -> i32 {
     let decisions = match oraql::Decisions::from_arg(seq_arg) {
         Ok(d) => d,
@@ -129,10 +128,7 @@ fn replay(name: &str, case: &TestCase, seq_arg: &str) -> i32 {
             return 2;
         }
     };
-    let compiled = oraql::compile::compile(
-        &*case.build,
-        &oraql::compile::CompileOptions::with_oraql(decisions, case.scope.clone()),
-    );
+    let compiled = oraql::compile::compile(&*case.build, &case.oraql_options(decisions));
     let Some(main) = compiled.module.find_func("main") else {
         eprintln!("{name}: module has no main function");
         return 1;
@@ -335,7 +331,6 @@ fn main() {
     let mut replay_seq: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut store_path: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -367,7 +362,6 @@ fn main() {
             "--replay" => replay_seq = Some(flag_value(&args, &mut i, flag)),
             "--trace" => trace_path = Some(flag_value(&args, &mut i, flag)),
             "--store" => store_path = Some(flag_value(&args, &mut i, flag)),
-            "--metrics-out" => metrics_out = Some(flag_value(&args, &mut i, flag)),
             "--config" | "-c" => {
                 let path = flag_value(&args, &mut i, flag);
                 config = Some(Config::load(&path).unwrap_or_else(|e| {
@@ -429,9 +423,6 @@ fn main() {
         })
     });
     opts.trace = sink.clone();
-    // Registry baseline, so the printed section reflects this run even
-    // if the process (e.g. under a test harness) did earlier work.
-    let snap0 = oraql_obs::global().snapshot();
 
     // A fault plan reaches the store too: its appends draw the
     // store-write sites.
@@ -479,68 +470,5 @@ fn main() {
         }
         println!("total faults fired: {}", inj.total_fired());
     }
-    if let Some(path) = &metrics_out {
-        let snap = oraql_obs::global().snapshot();
-        if let Err(e) = std::fs::write(path, snap.render()) {
-            eprintln!("cannot write metrics file {path}: {e}");
-        }
-        println!("--- metrics ({path}) ---");
-        print!("{}", render_metrics_section(&snap.delta(&snap0)));
-    }
     std::process::exit(code);
-}
-
-/// The end-of-run metrics summary, rendered purely from a registry
-/// snapshot delta — the human-readable face of the same numbers the
-/// exposition file carries.
-fn render_metrics_section(d: &oraql_obs::Snapshot) -> String {
-    let c = |name: &str| d.counters.get(name).copied().unwrap_or(0);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "probes: {} total | executed {} exe-cache {} dec-cache {} store {} server {} deduced {} faulted {}\n",
-        c("oraql_driver_probes_total"),
-        c("oraql_driver_probe_executed_total"),
-        c("oraql_driver_probe_exe_cache_total"),
-        c("oraql_driver_probe_dec_cache_total"),
-        c("oraql_driver_probe_store_total"),
-        c("oraql_driver_probe_server_total"),
-        c("oraql_driver_probe_deduced_total"),
-        c("oraql_driver_probe_faulted_total"),
-    ));
-    out.push_str(&format!(
-        "funnel: dec-cache {} -> store-dec {} -> server-dec {} -> compile {} -> exe-cache {} -> store-exe {} -> server-exe {} -> vm {}\n",
-        c("oraql_driver_funnel_dec_cache_hits_total"),
-        c("oraql_driver_funnel_store_dec_hits_total"),
-        c("oraql_driver_funnel_server_dec_hits_total"),
-        c("oraql_driver_funnel_compiles_total"),
-        c("oraql_driver_funnel_exe_cache_hits_total"),
-        c("oraql_driver_funnel_store_exe_hits_total"),
-        c("oraql_driver_funnel_server_exe_hits_total"),
-        c("oraql_driver_funnel_vm_runs_total"),
-    ));
-    out.push_str(&format!(
-        "vm: {} runs, {} insts, {} fuel refunds, {} decode lowerings\n",
-        c("oraql_vm_runs_total"),
-        c("oraql_vm_insts_total"),
-        c("oraql_vm_fuel_refunds_total"),
-        c("oraql_vm_decode_lowerings_total"),
-    ));
-    out.push_str(&format!(
-        "store: {} appends, {} fsyncs | retries {} quarantined {}\n",
-        c("oraql_store_appends_total"),
-        c("oraql_store_fsyncs_total"),
-        c("oraql_driver_retries_total"),
-        c("oraql_driver_quarantined_total"),
-    ));
-    if let Some(h) = d.histograms.get("oraql_driver_probe_micros") {
-        out.push_str(&format!(
-            "probe latency (µs): p50 {} p90 {} p99 {} mean {:.1} ({} samples)\n",
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.mean(),
-            h.count
-        ));
-    }
-    out
 }

@@ -63,20 +63,47 @@ fn replay_runs_the_case_the_config_describes() {
 }
 
 #[test]
+fn replay_compiles_what_the_driver_compiled_last() {
+    // CFL answers some of the queries ORAQL would get: a replay that
+    // left the config's `use_cfl` out would count another compile's.
+    let dir = std::env::temp_dir().join(format!("oraql_replay_cfl_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (conf, seq) = (dir.join("cfl.conf"), dir.join("final.seq"));
+    std::fs::write(&conf, "benchmark = testsnap_fortran\nuse_cfl = true\n").unwrap();
+    let (conf, seq) = (conf.to_str().unwrap(), seq.to_str().unwrap());
+    let run = oraql(&["--config", conf, "--emit-sequence", seq]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(run.status.success(), "driver run failed:\n{stdout}");
+    // `opt queries: U unique / C cached | pess queries: U unique / C cached`
+    let line = stdout.lines().find(|l| l.starts_with("opt queries: "));
+    let words: Vec<&str> = line.expect("query line").split_whitespace().collect();
+    let want = format!(
+        "replay: {} optimistic / {} pessimistic unique queries",
+        words[2], words[10]
+    );
+    let replay = oraql(&["--config", conf, "--replay", &format!("@{seq}")]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert!(replay.status.success(), "replay failed:\n{stderr}");
+    assert!(stderr.contains(&want), "want `{want}`, got:\n{stderr}");
+}
+
+#[test]
 fn help_prints_usage_and_removed_flags_are_unknown() {
     for args in [&["--help"][..], &["gen", "--help"]] {
         let out = oraql(args);
         assert!(out.status.success(), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: oraql"));
     }
-    for flag in ["--no-store", "--no-server", "--spans-out"] {
+    for flag in ["--no-store", "--no-server", "--spans-out", "--metrics-out"] {
         let out = oraql(&["-b", "testsnap", flag]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
     }
     // The analyzer reads one positional trace file: its old `--probes`
-    // and `--spans` inputs are unknown.
-    for flag in ["--probes", "--spans"] {
+    // and `--spans` inputs, and the retired `--check-metrics`, are
+    // unknown.
+    for flag in ["--probes", "--spans", "--check-metrics"] {
         let out = oraql(&["trace", flag, "x"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: oraql trace"));

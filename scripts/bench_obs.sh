@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
-# Observability overhead benchmark (see docs/OPERATIONS.md § Monitoring).
+# Observability overhead benchmark (see docs/OPERATIONS.md § Observing
+# a run).
 #
 # Drives the full 16-config workload suite uninstrumented and fully
 # instrumented (the one trace stream of probe answers and spans written
-# to its file, plus the metrics registry), asserts the overhead ratio
-# stays within the 1.05x budget, and verifies the `oraql trace --fig2`
-# replay matches the in-run summary byte-for-byte. Writes JSON to BENCH_obs.json in the repo
+# to its file), asserts the median pair ratio stays within the 1.05x
+# budget, and verifies the `oraql trace --fig2` replay matches the
+# in-run summary byte-for-byte. Writes JSON to BENCH_obs.json in the repo
 # root; override with ORAQL_BENCH_OUT.
 set -eu
 cd "$(dirname "$0")/.."

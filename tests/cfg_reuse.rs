@@ -207,7 +207,9 @@ impl Pass for Checked {
 }
 
 /// Runs the standard pipeline with every pass checked over `module`,
-/// under the conservative chain plus ORAQL when `decisions` is set.
+/// under the conservative chain plus ORAQL when `decisions` is set:
+/// the driver's baseline compile without, the case's ORAQL compile
+/// options (CFL included when the case asks for it) with.
 /// Returns the compiled module and the pass statistics.
 fn checked_compile(
     mut module: Module,
@@ -216,7 +218,7 @@ fn checked_compile(
     seen: &Rc<RefCell<Seen>>,
 ) -> (Module, Stats) {
     seen.borrow_mut().kept = vec![None; module.funcs.len()];
-    let mut aa = conservative_chain(&module, case.use_cfl);
+    let mut aa = conservative_chain(&module, decisions.is_some() && case.use_cfl);
     if let Some(d) = decisions {
         let shared = new_shared_with(d.clone(), case.scope.clone(), case.optimism);
         aa.add(Box::new(OraqlAA::new(shared)));
@@ -253,12 +255,7 @@ fn check_cases(cases: &[TestCase]) -> Seen {
                 }
             );
             let (module, _) = checked_compile((case.build)(), case, decisions.as_ref(), &seen);
-            let opts = CompileOptions {
-                oraql: decisions.map(|d| (d, case.scope.clone())),
-                use_cfl: case.use_cfl,
-                optimism: case.optimism,
-                ..CompileOptions::default()
-            };
+            let opts = decisions.map_or_else(CompileOptions::baseline, |d| case.oraql_options(d));
             assert_eq!(
                 module_str(&module),
                 module_str(&compile_pipeline(&*case.build, &opts, &Reuse::default()).module),

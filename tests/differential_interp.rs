@@ -296,13 +296,10 @@ fn workloads_differential_all_configs() {
         // The driver's first probe answers every query optimistically,
         // which miscompiles each configuration with an aliasing pair:
         // the modes must agree on the wrong program too.
-        let probe = CompileOptions {
-            oraql: Some((Decisions::all_optimistic(), case.scope.clone())),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            ..CompileOptions::default()
-        };
-        let optimistic = compile(&*case.build, &probe);
+        let optimistic = compile(
+            &*case.build,
+            &case.oraql_options(Decisions::all_optimistic()),
+        );
         let (result, stdout, _) = assert_modes_agree(
             &optimistic.module,
             case.fuel,

@@ -7,20 +7,14 @@
 //! workload and every case of the CI's generated corpus.
 
 use oraql_gen::GenPlan;
-use oraql_suite::oraql::compile::{compile, compile_pipeline, CompileOptions, Reuse};
+use oraql_suite::oraql::compile::{compile, compile_pipeline, Reuse};
 use oraql_suite::oraql::{Decisions, Driver, DriverOptions, TestCase, Verifier};
 use oraql_suite::vm::Interpreter;
 
 /// Whether the module `d` compiles to, under the case's compile
 /// options, prints what `verifier` accepts within the case's fuel.
 fn verifies(case: &TestCase, d: Decisions, verifier: &Verifier) -> bool {
-    let opts = CompileOptions {
-        oraql: Some((d, case.scope.clone())),
-        use_cfl: case.use_cfl,
-        optimism: case.optimism,
-        ..CompileOptions::default()
-    };
-    let m = compile_pipeline(&*case.build, &opts, &Reuse::default()).module;
+    let m = compile_pipeline(&*case.build, &case.oraql_options(d), &Reuse::default()).module;
     let Some(main) = m.find_func("main") else {
         return false;
     };
@@ -111,10 +105,7 @@ fn every_pessimistic_decision_is_necessary_for_xsbench() {
             seq: flipped,
             tail: true,
         };
-        let c = compile(
-            &*case.build,
-            &CompileOptions::with_oraql(d, case.scope.clone()),
-        );
+        let c = compile(&*case.build, &case.oraql_options(d));
         let ok = match Interpreter::run_main(&c.module) {
             Ok(out) => verifier.check(&out.stdout).is_ok(),
             Err(_) => false,
@@ -127,10 +118,7 @@ fn every_pessimistic_decision_is_necessary_for_xsbench() {
     }
 
     // And the unflipped final sequence does verify.
-    let c = compile(
-        &*case.build,
-        &CompileOptions::with_oraql(r.decisions.clone(), case.scope.clone()),
-    );
+    let c = compile(&*case.build, &case.oraql_options(r.decisions.clone()));
     let out = Interpreter::run_main(&c.module).unwrap();
     assert!(verifier.check(&out.stdout).is_ok());
 }
@@ -154,13 +142,10 @@ fn testsnap_omp_final_sequence_is_minimal() {
         flipped[i] = true;
         let c = compile(
             &*case.build,
-            &CompileOptions::with_oraql(
-                Decisions::Explicit {
-                    seq: flipped,
-                    tail: true,
-                },
-                case.scope.clone(),
-            ),
+            &case.oraql_options(Decisions::Explicit {
+                seq: flipped,
+                tail: true,
+            }),
         );
         let ok = match Interpreter::run_main(&c.module) {
             Ok(out) => verifier.check(&out.stdout).is_ok(),

@@ -13,7 +13,7 @@
 //! pessimistic flip and each pessimistic prefix up to position 60. It
 //! then checks the contract on every pair within the case.
 
-use oraql::compile::{compile_pipeline, CompileOptions, Reuse};
+use oraql::compile::{compile_pipeline, Reuse};
 use oraql::{Decisions, TestCase};
 use oraql_gen::GenPlan;
 use oraql_ir::printer::{module_key, module_str};
@@ -44,12 +44,7 @@ fn check_case(case: &TestCase) -> (usize, usize) {
     let mut by_key: HashMap<u64, String> = HashMap::new();
     let vectors = vectors();
     for d in &vectors {
-        let opts = CompileOptions {
-            oraql: Some((d.clone(), case.scope.clone())),
-            use_cfl: case.use_cfl,
-            optimism: case.optimism,
-            ..CompileOptions::default()
-        };
+        let opts = case.oraql_options(d.clone());
         let module = compile_pipeline(&*case.build, &opts, &Reuse::default()).module;
         let (key, text) = (module_key(0, &module), module_str(&module));
         let seen_key = *by_text.entry(text.clone()).or_insert(key);

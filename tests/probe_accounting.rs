@@ -1,13 +1,8 @@
 //! Probe accounting is one conservation law: every probe answer is
-//! counted once, so a case's traced answer kinds, its `ProbeEffort`,
-//! its `FailureStats` and the process-wide `oraql_driver_*_total`
-//! counters are the same numbers, read off one tally. Checked across
-//! every cache-tier set-up (sequential, parallel, store, server) and a
-//! fault plan.
-//!
-//! A single test in a binary of its own: it reads deltas of the
-//! process-wide metrics registry, which any concurrently running driver
-//! would perturb.
+//! counted once, so a case's traced answer kinds and its `ProbeEffort`
+//! are the same numbers, read off one tally. Checked across every
+//! cache-tier set-up (sequential, parallel, store, server) and a fault
+//! plan.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -42,9 +37,7 @@ impl Drop for Scratch {
 }
 
 /// Runs [`CASES`] through `run_suite` under `opts` with a fresh trace
-/// sink and checks the trace against each case's effort, and the
-/// registry's `oraql_driver_*_total` deltas against the sums over cases
-/// and the trace.
+/// sink and checks the trace against each case's effort.
 fn check_leg(leg: &str, opts: DriverOptions) {
     let cases: Vec<_> = CASES
         .iter()
@@ -55,21 +48,18 @@ fn check_leg(leg: &str, opts: DriverOptions) {
         trace: Some(sink.clone()),
         ..opts.clone()
     };
-    let before = oraql_obs::global().snapshot();
     let results: Vec<DriverResult> = run_suite(&cases, &traced)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("{leg}: {e}")))
         .collect();
-    let delta = oraql_obs::global().snapshot().delta(&before);
     let events = sink.events();
-    let of_kind = |case: Option<&str>, kind: ProbeKind| {
-        let n = events.iter().filter(|e| e.kind == kind);
-        n.filter(|e| case.is_none_or(|c| e.case == c)).count() as u64
-    };
 
     for r in &results {
         let (at, e) = (format!("{leg}/{}", r.name), &r.effort);
-        let kind = |k| of_kind(Some(&r.name), k);
+        let kind = |k| {
+            let n = events.iter().filter(|ev| ev.kind == k && ev.case == r.name);
+            n.count() as u64
+        };
         assert_eq!(kind(ProbeKind::Deduced), e.tests_deduced, "{at}");
         assert_eq!(kind(ProbeKind::ServerHit), e.tests_server, "{at}");
         assert_eq!(
@@ -90,73 +80,6 @@ fn check_leg(leg: &str, opts: DriverOptions) {
                 "{at}"
             );
         }
-    }
-
-    let counter = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
-    assert_eq!(
-        counter("oraql_driver_probes_total"),
-        events.len() as u64,
-        "{leg}"
-    );
-    for k in ProbeKind::ALL {
-        let name = format!("oraql_driver_probe_{}_total", k.as_str().replace('-', "_"));
-        assert_eq!(counter(&name), of_kind(None, k), "{leg}: {name}");
-    }
-    let sum = |f: fn(&DriverResult) -> u64| results.iter().map(f).sum::<u64>();
-    for (names, want) in [
-        (
-            &["oraql_driver_funnel_compiles_total"][..],
-            sum(|r| r.effort.compiles),
-        ),
-        (
-            &["oraql_driver_funnel_vm_runs_total"],
-            sum(|r| r.effort.tests_run),
-        ),
-        (
-            &[
-                "oraql_driver_funnel_exe_cache_hits_total",
-                "oraql_driver_funnel_store_exe_hits_total",
-            ],
-            sum(|r| r.effort.tests_cached),
-        ),
-        (
-            &[
-                "oraql_driver_funnel_dec_cache_hits_total",
-                "oraql_driver_funnel_store_dec_hits_total",
-            ],
-            sum(|r| r.effort.tests_dec_cached),
-        ),
-        (
-            &[
-                "oraql_driver_funnel_server_dec_hits_total",
-                "oraql_driver_funnel_server_exe_hits_total",
-            ],
-            sum(|r| r.effort.tests_server),
-        ),
-        // The (tier, key space) funnel agrees with the traced kinds.
-        (
-            &["oraql_driver_funnel_exe_cache_hits_total"],
-            of_kind(None, ProbeKind::ExeCacheHit),
-        ),
-        (
-            &["oraql_driver_funnel_dec_cache_hits_total"],
-            of_kind(None, ProbeKind::DecisionCacheHit),
-        ),
-        (
-            &[
-                "oraql_driver_funnel_store_dec_hits_total",
-                "oraql_driver_funnel_store_exe_hits_total",
-            ],
-            of_kind(None, ProbeKind::StoreHit),
-        ),
-        (&["oraql_driver_retries_total"], sum(|r| r.failures.retries)),
-        (
-            &["oraql_driver_quarantined_total"],
-            sum(|r| r.failures.quarantined),
-        ),
-    ] {
-        let got: u64 = names.iter().map(|n| counter(n)).sum();
-        assert_eq!(got, want, "{leg}: {names:?}");
     }
 }
 

@@ -79,12 +79,7 @@ fn run(case: &TestCase, c: &Compiled) -> Option<String> {
 
 impl Prober for Twin<'_> {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
-        let opts = CompileOptions {
-            oraql: Some((d.clone(), self.case.scope.clone())),
-            use_cfl: self.case.use_cfl,
-            optimism: self.case.optimism,
-            ..CompileOptions::default()
-        };
+        let opts = self.case.oraql_options(d.clone());
         let full = compile_pipeline(&*self.case.build, &opts, &Reuse::default());
         let pick = self.pick;
         let reuse = self.reuse.get_or_insert_with(|| pick(&full));
@@ -172,4 +167,14 @@ fn reusing_a_consulting_function_is_caught() {
         let twin = Twin::new(&case, one_consulting_too).drive();
         assert!(!twin.mismatches.is_empty(), "{}: not caught", case.name);
     }
+}
+
+/// The driver counts the functions it splices into its case's effort:
+/// `testsnap_omp` compiles 29 probes, and its one function no unique
+/// query names is reused by every probe compile after the first.
+#[test]
+fn driver_counts_reused_functions_in_its_effort() {
+    let case = oraql_workloads::find_case("testsnap_omp").unwrap();
+    let r = oraql::Driver::run(&case, oraql::DriverOptions::default()).unwrap();
+    assert_eq!((r.effort.compiles, r.effort.functions_reused), (29, 28));
 }

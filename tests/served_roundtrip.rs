@@ -344,7 +344,6 @@ fn protocol_docs_match_the_wire() {
         Op::Stats,
         Op::Sync,
         Op::Compact,
-        Op::Metrics,
     ] {
         let byte = format!("`0x{:02x}`", op as u8);
         assert!(
