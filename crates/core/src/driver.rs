@@ -1077,10 +1077,7 @@ fn run_module_with(m: &Module, fuel: u64, fault: Option<VmFault>) -> Result<RunO
     let main = m.find_func("main").ok_or("no main")?;
     let mut interp = Interpreter::new(m).with_fuel(fuel).with_fault(fault);
     match interp.run(main, vec![]) {
-        Ok(_) => Ok(RunOutcome {
-            stdout: interp.stdout().to_owned(),
-            stats: interp.stats(),
-        }),
+        Ok(_) => Ok(interp.into_outcome()),
         Err(e) => Err(e.to_string()),
     }
 }

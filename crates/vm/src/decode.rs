@@ -6,10 +6,13 @@
 //! that structural overhead is paid hundreds of times per module. This
 //! module lowers a function once into a dense, execution-oriented form:
 //!
-//! * operands are resolved to frame slots / immediates ([`Opd`]) — in
-//!   particular, global addresses become immediate pointers because the
-//!   global layout is a pure function of the module, and print format
-//!   strings are resolved out of the interner once,
+//! * a frame is an array of slots, each a [`Tag`] and 64 payload bits:
+//!   one slot per instruction result, then one per function argument.
+//!   An operand ([`Opd`]) has the same (tag, bits) shape: either
+//!   [`Tag::Slot`] naming a slot, or an immediate held inline. Global
+//!   addresses become immediate pointers because the global layout is a
+//!   pure function of the module, and print format strings are resolved
+//!   out of the interner once,
 //! * each block's phi incoming lists are compiled into per-predecessor
 //!   parallel-copy tables ([`Edge`]), turning the O(preds) `find` on
 //!   every loop backedge into an index carried by the branch,
@@ -25,14 +28,15 @@
 //! handful of allocations rather than several per block, and the ops
 //! array is a single dense run the executor walks with no pointer
 //! chasing. Error messages sit in a side table ([`DecodedFunction::
-//! msgs`]) so the hot [`Opd`]/[`Jump`] enums stay small.
+//! msgs`]) so the hot [`Opd`]/[`Jump`] types stay small.
 //!
 //! The contract is exact equivalence with the tree-walk: identical
 //! stdout, identical [`crate::ExecStats`], and identical
 //! [`crate::RuntimeError`] classification (including message strings),
-//! even on malformed IR. Malformed constructs decode into [`Opd::Bad`],
-//! [`Jump::Bad`] or [`Op::Bad`] carrying the exact error message the
-//! tree-walk raises at the same point of execution.
+//! even on malformed IR. Malformed constructs decode into [`Tag::Bad`]
+//! operands (a missing phi edge among them), [`Jump::Bad`] or
+//! [`Op::Bad`] carrying the exact error message the tree-walk raises at
+//! the same point of execution.
 
 use crate::interp::inst_cost;
 use oraql_ir::inst::{BinOp, CallKind, CastKind, CmpPred, FuncRef, GepOffset, Inst, InstId};
@@ -45,27 +49,54 @@ use oraql_ir::value::Value;
 /// a loop target).
 pub const NO_EDGE: u32 = u32::MAX;
 
-/// A pre-resolved operand. Immediates are unpacked into scalar variants
-/// (IR constants are always scalar; vectors only arise at runtime) so
-/// the enum stays 16 bytes.
-#[derive(Debug, Clone, Copy)]
-pub enum Opd {
-    /// Integer immediate.
-    ImmI(i64),
-    /// Float immediate.
-    ImmF(f64),
-    /// Pointer immediate (resolved global address).
-    ImmP(u64),
-    /// Result slot of an instruction in the current frame.
-    Slot(u32),
-    /// Function argument index.
-    Arg(u32),
-    /// `Value::Undef`: always traps as an undefined read.
+/// What a frame slot or an operand holds: the meaning of its 64 payload
+/// bits. `Undef` and the four value tags occur in slots; operands use
+/// the value tags for immediates plus the three operand-only tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Tag {
+    /// A slot not written on this path: reading it is an undefined read
+    /// of `%slot`.
     Undef,
-    /// Statically malformed operand; evaluating it raises `BadProgram`
-    /// with message [`DecodedFunction::msgs`]`[i]` (matching the
-    /// tree-walk).
-    Bad(u32),
+    /// Integer (`i64` bits; all widths held sign-extended).
+    I,
+    /// Float (`f64::to_bits`; F32 values held widened).
+    F,
+    /// Pointer.
+    P,
+    /// Integer or float vector, held out of line in the frame; the bits
+    /// are the slot's own index.
+    Vec,
+    /// Operand only: the value of the slot whose index is the bits.
+    Slot,
+    /// Operand only: `Value::Undef`, an undefined read of `undef`.
+    UndefLit,
+    /// Operand only: statically malformed; evaluating it raises
+    /// `BadProgram` with message [`DecodedFunction::msgs`]`[bits]`
+    /// (matching the tree-walk).
+    Bad,
+}
+
+/// A pre-resolved operand: a slot reference ([`Tag::Slot`]) or an
+/// immediate in a slot's own (tag, bits) form, so reading either is two
+/// scalar loads. IR constants are always scalar; vectors only arise at
+/// runtime.
+#[derive(Debug, Clone, Copy)]
+pub struct Opd {
+    /// How to read `bits`.
+    pub tag: Tag,
+    /// Payload, or the slot index for [`Tag::Slot`].
+    pub bits: u64,
+}
+
+impl Opd {
+    fn new(tag: Tag, bits: u64) -> Self {
+        Opd { tag, bits }
+    }
+
+    fn bad(msg: u32) -> Self {
+        Opd::new(Tag::Bad, msg as u64)
+    }
 }
 
 /// A pre-resolved branch target: the destination block plus the edge
@@ -94,13 +125,9 @@ pub enum Op {
         /// Result slot.
         dst: u32,
     },
-    /// Typed load; `id` is the original instruction (for access traces).
-    Load {
-        ptr: Opd,
-        ty: Ty,
-        dst: u32,
-        id: InstId,
-    },
+    /// Typed load (`dst` is also the instruction id, for access
+    /// traces).
+    Load { ptr: Opd, ty: Ty, dst: u32 },
     /// Typed store.
     Store {
         ptr: Opd,
@@ -188,13 +215,11 @@ impl Op {
 
 /// The parallel-copy table for one incoming edge of a block: the
 /// `copies` range (into [`DecodedFunction::copies`]) is parallel to the
-/// block's phi range; `None` marks a phi lacking an entry for this
-/// predecessor (a `BadProgram` at runtime, matching the tree-walk's
-/// failed `find`).
+/// block's phi range. A phi lacking an entry for this predecessor
+/// copies a [`Tag::Bad`] operand (a `BadProgram` at runtime, matching
+/// the tree-walk's failed `find`).
 #[derive(Debug, Clone, Copy)]
 pub struct Edge {
-    /// Predecessor block index (for error messages).
-    pub pred: u32,
     /// Range of per-phi incoming operands in
     /// [`DecodedFunction::copies`].
     pub copies: (u32, u32),
@@ -257,11 +282,14 @@ pub struct DecodedFunction {
     /// All blocks' incoming-edge tables.
     pub edges: Vec<Edge>,
     /// All edges' parallel-copy operands.
-    pub copies: Vec<Option<Opd>>,
-    /// `BadProgram` messages referenced by `Opd::Bad`, `Jump::Bad`,
-    /// `Op::Bad` and `DBlock::scan_err`.
+    pub copies: Vec<Opd>,
+    /// `BadProgram` messages referenced by [`Tag::Bad`] operands,
+    /// `Jump::Bad`, `Op::Bad` and `DBlock::scan_err`.
     pub msgs: Vec<Box<str>>,
-    /// Size of the frame's value array (`Function::insts.len()`).
+    /// First argument slot (`Function::insts.len()`): argument `i`
+    /// lives in slot `first_arg + i`.
+    pub first_arg: usize,
+    /// Frame size: one slot per instruction, then one per parameter.
     pub n_slots: usize,
 }
 
@@ -273,22 +301,23 @@ fn msg(msgs: &mut Vec<Box<str>>, s: String) -> u32 {
 
 #[inline(always)]
 fn decode_opd(f: &Function, global_bases: &[u64], v: Value, msgs: &mut Vec<Box<str>>) -> Opd {
+    let n_insts = f.insts().len();
     match v {
-        Value::ConstInt(i) => Opd::ImmI(i),
-        Value::ConstFloat(bits) => Opd::ImmF(f64::from_bits(bits)),
+        Value::ConstInt(i) => Opd::new(Tag::I, i as u64),
+        Value::ConstFloat(bits) => Opd::new(Tag::F, bits),
         Value::Global(g) => match global_bases.get(g.0 as usize) {
-            Some(&base) => Opd::ImmP(base),
-            None => Opd::Bad(msg(msgs, format!("global @{} out of range", g.0))),
+            Some(&base) => Opd::new(Tag::P, base),
+            None => Opd::bad(msg(msgs, format!("global @{} out of range", g.0))),
         },
-        Value::Arg(i) => Opd::Arg(i),
-        Value::Inst(id) => {
-            if (id.0 as usize) < f.insts().len() {
-                Opd::Slot(id.0)
-            } else {
-                Opd::Bad(msg(msgs, format!("instruction id %{} out of range", id.0)))
-            }
+        // A call always passes exactly `params.len()` arguments, so an
+        // index past them is statically missing.
+        Value::Arg(i) if (i as usize) < f.params.len() => {
+            Opd::new(Tag::Slot, (n_insts + i as usize) as u64)
         }
-        Value::Undef => Opd::Undef,
+        Value::Arg(i) => Opd::bad(msg(msgs, format!("missing arg {i}"))),
+        Value::Inst(id) if (id.0 as usize) < n_insts => Opd::new(Tag::Slot, id.0 as u64),
+        Value::Inst(id) => Opd::bad(msg(msgs, format!("instruction id %{} out of range", id.0))),
+        Value::Undef => Opd::new(Tag::UndefLit, 0),
     }
 }
 
@@ -402,7 +431,7 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
     let mut segs: Vec<Seg> = Vec::new();
     let mut phi_slots: Vec<u32> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
-    let mut copies: Vec<Option<Opd>> = Vec::new();
+    let mut copies: Vec<Opd> = Vec::new();
     let mut msgs: Vec<Box<str>> = Vec::new();
     let mut phi_incoming = Vec::new();
     for (b, block) in f.blocks().iter().enumerate() {
@@ -421,7 +450,7 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
                 }
                 Some(Inst::Phi { incoming, .. }) => {
                     phi_slots.push(id.0);
-                    phi_incoming.push(incoming);
+                    phi_incoming.push((id, incoming));
                 }
                 Some(_) => break,
             }
@@ -430,16 +459,16 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
         let edge_start = edges.len() as u32;
         for &p in preds.of(b as u32) {
             let copy_start = copies.len() as u32;
-            for incoming in &phi_incoming {
-                copies.push(
-                    incoming
-                        .iter()
-                        .find(|(bb, _)| bb.0 == p)
-                        .map(|&(_, v)| decode_opd(f, global_bases, v, &mut msgs)),
-                );
+            for (id, incoming) in &phi_incoming {
+                copies.push(match incoming.iter().find(|(bb, _)| bb.0 == p) {
+                    Some(&(_, v)) => decode_opd(f, global_bases, v, &mut msgs),
+                    None => Opd::bad(msg(
+                        &mut msgs,
+                        format!("phi %{} lacks edge from bb{p}", id.0),
+                    )),
+                });
             }
             edges.push(Edge {
-                pred: p,
                 copies: (copy_start, copies.len() as u32),
             });
         }
@@ -523,7 +552,8 @@ pub fn decode_function(m: &Module, f: &Function, global_bases: &[u64]) -> Decode
         edges,
         copies,
         msgs,
-        n_slots: f.insts().len(),
+        first_arg: f.insts().len(),
+        n_slots: f.insts().len() + f.params.len(),
     }
 }
 
@@ -548,7 +578,6 @@ fn decode_op(
             ptr: decode_opd(f, global_bases, *ptr, msgs),
             ty: *ty,
             dst,
-            id,
         },
         Inst::Store { ptr, value, ty, .. } => Op::Store {
             ptr: decode_opd(f, global_bases, *ptr, msgs),

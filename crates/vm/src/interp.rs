@@ -1,7 +1,22 @@
 //! The IR interpreter: deterministic execution, output capture and the
 //! cost model.
+//!
+//! Two executors share this file: the tree-walk over `Inst` payloads
+//! (`exec_function`, the reference) and the pre-decoded executor
+//! (`exec_function_decoded`, the default; see [`crate::decode`]). A
+//! decoded frame is an array of slots, each a [`Tag`] and 64 payload
+//! bits read and written one field at a time, so an op's result is two
+//! scalar stores and never an enum staged through a stack temporary
+//! (see `Slot`). Decoded ops take scalar fast paths on (tag, bits) pairs
+//! when the operand tags match the op: `Bin`, `Cmp`, `Select`, 8-byte
+//! `Load`/`Store` and GEPs. Everything else (vectors, narrow and f32
+//! accesses, casts, calls, and operands whose tag does not match the
+//! op) takes the generic [`RtVal`] path through the helpers the
+//! tree-walk uses (`exec_bin`, `exec_cast`, `store_typed`,
+//! `exec_call`), so errors keep the tree-walk's text and precedence.
+//! Error values are built out of line (`#[cold]`).
 
-use crate::decode::{decode_function, DecodedFunction, Jump, Op, Opd, NO_EDGE};
+use crate::decode::{decode_function, DecodedFunction, Jump, Op, Opd, Tag, NO_EDGE};
 use crate::memory::{MemError, Memory};
 use crate::rtval::RtVal;
 use oraql_ir::inst::{BinOp, CallKind, CastKind, CmpPred, FuncRef, GepOffset, Inst, InstId};
@@ -9,6 +24,8 @@ use oraql_ir::meta::Target;
 use oraql_ir::module::{Function, FunctionId, Module};
 use oraql_ir::types::Ty;
 use oraql_ir::value::{BlockId, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::rc::Rc;
 
 /// Default fuel budget (instructions before
@@ -194,18 +211,51 @@ pub struct Interpreter<'m> {
     injected_trap: bool,
     /// Lazily built pre-decoded bodies, indexed by function id.
     decoded: Vec<Option<Rc<DecodedFunction>>>,
-    /// Retired frame value arrays, reused by later decoded-mode calls
-    /// (call-heavy programs otherwise pay an allocator round-trip per
-    /// call).
-    frame_pool: Vec<Vec<Option<RtVal>>>,
+    /// Retired decoded-mode frames, reused by later calls (call-heavy
+    /// programs otherwise pay an allocator round-trip per call).
+    frame_pool: Vec<SlotBufs>,
+    /// The incoming phi values of the block being entered, read before
+    /// any phi slot is written (parallel-copy semantics); the vectors
+    /// among them sit in `staged_vecs`, indexed by the bits.
+    staged: Vec<(Tag, u64)>,
+    staged_vecs: Vec<RtVal>,
     /// Retired argument vectors, reused across calls, external calls
     /// and per-thread/per-item launch argument lists.
     arg_pool: Vec<Vec<RtVal>>,
 }
 
+/// A tree-walk frame.
 struct Frame {
     values: Vec<Option<RtVal>>,
     args: Vec<RtVal>,
+}
+
+/// The storage of a decoded-mode frame, pooled across calls.
+#[derive(Default)]
+struct SlotBufs {
+    slots: Vec<Slot>,
+    vecs: Vec<RtVal>,
+}
+
+/// One frame slot: a [`Tag`] and 64 payload bits. The executor reads
+/// and writes the two fields one at a time, so an op's result is two
+/// scalar stores: an enum slot (`Option<RtVal>`, or a 16-byte `Copy`
+/// enum) is built in a stack temporary and copied in with one wide
+/// reload, which stalls on the narrower stores that built it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: Tag,
+    bits: u64,
+}
+
+/// A decoded-mode frame.
+struct Slots<'a> {
+    slots: &'a mut [Slot],
+    /// The value of each [`Tag::Vec`] slot, by slot index: grown on the
+    /// first vector write, so a frame holds at most one vector per slot.
+    vecs: &'a mut Vec<RtVal>,
+    /// The value of the `Ret` that ended the function.
+    ret: Option<RtVal>,
 }
 
 /// Control transfer produced by one decoded op.
@@ -214,8 +264,8 @@ enum Flow {
     Next,
     /// Branch to `block`, arriving via incoming edge `edge`.
     Jump { block: u32, edge: u32 },
-    /// Return from the function.
-    Ret(Option<RtVal>),
+    /// Return from the function (the value is in [`Slots::ret`]).
+    Ret,
 }
 
 impl<'m> Interpreter<'m> {
@@ -235,6 +285,8 @@ impl<'m> Interpreter<'m> {
             injected_trap: false,
             decoded: vec![None; m.funcs.len()],
             frame_pool: Vec::new(),
+            staged: Vec::new(),
+            staged_vecs: Vec::new(),
             arg_pool: Vec::new(),
         }
     }
@@ -284,10 +336,16 @@ impl<'m> Interpreter<'m> {
             .ok_or_else(|| RuntimeError::BadProgram("no main function".into()))?;
         let mut interp = Interpreter::new(m);
         interp.call(main, Vec::new())?;
-        Ok(RunOutcome {
-            stdout: std::mem::take(&mut interp.out),
-            stats: interp.stats,
-        })
+        Ok(interp.into_outcome())
+    }
+
+    /// The captured output and statistics, the output moved rather
+    /// than copied.
+    pub fn into_outcome(self) -> RunOutcome {
+        RunOutcome {
+            stdout: self.out,
+            stats: self.stats,
+        }
     }
 
     /// Runs `entry` with `args`, returning its return value.
@@ -665,16 +723,33 @@ impl<'m> Interpreter<'m> {
         &mut self,
         fid: FunctionId,
         dfn: Rc<DecodedFunction>,
-        mut args: Vec<RtVal>,
+        args: Vec<RtVal>,
     ) -> Result<Option<RtVal>, RuntimeError> {
         let frame_id = self.next_frame;
         self.next_frame += 1;
-        let mut values: Vec<Option<RtVal>> = self.frame_pool.pop().unwrap_or_default();
-        values.clear();
-        values.resize(dfn.n_slots, None);
+        let mut bufs = self.frame_pool.pop().unwrap_or_default();
+        let result = self.exec_blocks(fid, frame_id, &dfn, &mut bufs, args);
+        bufs.vecs.clear();
+        self.frame_pool.push(bufs);
+        result
+    }
+
+    /// The block loop of [`Interpreter::exec_function_decoded`].
+    fn exec_blocks(
+        &mut self,
+        fid: FunctionId,
+        frame_id: u64,
+        dfn: &DecodedFunction,
+        bufs: &mut SlotBufs,
+        mut args: Vec<RtVal>,
+    ) -> Result<Option<RtVal>, RuntimeError> {
+        let mut fr = Slots::new(bufs, dfn.n_slots);
+        for (i, a) in args.drain(..).enumerate() {
+            fr.put((dfn.first_arg + i) as u32, a);
+        }
+        self.arg_pool.push(args);
         let mut block: u32 = 0;
         let mut edge: u32 = NO_EDGE;
-        let mut phi_buf: Vec<RtVal> = Vec::new();
         let msgs = &dfn.msgs;
         loop {
             let db = *dfn
@@ -684,8 +759,9 @@ impl<'m> Interpreter<'m> {
 
             // Phase 1: parallel phi copies along the incoming edge.
             // Order matters for error equivalence: copies evaluate
-            // first, then a bad id in the phi prefix faults, and only
-            // then is the batch charged.
+            // first (a missing incoming entry is a `Bad` copy), then a
+            // bad id in the phi prefix faults, and only then is the
+            // batch charged.
             let phis = &dfn.phi_slots[db.phis.0 as usize..db.phis.1 as usize];
             if !phis.is_empty() {
                 if edge == NO_EDGE {
@@ -693,21 +769,10 @@ impl<'m> Interpreter<'m> {
                 }
                 let e = &dfn.edges[(db.edges.0 + edge) as usize];
                 let copies = &dfn.copies[e.copies.0 as usize..e.copies.1 as usize];
-                phi_buf.clear();
-                for (i, copy) in copies.iter().enumerate() {
-                    match copy {
-                        Some(o) => phi_buf.push(eval_opd(&values, &args, o, msgs)?),
-                        None => {
-                            return Err(RuntimeError::BadProgram(format!(
-                                "phi %{} lacks edge from bb{}",
-                                phis[i], e.pred
-                            )))
-                        }
-                    }
-                }
+                fr.stage(copies, msgs, &mut self.staged, &mut self.staged_vecs)?;
             }
             if let Some(mi) = db.scan_err {
-                return Err(RuntimeError::BadProgram(msgs[mi as usize].to_string()));
+                return Err(bad(msgs, mi));
             }
             if !phis.is_empty() {
                 // Batched phi charge (phi cost is 0, so only fuel and
@@ -726,9 +791,7 @@ impl<'m> Interpreter<'m> {
                     return Err(RuntimeError::FuelExhausted);
                 }
                 self.fuel -= n;
-                for (i, v) in phi_buf.drain(..).enumerate() {
-                    values[phis[i] as usize] = Some(v);
-                }
+                fr.commit(phis, &self.staged, &mut self.staged_vecs);
             }
 
             // Phase 2: the block body, segment by segment.
@@ -750,7 +813,7 @@ impl<'m> Interpreter<'m> {
                     self.stats.loads += seg.loads as u64;
                     self.stats.stores += seg.stores as u64;
                     for (k, op) in dfn.ops[start..end].iter().enumerate() {
-                        match self.step_op(op, &mut values, &args, fid, frame_id, msgs) {
+                        match self.step_op(op, &mut fr, fid, frame_id, msgs) {
                             Ok(Flow::Next) => {}
                             Ok(f) => {
                                 flow = f;
@@ -766,7 +829,7 @@ impl<'m> Interpreter<'m> {
                                     Op::Bad { charged: false, .. } => j,
                                     _ => j + 1,
                                 };
-                                self.refund(&dfn, from, end);
+                                self.refund(dfn, from, end);
                                 return Err(e);
                             }
                         }
@@ -782,7 +845,7 @@ impl<'m> Interpreter<'m> {
                             charged: false,
                         } = op
                         {
-                            return Err(RuntimeError::BadProgram(msgs[*msg as usize].to_string()));
+                            return Err(bad(msgs, *msg));
                         }
                         if self.fuel == 0 {
                             return Err(RuntimeError::FuelExhausted);
@@ -798,7 +861,7 @@ impl<'m> Interpreter<'m> {
                         }
                         self.stats.loads += op.is_load() as u64;
                         self.stats.stores += op.is_store() as u64;
-                        match self.step_op(op, &mut values, &args, fid, frame_id, msgs)? {
+                        match self.step_op(op, &mut fr, fid, frame_id, msgs)? {
                             Flow::Next => {}
                             f => {
                                 flow = f;
@@ -810,14 +873,7 @@ impl<'m> Interpreter<'m> {
                 start = end;
             }
             match flow {
-                Flow::Ret(v) => {
-                    // Failing paths drop these instead; a faulted run
-                    // is over, so pooling only the success path is fine.
-                    self.frame_pool.push(std::mem::take(&mut values));
-                    args.clear();
-                    self.arg_pool.push(std::mem::take(&mut args));
-                    return Ok(v);
-                }
+                Flow::Ret => return Ok(fr.ret.take()),
                 Flow::Jump { block: b, edge: e } => {
                     block = b;
                     edge = e;
@@ -859,7 +915,10 @@ impl<'m> Interpreter<'m> {
 
     /// Executes one decoded op. Operand evaluation order mirrors the
     /// tree-walk arms exactly (it is observable through error
-    /// precedence).
+    /// precedence). Scalar operands of the expected tag take a fast
+    /// path that reads and writes (tag, bits) pairs; vectors and
+    /// mismatched tags take the generic [`RtVal`] path, which raises
+    /// the tree-walk's errors.
     ///
     /// Inlined into both segment loops: an outlined version pays a call
     /// plus a by-memory `Result<Flow>` return per executed op, which
@@ -868,60 +927,42 @@ impl<'m> Interpreter<'m> {
     fn step_op(
         &mut self,
         op: &Op,
-        values: &mut [Option<RtVal>],
-        args: &[RtVal],
+        fr: &mut Slots<'_>,
         fid: FunctionId,
         frame_id: u64,
         msgs: &[Box<str>],
     ) -> Result<Flow, RuntimeError> {
-        let jump_flow = |j: &Jump| -> Result<Flow, RuntimeError> {
-            match j {
-                Jump::To { block, edge } => Ok(Flow::Jump {
-                    block: *block,
-                    edge: *edge,
-                }),
-                Jump::Bad(mi) => Err(RuntimeError::BadProgram(msgs[*mi as usize].to_string())),
-            }
-        };
         match op {
             Op::Alloca { size, dst } => {
                 let addr = self.mem.alloca(*size)?;
-                values[*dst as usize] = Some(RtVal::P(addr));
+                fr.set(*dst, Tag::P, addr);
             }
-            Op::Load { ptr, ty, dst, id } => {
-                let addr = eval_opd_p(values, args, ptr, msgs)?;
-                if let Some(t) = &mut self.trace {
-                    t.push(AccessEvent {
-                        frame: frame_id,
-                        func: fid,
-                        inst: *id,
-                        addr,
-                        size: ty.size(),
-                        is_store: false,
-                    });
+            Op::Load { ptr, ty, dst } => {
+                let addr = fr.ptr(ptr, msgs)?;
+                self.note_access(frame_id, fid, InstId(*dst), addr, *ty, false);
+                match ty {
+                    Ty::I64 => fr.set(*dst, Tag::I, self.mem.read_u64(addr)?),
+                    Ty::F64 => fr.set(*dst, Tag::F, self.mem.read_u64(addr)?),
+                    Ty::Ptr => fr.set(*dst, Tag::P, self.mem.read_u64(addr)?),
+                    _ => {
+                        let v = self.load_typed(addr, *ty)?;
+                        fr.put(*dst, v);
+                    }
                 }
-                let v = self.load_typed(addr, *ty)?;
-                values[*dst as usize] = Some(v);
             }
             Op::Store { ptr, val, ty, id } => {
-                let addr = eval_opd_p(values, args, ptr, msgs)?;
-                if let Some(t) = &mut self.trace {
-                    t.push(AccessEvent {
-                        frame: frame_id,
-                        func: fid,
-                        inst: *id,
-                        addr,
-                        size: ty.size(),
-                        is_store: true,
-                    });
+                let addr = fr.ptr(ptr, msgs)?;
+                self.note_access(frame_id, fid, *id, addr, *ty, true);
+                match (ty, fr.get(val)) {
+                    (Ty::I64, (Tag::I, x)) | (Ty::F64, (Tag::F, x)) | (Ty::Ptr, (Tag::P, x)) => {
+                        self.mem.write_u64(addr, x)?
+                    }
+                    _ => self.store_typed(addr, *ty, &*fr.value_ref(val, msgs)?)?,
                 }
-                let mut scratch = RtVal::I(0);
-                let v = opd_ref(values, args, val, msgs, &mut scratch)?;
-                self.store_typed(addr, *ty, v)?;
             }
             Op::GepConst { base, off, dst } => {
-                let b = eval_opd_p(values, args, base, msgs)?;
-                values[*dst as usize] = Some(RtVal::P((b as i64).wrapping_add(*off) as u64));
+                let b = fr.ptr(base, msgs)?;
+                fr.set(*dst, Tag::P, b.wrapping_add(*off as u64));
             }
             Op::GepScaled {
                 base,
@@ -930,10 +971,10 @@ impl<'m> Interpreter<'m> {
                 add,
                 dst,
             } => {
-                let b = eval_opd_p(values, args, base, msgs)?;
-                let i = eval_opd_i(values, args, index, msgs)?;
+                let b = fr.ptr(base, msgs)?;
+                let i = fr.int(index, msgs)?;
                 let off = i.wrapping_mul(*scale).wrapping_add(*add);
-                values[*dst as usize] = Some(RtVal::P((b as i64).wrapping_add(off) as u64));
+                fr.set(*dst, Tag::P, b.wrapping_add(off as u64));
             }
             Op::Bin {
                 op: bop,
@@ -941,39 +982,45 @@ impl<'m> Interpreter<'m> {
                 lhs,
                 rhs,
                 dst,
-            } => {
-                let (mut sa, mut sb) = (RtVal::I(0), RtVal::I(0));
-                let a = opd_ref(values, args, lhs, msgs, &mut sa)?;
-                let b = opd_ref(values, args, rhs, msgs, &mut sb)?;
-                let r = exec_bin(*bop, *ty, a, b)?;
-                values[*dst as usize] = Some(r);
-            }
+            } => match (fr.get(lhs), fr.get(rhs)) {
+                ((Tag::I, a), (Tag::I, b)) if ty.is_int() && !ty.is_vector() => {
+                    fr.set(*dst, Tag::I, int_bin(*bop, a as i64, b as i64)? as u64)
+                }
+                ((Tag::F, a), (Tag::F, b)) if ty.is_float() && !ty.is_vector() => {
+                    let r = float_bin(*bop, f64::from_bits(a), f64::from_bits(b))?;
+                    fr.set(*dst, Tag::F, r.to_bits())
+                }
+                _ => {
+                    let r = exec_bin(
+                        *bop,
+                        *ty,
+                        &*fr.value_ref(lhs, msgs)?,
+                        &*fr.value_ref(rhs, msgs)?,
+                    )?;
+                    fr.put(*dst, r);
+                }
+            },
             Op::Cmp {
                 pred,
                 lhs,
                 rhs,
                 dst,
             } => {
-                let (mut sa, mut sb) = (RtVal::I(0), RtVal::I(0));
-                let a = opd_ref(values, args, lhs, msgs, &mut sa)?;
-                let b = opd_ref(values, args, rhs, msgs, &mut sb)?;
-                let r = RtVal::I(exec_cmp(*pred, a, b)? as i64);
-                values[*dst as usize] = Some(r);
+                let ord = match (fr.get(lhs), fr.get(rhs)) {
+                    ((Tag::I, a), (Tag::I, b)) => Some((a as i64).cmp(&(b as i64))),
+                    ((Tag::P, a), (Tag::P, b)) => Some(a.cmp(&b)),
+                    ((Tag::F, a), (Tag::F, b)) => f64::from_bits(a).partial_cmp(&f64::from_bits(b)),
+                    _ => rt_ordering(&*fr.value_ref(lhs, msgs)?, &*fr.value_ref(rhs, msgs)?),
+                };
+                fr.set(*dst, Tag::I, pred_holds(*pred, ord) as u64);
             }
             Op::Select { cond, t, f, dst } => {
-                let c = eval_opd_i(values, args, cond, msgs)?;
-                let v = if c != 0 {
-                    eval_opd(values, args, t, msgs)?
-                } else {
-                    eval_opd(values, args, f, msgs)?
-                };
-                values[*dst as usize] = Some(v);
+                let c = fr.int(cond, msgs)?;
+                fr.copy(*dst, if c != 0 { t } else { f }, msgs)?;
             }
             Op::Cast { kind, val, to, dst } => {
-                let mut scratch = RtVal::I(0);
-                let v = opd_ref(values, args, val, msgs, &mut scratch)?;
-                let r = exec_cast(*kind, v, *to)?;
-                values[*dst as usize] = Some(r);
+                let v = exec_cast(*kind, &*fr.value_ref(val, msgs)?, *to)?;
+                fr.put(*dst, v);
             }
             Op::Call {
                 callee,
@@ -985,26 +1032,28 @@ impl<'m> Interpreter<'m> {
                 vals.clear();
                 vals.reserve(cargs.len());
                 for a in cargs.iter() {
-                    vals.push(eval_opd(values, args, a, msgs)?);
+                    vals.push(fr.value(a, msgs)?);
                 }
-                let r = self.exec_call(*callee, *kind, vals)?;
-                values[*dst as usize] = r;
+                match self.exec_call(*callee, *kind, vals)? {
+                    Some(v) => fr.put(*dst, v),
+                    None => fr.set(*dst, Tag::Undef, 0),
+                }
             }
             Op::Print { fmt, args: pargs } => {
                 let mut vals = self.arg_pool.pop().unwrap_or_default();
                 vals.clear();
                 vals.reserve(pargs.len());
                 for a in pargs.iter() {
-                    vals.push(eval_opd(values, args, a, msgs)?);
+                    vals.push(fr.value(a, msgs)?);
                 }
                 self.exec_print(fmt, &vals);
                 vals.clear();
                 self.arg_pool.push(vals);
             }
             Op::Memcpy { dst, src, bytes } => {
-                let d = eval_opd_p(values, args, dst, msgs)?;
-                let s = eval_opd_p(values, args, src, msgs)?;
-                let n = eval_opd_i(values, args, bytes, msgs)?;
+                let d = fr.ptr(dst, msgs)?;
+                let s = fr.ptr(src, msgs)?;
+                let n = fr.int(bytes, msgs)?;
                 if n < 0 {
                     return Err(RuntimeError::BadProgram("negative memcpy size".into()));
                 }
@@ -1017,21 +1066,43 @@ impl<'m> Interpreter<'m> {
                 self.mem.copy(d, s, n as u64)?;
             }
             Op::Ret { val } => {
-                return Ok(Flow::Ret(match val {
-                    Some(o) => Some(eval_opd(values, args, o, msgs)?),
+                fr.ret = match val {
+                    Some(o) => Some(fr.value(o, msgs)?),
                     None => None,
-                }))
+                };
+                return Ok(Flow::Ret);
             }
-            Op::Br { jump } => return jump_flow(jump),
+            Op::Br { jump } => return jump_flow(jump, msgs),
             Op::CondBr { cond, then_, else_ } => {
-                let c = eval_opd_i(values, args, cond, msgs)?;
-                return jump_flow(if c != 0 { then_ } else { else_ });
+                let c = fr.int(cond, msgs)?;
+                return jump_flow(if c != 0 { then_ } else { else_ }, msgs);
             }
-            Op::Bad { msg, .. } => {
-                return Err(RuntimeError::BadProgram(msgs[*msg as usize].to_string()));
-            }
+            Op::Bad { msg, .. } => return Err(bad(msgs, *msg)),
         }
         Ok(Flow::Next)
+    }
+
+    /// Records one decoded-mode memory access when tracing is on.
+    #[inline(always)]
+    fn note_access(
+        &mut self,
+        frame: u64,
+        func: FunctionId,
+        inst: InstId,
+        addr: u64,
+        ty: Ty,
+        is_store: bool,
+    ) {
+        if let Some(t) = &mut self.trace {
+            t.push(AccessEvent {
+                frame,
+                func,
+                inst,
+                addr,
+                size: ty.size(),
+                is_store,
+            });
+        }
     }
 
     fn exec_call(
@@ -1284,116 +1355,185 @@ impl<'m> Interpreter<'m> {
     }
 }
 
-/// Evaluates a pre-decoded operand against the current frame. Slot
-/// indices are validated at decode time, so indexing is safe; an empty
-/// slot is an undefined read exactly as in the tree-walk.
-#[inline(always)]
-fn eval_opd(
-    values: &[Option<RtVal>],
-    args: &[RtVal],
-    o: &Opd,
-    msgs: &[Box<str>],
-) -> Result<RtVal, RuntimeError> {
-    match o {
-        Opd::ImmI(x) => Ok(RtVal::I(*x)),
-        Opd::ImmF(x) => Ok(RtVal::F(*x)),
-        Opd::ImmP(x) => Ok(RtVal::P(*x)),
-        Opd::Slot(s) => values[*s as usize]
-            .clone()
-            .ok_or_else(|| RuntimeError::UndefRead(format!("%{s}"))),
-        Opd::Arg(i) => args
-            .get(*i as usize)
-            .cloned()
-            .ok_or_else(|| RuntimeError::BadProgram(format!("missing arg {i}"))),
-        Opd::Undef => Err(RuntimeError::UndefRead("undef".into())),
-        Opd::Bad(mi) => Err(RuntimeError::BadProgram(msgs[*mi as usize].to_string())),
+impl<'a> Slots<'a> {
+    /// A frame of `n` slots, all undefined, in `bufs`.
+    fn new(bufs: &'a mut SlotBufs, n: usize) -> Self {
+        bufs.slots.clear();
+        bufs.slots.resize(
+            n,
+            Slot {
+                tag: Tag::Undef,
+                bits: 0,
+            },
+        );
+        Slots {
+            slots: &mut bufs.slots,
+            vecs: &mut bufs.vecs,
+            ret: None,
+        }
+    }
+
+    /// An operand's (tag, bits): the named slot's, or the immediate's
+    /// own. Slot indices are validated at decode time.
+    #[inline(always)]
+    fn get(&self, o: &Opd) -> (Tag, u64) {
+        if o.tag == Tag::Slot {
+            let s = &self.slots[o.bits as usize];
+            (s.tag, s.bits)
+        } else {
+            (o.tag, o.bits)
+        }
+    }
+
+    #[inline(always)]
+    fn set(&mut self, dst: u32, tag: Tag, bits: u64) {
+        let s = &mut self.slots[dst as usize];
+        s.tag = tag;
+        s.bits = bits;
+    }
+
+    /// Writes a generic-path value into slot `dst`.
+    fn put(&mut self, dst: u32, v: RtVal) {
+        match v {
+            RtVal::I(x) => self.set(dst, Tag::I, x as u64),
+            RtVal::F(x) => self.set(dst, Tag::F, x.to_bits()),
+            RtVal::P(x) => self.set(dst, Tag::P, x),
+            RtVal::VI(_) | RtVal::VF(_) => {
+                let s = dst as usize;
+                if self.vecs.len() <= s {
+                    self.vecs.resize(s + 1, RtVal::I(0));
+                }
+                self.vecs[s] = v;
+                self.set(dst, Tag::Vec, s as u64);
+            }
+        }
+    }
+
+    /// Copies operand `o` into slot `dst`.
+    #[inline(always)]
+    fn copy(&mut self, dst: u32, o: &Opd, msgs: &[Box<str>]) -> Result<(), RuntimeError> {
+        match self.get(o) {
+            (tag @ (Tag::I | Tag::F | Tag::P), bits) => self.set(dst, tag, bits),
+            _ => {
+                let v = self.value(o, msgs)?;
+                self.put(dst, v);
+            }
+        }
+        Ok(())
+    }
+
+    /// An operand as an [`RtVal`] for the generic path, borrowing a
+    /// vector in place; an undefined or malformed operand raises the
+    /// tree-walk's error.
+    fn value_ref(&self, o: &Opd, msgs: &[Box<str>]) -> Result<Cow<'_, RtVal>, RuntimeError> {
+        let (tag, bits) = self.get(o);
+        Ok(Cow::Owned(match tag {
+            Tag::I => RtVal::I(bits as i64),
+            Tag::F => RtVal::F(f64::from_bits(bits)),
+            Tag::P => RtVal::P(bits),
+            Tag::Vec => return Ok(Cow::Borrowed(&self.vecs[bits as usize])),
+            // Immediates are never `Undef`, so `o` names the slot.
+            Tag::Undef => return Err(undef_read(format!("%{}", o.bits))),
+            Tag::UndefLit => return Err(undef_read("undef".into())),
+            Tag::Bad => return Err(bad(msgs, bits as u32)),
+            Tag::Slot => unreachable!("a slot never holds a slot reference"),
+        }))
+    }
+
+    /// An operand as an owned [`RtVal`] (call and print arguments,
+    /// return values, vector copies).
+    fn value(&self, o: &Opd, msgs: &[Box<str>]) -> Result<RtVal, RuntimeError> {
+        Ok(self.value_ref(o, msgs)?.into_owned())
+    }
+
+    /// An integer operand: the tree-walk's `eval(..)?.as_i()`.
+    #[inline(always)]
+    fn int(&self, o: &Opd, msgs: &[Box<str>]) -> Result<i64, RuntimeError> {
+        match self.get(o) {
+            (Tag::I, x) => Ok(x as i64),
+            _ => self.want(o, msgs, RtVal::as_i),
+        }
+    }
+
+    /// A pointer operand: the tree-walk's `eval(..)?.as_p()`.
+    #[inline(always)]
+    fn ptr(&self, o: &Opd, msgs: &[Box<str>]) -> Result<u64, RuntimeError> {
+        match self.get(o) {
+            (Tag::P, x) => Ok(x),
+            _ => self.want(o, msgs, RtVal::as_p),
+        }
+    }
+
+    /// The slow path of [`Slots::int`] and [`Slots::ptr`]: the
+    /// undefined read first, then the type mismatch.
+    #[cold]
+    #[inline(never)]
+    fn want<T>(
+        &self,
+        o: &Opd,
+        msgs: &[Box<str>],
+        as_t: fn(&RtVal) -> Result<T, String>,
+    ) -> Result<T, RuntimeError> {
+        as_t(&*self.value_ref(o, msgs)?).map_err(RuntimeError::UndefRead)
+    }
+
+    /// Phase 1 of a block entry: reads every phi's incoming operand, in
+    /// order, into `staged` before any phi slot is written.
+    fn stage(
+        &self,
+        copies: &[Opd],
+        msgs: &[Box<str>],
+        staged: &mut Vec<(Tag, u64)>,
+        staged_vecs: &mut Vec<RtVal>,
+    ) -> Result<(), RuntimeError> {
+        staged.clear();
+        staged_vecs.clear();
+        for o in copies {
+            match self.get(o) {
+                (tag @ (Tag::I | Tag::F | Tag::P), bits) => staged.push((tag, bits)),
+                _ => {
+                    staged.push((Tag::Vec, staged_vecs.len() as u64));
+                    staged_vecs.push(self.value(o, msgs)?);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase 2 of a block entry: writes the staged values into the phi
+    /// slots.
+    fn commit(&mut self, phis: &[u32], staged: &[(Tag, u64)], staged_vecs: &mut [RtVal]) {
+        for (&dst, &(tag, bits)) in phis.iter().zip(staged) {
+            if tag == Tag::Vec {
+                let v = std::mem::replace(&mut staged_vecs[bits as usize], RtVal::I(0));
+                self.put(dst, v);
+            } else {
+                self.set(dst, tag, bits);
+            }
+        }
     }
 }
 
-/// Evaluates an operand to a reference, avoiding the clone (and the
-/// drop of the temporary) that [`eval_opd`] pays for slot and argument
-/// reads. Immediates materialize into `scratch`. Used by ops that only
-/// inspect their operands (`Bin`, `Cmp`, `Cast`, the stored value):
-/// error text and precedence are identical to [`eval_opd`].
 #[inline(always)]
-fn opd_ref<'a>(
-    values: &'a [Option<RtVal>],
-    args: &'a [RtVal],
-    o: &Opd,
-    msgs: &[Box<str>],
-    scratch: &'a mut RtVal,
-) -> Result<&'a RtVal, RuntimeError> {
-    match o {
-        Opd::ImmI(x) => {
-            *scratch = RtVal::I(*x);
-            Ok(scratch)
-        }
-        Opd::ImmF(x) => {
-            *scratch = RtVal::F(*x);
-            Ok(scratch)
-        }
-        Opd::ImmP(x) => {
-            *scratch = RtVal::P(*x);
-            Ok(scratch)
-        }
-        Opd::Slot(s) => values[*s as usize]
-            .as_ref()
-            .ok_or_else(|| RuntimeError::UndefRead(format!("%{s}"))),
-        Opd::Arg(i) => args
-            .get(*i as usize)
-            .ok_or_else(|| RuntimeError::BadProgram(format!("missing arg {i}"))),
-        Opd::Undef => Err(RuntimeError::UndefRead("undef".into())),
-        Opd::Bad(mi) => Err(RuntimeError::BadProgram(msgs[*mi as usize].to_string())),
+fn jump_flow(j: &Jump, msgs: &[Box<str>]) -> Result<Flow, RuntimeError> {
+    match j {
+        Jump::To { block, edge } => Ok(Flow::Jump {
+            block: *block,
+            edge: *edge,
+        }),
+        Jump::Bad(mi) => Err(bad(msgs, *mi)),
     }
 }
 
-/// Pointer-typed operand evaluation that skips the `RtVal` clone for
-/// the hot slot/immediate cases. Error text and precedence are
-/// identical to `eval_opd(..)?.as_p()` (undef-read first, then the type
-/// mismatch), which is what the tree-walk produces.
-#[inline(always)]
-fn eval_opd_p(
-    values: &[Option<RtVal>],
-    args: &[RtVal],
-    o: &Opd,
-    msgs: &[Box<str>],
-) -> Result<u64, RuntimeError> {
-    match o {
-        Opd::ImmP(x) => Ok(*x),
-        Opd::Slot(s) => match &values[*s as usize] {
-            Some(RtVal::P(p)) => Ok(*p),
-            Some(other) => Err(RuntimeError::UndefRead(format!(
-                "expected pointer, got {other:?}"
-            ))),
-            None => Err(RuntimeError::UndefRead(format!("%{s}"))),
-        },
-        _ => eval_opd(values, args, o, msgs)?
-            .as_p()
-            .map_err(RuntimeError::UndefRead),
-    }
+/// `BadProgram` with decoded message `i`.
+#[cold]
+fn bad(msgs: &[Box<str>], i: u32) -> RuntimeError {
+    RuntimeError::BadProgram(msgs[i as usize].to_string())
 }
 
-/// Integer-typed analogue of [`eval_opd_p`].
-#[inline(always)]
-fn eval_opd_i(
-    values: &[Option<RtVal>],
-    args: &[RtVal],
-    o: &Opd,
-    msgs: &[Box<str>],
-) -> Result<i64, RuntimeError> {
-    match o {
-        Opd::ImmI(x) => Ok(*x),
-        Opd::Slot(s) => match &values[*s as usize] {
-            Some(RtVal::I(x)) => Ok(*x),
-            Some(other) => Err(RuntimeError::UndefRead(format!(
-                "expected int, got {other:?}"
-            ))),
-            None => Err(RuntimeError::UndefRead(format!("%{s}"))),
-        },
-        _ => eval_opd(values, args, o, msgs)?
-            .as_i()
-            .map_err(RuntimeError::UndefRead),
-    }
+#[cold]
+fn undef_read(what: String) -> RuntimeError {
+    RuntimeError::UndefRead(what)
 }
 
 fn exec_external(name: &str, args: &[RtVal]) -> Result<Option<RtVal>, RuntimeError> {
@@ -1415,8 +1555,11 @@ fn exec_external(name: &str, args: &[RtVal]) -> Result<Option<RtVal>, RuntimeErr
         "floor" => f1(f64::floor),
         "ceil" => f1(f64::ceil),
         "pow" => {
-            let x = args[0].as_f().map_err(RuntimeError::UndefRead)?;
-            let y = args[1].as_f().map_err(RuntimeError::UndefRead)?;
+            let [x, y, ..] = args else {
+                return Err(RuntimeError::BadProgram("pow needs 2 args".into()));
+            };
+            let x = x.as_f().map_err(RuntimeError::UndefRead)?;
+            let y = y.as_f().map_err(RuntimeError::UndefRead)?;
             Ok(Some(RtVal::F(x.powf(y))))
         }
         other => Err(RuntimeError::BadProgram(format!(
@@ -1425,49 +1568,60 @@ fn exec_external(name: &str, args: &[RtVal]) -> Result<Option<RtVal>, RuntimeErr
     }
 }
 
+/// Scalar integer arithmetic (the lanes of integer vectors too).
+#[inline(always)]
+fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
+    Ok(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div => {
+            if y == 0 {
+                return Err(RuntimeError::DivByZero);
+            }
+            x.wrapping_div(y)
+        }
+        BinOp::Rem => {
+            if y == 0 {
+                return Err(RuntimeError::DivByZero);
+            }
+            x.wrapping_rem(y)
+        }
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32),
+        BinOp::Shr => x.wrapping_shr(y as u32),
+        _ => return Err(bad_op("int", op)),
+    })
+}
+
+/// Scalar float arithmetic (the lanes of float vectors too).
+#[inline(always)]
+fn float_bin(op: BinOp, x: f64, y: f64) -> Result<f64, RuntimeError> {
+    Ok(match op {
+        BinOp::FAdd => x + y,
+        BinOp::FSub => x - y,
+        BinOp::FMul => x * y,
+        BinOp::FDiv => x / y,
+        BinOp::FMin => x.min(y),
+        BinOp::FMax => x.max(y),
+        _ => return Err(bad_op("float", op)),
+    })
+}
+
+#[cold]
+fn bad_op(class: &str, op: BinOp) -> RuntimeError {
+    RuntimeError::BadProgram(format!("{class} {op:?}"))
+}
+
 fn exec_bin(op: BinOp, ty: Ty, a: &RtVal, b: &RtVal) -> Result<RtVal, RuntimeError> {
-    fn iop(op: BinOp, x: i64, y: i64) -> Result<i64, RuntimeError> {
-        Ok(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return Err(RuntimeError::DivByZero);
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return Err(RuntimeError::DivByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-            _ => return Err(RuntimeError::BadProgram(format!("int {op:?}"))),
-        })
-    }
-    fn fop(op: BinOp, x: f64, y: f64) -> Result<f64, RuntimeError> {
-        Ok(match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            BinOp::FMin => x.min(y),
-            BinOp::FMax => x.max(y),
-            _ => return Err(RuntimeError::BadProgram(format!("float {op:?}"))),
-        })
-    }
     match (ty, a, b) {
         (t, RtVal::I(x), RtVal::I(y)) if t.is_int() && !t.is_vector() => {
-            Ok(RtVal::I(iop(op, *x, *y)?))
+            Ok(RtVal::I(int_bin(op, *x, *y)?))
         }
         (t, RtVal::F(x), RtVal::F(y)) if t.is_float() && !t.is_vector() => {
-            Ok(RtVal::F(fop(op, *x, *y)?))
+            Ok(RtVal::F(float_bin(op, *x, *y)?))
         }
         // Pointer arithmetic through Add/Sub (rare; GEP is preferred).
         (Ty::I64, RtVal::P(x), RtVal::I(y)) => Ok(RtVal::P(match op {
@@ -1478,14 +1632,14 @@ fn exec_bin(op: BinOp, ty: Ty, a: &RtVal, b: &RtVal) -> Result<RtVal, RuntimeErr
         (Ty::VecI64(_), RtVal::VI(xs), RtVal::VI(ys)) if xs.len() == ys.len() => {
             let mut out = Vec::with_capacity(xs.len());
             for (x, y) in xs.iter().zip(ys) {
-                out.push(iop(op, *x, *y)?);
+                out.push(int_bin(op, *x, *y)?);
             }
             Ok(RtVal::VI(out))
         }
         (Ty::VecF64(_), RtVal::VF(xs), RtVal::VF(ys)) if xs.len() == ys.len() => {
             let mut out = Vec::with_capacity(xs.len());
             for (x, y) in xs.iter().zip(ys) {
-                out.push(fop(op, *x, *y)?);
+                out.push(float_bin(op, *x, *y)?);
             }
             Ok(RtVal::VF(out))
         }
@@ -1496,23 +1650,33 @@ fn exec_bin(op: BinOp, ty: Ty, a: &RtVal, b: &RtVal) -> Result<RtVal, RuntimeErr
 }
 
 fn exec_cmp(p: CmpPred, a: &RtVal, b: &RtVal) -> Result<bool, RuntimeError> {
-    let ord = match (a, b) {
+    Ok(pred_holds(p, rt_ordering(a, b)))
+}
+
+/// The order of two scalars of one kind; `None` for NaN, mismatched
+/// kinds and vectors.
+fn rt_ordering(a: &RtVal, b: &RtVal) -> Option<Ordering> {
+    match (a, b) {
         (RtVal::I(x), RtVal::I(y)) => x.partial_cmp(y),
         (RtVal::P(x), RtVal::P(y)) => x.partial_cmp(y),
         (RtVal::F(x), RtVal::F(y)) => x.partial_cmp(y),
         _ => None,
-    };
-    Ok(match (p, ord) {
-        (CmpPred::Eq, Some(o)) => o == std::cmp::Ordering::Equal,
-        (CmpPred::Ne, Some(o)) => o != std::cmp::Ordering::Equal,
-        (CmpPred::Lt, Some(o)) => o == std::cmp::Ordering::Less,
-        (CmpPred::Le, Some(o)) => o != std::cmp::Ordering::Greater,
-        (CmpPred::Gt, Some(o)) => o == std::cmp::Ordering::Greater,
-        (CmpPred::Ge, Some(o)) => o != std::cmp::Ordering::Less,
+    }
+}
+
+#[inline(always)]
+fn pred_holds(p: CmpPred, ord: Option<Ordering>) -> bool {
+    match (p, ord) {
+        (CmpPred::Eq, Some(o)) => o == Ordering::Equal,
+        (CmpPred::Ne, Some(o)) => o != Ordering::Equal,
+        (CmpPred::Lt, Some(o)) => o == Ordering::Less,
+        (CmpPred::Le, Some(o)) => o != Ordering::Greater,
+        (CmpPred::Gt, Some(o)) => o == Ordering::Greater,
+        (CmpPred::Ge, Some(o)) => o != Ordering::Less,
         // NaN comparisons are all false except Ne.
         (CmpPred::Ne, None) => true,
         (_, None) => false,
-    })
+    }
 }
 
 fn exec_cast(kind: CastKind, v: &RtVal, to: Ty) -> Result<RtVal, RuntimeError> {

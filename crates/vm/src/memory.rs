@@ -109,14 +109,17 @@ impl Memory {
     }
 
     /// Allocates `size` bytes in the alloca region (16-byte aligned).
+    /// A size that cannot fit below [`STACK_LIMIT`], however large,
+    /// is a [`MemError::StackOverflow`].
     pub fn alloca(&mut self, size: u64) -> Result<u64, MemError> {
-        let aligned = (size + 15) & !15;
-        if self.sp + aligned > STACK_LIMIT {
-            return Err(MemError::StackOverflow);
-        }
+        let end = size
+            .checked_add(15)
+            .and_then(|s| self.sp.checked_add(s & !15))
+            .filter(|&end| end <= STACK_LIMIT)
+            .ok_or(MemError::StackOverflow)?;
         let addr = self.sp;
-        self.sp += aligned;
-        let needed = (self.sp - STACK_BASE) as usize;
+        self.sp = end;
+        let needed = (end - STACK_BASE) as usize;
         if self.stack.len() < needed {
             self.stack.resize(needed, 0);
         }
@@ -125,21 +128,32 @@ impl Memory {
         // zero the fresh region explicitly because stack_release + new
         // alloca may reuse bytes written by a previous frame.
         let start = (addr - STACK_BASE) as usize;
-        self.stack[start..start + aligned as usize].fill(0);
+        self.stack[start..needed].fill(0);
         Ok(addr)
     }
 
+    /// The segment holding `[addr, addr + size)` (`true` for globals)
+    /// and the range's offset in it. A range that wraps past 2^64 is
+    /// out of bounds, like any other range no segment holds.
+    #[inline]
     fn region(&self, addr: u64, size: u64) -> Result<(bool, usize), MemError> {
-        if addr >= GLOBAL_BASE && addr + size <= GLOBAL_BASE + self.globals.len() as u64 {
-            Ok((true, (addr - GLOBAL_BASE) as usize))
-        } else if addr >= STACK_BASE && addr + size <= STACK_BASE + self.stack.len() as u64 {
-            Ok((false, (addr - STACK_BASE) as usize))
+        let offset_in = |base: u64, len: usize| {
+            // `addr < base` wraps to an offset past any segment length.
+            let off = addr.wrapping_sub(base);
+            let len = len as u64;
+            (off <= len && size <= len - off).then_some(off as usize)
+        };
+        if let Some(off) = offset_in(GLOBAL_BASE, self.globals.len()) {
+            Ok((true, off))
+        } else if let Some(off) = offset_in(STACK_BASE, self.stack.len()) {
+            Ok((false, off))
         } else {
             Err(MemError::OutOfBounds { addr, size })
         }
     }
 
     /// Reads `buf.len()` bytes at `addr`.
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
         let (is_global, off) = self.region(addr, buf.len() as u64)?;
         let src = if is_global {
@@ -152,6 +166,7 @@ impl Memory {
     }
 
     /// Writes `buf` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), MemError> {
         let (is_global, off) = self.region(addr, buf.len() as u64)?;
         let dst = if is_global {
@@ -163,13 +178,34 @@ impl Memory {
         Ok(())
     }
 
-    /// `memcpy` within the VM address space (regions may not overlap in
-    /// well-defined programs; we copy via a temporary so overlap behaves
-    /// like `memmove`, keeping execution deterministic either way).
+    /// Reads the little-endian 8-byte word at `addr`.
+    #[inline]
+    pub fn read_u64(&self, addr: u64) -> Result<u64, MemError> {
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Writes `x` at `addr` as a little-endian 8-byte word.
+    #[inline]
+    pub fn write_u64(&mut self, addr: u64, x: u64) -> Result<(), MemError> {
+        self.write(addr, &x.to_le_bytes())
+    }
+
+    /// `memcpy` within the VM address space. Both ranges are checked
+    /// (source first) before any byte moves, and overlapping ranges
+    /// copy like `memmove`, keeping execution deterministic either way.
     pub fn copy(&mut self, dst: u64, src: u64, n: u64) -> Result<(), MemError> {
-        let mut tmp = vec![0u8; n as usize];
-        self.read(src, &mut tmp)?;
-        self.write(dst, &tmp)
+        let (src_global, s) = self.region(src, n)?;
+        let (dst_global, d) = self.region(dst, n)?;
+        let n = n as usize;
+        match (src_global, dst_global) {
+            (true, true) => self.globals.copy_within(s..s + n, d),
+            (false, false) => self.stack.copy_within(s..s + n, d),
+            (true, false) => self.stack[d..d + n].copy_from_slice(&self.globals[s..s + n]),
+            (false, true) => self.globals[d..d + n].copy_from_slice(&self.stack[s..s + n]),
+        }
+        Ok(())
     }
 }
 
@@ -228,6 +264,85 @@ mod tests {
                                                           // Straddling the end of the global segment.
         let g = mem.global_base(1);
         assert!(mem.read(g + 4, &mut buf).is_err());
+    }
+
+    #[test]
+    fn wrapped_ranges_are_out_of_bounds() {
+        let m = module_with_global();
+        let mut mem = Memory::new(&m);
+        let mut buf = [0u8; 8];
+        // 6 bytes below 2^64: `addr + 8` wraps into the global segment.
+        let addr = mem.global_base(0).wrapping_sub(0x10006);
+        assert_eq!(
+            mem.read(addr, &mut buf),
+            Err(MemError::OutOfBounds { addr, size: 8 })
+        );
+        assert_eq!(
+            mem.write(addr, &buf),
+            Err(MemError::OutOfBounds { addr, size: 8 })
+        );
+        let g = mem.global_base(0);
+        assert!(mem.read(g, &mut []).is_ok());
+        assert_eq!(
+            mem.copy(g, g, u64::MAX),
+            Err(MemError::OutOfBounds {
+                addr: g,
+                size: u64::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn huge_alloca_overflows_the_stack() {
+        let m = module_with_global();
+        let mut mem = Memory::new(&m);
+        for size in [u64::MAX, u64::MAX - 3, u64::MAX - 15, STACK_LIMIT] {
+            assert_eq!(mem.alloca(size), Err(MemError::StackOverflow), "{size:#x}");
+        }
+        assert_eq!(mem.stack_mark(), STACK_BASE);
+        // The region is untouched: an ordinary alloca still succeeds.
+        assert_eq!(mem.alloca(16), Ok(STACK_BASE));
+    }
+
+    #[test]
+    fn huge_copy_traps_without_allocating() {
+        let m = module_with_global();
+        let mut mem = Memory::new(&m);
+        let g = mem.global_base(0);
+        assert_eq!(
+            mem.copy(g, g, 1 << 40),
+            Err(MemError::OutOfBounds {
+                addr: g,
+                size: 1 << 40
+            })
+        );
+        // The source range is checked before the destination's.
+        assert_eq!(
+            mem.copy(0, 8, 4),
+            Err(MemError::OutOfBounds { addr: 8, size: 4 })
+        );
+    }
+
+    #[test]
+    fn overlapping_copies_behave_like_memmove() {
+        let m = module_with_global();
+        let mut mem = Memory::new(&m);
+        let g = mem.global_base(0);
+        mem.copy(g + 1, g, 4).unwrap();
+        let mut buf = [0u8; 6];
+        mem.read(g, &mut buf).unwrap();
+        assert_eq!(buf, [1, 1, 2, 3, 4, 0]);
+        mem.copy(g, g + 1, 4).unwrap();
+        mem.read(g, &mut buf).unwrap();
+        assert_eq!(buf, [1, 2, 3, 4, 4, 0]);
+        let a = mem.alloca(16).unwrap();
+        mem.write(a, &[5, 6, 7, 8]).unwrap();
+        mem.copy(a + 2, a, 4).unwrap();
+        mem.read(a, &mut buf).unwrap();
+        assert_eq!(buf, [5, 6, 5, 6, 7, 8]);
+        mem.copy(g, a, 2).unwrap();
+        mem.read(g, &mut buf).unwrap();
+        assert_eq!(buf[..2], [5, 6]);
     }
 
     #[test]

@@ -17,6 +17,12 @@ cargo test -q --offline --workspace
 # modes (tree-walk reference vs. pre-decoded executor); run it by name so
 # a filtered `cargo test` invocation can never silently skip it.
 cargo test -q --offline --test differential_interp
+# The VM gates again in release, the profile the `oraql` binary and
+# perfbench run: integer overflow panics in debug builds and wraps in
+# release ones, so an address-arithmetic bug behaves differently in the
+# two.
+cargo test --release -q --offline --test differential_interp
+cargo test --release -q --offline -p oraql-vm
 # The compile-path byte-identity gates, likewise by name: the 16
 # configurations at jobs 1 against their golden (raw final decisions,
 # effort, query counts, machine stats, final-module hash), and the
