@@ -20,7 +20,7 @@ pub struct QueryCtx<'a> {
     pub func: FunctionId,
     /// Name of the transformation/analysis pass that issued the query
     /// (the paper associates pessimistic queries with the issuing pass).
-    pub pass: &'a str,
+    pub pass: &'static str,
 }
 
 /// One alias analysis in the chain.
@@ -130,7 +130,10 @@ impl AAManager {
     /// reads the summary of `m` as it is, whatever the passes do to the
     /// callee afterwards. Filled at first ask instead, a caller's code
     /// would depend on how far the pipeline had got through its callee,
-    /// and so on the alias answers given inside the callee.
+    /// and so on the alias answers given inside the callee. A function
+    /// already summarized keeps its summary, so a caller that compiles
+    /// a partly optimized copy of the unoptimized module summarizes the
+    /// unoptimized one first.
     pub fn summarize_callees(&mut self, m: &Module) {
         for fi in 0..m.funcs.len() {
             self.callee_effects(m, FunctionId(fi as u32));

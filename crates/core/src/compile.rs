@@ -5,8 +5,9 @@
 //! Two entry points: [`compile`] runs the pipeline and then collects
 //! the Fig. 6 statistics (baseline and final compiles, reports);
 //! [`compile_pipeline`] stops after the pipeline, which is all a probe
-//! reads, and splices in the functions a [`Reuse`] carries instead of
-//! compiling them again.
+//! reads, and starts from a case's [`Reuse`]: a clone of the case's one
+//! build, in which the functions no probe's decisions reach may already
+//! hold their optimized bodies.
 
 use crate::pass::{OraqlAA, OraqlShared};
 use crate::sequence::Decisions;
@@ -138,49 +139,80 @@ pub struct Compiled {
     pub oraql: Option<OraqlShared>,
 }
 
-/// Optimized function bodies that [`compile_pipeline`] splices in
-/// instead of running the pipeline over those functions.
+/// A case's unoptimized module, built once, and the module its probe
+/// compiles start from.
 ///
-/// A function that no unique ORAQL query names never reached the
+/// Every probe compile of a case starts from a clone of the case's one
+/// build. A function that no unique ORAQL query names never reached the
 /// decision sequence or ORAQL's pair cache. Its every alias query was
 /// answered by the conservative chain or left out of scope, and both
 /// depend only on its own body, the unoptimized module and the case's
 /// options. No pass looks at another function's body (see
 /// `oraql_passes::manager`), so the function compiles to the same body
-/// under every decision sequence. [`Reuse::decision_free`] collects
-/// those bodies from one compile; a later compile of the same build
-/// under the same options, whatever its decisions, may splice them in.
-#[derive(Debug, Clone, Default)]
+/// under every decision sequence. [`Reuse::keep`] puts those bodies,
+/// from one compile, into a template: a copy of the source in which
+/// they are already optimized. A later compile under the same options,
+/// whatever its decisions, clones the template and skips them. The
+/// chain's module-level analyses and the callee summaries read the
+/// unoptimized source either way, so the other functions compile as
+/// they would from a fresh build.
+#[derive(Debug)]
 pub struct Reuse {
-    bodies: Vec<(FunctionId, Function)>,
+    /// The unoptimized module.
+    source: Module,
+    /// Set by [`Reuse::keep`]: `source` with the kept functions
+    /// optimized, and their ids.
+    template: Option<(Module, FxHashSet<FunctionId>)>,
 }
 
 impl Reuse {
-    /// The bodies of `funcs` as `c` compiled them. Exact only for
-    /// functions that consulted no decision in `c`.
-    pub fn of(c: &Compiled, funcs: impl IntoIterator<Item = FunctionId>) -> Reuse {
+    /// Nothing kept yet: compiles start from a clone of `source`.
+    pub fn new(source: Module) -> Reuse {
         Reuse {
-            bodies: funcs
-                .into_iter()
-                .map(|id| (id, c.module.func(id).clone()))
-                .collect(),
+            source,
+            template: None,
         }
     }
 
+    /// The unoptimized module.
+    pub fn source(&self) -> &Module {
+        &self.source
+    }
+
+    /// From now on compiles start with `funcs` holding their bodies
+    /// from `c`, a compile of this source, and skip them. Exact only
+    /// for functions that consulted no decision in `c` and only for
+    /// compiles under `c`'s options.
+    pub fn keep(&mut self, c: &Compiled, funcs: impl IntoIterator<Item = FunctionId>) {
+        let mut template = self.source.clone();
+        let kept: FxHashSet<FunctionId> = funcs.into_iter().collect();
+        for &id in &kept {
+            *template.func_mut(id) = c.module.func(id).clone();
+        }
+        self.template = Some((template, kept));
+    }
+
+    /// Has [`Reuse::keep`] run?
+    pub fn is_kept(&self) -> bool {
+        self.template.is_some()
+    }
+
     /// Every function of `c` that no unique ORAQL query names.
-    pub fn decision_free(c: &Compiled) -> Reuse {
+    pub fn decision_free(c: &Compiled) -> Vec<FunctionId> {
         let consulted: FxHashSet<FunctionId> = c
             .oraql
             .as_ref()
             .map(|s| s.lock().queries.iter().map(|q| q.func).collect())
             .unwrap_or_default();
-        let ids = (0..c.module.funcs.len() as u32).map(FunctionId);
-        Reuse::of(c, ids.filter(|id| !consulted.contains(id)))
+        (0..c.module.funcs.len() as u32)
+            .map(FunctionId)
+            .filter(|id| !consulted.contains(id))
+            .collect()
     }
 
     /// How many functions a compile reuses.
     pub fn count(&self) -> usize {
-        self.bodies.len()
+        self.template.as_ref().map_or(0, |(_, kept)| kept.len())
     }
 }
 
@@ -204,7 +236,9 @@ pub fn conservative_chain(m: &Module, use_cfl: bool) -> AAManager {
 /// `register allocation` counters and copies the analysis chain's
 /// counters under `alias analysis`.
 pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
-    let (mut compiled, aa) = run_pipeline(build, opts, &Reuse::default());
+    let module = build();
+    let chain = chain(&module, opts);
+    let (mut compiled, aa) = run_pipeline(module, chain, FxHashSet::default(), opts);
     let stats = &mut compiled.stats;
     // Machine-level statistics (asm printer / register allocation),
     // from one lowering of each function.
@@ -232,54 +266,57 @@ pub fn compile(build: &dyn Fn() -> Module, opts: &CompileOptions) -> Compiled {
     compiled
 }
 
-/// The pipeline step of [`compile`] alone: build, analysis chain,
-/// pass pipeline, except that the functions `reuse` carries skip the
-/// pipeline and get its bodies spliced in. A probe reads only the
-/// module and the ORAQL state's unique count and queries, so probes
+/// The pipeline step of [`compile`] alone, from a clone of `reuse`'s
+/// template (its source until [`Reuse::keep`] runs), skipping the
+/// functions the template already holds optimized. A probe reads only
+/// the module and the ORAQL state's unique count and queries, so probes
 /// compile this way.
 ///
 /// The module and the ORAQL unique count and queries are exactly
-/// [`compile`]'s when `reuse` is empty or came from an earlier compile
-/// of the same build and options ([`Reuse`]). `stats` holds only the
-/// passes' own counters. `total_queries`, `no_alias_total`,
+/// [`compile`]'s of the source when nothing is kept, or when the kept
+/// functions came from an earlier compile of the source under the same
+/// options ([`Reuse`]). `stats` holds only the passes' own counters.
+/// `total_queries`, `no_alias_total`,
 /// [`OraqlStats::out_of_scope`](crate::pass::OraqlStats) and the pass
 /// statistics cover only the functions the pipeline ran on, so a
 /// reusing compile reads lower there; no probe reads them.
-pub fn compile_pipeline(
-    build: &dyn Fn() -> Module,
-    opts: &CompileOptions,
-    reuse: &Reuse,
-) -> Compiled {
-    run_pipeline(build, opts, reuse).0
+pub fn compile_pipeline(reuse: &Reuse, opts: &CompileOptions) -> Compiled {
+    let chain = chain(&reuse.source, opts);
+    let (module, skip) = match &reuse.template {
+        Some((template, kept)) => (template.clone(), kept.clone()),
+        None => (reuse.source.clone(), FxHashSet::default()),
+    };
+    run_pipeline(module, chain, skip, opts).0
 }
 
-/// Builds the module, installs the chain (plus ORAQL when requested)
-/// and runs the standard pipeline over the functions `reuse` does not
-/// carry, then splices in the ones it does; returns the chain with the
-/// result so [`compile`] can read its counters.
-fn run_pipeline(
-    build: &dyn Fn() -> Module,
-    opts: &CompileOptions,
-    reuse: &Reuse,
-) -> (Compiled, AAManager) {
-    let mut module = build();
-    let mut aa = conservative_chain(&module, opts.use_cfl);
+/// The conservative chain plus ORAQL when requested, with every callee
+/// summarized: all of it read from `source`, the unoptimized module.
+fn chain(source: &Module, opts: &CompileOptions) -> (AAManager, Option<OraqlShared>) {
+    let mut aa = conservative_chain(source, opts.use_cfl);
     aa.suppressed = opts.suppress.iter().cloned().collect();
+    aa.summarize_callees(source);
     let oraql = opts.oraql.as_ref().map(|(decisions, scope)| {
         let shared = crate::pass::new_shared_with(decisions.clone(), scope.clone(), opts.optimism);
         aa.add(Box::new(OraqlAA::new(shared.clone())));
         shared
     });
+    (aa, oraql)
+}
 
+/// Runs the standard pipeline over every function of `module` not in
+/// `skip`, querying `chain`; returns the chain with the result so
+/// [`compile`] can read its counters.
+fn run_pipeline(
+    mut module: Module,
+    (mut aa, oraql): (AAManager, Option<OraqlShared>),
+    skip: FxHashSet<FunctionId>,
+    opts: &CompileOptions,
+) -> (Compiled, AAManager) {
     let mut stats = Stats::new();
     let mut pm = standard_pipeline();
     pm.verify_each = opts.verify_each;
-    pm.skip = reuse.bodies.iter().map(|(id, _)| *id).collect();
+    pm.skip = skip;
     pm.run(&mut module, &mut aa, &mut stats);
-    for (id, body) in &reuse.bodies {
-        *module.func_mut(*id) = body.clone();
-    }
-
     let compiled = Compiled {
         no_alias_total: aa.no_alias_total(),
         total_queries: aa.total_queries,
@@ -442,10 +479,11 @@ mod tests {
         let scope = Scope::files(vec!["in.c".into()]);
         let compile = |d: Decisions, reuse: &Reuse| {
             let opts = CompileOptions::with_oraql(d, scope.clone());
-            compile_pipeline(&leak_module, &opts, reuse)
+            compile_pipeline(reuse, &opts)
         };
-        let pess = compile(Decisions::all_pessimistic(), &Reuse::default());
-        let opt = compile(Decisions::all_optimistic(), &Reuse::default());
+        let fresh = Reuse::new(leak_module());
+        let pess = compile(Decisions::all_pessimistic(), &fresh);
+        let opt = compile(Decisions::all_optimistic(), &fresh);
         let g = pess.module.find_func("g").unwrap();
         let g_text = |c: &Compiled| oraql_ir::printer::function_str(&c.module, g);
         assert_eq!(g_text(&pess), g_text(&opt));
@@ -457,13 +495,15 @@ mod tests {
             "h compiles differently under the two sequences"
         );
         // `h` consulted the decisions, `g` and `main` did not; either
-        // compile's `g` spliced into the other gives the full compile.
-        assert_eq!(Reuse::decision_free(&pess).count(), 2);
+        // compile's `g` kept for the other gives the full compile.
+        assert_eq!(Reuse::decision_free(&pess).len(), 2);
         for (from, into, d) in [
             (&pess, &opt, Decisions::all_optimistic()),
             (&opt, &pess, Decisions::all_pessimistic()),
         ] {
-            let reusing = compile(d, &Reuse::of(from, [g]));
+            let mut reuse = Reuse::new(leak_module());
+            reuse.keep(from, [g]);
+            let reusing = compile(d, &reuse);
             assert_eq!(module_str(&reusing.module), module_str(&into.module));
         }
     }
@@ -473,7 +513,7 @@ mod tests {
         for decisions in [Decisions::all_optimistic(), Decisions::all_pessimistic()] {
             let opts = CompileOptions::with_oraql(decisions, Scope::everything());
             let full = compile(&trap_module, &opts);
-            let probe = compile_pipeline(&trap_module, &opts, &Reuse::default());
+            let probe = compile_pipeline(&Reuse::new(trap_module()), &opts);
             assert_eq!(module_str(&full.module), module_str(&probe.module));
             assert_eq!(full.no_alias_total, probe.no_alias_total);
             assert_eq!(full.total_queries, probe.total_queries);

@@ -49,19 +49,21 @@
 //! stored: the case salt hashes them, so a changed reference changes
 //! every key.
 //!
-//! # Probe compiles reuse decision-free functions
+//! # One build per case; probe compiles reuse decision-free functions
 //!
-//! The case's first successful probe compile notes the functions no
-//! unique ORAQL query names ([`Reuse::decision_free`]): they never
-//! reached the decision sequence or ORAQL's pair cache, so they compile
-//! to the same body under every decision sequence. Every later probe
-//! compile of the case skips the pipeline for them and splices in those
-//! bodies ([`compile_pipeline`]'s `reuse`). Until a probe compile
-//! succeeds (the first probe answered by a tier, or its compile
-//! panicked) nothing is reused. Every probe still counts as one compile
-//! and still builds the module; the baseline and final compiles are
-//! full. The tally counts the spliced functions
-//! ([`ProbeEffort::functions_reused`]).
+//! [`Driver::run`] calls the case's `build` once. The baseline, every
+//! probe and the final compile start from clones of that module, which
+//! also keys the case salt. The case's first successful probe compile
+//! notes the functions no unique ORAQL query names
+//! ([`Reuse::decision_free`]): they never reached the decision sequence
+//! or ORAQL's pair cache, so they compile to the same body under every
+//! decision sequence. [`Reuse::keep`] puts their optimized bodies into
+//! the case's template, and every later probe compile clones the
+//! template and skips the pipeline for them ([`compile_pipeline`]).
+//! Until a probe compile succeeds (the first probe answered by a tier,
+//! or its compile panicked) nothing is reused. Every probe still counts
+//! as one compile; the baseline and final compiles are full. The tally
+//! counts the reused functions ([`ProbeEffort::functions_reused`]).
 //!
 //! # Concurrency and determinism contract
 //!
@@ -123,7 +125,6 @@ use oraql_obs::Span;
 use oraql_passes::Stats;
 use oraql_store::{Space, Store, Verdict};
 use oraql_vm::{Interpreter, RunOutcome, VmFault};
-use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -138,7 +139,9 @@ pub struct TestCase {
     /// Benchmark name.
     pub name: String,
     /// Builds a fresh module (one "compilation" input). Must be
-    /// deterministic: the driver compiles it many times.
+    /// deterministic: [`Driver::run`] calls it once and compiles clones
+    /// of the result many times, and the case salt keys stored
+    /// verdicts by it across runs.
     pub build: Arc<dyn Fn() -> Module + Send + Sync>,
     /// ORAQL scope restriction (files / target).
     pub scope: Scope,
@@ -266,9 +269,8 @@ pub struct ProbeEffort {
     /// Probes answered by the verdict server (either key space) after
     /// every local tier missed.
     pub tests_server: u64,
-    /// Functions probe compiles spliced in from the case's first
-    /// successful probe compile instead of running the pipeline over
-    /// them.
+    /// Functions probe compiles took from the case's first successful
+    /// probe compile instead of running the pipeline over them.
     pub functions_reused: u64,
     /// Always 0: the driver no longer speculates. Kept for readers of
     /// the old speculation counters.
@@ -538,7 +540,7 @@ struct Tally {
     answers: HashMap<Answer, u64>,
     /// Probe compiles started.
     compiles: u64,
-    /// Functions probe compiles spliced in instead of compiling them.
+    /// Functions probe compiles reused instead of compiling them.
     functions_reused: u64,
     /// Probe VM runs started.
     vm_runs: u64,
@@ -626,10 +628,10 @@ pub struct Driver<'a> {
     /// In-memory tier, decisions-digest space: `None` at `jobs = 1`,
     /// so that it reproduces the seed effort counters exactly.
     dec: Option<HashMap<u64, Verdict>>,
-    /// The decision-free functions of the case's first successful probe
-    /// compile, spliced into every later one; `None` until a probe
-    /// compile succeeds.
-    reuse: Option<Reuse>,
+    /// The case's one build, and the template its probe compiles start
+    /// from once the first successful one has noted the decision-free
+    /// functions.
+    reuse: Reuse,
     /// The case's one accounting record.
     tally: Tally,
     /// Decisions digests whose probes exhausted every retry: answered
@@ -648,23 +650,20 @@ impl Driver<'_> {
         let case_id = case_root.as_ref().map_or(0, Span::id);
         let baseline_span = span("baseline", case_id);
         // Step 1: baseline (ORAQL deactivated) — produces the reference.
-        // A panicking build closure fails this case, not the suite. The
-        // build it already does keys the unoptimized module for the salt.
-        let source = Cell::new(0);
-        let build = || {
-            let m = (case.build)();
-            source.set(source_key(&m));
-            m
-        };
-        let baseline = catch_unwind(AssertUnwindSafe(|| {
-            compile(&build, &CompileOptions::baseline())
+        // The case's one build: every compile starts from a clone of it,
+        // and it keys the unoptimized module for the salt. A panicking
+        // build closure fails this case, not the suite.
+        let (source, baseline) = catch_unwind(AssertUnwindSafe(|| {
+            let source = (case.build)();
+            let baseline = compile(&|| source.clone(), &CompileOptions::baseline());
+            (source, baseline)
         }))
         .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
         let baseline_run = run_module(&baseline.module, case.fuel)
             .map_err(|e| DriverError::BaselineBroken(Mismatch::ExecutionFailed(e)))?;
         let mut references = vec![baseline_run.stdout.clone()];
         references.extend(case.extra_references.iter().cloned());
-        let salt = case_salt(case, &references, source.get());
+        let salt = case_salt(case, &references, source_key(&source));
         let verifier = Verifier::new(references, &case.ignore_patterns);
         verifier
             .check(&baseline_run.stdout)
@@ -678,7 +677,7 @@ impl Driver<'_> {
             case_span: case_id,
             exe: HashMap::new(),
             dec: (opts.jobs > 1).then(HashMap::new),
-            reuse: None,
+            reuse: Reuse::new(source),
             tally: Tally::default(),
             quarantine: HashSet::new(),
             opts,
@@ -698,8 +697,11 @@ impl Driver<'_> {
         // Step 4: final compile + verification.
         let final_span = span("final", case_id);
         let final_opts = case.oraql_options(decisions.clone());
-        let finalc = catch_unwind(AssertUnwindSafe(|| compile(&*case.build, &final_opts)))
-            .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
+        let source = driver.reuse.source();
+        let finalc = catch_unwind(AssertUnwindSafe(|| {
+            compile(&|| source.clone(), &final_opts)
+        }))
+        .map_err(|p| DriverError::CasePanicked(panic_message(&*p)))?;
         let final_run = run_module(&finalc.module, case.fuel)
             .map_err(|e| DriverError::FinalBroken(Mismatch::ExecutionFailed(e)))?;
         driver
@@ -900,15 +902,13 @@ impl Driver<'_> {
         // A probe reads only the module and the ORAQL state: the
         // pipeline step alone, no Fig. 6 statistics, and no pipeline
         // run over the functions the first compile found decision-free.
-        let none = Reuse::default();
-        let reuse = self.reuse.as_ref().unwrap_or(&none);
         let compiled = {
             let _s = self.span("compile", probe_span);
-            compile_pipeline(&*case.build, &case.oraql_options(d.clone()), reuse)
+            compile_pipeline(&self.reuse, &case.oraql_options(d.clone()))
         };
-        self.tally.functions_reused += reuse.count() as u64;
-        if self.reuse.is_none() {
-            self.reuse = Some(Reuse::decision_free(&compiled));
+        self.tally.functions_reused += self.reuse.count() as u64;
+        if !self.reuse.is_kept() {
+            self.reuse.keep(&compiled, Reuse::decision_free(&compiled));
         }
         let h = {
             let _s = self.span("key", probe_span);

@@ -57,7 +57,7 @@ pub struct UniqueQuery {
     /// `true` = answered no-alias.
     pub optimistic: bool,
     /// Pass that issued the first (non-cached) occurrence.
-    pub pass: String,
+    pub pass: &'static str,
     /// Position in the decision sequence.
     pub index: u64,
     /// How many later queries were served from the cache entry.
@@ -142,12 +142,19 @@ pub fn new_shared_with(decisions: Decisions, scope: Scope, optimism: OptimismKin
 /// The installable analysis: a thin adapter around the shared state.
 pub struct OraqlAA {
     shared: OraqlShared,
+    /// Per function, indexed by its id: does the scope cover it?
+    /// Decided at its first query, since no pass changes a function's
+    /// source file or target.
+    in_scope: Vec<Option<bool>>,
 }
 
 impl OraqlAA {
     /// Wraps a shared state.
     pub fn new(shared: OraqlShared) -> Self {
-        OraqlAA { shared }
+        OraqlAA {
+            shared,
+            in_scope: Vec::new(),
+        }
     }
 }
 
@@ -163,8 +170,13 @@ impl AliasAnalysis for OraqlAA {
         }
         // Scope restriction (§IV-E): only answer for functions from the
         // configured files / the configured compilation target.
-        let f = ctx.module.func(ctx.func);
-        if !st.scope.contains(ctx.module, f) {
+        let fi = ctx.func.0 as usize;
+        if fi >= self.in_scope.len() {
+            self.in_scope.resize(fi + 1, None);
+        }
+        let in_scope = *self.in_scope[fi]
+            .get_or_insert_with(|| st.scope.contains(ctx.module, ctx.module.func(ctx.func)));
+        if !in_scope {
             st.stats.out_of_scope += 1;
             return AliasResult::MayAlias;
         }
@@ -205,7 +217,7 @@ impl AliasAnalysis for OraqlAA {
             a: a.clone(),
             b: b.clone(),
             optimistic,
-            pass: ctx.pass.to_owned(),
+            pass: ctx.pass,
             index,
             cached_hits: 0,
         });

@@ -100,7 +100,7 @@ pub fn render_report(m: &Module, queries: &[UniqueQuery], flags: DumpFlags) -> S
     if !(flags.first || flags.cached) || !(flags.optimistic || flags.pessimistic) {
         return s; // one flag of each category is required (paper §IV-D)
     }
-    let mut last_pass = String::new();
+    let mut last_pass = "";
     for q in queries {
         let decision_selected =
             (q.optimistic && flags.optimistic) || (!q.optimistic && flags.pessimistic);
@@ -115,7 +115,7 @@ pub fn render_report(m: &Module, queries: &[UniqueQuery], flags: DumpFlags) -> S
                 q.pass,
                 m.func(q.func).name
             );
-            last_pass = q.pass.clone();
+            last_pass = q.pass;
         }
         s.push_str(&render_query(m, q));
     }
@@ -126,11 +126,11 @@ pub fn render_report(m: &Module, queries: &[UniqueQuery], flags: DumpFlags) -> S
 /// behind the paper's per-pass breakdowns (e.g. Quicksilver: 61% from
 /// memory SSA, 18% from GVN, ...).
 pub fn queries_by_pass(queries: &[UniqueQuery]) -> Vec<(String, u64)> {
-    let mut map: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut map: std::collections::BTreeMap<&str, u64> = Default::default();
     for q in queries {
-        *map.entry(q.pass.clone()).or_insert(0) += 1;
+        *map.entry(q.pass).or_insert(0) += 1;
     }
-    let mut v: Vec<(String, u64)> = map.into_iter().collect();
+    let mut v: Vec<(String, u64)> = map.into_iter().map(|(p, n)| (p.to_owned(), n)).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v
 }

@@ -209,7 +209,7 @@ impl GroundTruth {
                     a: q.a.ptr,
                     b: q.b.ptr,
                     label,
-                    pass: q.pass.clone(),
+                    pass: q.pass,
                     index: q.index,
                 }),
                 (true, Label::May) => r.optimism_on_may += 1,
@@ -233,7 +233,7 @@ pub struct Violation {
     pub b: Value,
     pub label: Label,
     /// Pass that issued the query's first occurrence.
-    pub pass: String,
+    pub pass: &'static str,
     /// Position in the decision sequence.
     pub index: u64,
 }
@@ -345,7 +345,7 @@ mod tests {
             a: loc(a),
             b: loc(b),
             optimistic,
-            pass: "gvn".into(),
+            pass: "gvn",
             index: 0,
             cached_hits: 0,
         }

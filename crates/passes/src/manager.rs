@@ -8,8 +8,10 @@
 //! effects, is summarized from the unoptimized module before the first
 //! pass. So each function's optimized body depends on its own body and
 //! the alias answers given for it, and on nothing the pipeline does to
-//! the other functions: a caller may skip functions ([`PassManager::skip`])
-//! and compile the rest exactly as a full run would.
+//! the other functions: a caller may skip functions ([`PassManager::skip`]),
+//! even ones it already optimized, and compile the rest exactly as a
+//! full run would, as long as the chain's summaries come from the
+//! unoptimized module ([`AAManager::summarize_callees`]).
 
 use crate::stats::Stats;
 use oraql_analysis::facts::FunctionFacts;
@@ -67,8 +69,9 @@ impl PassManager {
     /// Runs the pipeline: for each pass, over each function not in
     /// [`PassManager::skip`], in order (pass-major, like LLVM's
     /// module-level CGSCC scheduling of our simple function passes).
-    /// Callee effects are summarized first, from `m` as it comes in. One
-    /// [`FunctionFacts`] per function lives for the whole run.
+    /// Callee effects the chain has not summarized yet are summarized
+    /// first, from `m` as it comes in. One [`FunctionFacts`] per
+    /// function lives for the whole run.
     pub fn run(&mut self, m: &mut Module, aa: &mut AAManager, stats: &mut Stats) {
         aa.summarize_callees(m);
         let mut facts: Vec<FunctionFacts> = Vec::new();

@@ -70,13 +70,16 @@ fn const_addr(f: &oraql_ir::module::Function, ptr: Value) -> Option<(Value, i64)
     Some((d.base.value()?, d.const_off))
 }
 
-/// Number of uses of `needle` across the function.
-fn use_count(f: &oraql_ir::module::Function, needle: InstId) -> usize {
-    let mut n = 0;
+/// Number of uses of each instruction across the function, indexed by
+/// [`InstId`].
+fn use_counts(f: &oraql_ir::module::Function) -> Vec<u32> {
+    let mut n = vec![0; f.insts().len()];
     for id in f.live_insts() {
         f.inst(id).for_each_operand(|v| {
-            if v == Value::Inst(needle) {
-                n += 1;
+            if let Value::Inst(used) = v {
+                if let Some(c) = n.get_mut(used.0 as usize) {
+                    *c += 1;
+                }
             }
         });
     }
@@ -86,6 +89,10 @@ fn use_count(f: &oraql_ir::module::Function, needle: InstId) -> usize {
 fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Option<Group> {
     let f = m.func(fid);
     let ids = &f.blocks()[bi].insts;
+    // The scan edits nothing, so one count serves every candidate;
+    // taken at the first candidate that needs it.
+    let mut counts = None;
+    let mut use_count = |id: InstId| counts.get_or_insert_with(|| use_counts(f))[id.0 as usize];
 
     // Collect candidate store lanes.
     let mut lanes_by_base: Vec<(Value, Ty, BinOp, Vec<Lane>)> = Vec::new();
@@ -106,7 +113,7 @@ fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Op
         if bty != ty || matches!(op, BinOp::Div | BinOp::Rem) {
             continue;
         }
-        if f.block_of(*bin) != f.block_of(id) || use_count(f, *bin) != 1 {
+        if f.block_of(*bin) != f.block_of(id) || use_count(*bin) != 1 {
             continue;
         }
         let op = *op;
@@ -152,7 +159,7 @@ fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Op
                     continue;
                 }
                 // Match the operand shape across lanes.
-                let side = |get: fn(&Inst) -> Value| -> Option<(Vec<InstId>, Option<Value>)> {
+                let mut side = |get: fn(&Inst) -> Value| -> Option<(Vec<InstId>, Option<Value>)> {
                     let first = get(f.inst(w[0].bin));
                     // Shared scalar: every lane uses the same value, and
                     // that value is defined before the insertion point.
@@ -180,9 +187,7 @@ fn find_group(m: &Module, fid: FunctionId, bi: usize, cx: &mut PassCx<'_>) -> Op
                         let Inst::Load { ptr, ty: lty, .. } = f.inst(ld) else {
                             return None;
                         };
-                        if *lty != ty
-                            || use_count(f, ld) != 1
-                            || f.block_of(ld) != f.block_of(l.store)
+                        if *lty != ty || use_count(ld) != 1 || f.block_of(ld) != f.block_of(l.store)
                         {
                             return None;
                         }

@@ -34,6 +34,12 @@ cargo test -q --offline --test analysis_index
 # equal keys exactly when equal texts, over 122 probe compiles per
 # configuration and a generated corpus.
 cargo test -q --offline --test module_key
+# The per-case template probe compiles start from, by name: every probe
+# of the 16 configurations and a generated corpus compiled in full and
+# through the template must give equal module text and unique counts,
+# and a template that keeps a function that consulted the decisions
+# must be caught.
+cargo test -q --offline --test probe_reuse
 # The CFG facts the pass manager keeps per function across passes
 # (predecessors, RPO, dominators, the loop forest) against fresh ones
 # after every pass, edge-editing passes included; the baseline compile

@@ -258,7 +258,7 @@ fn check_cases(cases: &[TestCase]) -> Seen {
             let opts = decisions.map_or_else(CompileOptions::baseline, |d| case.oraql_options(d));
             assert_eq!(
                 module_str(&module),
-                module_str(&compile_pipeline(&*case.build, &opts, &Reuse::default()).module),
+                module_str(&compile_pipeline(&Reuse::new((case.build)()), &opts).module),
                 "{}: the checks changed the compile",
                 seen.borrow().what
             );

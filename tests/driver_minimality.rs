@@ -11,10 +11,11 @@ use oraql_suite::oraql::compile::{compile, compile_pipeline, Reuse};
 use oraql_suite::oraql::{Decisions, Driver, DriverOptions, TestCase, Verifier};
 use oraql_suite::vm::Interpreter;
 
-/// Whether the module `d` compiles to, under the case's compile
-/// options, prints what `verifier` accepts within the case's fuel.
-fn verifies(case: &TestCase, d: Decisions, verifier: &Verifier) -> bool {
-    let m = compile_pipeline(&*case.build, &case.oraql_options(d), &Reuse::default()).module;
+/// Whether the module `d` compiles `source` to, under the case's
+/// compile options, prints what `verifier` accepts within the case's
+/// fuel.
+fn verifies(case: &TestCase, source: &Reuse, d: Decisions, verifier: &Verifier) -> bool {
+    let m = compile_pipeline(source, &case.oraql_options(d)).module;
     let Some(main) = m.find_func("main") else {
         return false;
     };
@@ -34,8 +35,9 @@ fn assert_minimal(case: &TestCase) -> usize {
     let mut references = vec![r.baseline_run.stdout.clone()];
     references.extend(case.extra_references.iter().cloned());
     let verifier = Verifier::new(references, &case.ignore_patterns);
+    let source = Reuse::new((case.build)());
     assert!(
-        verifies(case, r.decisions.clone(), &verifier),
+        verifies(case, &source, r.decisions.clone(), &verifier),
         "{}: the final sequence does not verify",
         case.name
     );
@@ -49,7 +51,7 @@ fn assert_minimal(case: &TestCase) -> usize {
             tail: true,
         };
         assert!(
-            !verifies(case, d, &verifier),
+            !verifies(case, &source, d, &verifier),
             "{}: flipping the 0 at index {i} still verifies",
             case.name
         );

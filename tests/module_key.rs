@@ -43,9 +43,10 @@ fn check_case(case: &TestCase) -> (usize, usize) {
     let mut by_text: HashMap<String, u64> = HashMap::new();
     let mut by_key: HashMap<u64, String> = HashMap::new();
     let vectors = vectors();
+    let source = Reuse::new((case.build)());
     for d in &vectors {
         let opts = case.oraql_options(d.clone());
-        let module = compile_pipeline(&*case.build, &opts, &Reuse::default()).module;
+        let module = compile_pipeline(&source, &opts).module;
         let (key, text) = (module_key(0, &module), module_str(&module));
         let seen_key = *by_text.entry(text.clone()).or_insert(key);
         assert_eq!(

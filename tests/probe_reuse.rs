@@ -1,38 +1,47 @@
-//! Probe compiles that reuse decision-free functions, against full ones.
+//! Probe compiles that start from a case's template, against full ones.
 //!
-//! The driver's first successful probe compile of a case notes the
-//! functions no unique ORAQL query names (`Reuse::decision_free`). Every
-//! later probe compile of the case skips the pipeline for them and
-//! splices in their bodies from that first compile. A probe reads the
-//! optimized module and the ORAQL unique count, so reuse is exact when
-//! both equal a full compile's under every decision sequence.
+//! The driver builds each case once. Its first successful probe compile
+//! notes the functions no unique ORAQL query names
+//! (`Reuse::decision_free`), and `Reuse::keep` puts their optimized
+//! bodies into the case's template. Every later probe compile clones
+//! the template and skips the pipeline for them, while the analysis
+//! chain and the callee summaries read the unoptimized build. A probe
+//! reads the optimized module and the ORAQL unique count, so the
+//! template is exact when both equal a full compile's under every
+//! decision sequence.
 //!
 //! This drives the chunked strategy over each of the 16 configurations
 //! and over the CI's generated corpus through a prober that compiles
-//! every probe twice, in full and reusing, and compares the two. Each
-//! verdict comes from running the full compile, so the strategy walks
-//! the path the full compiles lead it down. A reuse that also marks a
-//! function that consulted the decisions must be caught.
+//! every probe twice, in full and through the template, and compares
+//! the two. Each verdict comes from running the full compile, so the
+//! strategy walks the path the full compiles lead it down. A template
+//! that also keeps a function that consulted the decisions must be
+//! caught.
 
 use oraql::compile::{compile, compile_pipeline, CompileOptions, Compiled, Reuse};
 use oraql::strategy::{ProbeOutcome, Prober, Strategy};
-use oraql::{Decisions, TestCase, Verifier};
+use oraql::{Decisions, DriverOptions, TestCase, Verifier};
 use oraql_gen::GenPlan;
 use oraql_ir::module::FunctionId;
 use oraql_ir::printer::module_str;
 use oraql_vm::Interpreter;
-use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Picks the functions to reuse from a case's first compile.
-type Pick = fn(&Compiled) -> Reuse;
+/// Picks the functions to keep from a case's first compile.
+type Pick = fn(&Compiled) -> Vec<FunctionId>;
 
-/// Compiles each probe in full and reusing, and answers from the full
-/// compile.
+/// Compiles each probe in full and through the template, and answers
+/// from the full compile.
 struct Twin<'a> {
     case: &'a TestCase,
     verifier: Verifier,
     pick: Pick,
-    reuse: Option<Reuse>,
+    /// The case's one build; nothing kept, so every compile is full.
+    full: Reuse,
+    /// The same build, keeping what `pick` chose from the first
+    /// compile, as the driver does.
+    template: Reuse,
     probes: usize,
     reused: usize,
     /// One line per probe whose two compiles disagree.
@@ -45,14 +54,16 @@ fn unique(c: &Compiled) -> u64 {
 
 impl<'a> Twin<'a> {
     fn new(case: &'a TestCase, pick: Pick) -> Self {
-        let baseline = compile(&*case.build, &CompileOptions::baseline());
+        let source = (case.build)();
+        let baseline = compile(&|| source.clone(), &CompileOptions::baseline());
         let mut references = vec![run(case, &baseline).expect("baseline runs")];
         references.extend(case.extra_references.iter().cloned());
         Twin {
             case,
             verifier: Verifier::new(references, &case.ignore_patterns),
             pick,
-            reuse: None,
+            full: Reuse::new(source.clone()),
+            template: Reuse::new(source),
             probes: 0,
             reused: 0,
             mismatches: Vec::new(),
@@ -80,12 +91,13 @@ fn run(case: &TestCase, c: &Compiled) -> Option<String> {
 impl Prober for Twin<'_> {
     fn probe(&mut self, d: &Decisions) -> ProbeOutcome {
         let opts = self.case.oraql_options(d.clone());
-        let full = compile_pipeline(&*self.case.build, &opts, &Reuse::default());
-        let pick = self.pick;
-        let reuse = self.reuse.get_or_insert_with(|| pick(&full));
-        let reusing = compile_pipeline(&*self.case.build, &opts, reuse);
+        let full = compile_pipeline(&self.full, &opts);
+        if !self.template.is_kept() {
+            self.template.keep(&full, (self.pick)(&full));
+        }
+        let reusing = compile_pipeline(&self.template, &opts);
         self.probes += 1;
-        self.reused += reuse.count();
+        self.reused += self.template.count();
         if module_str(&full.module) != module_str(&reusing.module)
             || unique(&full) != unique(&reusing)
         {
@@ -111,7 +123,7 @@ impl Prober for Twin<'_> {
     fn note_deduced(&mut self) {}
 }
 
-/// Drives every case with the driver's reuse and checks each probe's
+/// Drives every case with the driver's template and checks each probe's
 /// two compiles agree. Returns (probes, reused function compiles).
 fn check(cases: &[TestCase]) -> (usize, usize) {
     let (mut probes, mut reused) = (0, 0);
@@ -145,22 +157,19 @@ fn reusing_probe_compiles_equal_full_ones_on_the_gen_corpus() {
 
 /// [`Reuse::decision_free`] plus the first function a unique query
 /// names.
-fn one_consulting_too(c: &Compiled) -> Reuse {
-    let named: Vec<FunctionId> = c
+fn one_consulting_too(c: &Compiled) -> Vec<FunctionId> {
+    let mut funcs = Reuse::decision_free(c);
+    let first_named = c
         .oraql
         .as_ref()
-        .map(|s| s.lock().queries.iter().map(|q| q.func).collect())
-        .unwrap_or_default();
-    let named_set: HashSet<FunctionId> = named.iter().copied().collect();
-    let free = (0..c.module.funcs.len() as u32)
-        .map(FunctionId)
-        .filter(|f| !named_set.contains(f));
-    Reuse::of(c, free.chain(named.first().copied()))
+        .and_then(|s| s.lock().queries.first().map(|q| q.func));
+    funcs.extend(first_named);
+    funcs
 }
 
-/// The gate is not vacuous: a reuse that also marks one function that
-/// consulted the decisions disagrees with the full compiles on every
-/// configuration (each asks ORAQL something).
+/// The gate is not vacuous: a template that also keeps one function
+/// that consulted the decisions disagrees with the full compiles on
+/// every configuration (each asks ORAQL something).
 #[test]
 fn reusing_a_consulting_function_is_caught() {
     for case in oraql_workloads::all_cases() {
@@ -169,12 +178,29 @@ fn reusing_a_consulting_function_is_caught() {
     }
 }
 
-/// The driver counts the functions it splices into its case's effort:
+/// The driver counts the functions it reuses into its case's effort:
 /// `testsnap_omp` compiles 29 probes, and its one function no unique
 /// query names is reused by every probe compile after the first.
 #[test]
 fn driver_counts_reused_functions_in_its_effort() {
     let case = oraql_workloads::find_case("testsnap_omp").unwrap();
-    let r = oraql::Driver::run(&case, oraql::DriverOptions::default()).unwrap();
+    let r = oraql::Driver::run(&case, DriverOptions::default()).unwrap();
     assert_eq!((r.effort.compiles, r.effort.functions_reused), (29, 28));
+}
+
+/// The driver calls a case's `build` once: the baseline, each of
+/// `testsnap_omp`'s 29 probe compiles and the final compile start from
+/// clones of that one module.
+#[test]
+fn driver_builds_each_case_once() {
+    let mut case = oraql_workloads::find_case("testsnap_omp").unwrap();
+    let builds = Arc::new(AtomicUsize::new(0));
+    let (inner, counter) = (Arc::clone(&case.build), Arc::clone(&builds));
+    case.build = Arc::new(move || {
+        counter.fetch_add(1, Ordering::SeqCst);
+        inner()
+    });
+    let r = oraql::Driver::run(&case, DriverOptions::default()).unwrap();
+    assert_eq!(r.effort.compiles, 29);
+    assert_eq!(builds.load(Ordering::SeqCst), 1);
 }
